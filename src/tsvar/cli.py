@@ -106,11 +106,7 @@ def _trajectory_from_entry(
             raise ProblemFileError(
                 f"slope list must be {scale.n - 1} x {n}, got {slopes.shape}"
             )
-        values = np.empty((scale.n, n))
-        values[0] = problem.q_a
-        for i in range(scale.n - 1):
-            values[i + 1] = values[i] + slopes[i] * scale.mu(i)
-        return GridFunction(scale, values)
+        return GridFunction.from_slopes(scale, problem.q_a, slopes)
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
 
 
@@ -162,12 +158,8 @@ def default_tol(scale: TimeScale) -> float:
     """Extremality threshold: 1e-8 on exact scales, 10*h on dense grids."""
     if scale.is_exact_discrete:
         return 1e-8
-    h = max(
-        scale.spacing(i)
-        for i in range(scale.n - 1)
-        if scale.gaps[i].value == "D"
-    )
-    return 10.0 * h
+    dense = scale.mus[:-1] == 0.0
+    return 10.0 * float(np.max(np.diff(scale.points)[dense]))
 
 
 def _write_json(path: str | None, payload) -> None:
@@ -185,32 +177,27 @@ def load_report(path: str | Path):
 
 
 def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
-    """Numerically probe for a pure quadratic form in v with no t, u coupling."""
-    rng = np.random.default_rng(0)
+    """Numerically probe for a pure quadratic form in v with no t, u coupling.
+
+    Eight random probe frames (t, u, v, w) are checked at once.
+    """
     n = lagrangian.dim
-    zero = np.zeros(n)
+    probes = np.random.default_rng(0).uniform(-1, 1, (8, 1 + 3 * n))
+    t, u, v, w = np.split(probes, [1, 1 + n, 1 + 2 * n], axis=1)
+    t = t[:, 0]
     delta = 0.5
-    for _ in range(8):
-        t = float(rng.uniform(-1, 1))
-        u = rng.uniform(-1, 1, n)
-        v = rng.uniform(-1, 1, n)
-        w = rng.uniform(-1, 1, n)
-        try:
-            if abs(lagrangian.d1(t, u, v)) > 1e-9:
-                return False
-            if np.max(np.abs(lagrangian.d2(t, u, v))) > 1e-9:
-                return False
-            if abs(lagrangian.value(t, u, zero)) > 1e-9:
-                return False
-            if np.max(np.abs(lagrangian.d3(t, u, zero))) > 1e-9:
-                return False
-            g = [lagrangian.value(t, u, v + s * delta * w) for s in range(4)]
-            third = g[3] - 3 * g[2] + 3 * g[1] - g[0]
-            if abs(third) > 1e-8 * max(1.0, max(abs(x) for x in g)):
-                return False
-        except ExprError:
-            return False
-    return True
+    try:
+        _, d1, d2, _ = lagrangian.partials(t, u, v)
+        at_rest, _, _, d3_at_rest = lagrangian.partials(t, u, np.zeros_like(v))
+        g = [lagrangian.partials(t, u, v + s * delta * w)[0] for s in range(4)]
+    except ExprError:
+        return False
+    must_vanish = np.column_stack([d1, d2, at_rest, d3_at_rest])
+    third = g[3] - 3 * g[2] + 3 * g[1] - g[0]
+    return not (
+        np.any(np.abs(must_vanish) > 1e-9)
+        or np.any(np.abs(third) > 1e-8 * np.maximum(1.0, np.max(np.abs(g), axis=0)))
+    )
 
 
 def _print_trajectory(q: GridFunction) -> None:
@@ -364,7 +351,7 @@ def cmd_scale_info(args) -> int:
         {
             "command": "scale-info",
             "scale": scale.to_json(),
-            "mu": [scale.mu(i) for i in range(scale.n)],
+            "mu": scale.mus.tolist(),
             "classes": [scale.classify(i).label for i in range(scale.n)],
             "kappa_length": scale.kappa_length,
             "exact_discrete": scale.is_exact_discrete,

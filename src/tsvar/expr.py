@@ -10,17 +10,22 @@ the right, then unary minus, then ``*`` ``/``, then ``+`` ``-``):
     atom       := NUMBER | NAME | NAME '(' expression ')' | '(' expression ')'
 
 NAME is either a declared variable or one of sin, cos, exp, log, sqrt.
-Evaluation works on plain floats or on :class:`Dual` numbers, which is
-how directional derivatives are computed: one forward pass per direction,
-exact to the rules of differentiation.
+Evaluation is forward mode over arrays: each variable is a :class:`Dual`
+of an array of frames and a derivative seed, so one pass evaluates every
+frame along one direction, or along several directions at once when the
+seeds form a column.  Derivatives are exact to the rules of
+differentiation.  A domain error at any frame, including overflow of
+``exp`` and of powers, raises :class:`ExprDomainError` naming the
+subexpression.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "ExprError",
@@ -53,17 +58,14 @@ class ExprDomainError(ExprError):
 
 @dataclass(frozen=True)
 class Dual:
-    """First-order dual number: value plus one directional derivative."""
+    """First-order dual number: value plus one directional derivative.
 
-    value: float
-    deriv: float
+    Either part may be a float or a numpy array of frames; the two
+    broadcast against each other.
+    """
 
-
-Number = Union[float, Dual]
-
-
-def _val(x: Number) -> float:
-    return x.value if isinstance(x, Dual) else x
+    value: float | np.ndarray
+    deriv: float | np.ndarray
 
 
 # -- AST ----------------------------------------------------------------
@@ -253,137 +255,124 @@ def _print(node, parent_prec: int = 0) -> str:
 
 
 # -- evaluation ---------------------------------------------------------
+#
+# Every value flowing through the tree is a Dual whose parts are floats
+# (constant subexpressions) or arrays of frames.  Domain checks look at
+# every frame at once; the offending subexpression is printed only when
+# an error is actually raised.
 
 
-def _add(a: Number, b: Number) -> Number:
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        a = a if isinstance(a, Dual) else Dual(a, 0.0)
-        b = b if isinstance(b, Dual) else Dual(b, 0.0)
-        return Dual(a.value + b.value, a.deriv + b.deriv)
-    return a + b
+def _no_overflow(result, arg, node):
+    """``result``, unless a finite argument overflowed to an infinite one."""
+    if not np.isfinite(result).all() and np.any(np.isinf(result) & np.isfinite(arg)):
+        raise ExprDomainError("result overflows", _print(node))
+    return result
 
 
-def _sub(a: Number, b: Number) -> Number:
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        a = a if isinstance(a, Dual) else Dual(a, 0.0)
-        b = b if isinstance(b, Dual) else Dual(b, 0.0)
-        return Dual(a.value - b.value, a.deriv - b.deriv)
-    return a - b
+def _int_pow(a: Dual, b: Dual, node) -> Dual:
+    av, k = a.value, b.value
+    if np.any((av == 0.0) & (k < 0)):
+        raise ExprDomainError("zero raised to a negative power", _print(node))
+    v = _no_overflow(np.power(av, k), av, node)
+    # x^0 has derivative zero; there k - 1 is replaced by 0 so that a zero
+    # base raises no division warning
+    km1 = np.where(k == 0, 0.0, k - 1)
+    return Dual(v, np.where(k == 0, 0.0, k * np.power(av, km1) * a.deriv))
 
 
-def _mul(a: Number, b: Number) -> Number:
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        a = a if isinstance(a, Dual) else Dual(a, 0.0)
-        b = b if isinstance(b, Dual) else Dual(b, 0.0)
-        return Dual(a.value * b.value, a.deriv * b.value + a.value * b.deriv)
-    return a * b
+def _real_pow(a: Dual, b: Dual, node) -> Dual:
+    av, bv = a.value, b.value
+    if np.any((av < 0.0) | ((av == 0.0) & (bv <= 0.0))):
+        raise ExprDomainError("non-integer power of a non-positive base", _print(node))
+    zero = av == 0.0
+    # bv > 0 at a zero base; the derivative of x^b there is 0 for b > 1,
+    # else unbounded
+    if np.any(zero & (a.deriv != 0.0) & (bv <= 1.0)):
+        raise ExprDomainError("non-differentiable power at zero base", _print(node))
+    base = np.where(zero, 1.0, av)
+    log_a = np.log(base)
+    x = bv * log_a
+    v = _no_overflow(np.exp(x), x, node)
+    dv = v * (b.deriv * log_a + bv * a.deriv / base)
+    return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv))
 
 
-def _neg(a: Number) -> Number:
-    if isinstance(a, Dual):
-        return Dual(-a.value, -a.deriv)
-    return -a
+def _pow(a: Dual, b: Dual, node) -> Dual:
+    """Power, decided frame by frame and direction by direction.
 
-
-def _div(a: Number, b: Number, where: str) -> Number:
-    if _val(b) == 0.0:
-        raise ExprDomainError("division by zero", where)
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        a = a if isinstance(a, Dual) else Dual(a, 0.0)
-        b = b if isinstance(b, Dual) else Dual(b, 0.0)
-        v = a.value / b.value
-        return Dual(v, (a.deriv - v * b.deriv) / b.value)
-    return a / b
-
-
-def _pow(a: Number, b: Number, where: str) -> Number:
-    """Power with integer exponents done by repeated multiplication.
-
-    Integer exponents keep negative bases meaningful (even powers of
-    negative numbers); everything else goes through exp(b log a).
+    Where the exponent is an integer with zero derivative the power is
+    taken directly, which keeps negative bases meaningful (even powers of
+    negative numbers); everywhere else it goes through exp(b log a).
     """
-    bv = _val(b)
-    b_is_const = not isinstance(b, Dual) or b.deriv == 0.0
-    if b_is_const and float(bv).is_integer():
-        k = int(bv)
-        av = _val(a)
-        if av == 0.0 and k < 0:
-            raise ExprDomainError("zero raised to a negative power", where)
-        if not isinstance(a, Dual):
-            return float(av**k)
-        if k == 0:
-            return Dual(1.0, 0.0)
-        return Dual(float(av**k), k * float(av ** (k - 1)) * a.deriv)
-    av = _val(a)
-    if av < 0.0 or (av == 0.0 and bv <= 0.0):
-        raise ExprDomainError(
-            "non-integer power of a non-positive base", where
-        )
-    if av == 0.0:
-        # bv > 0 here; derivative of x^b at 0 is 0 for b > 1, else unbounded
-        if isinstance(a, Dual) and a.deriv != 0.0 and bv <= 1.0:
-            raise ExprDomainError("non-differentiable power at zero base", where)
-        return Dual(0.0, 0.0) if isinstance(a, Dual) or isinstance(b, Dual) else 0.0
-    v = math.exp(bv * math.log(av))
-    if not (isinstance(a, Dual) or isinstance(b, Dual)):
-        return v
-    a = a if isinstance(a, Dual) else Dual(a, 0.0)
-    b = b if isinstance(b, Dual) else Dual(b, 0.0)
-    dv = v * (b.deriv * math.log(a.value) + b.value * a.deriv / a.value)
-    return Dual(v, dv)
+    bv = b.value
+    integral = (b.deriv == 0.0) & np.isfinite(bv) & (np.trunc(bv) == bv)
+    if np.all(integral):
+        return _int_pow(a, b, node)
+    if not np.any(integral):
+        return _real_pow(a, b, node)
+    mask, *parts = np.broadcast_arrays(integral, a.value, a.deriv, bv, b.deriv)
+    value = np.empty(mask.shape)
+    deriv = np.empty(mask.shape)
+    for sel, path in ((mask, _int_pow), (~mask, _real_pow)):
+        av, ad, sv, sd = (x[sel] for x in parts)
+        out = path(Dual(av, ad), Dual(sv, sd), node)
+        value[sel] = out.value
+        deriv[sel] = out.deriv
+    return Dual(value, deriv)
 
 
-def _call(fn: str, x: Number, where: str) -> Number:
-    xv = _val(x)
+def _call(node, x: Dual) -> Dual:
+    fn, xv = node.fn, x.value
+    if fn in ("sin", "cos") and np.any(np.isinf(xv)):
+        raise ExprDomainError(f"{fn} of an infinite value", _print(node))
     if fn == "sin":
-        v, d = math.sin(xv), math.cos(xv)
+        v, d = np.sin(xv), np.cos(xv)
     elif fn == "cos":
-        v, d = math.cos(xv), -math.sin(xv)
+        v, d = np.cos(xv), -np.sin(xv)
     elif fn == "exp":
-        v = math.exp(xv)
-        d = v
+        v = d = _no_overflow(np.exp(xv), xv, node)
     elif fn == "log":
-        if xv <= 0.0:
-            raise ExprDomainError("log of a non-positive value", where)
-        v, d = math.log(xv), 1.0 / xv
+        if np.any(xv <= 0.0):
+            raise ExprDomainError("log of a non-positive value", _print(node))
+        v, d = np.log(xv), 1.0 / xv
     elif fn == "sqrt":
-        if xv < 0.0:
-            raise ExprDomainError("sqrt of a negative value", where)
-        if xv == 0.0:
-            if isinstance(x, Dual) and x.deriv != 0.0:
-                raise ExprDomainError("sqrt not differentiable at zero", where)
-            v, d = 0.0, 0.0
-        else:
-            v = math.sqrt(xv)
-            d = 0.5 / v
+        if np.any(xv < 0.0):
+            raise ExprDomainError("sqrt of a negative value", _print(node))
+        zero = xv == 0.0
+        if np.any(zero & (x.deriv != 0.0)):
+            raise ExprDomainError("sqrt not differentiable at zero", _print(node))
+        v = np.sqrt(xv)
+        d = 0.5 / np.where(zero, np.inf, v)
     else:  # pragma: no cover - parser only emits known functions
         raise ExprError(f"unknown function {fn!r}")
-    if isinstance(x, Dual):
-        return Dual(v, d * x.deriv)
-    return v
+    return Dual(v, d * x.deriv)
 
 
-def _eval(node, env: Mapping[str, Number]) -> Number:
+def _eval(node, env: Mapping[str, Dual]) -> Dual:
     if isinstance(node, _Num):
-        return node.value
+        return Dual(node.value, 0.0)
     if isinstance(node, _Var):
         return env[node.name]
     if isinstance(node, _Neg):
-        return _neg(_eval(node.arg, env))
+        a = _eval(node.arg, env)
+        return Dual(-a.value, -a.deriv)
     if isinstance(node, _Call):
-        return _call(node.fn, _eval(node.arg, env), _print(node))
+        return _call(node, _eval(node.arg, env))
     op = node.op
     a = _eval(node.left, env)
     b = _eval(node.right, env)
     if op == "+":
-        return _add(a, b)
+        return Dual(a.value + b.value, a.deriv + b.deriv)
     if op == "-":
-        return _sub(a, b)
+        return Dual(a.value - b.value, a.deriv - b.deriv)
     if op == "*":
-        return _mul(a, b)
+        return Dual(a.value * b.value, a.deriv * b.value + a.value * b.deriv)
     if op == "/":
-        return _div(a, b, _print(node))
-    return _pow(a, b, _print(node))
+        if np.any(b.value == 0.0):
+            raise ExprDomainError("division by zero", _print(node))
+        v = a.value / b.value
+        return Dual(v, (a.deriv - v * b.deriv) / b.value)
+    return _pow(a, b, node)
 
 
 @dataclass(frozen=True)
@@ -396,31 +385,49 @@ class Expr:
     root: object
     variables: tuple[str, ...]
 
-    def _check_env(self, env: Mapping[str, float]) -> None:
-        missing = [v for v in self.variables if v not in env]
+    def _forward(self, env: Mapping[str, object], seed=None) -> Dual:
+        """Value and directional derivative at every frame in one pass.
+
+        ``env`` maps every variable to an array of frames; ``seed`` maps
+        every variable to its derivative seed (zero when omitted), which
+        broadcasts against the frames, so a column of seeds carries
+        several directions through the same pass.  Both parts of the
+        result have the broadcast shape.
+        """
+        frames = {
+            name: Dual(
+                np.asarray(env[name], dtype=float),
+                0.0 if seed is None else np.asarray(seed[name], dtype=float),
+            )
+            for name in self.variables
+        }
+        # overflow of exp and of powers raises in _no_overflow; elsewhere it
+        # gives inf, as float arithmetic does
+        with np.errstate(over="ignore"):
+            out = _eval(self.root, frames)
+        shape = np.broadcast_shapes(
+            *(np.shape(x) for d in frames.values() for x in (d.value, d.deriv))
+        )
+        return Dual(
+            np.broadcast_to(out.value, shape), np.broadcast_to(out.deriv, shape)
+        )
+
+    def _single(self, mapping: Mapping[str, float], what: str = "environment"):
+        """One frame: each variable as a length-1 array."""
+        missing = [v for v in self.variables if v not in mapping]
         if missing:
-            raise ExprError(f"environment is missing variables {missing}")
+            raise ExprError(f"{what} is missing variables {missing}")
+        return {name: np.array([float(mapping[name])]) for name in self.variables}
 
     def evaluate(self, env: Mapping[str, float]) -> float:
-        self._check_env(env)
-        return float(_val(_eval(self.root, env)))
+        return self._forward(self._single(env)).value.item()
 
     def directional(
         self, env: Mapping[str, float], seed: Mapping[str, float]
     ) -> tuple[float, float]:
         """Value and directional derivative along the given seed vector."""
-        self._check_env(env)
-        missing = [v for v in self.variables if v not in seed]
-        if missing:
-            raise ExprError(f"seed is missing variables {missing}")
-        dual_env = {
-            name: Dual(float(env[name]), float(seed[name]))
-            for name in self.variables
-        }
-        out = _eval(self.root, dual_env)
-        if isinstance(out, Dual):
-            return out.value, out.deriv
-        return float(out), 0.0
+        out = self._forward(self._single(env), self._single(seed, "seed"))
+        return out.value.item(), out.deriv.item()
 
     def partial(self, var: str, env: Mapping[str, float]) -> float:
         """Partial derivative with respect to one declared variable."""

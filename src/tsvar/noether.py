@@ -22,7 +22,13 @@ import numpy as np
 
 from .expr import Expr, parse
 from .timescale import GridFunction, delta_derivative
-from .variational import Residual, VariationalProblem, _check_trajectory, _frames
+from .variational import (
+    Residual,
+    VariationalProblem,
+    _check_trajectory,
+    _frames,
+    _hamiltonian,
+)
 
 __all__ = [
     "Transformation",
@@ -70,29 +76,19 @@ class NoetherReport:
     def to_json(self) -> dict:
         return {
             "invariance": self.invariance_magnitude,
-            "conserved": [float(x) for x in self.conserved.component(0)],
+            "conserved": self.conserved.component(0).tolist(),
             "deviation": self.conservation_deviation,
         }
-
-
-def _generator_env(tr: Transformation, t: float, qrow: np.ndarray) -> dict:
-    env = {"t": float(t)}
-    for k in range(tr.dim):
-        env[f"q{k + 1}"] = float(qrow[k])
-    return env
 
 
 def _generator_rows(
     tr: Transformation, q: GridFunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """tau(t_i, q_i) and xi(t_i, q_i) sampled at every scale point."""
-    T = q.base
-    taus = np.empty(T.n)
-    xis = np.empty((T.n, tr.dim))
-    for i in range(T.n):
-        env = _generator_env(tr, T.points[i], q.values[i])
-        taus[i] = tr.tau.evaluate(env)
-        xis[i] = [c.evaluate(env) for c in tr.xi]
+    names = ["t"] + [f"q{k + 1}" for k in range(tr.dim)]
+    env = dict(zip(names, np.vstack([q.base.points, q.values.T])))
+    taus = tr.tau._forward(env).value
+    xis = np.column_stack([c._forward(env).value for c in tr.xi])
     return taus, xis
 
 
@@ -114,25 +110,18 @@ def invariance_residual(
     _check_trajectory(p, q, boundary=False)
     T = p.scale
     t, u, v, approx = _frames(p, q)
+    k = len(t)
     taus, xis = _generator_rows(tr, q)
     tau_d = delta_derivative(GridFunction(T, taus)).component(0)
     xi_d = delta_derivative(GridFunction(T, xis)).values
-    L = p.lagrangian
-    k = len(t)
-    vals = np.empty(k)
-    for i in range(k):
-        d1 = L.d1(t[i], u[i], v[i])
-        d2 = L.d2(t[i], u[i], v[i])
-        d3 = L.d3(t[i], u[i], v[i])
-        Lv = L.value(t[i], u[i], v[i])
-        xi_sigma = xis[T.sigma(i)]
-        vals[i] = (
-            d1 * taus[i]
-            + float(d2 @ xi_sigma)
-            + float(d3 @ xi_d[i])
-            + Lv * tau_d[i]
-            - float(v[i] @ d3) * tau_d[i]
-        )
+    L, Lt, Lu, Lv = p.lagrangian.partials(t, u, v)
+    vals = (
+        Lt * taus[:k]
+        + np.sum(Lu * xis[T.sigmas[:k]], axis=1)
+        + np.sum(Lv * xi_d, axis=1)
+        + L * tau_d
+        - np.sum(v * Lv, axis=1) * tau_d
+    )
     return Residual("invariance", t, vals, approximate=approx)
 
 
@@ -148,16 +137,12 @@ def conserved_quantity(
         raise ValueError("transformation dimension does not match the problem")
     _check_trajectory(p, q, boundary=False)
     t, u, v, approx = _frames(p, q)
-    taus, xis = _generator_rows(tr, q)
-    L = p.lagrangian
     k = len(t)
-    vals = np.empty(k)
-    for i in range(k):
-        d1 = L.d1(t[i], u[i], v[i])
-        d3 = L.d3(t[i], u[i], v[i])
-        Lv = L.value(t[i], u[i], v[i])
-        bracket = Lv - float(d3 @ v[i]) - d1 * p.scale.mu(i)
-        vals[i] = float(d3 @ xis[i]) + bracket * taus[i]
+    taus, xis = _generator_rows(tr, q)
+    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
+    # the bracket L - dL/dv . q_delta - dL/dt * mu is minus the Hamiltonian
+    H = _hamiltonian(p.scale.mus[:k], v, L, Lt, Lv)
+    vals = np.sum(Lv * xis[:k], axis=1) - H * taus[:k]
     return GridFunction(p.scale, vals, approximate=approx)
 
 

@@ -254,15 +254,12 @@ def enumerate_slope_extremals(
             f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
             "use solve_newton instead"
         )
-    mus = np.array([p.scale.mu(i) for i in range(gaps)])
-    qa = float(p.q_a[0])
     qb = float(p.q_b[0])
     kept = []
     for seq in itertools.product(letters, repeat=gaps):
-        values = qa + np.concatenate(([0.0], np.cumsum(np.asarray(seq) * mus)))
-        if abs(values[-1] - qb) > BOUNDARY_HIT_TOL:
+        q = GridFunction.from_slopes(p.scale, p.q_a, seq)
+        if abs(q.values[-1, 0] - qb) > BOUNDARY_HIT_TOL:
             continue
-        q = GridFunction(p.scale, values)
         if first_el_residual(p, q).magnitude > tol:
             continue
         kept.append(_diagnose(p, q, Provenance.ENUMERATED, slopes=seq))

@@ -17,7 +17,7 @@ for the resolution to grow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -86,10 +86,15 @@ class TimeScale:
     :meth:`dense_interval`, :meth:`from_parts`) which enforce the minimum
     of three points.  Views produced by :meth:`kappa` may be shorter.
     Instances are immutable and safe to share.
+
+    ``mus`` (graininess) and ``sigmas`` (forward-jump indices) hold
+    :meth:`mu` and :meth:`sigma` of every point as read-only arrays.
     """
 
     points: np.ndarray
     gaps: tuple[GapKind, ...]
+    mus: np.ndarray = field(init=False)
+    sigmas: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).copy()
@@ -104,8 +109,16 @@ class TimeScale:
             raise TimeScaleError(
                 f"expected {pts.size - 1} gap kinds, got {len(gaps)}"
             )
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        # a SCATTERED gap is a jump of width mu; a DENSE one has mu = 0 and
+        # fixes its left point under sigma, as does the last point
+        scattered = np.array([g is GapKind.SCATTERED for g in gaps], dtype=bool)
+        mus = np.zeros(pts.size)
+        mus[:-1] = np.where(scattered, np.diff(pts), 0.0)
+        sigmas = np.arange(pts.size)
+        sigmas[:-1] += scattered
+        for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "gaps", gaps)
 
     # -- constructors -------------------------------------------------
@@ -197,10 +210,7 @@ class TimeScale:
 
     def sigma(self, i: int) -> int:
         """Forward jump, as an index.  Fixes the last point and right-dense points."""
-        i = self._check_index(i)
-        if i < self.n - 1 and self.gaps[i] is GapKind.SCATTERED:
-            return i + 1
-        return i
+        return int(self.sigmas[self._check_index(i)])
 
     def rho(self, i: int) -> int:
         """Backward jump, as an index.  Fixes the first point and left-dense points."""
@@ -211,10 +221,7 @@ class TimeScale:
 
     def mu(self, i: int) -> float:
         """Forward graininess: gap width on SCATTERED gaps, else zero."""
-        i = self._check_index(i)
-        if i < self.n - 1 and self.gaps[i] is GapKind.SCATTERED:
-            return float(self.points[i + 1] - self.points[i])
-        return 0.0
+        return float(self.mus[self._check_index(i)])
 
     def classify(self, i: int) -> PointClass:
         i = self._check_index(i)
@@ -325,6 +332,26 @@ class GridFunction:
         rows = [np.atleast_1d(np.asarray(fn(float(t)), dtype=float)) for t in scale.points]
         return cls(scale, np.vstack(rows))
 
+    @classmethod
+    def from_slopes(cls, scale: TimeScale, q_a, slopes) -> "GridFunction":
+        """Expand q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q(t_0) = q_a.
+
+        ``slopes`` has one entry (or one length-``dim`` row) per gap.  The
+        values are one sequential cumulative sum over
+        [q_a, s_0 mu_0, s_1 mu_1, ...], so they equal the step-by-step
+        recurrence bit for bit.
+        """
+        s = np.asarray(slopes, dtype=float)
+        s = s.reshape(len(s), -1)
+        if s.shape[0] != scale.n - 1:
+            raise TimeScaleError(
+                f"expected {scale.n - 1} slopes, one per gap, got {s.shape[0]}"
+            )
+        values = np.empty((scale.n, s.shape[1]))
+        values[0] = q_a
+        np.multiply(s, scale.mus[:-1, None], out=values[1:])
+        return cls(scale, values.cumsum(axis=0))
+
     @property
     def valid(self) -> int:
         """Number of leading points this function is defined on."""
@@ -355,10 +382,31 @@ def delta_derivative(f: GridFunction) -> GridFunction:
         raise TimeScaleError("delta derivative needs at least two covered points")
     dt = np.diff(f.base.points[:m])
     out = (f.values[1:m] - f.values[: m - 1]) / dt[:, None]
-    approx = f.approximate or any(
-        g is GapKind.DENSE for g in f.base.gaps[: m - 1]
-    )
+    approx = f.approximate or bool(np.any(f.base.mus[: m - 1] == 0.0))
     return GridFunction(f.base, out, approximate=approx)
+
+
+def _running_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
+    """Delta integrals of f from point ``lo`` to each point lo..hi.
+
+    Row r integrates over gaps lo..lo+r-1, summed in order.  SCATTERED
+    gaps contribute the exact left-rectangle term f(t_j) * mu(t_j); DENSE
+    gaps contribute a trapezoid on the sampled segment.
+    """
+    scale = f.base
+    lo = int(lo)
+    hi = int(hi)
+    if not 0 <= lo <= hi < scale.n:
+        raise TimeScaleError(f"bad integration range [{lo}, {hi}] on n={scale.n}")
+    j = np.arange(lo, hi)
+    dense = scale.mus[lo:hi] == 0.0
+    if hi > lo and np.max(j + dense) >= f.valid:
+        raise TimeScaleError("function prefix too short for this integral")
+    w = np.diff(scale.points[lo : hi + 1])[:, None]
+    terms = f.values[j] * w
+    jd = j[dense]
+    terms[dense] = 0.5 * (f.values[jd] + f.values[jd + 1]) * w[dense]
+    return np.cumsum(np.vstack([np.zeros((1, f.dim)), terms]), axis=0)
 
 
 def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
@@ -368,23 +416,7 @@ def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
     f(t_i) * mu(t_i); DENSE gaps contribute a trapezoid on the sampled
     segment.  Returns a length-``dim`` vector.
     """
-    scale = f.base
-    lo = int(lo)
-    hi = int(hi)
-    if not 0 <= lo <= hi < scale.n:
-        raise TimeScaleError(f"bad integration range [{lo}, {hi}] on n={scale.n}")
-    total = np.zeros(f.dim)
-    for j in range(lo, hi):
-        w = float(scale.points[j + 1] - scale.points[j])
-        if scale.gaps[j] is GapKind.SCATTERED:
-            if j >= f.valid:
-                raise TimeScaleError("function prefix too short for this integral")
-            total += f.values[j] * w
-        else:
-            if j + 1 >= f.valid:
-                raise TimeScaleError("function prefix too short for this integral")
-            total += 0.5 * (f.values[j] + f.values[j + 1]) * w
-    return total
+    return _running_integral(f, lo, hi)[-1]
 
 
 def pushforward(

@@ -28,9 +28,9 @@ import numpy as np
 
 from .expr import Expr, parse
 from .timescale import (
-    GapKind,
     GridFunction,
     TimeScale,
+    _running_integral,
     delta_derivative,
     delta_integral,
 )
@@ -56,7 +56,9 @@ class Lagrangian:
     """Scalar integrand L(t, u, v) with exact first partials via dual numbers.
 
     ``dim`` is the trajectory dimension n; the body is an expression over
-    t, u1..un, v1..vn.
+    t, u1..un, v1..vn.  :meth:`partials` evaluates L and all its first
+    partials over an array of frames; :meth:`value` and :meth:`d1`..
+    :meth:`d3` are the same call on a single frame.
     """
 
     def __init__(self, dim: int, body: str | Expr):
@@ -73,30 +75,45 @@ class Lagrangian:
             self.body = Expr(body.root, names)
         else:
             self.body = parse(body, names)
+        # per variable, a column of seeds: zero for L itself, then one unit
+        # seed for each variable in turn (see partials)
+        seeds = np.eye(len(names) + 1, len(names), k=-1)
+        self._seeds = {name: seeds[:, [j]] for j, name in enumerate(names)}
 
-    def _env(self, t: float, u: np.ndarray, v: np.ndarray) -> dict[str, float]:
-        env = {"t": float(t)}
-        for k in range(self.dim):
-            env[self.u_names[k]] = float(u[k])
-            env[self.v_names[k]] = float(v[k])
-        return env
+    def partials(
+        self, t: np.ndarray, U: np.ndarray, V: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """L, dL/dt, dL/du and dL/dv at every frame (t_i, U_i, V_i).
+
+        ``t`` has k entries and ``U``, ``V`` have k rows of n; the results
+        have shapes (k,), (k,), (k, n) and (k, n).  One forward pass
+        carries every direction at once: a zero seed for L itself, then a
+        unit seed for each of t, u1..un, v1..vn.  Raises
+        :class:`ExprDomainError` if L or a partial is undefined at any frame.
+        """
+        t = np.asarray(t, dtype=float)
+        n = self.dim
+        U = np.reshape(U, (t.size, n))
+        V = np.reshape(V, (t.size, n))
+        cols = np.vstack([t, U.T, V.T])
+        out = self.body._forward(dict(zip(self.body.variables, cols)), self._seeds)
+        d = out.deriv[1:]
+        return out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
 
     def value(self, t: float, u: np.ndarray, v: np.ndarray) -> float:
-        return self.body.evaluate(self._env(t, u, v))
+        return float(self.partials([t], [u], [v])[0][0])
 
     def d1(self, t: float, u: np.ndarray, v: np.ndarray) -> float:
         """Partial with respect to time."""
-        return self.body.partial("t", self._env(t, u, v))
+        return float(self.partials([t], [u], [v])[1][0])
 
     def d2(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gradient with respect to the u slot."""
-        env = self._env(t, u, v)
-        return np.array([self.body.partial(name, env) for name in self.u_names])
+        return self.partials([t], [u], [v])[2][0]
 
     def d3(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Gradient with respect to the v slot."""
-        env = self._env(t, u, v)
-        return np.array([self.body.partial(name, env) for name in self.v_names])
+        return self.partials([t], [u], [v])[3][0]
 
     def __repr__(self) -> str:
         return f"Lagrangian(dim={self.dim}, body={str(self.body)!r})"
@@ -162,8 +179,8 @@ class Residual:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "points": [float(t) for t in self.points],
-            "values": [[float(x) for x in row] for row in self.values],
+            "points": self.points.tolist(),
+            "values": self.values.tolist(),
             "magnitude": self.magnitude,
             "approximate": bool(self.approximate),
         }
@@ -197,28 +214,24 @@ def _frames(
     """
     T = p.scale
     qd = delta_derivative(q)
-    k = qd.valid
-    t = T.points[:k]
-    u = np.array([q.values[T.sigma(i)] for i in range(k)])
+    t = T.points[: qd.valid]
     v = qd.values
     approx = qd.approximate
     if extend_dense_end and T.kappa_length == T.n:
         w = float(T.points[-1] - T.points[-2])
         v_last = (q.values[-1] - q.values[-2]) / w
         t = T.points
-        u = np.vstack([u, q.values[T.sigma(T.n - 1)]])
         v = np.vstack([v, v_last])
         approx = True
-    return t, u, v, approx
+    return t, q.values[T.sigmas[: len(t)]], v, approx
 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:
     """Delta integral of L(t, q_sigma, q_delta) over the whole scale."""
     _check_trajectory(p, q)
     t, u, v, approx = _frames(p, q, extend_dense_end=True)
-    L = p.lagrangian
-    rows = np.array([L.value(t[i], u[i], v[i]) for i in range(len(t))])
-    integrand = GridFunction(p.scale, rows, approximate=approx)
+    L = p.lagrangian.partials(t, u, v)[0]
+    integrand = GridFunction(p.scale, L, approximate=approx)
     return float(delta_integral(integrand, 0, p.scale.n - 1)[0])
 
 
@@ -229,18 +242,11 @@ def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
     """
     _check_trajectory(p, q)
     t, u, v, approx = _frames(p, q)
-    L = p.lagrangian
-    k = len(t)
-    p3 = GridFunction(
-        p.scale,
-        np.array([L.d3(t[i], u[i], v[i]) for i in range(k)]),
-        approximate=approx,
-    )
-    dp3 = delta_derivative(p3)
+    _, _, Lu, Lv = p.lagrangian.partials(t, u, v)
+    dp3 = delta_derivative(GridFunction(p.scale, Lv, approximate=approx))
     k2 = dp3.valid
-    d2 = np.array([L.d2(t[i], u[i], v[i]) for i in range(k2)])
     return Residual(
-        "first_el", t[:k2], dp3.values - d2, approximate=dp3.approximate
+        "first_el", t[:k2], dp3.values - Lu[:k2], approximate=dp3.approximate
     )
 
 
@@ -253,38 +259,16 @@ def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residu
     some constant vector.
     """
     _check_trajectory(p, q)
-    T = p.scale
     t, u, v, approx = _frames(p, q)
-    L = p.lagrangian
-    k = len(t)
-    d3 = np.array([L.d3(t[i], u[i], v[i]) for i in range(k)])
-    d2 = np.array([L.d2(t[i], u[i], v[i]) for i in range(k)])
-    d2_grid = GridFunction(T, d2, approximate=approx)
-    g = np.empty_like(d3)
-    for i in range(k):
-        g[i] = d3[i] - delta_integral(d2_grid, 0, i)
-    dev = g - g.min(axis=0)
-    return Residual("first_el_integral", t, dev, approximate=approx)
+    _, _, Lu, Lv = p.lagrangian.partials(t, u, v)
+    d2_grid = GridFunction(p.scale, Lu, approximate=approx)
+    g = Lv - _running_integral(d2_grid, 0, len(t) - 1)
+    return Residual("first_el_integral", t, g - g.min(axis=0), approximate=approx)
 
 
-def _hamiltonian_rows(
-    p: VariationalProblem,
-    t: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian values and dL/dt values at the given frames."""
-    L = p.lagrangian
-    T = p.scale
-    k = len(t)
-    H = np.empty(k)
-    d1 = np.empty(k)
-    for i in range(k):
-        Lv = L.value(t[i], u[i], v[i])
-        d3 = L.d3(t[i], u[i], v[i])
-        d1[i] = L.d1(t[i], u[i], v[i])
-        H[i] = -Lv + float(d3 @ v[i]) + d1[i] * T.mu(i)
-    return H, d1
+def _hamiltonian(mu, v, L, Lt, Lv) -> np.ndarray:
+    """-L + dL/dv . v + dL/dt * mu at each frame."""
+    return -L + np.sum(Lv * v, axis=1) + Lt * mu
 
 
 def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
@@ -298,10 +282,8 @@ def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
     i = int(i)
     if not 0 <= i < len(t):
         raise IndexError(f"index {i} outside the derivative prefix of length {len(t)}")
-    L = p.lagrangian
-    d3 = L.d3(t[i], u[i], v[i])
-    d1 = L.d1(t[i], u[i], v[i])
-    return float(-L.value(t[i], u[i], v[i]) + d3 @ v[i] + d1 * p.scale.mu(i))
+    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
+    return float(_hamiltonian(p.scale.mus[: len(t)], v, L, Lt, Lv)[i])
 
 
 def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -312,11 +294,11 @@ def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
     """
     _check_trajectory(p, q)
     t, u, v, approx = _frames(p, q)
-    H, d1 = _hamiltonian_rows(p, t, u, v)
-    Hgrid = GridFunction(p.scale, H, approximate=approx)
-    dH = delta_derivative(Hgrid)
+    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
+    H = _hamiltonian(p.scale.mus[: len(t)], v, L, Lt, Lv)
+    dH = delta_derivative(GridFunction(p.scale, H, approximate=approx))
     k2 = dH.valid
-    vals = dH.values[:, 0] + d1[:k2]
+    vals = dH.values[:, 0] + Lt[:k2]
     return Residual("second_el", t[:k2], vals, approximate=dH.approximate)
 
 
@@ -328,15 +310,14 @@ def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
     """
     _check_trajectory(p, q)
     t, u, v, _ = _frames(p, q)
-    L = p.lagrangian
-    E = np.empty(len(t))
-    for i in range(len(t)):
-        d1 = L.d1(t[i], u[i], v[i])
-        if abs(d1) > AUTONOMY_TOL:
-            raise ValueError(
-                f"lagrangian is not autonomous: dL/dt = {d1:.3e} at t = {t[i]!r}"
-            )
-        E[i] = -L.value(t[i], u[i], v[i]) + float(L.d3(t[i], u[i], v[i]) @ v[i])
+    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
+    moving = np.flatnonzero(np.abs(Lt) > AUTONOMY_TOL)
+    if moving.size:
+        i = moving[0]
+        raise ValueError(
+            f"lagrangian is not autonomous: dL/dt = {Lt[i]:.3e} at t = {t[i]!r}"
+        )
+    E = _hamiltonian(0.0, v, L, Lt, Lv)
     return float(E.max() - E.min())
 
 
@@ -347,7 +328,7 @@ def classical_check(p: VariationalProblem, q: GridFunction) -> Residual:
     classical -L + dL/dv . v; the result approximates the classical
     DuBois-Reymond equation and converges as the grid is refined.
     """
-    if not all(g is GapKind.DENSE for g in p.scale.gaps):
+    if np.any(p.scale.mus):
         raise ValueError("classical check needs an all-dense scale")
     r = second_el_residual(p, q)
     return Residual("classical_second_el", r.points, r.values, approximate=True)

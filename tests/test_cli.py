@@ -91,6 +91,16 @@ class TestSolve:
     def test_missing_file_exit_2(self):
         assert cli.main(["solve", "no-such-file.json"]) == 2
 
+    def test_exp_overflow_exit_2(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
+            lagrangian="exp(1000*v1)",
+        )
+        assert cli.main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert "error: result overflows in 'exp(1000.0 * v1)'" in err
+
     def test_no_convergence_exit_3(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
@@ -130,6 +140,16 @@ class TestVerify:
         code = cli.main(["verify", path, "--erdmann"])
         assert code == 2
         assert "autonomous" in capsys.readouterr().err
+
+    def test_power_overflow_exit_2(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            lagrangian="v1^400 + u1^2",
+            q_b=20.0,
+            trajectory={"slopes": [20.0] * 8},
+        )
+        assert cli.main(["verify", path]) == 2
+        assert "error: result overflows in 'v1^400.0'" in capsys.readouterr().err
 
     def test_missing_trajectory_exit_2(self, tmp_path):
         path = write_problem(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_scales, rel_err, scale_with_values
+from conftest import exact_scales, rel_err, scale_with_values, trajectory_from_slopes
 from tsvar import (
     GapKind,
     GridFunction,
@@ -92,6 +92,15 @@ class TestJumpOperators:
         T = TimeScale.uniform(0, 3, 1)
         with pytest.raises(IndexError):
             T.sigma(4)
+
+    def test_arrays_match_pointwise_operators(self):
+        T = mixed_scale()
+        assert T.mus.tolist() == [T.mu(i) for i in range(T.n)]
+        assert T.sigmas.tolist() == [T.sigma(i) for i in range(T.n)]
+        with pytest.raises(ValueError):
+            T.mus[0] = 2.0
+        with pytest.raises(ValueError):
+            T.sigmas[0] = 0
 
     def test_index_of_uses_tolerance(self):
         T = TimeScale.uniform(0, 1, 1 / 8)
@@ -183,6 +192,26 @@ class TestDeltaIntegral:
         f = GridFunction.sample(T, lambda t: t * t)
         got = delta_integral(f, 0, 200)[0]
         assert abs(got - 1 / 3) < 1e-4
+
+
+class TestFromSlopes:
+    @pytest.mark.parametrize("scale", [TimeScale.uniform(0, 2, 0.25), mixed_scale()])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_stepwise_expansion_bit_for_bit(self, scale, dim):
+        rng = np.random.default_rng(dim)
+        q_a = rng.uniform(-1, 1, dim)
+        slopes = rng.uniform(-3, 3, (scale.n - 1, dim))
+        if dim == 1:
+            slopes = slopes[:, 0]
+        got = GridFunction.from_slopes(scale, q_a, slopes)
+        want = trajectory_from_slopes(scale, q_a, slopes)
+        assert np.array_equal(got.values, want.values)
+        if scale.has_dense:
+            assert got.values[2, 0] == got.values[1, 0]
+
+    def test_slope_count_checked(self):
+        with pytest.raises(TimeScaleError):
+            GridFunction.from_slopes(TimeScale.uniform(0, 1, 0.25), 0.0, [1.0, 2.0])
 
 
 class TestPushforward:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, rel_err, trajectory_from_slopes
+from helpers import random_expr_text
 from tsvar import (
+    ExprDomainError,
+    GapKind,
     GridFunction,
     Lagrangian,
     TimeScale,
@@ -110,12 +113,129 @@ class TestFirstElIntegral:
             assert first_el_residual(p, q).magnitude <= 1e-10
             assert first_el_integral_residual(p, q).magnitude <= 1e-9
 
+    def test_running_sum_equals_per_point_integrals_exactly(self):
+        # reference: the integral restarted from point 0 at every i, with
+        # the per-gap rule written out (left rectangle on S, trapezoid on D)
+        def integral(scale, f, hi):
+            total = np.zeros(f.shape[1])
+            for j in range(hi):
+                w = float(scale.points[j + 1] - scale.points[j])
+                if scale.gaps[j] is GapKind.SCATTERED:
+                    total += f[j] * w
+                else:
+                    total += 0.5 * (f[j] + f[j + 1]) * w
+            return total
+
+        rng = np.random.default_rng(7)
+        for kinds in ("SSDDSDSSDD", "DDDDSSSSSD", "SDSDSDSDSS"):
+            points = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, len(kinds))])
+            scale = TimeScale.from_parts(points, list(kinds))
+            L = Lagrangian(2, "v1^2 + t*u1*v2 - u2^3/3 + u1*u2")
+            q = GridFunction(scale, rng.uniform(-1, 1, (scale.n, 2)))
+            p = VariationalProblem(scale, L, q.values[0], q.values[-1])
+            qd = delta_derivative(q)
+            frames = [
+                (scale.points[i], q.values[scale.sigma(i)], qd.values[i])
+                for i in range(qd.valid)
+            ]
+            d2 = np.array([L.d2(*f) for f in frames])
+            d3 = np.array([L.d3(*f) for f in frames])
+            g = np.array([d3[i] - integral(scale, d2, i) for i in range(len(frames))])
+            got = first_el_integral_residual(p, q)
+            assert np.array_equal(got.values, g - g.min(axis=0))
+
     def test_forms_fail_together_on_non_extremals(self):
         scale = TimeScale.uniform(0, 3, 1)
         p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0], [9.0])
         q = GridFunction.sample(scale, lambda t: t * t)
         assert first_el_residual(p, q).magnitude > 1e-3
         assert first_el_integral_residual(p, q).magnitude > 1e-3
+
+
+def _per_direction(L, t, U, V):
+    """Value and gradient one frame and one direction at a time."""
+    names = L.body.variables
+    value, grad = [], []
+    for env in (dict(zip(names, np.r_[ti, ui, vi])) for ti, ui, vi in zip(t, U, V)):
+        value.append(L.body.evaluate(env))
+        grad.append([L.body.partial(name, env) for name in names])
+    return np.array(value), np.array(grad)
+
+
+def _assert_batched_equals_per_frame(L, t, U, V, exact):
+    n = L.dim
+    batched = L.partials(t, U, V)
+    frames = list(zip(t, U, V))
+    single = [
+        np.array([L.value(*f) for f in frames]),
+        np.array([L.d1(*f) for f in frames]),
+        np.array([L.d2(*f) for f in frames]),
+        np.array([L.d3(*f) for f in frames]),
+    ]
+    value, grad = _per_direction(L, t, U, V)
+    directions = [value, grad[:, 0], grad[:, 1 : n + 1], grad[:, n + 1 :]]
+    for got, a, b in zip(batched, single, directions):
+        for want in (a, b):
+            assert got.shape == want.shape
+            if exact:
+                assert np.array_equal(got, want)
+            else:
+                ulps = 4 * np.spacing(np.maximum(np.abs(got), np.abs(want)))
+                assert np.all(np.abs(got - want) <= ulps)
+
+
+class TestPartials:
+    def test_batched_equals_per_frame_on_random_bodies(self):
+        rng = np.random.default_rng(11)
+        names = ["t", "u1", "u2", "v1", "v2"]
+        for _ in range(60):
+            body = random_expr_text(rng, names)
+            t = rng.uniform(-2, 2, 7)
+            U = rng.uniform(-2, 2, (7, 2))
+            V = rng.uniform(-2, 2, (7, 2))
+            exact = not any(fn in body for fn in ("sin", "cos", "exp", "log", "sqrt"))
+            _assert_batched_equals_per_frame(Lagrangian(2, body), t, U, V, exact)
+
+    @pytest.mark.parametrize(
+        "body, u, v, exact",
+        [
+            # integer and non-integer exponents in the same batch
+            ("u1^v1", [0.5, 1.5, 2.0, 3.0, 2.5], [2.0, 3.0, 0.5, -1.0, 0.0], False),
+            ("v1 * u1^v1 + 1", [1.5, 2.0, 0.75], [2.0, 2.0, -2.0], False),
+            ("(u1 - 1)^2 + v1^3", [1.0, 0.0, 2.5], [-1.0, 0.0, 1.0], True),
+            ("sqrt(u1^2) + v1", [0.0, -1.5, 2.0], [1.0, 0.0, -1.0], False),
+        ],
+    )
+    def test_batched_equals_per_frame_on_edge_cases(self, body, u, v, exact):
+        L = Lagrangian(1, body)
+        t = np.linspace(0.0, 1.0, len(u))
+        U = np.array(u)[:, None]
+        V = np.array(v)[:, None]
+        _assert_batched_equals_per_frame(L, t, U, V, exact)
+
+    @pytest.mark.parametrize(
+        "body, var, bad",
+        [
+            ("log(u1) + v1", "u1", 0.0),
+            ("sqrt(u1) + v1", "u1", 0.0),
+            ("1 / (v1 - 1)", "v1", 1.0),
+            ("u1^v1", "u1", -2.0),
+            ("v1^-1", "v1", 0.0),
+        ],
+    )
+    def test_domain_error_at_one_frame_matches_scalar_message(self, body, var, bad):
+        L = Lagrangian(1, body)
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        U = np.array([[0.5], [1.5], [2.0], [2.5]])
+        V = np.array([[2.0], [3.0], [0.5], [2.5]])
+        (U if var == "u1" else V)[2, 0] = bad
+        with pytest.raises(ExprDomainError) as batched:
+            L.partials(t, U, V)
+        env = {"t": t[2], "u1": U[2, 0], "v1": V[2, 0]}
+        with pytest.raises(ExprDomainError) as scalar:
+            for name in ("t", "u1", "v1"):
+                L.body.partial(name, env)
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestHamiltonian:
