@@ -23,8 +23,8 @@ from .solver import (
     affine_extremal,
     enumerate_slope_extremals,
     filter_second_el,
+    solve,
     solve_newton,
-    straight_line_guess,
 )
 from .timescale import (
     GapKind,

@@ -36,17 +36,14 @@ from .solver import (
     NewtonOptions,
     NoConvergence,
     SingularSystem,
-    affine_extremal,
     enumerate_slope_extremals,
     filter_second_el,
-    solve_newton,
-    straight_line_guess,
+    solve,
 )
 from .timescale import GridFunction, TimeScale, TimeScaleError
 from .variational import (
     Lagrangian,
     VariationalProblem,
-    action,
     erdmann_deviation,
     first_el_residual,
     second_el_residual,
@@ -74,39 +71,54 @@ class LoadedProblem:
     trajectory: GridFunction | None
     transformation: Transformation | None
     newton: NewtonOptions
-    raw: dict
 
 
-def _vector(value, n: int, what: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _field(obj: dict, key: str, convert, default=None):
+    """convert(obj[key]), or the default if absent; a wrong type names the key."""
+    if key not in obj:
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"bad {key!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("must be a JSON object")
+    return value
+
+
+def _vector(obj: dict, key: str, n: int) -> np.ndarray:
+    arr = np.atleast_1d(_field(obj, key, _floats))
     if arr.shape != (n,):
-        raise ProblemFileError(f"{what} must have {n} component(s)")
+        raise ProblemFileError(f"{key} must have {n} component(s)")
     return arr
 
 
-def _trajectory_from_entry(
-    entry: dict, problem: VariationalProblem
-) -> GridFunction:
+def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunction:
     scale = problem.scale
     n = problem.dim
-    if "values" in entry:
-        vals = np.asarray(entry["values"], dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape != (scale.n, n):
-            raise ProblemFileError(
-                f"trajectory values must be {scale.n} x {n}, got {vals.shape}"
-            )
-        return GridFunction(scale, vals)
-    if "slopes" in entry:
-        slopes = np.asarray(entry["slopes"], dtype=float)
-        if slopes.ndim == 1:
-            slopes = slopes[:, None]
-        if slopes.shape != (scale.n - 1, n):
-            raise ProblemFileError(
-                f"slope list must be {scale.n - 1} x {n}, got {slopes.shape}"
-            )
-        return GridFunction.from_slopes(scale, problem.q_a, slopes)
+    for key, rows, what in (
+        ("values", scale.n, "trajectory values"),
+        ("slopes", scale.n - 1, "slope list"),
+    ):
+        if key not in entry:
+            continue
+        arr = _field(entry, key, _floats)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.shape != (rows, n):
+            raise ProblemFileError(f"{what} must be {rows} x {n}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ProblemFileError(f"{what} must be finite")
+        if key == "values":
+            return GridFunction(scale, arr)
+        return GridFunction.from_slopes(scale, problem.q_a, arr)
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
 
 
@@ -117,6 +129,8 @@ def load_problem(path: str | Path) -> LoadedProblem:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProblemFileError(f"{path} must hold a JSON object")
     version = obj.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ProblemFileError(f"unsupported schema version {version!r}")
@@ -124,34 +138,33 @@ def load_problem(path: str | Path) -> LoadedProblem:
         if key not in obj:
             raise ProblemFileError(f"problem file is missing {key!r}")
     try:
-        scale = TimeScale.from_json(obj["scale"])
+        scale = TimeScale.from_json(_field(obj, "scale", _object))
     except (TimeScaleError, KeyError, TypeError) as exc:
         raise ProblemFileError(f"bad scale: {exc}") from exc
-    n = int(obj.get("n", 1))
+    n = _field(obj, "n", int, 1)
     lagrangian = Lagrangian(n, str(obj["lagrangian"]))
-    problem = VariationalProblem(
-        scale,
-        lagrangian,
-        _vector(obj["q_a"], n, "q_a"),
-        _vector(obj["q_b"], n, "q_b"),
-    )
+    q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)
+    problem = VariationalProblem(scale, lagrangian, q_a, q_b)
     trajectory = None
     if "trajectory" in obj:
-        trajectory = _trajectory_from_entry(obj["trajectory"], problem)
+        trajectory = _trajectory_from_entry(_field(obj, "trajectory", _object), problem)
     transformation = None
     if "transformation" in obj:
-        tspec = obj["transformation"]
+        tspec = _field(obj, "transformation", _object)
         if "tau" not in tspec or "xi" not in tspec:
             raise ProblemFileError("transformation needs 'tau' and 'xi'")
-        transformation = Transformation.from_text(n, tspec["tau"], tspec["xi"])
-    sopts = obj.get("solver", {})
+        tau, xi = tspec["tau"], tspec["xi"]
+        xi = [xi] if isinstance(xi, str) else xi
+        strings = isinstance(xi, list) and all(isinstance(s, str) for s in [tau, *xi])
+        if not strings:
+            raise ProblemFileError("transformation 'tau' and 'xi' must be strings")
+        transformation = Transformation.from_text(n, tau, xi)
+    sopts = _field(obj, "solver", _object, {})
+    kinds = {"tol": float, "max_iter": int, "max_halvings": int, "fd_step": float}
     newton = NewtonOptions(
-        tol=float(sopts.get("tol", 1e-10)),
-        max_iter=int(sopts.get("max_iter", 50)),
-        max_halvings=int(sopts.get("max_halvings", 20)),
-        fd_step=float(sopts.get("fd_step", 1e-7)),
+        **{key: _field(sopts, key, kind) for key, kind in kinds.items() if key in sopts}
     )
-    return LoadedProblem(problem, trajectory, transformation, newton, obj)
+    return LoadedProblem(problem, trajectory, transformation, newton)
 
 
 def default_tol(scale: TimeScale) -> float:
@@ -176,42 +189,11 @@ def load_report(path: str | Path):
         return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
-    """Numerically probe for a pure quadratic form in v with no t, u coupling.
-
-    Eight random probe frames (t, u, v, w) are checked at once.
-    """
-    n = lagrangian.dim
-    probes = np.random.default_rng(0).uniform(-1, 1, (8, 1 + 3 * n))
-    t, u, v, w = np.split(probes, [1, 1 + n, 1 + 2 * n], axis=1)
-    t = t[:, 0]
-    delta = 0.5
-    try:
-        _, d1, d2, _ = lagrangian.partials(t, u, v)
-        at_rest, _, _, d3_at_rest = lagrangian.partials(t, u, np.zeros_like(v))
-        g = [lagrangian.partials(t, u, v + s * delta * w)[0] for s in range(4)]
-    except ExprError:
-        return False
-    must_vanish = np.column_stack([d1, d2, at_rest, d3_at_rest])
-    third = g[3] - 3 * g[2] + 3 * g[1] - g[0]
-    return not (
-        np.any(np.abs(must_vanish) > 1e-9)
-        or np.any(np.abs(third) > 1e-8 * np.maximum(1.0, np.max(np.abs(g), axis=0)))
-    )
-
-
 def _print_trajectory(q: GridFunction) -> None:
     print("      t  " + "  ".join(f"q{k + 1}" for k in range(q.dim)))
     for i in range(q.valid):
         row = "  ".join(_fmt(x) for x in q.values[i])
         print(f"  {_fmt(q.base.points[i]):>12}  {row}")
-
-
-def _solve_trajectory(loaded: LoadedProblem) -> tuple[GridFunction, str]:
-    p = loaded.problem
-    if _detects_quadratic_slope(p.lagrangian):
-        return affine_extremal(p), "closed_form"
-    return solve_newton(p, straight_line_guess(p), loaded.newton), "newton"
 
 
 def cmd_solve(args) -> int:
@@ -241,25 +223,23 @@ def cmd_solve(args) -> int:
         if args.json_path:
             Path(args.json_path).write_text(shown.to_json_lines() + "\n")
         return EXIT_OK
-    q, method = _solve_trajectory(loaded)
-    act = action(p, q)
-    r1 = first_el_residual(p, q)
-    r2 = second_el_residual(p, q)
+    c = solve(p, loaded.newton)
+    method = c.provenance.value.lower()
     print(f"method: {method}")
-    _print_trajectory(q)
-    print(f"action: {_fmt(act)}")
-    print(f"first_el: {_fmt(r1.magnitude)}")
-    print(f"second_el: {_fmt(r2.magnitude)}")
+    _print_trajectory(c.trajectory)
+    print(f"action: {_fmt(c.action)}")
+    print(f"first_el: {_fmt(c.first_el)}")
+    print(f"second_el: {_fmt(c.second_el)}")
     _write_json(
         args.json_path,
         {
             "command": "solve",
             "method": method,
-            "points": [float(t) for t in p.scale.points],
-            "values": [[float(x) for x in row] for row in q.values],
-            "action": act,
-            "first_el": r1.magnitude,
-            "second_el": r2.magnitude,
+            "points": p.scale.points.tolist(),
+            "values": c.trajectory.values.tolist(),
+            "action": c.action,
+            "first_el": c.first_el,
+            "second_el": c.second_el,
         },
     )
     return EXIT_OK
@@ -272,23 +252,15 @@ def cmd_verify(args) -> int:
         raise ProblemFileError("verify needs a trajectory in the problem file")
     q = loaded.trajectory
     tol = args.tol if args.tol is not None else default_tol(p.scale)
-    selected = []
-    if args.first_el:
-        selected.append("first_el")
-    if args.second_el:
-        selected.append("second_el")
-    if args.erdmann:
-        selected.append("erdmann")
-    if not selected:
-        selected = ["first_el", "second_el"]
+    checks = {
+        "first_el": lambda: first_el_residual(p, q).magnitude,
+        "second_el": lambda: second_el_residual(p, q).magnitude,
+        "erdmann": lambda: erdmann_deviation(p, q),
+    }
+    selected = [k for k in checks if getattr(args, k)] or ["first_el", "second_el"]
     results = []
     for kind in selected:
-        if kind == "first_el":
-            mag = first_el_residual(p, q).magnitude
-        elif kind == "second_el":
-            mag = second_el_residual(p, q).magnitude
-        else:
-            mag = erdmann_deviation(p, q)
+        mag = checks[kind]()
         ok = mag <= tol
         results.append({"kind": kind, "magnitude": mag, "pass": bool(ok)})
         print(f"{kind}: {_fmt(mag)} {'PASS' if ok else 'FAIL'}")
@@ -308,7 +280,7 @@ def cmd_noether(args) -> int:
     if loaded.trajectory is not None:
         q = loaded.trajectory
     elif args.solve:
-        q, _method = _solve_trajectory(loaded)
+        q = solve(p, loaded.newton).trajectory
     else:
         raise ProblemFileError(
             "noether needs a trajectory in the problem file (or --solve)"
@@ -343,16 +315,16 @@ def cmd_scale_info(args) -> int:
     print(f"points: {scale.n}   span: [{_fmt(scale.a)}, {_fmt(scale.b)}]")
     print(f"exact discrete: {scale.is_exact_discrete}")
     print("      t  class  mu")
-    for i in range(scale.n):
-        cls = scale.classify(i).label
-        print(f"  {_fmt(scale.points[i]):>12}  {cls}  {_fmt(scale.mu(i))}")
+    classes = [scale.classify(i).label for i in range(scale.n)]
+    for t, cls, mu in zip(scale.points, classes, scale.mus):
+        print(f"  {_fmt(t):>12}  {cls}  {_fmt(mu)}")
     _write_json(
         args.json_path,
         {
             "command": "scale-info",
             "scale": scale.to_json(),
             "mu": scale.mus.tolist(),
-            "classes": [scale.classify(i).label for i in range(scale.n)],
+            "classes": classes,
             "kappa_length": scale.kappa_length,
             "exact_discrete": scale.is_exact_discrete,
         },
@@ -407,6 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.tol is not None and not np.isfinite(args.tol):
+        parser.error(f"argument --tol: must be finite, got {args.tol}")
     try:
         return args.func(args)
     except (ProblemFileError, ExprError, TimeScaleError) as exc:

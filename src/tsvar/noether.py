@@ -71,7 +71,6 @@ class NoetherReport:
     invariance_magnitude: float
     conserved: GridFunction
     conservation_deviation: float
-    tol: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -147,10 +146,7 @@ def conserved_quantity(
 
 
 def check_conservation(
-    p: VariationalProblem,
-    q: GridFunction,
-    tr: Transformation,
-    tol: float | None = None,
+    p: VariationalProblem, q: GridFunction, tr: Transformation
 ) -> NoetherReport:
     """Invariance magnitude plus the conserved samples and their spread.
 
@@ -167,5 +163,4 @@ def check_conservation(
         invariance_magnitude=magnitude,
         conserved=cons,
         conservation_deviation=float(c.max() - c.min()),
-        tol=tol,
     )

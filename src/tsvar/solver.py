@@ -8,8 +8,9 @@ Three routes:
 * exhaustive enumeration of slope sequences over a finite alphabet, used
   as a ground-truth oracle on small instances.
 
-Candidates carry diagnostics (action, first and second Euler-Lagrange
-residual magnitudes) so that a second-equation filter can narrow the set.
+:func:`solve` picks between the first two.  Candidates carry diagnostics
+(action, first and second Euler-Lagrange residual magnitudes), computed
+once per candidate, so that a second-equation filter can narrow the set.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import ExprError
 from .timescale import GridFunction
 from .variational import (
+    Lagrangian,
     VariationalProblem,
+    _check_trajectory,
     action,
     first_el_residual,
     second_el_residual,
@@ -37,8 +41,8 @@ __all__ = [
     "Candidate",
     "CandidateSet",
     "affine_extremal",
-    "straight_line_guess",
     "solve_newton",
+    "solve",
     "enumerate_slope_extremals",
     "filter_second_el",
 ]
@@ -75,10 +79,12 @@ class NewtonOptions:
     fd_step: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not 0 < self.fd_step < np.inf:
+            raise ValueError("fd_step must be positive and finite")
 
 
 class Provenance(enum.Enum):
@@ -139,11 +145,6 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, values)
 
 
-def straight_line_guess(p: VariationalProblem) -> GridFunction:
-    """Affine interpolation between the boundary values (Newton default)."""
-    return affine_extremal(p)
-
-
 def _assemble(p: VariationalProblem, interior: np.ndarray) -> GridFunction:
     n = p.dim
     inner = interior.reshape(p.scale.n - 2, n)
@@ -160,30 +161,27 @@ def solve_newton(
     Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
     assembled by forward finite differences of the residual, and damped
     steps are accepted only when the residual max-norm decreases.
+    ``q_init`` defaults to the affine extremal.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
-        q_init = straight_line_guess(p)
-    if q_init.base != p.scale or not q_init.is_full or q_init.dim != p.dim:
-        raise ValueError("q_init must be a full trajectory on the problem scale")
-    if (
-        np.max(np.abs(q_init.values[0] - p.q_a)) > 1e-12
-        or np.max(np.abs(q_init.values[-1] - p.q_b)) > 1e-12
-    ):
-        raise ValueError("q_init violates the boundary conditions")
+        q_init = affine_extremal(p)
+    _check_trajectory(p, q_init)
 
     def residual_vec(x: np.ndarray) -> np.ndarray:
         return first_el_residual(p, _assemble(p, x)).values.ravel()
 
     x = q_init.values[1:-1].ravel().copy()
     history: list[float] = []
-    for _ in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         F = residual_vec(x)
         mag = float(np.max(np.abs(F)))
         history.append(mag)
         if mag <= opts.tol:
             return _assemble(p, x)
+        if it == opts.max_iter:
+            raise NoConvergence(_assemble(p, x), history)
         J = np.empty((F.size, x.size))
         for k in range(x.size):
             step = opts.fd_step * max(1.0, abs(x[k]))
@@ -204,28 +202,57 @@ def solve_newton(
         else:
             raise NoConvergence(_assemble(p, x), history)
         x = x + alpha * dx
-    F = residual_vec(x)
-    mag = float(np.max(np.abs(F)))
-    history.append(mag)
-    if mag <= opts.tol:
-        return _assemble(p, x)
-    raise NoConvergence(_assemble(p, x), history)
+
+
+def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
+    """Numerically probe for a pure quadratic form in v with no t, u coupling.
+
+    Eight random probe frames (t, u, v, w) are checked at once.
+    """
+    n = lagrangian.dim
+    probes = np.random.default_rng(0).uniform(-1, 1, (8, 1 + 3 * n))
+    t, u, v, w = np.split(probes, [1, 1 + n, 1 + 2 * n], axis=1)
+    t = t[:, 0]
+    delta = 0.5
+    try:
+        _, d1, d2, _ = lagrangian.partials(t, u, v)
+        at_rest, _, _, d3_at_rest = lagrangian.partials(t, u, np.zeros_like(v))
+        g = [lagrangian.partials(t, u, v + s * delta * w)[0] for s in range(4)]
+    except ExprError:
+        return False
+    must_vanish = np.column_stack([d1, d2, at_rest, d3_at_rest])
+    third = g[3] - 3 * g[2] + 3 * g[1] - g[0]
+    return not (
+        np.any(np.abs(must_vanish) > 1e-9)
+        or np.any(np.abs(third) > 1e-8 * np.maximum(1.0, np.max(np.abs(g), axis=0)))
+    )
 
 
 def _diagnose(
     p: VariationalProblem,
     q: GridFunction,
     provenance: Provenance,
+    first_el: float,
     slopes: tuple[float, ...] | None = None,
 ) -> Candidate:
     return Candidate(
         trajectory=q,
         provenance=provenance,
         action=action(p, q),
-        first_el=first_el_residual(p, q).magnitude,
+        first_el=first_el,
         second_el=second_el_residual(p, q).magnitude,
         slopes=slopes,
     )
+
+
+def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
+    """A diagnosed extremal: the affine closed form if L is a pure quadratic
+    form in v with no t, u coupling (CLOSED_FORM), else Newton from it (NEWTON)."""
+    if _detects_quadratic_slope(p.lagrangian):
+        q, provenance = affine_extremal(p), Provenance.CLOSED_FORM
+    else:
+        q, provenance = solve_newton(p, opts=opts), Provenance.NEWTON
+    return _diagnose(p, q, provenance, first_el_residual(p, q).magnitude)
 
 
 def enumerate_slope_extremals(
@@ -248,6 +275,8 @@ def enumerate_slope_extremals(
     letters = tuple(sorted(float(s) for s in set(alphabet)))
     if not letters:
         raise ValueError("alphabet must be non-empty")
+    if not np.all(np.isfinite(letters)):
+        raise ValueError(f"alphabet letters must be finite, got {list(letters)}")
     gaps = p.scale.n - 1
     if len(letters) ** gaps > ENUMERATION_GUARD:
         raise ValueError(
@@ -258,11 +287,12 @@ def enumerate_slope_extremals(
     kept = []
     for seq in itertools.product(letters, repeat=gaps):
         q = GridFunction.from_slopes(p.scale, p.q_a, seq)
-        if abs(q.values[-1, 0] - qb) > BOUNDARY_HIT_TOL:
+        if not abs(q.values[-1, 0] - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
             continue
-        if first_el_residual(p, q).magnitude > tol:
+        first_el = first_el_residual(p, q).magnitude
+        if first_el > tol:
             continue
-        kept.append(_diagnose(p, q, Provenance.ENUMERATED, slopes=seq))
+        kept.append(_diagnose(p, q, Provenance.ENUMERATED, first_el, slopes=seq))
     return CandidateSet(tuple(kept))
 
 

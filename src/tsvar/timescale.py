@@ -127,9 +127,7 @@ class TimeScale:
     def from_points(cls, points: Sequence[float]) -> "TimeScale":
         """Exact discrete scale from explicit points (all gaps SCATTERED)."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size < 3:
-            raise TimeScaleError("a time scale needs at least three points")
-        return cls(pts, (GapKind.SCATTERED,) * (pts.size - 1))
+        return cls.from_parts(pts, (GapKind.SCATTERED,) * (pts.size - 1))
 
     @classmethod
     def uniform(cls, a: float, b: float, h: float) -> "TimeScale":
@@ -171,7 +169,7 @@ class TimeScale:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise TimeScaleError("a time scale needs at least three points")
-        return cls(pts, tuple(_as_gap(g) for g in gaps))
+        return cls(pts, tuple(gaps))
 
     # -- basic queries ------------------------------------------------
 

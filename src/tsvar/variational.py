@@ -136,10 +136,11 @@ class VariationalProblem:
         n = self.lagrangian.dim
         if qa.shape != (n,) or qb.shape != (n,):
             raise ValueError(f"boundary vectors must have length {n}")
-        qa.setflags(write=False)
-        qb.setflags(write=False)
-        object.__setattr__(self, "q_a", qa)
-        object.__setattr__(self, "q_b", qb)
+        if not np.all(np.isfinite([qa, qb])):
+            raise ValueError(f"boundary vectors must be finite: q_a {qa}, q_b {qb}")
+        for name, arr in (("q_a", qa), ("q_b", qb)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -197,9 +198,10 @@ def _check_trajectory(
         raise ValueError(f"trajectory dimension {q.dim} != problem dimension {p.dim}")
     if not boundary:
         return
-    if np.max(np.abs(q.values[0] - p.q_a)) > BOUNDARY_TOL:
+    # written so that a NaN endpoint fails
+    if not np.max(np.abs(q.values[0] - p.q_a)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
-    if np.max(np.abs(q.values[-1] - p.q_b)) > BOUNDARY_TOL:
+    if not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
 
 

@@ -235,3 +235,103 @@ class TestRoundTrip:
     def test_problem_schema_version_checked(self, tmp_path):
         path = write_problem(tmp_path, version="tsvar/2")
         assert cli.main(["solve", path]) == 2
+
+
+FIVE_POINT = {
+    "version": "tsvar/1",
+    "scale": {"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
+    "n": 1,
+    "lagrangian": "v1^2 + u1^2",
+    "q_a": 0.0,
+    "q_b": 1.0,
+    "trajectory": {"values": [0.0, 0.25, 0.5, 0.75, 1.0]},
+    "transformation": {"tau": "1", "xi": ["1"]},
+    "solver": {"tol": 1e-10, "max_iter": 50, "max_halvings": 20, "fd_step": 1e-7},
+}
+
+
+def run_cli(argv, capsys):
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"q_a": float("nan")},
+            {"q_a": None},
+            {"q_b": float("inf")},
+            {"trajectory": {"values": [0.0, float("nan"), 0.5, 0.75, 1.0]}},
+            {"trajectory": {"values": [0.0, 0.25, 0.5, 0.75, float("nan")]}},
+            {"trajectory": {"slopes": [1.0, None, 1.0, 1.0]}},
+        ],
+    )
+    def test_problem_file_rejects_non_finite(self, overrides, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**FIVE_POINT, **overrides}))
+        code, err = run_cli(["verify", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
+    def test_tol_rejects_nan(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", str(QUARTIC), "--tol", "nan"])
+        assert exc.value.code == 2
+        assert "error: argument --tol: must be finite" in capsys.readouterr().err
+
+    def test_enumeration_rejects_nan_letter(self, capsys):
+        code, err = run_cli(
+            ["solve", str(QUARTIC), "--enumerate=nan,0", "--filter-second-el"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: alphabet letters must be finite")
+
+
+MALFORMED = {
+    "top-level array": [1, 2],
+    "solver list": {**FIVE_POINT, "solver": [1]},
+    "null n": {**FIVE_POINT, "n": None},
+    "q_a object": {**FIVE_POINT, "q_a": {}},
+    "slopes object": {**FIVE_POINT, "trajectory": {"slopes": {}}},
+    "generator numbers": {**FIVE_POINT, "transformation": {"tau": 1, "xi": [2]}},
+    "xi number": {**FIVE_POINT, "transformation": {"tau": "1", "xi": 5}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_problem_file_exit_2(name, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, err = run_cli(["solve", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+REPLACEMENTS = {
+    "null": None,
+    "number": 2,
+    "string": "x",
+    "list": [1, 2],
+    "object": {},
+    "nan": float("nan"),
+}
+FIELDS = [(key,) for key in FIVE_POINT] + [
+    (section, key)
+    for section in ("solver", "trajectory", "transformation")
+    for key in FIVE_POINT[section]
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=".".join)
+@pytest.mark.parametrize("kind", sorted(REPLACEMENTS))
+def test_mutated_problem_file_never_tracebacks(field, kind, tmp_path, capsys):
+    obj = json.loads(json.dumps(FIVE_POINT))
+    owner = obj if len(field) == 1 else obj[field[0]]
+    owner[field[-1]] = REPLACEMENTS[kind]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    for command in ("solve", "verify", "noether", "scale-info"):
+        code, err = run_cli([command, str(path)], capsys)
+        assert code in {0, 1, 2, 3}, (command, code)
+        assert "Traceback" not in err

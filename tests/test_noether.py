@@ -139,7 +139,7 @@ class TestCheckConservation:
         p = quadratic_problem()
         q = solve_newton(p)
         tr = Transformation.from_text(1, "1", "1")
-        report = check_conservation(p, q, tr, tol=1e-12)
+        report = check_conservation(p, q, tr)
         assert report.invariance_magnitude <= 1e-12
         assert report.conservation_deviation <= 1e-12
         # conserved value 2sc - rc^2 = 2*1*2 - 1*4 = 0

@@ -12,12 +12,16 @@ from tsvar import (
     Provenance,
     TimeScale,
     VariationalProblem,
+    action,
     affine_extremal,
     enumerate_slope_extremals,
     filter_second_el,
     first_el_residual,
+    second_el_residual,
+    solve,
     solve_newton,
 )
+from tsvar.solver import _detects_quadratic_slope
 
 QT = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
 
@@ -122,6 +126,95 @@ class TestNewton:
             trajectories.append(solve_newton(p).values)
         assert np.max(np.abs(trajectories[0] - trajectories[1])) <= 1e-8
 
+    def test_nan_start_rejected(self):
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.125), Lagrangian(1, "v1^2"), [0.0], [2.0]
+        )
+        values = affine_extremal(p).values.copy()
+        values[0] = np.nan
+        with pytest.raises(ValueError, match="trajectory start"):
+            solve_newton(p, GridFunction(p.scale, values))
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"tol": np.nan}, {"tol": np.inf}, {"fd_step": np.nan}, {"fd_step": 0.0}],
+    )
+    def test_options_reject_non_finite_or_non_positive(self, options):
+        with pytest.raises(ValueError, match="positive and finite"):
+            NewtonOptions(**options)
+
+
+def closed_form_problems():
+    scale = TimeScale.uniform(0, 1, 0.125)
+    return [
+        VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0], [2.0]),
+        VariationalProblem(
+            scale, Lagrangian(2, "v1^2 + v1*v2 + v2^2"), [0.0, 1.0], [1.0, 3.0]
+        ),
+    ]
+
+
+def newton_problem():
+    return VariationalProblem(
+        TimeScale.uniform(1, 2, 0.05), Lagrangian(1, "t*v1^2 + u1^2"), [0.0], [1.0]
+    )
+
+
+def assert_diagnosed(p, c):
+    # the candidate's numbers are the library's residuals, bit for bit
+    assert c.action == action(p, c.trajectory)
+    assert c.first_el == first_el_residual(p, c.trajectory).magnitude
+    assert c.second_el == second_el_residual(p, c.trajectory).magnitude
+    assert c.slopes is None
+
+
+class TestSolve:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_closed_form_for_quadratic_slope_forms(self, index):
+        p = closed_form_problems()[index]
+        c = solve(p)
+        assert c.provenance is Provenance.CLOSED_FORM
+        assert np.array_equal(c.trajectory.values, affine_extremal(p).values)
+        assert_diagnosed(p, c)
+
+    def test_newton_otherwise(self):
+        p = newton_problem()
+        opts = NewtonOptions(tol=1e-11)
+        c = solve(p, opts)
+        assert c.provenance is Provenance.NEWTON
+        assert np.array_equal(c.trajectory.values, solve_newton(p, opts=opts).values)
+        assert c.first_el <= 1e-11
+        assert_diagnosed(p, c)
+
+    def test_newton_failure_propagates(self):
+        scale = TimeScale.uniform(0, 1, 0.125)
+        L = Lagrangian(1, "(v1^2 - 1)^2 + u1^2")
+        p = VariationalProblem(scale, L, [0.0], [0.5])
+        with pytest.raises(NoConvergence):
+            solve(p, NewtonOptions(max_iter=1, tol=1e-14))
+
+    def test_every_provenance_is_produced(self):
+        produced = {solve(closed_form_problems()[0]).provenance}
+        produced.add(solve(newton_problem()).provenance)
+        cands = enumerate_slope_extremals(quartic_problem(), [0.0])
+        produced.update(c.provenance for c in cands)
+        assert produced == set(Provenance)
+
+    @pytest.mark.parametrize(
+        "body, dim, verdict",
+        [
+            ("v1^2", 1, True),
+            ("3*v1^2 - v1*v2 + 0.5*v2^2", 2, True),
+            ("v1^2 + u1^2", 1, False),
+            ("t*v1^2", 1, False),
+            ("(v1^2 - 1)^2", 1, False),
+            ("v1^2 + v1", 1, False),
+            ("log(v1)", 1, False),
+        ],
+    )
+    def test_quadratic_probe_verdicts(self, body, dim, verdict):
+        assert _detects_quadratic_slope(Lagrangian(dim, body)) is verdict
+
 
 class TestEnumeration:
     def test_quartic_counts(self):
@@ -155,6 +248,11 @@ class TestEnumeration:
     def test_unreachable_boundary(self):
         p = quartic_problem()
         assert len(enumerate_slope_extremals(p, [2.0], tol=1e-8)) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_letter_rejected(self, bad):
+        with pytest.raises(ValueError, match="letters must be finite"):
+            enumerate_slope_extremals(quartic_problem(), [bad, 0.0])
 
     def test_guard_advises_newton(self):
         scale = TimeScale.uniform(0, 3, 0.1)

@@ -66,6 +66,30 @@ class TestConstruction:
         with pytest.raises(TimeScaleError):
             TimeScale.dense_interval(0, 1, 1)
 
+    @pytest.mark.parametrize(
+        "points, gaps, message",
+        [
+            ([0, 1], ["S"], "a time scale needs at least three points"),
+            ([0, 1, 2], ["S", "X"], "unknown gap kind 'X' (expected 'S' or 'D')"),
+            ([0, 1, 2], ["S"], "expected 2 gap kinds, got 1"),
+            ([0, 2, 1], ["S", "D"], "points must be strictly increasing"),
+        ],
+    )
+    def test_from_parts_single_fault_messages(self, points, gaps, message):
+        with pytest.raises(TimeScaleError) as err:
+            TimeScale.from_parts(points, gaps)
+        assert str(err.value) == message
+
+    def test_from_parts_accepts_kinds_and_letters(self):
+        T = TimeScale.from_parts([0, 1, 2, 3], iter(["S", GapKind.DENSE, "S"]))
+        assert T.gaps == (GapKind.SCATTERED, GapKind.DENSE, GapKind.SCATTERED)
+
+    def test_grid_function_keeps_non_finite_values(self):
+        # a damped Newton trial step may overflow; that is a failed trial,
+        # not an input error, so GridFunction itself accepts it
+        q = GridFunction(TimeScale.uniform(0, 1, 0.5), [0.0, np.inf, np.nan])
+        assert np.isinf(q.values[1, 0]) and np.isnan(q.values[2, 0])
+
 
 class TestJumpOperators:
     def test_sigma_examples(self):

@@ -431,3 +431,19 @@ class TestStructuralProperties:
         assert first_el_residual(p, q).magnitude <= 1e-14
         assert second_el_residual(p, q).magnitude <= 1e-14
         assert action(p, q) == pytest.approx(5.0, abs=1e-14)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("q_a, q_b", [([np.nan], [1.0]), ([0.0], [np.inf])])
+    def test_problem_rejects_non_finite_boundary(self, q_a, q_b):
+        scale = TimeScale.uniform(0, 1, 0.25)
+        with pytest.raises(ValueError, match="must be finite"):
+            VariationalProblem(scale, Lagrangian(1, "v1^2"), q_a, q_b)
+
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_nan_endpoint_fails_boundary_check(self, end):
+        p = quadratic_problem()
+        values = affine(p.scale, 2.0, 0.0).values.copy()
+        values[end] = np.nan
+        with pytest.raises(ValueError, match="!= q_"):
+            first_el_residual(p, GridFunction(p.scale, values))
