@@ -142,8 +142,10 @@ def load_problem(path: str | Path) -> LoadedProblem:
     except (TimeScaleError, KeyError, TypeError) as exc:
         raise ProblemFileError(f"bad scale: {exc}") from exc
     n = _field(obj, "n", int, 1)
+    if n < 1:
+        raise ProblemFileError("dimension must be at least 1")
+    q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)  # checks n cheaply
     lagrangian = Lagrangian(n, str(obj["lagrangian"]))
-    q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)
     problem = VariationalProblem(scale, lagrangian, q_a, q_b)
     trajectory = None
     if "trajectory" in obj:

@@ -22,13 +22,7 @@ import numpy as np
 
 from .expr import Expr, parse
 from .timescale import GridFunction, delta_derivative
-from .variational import (
-    Residual,
-    VariationalProblem,
-    _check_trajectory,
-    _frames,
-    _hamiltonian,
-)
+from .variational import Residual, VariationalProblem, _Along, _along
 
 __all__ = [
     "Transformation",
@@ -80,15 +74,42 @@ class NoetherReport:
         }
 
 
-def _generator_rows(
-    tr: Transformation, q: GridFunction
-) -> tuple[np.ndarray, np.ndarray]:
-    """tau(t_i, q_i) and xi(t_i, q_i) sampled at every scale point."""
+def _sample(
+    p: VariationalProblem, q: GridFunction, tr: Transformation
+) -> tuple[_Along, np.ndarray, np.ndarray]:
+    """L and its partials along q, not held to the boundary values, and
+    tau(t_i, q_i), xi(t_i, q_i) at every scale point."""
+    if tr.dim != p.dim:
+        raise ValueError("transformation dimension does not match the problem")
+    e = _along(p, q, boundary=False)
     names = ["t"] + [f"q{k + 1}" for k in range(tr.dim)]
     env = dict(zip(names, np.vstack([q.base.points, q.values.T])))
     taus = tr.tau._forward(env).value
     xis = np.column_stack([c._forward(env).value for c in tr.xi])
-    return taus, xis
+    return e, taus, xis
+
+
+def _invariance(e: _Along, taus: np.ndarray, xis: np.ndarray) -> Residual:
+    T, k = e.p.scale, len(e.t)
+    if not T.is_exact_discrete:
+        raise ValueError("invariance residual needs an exact discrete scale")
+    tau_d = delta_derivative(GridFunction(T, taus)).component(0)
+    xi_d = delta_derivative(GridFunction(T, xis)).values
+    vals = (
+        e.Lt * taus[:k]
+        + np.sum(e.Lu * xis[T.sigmas[:k]], axis=1)
+        + np.sum(e.Lv * xi_d, axis=1)
+        + e.L * tau_d
+        - np.sum(e.v * e.Lv, axis=1) * tau_d
+    )
+    return Residual("invariance", e.t, vals, approximate=e.approximate)
+
+
+def _conserved(e: _Along, taus: np.ndarray, xis: np.ndarray) -> GridFunction:
+    k = len(e.t)
+    # the bracket L - dL/dv . q_delta - dL/dt * mu is minus the Hamiltonian
+    vals = np.sum(e.Lv * xis[:k], axis=1) - e.hamiltonian(e.mu) * taus[:k]
+    return GridFunction(e.p.scale, vals, approximate=e.approximate)
 
 
 def invariance_residual(
@@ -100,28 +121,7 @@ def invariance_residual(
     + L tau_delta - q_delta . dL/dv tau_delta; identically zero iff the
     action is invariant under the generator pair.
     """
-    if not p.scale.is_exact_discrete:
-        raise ValueError("invariance residual needs an exact discrete scale")
-    if tr.dim != p.dim:
-        raise ValueError("transformation dimension does not match the problem")
-    # invariance quantifies over unconstrained trajectories, so no
-    # boundary-value check here
-    _check_trajectory(p, q, boundary=False)
-    T = p.scale
-    t, u, v, approx = _frames(p, q)
-    k = len(t)
-    taus, xis = _generator_rows(tr, q)
-    tau_d = delta_derivative(GridFunction(T, taus)).component(0)
-    xi_d = delta_derivative(GridFunction(T, xis)).values
-    L, Lt, Lu, Lv = p.lagrangian.partials(t, u, v)
-    vals = (
-        Lt * taus[:k]
-        + np.sum(Lu * xis[T.sigmas[:k]], axis=1)
-        + np.sum(Lv * xi_d, axis=1)
-        + L * tau_d
-        - np.sum(v * Lv, axis=1) * tau_d
-    )
-    return Residual("invariance", t, vals, approximate=approx)
+    return _invariance(*_sample(p, q, tr))
 
 
 def conserved_quantity(
@@ -132,17 +132,7 @@ def conserved_quantity(
     Lagrangian arguments are (t, q_sigma, q_delta); the generators are
     taken at (t, q(t)).  Defined on the derivative prefix of q.
     """
-    if tr.dim != p.dim:
-        raise ValueError("transformation dimension does not match the problem")
-    _check_trajectory(p, q, boundary=False)
-    t, u, v, approx = _frames(p, q)
-    k = len(t)
-    taus, xis = _generator_rows(tr, q)
-    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
-    # the bracket L - dL/dv . q_delta - dL/dt * mu is minus the Hamiltonian
-    H = _hamiltonian(p.scale.mus[:k], v, L, Lt, Lv)
-    vals = np.sum(Lv * xis[:k], axis=1) - H * taus[:k]
-    return GridFunction(p.scale, vals, approximate=approx)
+    return _conserved(*_sample(p, q, tr))
 
 
 def check_conservation(
@@ -152,12 +142,12 @@ def check_conservation(
 
     The invariance magnitude is taken over the prefix on which a further
     delta derivative of the residual would exist (one point fewer than
-    the residual itself covers).
+    the residual itself covers).  L and the generators are evaluated once
+    for both.
     """
-    res = invariance_residual(p, q, tr)
-    cons = conserved_quantity(p, q, tr)
-    inner = res.values[:-1] if len(res.values) > 1 else res.values
-    magnitude = float(np.max(np.abs(inner))) if inner.size else 0.0
+    sample = _sample(p, q, tr)
+    res, cons = _invariance(*sample), _conserved(*sample)
+    magnitude = float(np.max(np.abs(res.values[:-1])))
     c = cons.component(0)
     return NoetherReport(
         invariance_magnitude=magnitude,

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprError
+from .expr import _homogeneous_degree
 from .timescale import GridFunction
 from .variational import (
     Lagrangian,
     VariationalProblem,
-    _check_trajectory,
-    action,
+    _along,
     first_el_residual,
-    second_el_residual,
 )
 
 __all__ = [
@@ -142,6 +140,8 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     c = (p.q_b - p.q_a) / (b - a)
     k = (b * p.q_a - a * p.q_b) / (b - a)
     values = p.scale.points[:, None] * c[None, :] + k[None, :]
+    # rounding in c*t + k can miss the boundary values; the ends are pinned
+    values[0], values[-1] = p.q_a, p.q_b
     return GridFunction(p.scale, values)
 
 
@@ -167,7 +167,7 @@ def solve_newton(
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
         q_init = affine_extremal(p)
-    _check_trajectory(p, q_init)
+    _along(p, q_init)  # checks q_init, and that L is defined along it
 
     def residual_vec(x: np.ndarray) -> np.ndarray:
         return first_el_residual(p, _assemble(p, x)).values.ravel()
@@ -205,44 +205,18 @@ def solve_newton(
 
 
 def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
-    """Numerically probe for a pure quadratic form in v with no t, u coupling.
-
-    Eight random probe frames (t, u, v, w) are checked at once.
-    """
-    n = lagrangian.dim
-    probes = np.random.default_rng(0).uniform(-1, 1, (8, 1 + 3 * n))
-    t, u, v, w = np.split(probes, [1, 1 + n, 1 + 2 * n], axis=1)
-    t = t[:, 0]
-    delta = 0.5
-    try:
-        _, d1, d2, _ = lagrangian.partials(t, u, v)
-        at_rest, _, _, d3_at_rest = lagrangian.partials(t, u, np.zeros_like(v))
-        g = [lagrangian.partials(t, u, v + s * delta * w)[0] for s in range(4)]
-    except ExprError:
-        return False
-    must_vanish = np.column_stack([d1, d2, at_rest, d3_at_rest])
-    third = g[3] - 3 * g[2] + 3 * g[1] - g[0]
-    return not (
-        np.any(np.abs(must_vanish) > 1e-9)
-        or np.any(np.abs(third) > 1e-8 * np.maximum(1.0, np.max(np.abs(g), axis=0)))
-    )
+    """Whether L is syntactically a quadratic form in v that reads neither
+    t nor u, so that every affine trajectory is an extremal."""
+    return _homogeneous_degree(lagrangian.body.root, lagrangian.v_names) == 2
 
 
 def _diagnose(
-    p: VariationalProblem,
-    q: GridFunction,
-    provenance: Provenance,
-    first_el: float,
-    slopes: tuple[float, ...] | None = None,
+    p: VariationalProblem, q: GridFunction, provenance: Provenance, slopes=None
 ) -> Candidate:
-    return Candidate(
-        trajectory=q,
-        provenance=provenance,
-        action=action(p, q),
-        first_el=first_el,
-        second_el=second_el_residual(p, q).magnitude,
-        slopes=slopes,
-    )
+    """One evaluation of L along q gives the action and both EL magnitudes."""
+    e = _along(p, q)
+    first, second = e.first_el().magnitude, e.second_el().magnitude
+    return Candidate(q, provenance, e.action(), first, second, slopes)
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
@@ -252,7 +226,7 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
         q, provenance = affine_extremal(p), Provenance.CLOSED_FORM
     else:
         q, provenance = solve_newton(p, opts=opts), Provenance.NEWTON
-    return _diagnose(p, q, provenance, first_el_residual(p, q).magnitude)
+    return _diagnose(p, q, provenance)
 
 
 def enumerate_slope_extremals(
@@ -289,10 +263,9 @@ def enumerate_slope_extremals(
         q = GridFunction.from_slopes(p.scale, p.q_a, seq)
         if not abs(q.values[-1, 0] - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
             continue
-        first_el = first_el_residual(p, q).magnitude
-        if first_el > tol:
+        if first_el_residual(p, q).magnitude > tol:
             continue
-        kept.append(_diagnose(p, q, Provenance.ENUMERATED, first_el, slopes=seq))
+        kept.append(_diagnose(p, q, Provenance.ENUMERATED, slopes=seq))
     return CandidateSet(tuple(kept))
 
 

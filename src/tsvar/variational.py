@@ -10,6 +10,11 @@ a candidate trajectory:
 * the second Euler-Lagrange (DuBois-Reymond) residual built from it,
 * the Erdmann constancy deviation for autonomous Lagrangians.
 
+Each is arithmetic on one evaluation of L and its first partials at the
+frames (t, q_sigma, q_delta) of the trajectory, made by one private
+builder that also checks the trajectory; :mod:`tsvar.noether` reads the
+same evaluation.
+
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
 a composite built from it covers the first N-2.  Differential-form
@@ -187,54 +192,75 @@ class Residual:
         }
 
 
-def _check_trajectory(
-    p: VariationalProblem, q: GridFunction, boundary: bool = True
-) -> None:
+@dataclass(frozen=True)
+class _Along:
+    """L and its first partials at the frames (t, q_sigma, q_delta) of q on
+    its derivative prefix, with the graininess mu there."""
+
+    p: VariationalProblem
+    q: GridFunction
+    t: np.ndarray
+    mu: np.ndarray
+    v: np.ndarray
+    approximate: bool
+    L: np.ndarray
+    Lt: np.ndarray
+    Lu: np.ndarray
+    Lv: np.ndarray
+
+    def hamiltonian(self, mu) -> np.ndarray:
+        """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
+        return -self.L + np.sum(self.Lv * self.v, axis=1) + self.Lt * mu
+
+    def action(self) -> float:
+        T, L = self.p.scale, self.L
+        if T.kappa_length == T.n:
+            # a DENSE last gap also needs L at the final point, where q_sigma
+            # is q and the backward quotient is the last row of q_delta
+            closing = self.p.lagrangian.value(T.b, self.q.values[-1], self.v[-1])
+            L = np.append(L, closing)
+        return float(delta_integral(GridFunction(T, L), 0, T.n - 1)[0])
+
+    def _outer(self, kind: str, composite, term) -> Residual:
+        """(d/dt)_delta composite + term, on the prefix where it exists."""
+        d = delta_derivative(GridFunction(self.p.scale, composite, self.approximate))
+        k2 = d.valid
+        return Residual(kind, self.t[:k2], d.values + term[:k2], d.approximate)
+
+    def first_el(self) -> Residual:
+        return self._outer("first_el", self.Lv, -self.Lu)
+
+    def second_el(self) -> Residual:
+        return self._outer("second_el", self.hamiltonian(self.mu), self.Lt[:, None])
+
+
+def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
+    """Check q, then evaluate L and its partials along it in one kernel pass.
+
+    ``boundary=False`` leaves the boundary values unchecked, for quantities
+    that range over unconstrained trajectories.
+    """
     if q.base != p.scale:
         raise ValueError("trajectory lives on a different scale")
     if not q.is_full:
         raise ValueError("trajectory must cover every point of the scale")
     if q.dim != p.dim:
         raise ValueError(f"trajectory dimension {q.dim} != problem dimension {p.dim}")
-    if not boundary:
-        return
     # written so that a NaN endpoint fails
-    if not np.max(np.abs(q.values[0] - p.q_a)) <= BOUNDARY_TOL:
+    if boundary and not np.max(np.abs(q.values[0] - p.q_a)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
-    if not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
+    if boundary and not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
-
-
-def _frames(
-    p: VariationalProblem, q: GridFunction, extend_dense_end: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Rows (t_i, q_sigma_i, q_delta_i) on the derivative prefix of q.
-
-    With ``extend_dense_end`` and a scale whose last gap is DENSE, a
-    backward quotient extends q_delta to the final point so integrands
-    can be formed on the whole scale.
-    """
-    T = p.scale
-    qd = delta_derivative(q)
-    t = T.points[: qd.valid]
-    v = qd.values
-    approx = qd.approximate
-    if extend_dense_end and T.kappa_length == T.n:
-        w = float(T.points[-1] - T.points[-2])
-        v_last = (q.values[-1] - q.values[-2]) / w
-        t = T.points
-        v = np.vstack([v, v_last])
-        approx = True
-    return t, q.values[T.sigmas[: len(t)]], v, approx
+    T, qd = p.scale, delta_derivative(q)
+    k = qd.valid
+    t, mu, u = T.points[:k], T.mus[:k], q.values[T.sigmas[:k]]
+    L, Lt, Lu, Lv = p.lagrangian.partials(t, u, qd.values)
+    return _Along(p, q, t, mu, qd.values, qd.approximate, L, Lt, Lu, Lv)
 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:
     """Delta integral of L(t, q_sigma, q_delta) over the whole scale."""
-    _check_trajectory(p, q)
-    t, u, v, approx = _frames(p, q, extend_dense_end=True)
-    L = p.lagrangian.partials(t, u, v)[0]
-    integrand = GridFunction(p.scale, L, approximate=approx)
-    return float(delta_integral(integrand, 0, p.scale.n - 1)[0])
+    return _along(p, q).action()
 
 
 def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -242,14 +268,7 @@ def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
 
     Zero everywhere on its domain exactly when q is an extremal there.
     """
-    _check_trajectory(p, q)
-    t, u, v, approx = _frames(p, q)
-    _, _, Lu, Lv = p.lagrangian.partials(t, u, v)
-    dp3 = delta_derivative(GridFunction(p.scale, Lv, approximate=approx))
-    k2 = dp3.valid
-    return Residual(
-        "first_el", t[:k2], dp3.values - Lu[:k2], approximate=dp3.approximate
-    )
+    return _along(p, q).first_el()
 
 
 def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -260,17 +279,9 @@ def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residu
     the integral form of the first Euler-Lagrange equation holds with
     some constant vector.
     """
-    _check_trajectory(p, q)
-    t, u, v, approx = _frames(p, q)
-    _, _, Lu, Lv = p.lagrangian.partials(t, u, v)
-    d2_grid = GridFunction(p.scale, Lu, approximate=approx)
-    g = Lv - _running_integral(d2_grid, 0, len(t) - 1)
-    return Residual("first_el_integral", t, g - g.min(axis=0), approximate=approx)
-
-
-def _hamiltonian(mu, v, L, Lt, Lv) -> np.ndarray:
-    """-L + dL/dv . v + dL/dt * mu at each frame."""
-    return -L + np.sum(Lv * v, axis=1) + Lt * mu
+    e = _along(p, q)
+    g = e.Lv - _running_integral(GridFunction(p.scale, e.Lu), 0, len(e.t) - 1)
+    return Residual("first_el_integral", e.t, g - g.min(axis=0), e.approximate)
 
 
 def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
@@ -279,13 +290,11 @@ def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
     Reduces to the classical Hamiltonian -L + dL/dv . v wherever the
     graininess vanishes.
     """
-    _check_trajectory(p, q)
-    t, u, v, _ = _frames(p, q)
-    i = int(i)
-    if not 0 <= i < len(t):
-        raise IndexError(f"index {i} outside the derivative prefix of length {len(t)}")
-    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
-    return float(_hamiltonian(p.scale.mus[: len(t)], v, L, Lt, Lv)[i])
+    e = _along(p, q)
+    i, k = int(i), len(e.t)
+    if not 0 <= i < k:
+        raise IndexError(f"index {i} outside the derivative prefix of length {k}")
+    return float(e.hamiltonian(e.mu)[i])
 
 
 def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -294,14 +303,7 @@ def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
     Measures (d/dt)_delta of the Hamiltonian composite plus dL/dt; zero
     where the equation holds.
     """
-    _check_trajectory(p, q)
-    t, u, v, approx = _frames(p, q)
-    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
-    H = _hamiltonian(p.scale.mus[: len(t)], v, L, Lt, Lv)
-    dH = delta_derivative(GridFunction(p.scale, H, approximate=approx))
-    k2 = dH.valid
-    vals = dH.values[:, 0] + Lt[:k2]
-    return Residual("second_el", t[:k2], vals, approximate=dH.approximate)
+    return _along(p, q).second_el()
 
 
 def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
@@ -310,16 +312,14 @@ def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
     Only defined for autonomous Lagrangians; dL/dt is checked pointwise
     along the trajectory and the first violating point is reported.
     """
-    _check_trajectory(p, q)
-    t, u, v, _ = _frames(p, q)
-    L, Lt, _, Lv = p.lagrangian.partials(t, u, v)
-    moving = np.flatnonzero(np.abs(Lt) > AUTONOMY_TOL)
+    e = _along(p, q)
+    moving = np.flatnonzero(np.abs(e.Lt) > AUTONOMY_TOL)
     if moving.size:
         i = moving[0]
         raise ValueError(
-            f"lagrangian is not autonomous: dL/dt = {Lt[i]:.3e} at t = {t[i]!r}"
+            f"lagrangian is not autonomous: dL/dt = {e.Lt[i]:.3e} at t = {e.t[i]!r}"
         )
-    E = _hamiltonian(0.0, v, L, Lt, Lv)
+    E = e.hamiltonian(0.0)
     return float(E.max() - E.min())
 
 

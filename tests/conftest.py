@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from tsvar import GridFunction, TimeScale
@@ -52,3 +53,22 @@ def trajectory_from_slopes(scale, q_a, slopes) -> GridFunction:
     for i in range(scale.n - 1):
         values[i + 1] = values[i] + slopes[i] * scale.mu(i)
     return GridFunction(scale, values)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(cls, name) wraps a method; the returned list grows by one
+    entry per call."""
+
+    def install(cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    return install

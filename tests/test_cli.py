@@ -335,3 +335,31 @@ def test_mutated_problem_file_never_tracebacks(field, kind, tmp_path, capsys):
         code, err = run_cli([command, str(path)], capsys)
         assert code in {0, 1, 2, 3}, (command, code)
         assert "Traceback" not in err
+
+
+class TestDimensionGuard:
+    @pytest.fixture(autouse=True)
+    def no_lagrangian(self, monkeypatch):
+        # these files must be rejected before any Lagrangian (and its 2n
+        # variable names) is built
+        def refuse(*args, **kwargs):
+            pytest.fail("Lagrangian built for a file with a bad dimension")
+
+        monkeypatch.setattr(cli, "Lagrangian", refuse)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n": 1e9}, "error: q_a must have 1000000000 component(s)"),
+            ({"n": 2, "q_a": [0.0, 0.0]}, "error: q_b must have 2 component(s)"),
+            ({"n": 0}, "error: dimension must be at least 1"),
+            ({"n": -3, "q_a": [], "q_b": []}, "error: dimension must be at least 1"),
+        ],
+    )
+    def test_boundary_vectors_checked_before_lagrangian(
+        self, overrides, message, tmp_path, capsys
+    ):
+        path = write_problem(tmp_path, **overrides)
+        code, err = run_cli(["solve", path], capsys)
+        assert code == 2
+        assert err == message + "\n"

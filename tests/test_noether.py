@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
 from tsvar import (
+    Expr,
     GridFunction,
     Lagrangian,
     TimeScale,
@@ -144,6 +145,27 @@ class TestCheckConservation:
         assert report.conservation_deviation <= 1e-12
         # conserved value 2sc - rc^2 = 2*1*2 - 1*4 = 0
         assert np.allclose(report.conserved.values, 0.0, atol=1e-13)
+
+    def test_evaluates_lagrangian_and_generators_once(self, count_calls):
+        p = quadratic_problem()
+        q = GridFunction.sample(p.scale, lambda t: 2 * t * t)
+        tr = Transformation.from_text(1, "t", "1 + t")
+        res = invariance_residual(p, q, tr)
+        cons = conserved_quantity(p, q, tr)
+        partials = count_calls(Lagrangian, "partials")
+        forward = count_calls(Expr, "_forward")
+        report = check_conservation(p, q, tr)
+        assert len(partials) == 1
+        assert len(forward) == 3  # L, then tau and xi
+        assert report.invariance_magnitude == float(np.max(np.abs(res.values[:-1])))
+        assert np.array_equal(report.conserved.values, cons.values)
+
+    def test_dense_scale_rejected(self):
+        scale = TimeScale.dense_interval(0, 1, 11)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0], [2.0])
+        tr = Transformation.from_text(1, "1", "1")
+        with pytest.raises(ValueError, match="exact discrete"):
+            check_conservation(p, affine(scale, 2.0), tr)
 
     def test_non_extremal_not_conserved(self):
         p = quadratic_problem()

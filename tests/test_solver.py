@@ -1,4 +1,6 @@
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,10 @@ from tsvar import (
     solve,
     solve_newton,
 )
+from tsvar import cli
 from tsvar.solver import _detects_quadratic_slope
+
+QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 
 QT = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
 
@@ -55,6 +60,28 @@ class TestAffineExtremal:
         )
         q = affine_extremal(p)
         assert np.all(q.values == 5.0)  # c = 0, k = 5
+
+    def test_ends_pinned_on_large_boundary_values(self):
+        # c*t + k can miss q_a or q_b by rounding beyond the boundary check;
+        # the ends must be exact and the interior must stay c*t + k
+        rng = np.random.default_rng(7)
+        missed = 0
+        for _ in range(200):
+            scale = TimeScale.from_points(np.sort(rng.uniform(-5, 5, 7)))
+            qa, qb = rng.uniform(-1e4, 1e4, (2, 1))
+            p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^2"), qa, qb)
+            q = affine_extremal(p)
+            c = (qb - qa) / (scale.b - scale.a)
+            k = (scale.b * qa - scale.a * qb) / (scale.b - scale.a)
+            line = scale.points[:, None] * c + k
+            missed += np.max(np.abs(line[[0, -1]] - [qa, qb])) > 1e-12
+            assert np.array_equal(q.values[[0, -1]], [qa, qb])
+            assert np.array_equal(q.values[1:-1], line[1:-1])
+            try:  # the default guess passes the boundary check
+                solve_newton(p, opts=NewtonOptions(max_iter=1))
+            except NoConvergence:
+                pass
+        assert missed > 0
 
 
 class TestNewton:
@@ -210,10 +237,41 @@ class TestSolve:
             ("(v1^2 - 1)^2", 1, False),
             ("v1^2 + v1", 1, False),
             ("log(v1)", 1, False),
+            ("v1^2 + 1e-10*u1^2", 1, False),
+            ("v1^2 + 3e-10*u1", 1, False),
+            ("v1^2 + 1e-9*v1^3", 1, False),
+            ("v1^2 + 0*u1", 1, False),
+            ("v1^2 + 0*t", 1, False),
+            ("v1^2 + 1", 1, False),
+            ("v1^(1 + 1)/2 - sqrt(2)*v1*(-v1)", 1, True),
+            ("(v1^4)^0.5", 1, False),
+            ("v1^(v1^0 + 1)", 1, False),
+            ("v1^-2", 1, False),
+            ("v1^3/v1", 1, False),
+            ("v1^2/(1 - 1)", 1, False),
+            ("v1^2 + v2", 2, False),
+            ("(v1 + v2)*(v1 - 2*v2)", 2, True),
         ],
     )
     def test_quadratic_probe_verdicts(self, body, dim, verdict):
         assert _detects_quadratic_slope(Lagrangian(dim, body)) is verdict
+
+    def test_tiny_state_coupling_goes_to_newton(self):
+        # a random numerical probe once took v1^2 + 1e-10*u1^2 for a pure
+        # slope form and returned the affine guess with first_el 1.75e-08
+        scale = TimeScale.uniform(0, 1, 0.125)
+        L = Lagrangian(1, "v1^2 + 1e-10*u1^2")
+        p = VariationalProblem(scale, L, [0.0], [100.0])
+        c = solve(p)
+        assert c.provenance is Provenance.NEWTON
+        assert c.first_el <= 1e-11
+        assert_diagnosed(p, c)
+
+    def test_closed_form_evaluates_lagrangian_once(self, count_calls):
+        calls = count_calls(Lagrangian, "partials")
+        c = solve(closed_form_problems()[0])
+        assert c.provenance is Provenance.CLOSED_FORM
+        assert len(calls) == 1
 
 
 class TestEnumeration:
@@ -223,6 +281,16 @@ class TestEnumeration:
         assert len(cands) == 1107
         survivors = filter_second_el(p, cands, tol=1e-8)
         assert len(survivors) == 71
+
+    def test_quartic_file_evaluation_count(self, count_calls):
+        # the first-EL filter evaluates each boundary hit, and one more
+        # evaluation per kept word gives its action and both magnitudes
+        p = cli.load_problem(QUARTIC).problem
+        words = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=8)))
+        hits = int(np.sum(np.abs(words @ p.scale.mus[:-1]) <= 1e-9))
+        calls = count_calls(Lagrangian, "partials")
+        cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
+        assert len(calls) == hits + len(cands) == 2214
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()

@@ -13,6 +13,7 @@ from tsvar import (
     action,
     classical_check,
     delta_derivative,
+    delta_integral,
     erdmann_deviation,
     first_el_integral_residual,
     first_el_residual,
@@ -62,6 +63,32 @@ class TestAction:
         p = quadratic_problem()
         with pytest.raises(ValueError):
             action(p, affine(p.scale, 1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "gaps",
+        ["DDDDDD", "SDDSSD", "DSSDDS", "SSSSSD", "DDDDDS"],
+        ids=["all-D", "mixed-ends-D", "mixed-ends-S", "S-ends-D", "D-ends-S"],
+    )
+    @pytest.mark.parametrize(
+        "body", ["v1^2 + u1^2", "t*sin(v1) + exp(0.3*u1)", "(1 + v1^2)^1.5 - log(t)"]
+    )
+    def test_equals_extended_frame_reference(self, gaps, body):
+        # reference: L on frames extended to the last point by the backward
+        # quotient when the last gap is DENSE, then one delta integral
+        points = [0.5, 0.75, 1.5, 1.625, 2.0, 3.0, 3.25]
+        scale = TimeScale.from_parts(points, list(gaps))
+        rng = np.random.default_rng(len(body))
+        q = GridFunction(scale, rng.uniform(-2.0, 2.0, (scale.n, 1)))
+        L = Lagrangian(1, body)
+        p = VariationalProblem(scale, L, q.values[0], q.values[-1])
+        v = delta_derivative(q).values
+        if gaps[-1] == "D":
+            w = scale.points[-1] - scale.points[-2]
+            v = np.vstack([v, (q.values[-1] - q.values[-2]) / w])
+        t = scale.points[: len(v)]
+        Ls = L.partials(t, q.values[scale.sigmas[: len(v)]], v)[0]
+        reference = delta_integral(GridFunction(scale, Ls), 0, scale.n - 1)[0]
+        assert action(p, q) == reference
 
 
 class TestFirstEl:
