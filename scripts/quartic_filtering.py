@@ -8,6 +8,7 @@ and the fate of the mixed-slope candidate (1,-1,0,0,0,0,1,-1).
 """
 
 import argparse
+import json
 from collections import Counter
 
 from tsvar import (
@@ -48,7 +49,7 @@ def main() -> None:
 
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
-            fh.write(survivors.to_json_lines() + "\n")
+            fh.write("\n".join(json.dumps(c.to_json()) for c in survivors) + "\n")
         print(f"wrote {len(survivors)} survivors to {args.jsonl}")
 
 

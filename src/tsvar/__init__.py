@@ -15,7 +15,6 @@ from .noether import (
 )
 from .solver import (
     Candidate,
-    CandidateSet,
     NewtonOptions,
     NoConvergence,
     Provenance,

@@ -41,13 +41,7 @@ from .solver import (
     solve,
 )
 from .timescale import GridFunction, TimeScale, TimeScaleError
-from .variational import (
-    Lagrangian,
-    VariationalProblem,
-    erdmann_deviation,
-    first_el_residual,
-    second_el_residual,
-)
+from .variational import Lagrangian, VariationalProblem, _along
 
 SCHEMA_VERSION = "tsvar/1"
 
@@ -162,7 +156,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
             raise ProblemFileError("transformation 'tau' and 'xi' must be strings")
         transformation = Transformation.from_text(n, tau, xi)
     sopts = _field(obj, "solver", _object, {})
-    kinds = {"tol": float, "max_iter": int, "max_halvings": int, "fd_step": float}
+    kinds = {"tol": float, "max_iter": int}
     newton = NewtonOptions(
         **{key: _field(sopts, key, kind) for key, kind in kinds.items() if key in sopts}
     )
@@ -214,7 +208,7 @@ def cmd_solve(args) -> int:
             shown = filter_second_el(p, cands, tol=tol)
             print(f"second-EL survivors: {len(shown)}")
         print("  slopes | action | first_el | second_el")
-        for c in list(shown)[:20]:
+        for c in shown[:20]:
             slopes = ",".join(_fmt(s) for s in (c.slopes or ()))
             print(
                 f"  [{slopes}] | {_fmt(c.action)} | {_fmt(c.first_el)}"
@@ -223,7 +217,8 @@ def cmd_solve(args) -> int:
         if len(shown) > 20:
             print(f"  ... {len(shown) - 20} more")
         if args.json_path:
-            Path(args.json_path).write_text(shown.to_json_lines() + "\n")
+            lines = "\n".join(json.dumps(c.to_json()) for c in shown)
+            Path(args.json_path).write_text(lines + "\n")
         return EXIT_OK
     c = solve(p, loaded.newton)
     method = c.provenance.value.lower()
@@ -252,12 +247,12 @@ def cmd_verify(args) -> int:
     p = loaded.problem
     if loaded.trajectory is None:
         raise ProblemFileError("verify needs a trajectory in the problem file")
-    q = loaded.trajectory
     tol = args.tol if args.tol is not None else default_tol(p.scale)
+    e = _along(p, loaded.trajectory)
     checks = {
-        "first_el": lambda: first_el_residual(p, q).magnitude,
-        "second_el": lambda: second_el_residual(p, q).magnitude,
-        "erdmann": lambda: erdmann_deviation(p, q),
+        "first_el": lambda: e.first_el().magnitude,
+        "second_el": lambda: e.second_el().magnitude,
+        "erdmann": e.erdmann,
     }
     selected = [k for k in checks if getattr(args, k)] or ["first_el", "second_el"]
     results = []

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+MAX_DEPTH = 100  # parser, evaluator and printer recurse once per level of nesting
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
+_SUBTREES = ("arg", "left", "right")  # the fields of a node that hold nodes
 
 
 class ExprError(ValueError):
@@ -97,6 +100,15 @@ class _BinOp:
 class _Call:
     fn: str
     arg: object
+
+
+def _height(root) -> int:
+    """Depth of the tree, counted level by level without recursion."""
+    height, level = 0, [root]
+    while level:
+        height += 1
+        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
+    return height
 
 
 def _homogeneous_degree(node, names: tuple[str, ...]) -> int | None:
@@ -184,6 +196,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.variables = variables
         self.i = 0
+        self.level = 0  # unary() calls in progress: one per level of nesting
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -215,10 +228,16 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        if self.level == MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, tok.pos)
+        self.level += 1
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return _Neg(self.unary())
-        return self.power()
+            node = _Neg(self.unary())
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -485,4 +504,6 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+    if _height(root) > MAX_DEPTH:  # a long chain of binary operators
+        raise ExprSyntaxError(_TOO_DEEP, 0)
     return Expr(root, names)

@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import _homogeneous_degree
 from .timescale import GridFunction
-from .variational import (
-    Lagrangian,
-    VariationalProblem,
-    _along,
-    first_el_residual,
-)
+from .variational import Lagrangian, VariationalProblem, _Along, _along
 
 __all__ = [
     "NewtonOptions",
@@ -37,7 +31,6 @@ __all__ = [
     "NoConvergence",
     "Provenance",
     "Candidate",
-    "CandidateSet",
     "affine_extremal",
     "solve_newton",
     "solve",
@@ -48,6 +41,8 @@ __all__ = [
 ENUMERATION_GUARD = 10**8
 BOUNDARY_HIT_TOL = 1e-9
 CONDITION_LIMIT = 1e14
+MAX_HALVINGS = 20
+FD_STEP = 1e-7
 
 
 class SingularSystem(RuntimeError):
@@ -73,16 +68,12 @@ class NoConvergence(RuntimeError):
 class NewtonOptions:
     tol: float = 1e-10
     max_iter: int = 50
-    max_halvings: int = 20
-    fd_step: float = 1e-7
 
     def __post_init__(self) -> None:
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0 < self.fd_step < np.inf:
-            raise ValueError("fd_step must be positive and finite")
 
 
 class Provenance(enum.Enum):
@@ -109,24 +100,6 @@ class Candidate:
             "second_el": self.second_el,
             "provenance": self.provenance.value,
         }
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    candidates: tuple[Candidate, ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-    def __getitem__(self, i: int) -> Candidate:
-        return self.candidates[i]
-
-    def to_json_lines(self) -> str:
-        """One candidate per line, lexicographic slope order preserved."""
-        return "\n".join(json.dumps(c.to_json()) for c in self.candidates)
 
 
 def affine_extremal(p: VariationalProblem) -> GridFunction:
@@ -160,7 +133,9 @@ def solve_newton(
 
     Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
     assembled by forward finite differences of the residual, and damped
-    steps are accepted only when the residual max-norm decreases.
+    steps are accepted only when the residual max-norm decreases.  It
+    stops at ``opts.tol`` or at the rounding floor of the residual F,
+    eps * max_i(sum_j |J_ij| |x_j| + |F_i|) with the previous Jacobian J.
     ``q_init`` defaults to the affine extremal.
     """
     if not p.scale.is_exact_discrete:
@@ -170,21 +145,21 @@ def solve_newton(
     _along(p, q_init)  # checks q_init, and that L is defined along it
 
     def residual_vec(x: np.ndarray) -> np.ndarray:
-        return first_el_residual(p, _assemble(p, x)).values.ravel()
+        return _along(p, _assemble(p, x)).first_el().values.ravel()
 
     x = q_init.values[1:-1].ravel().copy()
+    F, floor = residual_vec(x), 0.0
     history: list[float] = []
     for it in range(opts.max_iter + 1):
-        F = residual_vec(x)
         mag = float(np.max(np.abs(F)))
         history.append(mag)
-        if mag <= opts.tol:
+        if mag <= max(opts.tol, floor):
             return _assemble(p, x)
         if it == opts.max_iter:
             raise NoConvergence(_assemble(p, x), history)
         J = np.empty((F.size, x.size))
         for k in range(x.size):
-            step = opts.fd_step * max(1.0, abs(x[k]))
+            step = FD_STEP * max(1.0, abs(x[k]))
             xk = x.copy()
             xk[k] += step
             J[:, k] = (residual_vec(xk) - F) / step
@@ -194,14 +169,16 @@ def solve_newton(
             )
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
-        for _halving in range(opts.max_halvings + 1):
-            trial = float(np.max(np.abs(residual_vec(x + alpha * dx))))
-            if trial < mag:
+        for _halving in range(MAX_HALVINGS + 1):
+            trial = x + alpha * dx
+            F_trial = residual_vec(trial)
+            if np.max(np.abs(F_trial)) < mag:
                 break
             alpha *= 0.5
         else:
             raise NoConvergence(_assemble(p, x), history)
-        x = x + alpha * dx
+        x, F = trial, F_trial
+        floor = np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
 def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
@@ -210,13 +187,9 @@ def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
     return _homogeneous_degree(lagrangian.body.root, lagrangian.v_names) == 2
 
 
-def _diagnose(
-    p: VariationalProblem, q: GridFunction, provenance: Provenance, slopes=None
-) -> Candidate:
-    """One evaluation of L along q gives the action and both EL magnitudes."""
-    e = _along(p, q)
-    first, second = e.first_el().magnitude, e.second_el().magnitude
-    return Candidate(q, provenance, e.action(), first, second, slopes)
+def _diagnose(e: _Along, first: float, prov: Provenance, slopes=None) -> Candidate:
+    """Candidate e.q, diagnosed from the record that gave its first-EL magnitude."""
+    return Candidate(e.q, prov, e.action(), first, e.second_el().magnitude, slopes)
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
@@ -226,21 +199,22 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
         q, provenance = affine_extremal(p), Provenance.CLOSED_FORM
     else:
         q, provenance = solve_newton(p, opts=opts), Provenance.NEWTON
-    return _diagnose(p, q, provenance)
+    e = _along(p, q)
+    return _diagnose(e, e.first_el().magnitude, provenance)
 
 
 def enumerate_slope_extremals(
     p: VariationalProblem,
     alphabet: tuple[float, ...] | list[float],
     tol: float = 1e-8,
-) -> CandidateSet:
+) -> tuple[Candidate, ...]:
     """Brute-force all slope sequences over the alphabet; keep extremals.
 
     A sequence s induces q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q_a.
     Kept are sequences that hit q_b within 1e-9 and whose first
     Euler-Lagrange residual magnitude is at most ``tol``; each survivor
-    carries its action and second-equation diagnostics.  Output is in
-    lexicographic slope order (alphabet sorted ascending).
+    carries its action and second-EL magnitude from that same evaluation.
+    Output is in lexicographic slope order (alphabet sorted ascending).
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
@@ -263,14 +237,15 @@ def enumerate_slope_extremals(
         q = GridFunction.from_slopes(p.scale, p.q_a, seq)
         if not abs(q.values[-1, 0] - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
             continue
-        if first_el_residual(p, q).magnitude > tol:
-            continue
-        kept.append(_diagnose(p, q, Provenance.ENUMERATED, slopes=seq))
-    return CandidateSet(tuple(kept))
+        e = _along(p, q)
+        first = e.first_el().magnitude
+        if first <= tol:
+            kept.append(_diagnose(e, first, Provenance.ENUMERATED, slopes=seq))
+    return tuple(kept)
 
 
 def filter_second_el(
-    p: VariationalProblem, cands: CandidateSet, tol: float = 1e-8
-) -> CandidateSet:
+    p: VariationalProblem, cands: tuple[Candidate, ...], tol: float = 1e-8
+) -> tuple[Candidate, ...]:
     """Keep candidates whose second Euler-Lagrange magnitude is within tol."""
-    return CandidateSet(tuple(c for c in cands if c.second_el <= tol))
+    return tuple(c for c in cands if c.second_el <= tol)

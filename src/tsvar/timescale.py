@@ -33,6 +33,8 @@ __all__ = [
     "pushforward",
 ]
 
+MAX_POINTS = 10**6  # the most points uniform() and dense_interval() allocate
+
 
 class TimeScaleError(ValueError):
     """Invalid time-scale construction, lookup, or domain mismatch."""
@@ -137,6 +139,8 @@ class TimeScale:
         if not (h > 0):
             raise TimeScaleError("need step h > 0")
         ratio = (b - a) / h
+        if not ratio <= MAX_POINTS - 1:  # also an infinite ratio
+            raise TimeScaleError(f"(b-a)/h = {ratio!r} exceeds {MAX_POINTS} points")
         k = round(ratio)
         if abs(ratio - k) > 1e-9:
             raise TimeScaleError(f"(b-a)/h = {ratio!r} is not integral")
@@ -153,10 +157,11 @@ class TimeScale:
         """
         if not (a < b):
             raise TimeScaleError("need a < b")
-        if resolution < 2:
-            raise TimeScaleError("resolution must be at least 2")
         if resolution < 3:
             raise TimeScaleError("a time scale needs at least three points")
+        if not resolution <= MAX_POINTS:  # also NaN
+            raise TimeScaleError(f"resolution {resolution!r} exceeds {MAX_POINTS}")
+        resolution = int(resolution)
         return cls(
             np.linspace(a, b, resolution), (GapKind.DENSE,) * (resolution - 1)
         )
@@ -270,7 +275,7 @@ class TimeScale:
         if "dense" in obj:
             d = obj["dense"]
             return cls.dense_interval(
-                float(d["a"]), float(d["b"]), int(d["resolution"])
+                float(d["a"]), float(d["b"]), float(d["resolution"])
             )
         if "points" not in obj:
             raise TimeScaleError(

@@ -233,6 +233,17 @@ class _Along:
     def second_el(self) -> Residual:
         return self._outer("second_el", self.hamiltonian(self.mu), self.Lt[:, None])
 
+    def erdmann(self) -> float:
+        moving = np.flatnonzero(np.abs(self.Lt) > AUTONOMY_TOL)
+        if moving.size:
+            i = moving[0]
+            raise ValueError(
+                f"lagrangian is not autonomous: dL/dt = {self.Lt[i]:.3e} "
+                f"at t = {self.t[i]!r}"
+            )
+        E = self.hamiltonian(0.0)
+        return float(E.max() - E.min())
+
 
 def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
     """Check q, then evaluate L and its partials along it in one kernel pass.
@@ -312,15 +323,7 @@ def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
     Only defined for autonomous Lagrangians; dL/dt is checked pointwise
     along the trajectory and the first violating point is reported.
     """
-    e = _along(p, q)
-    moving = np.flatnonzero(np.abs(e.Lt) > AUTONOMY_TOL)
-    if moving.size:
-        i = moving[0]
-        raise ValueError(
-            f"lagrangian is not autonomous: dL/dt = {e.Lt[i]:.3e} at t = {e.t[i]!r}"
-        )
-    E = e.hamiltonian(0.0)
-    return float(E.max() - E.min())
+    return _along(p, q).erdmann()
 
 
 def classical_check(p: VariationalProblem, q: GridFunction) -> Residual:

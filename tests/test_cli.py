@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvar import cli
+from tsvar import Lagrangian, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = ROOT / "problems" / "quadratic.json"
@@ -154,6 +154,16 @@ class TestVerify:
     def test_missing_trajectory_exit_2(self, tmp_path):
         path = write_problem(tmp_path)
         assert cli.main(["verify", path]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--first-el", "--second-el", "--erdmann"]],
+        ids=["default", "all"],
+    )
+    def test_one_evaluation_per_run(self, flags, count_calls, capsys):
+        calls = count_calls(Lagrangian, "partials")
+        assert cli.main(["verify", str(QUARTIC), *flags]) == 1
+        assert len(calls) == 1
 
     def test_default_checks_both_equations(self, tmp_path, capsys):
         path = write_problem(
@@ -363,3 +373,54 @@ class TestDimensionGuard:
         code, err = run_cli(["solve", path], capsys)
         assert code == 2
         assert err == message + "\n"
+
+
+DEEP = {
+    "parentheses": "(" * 400 + "v1" + ")" * 400,
+    "unary minus": "-" * 1200 + "v1^2",
+    "long sum": "+".join(["v1^2"] * 3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_expression_exit_2(name, tmp_path, capsys):
+    # each would overflow the interpreter's recursion limit in the parser,
+    # the evaluator or the printer
+    body = DEEP[name]
+    for command, overrides in (
+        ("verify", {"lagrangian": body}),
+        ("noether", {"transformation": {"tau": body.replace("v1", "q1"), "xi": "1"}}),
+    ):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**FIVE_POINT, **overrides}))
+        code, err = run_cli([command, str(path)], capsys)
+        assert code == 2, command
+        assert err.startswith("error: expression nests deeper than 100 levels")
+
+
+class TestPointCap:
+    @pytest.fixture(autouse=True)
+    def no_linspace(self, monkeypatch):
+        # these scales must be rejected before their points are allocated
+        def refuse(*args, **kwargs):
+            pytest.fail("linspace called for a scale over the point cap")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            '{"dense": {"a": 0, "b": 1, "resolution": 1e10}}',
+            '{"dense": {"a": 0, "b": 1, "resolution": 1e400}}',
+            '{"uniform": {"a": 0, "b": 1, "h": 1e-12}}',
+            '{"uniform": {"a": 0, "b": 1, "h": 1e-320}}',
+        ],
+    )
+    def test_scale_over_the_cap_exit_2(self, scale, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"scale": %s, "lagrangian": "v1^2", "q_a": 0, "q_b": 1}' % scale
+        )
+        code, err = run_cli(["scale-info", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: bad scale:") and "1000000" in err

@@ -43,6 +43,36 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("(v1 + 1", VARS)
 
+    @pytest.mark.parametrize(
+        "body, value",
+        [
+            ("+".join(["v1"] * 100), 100.0),
+            ("(" * 99 + "v1" + ")" * 99, 1.0),
+            ("-" * 99 + "v1", -1.0),
+            ("sin(" * 99 + "v1" + ")" * 99, None),
+            ("v1^" * 99 + "v1", 1.0),
+        ],
+    )
+    def test_depth_bound_is_inclusive(self, body, value):
+        e = parse(body, VARS)
+        got = e.evaluate({"t": 0.0, "u1": 0.0, "v1": 1.0})
+        assert value is None or got == value
+        assert parse(str(e), VARS) == e
+
+    @pytest.mark.parametrize(
+        "body, position",
+        [
+            ("+".join(["v1"] * 101), 0),
+            ("(" * 100 + "v1" + ")" * 100, 100),
+            ("-" * 100 + "v1", 100),
+            ("sin(" * 100 + "v1" + ")" * 100, 400),
+        ],
+    )
+    def test_deeper_trees_rejected(self, body, position):
+        with pytest.raises(ExprSyntaxError, match="nests deeper than 100") as err:
+            parse(body, VARS)
+        assert err.value.position == position
+
     def test_whitespace_insensitive(self):
         a = parse("v1^2+ t *u1", VARS)
         b = parse("v1 ^ 2 + t * u1", VARS)

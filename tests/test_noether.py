@@ -11,9 +11,11 @@ from tsvar import (
     VariationalProblem,
     check_conservation,
     conserved_quantity,
+    delta_derivative,
     erdmann_deviation,
     first_el_residual,
     invariance_residual,
+    second_el_residual,
     solve_newton,
 )
 
@@ -220,6 +222,40 @@ def test_conservation_property_on_slope_only_lagrangians():
         assert report.conservation_deviation <= 1e-8
         checked += 1
     assert checked >= 15
+
+
+def test_noether_from_the_two_equations():
+    # by the product rule on an exact discrete scale, for any trajectory,
+    # Delta C_i = first_el_i . xi(sigma(t_i)) - second_el_i tau(sigma(t_i))
+    #             + invariance_i
+    # so both Euler-Lagrange equations and invariance give conservation
+    rng = np.random.default_rng(6)
+    cases = {
+        1: ("t*v1^2 + 0.7*u1^2 + 0.3*t*u1 + sin(v1)", "1 + 0.3*t*q1", ["q1 - 0.5*t"]),
+        2: ("t*v1^2 + v2^2 + u1*u2 + cos(t)*v1*v2", "0.2*q1*q2 + 1", ["q2", "t - q1"]),
+    }
+    for _ in range(200):
+        n = int(rng.integers(1, 3))
+        body, tau, xi = cases[n]
+        scale = random_exact_scale(rng, 4, 9)
+        q = GridFunction(scale, rng.uniform(-2, 2, (scale.n, n)))
+        p = VariationalProblem(scale, Lagrangian(n, body), q.values[0], q.values[-1])
+        tr = Transformation.from_text(n, tau, xi)
+        envs = [
+            {"t": t, **{f"q{j + 1}": x for j, x in enumerate(row)}}
+            for t, row in zip(scale.points, q.values)
+        ]
+        taus = np.array([tr.tau.evaluate(env) for env in envs])
+        xis = np.array([[c.evaluate(env) for c in tr.xi] for env in envs])
+        k = scale.n - 2
+        terms = [
+            np.sum(first_el_residual(p, q).values * xis[1 : k + 1], axis=1),
+            -second_el_residual(p, q).values[:, 0] * taus[1 : k + 1],
+            invariance_residual(p, q, tr).values[:k, 0],
+        ]
+        dC = delta_derivative(conserved_quantity(p, q, tr)).values[:, 0]
+        size = max(1.0, *(float(np.max(np.abs(x))) for x in terms))
+        assert np.max(np.abs(dC - sum(terms))) <= 1e-13 * size
 
 
 def test_vector_valued_generators():

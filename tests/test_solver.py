@@ -23,7 +23,7 @@ from tsvar import (
     solve,
     solve_newton,
 )
-from tsvar import cli
+from tsvar import cli, solver
 from tsvar.solver import _detects_quadratic_slope
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
@@ -162,9 +162,52 @@ class TestNewton:
         with pytest.raises(ValueError, match="trajectory start"):
             solve_newton(p, GridFunction(p.scale, values))
 
+    def test_stops_at_rounding_floor_on_a_fine_grid(self):
+        # the first-EL rows round at about eps*|q|/mu^2, above the absolute
+        # 1e-10 at 401 points; the history is 3.99, 8.6e-05, 1.9e-10
+        scale = TimeScale.uniform(1, 2, 1 / 400)
+        p = VariationalProblem(scale, Lagrangian(1, "t*v1^2 + u1^2"), [0.0], [2.0])
+        q = solve_newton(p)
+        assert 1e-10 < first_el_residual(p, q).magnitude < 3e-10
+
+    def test_large_boundary_values_converge(self):
+        # with |q| up to 1e4 the residual's rounding floor exceeds the
+        # absolute tol on 18 of these; every one converges to the root of
+        # the linear first-EL system
+        # ((q_{i+2} - q_{i+1})/mu_{i+1} - (q_{i+1} - q_i)/mu_i)/mu_i = q_{i+1}
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            scale = TimeScale.from_points(np.sort(rng.uniform(-5, 5, 7)))
+            qa, qb = rng.uniform(-1e4, 1e4, 2)
+            p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^2"), [qa], [qb])
+            q = solve_newton(p).values[:, 0]
+            mu = scale.mus[:-1]
+            A = np.zeros((5, 7))
+            for i in range(5):
+                A[i, i : i + 3] = [1 / mu[i], -1 / mu[i] - 1 / mu[i + 1], 1 / mu[i + 1]]
+                A[i] /= mu[i]
+                A[i, i + 1] -= 1.0
+            exact = np.linalg.solve(A[:, 1:-1], -A[:, 0] * qa - A[:, -1] * qb)
+            assert np.max(np.abs(q[1:-1] - exact)) <= 1e-9 * max(abs(qa), abs(qb))
+
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        # the residual of the accepted trial step is the next iterate's
+        seen = []
+        along = solver._along
+
+        def recording(p, q, *args):
+            seen.append(q.values.tobytes())
+            return along(p, q, *args)
+
+        monkeypatch.setattr(solver, "_along", recording)
+        solve_newton(newton_problem())
+        residuals = seen[1:]  # seen[0] is the check of the initial guess
+        assert len(residuals) > newton_problem().scale.n
+        assert len(set(residuals)) == len(residuals)
+
     @pytest.mark.parametrize(
         "options",
-        [{"tol": np.nan}, {"tol": np.inf}, {"fd_step": np.nan}, {"fd_step": 0.0}],
+        [{"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1.0}],
     )
     def test_options_reject_non_finite_or_non_positive(self, options):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -283,14 +326,15 @@ class TestEnumeration:
         assert len(survivors) == 71
 
     def test_quartic_file_evaluation_count(self, count_calls):
-        # the first-EL filter evaluates each boundary hit, and one more
-        # evaluation per kept word gives its action and both magnitudes
+        # one evaluation per boundary hit feeds the first-EL filter and,
+        # for a kept word, its action and second-EL magnitude
         p = cli.load_problem(QUARTIC).problem
         words = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=8)))
         hits = int(np.sum(np.abs(words @ p.scale.mus[:-1]) <= 1e-9))
         calls = count_calls(Lagrangian, "partials")
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
-        assert len(calls) == hits + len(cands) == 2214
+        assert len(calls) == hits == 1107
+        assert len(cands) == 1107
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
@@ -382,7 +426,7 @@ class TestSerialization:
     def test_json_lines(self):
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [0.0], tol=1e-8)
-        lines = cands.to_json_lines().splitlines()
+        lines = [json.dumps(c.to_json()) for c in cands]
         assert len(lines) == 1
         obj = json.loads(lines[0])
         assert obj["provenance"] == Provenance.ENUMERATED.value

@@ -315,6 +315,38 @@ class TestSecondEl:
         assert second_el_residual(p, q).magnitude <= 1e-14
 
 
+    def test_grid_gradient_of_the_action(self):
+        # on an exact discrete scale second_el at j-1 is (dS/dt_j)/mu_{j-1},
+        # where S is the action with the values q held and the interior
+        # point t_j moved; in closed form dS/dt_j = H_j - E_{j-1}, with
+        # H = -L + L_v v + mu L_t and E = H - mu L_t
+        rng = np.random.default_rng(3)
+        L = Lagrangian(1, "t*v1^2 + 0.7*u1^2 + 0.3*t*u1 + sin(v1)")
+        step = 1e-5
+        for _ in range(100):
+            scale = random_exact_scale(rng, 5, 11)
+            q = GridFunction(scale, rng.uniform(-1, 1, (scale.n, 1)))
+            p = VariationalProblem(scale, L, q.values[0], q.values[-1])
+            r = second_el_residual(p, q).values[:, 0]
+            t, mu, v = scale.points, scale.mus, delta_derivative(q).values
+            H = np.array([hamiltonian(p, q, i) for i in range(scale.n - 1)])
+            Lt = np.array([L.d1(t[i], q.values[i + 1], v[i]) for i in range(len(v))])
+            E = H - mu[:-1] * Lt
+            for j in range(1, scale.n - 1):
+                closed = (H[j] - E[j - 1]) / mu[j - 1]
+                assert abs(r[j - 1] - closed) <= 1e-12 * max(1.0, abs(closed))
+                moved = []
+                for sign in (1, -1):
+                    pts = t.copy()
+                    pts[j] += sign * step
+                    moved_scale = TimeScale.from_points(pts)
+                    moved_p = VariationalProblem(moved_scale, L, p.q_a, p.q_b)
+                    moved.append(action(moved_p, GridFunction(moved_scale, q.values)))
+                gradient = (moved[0] - moved[1]) / (2 * step)
+                fd = gradient / mu[j - 1]
+                assert abs(r[j - 1] - fd) <= 1e-6 * max(1.0, abs(closed))
+
+
 class TestErdmann:
     def test_affine_constant(self):
         p = quadratic_problem()
