@@ -52,12 +52,13 @@ class SingularSystem(RuntimeError):
 class NoConvergence(RuntimeError):
     """Newton failed to reach the residual target.
 
-    Carries the last iterate and the residual-magnitude history.
+    Carries the last iterate and the residual-magnitude history, one entry
+    per iterate: the guess and each accepted Newton step.
     """
 
     def __init__(self, trajectory: GridFunction, history: list[float]):
         super().__init__(
-            f"no convergence after {len(history)} residual evaluations; "
+            f"no convergence after {len(history) - 1} Newton step(s); "
             f"history = {[f'{m:.3e}' for m in history]}"
         )
         self.trajectory = trajectory
@@ -124,6 +125,34 @@ def _assemble(p: VariationalProblem, interior: np.ndarray) -> GridFunction:
     return GridFunction(p.scale, np.vstack([p.q_a[None, :], inner, p.q_b[None, :]]))
 
 
+def _jacobian(residual, x: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
+    """Forward-difference Jacobian of the first-EL residual F = residual(x).
+
+    Row block i reads only q_i, q_{i+1} and q_{i+2}, the unknown blocks
+    i-1 .. i+1, so the Jacobian is block-tridiagonal with n x n blocks.
+    Columns k with the same colour k mod 3n never meet in a row or a frame
+    and are perturbed together (Curtis, Powell & Reid 1974): min(3n, x.size)
+    residual evaluations, and each in-band entry is the float a one-column
+    perturbation gives.  Out-of-band entries are 0.
+    """
+    width = min(3 * n, x.size)
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
+    colour = np.arange(x.size) % width
+    D = np.empty((width, F.size))
+    for c in range(width):
+        xc, same = x.copy(), colour == c
+        xc[same] += steps[same]
+        D[c] = residual(xc) - F
+    # the band: row r of block r // n meets columns of blocks r // n - 1 .. + 1
+    rows = np.repeat(np.arange(F.size), 3 * n)
+    cols = (rows // n - 1) * n + np.tile(np.arange(3 * n), F.size)
+    inside = (cols >= 0) & (cols < x.size)
+    rows, cols = rows[inside], cols[inside]
+    J = np.zeros((F.size, x.size))
+    J[rows, cols] = D[colour[cols], rows] / steps[cols]
+    return J
+
+
 def solve_newton(
     p: VariationalProblem,
     q_init: GridFunction | None = None,
@@ -132,11 +161,11 @@ def solve_newton(
     """Newton iteration on the first Euler-Lagrange residuals.
 
     Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
-    assembled by forward finite differences of the residual, and damped
-    steps are accepted only when the residual max-norm decreases.  It
-    stops at ``opts.tol`` or at the rounding floor of the residual F,
-    eps * max_i(sum_j |J_ij| |x_j| + |F_i|) with the previous Jacobian J.
-    ``q_init`` defaults to the affine extremal.
+    a coloured finite-difference Jacobian, 3n residual evaluations per
+    iteration (:func:`_jacobian`), and damped steps are accepted only when
+    the residual max-norm decreases.  It stops at ``opts.tol`` or at the
+    rounding floor of the residual F, eps * max_i(sum_j |J_ij| |x_j| + |F_i|)
+    with the previous Jacobian J.  ``q_init`` defaults to the affine extremal.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
@@ -157,12 +186,7 @@ def solve_newton(
             return _assemble(p, x)
         if it == opts.max_iter:
             raise NoConvergence(_assemble(p, x), history)
-        J = np.empty((F.size, x.size))
-        for k in range(x.size):
-            step = FD_STEP * max(1.0, abs(x[k]))
-            xk = x.copy()
-            xk[k] += step
-            J[:, k] = (residual_vec(xk) - F) / step
+        J = _jacobian(residual_vec, x, F, p.dim)
         if np.linalg.cond(J) > CONDITION_LIMIT:
             raise SingularSystem(
                 f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"

@@ -161,6 +161,8 @@ class TimeScale:
             raise TimeScaleError("a time scale needs at least three points")
         if not resolution <= MAX_POINTS:  # also NaN
             raise TimeScaleError(f"resolution {resolution!r} exceeds {MAX_POINTS}")
+        if resolution != int(resolution):
+            raise TimeScaleError(f"resolution {resolution!r} is not an integer")
         resolution = int(resolution)
         return cls(
             np.linspace(a, b, resolution), (GapKind.DENSE,) * (resolution - 1)

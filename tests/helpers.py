@@ -1,6 +1,8 @@
 """Random expression machinery shared by the expression tests and the
 acceptance suite: a generator of safe expression strings plus a central
-finite-difference oracle for partial derivatives."""
+finite-difference oracle for partial derivatives.  Also the one-column-
+at-a-time forward-difference Jacobian, the reference for Newton's
+coloured assembly."""
 
 import numpy as np
 
@@ -63,3 +65,15 @@ def random_checked_pair(rng, variables, value_cap=1e4):
         partials = [expr.partial(v, env) for v in variables]
         if all(np.isfinite(p) and abs(p) <= value_cap for p in partials):
             return expr, env
+
+
+def column_jacobian(residual, x, F, fd_step):
+    """Forward differences, one residual evaluation per unknown: column k
+    is (residual(x + step*e_k) - F) / step, step = fd_step * max(1, |x_k|)."""
+    J = np.empty((F.size, x.size))
+    for k in range(x.size):
+        step = fd_step * max(1.0, abs(x[k]))
+        xk = x.copy()
+        xk[k] += step
+        J[:, k] = (residual(xk) - F) / step
+    return J

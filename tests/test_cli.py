@@ -424,3 +424,24 @@ class TestPointCap:
         code, err = run_cli(["scale-info", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: bad scale:") and "1000000" in err
+
+
+class TestDenseResolution:
+    def write(self, tmp_path, resolution):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"scale": {"dense": {"a": 0, "b": 1, "resolution": %s}}, '
+            '"lagrangian": "v1^2", "q_a": 0, "q_b": 1}' % resolution
+        )
+        return path
+
+    def test_non_integral_resolution_exit_2(self, tmp_path, capsys):
+        code, err = run_cli(["scale-info", str(self.write(tmp_path, "3.7"))], capsys)
+        assert code == 2
+        assert err == "error: bad scale: resolution 3.7 is not an integer\n"
+
+    @pytest.mark.parametrize("resolution", ["11", "11.0"])
+    def test_integral_resolution_accepted(self, resolution, tmp_path, capsys):
+        code = cli.main(["scale-info", str(self.write(tmp_path, resolution))])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("points: 11 ")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
+from helpers import column_jacobian
 from tsvar import (
     GridFunction,
     Lagrangian,
@@ -25,6 +26,7 @@ from tsvar import (
 )
 from tsvar import cli, solver
 from tsvar.solver import _detects_quadratic_slope
+from tsvar.variational import _along
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 
@@ -133,6 +135,21 @@ class TestNewton:
         assert len(err.value.history) >= 1
         assert err.value.trajectory.valid == p.scale.n
 
+    def test_no_convergence_message_counts_newton_steps(self):
+        # the history holds the guess and one entry per accepted step
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.125),
+            Lagrangian(1, "(v1^2 - 1)^2 + u1^2"),
+            [0.0],
+            [0.5],
+        )
+        with pytest.raises(NoConvergence) as err:
+            solve_newton(p, opts=NewtonOptions(max_iter=1, tol=1e-14))
+        assert str(err.value) == (
+            "no convergence after 1 Newton step(s); "
+            "history = ['8.750e-01', '3.742e-01']"
+        )
+
     def test_singular_system_detected(self):
         # L = t*u1 has residual -t independent of q: zero Jacobian
         scale = TimeScale.uniform(1, 2, 0.25)
@@ -202,7 +219,9 @@ class TestNewton:
         monkeypatch.setattr(solver, "_along", recording)
         solve_newton(newton_problem())
         residuals = seen[1:]  # seen[0] is the check of the initial guess
-        assert len(residuals) > newton_problem().scale.n
+        # two steps, no halvings: one residual per iterate (the guess and
+        # two accepted steps) and 3n = 3 per Jacobian (two Jacobians)
+        assert len(residuals) == 3 + 2 * 3
         assert len(set(residuals)) == len(residuals)
 
     @pytest.mark.parametrize(
@@ -212,6 +231,76 @@ class TestNewton:
     def test_options_reject_non_finite_or_non_positive(self, options):
         with pytest.raises(ValueError, match="positive and finite"):
             NewtonOptions(**options)
+
+
+def first_el_vector(p):
+    """Newton's residual map: interior values to stacked first-EL rows."""
+    return lambda x: _along(p, solver._assemble(p, x)).first_el().values.ravel()
+
+
+JACOBIAN_TERMS = {
+    "polynomial": "t*v{j}^2 + u{j}^3*v{k} + 0.5*u{j}*u{k}",
+    "exp": "exp(v{j}/3)*u{k} + v{j}^2",
+    "sin": "sin(u{j} + v{k}) + v{j}^2",
+    "sqrt": "sqrt(v{j}^2 + u{k}^2 + 1) + v{j}^2",
+    "real power": "t^1.5*u{j}^2*v{k} + v{j}^2",
+}
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(JACOBIAN_TERMS))
+    def test_equals_column_by_column_reference(self, kind, n):
+        # a frame reads two neighbouring unknown blocks and a row three, so
+        # perturbing every column of a colour at once gives each in-band
+        # entry the float of its own one-column perturbation
+        rng = np.random.default_rng(n)
+        body = " + ".join(
+            JACOBIAN_TERMS[kind].format(j=j, k=j % n + 1) for j in range(1, n + 1)
+        )
+        for N in (3, 4, 5, 9, 17):
+            h = 2.0 / (N - 1)
+            jitter = rng.uniform(-0.3, 0.3, N) * h
+            scale = TimeScale.from_points(0.5 + np.arange(N) * h + jitter)
+            p = VariationalProblem(
+                scale, Lagrangian(n, body), rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            )
+            residual = first_el_vector(p)
+            x = affine_extremal(p).values[1:-1].ravel()
+            x = x + rng.uniform(-1, 1, x.size)
+            F = residual(x)
+            J = solver._jacobian(residual, x, F, n)
+            assert np.array_equal(J, column_jacobian(residual, x, F, solver.FD_STEP))
+
+    @pytest.mark.parametrize(
+        "n, body",
+        [(1, "t*v1^2 + u1^2"), (2, "t*v1^2 + v2^2 + u1*u2 + u1^2 + u2^2")],
+    )
+    def test_three_n_residual_evaluations_at_any_size(self, n, body, count_calls):
+        calls = count_calls(Lagrangian, "partials")
+        per_jacobian = []
+        for N in (21, 201):
+            scale = TimeScale.uniform(1, 2, 1 / (N - 1))
+            p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.ones(n))
+            residual = first_el_vector(p)
+            x = affine_extremal(p).values[1:-1].ravel()
+            F = residual(x)
+            before = len(calls)
+            solver._jacobian(residual, x, F, n)
+            per_jacobian.append(len(calls) - before)
+        assert per_jacobian == [3 * n, 3 * n]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_residual_fails_in_the_condition_estimate(self):
+        # the bump overflows the guess's first-EL rows to +-inf; their band
+        # entries are NaN and the SVD behind np.linalg.cond does not converge
+        scale = TimeScale.uniform(0, 1, 0.125)
+        p = VariationalProblem(scale, Lagrangian(1, "1e300*v1*v1"), [0.0], [1.0])
+        values = affine_extremal(p).values.copy()
+        values[4] += 1e7
+        assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            solve_newton(p, GridFunction(scale, values))
 
 
 def closed_form_problems():

@@ -66,6 +66,11 @@ class TestConstruction:
         with pytest.raises(TimeScaleError):
             TimeScale.dense_interval(0, 1, 1)
 
+    def test_dense_interval_rejects_non_integral_resolution(self):
+        with pytest.raises(TimeScaleError, match="resolution 3.7 is not an integer"):
+            TimeScale.dense_interval(0, 1, 3.7)
+        assert TimeScale.dense_interval(0, 1, 11.0).n == 11
+
     @pytest.mark.parametrize(
         "points, gaps, message",
         [
