@@ -157,6 +157,8 @@ class TimeScale:
         """
         if not (a < b):
             raise TimeScaleError("need a < b")
+        if not np.isfinite(b - a):  # linspace would fill the points with NaN
+            raise TimeScaleError(f"b - a = {b - a!r} is not finite")
         if resolution < 3:
             raise TimeScaleError("a time scale needs at least three points")
         if not resolution <= MAX_POINTS:  # also NaN

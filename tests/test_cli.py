@@ -347,6 +347,46 @@ def test_mutated_problem_file_never_tracebacks(field, kind, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+# the nested scale fields, one base scale per form; each has five points
+# so that FIVE_POINT's trajectory fits
+SCALE_FORMS = {
+    "points": {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", "S", "D", "S"]},
+    "uniform": {"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
+    "dense": {"dense": {"a": 0.0, "b": 1.0, "resolution": 5}},
+}
+SCALE_FIELDS = [("uniform", ())] + [
+    (form, path)
+    for form, scale in SCALE_FORMS.items()
+    for key, value in scale.items()
+    for path in [(key,)] + [(key, sub) for sub in (value if form != "points" else ())]
+]
+SCALE_REPLACEMENTS = {
+    **REPLACEMENTS,
+    "nested list": [[0.0, 0.5], [1.0]],
+    "1e400": "<1e400>",  # written as the bare literal 1e400, which parses to inf
+    "bools": [True, False, True, True],
+    "unhashable kind": ["S", ["S"], "D", "S"],
+}
+
+
+@pytest.mark.parametrize(
+    "form, path", SCALE_FIELDS, ids=[".".join(("scale",) + p) for _, p in SCALE_FIELDS]
+)
+@pytest.mark.parametrize("kind", sorted(SCALE_REPLACEMENTS))
+def test_mutated_scale_never_tracebacks(form, path, kind, tmp_path, capsys):
+    obj = {**FIVE_POINT, "scale": json.loads(json.dumps(SCALE_FORMS[form]))}
+    owner, key = obj, "scale"
+    for step in path:
+        owner, key = owner[key], step
+    owner[key] = SCALE_REPLACEMENTS[kind]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj).replace('"<1e400>"', "1e400"))
+    for command in ("solve", "verify", "scale-info"):
+        code, err = run_cli([command, str(path)], capsys)
+        assert code in {0, 1, 2, 3}, (command, code)
+        assert "Traceback" not in err
+
+
 class TestDimensionGuard:
     @pytest.fixture(autouse=True)
     def no_lagrangian(self, monkeypatch):

@@ -71,6 +71,11 @@ class TestConstruction:
             TimeScale.dense_interval(0, 1, 3.7)
         assert TimeScale.dense_interval(0, 1, 11.0).n == 11
 
+    @pytest.mark.parametrize("a, b", [(0, np.inf), (-np.inf, 0), (-1e308, 1e308)])
+    def test_dense_interval_rejects_infinite_width(self, a, b):
+        with pytest.raises(TimeScaleError, match="^b - a = inf is not finite$"):
+            TimeScale.dense_interval(a, b, 5)
+
     @pytest.mark.parametrize(
         "points, gaps, message",
         [
