@@ -2,11 +2,13 @@
 acceptance suite: a generator of safe expression strings plus a central
 finite-difference oracle for partial derivatives.  Also the one-column-
 at-a-time forward-difference Jacobian, the reference for Newton's
-coloured assembly."""
+coloured assembly.  And the gap-kind queries of a time scale as walks
+over a tuple of :class:`GapKind`, the reference for the ones
+:class:`TimeScale` reads off its graininess."""
 
 import numpy as np
 
-from tsvar import parse
+from tsvar import GapKind, TimeScaleError, parse
 
 
 def random_expr_text(rng, variables, depth=3) -> str:
@@ -77,3 +79,58 @@ def column_jacobian(residual, x, F, fd_step):
         xk[k] += step
         J[:, k] = (residual(xk) - F) / step
     return J
+
+
+def as_gap(g) -> GapKind:
+    """One gap kind from a GapKind or its letter."""
+    if isinstance(g, GapKind):
+        return g
+    try:
+        return GapKind(g)
+    except ValueError:
+        raise TimeScaleError(f"unknown gap kind {g!r} (expected 'S' or 'D')") from None
+
+
+class TupleScale:
+    """Points plus one GapKind per gap in a tuple; every query walks it."""
+
+    def __init__(self, points, gaps):
+        self.points = np.asarray(points, dtype=float)
+        self.gaps = tuple(as_gap(g) for g in gaps)
+        self.n = self.points.size
+
+    @property
+    def is_exact_discrete(self) -> bool:
+        return all(g is GapKind.SCATTERED for g in self.gaps)
+
+    @property
+    def has_dense(self) -> bool:
+        return any(g is GapKind.DENSE for g in self.gaps)
+
+    def rho(self, i: int) -> int:
+        if i > 0 and self.gaps[i - 1] is GapKind.SCATTERED:
+            return i - 1
+        return i
+
+    def classify(self, i: int) -> tuple[bool, bool]:
+        """(left_scattered, right_scattered) of point i."""
+        right = i < self.n - 1 and self.gaps[i] is GapKind.SCATTERED
+        left = i > 0 and self.gaps[i - 1] is GapKind.SCATTERED
+        return left, right
+
+    @property
+    def kappa_length(self) -> int:
+        if self.n >= 2 and self.gaps[-1] is GapKind.SCATTERED:
+            return self.n - 1
+        return self.n
+
+    def to_json(self) -> dict:
+        return {
+            "points": [float(t) for t in self.points],
+            "gaps": [g.value for g in self.gaps],
+        }
+
+    def __repr__(self) -> str:
+        kinds = "".join(g.value for g in self.gaps)
+        a, b = float(self.points[0]), float(self.points[-1])
+        return f"TimeScale(n={self.n}, [{a:g}, {b:g}], gaps={kinds!r})"

@@ -233,6 +233,40 @@ class TestScaleInfo:
         assert report["exact_discrete"] is False
 
 
+    def test_all_four_point_classes_pinned(self, tmp_path, capsys):
+        # every point class, and a dense last gap (so kappa keeps every point)
+        path = write_problem(
+            tmp_path,
+            scale={
+                "points": [0.0, 0.5, 1.25, 1.5, 1.75, 2.1, 2.4],
+                "gaps": ["S", "S", "D", "D", "S", "D"],
+            },
+            q_b=1.0,
+        )
+        out = tmp_path / "info.json"
+        assert cli.main(["scale-info", path, "--json", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "points: 7   span: [0, 2.4]\n"
+            "exact discrete: False\n"
+            "      t  class  mu\n"
+            "             0  LEFT_DENSE+RIGHT_SCATTERED  0.5\n"
+            "           0.5  ISOLATED  0.75\n"
+            "          1.25  LEFT_SCATTERED+RIGHT_DENSE  0\n"
+            "           1.5  DENSE  0\n"
+            "          1.75  LEFT_DENSE+RIGHT_SCATTERED  0.35\n"
+            "           2.1  LEFT_SCATTERED+RIGHT_DENSE  0\n"
+            "           2.4  DENSE  0\n"
+        )
+        assert out.read_text() == (
+            '{"command": "scale-info", "scale": {"points": [0.0, 0.5, 1.25, 1.5, '
+            '1.75, 2.1, 2.4], "gaps": ["S", "S", "D", "D", "S", "D"]}, "mu": [0.5, '
+            '0.75, 0.0, 0.0, 0.3500000000000001, 0.0, 0.0], "classes": '
+            '["LEFT_DENSE+RIGHT_SCATTERED", "ISOLATED", "LEFT_SCATTERED+RIGHT_DENSE", '
+            '"DENSE", "LEFT_DENSE+RIGHT_SCATTERED", "LEFT_SCATTERED+RIGHT_DENSE", '
+            '"DENSE"], "kappa_length": 7, "exact_discrete": false}'
+        )
+
+
 class TestRoundTrip:
     def test_reports_reload_bit_for_bit(self, tmp_path):
         out = tmp_path / "report.json"

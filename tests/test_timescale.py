@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_scales, rel_err, scale_with_values, trajectory_from_slopes
+from helpers import TupleScale, as_gap
 from tsvar import (
     GapKind,
     GridFunction,
+    PointClass,
     TimeScale,
     TimeScaleError,
     delta_derivative,
@@ -83,6 +87,9 @@ class TestConstruction:
             ([0, 1, 2], ["S", "X"], "unknown gap kind 'X' (expected 'S' or 'D')"),
             ([0, 1, 2], ["S"], "expected 2 gap kinds, got 1"),
             ([0, 2, 1], ["S", "D"], "points must be strictly increasing"),
+            # points are checked before kinds, kinds before their count
+            ([0, 2, 1], ["X", "D"], "points must be strictly increasing"),
+            ([0, 1, 2], ["X"], "unknown gap kind 'X' (expected 'S' or 'D')"),
         ],
     )
     def test_from_parts_single_fault_messages(self, points, gaps, message):
@@ -453,3 +460,89 @@ def test_immutability():
     f = GridFunction.sample(T, lambda t: t)
     with pytest.raises(ValueError):
         f.values[0, 0] = 5.0
+
+
+# -- gap kinds read off the graininess, against tuple walks ---------------
+
+GAP_PATTERNS = ("mixed", "all S", "all D", "ending S", "ending D")
+
+
+def random_gapped_points(rng, n, pattern):
+    """n increasing points and n - 1 gap letters following the pattern."""
+    points = rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(0.05, 2.0, size=n))
+    letters = rng.choice(["S", "D"], size=n - 1).tolist()
+    if pattern in ("all S", "all D"):
+        letters = [pattern[-1]] * (n - 1)
+    elif pattern != "mixed" and letters:
+        letters[-1] = pattern[-1]
+    return points, letters
+
+
+def assert_same_gap_queries(T, ref):
+    assert T.n == ref.n
+    assert T.gaps == ref.gaps
+    assert T.is_exact_discrete is ref.is_exact_discrete
+    assert T.has_dense is ref.has_dense
+    assert T.kappa_length == ref.kappa_length
+    for i in range(T.n):
+        assert T.rho(i) == ref.rho(i)
+        c = T.classify(i)
+        assert c == PointClass(*ref.classify(i))
+        assert type(c.left_scattered) is bool and type(c.right_scattered) is bool
+    assert json.dumps(T.to_json()) == json.dumps(ref.to_json())
+    assert repr(T) == repr(ref)
+
+
+class TestGapKindsFromGraininess:
+    @pytest.mark.parametrize("pattern", GAP_PATTERNS)
+    def test_queries_match_tuple_walks(self, pattern):
+        rng = np.random.default_rng(GAP_PATTERNS.index(pattern))
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            points, letters = random_gapped_points(rng, n, pattern)
+            # kinds arrive as letters or members, from any iterable
+            kinds = [GapKind(g) if rng.random() < 0.5 else g for g in letters]
+            T = TimeScale(points, iter(kinds))
+            ref = TupleScale(points, letters)
+            assert_same_gap_queries(T, ref)
+            k = ref.kappa_length
+            assert_same_gap_queries(T.kappa(), TupleScale(points[:k], letters[: k - 1]))
+            if n >= 2:  # pushforward takes a delta derivative
+                nu = GridFunction(T, 2.0 * T.points + 1.0)
+                image, _, _ = pushforward(T, nu, nu)
+                assert_same_gap_queries(image, TupleScale(2.0 * points + 1.0, letters))
+
+    @pytest.mark.parametrize("letters", ["S", "D", "SS", "SD", "DS", "DD"])
+    def test_one_and_two_point_kappa_views(self, letters):
+        points = np.arange(len(letters) + 1.0)
+        T = TimeScale(points, letters)
+        ref = TupleScale(points, letters)
+        k = ref.kappa_length
+        view = T.kappa()
+        assert view.n == k
+        assert_same_gap_queries(view, TupleScale(points[:k], letters[: k - 1]))
+
+    def test_dense_interval_and_uniform_kinds(self):
+        assert TimeScale.dense_interval(0, 1, 5).gaps == (GapKind.DENSE,) * 4
+        assert TimeScale.uniform(0, 1, 0.25).gaps == (GapKind.SCATTERED,) * 4
+        assert TimeScale.from_points([0, 1, 3]).gaps == (GapKind.SCATTERED,) * 2
+
+    def test_equal_points_with_different_kinds_are_unequal(self):
+        points = [0.0, 1.0, 2.0, 3.0]
+        T = TimeScale.from_parts(points, "SDS")
+        assert T == T
+        assert T == TimeScale.from_parts(points, [GapKind.SCATTERED, "D", "S"])
+        for other in ("SSS", "DDS", "SDD", "DDD", "DSD"):
+            assert T != TimeScale.from_parts(points, other)
+        assert T != TimeScale.from_parts([0.0, 1.0, 2.0, 3.5], "SDS")
+        assert T != TimeScale(points[:3], "SD")
+
+    @pytest.mark.parametrize(
+        "bad", ["X", "s", "", True, False, 1, 1.0, None, float("nan"), ["S"], {"S": 1}]
+    )
+    def test_unknown_kind_messages(self, bad):
+        with pytest.raises(TimeScaleError) as ref:
+            as_gap(bad)
+        with pytest.raises(TimeScaleError) as err:
+            TimeScale.from_parts([0, 1, 2, 3], ["S", bad, "X"])
+        assert str(err.value) == str(ref.value)
