@@ -40,7 +40,7 @@ from .solver import (
     filter_second_el,
     solve,
 )
-from .timescale import GridFunction, TimeScale, TimeScaleError
+from .timescale import GridFunction, PointClass, TimeScale, TimeScaleError
 from .variational import Lagrangian, VariationalProblem, _along
 
 SCHEMA_VERSION = "tsvar/1"
@@ -312,7 +312,12 @@ def cmd_scale_info(args) -> int:
     print(f"points: {scale.n}   span: [{_fmt(scale.a)}, {_fmt(scale.b)}]")
     print(f"exact discrete: {scale.is_exact_discrete}")
     print("      t  class  mu")
-    classes = [scale.classify(i).label for i in range(scale.n)]
+    # point i is right-scattered where mu_i > 0, left-scattered where mu_{i-1} > 0
+    right = scale.mus > 0
+    left = np.concatenate([[False], right[:-1]])
+    sides = (False, True)
+    labels = np.array([PointClass(lt, rt).label for lt in sides for rt in sides])
+    classes = labels[2 * left + right].tolist()
     for t, cls, mu in zip(scale.points, classes, scale.mus):
         print(f"  {_fmt(t):>12}  {cls}  {_fmt(mu)}")
     _write_json(

@@ -95,7 +95,7 @@ class Candidate:
     def to_json(self) -> dict:
         return {
             "slopes": None if self.slopes is None else list(self.slopes),
-            "values": [[float(x) for x in row] for row in self.trajectory.values],
+            "values": self.trajectory.values.tolist(),
             "action": self.action,
             "first_el": self.first_el,
             "second_el": self.second_el,
@@ -187,6 +187,8 @@ def solve_newton(
         if it == opts.max_iter:
             raise NoConvergence(_assemble(p, x), history)
         J = _jacobian(residual_vec, x, F, p.dim)
+        if not np.all(np.isfinite(J)):  # an overflowing residual; cond would fail
+            raise SingularSystem("jacobian has non-finite entries")
         if np.linalg.cond(J) > CONDITION_LIMIT:
             raise SingularSystem(
                 f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
@@ -235,8 +237,9 @@ def enumerate_slope_extremals(
     """Brute-force all slope sequences over the alphabet; keep extremals.
 
     A sequence s induces q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q_a.
-    Kept are sequences that hit q_b within 1e-9 and whose first
-    Euler-Lagrange residual magnitude is at most ``tol``; each survivor
+    Kept are sequences that hit q_b within 1e-9 (their trajectory then
+    ends at q_b exactly) and whose first Euler-Lagrange residual
+    magnitude is at most ``tol``; each survivor
     carries its action and second-EL magnitude from that same evaluation.
     Output is in lexicographic slope order (alphabet sorted ascending).
     """
@@ -259,8 +262,11 @@ def enumerate_slope_extremals(
     kept = []
     for seq in itertools.product(letters, repeat=gaps):
         q = GridFunction.from_slopes(p.scale, p.q_a, seq)
-        if not abs(q.values[-1, 0] - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
+        end = q.values[-1, 0]
+        if not abs(end - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
             continue
+        if end != qb:  # a hit within rounding is pinned, as affine_extremal pins
+            q = GridFunction(p.scale, np.vstack([q.values[:-1], p.q_b]))
         e = _along(p, q)
         first = e.first_el().magnitude
         if first <= tol:

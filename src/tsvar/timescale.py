@@ -17,7 +17,7 @@ for the resolution to grow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,16 +71,7 @@ class PointClass:
         return f"{left}+{right}"
 
 
-def _as_gap(g) -> GapKind:
-    if isinstance(g, GapKind):
-        return g
-    try:
-        return GapKind(g)
-    except ValueError:
-        raise TimeScaleError(f"unknown gap kind {g!r} (expected 'S' or 'D')") from None
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TimeScale:
     """Strictly increasing points with one :class:`GapKind` per adjacent pair.
 
@@ -90,30 +81,36 @@ class TimeScale:
     Instances are immutable and safe to share.
 
     ``mus`` (graininess) and ``sigmas`` (forward-jump indices) hold
-    :meth:`mu` and :meth:`sigma` of every point as read-only arrays.
+    :meth:`mu` and :meth:`sigma` of every point as read-only arrays.  The
+    gap kinds, given as letters or members, are read once into them: gap i
+    is SCATTERED exactly when ``mus[i] > 0``, since the points strictly
+    increase, and every per-gap query reads that.
     """
 
     points: np.ndarray
-    gaps: tuple[GapKind, ...]
-    mus: np.ndarray = field(init=False)
-    sigmas: np.ndarray = field(init=False)
+    mus: np.ndarray
+    sigmas: np.ndarray
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).copy()
+    def __init__(self, points: Sequence[float], gaps: Iterable[GapKind | str]) -> None:
+        pts = np.asarray(points, dtype=float).copy()
         if pts.ndim != 1 or pts.size < 1:
             raise TimeScaleError("points must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(pts)):
             raise TimeScaleError("points must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise TimeScaleError("points must be strictly increasing")
-        gaps = tuple(_as_gap(g) for g in self.gaps)
-        if len(gaps) != pts.size - 1:
+        kinds = np.fromiter(gaps, dtype=object)
+        scattered = (kinds == "S") | (kinds == GapKind.SCATTERED)
+        unknown = ~scattered & (kinds != "D") & (kinds != GapKind.DENSE)
+        if unknown.any():
+            bad = kinds[unknown][0]
+            raise TimeScaleError(f"unknown gap kind {bad!r} (expected 'S' or 'D')")
+        if kinds.size != pts.size - 1:
             raise TimeScaleError(
-                f"expected {pts.size - 1} gap kinds, got {len(gaps)}"
+                f"expected {pts.size - 1} gap kinds, got {kinds.size}"
             )
         # a SCATTERED gap is a jump of width mu; a DENSE one has mu = 0 and
         # fixes its left point under sigma, as does the last point
-        scattered = np.array([g is GapKind.SCATTERED for g in gaps], dtype=bool)
         mus = np.zeros(pts.size)
         mus[:-1] = np.where(scattered, np.diff(pts), 0.0)
         sigmas = np.arange(pts.size)
@@ -121,7 +118,6 @@ class TimeScale:
         for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "gaps", gaps)
 
     # -- constructors -------------------------------------------------
 
@@ -129,7 +125,7 @@ class TimeScale:
     def from_points(cls, points: Sequence[float]) -> "TimeScale":
         """Exact discrete scale from explicit points (all gaps SCATTERED)."""
         pts = np.asarray(points, dtype=float)
-        return cls.from_parts(pts, (GapKind.SCATTERED,) * (pts.size - 1))
+        return cls.from_parts(pts, "S" * (pts.size - 1))
 
     @classmethod
     def uniform(cls, a: float, b: float, h: float) -> "TimeScale":
@@ -146,7 +142,7 @@ class TimeScale:
             raise TimeScaleError(f"(b-a)/h = {ratio!r} is not integral")
         if k < 2:
             raise TimeScaleError("a time scale needs at least three points")
-        return cls(np.linspace(a, b, k + 1), (GapKind.SCATTERED,) * k)
+        return cls(np.linspace(a, b, k + 1), "S" * k)
 
     @classmethod
     def dense_interval(cls, a: float, b: float, resolution: int) -> "TimeScale":
@@ -166,9 +162,7 @@ class TimeScale:
         if resolution != int(resolution):
             raise TimeScaleError(f"resolution {resolution!r} is not an integer")
         resolution = int(resolution)
-        return cls(
-            np.linspace(a, b, resolution), (GapKind.DENSE,) * (resolution - 1)
-        )
+        return cls(np.linspace(a, b, resolution), "D" * (resolution - 1))
 
     @classmethod
     def from_parts(
@@ -178,7 +172,7 @@ class TimeScale:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise TimeScaleError("a time scale needs at least three points")
-        return cls(pts, tuple(gaps))
+        return cls(pts, gaps)
 
     # -- basic queries ------------------------------------------------
 
@@ -195,12 +189,20 @@ class TimeScale:
         return float(self.points[-1])
 
     @property
+    def gaps(self) -> tuple[GapKind, ...]:
+        return tuple(np.where(self.mus[:-1] > 0, GapKind.SCATTERED, GapKind.DENSE))
+
+    def _letters(self) -> np.ndarray:
+        """The gap kinds as the letters 'S' and 'D'."""
+        return np.where(self.mus[:-1] > 0, "S", "D")
+
+    @property
     def is_exact_discrete(self) -> bool:
-        return all(g is GapKind.SCATTERED for g in self.gaps)
+        return bool(np.all(self.mus[:-1] > 0))
 
     @property
     def has_dense(self) -> bool:
-        return any(g is GapKind.DENSE for g in self.gaps)
+        return not self.is_exact_discrete
 
     def _check_index(self, i: int) -> int:
         i = int(i)
@@ -222,9 +224,7 @@ class TimeScale:
     def rho(self, i: int) -> int:
         """Backward jump, as an index.  Fixes the first point and left-dense points."""
         i = self._check_index(i)
-        if i > 0 and self.gaps[i - 1] is GapKind.SCATTERED:
-            return i - 1
-        return i
+        return i - 1 if i > 0 and self.mus[i - 1] > 0 else i
 
     def mu(self, i: int) -> float:
         """Forward graininess: gap width on SCATTERED gaps, else zero."""
@@ -232,16 +232,13 @@ class TimeScale:
 
     def classify(self, i: int) -> PointClass:
         i = self._check_index(i)
-        right = i < self.n - 1 and self.gaps[i] is GapKind.SCATTERED
-        left = i > 0 and self.gaps[i - 1] is GapKind.SCATTERED
-        return PointClass(left_scattered=left, right_scattered=right)
+        left = i > 0 and bool(self.mus[i - 1] > 0)
+        return PointClass(left_scattered=left, right_scattered=bool(self.mus[i] > 0))
 
     @property
     def kappa_length(self) -> int:
         """Number of leading points in the kappa restriction of the scale."""
-        if self.n >= 2 and self.gaps[-1] is GapKind.SCATTERED:
-            return self.n - 1
-        return self.n
+        return self.n - 1 if self.n >= 2 and self.mus[-2] > 0 else self.n
 
     def kappa(self) -> "TimeScale":
         """Drop the maximum when it is left-scattered; otherwise unchanged.
@@ -251,7 +248,7 @@ class TimeScale:
         """
         if self.kappa_length == self.n:
             return self
-        return TimeScale(self.points[:-1], self.gaps[:-1])
+        return TimeScale(self.points[:-1], self._letters()[:-1])
 
     def index_of(self, t: float) -> int:
         """Index of the point matching t within 1e-12 * max(1, |t|)."""
@@ -265,10 +262,7 @@ class TimeScale:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "points": [float(t) for t in self.points],
-            "gaps": [g.value for g in self.gaps],
-        }
+        return {"points": self.points.tolist(), "gaps": self._letters().tolist()}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TimeScale":
@@ -294,10 +288,13 @@ class TimeScale:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimeScale):
             return NotImplemented
-        return self.gaps == other.gaps and np.array_equal(self.points, other.points)
+        return self is other or (
+            np.array_equal(self.points, other.points)
+            and np.array_equal(self.mus, other.mus)
+        )
 
     def __repr__(self) -> str:
-        kinds = "".join(g.value for g in self.gaps)
+        kinds = "".join(self._letters())
         return f"TimeScale(n={self.n}, [{self.a:g}, {self.b:g}], gaps={kinds!r})"
 
 
@@ -446,6 +443,6 @@ def pushforward(
     w = nu.component(0)
     if not np.all(np.diff(w) > 0):
         raise TimeScaleError("nu must be strictly increasing on the scale")
-    image = TimeScale(w, scale.gaps)
+    image = TimeScale(w, scale._letters())
     f_image = GridFunction(image, f.values, approximate=f.approximate)
     return image, f_image, delta_derivative(nu)

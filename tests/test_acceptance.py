@@ -2,14 +2,20 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Every check runs at its stated tolerance; nothing is loosened.  Three of
-the checks (the survivor-action clause of criterion 2, criterion 5, and
-criterion 6) assert exact discrete conservation identities that hold only
-for slope-only integrands: on genuinely discrete scales the
-DuBois-Reymond quantity is not exactly conserved once the integrand
-depends on the state or on time (fixed grids admit no inner variations),
-and the zero trajectory of the quartic problem survives the
-second-equation filter with action 1.  Those checks are kept strict and
-fail; the surrounding tests document the true behavior.
+the checks fail and are kept strict.  Criteria 5 and 6 ask the second
+Euler-Lagrange residual to vanish on a fixed grid.  On an exact discrete
+scale that residual at point j-1 is (dS/dt_j)/mu_{j-1}, the derivative of
+the action S in the interior grid point t_j with the values held fixed,
+divided by the graininess before it (tested in
+``test_variational.py::TestSecondEl::test_grid_gradient_of_the_action``).
+So criteria 5 and 6 measure how far a fixed grid is from being stationary
+in its own points.  The first equation makes the action stationary in the
+values only; a fixed grid admits no inner variations, and for the
+state- and time-coupled integrands of criteria 5 and 6 the gradient is
+not zero at their extremals.  The survivor-action clause of
+criterion 2 fails because the zero trajectory of the quartic problem
+survives the second-equation filter with action 1.  The surrounding tests
+document the true behavior.
 """
 
 import time

@@ -114,6 +114,32 @@ class TestSolve:
         assert "history" in capsys.readouterr().err
 
 
+    def test_overflowing_residual_exit_3(self, tmp_path, capsys):
+        # the affine guess's first-EL rows overflow, so the Jacobian holds NaN
+        path = write_problem(tmp_path, lagrangian="1e300*v1^2*u1^3", q_b=100.0)
+        with pytest.warns(RuntimeWarning):
+            code = cli.main(["solve", path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: jacobian has non-finite entries\n"
+
+    @pytest.mark.parametrize(
+        "q_a, q_b", [(12345.6, 12345.9), (100000.1, 100000.4), (54321.7, 54322.0)]
+    )
+    def test_enumeration_with_large_boundary_values_exit_0(
+        self, q_a, q_b, tmp_path, capsys
+    ):
+        path = write_problem(
+            tmp_path,
+            scale={"points": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]},
+            lagrangian="v1^2 + u1^2",
+            q_a=q_a,
+            q_b=q_b,
+        )
+        assert cli.main(["solve", path, "--enumerate=-1,0,1"]) == 0
+        assert capsys.readouterr().out.startswith("first-EL extremals: ")
+
+
 class TestVerify:
     def test_quartic_candidate_first_pass_second_fail(self, capsys):
         assert cli.main(["verify", str(QUARTIC), "--first-el"]) == 0
@@ -232,6 +258,20 @@ class TestScaleInfo:
         assert report["mu"] == [1.0, 0.0, 0.0, 0.0]
         assert report["exact_discrete"] is False
 
+
+    def test_classes_match_classify(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 7, 30):
+            points = np.cumsum(rng.uniform(0.1, 1.0, n)).tolist()
+            gaps = rng.choice(["S", "D"], n - 1).tolist()
+            path = write_problem(tmp_path, scale={"points": points, "gaps": gaps})
+            out = tmp_path / "info.json"
+            assert cli.main(["scale-info", path, "--json", str(out)]) == 0
+            scale = cli.load_problem(path).problem.scale
+            labels = [scale.classify(i).label for i in range(n)]
+            assert cli.load_report(out)["classes"] == labels
+            rows = capsys.readouterr().out.splitlines()[3:]
+            assert [row.split()[1] for row in rows] == labels
 
     def test_all_four_point_classes_pinned(self, tmp_path, capsys):
         # every point class, and a dense last gap (so kappa keeps every point)

@@ -13,6 +13,7 @@ from tsvar import (
     NewtonOptions,
     NoConvergence,
     Provenance,
+    SingularSystem,
     TimeScale,
     VariationalProblem,
     action,
@@ -293,13 +294,14 @@ class TestJacobian:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_residual_fails_in_the_condition_estimate(self):
         # the bump overflows the guess's first-EL rows to +-inf; their band
-        # entries are NaN and the SVD behind np.linalg.cond does not converge
+        # entries are NaN, which the SVD behind np.linalg.cond cannot take,
+        # so the Jacobian is refused before the condition estimate
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "1e300*v1*v1"), [0.0], [1.0])
         values = affine_extremal(p).values.copy()
         values[4] += 1e7
         assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
-        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
             solve_newton(p, GridFunction(scale, values))
 
 
@@ -460,6 +462,20 @@ class TestEnumeration:
         p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0], [1.0])
         with pytest.raises(ValueError, match="solve_newton"):
             enumerate_slope_extremals(p, [-1.0, -0.5, 0.0, 0.5, 1.0], tol=1e-8)
+
+    @pytest.mark.parametrize("q_a, q_b", [(12345.6, 12345.9), (-9876.5, -9876.2)])
+    def test_near_hit_ends_at_q_b_on_large_values(self, q_a, q_b):
+        # on decimal points the affine word ends a few ulps (> 1e-12) off
+        # q_b, inside the boundary-hit tolerance; its trajectory is pinned
+        scale = TimeScale.from_points([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [q_a], [q_b])
+        unpinned = GridFunction.from_slopes(scale, p.q_a, [0.375] * 8).values
+        assert 1e-12 < abs(unpinned[-1, 0] - q_b) <= solver.BOUNDARY_HIT_TOL
+        (c,) = enumerate_slope_extremals(p, [0.0, 0.375, 0.75])
+        assert c.slopes == (0.375,) * 8
+        assert c.trajectory.values[-1, 0] == q_b
+        assert np.array_equal(c.trajectory.values[:-1], unpinned[:-1])
+        assert c.first_el <= 1e-8
 
     def test_lexicographic_order(self):
         p = quartic_problem()
