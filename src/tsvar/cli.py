@@ -316,8 +316,8 @@ def cmd_scale_info(args) -> int:
     right = scale.mus > 0
     left = np.concatenate([[False], right[:-1]])
     sides = (False, True)
-    labels = np.array([PointClass(lt, rt).label for lt in sides for rt in sides])
-    classes = labels[2 * left + right].tolist()
+    labels = [PointClass(lt, rt).label for lt in sides for rt in sides]
+    classes = np.array(labels, dtype=object)[2 * left + right].tolist()
     for t, cls, mu in zip(scale.points, classes, scale.mus):
         print(f"  {_fmt(t):>12}  {cls}  {_fmt(mu)}")
     _write_json(

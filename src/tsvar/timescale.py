@@ -106,9 +106,7 @@ class TimeScale:
             bad = kinds[unknown][0]
             raise TimeScaleError(f"unknown gap kind {bad!r} (expected 'S' or 'D')")
         if kinds.size != pts.size - 1:
-            raise TimeScaleError(
-                f"expected {pts.size - 1} gap kinds, got {kinds.size}"
-            )
+            raise TimeScaleError(f"expected {pts.size - 1} gap kinds, got {kinds.size}")
         # a SCATTERED gap is a jump of width mu; a DENSE one has mu = 0 and
         # fixes its left point under sigma, as does the last point
         mus = np.zeros(pts.size)
@@ -190,6 +188,7 @@ class TimeScale:
 
     @property
     def gaps(self) -> tuple[GapKind, ...]:
+        """One kind per gap: SCATTERED exactly where mu > 0."""
         return tuple(np.where(self.mus[:-1] > 0, GapKind.SCATTERED, GapKind.DENSE))
 
     def _letters(self) -> np.ndarray:
