@@ -113,7 +113,6 @@ class TestSolve:
         assert code == 3
         assert "history" in capsys.readouterr().err
 
-
     def test_overflowing_residual_exit_3(self, tmp_path, capsys):
         # the affine guess's first-EL rows overflow, so the Jacobian holds NaN
         path = write_problem(tmp_path, lagrangian="1e300*v1^2*u1^3", q_b=100.0)
@@ -257,7 +256,6 @@ class TestScaleInfo:
         report = cli.load_report(out)
         assert report["mu"] == [1.0, 0.0, 0.0, 0.0]
         assert report["exact_discrete"] is False
-
 
     def test_classes_match_classify(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
