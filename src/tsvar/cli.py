@@ -133,7 +133,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
             raise ProblemFileError(f"problem file is missing {key!r}")
     try:
         scale = TimeScale.from_json(_field(obj, "scale", _object))
-    except (TimeScaleError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # TimeScaleError is a ValueError
         raise ProblemFileError(f"bad scale: {exc}") from exc
     n = _field(obj, "n", int, 1)
     if n < 1:
@@ -350,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--enumerate",
         dest="enumerate_alphabet",
         metavar="CSV",
-        help="brute-force slope sequences over this comma-separated alphabet",
+        help="list the slope sequences over this comma-separated alphabet "
+        "that reach q_b and are first-EL extremals",
     )
     solve.add_argument("--filter-second-el", action="store_true")
     solve.set_defaults(func=cmd_solve)

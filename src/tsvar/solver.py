@@ -5,8 +5,10 @@ Three routes:
 * a closed-form affine extremal c*t + k through the boundary values,
 * damped Newton iteration on the first Euler-Lagrange residual system
   (unknowns are the interior trajectory values),
-* exhaustive enumeration of slope sequences over a finite alphabet, used
-  as a ground-truth oracle on small instances.
+* enumeration of the slope sequences over a finite alphabet that end at
+  the boundary value, used as a ground-truth oracle on small instances:
+  a walk over sequence prefixes that drops a prefix once the boundary
+  value is out of its reach, and one evaluation of L along all hits.
 
 :func:`solve` picks between the first two.  Candidates carry diagnostics
 (action, first and second Euler-Lagrange residual magnitudes), computed
@@ -16,14 +18,13 @@ once per candidate, so that a second-equation filter can narrow the set.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _homogeneous_degree
-from .timescale import GridFunction
-from .variational import Lagrangian, VariationalProblem, _Along, _along
+from .expr import ExprError, _homogeneous_degree
+from .timescale import GridFunction, _expand_slopes
+from .variational import Lagrangian, VariationalProblem, _Along, _along, _alongs
 
 __all__ = [
     "NewtonOptions",
@@ -40,6 +41,10 @@ __all__ = [
 
 ENUMERATION_GUARD = 10**8
 BOUNDARY_HIT_TOL = 1e-9
+# words per enumeration block: bounds the walk's frontier and the frames
+# of one kernel pass (with two or more letters a word has at most 26
+# frames, since 2^27 words exceed the guard)
+_BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
 FD_STEP = 1e-7
@@ -229,19 +234,100 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
     return _diagnose(e, e.first_el().magnitude, provenance)
 
 
+@np.errstate(all="ignore")  # overflow in the walk only makes a miss
+def _boundary_hits(
+    p: VariationalProblem, letters: tuple[float, ...], start: int, stop: int
+) -> np.ndarray:
+    """The slope words of ranks start .. stop-1 that end within
+    BOUNDARY_HIT_TOL of q_b, one row of letter indices per word, in order.
+
+    A word's rank is its index in lexicographic order, its letters being
+    the base-|A| digits.  The walk extends all live prefixes by one letter
+    per level, q_{j+1} = q_j + s * mu_j: the additions of
+    :meth:`GridFunction.from_slopes`, so the ends are the ones that
+    expansion gives.  A prefix is dropped once no completion can end near
+    q_b, and a non-finite one at once: it stays non-finite.
+    """
+    m, mus, qb = len(letters), p.scale.mus[:-1], float(p.q_b[0])
+    gaps, place = mus.size, m ** np.arange(mus.size - 1, -1, -1)
+    steps = np.multiply.outer(mus, letters)  # s * mu, as from_slopes forms it
+    rest = np.append(np.cumsum(mus[::-1])[::-1][1:], 0.0)  # mu after gap j
+    lo, hi = letters[0] * rest, letters[-1] * rest
+    size = max(map(abs, letters)) * rest
+    # Exact completions of a prefix q end in [q + lo_j, q + hi_j], the mus
+    # being positive.  A completion's float end is q plus at most gaps - 1
+    # rounded products, added in order, so it lies within gaps * eps/2 *
+    # (|q| + size_j) of its exact end (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, sec. 4.2, with one more rounding per
+    # product).  The bounds' own rounding (rest_j is a rounded sum) adds as
+    # much again, and the comparisons and the hit test's difference a few
+    # ulps of |q| + size_j + tol.  4 * (gaps + 2) * eps is over twice the
+    # total, so no word whose float end passes the hit test is dropped.
+    slack = 4 * (gaps + 2) * np.finfo(float).eps
+    # the leading letters that all words of the block share: one path,
+    # summed in the same order in one pass
+    first, last = start // place % m, (stop - 1) // place % m
+    differ = np.flatnonzero(first != last)
+    shared = int(differ[0]) if differ.size else gaps
+    path = [float(p.q_a[0]), *steps[np.arange(shared), first[:shared]]]
+    rank, q = np.array([start // m ** (gaps - shared)]), np.cumsum(path)[-1:]
+    for j in range(shared, gaps):
+        width = m ** (gaps - 1 - j)  # words under each prefix after this level
+        rank = (rank[:, None] * m + np.arange(m)).ravel()
+        q = (q[:, None] + steps[j]).ravel()
+        live = (rank >= start // width) & (rank <= (stop - 1) // width)
+        if j < gaps - 1:
+            margin = BOUNDARY_HIT_TOL + slack * (np.abs(q) + size[j] + BOUNDARY_HIT_TOL)
+            # written so that a NaN bound keeps the prefix
+            far = (qb < q + lo[j] - margin) | (qb > q + hi[j] + margin)
+            live &= np.isfinite(q) & ~far
+        rank, q = rank[live], q[live]
+    hit = np.abs(q - qb) <= BOUNDARY_HIT_TOL  # NaN is no hit
+    return rank[hit, None] // place % m
+
+
+def _extremals(
+    p: VariationalProblem,
+    values: np.ndarray,
+    words: np.ndarray,
+    letters: tuple[float, ...],
+    tol: float,
+) -> list[Candidate]:
+    """The first-EL extremals among the trajectories ``values`` of the
+    slope ``words`` (letter indices), all evaluated in one kernel pass."""
+    batch = _alongs(p, values)
+    firsts = batch.first_el_magnitudes()
+    return [
+        _diagnose(
+            batch.record(i),
+            float(firsts[i]),
+            Provenance.ENUMERATED,
+            tuple(letters[a] for a in words[i].tolist()),
+        )
+        for i in np.flatnonzero(firsts <= tol)
+    ]
+
+
 def enumerate_slope_extremals(
     p: VariationalProblem,
     alphabet: tuple[float, ...] | list[float],
     tol: float = 1e-8,
 ) -> tuple[Candidate, ...]:
-    """Brute-force all slope sequences over the alphabet; keep extremals.
+    """All slope sequences over the alphabet that are extremals.
 
     A sequence s induces q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q_a.
     Kept are sequences that hit q_b within 1e-9 (their trajectory then
     ends at q_b exactly) and whose first Euler-Lagrange residual
-    magnitude is at most ``tol``; each survivor
-    carries its action and second-EL magnitude from that same evaluation.
-    Output is in lexicographic slope order (alphabet sorted ascending).
+    magnitude is at most ``tol``; each survivor carries its action and
+    second-EL magnitude from that same evaluation.  Output is in
+    lexicographic slope order (alphabet sorted ascending).
+
+    The words are walked in lexicographic blocks of at most
+    ``_BLOCK_WORDS``, prefix by prefix, dropping a prefix once q_b is out
+    of its reach (:func:`_boundary_hits`); L is evaluated only along the
+    boundary hits, all of a block's in one kernel pass.  If that pass
+    fails, the block's hits are evaluated one by one, so the error is
+    that of the first hit in word order.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
@@ -258,19 +344,24 @@ def enumerate_slope_extremals(
             f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
             "use solve_newton instead"
         )
-    qb = float(p.q_b[0])
+    m, qb = len(letters), float(p.q_b[0])
     kept = []
-    for seq in itertools.product(letters, repeat=gaps):
-        q = GridFunction.from_slopes(p.scale, p.q_a, seq)
-        end = q.values[-1, 0]
-        if not abs(end - qb) <= BOUNDARY_HIT_TOL:  # NaN is no hit
+    for start in range(0, m**gaps, _BLOCK_WORDS):
+        words = _boundary_hits(p, letters, start, min(start + _BLOCK_WORDS, m**gaps))
+        if not words.size:
             continue
-        if end != qb:  # a hit within rounding is pinned, as affine_extremal pins
-            q = GridFunction(p.scale, np.vstack([q.values[:-1], p.q_b]))
-        e = _along(p, q)
-        first = e.first_el().magnitude
-        if first <= tol:
-            kept.append(_diagnose(e, first, Provenance.ENUMERATED, slopes=seq))
+        values = _expand_slopes(p.scale, p.q_a, np.asarray(letters)[words][..., None])
+        ends = values[:, -1, 0]
+        # a hit within rounding is pinned, as affine_extremal pins
+        values[ends != qb, -1, 0] = qb
+        try:
+            kept += _extremals(p, values, words, letters, tol)
+        except (ExprError, ArithmeticError, Warning):  # Warning: raised as error
+            # each hit alone, in word order: the first to fail raises what
+            # an evaluation along it alone raises
+            for i in range(len(words)):
+                _extremals(p, values[i : i + 1], words[i : i + 1], letters, tol)
+            raise
     return tuple(kept)
 
 

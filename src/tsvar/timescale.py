@@ -266,14 +266,18 @@ class TimeScale:
     @classmethod
     def from_json(cls, obj: Mapping) -> "TimeScale":
         """Parse the canonical form or the uniform/dense shorthands."""
-        if "uniform" in obj:
-            u = obj["uniform"]
-            return cls.uniform(float(u["a"]), float(u["b"]), float(u["h"]))
-        if "dense" in obj:
-            d = obj["dense"]
-            return cls.dense_interval(
-                float(d["a"]), float(d["b"]), float(d["resolution"])
-            )
+        for kind, keys, make in (
+            ("uniform", ("a", "b", "h"), cls.uniform),
+            ("dense", ("a", "b", "resolution"), cls.dense_interval),
+        ):
+            if kind in obj:
+                spec = obj[kind]
+                if not isinstance(spec, Mapping):
+                    raise TimeScaleError(f"{kind!r} must be an object")
+                missing = [key for key in keys if key not in spec]
+                if missing:
+                    raise TimeScaleError(f"{kind!r} is missing {missing[0]!r}")
+                return make(*(float(spec[key]) for key in keys))
         if "points" not in obj:
             raise TimeScaleError(
                 "scale object needs 'points', 'uniform', or 'dense'"
@@ -350,10 +354,7 @@ class GridFunction:
             raise TimeScaleError(
                 f"expected {scale.n - 1} slopes, one per gap, got {s.shape[0]}"
             )
-        values = np.empty((scale.n, s.shape[1]))
-        values[0] = q_a
-        np.multiply(s, scale.mus[:-1, None], out=values[1:])
-        return cls(scale, values.cumsum(axis=0))
+        return cls(scale, _expand_slopes(scale, q_a, s))
 
     @property
     def valid(self) -> int:
@@ -372,6 +373,25 @@ class GridFunction:
         return self.values[:, k]
 
 
+def _expand_slopes(scale: TimeScale, q_a, s: np.ndarray) -> np.ndarray:
+    """Values of the slope words s, shape (..., N-1, n), on the scale.
+
+    Each word's values are one sequential cumulative sum over
+    [q_a, s_0 mu_0, s_1 mu_1, ...], so they equal the step-by-step
+    recurrence q(t_{i+1}) = q(t_i) + s_i * mu(t_i) bit for bit.
+    """
+    values = np.empty(s.shape[:-2] + (scale.n, s.shape[-1]))
+    values[..., 0, :] = q_a
+    np.multiply(s, scale.mus[:-1, None], out=values[..., 1:, :])
+    return values.cumsum(axis=-2)
+
+
+def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Forward quotients of values, shape (..., m, n), over the m points:
+    (values[i+1] - values[i]) / (points[i+1] - points[i]) for i < m-1."""
+    return (values[..., 1:, :] - values[..., :-1, :]) / np.diff(points)[:, None]
+
+
 def delta_derivative(f: GridFunction) -> GridFunction:
     """Delta derivative of f, one point shorter than its input prefix.
 
@@ -383,8 +403,7 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     m = f.valid
     if m < 2:
         raise TimeScaleError("delta derivative needs at least two covered points")
-    dt = np.diff(f.base.points[:m])
-    out = (f.values[1:m] - f.values[: m - 1]) / dt[:, None]
+    out = _quotients(f.base.points[:m], f.values)
     approx = f.approximate or bool(np.any(f.base.mus[: m - 1] == 0.0))
     return GridFunction(f.base, out, approximate=approx)
 

@@ -35,8 +35,8 @@ from .expr import Expr, parse
 from .timescale import (
     GridFunction,
     TimeScale,
+    _quotients,
     _running_integral,
-    delta_derivative,
     delta_integral,
 )
 
@@ -221,17 +221,13 @@ class _Along:
             L = np.append(L, closing)
         return float(delta_integral(GridFunction(T, L), 0, T.n - 1)[0])
 
-    def _outer(self, kind: str, composite, term) -> Residual:
-        """(d/dt)_delta composite + term, on the prefix where it exists."""
-        d = delta_derivative(GridFunction(self.p.scale, composite, self.approximate))
-        k2 = d.valid
-        return Residual(kind, self.t[:k2], d.values + term[:k2], d.approximate)
-
     def first_el(self) -> Residual:
-        return self._outer("first_el", self.Lv, -self.Lu)
+        r = _outer(self.t, self.Lv, -self.Lu)
+        return Residual("first_el", self.t[:-1], r, self.approximate)
 
     def second_el(self) -> Residual:
-        return self._outer("second_el", self.hamiltonian(self.mu), self.Lt[:, None])
+        r = _outer(self.t, self.hamiltonian(self.mu)[:, None], self.Lt[:, None])
+        return Residual("second_el", self.t[:-1], r, self.approximate)
 
     def erdmann(self) -> float:
         moving = np.flatnonzero(np.abs(self.Lt) > AUTONOMY_TOL)
@@ -239,7 +235,7 @@ class _Along:
             i = moving[0]
             raise ValueError(
                 f"lagrangian is not autonomous: dL/dt = {self.Lt[i]:.3e} "
-                f"at t = {self.t[i]!r}"
+                f"at t = {float(self.t[i])!r}"
             )
         E = self.hamiltonian(0.0)
         return float(E.max() - E.min())
@@ -262,11 +258,61 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
     if boundary and not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
-    T, qd = p.scale, delta_derivative(q)
-    k = qd.valid
-    t, mu, u = T.points[:k], T.mus[:k], q.values[T.sigmas[:k]]
-    L, Lt, Lu, Lv = p.lagrangian.partials(t, u, qd.values)
-    return _Along(p, q, t, mu, qd.values, qd.approximate, L, Lt, Lu, Lv)
+    return _alongs(p, q.values[None], q.approximate).record(0, q)
+
+
+def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """(d/dt)_delta composite + term at the frames t, for composite and term
+    of shape (..., k, n); the result covers the first k-1 frames."""
+    return _quotients(t, composite) + term[..., :-1, :]
+
+
+@dataclass(frozen=True)
+class _Alongs:
+    """A stack of trajectories Q, shape (h, N, n), with the fields of
+    :class:`_Along` from one kernel pass over all their frames; the
+    per-trajectory fields carry the leading axis h."""
+
+    p: VariationalProblem
+    Q: np.ndarray
+    t: np.ndarray
+    mu: np.ndarray
+    v: np.ndarray
+    approximate: bool
+    L: np.ndarray
+    Lt: np.ndarray
+    Lu: np.ndarray
+    Lv: np.ndarray
+
+    def first_el_magnitudes(self) -> np.ndarray:
+        """Each trajectory's ``first_el().magnitude``, from the same floats."""
+        return np.max(np.abs(_outer(self.t, self.Lv, -self.Lu)), axis=(1, 2))
+
+    def record(self, i: int, q: GridFunction | None = None) -> _Along:
+        """Trajectory i's record; q is that trajectory if already built."""
+        q = GridFunction(self.p.scale, self.Q[i]) if q is None else q
+        return _Along(
+            self.p, q, self.t, self.mu, self.v[i], self.approximate,
+            self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
+        )
+
+
+def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Alongs:
+    """Evaluate L and its partials along every trajectory of Q in one pass.
+
+    Q has shape (h, N, n) and is not checked.  Frame i of a trajectory is
+    (t_i, q(sigma(t_i)), q_delta(t_i)) on the derivative prefix, q_delta
+    being the forward quotient that :func:`delta_derivative` takes.
+    """
+    T, (h, _, n) = p.scale, Q.shape
+    k = T.n - 1
+    t, U, V = T.points[:k], Q[:, T.sigmas[:k]], _quotients(T.points, Q)
+    L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, h), U, V)
+    approximate = approximate or T.has_dense
+    return _Alongs(
+        p, Q, t, T.mus[:k], V, approximate,
+        L.reshape(h, k), Lt.reshape(h, k), Lu.reshape(h, k, n), Lv.reshape(h, k, n),
+    )
 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:

@@ -2,13 +2,18 @@
 acceptance suite: a generator of safe expression strings plus a central
 finite-difference oracle for partial derivatives.  Also the one-column-
 at-a-time forward-difference Jacobian, the reference for Newton's
-coloured assembly.  And the gap-kind queries of a time scale as walks
+coloured assembly.  The gap-kind queries of a time scale as walks
 over a tuple of :class:`GapKind`, the reference for the ones
-:class:`TimeScale` reads off its graininess."""
+:class:`TimeScale` reads off its graininess.  And the word-by-word slope
+enumeration, the reference for the walk of
+:func:`tsvar.solver.enumerate_slope_extremals`."""
+
+import itertools
 
 import numpy as np
 
-from tsvar import GapKind, TimeScaleError, parse
+from tsvar import GapKind, GridFunction, TimeScaleError, parse, solver
+from tsvar.variational import _along
 
 
 def random_expr_text(rng, variables, depth=3) -> str:
@@ -134,3 +139,40 @@ class TupleScale:
         kinds = "".join(g.value for g in self.gaps)
         a, b = float(self.points[0]), float(self.points[-1])
         return f"TimeScale(n={self.n}, [{a:g}, {b:g}], gaps={kinds!r})"
+
+
+def loop_enumerate(p, alphabet, tol=1e-8):
+    """Every slope word over the sorted alphabet, in itertools.product
+    order: each is expanded with GridFunction.from_slopes and, if it ends
+    within BOUNDARY_HIT_TOL of q_b, pinned there and evaluated alone."""
+    if not p.scale.is_exact_discrete:
+        raise ValueError("enumeration needs an exact discrete scale")
+    if p.dim != 1:
+        raise ValueError("enumeration is implemented for one-dimensional problems")
+    letters = tuple(sorted(float(s) for s in set(alphabet)))
+    if not letters:
+        raise ValueError("alphabet must be non-empty")
+    if not np.all(np.isfinite(letters)):
+        raise ValueError(f"alphabet letters must be finite, got {list(letters)}")
+    gaps = p.scale.n - 1
+    if len(letters) ** gaps > solver.ENUMERATION_GUARD:
+        raise ValueError(
+            f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
+            "use solve_newton instead"
+        )
+    qb = float(p.q_b[0])
+    kept = []
+    for seq in itertools.product(letters, repeat=gaps):
+        q = GridFunction.from_slopes(p.scale, p.q_a, seq)
+        end = q.values[-1, 0]
+        if not abs(end - qb) <= solver.BOUNDARY_HIT_TOL:  # NaN is no hit
+            continue
+        if end != qb:
+            q = GridFunction(p.scale, np.vstack([q.values[:-1], p.q_b]))
+        e = _along(p, q)
+        first = e.first_el().magnitude
+        if first <= tol:
+            kept.append(
+                solver._diagnose(e, first, solver.Provenance.ENUMERATED, slopes=seq)
+            )
+    return tuple(kept)

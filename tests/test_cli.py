@@ -166,6 +166,19 @@ class TestVerify:
         assert code == 2
         assert "autonomous" in capsys.readouterr().err
 
+    def test_erdmann_names_the_point_as_a_plain_float(self, tmp_path, capsys):
+        # dL/dt = v1^2 first moves on the last gap, at t = 0.875
+        path = write_problem(
+            tmp_path,
+            lagrangian="t*v1^2",
+            trajectory={"values": [0, 0, 0, 0, 0, 0, 0, 0, 2.0]},
+        )
+        code, err = run_cli(["verify", path, "--erdmann"], capsys)
+        assert code == 2
+        assert err == (
+            "error: lagrangian is not autonomous: dL/dt = 2.560e+02 at t = 0.875\n"
+        )
+
     def test_power_overflow_exit_2(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
@@ -536,6 +549,28 @@ class TestPointCap:
         code, err = run_cli(["scale-info", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: bad scale:") and "1000000" in err
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        ({"points": "x"}, "could not convert string to float: 'x'"),
+        ({"uniform": {"a": "x", "b": 1, "h": 0.25}}, "could not convert string"),
+        ({"dense": {"a": 0, "b": "1/2", "resolution": 5}}, "could not convert string"),
+        ({"points": [[0.0, 1.0], [2.0], [3.0]]}, "setting an array element"),
+        ({"uniform": {"b": 1, "h": 0.25}}, "'uniform' is missing 'a'"),
+        ({"dense": {"a": 0, "b": 1}}, "'dense' is missing 'resolution'"),
+        ({"uniform": [0, 1, 0.25]}, "'uniform' must be an object"),
+    ],
+    ids=["points", "uniform.a", "dense.b", "nested", "no a", "no resolution", "list"],
+)
+def test_scale_conversion_error_is_a_bad_scale(scale, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**FIVE_POINT, "scale": scale}))
+    code, err = run_cli(["scale-info", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: bad scale: {message}")
+    assert err.count("\n") == 1
 
 
 class TestDenseResolution:

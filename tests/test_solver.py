@@ -1,12 +1,14 @@
+import inspect
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
-from helpers import column_jacobian
+from helpers import column_jacobian, loop_enumerate
 from tsvar import (
     GridFunction,
     Lagrangian,
@@ -25,7 +27,7 @@ from tsvar import (
     solve,
     solve_newton,
 )
-from tsvar import cli, solver
+from tsvar import cli, solver, timescale
 from tsvar.solver import _detects_quadratic_slope
 from tsvar.variational import _along
 
@@ -417,15 +419,43 @@ class TestEnumeration:
         assert len(survivors) == 71
 
     def test_quartic_file_evaluation_count(self, count_calls):
-        # one evaluation per boundary hit feeds the first-EL filter and,
-        # for a kept word, its action and second-EL magnitude
+        # the 3^8 words fit one block: one kernel pass over the frames of
+        # all boundary hits feeds the first-EL filter and, for a kept word,
+        # its action and second-EL magnitude
         p = cli.load_problem(QUARTIC).problem
         words = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=8)))
         hits = int(np.sum(np.abs(words @ p.scale.mus[:-1]) <= 1e-9))
+        assert words.shape[0] <= solver._BLOCK_WORDS
         calls = count_calls(Lagrangian, "partials")
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
-        assert len(calls) == hits == 1107
-        assert len(cands) == 1107
+        assert len(calls) == 1
+        assert len(cands) == hits == 1107
+
+    def test_only_boundary_hits_are_expanded(self, monkeypatch):
+        # cost tripwire: no trajectory is built for a word that misses q_b
+        scale = TimeScale.from_points(np.cumsum([0.0] + [0.125, 0.0625] * 4))
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 1.3*u1^2"), [0.0], [0.0])
+        letters = [-1.0, 0.0, 1.0]
+        words = np.array(list(itertools.product(letters, repeat=8)))
+        hits = int(np.sum(np.abs(words @ scale.mus[:-1]) <= solver.BOUNDARY_HIT_TOL))
+        assert 1 < hits < words.shape[0] // 5
+        expanded, ends = [], []
+        expand, from_slopes = solver._expand_slopes, GridFunction.from_slopes
+
+        def spy_expand(scale, q_a, s):
+            expanded.append(s.shape[0])
+            return expand(scale, q_a, s)
+
+        def spy_from_slopes(scale, q_a, slopes):
+            q = from_slopes(scale, q_a, slopes)
+            ends.append(q.values[-1, 0])
+            return q
+
+        monkeypatch.setattr(solver, "_expand_slopes", spy_expand)
+        monkeypatch.setattr(GridFunction, "from_slopes", staticmethod(spy_from_slopes))
+        enumerate_slope_extremals(p, letters, tol=1e-8)
+        assert sum(expanded) == hits
+        assert all(abs(end) <= solver.BOUNDARY_HIT_TOL for end in ends)
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
@@ -499,6 +529,185 @@ class TestEnumeration:
             assert len(cands) == 1
             for q in (newton, cands[0].trajectory):
                 assert np.max(np.abs(q.values - closed.values)) <= 1e-8
+
+
+def _outcome(fn, p, letters, tol, mode):
+    """What fn(p, letters, tol) returns or raises, and the warnings it
+    gives under the warnings action ``mode``, bit for bit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(mode)
+        # overflow while expanding a word that misses q_b warns in the
+        # word-by-word loop; the walk ignores it, as such a word is no hit
+        lines, first = inspect.getsourcelines(timescale._expand_slopes)
+        for lineno in range(first, first + len(lines)):
+            warnings.filterwarnings("ignore", category=RuntimeWarning, lineno=lineno)
+        try:
+            result = [
+                (
+                    c.slopes,
+                    c.trajectory.values.tobytes(),
+                    *(float(x).hex() for x in (c.action, c.first_el, c.second_el)),
+                    c.provenance,
+                )
+                for c in fn(p, letters, tol=tol)
+            ]
+        except Exception as exc:  # noqa: BLE001 - the class is compared
+            result = (type(exc), str(exc))
+    seen = {(w.category, str(w.message), w.filename, w.lineno) for w in caught}
+    return result, sorted(seen, key=repr)
+
+
+def _assert_matches_loop(p, letters, tol=1e-8, modes=("always",)):
+    for mode in modes:
+        got = _outcome(enumerate_slope_extremals, p, letters, tol, mode)
+        want = _outcome(loop_enumerate, p, letters, tol, mode)
+        assert got == want, mode
+    return want[0]
+
+
+BODIES = (
+    "(v1^2 - 1)^2",
+    "v1^2 + 0.5*u1^2",
+    "v1^4 - u1*v1 + 0.3*u1^3",
+    "exp(v1/4) + u1^2",
+    "sin(v1) + 0.3*u1*v1",
+    "t*v1^2 + cos(t)*u1",
+)
+
+
+def _random_case(rng):
+    """A problem with at least one boundary hit, or a near miss of one."""
+    dyadic = rng.random() < 0.5
+    m = int(rng.choice([3, 5]))
+    n = int(rng.integers(3, 10 if m == 3 else 8))
+    if dyadic:
+        gaps = rng.choice([0.125, 0.25, 0.5], n - 1)
+        points = float(rng.integers(-8, 9)) / 8 + np.cumsum(np.append(0.0, gaps))
+        letters = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], m, replace=False)
+    else:  # jittered decimal points
+        gaps = rng.uniform(0.05, 0.4, n - 1)
+        points = np.round(rng.uniform(-1, 1) + np.cumsum(np.append(0.0, gaps)), 2)
+        letters = np.round(rng.uniform(-1.5, 1.5, m), 1)
+    scale = TimeScale.from_points(points)
+    q_a = float(np.round(rng.uniform(-2, 2), 3))
+    word = rng.choice(letters, n - 1)
+    q_b = GridFunction.from_slopes(scale, [q_a], word).values[-1, 0]
+    q_b += float(rng.choice([0.0, 0.0, 3e-10, -7e-10]))  # near hits, pinned
+    body = str(rng.choice(BODIES))
+    p = VariationalProblem(scale, Lagrangian(1, body), [q_a], [q_b])
+    return p, letters.tolist(), float(rng.choice([1e-8, 1e3]))
+
+
+class TestEnumerationOracle:
+    """The walk against the word-by-word loop of tests/helpers.py: slopes,
+    trajectory bytes, action, residuals, provenance, exceptions and
+    warnings are equal bit for bit."""
+
+    @pytest.mark.parametrize("block", [solver._BLOCK_WORDS, 251, 1000])
+    def test_random_problems(self, block, monkeypatch):
+        monkeypatch.setattr(solver, "_BLOCK_WORDS", block)
+        rng = np.random.default_rng(block)
+        kept = 0
+        for _ in range(25):
+            p, letters, tol = _random_case(rng)
+            kept += len(_assert_matches_loop(p, letters, tol))
+        assert kept > 20
+
+    @pytest.mark.parametrize("q_a, q_b", [(12345.6, 12345.9), (-9876.5, -9876.2)])
+    def test_near_hits_on_decimal_points(self, q_a, q_b):
+        rng = np.random.default_rng(3)
+        points = np.round(np.cumsum(rng.uniform(0.05, 0.2, 9)), 2)
+        for scale in (TimeScale.uniform(0, 0.8, 0.1), TimeScale.from_points(points)):
+            c = (q_b - q_a) / (scale.b - scale.a)
+            p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 1e-6*u1"), [q_a], [q_b])
+            _assert_matches_loop(p, [c - 0.25, c, c + 0.5], tol=1e3)
+
+    def test_ends_at_the_edge_of_the_hit_tolerance(self):
+        # q_b is BOUNDARY_HIT_TOL past the end of the largest (smallest)
+        # word; the reach bounds of its prefixes, rounded otherwise, must
+        # not drop it
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            gaps = rng.uniform(0.05, 0.4, int(rng.integers(4, 8)))
+            scale = TimeScale.from_points(np.round(np.cumsum(gaps), 2))
+            letters = np.sort(np.round(rng.uniform(-3, 3, 3), 2)).tolist()
+            q_a = float(np.round(rng.uniform(-2e4, 2e4), 2))
+            for s, side in ((letters[-1], 1.0), (letters[0], -1.0)):
+                word = [s] * (scale.n - 1)
+                end = GridFunction.from_slopes(scale, [q_a], word).values[-1, 0]
+                q_b = end + side * solver.BOUNDARY_HIT_TOL
+                while not abs(end - q_b) <= solver.BOUNDARY_HIT_TOL:
+                    q_b = np.nextafter(q_b, end)
+                p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [q_a], [q_b])
+                result = _assert_matches_loop(p, letters, tol=1e3)
+                assert tuple(word) in [c[0] for c in result]
+
+    @pytest.mark.parametrize(
+        "body, q_a, q_b, letters, fails",
+        [
+            # hits leave the domain: the first failing word in lexicographic
+            # order touches zero, a later one goes below it
+            ("sqrt(-u1) + v1^2", -1.0, -1.0, [-1.0, 0.0, 1.0], True),
+            ("sqrt(u1) + v1^2", 0.0, 0.0, [-1.0, 0.0, 1.0], True),
+            ("log(u1) + v1^2", 1.0, 1.0, [-1.0, 0.0, 1.0], True),
+            # only words that miss q_b leave the domain
+            ("log(u1) + v1^2", 4.0, 8.0, [-4.0, 1.0], False),
+            ("sqrt(u1) + v1^2", 4.0, 8.0, [-4.0, 1.0], False),
+        ],
+    )
+    def test_domain_errors(self, body, q_a, q_b, letters, fails):
+        scale = TimeScale.uniform(0, 4, 1)
+        p = VariationalProblem(scale, Lagrangian(1, body), [q_a], [q_b])
+        result = _assert_matches_loop(p, letters, tol=1e3, modes=("always", "error"))
+        assert isinstance(result, tuple) == fails
+
+    @pytest.mark.parametrize("h", [0.125, 1.0])
+    @pytest.mark.parametrize("body", ["v1^2", "sin(v1) + u1", "v1*u1"])
+    def test_huge_letters(self, h, body):
+        # on h = 1 words overflow while they are expanded; products of
+        # these letters overflow in L
+        scale = TimeScale.uniform(0, 6 * h, h)
+        p = VariationalProblem(scale, Lagrangian(1, body), [0.0], [0.0])
+        modes = ("always", "error")
+        _assert_matches_loop(p, [-1e308, 0.0, 1e308], tol=1e300, modes=modes)
+
+    def test_walk_ignores_overflow_of_missed_words(self):
+        scale = TimeScale.uniform(0, 6, 1)
+        p = VariationalProblem(scale, Lagrangian(1, "sin(v1)"), [0.0], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (c,) = enumerate_slope_extremals(p, [1e308, 0.0], tol=1.0)
+        assert c.slopes == (0.0,) * 6
+
+    @pytest.mark.parametrize(
+        "letters, q_a, q_b",
+        [
+            ([0.5], 0.0, 0.5),
+            ([-0.0], -0.0, 0.0),  # ends at -0.0, which equals q_b: not pinned
+            ([0.5], 0.0, 0.25),
+            ([1.0, 2.0, 3.0], 0.0, 100.0),
+        ],
+    )
+    def test_single_letter_and_unreachable(self, letters, q_a, q_b):
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.125), Lagrangian(1, "v1^2 + u1"), [q_a], [q_b]
+        )
+        result = _assert_matches_loop(p, letters, tol=1e3)
+        assert len(result) == (q_b in (0.0, 0.5))
+
+    def test_more_than_one_block(self):
+        scale = TimeScale.uniform(0, 0.75, 0.125)
+        L = Lagrangian(1, "(v1^2 - 1)^2 + u1^2")
+        p = VariationalProblem(scale, L, [0.0], [0.0])
+        letters = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert len(letters) ** (scale.n - 1) > solver._BLOCK_WORDS
+        assert len(_assert_matches_loop(p, letters, tol=1e3)) > 100
+
+    def test_invalid_input(self):
+        p = quartic_problem()
+        for letters in ([], [np.nan, 0.0]):
+            result = _assert_matches_loop(p, letters)
+            assert result[0] is ValueError
 
 
 class TestFilter:
