@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,7 @@ def cmd_scale_info(args) -> int:
     return EXIT_OK
 
 
+@cache  # parse_args keeps no state in the parser; each call gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsvar",

@@ -4,7 +4,9 @@ Three routes:
 
 * a closed-form affine extremal c*t + k through the boundary values,
 * damped Newton iteration on the first Euler-Lagrange residual system
-  (unknowns are the interior trajectory values),
+  (unknowns are the interior trajectory values): per step, one
+  evaluation of L along the stack of the coloured Jacobian's perturbed
+  trajectories and one along each trial iterate,
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
@@ -12,13 +14,15 @@ Three routes:
 
 :func:`solve` picks between the first two.  Candidates carry diagnostics
 (action, first and second Euler-Lagrange residual magnitudes), computed
-once per candidate, so that a second-equation filter can narrow the set.
+once per candidate, so that a second-equation filter can narrow the set;
+a Newton candidate's come from the evaluation of its last iterate.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -124,30 +128,60 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, values)
 
 
+def _pinned(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
+    """The trajectories with interior values X, one row of n(N-2) per
+    trajectory, and ends q_a and q_b: shape (len(X), N, n)."""
+    Q = np.empty((len(X), p.scale.n, p.dim))
+    Q[:, 0], Q[:, 1:-1], Q[:, -1] = p.q_a, X.reshape(len(X), -1, p.dim), p.q_b
+    return Q
+
+
 def _assemble(p: VariationalProblem, interior: np.ndarray) -> GridFunction:
-    n = p.dim
-    inner = interior.reshape(p.scale.n - 2, n)
-    return GridFunction(p.scale, np.vstack([p.q_a[None, :], inner, p.q_b[None, :]]))
+    return GridFunction(p.scale, _pinned(p, interior[None])[0])
 
 
-def _jacobian(residual, x: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
-    """Forward-difference Jacobian of the first-EL residual F = residual(x).
+def _first_el_rows(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
+    """Newton's residual vectors of the trajectories ``_pinned(p, X)``, one
+    row each, from one kernel pass; row i is the float that
+    ``_along(p, _assemble(p, X[i])).first_el()`` gives."""
+    return _alongs(p, _pinned(p, X)).first_el_values().reshape(len(X), -1)
 
-    Row block i reads only q_i, q_{i+1} and q_{i+2}, the unknown blocks
-    i-1 .. i+1, so the Jacobian is block-tridiagonal with n x n blocks.
-    Columns k with the same colour k mod 3n never meet in a row or a frame
-    and are perturbed together (Curtis, Powell & Reid 1974): min(3n, x.size)
-    residual evaluations, and each in-band entry is the float a one-column
-    perturbation gives.  Out-of-band entries are 0.
+
+def _stacked(evaluate, h: int):
+    """evaluate(slice(None)), one kernel pass over a stack of h items.
+
+    If that pass raises, each item is evaluated alone, in stack order, so
+    the error is the one the first failing item raises alone; the pass's
+    own error is re-raised should none fail.
+    """
+    try:
+        return evaluate(slice(None))
+    except (ExprError, ArithmeticError, Warning):  # Warning: raised as error
+        for i in range(h):
+            evaluate(slice(i, i + 1))
+        raise
+
+
+def _jacobian(residuals, x: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
+    """Forward-difference Jacobian of the first-EL residual F at x.
+
+    ``residuals`` maps a stack of unknown vectors, shape (h, x.size), to
+    their residual vectors, shape (h, F.size).  Row block i reads only
+    q_i, q_{i+1} and q_{i+2}, the unknown blocks i-1 .. i+1, so the
+    Jacobian is block-tridiagonal with n x n blocks.  Columns k with the
+    same colour k mod 3n never meet in a row or a frame and are perturbed
+    together (Curtis, Powell & Reid 1974); the min(3n, x.size) perturbed
+    vectors go to ``residuals`` as one stack, and each in-band entry is
+    the float a one-column perturbation gives.  Out-of-band entries are 0.
+    If the stacked evaluation raises, the colours are evaluated one at a
+    time in colour order, so the error is the first failing colour's.
     """
     width = min(3 * n, x.size)
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
     colour = np.arange(x.size) % width
-    D = np.empty((width, F.size))
-    for c in range(width):
-        xc, same = x.copy(), colour == c
-        xc[same] += steps[same]
-        D[c] = residual(xc) - F
+    X = np.tile(x, (width, 1))
+    X[colour, np.arange(x.size)] += steps
+    D = _stacked(lambda s: residuals(X[s]), width) - F
     # the band: row r of block r // n meets columns of blocks r // n - 1 .. + 1
     rows = np.repeat(np.arange(F.size), 3 * n)
     cols = (rows // n - 1) * n + np.tile(np.arange(3 * n), F.size)
@@ -166,32 +200,44 @@ def solve_newton(
     """Newton iteration on the first Euler-Lagrange residuals.
 
     Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
-    a coloured finite-difference Jacobian, 3n residual evaluations per
-    iteration (:func:`_jacobian`), and damped steps are accepted only when
-    the residual max-norm decreases.  It stops at ``opts.tol`` or at the
-    rounding floor of the residual F, eps * max_i(sum_j |J_ij| |x_j| + |F_i|)
-    with the previous Jacobian J.  ``q_init`` defaults to the affine extremal.
+    a coloured finite-difference Jacobian whose 3n perturbed trajectories
+    share one kernel pass (:func:`_jacobian`), and damped steps are
+    accepted only when the residual max-norm decreases.  Each iterate is
+    evaluated once: the check of ``q_init`` gives the first residual when
+    its ends are q_a and q_b exactly, and an accepted trial's evaluation
+    is the next iterate's.  It stops at ``opts.tol`` or at the rounding
+    floor of the residual F, eps * max_i(sum_j |J_ij| |x_j| + |F_i|) with
+    the previous Jacobian J.  ``q_init`` defaults to the affine extremal.
     """
+    return _newton(p, q_init, opts).q
+
+
+def _newton(
+    p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
+) -> _Along:
+    """:func:`solve_newton`, returning the record of the iterate it stops at."""
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
         q_init = affine_extremal(p)
-    _along(p, q_init)  # checks q_init, and that L is defined along it
-
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        return _along(p, _assemble(p, x)).first_el().values.ravel()
-
+    e = _along(p, q_init)  # checks q_init, and that L is defined along it
     x = q_init.values[1:-1].ravel().copy()
-    F, floor = residual_vec(x), 0.0
+    ends = q_init.values[[0, -1]].tobytes()
+    if ends == np.stack([p.q_a, p.q_b]).tobytes():  # q_init is _assemble(p, x)
+        e = replace(e, q=_assemble(p, x))
+    else:  # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
+        e = _along(p, _assemble(p, x))
+    F, floor = e.first_el().values.ravel(), 0.0
+    residuals = partial(_first_el_rows, p)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.max(np.abs(F)))
         history.append(mag)
         if mag <= max(opts.tol, floor):
-            return _assemble(p, x)
+            return e
         if it == opts.max_iter:
-            raise NoConvergence(_assemble(p, x), history)
-        J = _jacobian(residual_vec, x, F, p.dim)
+            raise NoConvergence(e.q, history)
+        J = _jacobian(residuals, x, F, p.dim)
         if not np.all(np.isfinite(J)):  # an overflowing residual; cond would fail
             raise SingularSystem("jacobian has non-finite entries")
         if np.linalg.cond(J) > CONDITION_LIMIT:
@@ -202,13 +248,14 @@ def solve_newton(
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
-            F_trial = residual_vec(trial)
+            e_trial = _along(p, _assemble(p, trial))
+            F_trial = e_trial.first_el().values.ravel()
             if np.max(np.abs(F_trial)) < mag:
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(_assemble(p, x), history)
-        x, F = trial, F_trial
+            raise NoConvergence(e.q, history)
+        x, F, e = trial, F_trial, e_trial
         floor = np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
@@ -227,10 +274,9 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
     """A diagnosed extremal: the affine closed form if L is a pure quadratic
     form in v with no t, u coupling (CLOSED_FORM), else Newton from it (NEWTON)."""
     if _detects_quadratic_slope(p.lagrangian):
-        q, provenance = affine_extremal(p), Provenance.CLOSED_FORM
-    else:
-        q, provenance = solve_newton(p, opts=opts), Provenance.NEWTON
-    e = _along(p, q)
+        e, provenance = _along(p, affine_extremal(p)), Provenance.CLOSED_FORM
+    else:  # diagnosed from the record Newton stopped at
+        e, provenance = _newton(p, None, opts), Provenance.NEWTON
     return _diagnose(e, e.first_el().magnitude, provenance)
 
 
@@ -354,14 +400,9 @@ def enumerate_slope_extremals(
         ends = values[:, -1, 0]
         # a hit within rounding is pinned, as affine_extremal pins
         values[ends != qb, -1, 0] = qb
-        try:
-            kept += _extremals(p, values, words, letters, tol)
-        except (ExprError, ArithmeticError, Warning):  # Warning: raised as error
-            # each hit alone, in word order: the first to fail raises what
-            # an evaluation along it alone raises
-            for i in range(len(words)):
-                _extremals(p, values[i : i + 1], words[i : i + 1], letters, tol)
-            raise
+        kept += _stacked(
+            lambda s: _extremals(p, values[s], words[s], letters, tol), len(words)
+        )
     return tuple(kept)
 
 

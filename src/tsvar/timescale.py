@@ -168,7 +168,9 @@ class TimeScale:
     ) -> "TimeScale":
         """Mixed scale from explicit points and per-gap kinds."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size < 3:
+        if pts.ndim != 1:
+            raise TimeScaleError("points must be a non-empty 1-D sequence")
+        if pts.size < 3:
             raise TimeScaleError("a time scale needs at least three points")
         return cls(pts, gaps)
 

@@ -284,9 +284,14 @@ class _Alongs:
     Lu: np.ndarray
     Lv: np.ndarray
 
+    def first_el_values(self) -> np.ndarray:
+        """Each trajectory's ``first_el().values``, shape (h, k-1, n), from
+        the same floats."""
+        return _outer(self.t, self.Lv, -self.Lu)
+
     def first_el_magnitudes(self) -> np.ndarray:
         """Each trajectory's ``first_el().magnitude``, from the same floats."""
-        return np.max(np.abs(_outer(self.t, self.Lv, -self.Lu)), axis=(1, 2))
+        return np.max(np.abs(self.first_el_values()), axis=(1, 2))
 
     def record(self, i: int, q: GridFunction | None = None) -> _Along:
         """Trajectory i's record; q is that trajectory if already built."""

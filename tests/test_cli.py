@@ -573,6 +573,47 @@ def test_scale_conversion_error_is_a_bad_scale(scale, message, tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([[0, 1], [2, 3], [4, 5]], "points must be a non-empty 1-D sequence"),
+        ([0, 1], "a time scale needs at least three points"),
+    ],
+    ids=["two-dimensional", "two points"],
+)
+def test_points_of_the_wrong_shape_are_named(points, message, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**FIVE_POINT, "scale": {"points": points}}))
+    code, err = run_cli(["scale-info", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: bad scale: {message}\n"
+
+
+class TestParserReuse:
+    """One parser serves every main call of a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_an_option_does_not_carry_over(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            trajectory={"values": [0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", path, "--tol", "1e-3", "--json", str(out)]) == 0
+        assert cli.load_report(out)["tol"] == 1e-3
+        assert cli.main(["verify", path, "--json", str(out)]) == 0
+        assert cli.load_report(out)["tol"] == 1e-8  # the exact-scale default
+
+    def test_nan_tol_exits_2_after_a_successful_call(self, capsys):
+        assert cli.main(["scale-info", str(QUADRATIC)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", str(QUARTIC), "--tol", "nan"])
+        assert exc.value.code == 2
+        assert "error: argument --tol: must be finite" in capsys.readouterr().err
+
+
 class TestDenseResolution:
     def write(self, tmp_path, resolution):
         path = tmp_path / "p.json"

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import random_exact_scale, trajectory_from_slopes
 from helpers import column_jacobian, loop_enumerate
 from tsvar import (
+    ExprDomainError,
     GridFunction,
     Lagrangian,
     NewtonOptions,
@@ -210,22 +212,95 @@ class TestNewton:
             exact = np.linalg.solve(A[:, 1:-1], -A[:, 0] * qa - A[:, -1] * qb)
             assert np.max(np.abs(q[1:-1] - exact)) <= 1e-9 * max(abs(qa), abs(qb))
 
-    def test_each_iterate_evaluated_once(self, monkeypatch):
-        # the residual of the accepted trial step is the next iterate's
+    def test_each_iterate_evaluated_once(self, monkeypatch, count_calls):
+        # the check of the guess gives its residual, and the evaluation of
+        # the accepted trial step is the next iterate's
+        calls = count_calls(Lagrangian, "partials")
         seen = []
-        along = solver._along
+        along, alongs = solver._along, solver._alongs
 
         def recording(p, q, *args):
             seen.append(q.values.tobytes())
             return along(p, q, *args)
 
+        def recording_stack(p, Q, *args):
+            seen.extend(q.tobytes() for q in Q)
+            return alongs(p, Q, *args)
+
         monkeypatch.setattr(solver, "_along", recording)
+        monkeypatch.setattr(solver, "_alongs", recording_stack)
         solve_newton(newton_problem())
-        residuals = seen[1:]  # seen[0] is the check of the initial guess
-        # two steps, no halvings: one residual per iterate (the guess and
-        # two accepted steps) and 3n = 3 per Jacobian (two Jacobians)
-        assert len(residuals) == 3 + 2 * 3
-        assert len(set(residuals)) == len(residuals)
+        # two steps, no halvings: the guess, two accepted steps and 3n = 3
+        # perturbed trajectories per Jacobian (two Jacobians), each once, in
+        # one kernel pass per iterate and one per Jacobian
+        assert len(seen) == 3 + 2 * 3
+        assert len(set(seen)) == len(seen)
+        assert len(calls) == 3 + 2
+
+    def test_ends_off_by_rounding_give_the_same_bits(self):
+        # ends within BOUNDARY_TOL of q_a and q_b: the residual is taken at
+        # the pinned trajectory, as for exact ends
+        p = newton_problem()
+        exact = affine_extremal(p)
+        values = exact.values.copy()
+        values[0] += 1e-13
+        values[-1] -= 1e-13
+        q = solve_newton(p, GridFunction(p.scale, values))
+        assert q.values.tobytes() == solve_newton(p, exact).values.tobytes()
+        assert q.values[0, 0] == p.q_a[0] and q.values[-1, 0] == p.q_b[0]
+
+    def test_domain_errors_in_two_colours_raise_the_first_colours(self):
+        # unknown 1 (colour 1) steps out of log(-u2), unknown 2 (colour 2)
+        # out of sqrt(-u1); the stacked pass meets sqrt first, but the
+        # error is the one colour-by-colour evaluation raises first
+        scale = TimeScale.uniform(0, 1, 0.125)
+        body = "sqrt(-u1) + log(-u2) + v1^2 + v2^2"
+        p = VariationalProblem(scale, Lagrangian(2, body), [-1.0, -1.0], [-1.0, -1.0])
+        values = np.full((scale.n, 2), -1.0)
+        values[2, 0] = values[1, 1] = -5e-8
+        x = values[1:-1].ravel()
+        residual = first_el_vector(p)
+        with pytest.raises(ExprDomainError) as reference:
+            column_jacobian(residual, x, residual(x), solver.FD_STEP)
+        assert str(reference.value) == "log of a non-positive value in 'log(-u2)'"
+        with pytest.raises(ExprDomainError) as err:
+            solve_newton(p, GridFunction(scale, values))
+        assert str(err.value) == str(reference.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_iterates_as_the_one_column_jacobian(self, seed, monkeypatch):
+        # Newton with the one-column-at-a-time Jacobian of the one-trajectory
+        # residual stops at the same bits, or fails the same way
+        rng = np.random.default_rng(seed)
+        n, N = 1 + seed % 3, int(rng.integers(3, 13))
+        kind = sorted(JACOBIAN_TERMS)[seed % len(JACOBIAN_TERMS)]
+        body = " + ".join(
+            JACOBIAN_TERMS[kind].format(j=j, k=j % n + 1) for j in range(1, n + 1)
+        )
+        h = 2.0 / (N - 1)
+        scale = TimeScale.from_points(
+            0.5 + np.arange(N) * h + rng.uniform(-0.3, 0.3, N) * h
+        )
+        p = VariationalProblem(
+            scale, Lagrangian(n, body), rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        )
+        opts = NewtonOptions(max_iter=6)
+
+        def outcome():
+            try:
+                return solve_newton(p, opts=opts).values.tobytes()
+            except (NoConvergence, SingularSystem) as exc:
+                return type(exc), str(exc)
+
+        stacked = outcome()
+        monkeypatch.setattr(
+            solver,
+            "_jacobian",
+            lambda residuals, x, F, n: column_jacobian(
+                first_el_vector(p), x, F, solver.FD_STEP
+            ),
+        )
+        assert outcome() == stacked
 
     @pytest.mark.parametrize(
         "options",
@@ -237,8 +312,15 @@ class TestNewton:
 
 
 def first_el_vector(p):
-    """Newton's residual map: interior values to stacked first-EL rows."""
+    """Newton's residual, one trajectory per evaluation: interior values to
+    stacked first-EL rows."""
     return lambda x: _along(p, solver._assemble(p, x)).first_el().values.ravel()
+
+
+def first_el_rows(p):
+    """Newton's stacked residual map: a stack of interior value vectors to
+    their residual vectors, in one kernel pass."""
+    return partial(solver._first_el_rows, p)
 
 
 JACOBIAN_TERMS = {
@@ -248,6 +330,14 @@ JACOBIAN_TERMS = {
     "sqrt": "sqrt(v{j}^2 + u{k}^2 + 1) + v{j}^2",
     "real power": "t^1.5*u{j}^2*v{k} + v{j}^2",
 }
+
+
+# n = 1, 2, 3: Newton takes two steps on uniform [1, 2] from q = -1 to q = 1
+COUNT_BODIES = (
+    "t*v1^2 + u1^2",
+    "t*v1^2 + v2^2 + u1*u2 + u1^2 + u2^2",
+    "t*v1^2 + v2^2 + v3^2 + u1^2 + u2^2 + u3^2",
+)
 
 
 class TestJacobian:
@@ -272,26 +362,22 @@ class TestJacobian:
             x = affine_extremal(p).values[1:-1].ravel()
             x = x + rng.uniform(-1, 1, x.size)
             F = residual(x)
-            J = solver._jacobian(residual, x, F, n)
+            J = solver._jacobian(first_el_rows(p), x, F, n)
             assert np.array_equal(J, column_jacobian(residual, x, F, solver.FD_STEP))
 
-    @pytest.mark.parametrize(
-        "n, body",
-        [(1, "t*v1^2 + u1^2"), (2, "t*v1^2 + v2^2 + u1*u2 + u1^2 + u2^2")],
-    )
-    def test_three_n_residual_evaluations_at_any_size(self, n, body, count_calls):
+    @pytest.mark.parametrize("n, body", list(enumerate(COUNT_BODIES, start=1)))
+    def test_one_kernel_pass_per_jacobian(self, n, body, count_calls):
         calls = count_calls(Lagrangian, "partials")
         per_jacobian = []
         for N in (21, 201):
             scale = TimeScale.uniform(1, 2, 1 / (N - 1))
             p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.ones(n))
-            residual = first_el_vector(p)
             x = affine_extremal(p).values[1:-1].ravel()
-            F = residual(x)
+            F = first_el_vector(p)(x)
             before = len(calls)
-            solver._jacobian(residual, x, F, n)
+            solver._jacobian(first_el_rows(p), x, F, n)
             per_jacobian.append(len(calls) - before)
-        assert per_jacobian == [3 * n, 3 * n]
+        assert per_jacobian == [1, 1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_residual_fails_in_the_condition_estimate(self):
@@ -401,6 +487,30 @@ class TestSolve:
         c = solve(p)
         assert c.provenance is Provenance.NEWTON
         assert c.first_el <= 1e-11
+        assert_diagnosed(p, c)
+
+    @pytest.mark.parametrize("N", [21, 201])
+    @pytest.mark.parametrize("n, body", list(enumerate(COUNT_BODIES, start=1)))
+    def test_newton_makes_one_plus_two_k_kernel_passes(
+        self, n, body, N, count_calls, monkeypatch
+    ):
+        # the guess, then per step one Jacobian and one trial; the
+        # candidate is diagnosed from the last trial's evaluation
+        jacobians = []
+        jacobian = solver._jacobian
+
+        def counted(*args):
+            jacobians.append(None)
+            return jacobian(*args)
+
+        monkeypatch.setattr(solver, "_jacobian", counted)
+        calls = count_calls(Lagrangian, "partials")
+        scale = TimeScale.uniform(1, 2, 1 / (N - 1))
+        p = VariationalProblem(scale, Lagrangian(n, body), -np.ones(n), np.ones(n))
+        c = solve(p)
+        assert c.provenance is Provenance.NEWTON
+        assert len(jacobians) == 2
+        assert len(calls) == 1 + 2 * len(jacobians)
         assert_diagnosed(p, c)
 
     def test_closed_form_evaluates_lagrangian_once(self, count_calls):
