@@ -78,6 +78,15 @@ def _field(obj: dict, key: str, convert, default=None):
         raise ProblemFileError(f"bad {key!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """value as an int, if it is a finite integral JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if isinstance(value, float) and not value.is_integer():  # also inf and NaN
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -136,7 +145,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
         scale = TimeScale.from_json(_field(obj, "scale", _object))
     except (ValueError, TypeError) as exc:  # TimeScaleError is a ValueError
         raise ProblemFileError(f"bad scale: {exc}") from exc
-    n = _field(obj, "n", int, 1)
+    n = _field(obj, "n", _integer, 1)
     if n < 1:
         raise ProblemFileError("dimension must be at least 1")
     q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)  # checks n cheaply
@@ -157,7 +166,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
             raise ProblemFileError("transformation 'tau' and 'xi' must be strings")
         transformation = Transformation.from_text(n, tau, xi)
     sopts = _field(obj, "solver", _object, {})
-    kinds = {"tol": float, "max_iter": int}
+    kinds = {"tol": float, "max_iter": _integer}
     newton = NewtonOptions(
         **{key: _field(sopts, key, kind) for key, kind in kinds.items() if key in sopts}
     )

@@ -21,7 +21,7 @@ a Newton candidate's come from the evaluation of its last iterate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -136,14 +136,10 @@ def _pinned(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _assemble(p: VariationalProblem, interior: np.ndarray) -> GridFunction:
-    return GridFunction(p.scale, _pinned(p, interior[None])[0])
-
-
 def _first_el_rows(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
     """Newton's residual vectors of the trajectories ``_pinned(p, X)``, one
-    row each, from one kernel pass; row i is the float that
-    ``_along(p, _assemble(p, X[i])).first_el()`` gives."""
+    row each, from one kernel pass; row i is the float that trajectory i's
+    ``first_el()`` gives."""
     return _alongs(p, _pinned(p, X)).first_el_values().reshape(len(X), -1)
 
 
@@ -222,12 +218,10 @@ def _newton(
         q_init = affine_extremal(p)
     e = _along(p, q_init)  # checks q_init, and that L is defined along it
     x = q_init.values[1:-1].ravel().copy()
-    ends = q_init.values[[0, -1]].tobytes()
-    if ends == np.stack([p.q_a, p.q_b]).tobytes():  # q_init is _assemble(p, x)
-        e = replace(e, q=_assemble(p, x))
-    else:  # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
-        e = _along(p, _assemble(p, x))
-    F, floor = e.first_el().values.ravel(), 0.0
+    if q_init.values[[0, -1]].tobytes() != np.stack([p.q_a, p.q_b]).tobytes():
+        # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
+        e = _alongs(p, _pinned(p, x[None]))[0]
+    F, floor = e.first_el_values().ravel(), 0.0
     residuals = partial(_first_el_rows, p)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
@@ -248,8 +242,8 @@ def _newton(
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
-            e_trial = _along(p, _assemble(p, trial))
-            F_trial = e_trial.first_el().values.ravel()
+            e_trial = _alongs(p, _pinned(p, trial[None]))[0]
+            F_trial = e_trial.first_el_values().ravel()
             if np.max(np.abs(F_trial)) < mag:
                 break
             alpha *= 0.5
@@ -342,10 +336,10 @@ def _extremals(
     """The first-EL extremals among the trajectories ``values`` of the
     slope ``words`` (letter indices), all evaluated in one kernel pass."""
     batch = _alongs(p, values)
-    firsts = batch.first_el_magnitudes()
+    firsts = np.max(np.abs(batch.first_el_values()), axis=(1, 2))
     return [
         _diagnose(
-            batch.record(i),
+            batch[i],
             float(firsts[i]),
             Provenance.ENUMERATED,
             tuple(letters[a] for a in words[i].tolist()),

@@ -11,9 +11,10 @@ a candidate trajectory:
 * the Erdmann constancy deviation for autonomous Lagrangians.
 
 Each is arithmetic on one evaluation of L and its first partials at the
-frames (t, q_sigma, q_delta) of the trajectory, made by one private
-builder that also checks the trajectory; :mod:`tsvar.noether` reads the
-same evaluation.
+frames (t, q_sigma, q_delta) of the trajectory: one private record, built
+in one kernel pass over one trajectory or a stack of them, whose entry i
+is trajectory i's record.  :mod:`tsvar.noether` reads the same record,
+and :mod:`tsvar.solver` evaluates its stacks of trajectories through it.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -194,19 +195,33 @@ class Residual:
 
 @dataclass(frozen=True)
 class _Along:
-    """L and its first partials at the frames (t, q_sigma, q_delta) of q on
-    its derivative prefix, with the graininess mu there."""
+    """L and its first partials at the frames (t, q_sigma, q_delta) of the
+    trajectory values Q on its derivative prefix, with the graininess mu
+    there.  Q is one trajectory, shape (N, n), or a stack of h, shape
+    (h, N, n), whose fields Q, v, L, Lt, Lu and Lv then lead with the
+    axis h; ``e[i]`` is trajectory i's record.  Only ``first_el_values``
+    reads a stack; the other methods read one trajectory's record."""
 
     p: VariationalProblem
-    q: GridFunction
     t: np.ndarray
     mu: np.ndarray
-    v: np.ndarray
     approximate: bool
+    Q: np.ndarray
+    v: np.ndarray
     L: np.ndarray
     Lt: np.ndarray
     Lu: np.ndarray
     Lv: np.ndarray
+
+    def __getitem__(self, i: int) -> "_Along":
+        return _Along(
+            self.p, self.t, self.mu, self.approximate, self.Q[i],
+            self.v[i], self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
+        )
+
+    @property
+    def q(self) -> GridFunction:
+        return GridFunction(self.p.scale, self.Q)
 
     def hamiltonian(self, mu) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
@@ -217,12 +232,16 @@ class _Along:
         if T.kappa_length == T.n:
             # a DENSE last gap also needs L at the final point, where q_sigma
             # is q and the backward quotient is the last row of q_delta
-            closing = self.p.lagrangian.value(T.b, self.q.values[-1], self.v[-1])
+            closing = self.p.lagrangian.value(T.b, self.Q[-1], self.v[-1])
             L = np.append(L, closing)
         return float(delta_integral(GridFunction(T, L), 0, T.n - 1)[0])
 
+    def first_el_values(self) -> np.ndarray:
+        """(d/dt)_delta dL/dv - dL/du, shape (..., k-1, n)."""
+        return _outer(self.t, self.Lv, -self.Lu)
+
     def first_el(self) -> Residual:
-        r = _outer(self.t, self.Lv, -self.Lu)
+        r = self.first_el_values()
         return Residual("first_el", self.t[:-1], r, self.approximate)
 
     def second_el(self) -> Residual:
@@ -258,7 +277,7 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
     if boundary and not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
-    return _alongs(p, q.values[None], q.approximate).record(0, q)
+    return _alongs(p, q.values[None], q.approximate)[0]
 
 
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -267,42 +286,7 @@ def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray
     return _quotients(t, composite) + term[..., :-1, :]
 
 
-@dataclass(frozen=True)
-class _Alongs:
-    """A stack of trajectories Q, shape (h, N, n), with the fields of
-    :class:`_Along` from one kernel pass over all their frames; the
-    per-trajectory fields carry the leading axis h."""
-
-    p: VariationalProblem
-    Q: np.ndarray
-    t: np.ndarray
-    mu: np.ndarray
-    v: np.ndarray
-    approximate: bool
-    L: np.ndarray
-    Lt: np.ndarray
-    Lu: np.ndarray
-    Lv: np.ndarray
-
-    def first_el_values(self) -> np.ndarray:
-        """Each trajectory's ``first_el().values``, shape (h, k-1, n), from
-        the same floats."""
-        return _outer(self.t, self.Lv, -self.Lu)
-
-    def first_el_magnitudes(self) -> np.ndarray:
-        """Each trajectory's ``first_el().magnitude``, from the same floats."""
-        return np.max(np.abs(self.first_el_values()), axis=(1, 2))
-
-    def record(self, i: int, q: GridFunction | None = None) -> _Along:
-        """Trajectory i's record; q is that trajectory if already built."""
-        q = GridFunction(self.p.scale, self.Q[i]) if q is None else q
-        return _Along(
-            self.p, q, self.t, self.mu, self.v[i], self.approximate,
-            self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
-        )
-
-
-def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Alongs:
+def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Along:
     """Evaluate L and its partials along every trajectory of Q in one pass.
 
     Q has shape (h, N, n) and is not checked.  Frame i of a trajectory is
@@ -314,8 +298,8 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> 
     t, U, V = T.points[:k], Q[:, T.sigmas[:k]], _quotients(T.points, Q)
     L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, h), U, V)
     approximate = approximate or T.has_dense
-    return _Alongs(
-        p, Q, t, T.mus[:k], V, approximate,
+    return _Along(
+        p, t, T.mus[:k], approximate, Q, V,
         L.reshape(h, k), Lt.reshape(h, k), Lu.reshape(h, k, n), Lv.reshape(h, k, n),
     )
 

@@ -113,6 +113,16 @@ class TestSolve:
         assert code == 3
         assert "history" in capsys.readouterr().err
 
+    def test_fractional_max_iter_exit_2(self, tmp_path, capsys):
+        # rejected, not truncated to 2
+        path = write_problem(
+            tmp_path, lagrangian="v1^2 + u1^2", solver={"max_iter": 2.5}
+        )
+        code = cli.main(["solve", path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad 'max_iter': 2.5 is not an integer\n"
+
     def test_overflowing_residual_exit_3(self, tmp_path, capsys):
         # the affine guess's first-EL rows overflow, so the Jacobian holds NaN
         path = write_problem(tmp_path, lagrangian="1e300*v1^2*u1^3", q_b=100.0)
@@ -410,6 +420,7 @@ REPLACEMENTS = {
     "list": [1, 2],
     "object": {},
     "nan": float("nan"),
+    "1e400": "<1e400>",  # written as the bare literal 1e400, which parses to inf
 }
 FIELDS = [(key,) for key in FIVE_POINT] + [
     (section, key)
@@ -425,7 +436,7 @@ def test_mutated_problem_file_never_tracebacks(field, kind, tmp_path, capsys):
     owner = obj if len(field) == 1 else obj[field[0]]
     owner[field[-1]] = REPLACEMENTS[kind]
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj).replace('"<1e400>"', "1e400"))
     for command in ("solve", "verify", "noether", "scale-info"):
         code, err = run_cli([command, str(path)], capsys)
         assert code in {0, 1, 2, 3}, (command, code)
@@ -448,7 +459,6 @@ SCALE_FIELDS = [("uniform", ())] + [
 SCALE_REPLACEMENTS = {
     **REPLACEMENTS,
     "nested list": [[0.0, 0.5], [1.0]],
-    "1e400": "<1e400>",  # written as the bare literal 1e400, which parses to inf
     "bools": [True, False, True, True],
     "unhashable kind": ["S", ["S"], "D", "S"],
 }
@@ -489,6 +499,7 @@ class TestDimensionGuard:
             ({"n": 2, "q_a": [0.0, 0.0]}, "error: q_b must have 2 component(s)"),
             ({"n": 0}, "error: dimension must be at least 1"),
             ({"n": -3, "q_a": [], "q_b": []}, "error: dimension must be at least 1"),
+            ({"n": 2.5}, "error: bad 'n': 2.5 is not an integer"),
         ],
     )
     def test_boundary_vectors_checked_before_lagrangian(

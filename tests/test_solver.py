@@ -314,7 +314,11 @@ class TestNewton:
 def first_el_vector(p):
     """Newton's residual, one trajectory per evaluation: interior values to
     stacked first-EL rows."""
-    return lambda x: _along(p, solver._assemble(p, x)).first_el().values.ravel()
+    return lambda x: (
+        _along(p, GridFunction(p.scale, solver._pinned(p, x[None])[0]))
+        .first_el()
+        .values.ravel()
+    )
 
 
 def first_el_rows(p):

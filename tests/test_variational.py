@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from tsvar import (
     second_el_residual,
     solve_newton,
 )
+from tsvar.variational import _along, _alongs
 
 QUARTIC_SLOPES_QT = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
 
@@ -265,6 +268,39 @@ class TestPartials:
         assert str(batched.value) == str(scalar.value)
 
 
+def _sympy_partials(text, names, frames):
+    """L and its gradient over (t, u1..un, v1..vn) at each frame (one row
+    of values per name), from sympy's symbolic derivatives of the body."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(names)
+    body = sympy.sympify(text.replace("^", "**"), locals=dict(zip(names, symbols)))
+    exprs = [body] + [sympy.diff(body, s) for s in symbols]
+    fn = sympy.lambdify(symbols, exprs, "numpy")
+    k = frames.shape[1]
+    return [np.broadcast_to(np.asarray(r, dtype=float), (k,)) for r in fn(*frames)]
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_partials_match_symbolic_derivatives(self, n):
+        # random bodies, every other one scaled by the real power t^1.5;
+        # the worst gap over these 300 bodies is about 1e-14
+        rng = np.random.default_rng(70 + n)
+        names = list(Lagrangian(n, "t").body.variables)
+        for i in range(100):
+            text = random_expr_text(rng, names)
+            if i % 2:
+                text = f"t^1.5 * ({text})"
+            t = rng.uniform(0.25, 2.0, 5)
+            U, V = rng.uniform(-2, 2, (2, 5, n))
+            got = np.column_stack(Lagrangian(n, text).partials(t, U, V))
+            frames = np.vstack([t, U.T, V.T])
+            want = np.column_stack(_sympy_partials(text, names, frames))
+            assert np.all(np.isfinite(want)), text
+            gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(gap) <= 1e-12, (text, np.max(gap))
+
+
 class TestHamiltonian:
     def test_quadratic_slope_c(self):
         p = quadratic_problem()
@@ -402,6 +438,32 @@ class TestClassicalCheck:
         p = quadratic_problem()
         with pytest.raises(ValueError):
             classical_check(p, affine(p.scale, 2.0, 0.0))
+
+
+class TestRecord:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stack_entry_equals_the_one_trajectory_record(self, seed):
+        # entry i of a stack's record holds the floats of trajectory i's own
+        rng = np.random.default_rng(seed)
+        n, h, N = 1 + seed % 3, int(rng.integers(1, 6)), int(rng.integers(3, 12))
+        points = np.cumsum(rng.uniform(0.1, 0.5, N)) + 0.25
+        scale = TimeScale.from_parts(points, "".join(rng.choice(["S", "D"], N - 1)))
+        body = random_expr_text(rng, list(Lagrangian(n, "t").body.variables))
+        p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.zeros(n))
+        Q = rng.uniform(-2, 2, (h, N, n))
+        stack = _alongs(p, Q)
+        for i in range(h):
+            got, want = stack[i], _along(p, GridFunction(scale, Q[i]), boundary=False)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+            assert repr(got.action()) == repr(want.action())
+            for kind in ("first_el", "second_el"):
+                a, b = getattr(got, kind)().values, getattr(want, kind)().values
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), kind
 
 
 class TestStructuralProperties:
