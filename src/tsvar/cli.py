@@ -133,6 +133,8 @@ def load_problem(path: str | Path) -> LoadedProblem:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder can follow
+        raise ProblemFileError(f"{path} is nested too deeply: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProblemFileError(f"{path} must hold a JSON object")
     version = obj.get("version", SCHEMA_VERSION)
@@ -182,8 +184,19 @@ def default_tol(scale: TimeScale) -> float:
 
 
 def _write_json(path: str | None, payload) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload))
+    """Write the --json report, if a path is given: a dict as one JSON
+    object, any other iterable as one JSON line per item.  A path that
+    cannot be written is an input error."""
+    if not path:
+        return
+    if isinstance(payload, dict):
+        text = json.dumps(payload)
+    else:
+        text = "\n".join(json.dumps(item) for item in payload) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {path}: {exc}") from exc
 
 
 def load_report(path: str | Path):
@@ -226,9 +239,7 @@ def cmd_solve(args) -> int:
             )
         if len(shown) > 20:
             print(f"  ... {len(shown) - 20} more")
-        if args.json_path:
-            lines = "\n".join(json.dumps(c.to_json()) for c in shown)
-            Path(args.json_path).write_text(lines + "\n")
+        _write_json(args.json_path, (c.to_json() for c in shown))
         return EXIT_OK
     c = solve(p, loaded.newton)
     method = c.provenance.value.lower()

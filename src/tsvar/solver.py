@@ -14,8 +14,8 @@ Three routes:
 
 :func:`solve` picks between the first two.  Candidates carry diagnostics
 (action, first and second Euler-Lagrange residual magnitudes), computed
-once per candidate, so that a second-equation filter can narrow the set;
-a Newton candidate's come from the evaluation of its last iterate.
+on the stack record that found them, one array pass per quantity, so
+that a second-equation filter can narrow the set.
 """
 
 from __future__ import annotations
@@ -259,9 +259,18 @@ def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
     return _homogeneous_degree(lagrangian.body.root, lagrangian.v_names) == 2
 
 
-def _diagnose(e: _Along, first: float, prov: Provenance, slopes=None) -> Candidate:
-    """Candidate e.q, diagnosed from the record that gave its first-EL magnitude."""
-    return Candidate(e.q, prov, e.action(), first, e.second_el().magnitude, slopes)
+def _candidates(e: _Along, provenance: Provenance, slopes: list) -> list[Candidate]:
+    """The candidates of the stack record e, one per entry, diagnosed in one
+    array pass per quantity; ``slopes`` holds each entry's slope word."""
+    # first-EL, action, second-EL: the order one record's methods are read
+    # in, so that under warnings raised as errors the same one raises
+    firsts = np.max(np.abs(e.first_el_values()), axis=(-2, -1)).tolist()
+    actions = e.action().tolist()
+    seconds = np.max(np.abs(e.second_el_values()), axis=(-2, -1)).tolist()
+    return [
+        Candidate(GridFunction(e.p.scale, Q), provenance, *diagnostics)
+        for Q, *diagnostics in zip(e.Q, actions, firsts, seconds, slopes)
+    ]
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
@@ -271,7 +280,7 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
         e, provenance = _along(p, affine_extremal(p)), Provenance.CLOSED_FORM
     else:  # diagnosed from the record Newton stopped at
         e, provenance = _newton(p, None, opts), Provenance.NEWTON
-    return _diagnose(e, e.first_el().magnitude, provenance)
+    return _candidates(e[None], provenance, [None])[0]  # a stack of one
 
 
 @np.errstate(all="ignore")  # overflow in the walk only makes a miss
@@ -304,14 +313,9 @@ def _boundary_hits(
     # ulps of |q| + size_j + tol.  4 * (gaps + 2) * eps is over twice the
     # total, so no word whose float end passes the hit test is dropped.
     slack = 4 * (gaps + 2) * np.finfo(float).eps
-    # the leading letters that all words of the block share: one path,
-    # summed in the same order in one pass
-    first, last = start // place % m, (stop - 1) // place % m
-    differ = np.flatnonzero(first != last)
-    shared = int(differ[0]) if differ.size else gaps
-    path = [float(p.q_a[0]), *steps[np.arange(shared), first[:shared]]]
-    rank, q = np.array([start // m ** (gaps - shared)]), np.cumsum(path)[-1:]
-    for j in range(shared, gaps):
+    # from the empty prefix: the rank window keeps the walk inside the block
+    rank, q = np.array([0]), p.q_a[:1]
+    for j in range(gaps):
         width = m ** (gaps - 1 - j)  # words under each prefix after this level
         rank = (rank[:, None] * m + np.arange(m)).ravel()
         q = (q[:, None] + steps[j]).ravel()
@@ -337,15 +341,9 @@ def _extremals(
     slope ``words`` (letter indices), all evaluated in one kernel pass."""
     batch = _alongs(p, values)
     firsts = np.max(np.abs(batch.first_el_values()), axis=(1, 2))
-    return [
-        _diagnose(
-            batch[i],
-            float(firsts[i]),
-            Provenance.ENUMERATED,
-            tuple(letters[a] for a in words[i].tolist()),
-        )
-        for i in np.flatnonzero(firsts <= tol)
-    ]
+    keep = np.flatnonzero(firsts <= tol)
+    slopes = [tuple(letters[a] for a in word) for word in words[keep].tolist()]
+    return _candidates(batch[keep], Provenance.ENUMERATED, slopes)
 
 
 def enumerate_slope_extremals(

@@ -410,27 +410,25 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.base, out, approximate=approx)
 
 
-def _running_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
-    """Delta integrals of f from point ``lo`` to each point lo..hi.
-
-    Row r integrates over gaps lo..lo+r-1, summed in order.  SCATTERED
-    gaps contribute the exact left-rectangle term f(t_j) * mu(t_j); DENSE
-    gaps contribute a trapezoid on the sampled segment.
+def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Delta integrals of the values f, shape (..., m, n) on the first m
+    points, from point ``lo`` to each point lo..hi: row r integrates over
+    gaps lo..lo+r-1, summed in order.  SCATTERED gaps contribute the exact
+    left-rectangle term f(t_j) * mu(t_j); DENSE gaps a trapezoid.
     """
-    scale = f.base
-    lo = int(lo)
-    hi = int(hi)
+    lo, hi = int(lo), int(hi)
     if not 0 <= lo <= hi < scale.n:
         raise TimeScaleError(f"bad integration range [{lo}, {hi}] on n={scale.n}")
     j = np.arange(lo, hi)
     dense = scale.mus[lo:hi] == 0.0
-    if hi > lo and np.max(j + dense) >= f.valid:
+    if hi > lo and np.max(j + dense) >= f.shape[-2]:
         raise TimeScaleError("function prefix too short for this integral")
     w = np.diff(scale.points[lo : hi + 1])[:, None]
-    terms = f.values[j] * w
+    terms = f[..., j, :] * w
     jd = j[dense]
-    terms[dense] = 0.5 * (f.values[jd] + f.values[jd + 1]) * w[dense]
-    return np.cumsum(np.vstack([np.zeros((1, f.dim)), terms]), axis=0)
+    terms[..., dense, :] = 0.5 * (f[..., jd, :] + f[..., jd + 1, :]) * w[dense]
+    start = np.zeros(f.shape[:-2] + (1, f.shape[-1]))
+    return np.cumsum(np.concatenate([start, terms], axis=-2), axis=-2)
 
 
 def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
@@ -440,7 +438,7 @@ def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
     f(t_i) * mu(t_i); DENSE gaps contribute a trapezoid on the sampled
     segment.  Returns a length-``dim`` vector.
     """
-    return _running_integral(f, lo, hi)[-1]
+    return _running_integral(f.base, f.values, lo, hi)[-1]
 
 
 def pushforward(

@@ -14,7 +14,7 @@ Each is arithmetic on one evaluation of L and its first partials at the
 frames (t, q_sigma, q_delta) of the trajectory: one private record, built
 in one kernel pass over one trajectory or a stack of them, whose entry i
 is trajectory i's record.  :mod:`tsvar.noether` reads the same record,
-and :mod:`tsvar.solver` evaluates its stacks of trajectories through it.
+and :mod:`tsvar.solver` evaluates and diagnoses its stacks through it.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, parse
-from .timescale import (
-    GridFunction,
-    TimeScale,
-    _quotients,
-    _running_integral,
-    delta_integral,
-)
+from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
     "Lagrangian",
@@ -199,8 +193,9 @@ class _Along:
     trajectory values Q on its derivative prefix, with the graininess mu
     there.  Q is one trajectory, shape (N, n), or a stack of h, shape
     (h, N, n), whose fields Q, v, L, Lt, Lu and Lv then lead with the
-    axis h; ``e[i]`` is trajectory i's record.  Only ``first_el_values``
-    reads a stack; the other methods read one trajectory's record."""
+    axis h; ``e[i]`` is trajectory i's record and ``e.q`` one record's
+    trajectory.  Every method reads a stack, one array pass per quantity,
+    and gives entry i the floats trajectory i's own record gives."""
 
     p: VariationalProblem
     t: np.ndarray
@@ -213,7 +208,7 @@ class _Along:
     Lu: np.ndarray
     Lv: np.ndarray
 
-    def __getitem__(self, i: int) -> "_Along":
+    def __getitem__(self, i) -> "_Along":
         return _Along(
             self.p, self.t, self.mu, self.approximate, self.Q[i],
             self.v[i], self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
@@ -225,16 +220,18 @@ class _Along:
 
     def hamiltonian(self, mu) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
-        return -self.L + np.sum(self.Lv * self.v, axis=1) + self.Lt * mu
+        return -self.L + np.sum(self.Lv * self.v, axis=-1) + self.Lt * mu
 
-    def action(self) -> float:
+    def action(self) -> np.ndarray:
         T, L = self.p.scale, self.L
         if T.kappa_length == T.n:
             # a DENSE last gap also needs L at the final point, where q_sigma
             # is q and the backward quotient is the last row of q_delta
-            closing = self.p.lagrangian.value(T.b, self.Q[-1], self.v[-1])
-            L = np.append(L, closing)
-        return float(delta_integral(GridFunction(T, L), 0, T.n - 1)[0])
+            t = np.full(L[..., -1:].shape, T.b)  # one frame per trajectory
+            U, V = self.Q[..., -1, :], self.v[..., -1, :]
+            closing = self.p.lagrangian.partials(t.ravel(), U, V)[0]
+            L = np.concatenate([L, closing.reshape(t.shape)], axis=-1)
+        return _running_integral(T, L[..., None], 0, T.n - 1)[..., -1, 0]
 
     def first_el_values(self) -> np.ndarray:
         """(d/dt)_delta dL/dv - dL/du, shape (..., k-1, n)."""
@@ -244,20 +241,24 @@ class _Along:
         r = self.first_el_values()
         return Residual("first_el", self.t[:-1], r, self.approximate)
 
+    def second_el_values(self) -> np.ndarray:
+        """(d/dt)_delta of the Hamiltonian composite + dL/dt, shape (..., k-1, 1)."""
+        return _outer(self.t, self.hamiltonian(self.mu)[..., None], self.Lt[..., None])
+
     def second_el(self) -> Residual:
-        r = _outer(self.t, self.hamiltonian(self.mu)[:, None], self.Lt[:, None])
+        r = self.second_el_values()
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
-    def erdmann(self) -> float:
-        moving = np.flatnonzero(np.abs(self.Lt) > AUTONOMY_TOL)
+    def erdmann(self) -> np.ndarray:
+        moving = np.argwhere(np.abs(self.Lt) > AUTONOMY_TOL)
         if moving.size:
-            i = moving[0]
+            i = tuple(moving[0])
             raise ValueError(
                 f"lagrangian is not autonomous: dL/dt = {self.Lt[i]:.3e} "
-                f"at t = {float(self.t[i])!r}"
+                f"at t = {float(self.t[i[-1]])!r}"
             )
         E = self.hamiltonian(0.0)
-        return float(E.max() - E.min())
+        return E.max(axis=-1) - E.min(axis=-1)
 
 
 def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
@@ -306,7 +307,7 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:
     """Delta integral of L(t, q_sigma, q_delta) over the whole scale."""
-    return _along(p, q).action()
+    return float(_along(p, q).action())
 
 
 def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -326,7 +327,7 @@ def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residu
     some constant vector.
     """
     e = _along(p, q)
-    g = e.Lv - _running_integral(GridFunction(p.scale, e.Lu), 0, len(e.t) - 1)
+    g = e.Lv - _running_integral(p.scale, e.Lu, 0, len(e.t) - 1)
     return Residual("first_el_integral", e.t, g - g.min(axis=0), e.approximate)
 
 
@@ -358,7 +359,7 @@ def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
     Only defined for autonomous Lagrangians; dL/dt is checked pointwise
     along the trajectory and the first violating point is reported.
     """
-    return _along(p, q).erdmann()
+    return float(_along(p, q).erdmann())
 
 
 def classical_check(p: VariationalProblem, q: GridFunction) -> Residual:

@@ -144,7 +144,9 @@ class TupleScale:
 def loop_enumerate(p, alphabet, tol=1e-8):
     """Every slope word over the sorted alphabet, in itertools.product
     order: each is expanded with GridFunction.from_slopes and, if it ends
-    within BOUNDARY_HIT_TOL of q_b, pinned there and evaluated alone."""
+    within BOUNDARY_HIT_TOL of q_b, pinned there and evaluated alone, its
+    candidate built from that one-trajectory record's action(),
+    first_el() and second_el()."""
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
     if p.dim != 1:
@@ -173,6 +175,13 @@ def loop_enumerate(p, alphabet, tol=1e-8):
         first = e.first_el().magnitude
         if first <= tol:
             kept.append(
-                solver._diagnose(e, first, solver.Provenance.ENUMERATED, slopes=seq)
+                solver.Candidate(
+                    q,
+                    solver.Provenance.ENUMERATED,
+                    float(e.action()),
+                    first,
+                    e.second_el().magnitude,
+                    seq,
+                )
             )
     return tuple(kept)

@@ -413,6 +413,28 @@ def test_malformed_problem_file_exit_2(name, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_file_nested_past_the_decoder_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, err = run_cli(["scale-info", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path} is nested too deeply")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["solve", "--enumerate=0,0.5,1"], ["verify"], ["noether"], ["scale-info"]],
+    ids=" ".join,
+)
+def test_unwritable_json_path_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(FIVE_POINT))
+    report = tmp_path / "missing" / "report.json"
+    code, err = run_cli([*command, str(path), "--json", str(report)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {report}: ")
+
+
 REPLACEMENTS = {
     "null": None,
     "number": 2,
@@ -421,7 +443,19 @@ REPLACEMENTS = {
     "object": {},
     "nan": float("nan"),
     "1e400": "<1e400>",  # written as the bare literal 1e400, which parses to inf
+    "deep list": "<deep list>",  # written as a list nested 10^5 deep
 }
+# text that json.dumps cannot write, put in place of its placeholder string
+RAW = {'"<1e400>"': "1e400", '"<deep list>"': "[" * 100000 + "]" * 100000}
+
+
+def dumps_raw(obj) -> str:
+    text = json.dumps(obj)
+    for placeholder, raw in RAW.items():
+        text = text.replace(placeholder, raw)
+    return text
+
+
 FIELDS = [(key,) for key in FIVE_POINT] + [
     (section, key)
     for section in ("solver", "trajectory", "transformation")
@@ -436,7 +470,7 @@ def test_mutated_problem_file_never_tracebacks(field, kind, tmp_path, capsys):
     owner = obj if len(field) == 1 else obj[field[0]]
     owner[field[-1]] = REPLACEMENTS[kind]
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(obj).replace('"<1e400>"', "1e400"))
+    path.write_text(dumps_raw(obj))
     for command in ("solve", "verify", "noether", "scale-info"):
         code, err = run_cli([command, str(path)], capsys)
         assert code in {0, 1, 2, 3}, (command, code)
@@ -475,7 +509,7 @@ def test_mutated_scale_never_tracebacks(form, path, kind, tmp_path, capsys):
         owner, key = owner[key], step
     owner[key] = SCALE_REPLACEMENTS[kind]
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(obj).replace('"<1e400>"', "1e400"))
+    path.write_text(dumps_raw(obj))
     for command in ("solve", "verify", "scale-info"):
         code, err = run_cli([command, str(path)], capsys)
         assert code in {0, 1, 2, 3}, (command, code)

@@ -31,7 +31,7 @@ from tsvar import (
 )
 from tsvar import cli, solver, timescale
 from tsvar.solver import _detects_quadratic_slope
-from tsvar.variational import _along
+from tsvar.variational import _Along, _along
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 
@@ -413,7 +413,7 @@ def newton_problem():
     )
 
 
-def assert_diagnosed(p, c):
+def assert_diagnostics_match(p, c):
     # the candidate's numbers are the library's residuals, bit for bit
     assert c.action == action(p, c.trajectory)
     assert c.first_el == first_el_residual(p, c.trajectory).magnitude
@@ -428,7 +428,7 @@ class TestSolve:
         c = solve(p)
         assert c.provenance is Provenance.CLOSED_FORM
         assert np.array_equal(c.trajectory.values, affine_extremal(p).values)
-        assert_diagnosed(p, c)
+        assert_diagnostics_match(p, c)
 
     def test_newton_otherwise(self):
         p = newton_problem()
@@ -437,7 +437,7 @@ class TestSolve:
         assert c.provenance is Provenance.NEWTON
         assert np.array_equal(c.trajectory.values, solve_newton(p, opts=opts).values)
         assert c.first_el <= 1e-11
-        assert_diagnosed(p, c)
+        assert_diagnostics_match(p, c)
 
     def test_newton_failure_propagates(self):
         scale = TimeScale.uniform(0, 1, 0.125)
@@ -491,7 +491,7 @@ class TestSolve:
         c = solve(p)
         assert c.provenance is Provenance.NEWTON
         assert c.first_el <= 1e-11
-        assert_diagnosed(p, c)
+        assert_diagnostics_match(p, c)
 
     @pytest.mark.parametrize("N", [21, 201])
     @pytest.mark.parametrize("n, body", list(enumerate(COUNT_BODIES, start=1)))
@@ -515,7 +515,7 @@ class TestSolve:
         assert c.provenance is Provenance.NEWTON
         assert len(jacobians) == 2
         assert len(calls) == 1 + 2 * len(jacobians)
-        assert_diagnosed(p, c)
+        assert_diagnostics_match(p, c)
 
     def test_closed_form_evaluates_lagrangian_once(self, count_calls):
         calls = count_calls(Lagrangian, "partials")
@@ -544,6 +544,13 @@ class TestEnumeration:
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
         assert len(calls) == 1
         assert len(cands) == hits == 1107
+
+    def test_quartic_actions_in_one_stack_pass(self, count_calls):
+        # one action pass over the block's stack record, none per survivor
+        calls = count_calls(_Along, "action")
+        cands = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        assert len(cands) == 1107
+        assert len(calls) == 1
 
     def test_only_boundary_hits_are_expanded(self, monkeypatch):
         # cost tripwire: no trajectory is built for a word that misses q_b

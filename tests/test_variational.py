@@ -452,6 +452,8 @@ class TestRecord:
         p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.zeros(n))
         Q = rng.uniform(-2, 2, (h, N, n))
         stack = _alongs(p, Q)
+        # the stack's own passes, the closing frame of a DENSE last gap too
+        actions, seconds = stack.action(), stack.second_el_values()
         for i in range(h):
             got, want = stack[i], _along(p, GridFunction(scale, Q[i]), boundary=False)
             for field in dataclasses.fields(want):
@@ -461,6 +463,9 @@ class TestRecord:
                 else:
                     assert a == b, field.name
             assert repr(got.action()) == repr(want.action())
+            assert actions[i].tobytes() == want.action().tobytes()
+            b = want.second_el().values
+            assert seconds[i].shape == b.shape and seconds[i].tobytes() == b.tobytes()
             for kind in ("first_el", "second_el"):
                 a, b = getattr(got, kind)().values, getattr(want, kind)().values
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), kind
