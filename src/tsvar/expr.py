@@ -322,13 +322,23 @@ def _no_overflow(result, arg, node):
 
 def _int_pow(a: Dual, b: Dual, node) -> Dual:
     av, k = a.value, b.value
-    if np.any((av == 0.0) & (k < 0)):
+    if np.ndim(k):
+        zero_to_negative = np.any((av == 0.0) & (k < 0))
+    else:  # one exponent for every frame, as the 2 of v1^2: decided in Python
+        zero_to_negative = k < 0 and np.any(av == 0.0)
+    if zero_to_negative:
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
     # x^0 has derivative zero; there k - 1 is replaced by 0 so that a zero
     # base raises no division warning
-    km1 = np.where(k == 0, 0.0, k - 1)
-    return Dual(v, np.where(k == 0, 0.0, k * np.power(av, km1) * a.deriv))
+    if np.ndim(k):
+        km1 = np.where(k == 0, 0.0, k - 1)
+        deriv = np.where(k == 0, 0.0, k * np.power(av, km1) * a.deriv)
+    elif k == 0:
+        deriv = np.zeros(np.broadcast(av, a.deriv).shape)
+    else:
+        deriv = k * np.power(av, k - 1) * a.deriv
+    return Dual(v, deriv)
 
 
 def _real_pow(a: Dual, b: Dual, node) -> Dual:
@@ -356,6 +366,9 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
     negative numbers); everywhere else it goes through exp(b log a).
     """
     bv = b.value
+    if np.ndim(bv) == np.ndim(b.deriv) == 0:  # a constant exponent, as the 2 of v1^2
+        integral = b.deriv == 0.0 and float(bv).is_integer()
+        return (_int_pow if integral else _real_pow)(a, b, node)
     integral = (b.deriv == 0.0) & np.isfinite(bv) & (np.trunc(bv) == bv)
     if np.all(integral):
         return _int_pow(a, b, node)

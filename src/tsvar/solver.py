@@ -178,14 +178,61 @@ def _jacobian(residuals, x: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
     X = np.tile(x, (width, 1))
     X[colour, np.arange(x.size)] += steps
     D = _stacked(lambda s: residuals(X[s]), width) - F
-    # the band: row r of block r // n meets columns of blocks r // n - 1 .. + 1
-    rows = np.repeat(np.arange(F.size), 3 * n)
-    cols = (rows // n - 1) * n + np.tile(np.arange(3 * n), F.size)
-    inside = (cols >= 0) & (cols < x.size)
-    rows, cols = rows[inside], cols[inside]
+    rows, cols = _band(x.size, n)
     J = np.zeros((F.size, x.size))
     J[rows, cols] = D[colour[cols], rows] / steps[cols]
     return J
+
+
+def _band(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the band of a size x size block-
+    tridiagonal matrix with n x n blocks, row by row, each row's columns
+    ascending: row r of block r // n meets the columns of blocks
+    r // n - 1 .. r // n + 1."""
+    rows = np.repeat(np.arange(size), 3 * n)
+    cols = (rows // n - 1) * n + np.tile(np.arange(3 * n), size)
+    inside = (cols >= 0) & (cols < size)
+    return rows[inside], cols[inside]
+
+
+@np.errstate(over="ignore")  # an overflowing sum certifies nothing
+def _certified(entries: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) -> bool:
+    """Whether the band ``entries`` of J, at the indices ``band``, prove
+    cond_2(J) <= CONDITION_LIMIT / 2 by strict diagonal dominance.
+
+    With alpha = min_i(|J_ii| - sum_{j != i} |J_ij|) > 0, ||J^-1||_inf <=
+    1 / alpha (Varah, Linear Algebra Appl. 11, 1975), so for s unknowns
+    cond_2(J) <= sqrt(s * ||J||_1 * ||J||_inf) / alpha.  A row's sum of
+    at most 3n terms and its alpha_i round by less than (3n + 2) * eps
+    times the largest row sum, which alpha gives up; the factor 2 under
+    the limit leaves room for the rounding of the bound itself and of
+    the SVD's own estimate, so a certified J is one np.linalg.cond passes.
+    """
+    rows, cols = band
+    a = np.abs(entries)
+    row_sums = np.bincount(rows, a)  # every row and column holds its diagonal
+    norm_inf, diagonal = row_sums.max(), a[rows == cols]
+    alpha = np.min(diagonal - (row_sums - diagonal))
+    alpha -= (3 * n + 2) * np.finfo(float).eps * norm_inf
+    if not alpha > 0:
+        return False
+    norm_1 = np.bincount(cols, a).max()
+    # ||J||_1 and ||J||_inf are at least alpha: neither ratio underflows
+    bound = np.sqrt(row_sums.size * (norm_1 / alpha)) * np.sqrt(norm_inf / alpha)
+    return bool(bound <= CONDITION_LIMIT / 2)
+
+
+def _check_jacobian(J: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) -> None:
+    """Raise SingularSystem unless J is finite and np.linalg.cond(J) is at
+    most CONDITION_LIMIT.  J is zero outside ``band``; the SVD runs only
+    when J's band does not certify the condition (:func:`_certified`)."""
+    entries = J[band]
+    if not np.all(np.isfinite(entries)):  # an overflowing residual; the SVD would fail
+        raise SingularSystem("jacobian has non-finite entries")
+    if not _certified(entries, band, n) and np.linalg.cond(J) > CONDITION_LIMIT:
+        raise SingularSystem(
+            f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
+        )
 
 
 def solve_newton(
@@ -204,6 +251,12 @@ def solve_newton(
     is the next iterate's.  It stops at ``opts.tol`` or at the rounding
     floor of the residual F, eps * max_i(sum_j |J_ij| |x_j| + |F_i|) with
     the previous Jacobian J.  ``q_init`` defaults to the affine extremal.
+
+    A Jacobian with a non-finite entry, or whose 2-norm condition number
+    exceeds CONDITION_LIMIT, raises SingularSystem.  The condition is
+    decided from the band first: a strictly diagonally dominant J whose
+    Varah bound (Varah 1975) is at most half the limit passes without an
+    SVD, and any other J goes to np.linalg.cond (:func:`_check_jacobian`).
     """
     return _newton(p, q_init, opts).q
 
@@ -222,7 +275,7 @@ def _newton(
         # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
         e = _alongs(p, _pinned(p, x[None]))[0]
     F, floor = e.first_el_values().ravel(), 0.0
-    residuals = partial(_first_el_rows, p)
+    residuals, band = partial(_first_el_rows, p), _band(x.size, p.dim)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.max(np.abs(F)))
@@ -232,12 +285,7 @@ def _newton(
         if it == opts.max_iter:
             raise NoConvergence(e.q, history)
         J = _jacobian(residuals, x, F, p.dim)
-        if not np.all(np.isfinite(J)):  # an overflowing residual; cond would fail
-            raise SingularSystem("jacobian has non-finite entries")
-        if np.linalg.cond(J) > CONDITION_LIMIT:
-            raise SingularSystem(
-                f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
-            )
+        _check_jacobian(J, band, p.dim)
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):

@@ -159,9 +159,9 @@ class TestNewton:
         # L = t*u1 has residual -t independent of q: zero Jacobian
         scale = TimeScale.uniform(1, 2, 0.25)
         p = VariationalProblem(scale, Lagrangian(1, "t*u1"), [0.0], [1.0])
-        from tsvar import SingularSystem
-
-        with pytest.raises(SingularSystem):
+        with pytest.raises(
+            SingularSystem, match=r"^jacobian condition estimate exceeds 1e\+14$"
+        ):
             solve_newton(p)
 
     def test_scale_invariance_of_fixed_points(self):
@@ -384,10 +384,15 @@ class TestJacobian:
         assert per_jacobian == [1, 1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_infinite_residual_fails_in_the_condition_estimate(self):
+    def test_infinite_residual_fails_in_the_condition_estimate(self, monkeypatch):
         # the bump overflows the guess's first-EL rows to +-inf; their band
-        # entries are NaN, which the SVD behind np.linalg.cond cannot take,
-        # so the Jacobian is refused before the condition estimate
+        # entries are NaN, which neither the band's certificate nor the SVD
+        # can judge, so the Jacobian is refused before either runs
+        def unreachable(*args):
+            raise AssertionError("the condition guard ran")
+
+        monkeypatch.setattr(solver, "_certified", unreachable)
+        monkeypatch.setattr(np.linalg, "cond", unreachable)
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "1e300*v1*v1"), [0.0], [1.0])
         values = affine_extremal(p).values.copy()
@@ -395,6 +400,162 @@ class TestJacobian:
         assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
         with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
             solve_newton(p, GridFunction(scale, values))
+
+
+def band_matrix(rng, n, blocks, kind):
+    """A random block-tridiagonal matrix with n x n blocks, shaped like
+    Newton's Jacobian, and its band indices."""
+    size = n * blocks
+    band = rows, cols = solver._band(size, n)
+    entries = rng.uniform(-1, 1, rows.size)
+    diagonal = rows == cols
+    off = np.bincount(rows, np.abs(entries) * ~diagonal, size)
+    sign = rng.choice([-1.0, 1.0], size)
+    if kind == "strict":  # margins from far above to far below the limit
+        margin = 10.0 ** rng.uniform(-15, 0) * rng.uniform(1, 2, size)
+        entries[diagonal] = sign * (off + margin * np.maximum(off, 1.0))
+    elif kind == "graded":  # cond near the Varah bound: one row scaled down
+        entries[diagonal] = sign * (off + 1.0)
+        entries[rows == rng.integers(size)] *= 10.0 ** rng.uniform(-16, -12)
+    elif kind == "weak":  # alpha = 0: some rows only as large as their sums
+        entries[diagonal] = sign * (off + (rng.random(size) < 0.5))
+    elif kind == "singular":  # a zero row or a zero column
+        entries[diagonal] = sign * (off + 1.0)
+        which = rows if rng.random() < 0.5 else cols
+        entries[which == rng.integers(size)] = 0.0
+    J = np.zeros((size, size))
+    J[band] = entries  # "free": no dominance asked for
+    return J, band
+
+
+class TestConditionGuard:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdict_equals_the_svds(self, seed):
+        # the guard raises exactly when np.linalg.cond(J) > CONDITION_LIMIT,
+        # and whatever the band certifies has cond at most half the limit
+        rng = np.random.default_rng(seed)
+        limit = solver.CONDITION_LIMIT
+        seen = set()
+        for kind in ("strict", "graded", "weak", "free", "singular"):
+            for scale in (1.0, 1e-300, 1e300, "overflow"):
+                for _ in range(6):
+                    n = int(rng.integers(1, 4))
+                    J, band = band_matrix(rng, n, int(rng.integers(1, 61)), kind)
+                    if scale == "overflow":  # row sums overflow to inf
+                        J *= 1.5e308 / (np.max(np.abs(J)) or 1.0)
+                    else:
+                        J *= scale
+                    certified = solver._certified(J[band], band, n)
+                    cond = np.linalg.cond(J)
+                    try:
+                        solver._check_jacobian(J, band, n)
+                        raised = False
+                    except SingularSystem as err:
+                        assert str(err) == "jacobian condition estimate exceeds 1e+14"
+                        raised = True
+                    assert raised == (cond > limit)
+                    if certified:
+                        assert cond <= limit / 2
+                        assert scale != "overflow"
+                    seen.add((certified, raised))
+        assert seen == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("N", [61, 801])
+    def test_dominant_jacobians_skip_the_svd(self, N, monkeypatch):
+        calls = count_svds(monkeypatch)
+        scale = TimeScale.uniform(1, 2, 1 / (N - 1))
+        p = VariationalProblem(scale, Lagrangian(1, "t*v1^2 + u1^2"), [0.0], [2.0])
+        solve_newton(p)
+        assert calls == []
+
+    def test_other_jacobians_take_one_svd_each(self, monkeypatch):
+        # rows of v1^2 - 5*u1^2 on h = 1/8: |J_ii| = 246 < 256, their sum
+        calls, jacobians = count_svds(monkeypatch), []
+        jacobian = solver._jacobian
+
+        def counted(*args):
+            jacobians.append(None)
+            return jacobian(*args)
+
+        monkeypatch.setattr(solver, "_jacobian", counted)
+        scale = TimeScale.uniform(0, 1, 0.125)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 - 5*u1^2"), [0.0], [1.0])
+        solve_newton(p)
+        assert len(calls) == len(jacobians) > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_the_svd_only_guard(self, seed, monkeypatch):
+        # Newton with every verdict left to np.linalg.cond takes the same
+        # iterates and stops with the same bits, or fails the same way
+        rng = np.random.default_rng(seed)
+        problems = []
+        for body in GUARD_BODIES:
+            n, N = int(rng.integers(1, 4)), int(rng.integers(3, 30))
+            h = 2.0 / (N - 1)
+            scale = TimeScale.from_points(
+                0.5 + np.arange(N) * h + rng.uniform(-0.3, 0.3, N) * h
+            )
+            terms = " + ".join(body.format(j=j, k=j % n + 1) for j in range(1, n + 1))
+            q_a, q_b = rng.uniform(-1, 1, (2, n))
+            problems.append(VariationalProblem(scale, Lagrangian(n, terms), q_a, q_b))
+        verdicts = []
+        certified = solver._certified
+
+        def recorded(*args):
+            verdicts.append(certified(*args))
+            return verdicts[-1]
+
+        def outcomes():
+            out, jacobian = [], solver._jacobian
+
+            def recording(residuals, x, F, n):
+                out.append(x.tobytes())
+                return jacobian(residuals, x, F, n)
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_jacobian", recording)
+                for p in problems:
+                    try:
+                        c = solve(p, NewtonOptions(max_iter=8))
+                        out.append(c.trajectory.values.tobytes())
+                        out.append((c.action, c.first_el, c.second_el))
+                    except NoConvergence as exc:
+                        out.append((str(exc), exc.history))
+                        out.append(exc.trajectory.values.tobytes())
+                    except SingularSystem as exc:
+                        out.append((type(exc), str(exc)))
+            return [x if isinstance(x, bytes) else repr(x) for x in out]
+
+        monkeypatch.setattr(solver, "_certified", recorded)
+        guarded = outcomes()
+        monkeypatch.setattr(solver, "_certified", lambda entries, band, n: False)
+        assert outcomes() == guarded
+        assert True in verdicts and False in verdicts
+
+
+def count_svds(monkeypatch):
+    """A list that grows by one entry per np.linalg.cond call."""
+    calls, cond = [], np.linalg.cond
+
+    def counted(J):
+        calls.append(None)
+        return cond(J)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return calls
+
+
+# Newton bodies whose Jacobians the band certifies (the first two), never
+# certifies (v^2 - 5u^2, and t*u with its zero Jacobian) or certifies at
+# some iterates (the rest)
+GUARD_BODIES = (
+    "t*v{j}^2 + u{j}^2",
+    "t*v{j}^2 + u{j}^2 + 0.25*u{j}*u{k}",
+    "v{j}^2 - 5*u{j}^2",
+    "(v{j}^2 - 1)^2 + u{j}^2",
+    "t*u{j}",
+    *JACOBIAN_TERMS.values(),
+)
 
 
 def closed_form_problems():
