@@ -370,10 +370,6 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
         integral = b.deriv == 0.0 and float(bv).is_integer()
         return (_int_pow if integral else _real_pow)(a, b, node)
     integral = (b.deriv == 0.0) & np.isfinite(bv) & (np.trunc(bv) == bv)
-    if np.all(integral):
-        return _int_pow(a, b, node)
-    if not np.any(integral):
-        return _real_pow(a, b, node)
     mask, *parts = np.broadcast_arrays(integral, a.value, a.deriv, bv, b.deriv)
     value = np.empty(mask.shape)
     deriv = np.empty(mask.shape)

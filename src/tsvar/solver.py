@@ -45,9 +45,9 @@ __all__ = [
 
 ENUMERATION_GUARD = 10**8
 BOUNDARY_HIT_TOL = 1e-9
-# words per enumeration block: bounds the walk's frontier and the frames
-# of one kernel pass (with two or more letters a word has at most 26
-# frames, since 2^27 words exceed the guard)
+# prefixes per chunk of the enumeration walk (bar one prefix's letters)
+# and boundary hits per kernel pass (with two or more letters a word has
+# at most 26 frames, since 2^27 words exceed the guard)
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
@@ -223,13 +223,17 @@ def _certified(entries: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int)
 
 
 def _check_jacobian(J: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) -> None:
-    """Raise SingularSystem unless J is finite and np.linalg.cond(J) is at
-    most CONDITION_LIMIT.  J is zero outside ``band``; the SVD runs only
-    when J's band does not certify the condition (:func:`_certified`)."""
+    """Raise SingularSystem unless J is finite and its condition number is
+    at most CONDITION_LIMIT.  J is zero outside ``band``; the SVD runs only
+    when J's band does not certify the condition (:func:`_certified`), on
+    J times a power of two: exact, and the SVD cannot overflow."""
     entries = J[band]
     if not np.all(np.isfinite(entries)):  # an overflowing residual; the SVD would fail
         raise SingularSystem("jacobian has non-finite entries")
-    if not _certified(entries, band, n) and np.linalg.cond(J) > CONDITION_LIMIT:
+    if _certified(entries, band, n):
+        return
+    exponent = np.frexp(np.max(np.abs(entries)))[1]  # largest entry to [0.5, 1)
+    if np.linalg.cond(np.ldexp(J, -exponent)) > CONDITION_LIMIT:
         raise SingularSystem(
             f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
         )
@@ -332,22 +336,22 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
 
 
 @np.errstate(all="ignore")  # overflow in the walk only makes a miss
-def _boundary_hits(
-    p: VariationalProblem, letters: tuple[float, ...], start: int, stop: int
-) -> np.ndarray:
-    """The slope words of ranks start .. stop-1 that end within
-    BOUNDARY_HIT_TOL of q_b, one row of letter indices per word, in order.
+def _boundary_hits(p: VariationalProblem, letters: tuple[float, ...]) -> np.ndarray:
+    """The ranks of the slope words that end within BOUNDARY_HIT_TOL of
+    q_b, ascending.
 
     A word's rank is its index in lexicographic order, its letters being
-    the base-|A| digits.  The walk extends all live prefixes by one letter
-    per level, q_{j+1} = q_j + s * mu_j: the additions of
+    the base-|A| digits.  The walk extends prefixes by one letter per
+    level, q_{j+1} = q_j + s * mu_j: the additions of
     :meth:`GridFunction.from_slopes`, so the ends are the ones that
     expansion gives.  A prefix is dropped once no completion can end near
-    q_b, and a non-finite one at once: it stays non-finite.
+    q_b, and a non-finite one at once: it stays non-finite.  The prefix
+    tree is walked once, depth first, in chunks: a chunk that one more
+    level would take past ``_BLOCK_WORDS`` prefixes is split in half, the
+    first half walked first, but a one-prefix chunk is extended anyway.
     """
     m, mus, qb = len(letters), p.scale.mus[:-1], float(p.q_b[0])
-    gaps, place = mus.size, m ** np.arange(mus.size - 1, -1, -1)
-    steps = np.multiply.outer(mus, letters)  # s * mu, as from_slopes forms it
+    gaps, steps = mus.size, np.multiply.outer(mus, letters)  # s * mu, as from_slopes
     rest = np.append(np.cumsum(mus[::-1])[::-1][1:], 0.0)  # mu after gap j
     lo, hi = letters[0] * rest, letters[-1] * rest
     size = max(map(abs, letters)) * rest
@@ -361,21 +365,24 @@ def _boundary_hits(
     # ulps of |q| + size_j + tol.  4 * (gaps + 2) * eps is over twice the
     # total, so no word whose float end passes the hit test is dropped.
     slack = 4 * (gaps + 2) * np.finfo(float).eps
-    # from the empty prefix: the rank window keeps the walk inside the block
-    rank, q = np.array([0]), p.q_a[:1]
-    for j in range(gaps):
-        width = m ** (gaps - 1 - j)  # words under each prefix after this level
+    hits, chunks = [], [(0, np.array([0]), p.q_a[:1])]  # level, ranks, ends
+    while chunks:
+        j, rank, q = chunks.pop()
+        if rank.size * m > _BLOCK_WORDS and rank.size > 1:
+            half = rank.size // 2
+            chunks += [(j, rank[half:], q[half:]), (j, rank[:half], q[:half])]
+            continue
         rank = (rank[:, None] * m + np.arange(m)).ravel()
         q = (q[:, None] + steps[j]).ravel()
-        live = (rank >= start // width) & (rank <= (stop - 1) // width)
-        if j < gaps - 1:
-            margin = BOUNDARY_HIT_TOL + slack * (np.abs(q) + size[j] + BOUNDARY_HIT_TOL)
-            # written so that a NaN bound keeps the prefix
-            far = (qb < q + lo[j] - margin) | (qb > q + hi[j] + margin)
-            live &= np.isfinite(q) & ~far
-        rank, q = rank[live], q[live]
-    hit = np.abs(q - qb) <= BOUNDARY_HIT_TOL  # NaN is no hit
-    return rank[hit, None] // place % m
+        if j == gaps - 1:
+            hits.append(rank[np.abs(q - qb) <= BOUNDARY_HIT_TOL])  # NaN is no hit
+            continue
+        margin = BOUNDARY_HIT_TOL + slack * (np.abs(q) + size[j] + BOUNDARY_HIT_TOL)
+        # written so that a NaN bound keeps the prefix
+        far = (qb < q + lo[j] - margin) | (qb > q + hi[j] + margin)
+        live = np.isfinite(q) & ~far
+        chunks.append((j + 1, rank[live], q[live]))
+    return np.concatenate(hits)
 
 
 def _extremals(
@@ -408,12 +415,11 @@ def enumerate_slope_extremals(
     second-EL magnitude from that same evaluation.  Output is in
     lexicographic slope order (alphabet sorted ascending).
 
-    The words are walked in lexicographic blocks of at most
-    ``_BLOCK_WORDS``, prefix by prefix, dropping a prefix once q_b is out
-    of its reach (:func:`_boundary_hits`); L is evaluated only along the
-    boundary hits, all of a block's in one kernel pass.  If that pass
-    fails, the block's hits are evaluated one by one, so the error is
-    that of the first hit in word order.
+    The prefix tree of the words is walked once, level by level, dropping
+    a prefix once q_b is out of its reach (:func:`_boundary_hits`); L is
+    evaluated only along the boundary hits, ``_BLOCK_WORDS`` of them in
+    word order per kernel pass.  If a pass fails, its hits are evaluated
+    one by one, so the error is that of the first hit in word order.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
@@ -430,12 +436,10 @@ def enumerate_slope_extremals(
             f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
             "use solve_newton instead"
         )
-    m, qb = len(letters), float(p.q_b[0])
-    kept = []
-    for start in range(0, m**gaps, _BLOCK_WORDS):
-        words = _boundary_hits(p, letters, start, min(start + _BLOCK_WORDS, m**gaps))
-        if not words.size:
-            continue
+    m, qb, ranks = len(letters), float(p.q_b[0]), _boundary_hits(p, letters)
+    kept, place = [], m ** np.arange(gaps - 1, -1, -1)
+    for start in range(0, ranks.size, _BLOCK_WORDS):
+        words = ranks[start : start + _BLOCK_WORDS, None] // place % m
         values = _expand_slopes(p.scale, p.q_a, np.asarray(letters)[words][..., None])
         ends = values[:, -1, 0]
         # a hit within rounding is pinned, as affine_extremal pins

@@ -431,8 +431,10 @@ def band_matrix(rng, n, blocks, kind):
 class TestConditionGuard:
     @pytest.mark.parametrize("seed", range(4))
     def test_verdict_equals_the_svds(self, seed):
-        # the guard raises exactly when np.linalg.cond(J) > CONDITION_LIMIT,
-        # and whatever the band certifies has cond at most half the limit
+        # the guard raises exactly when the condition of J, scaled by a
+        # power of two to a largest entry in [0.5, 1), exceeds the limit:
+        # np.linalg.cond(J)'s verdict wherever J's singular values do not
+        # overflow; whatever the band certifies has cond at most half the limit
         rng = np.random.default_rng(seed)
         limit = solver.CONDITION_LIMIT
         seen = set()
@@ -446,7 +448,8 @@ class TestConditionGuard:
                     else:
                         J *= scale
                     certified = solver._certified(J[band], band, n)
-                    cond = np.linalg.cond(J)
+                    exponent = np.frexp(np.max(np.abs(J)))[1]
+                    cond = np.linalg.cond(np.ldexp(J, -exponent))
                     try:
                         solver._check_jacobian(J, band, n)
                         raised = False
@@ -454,11 +457,22 @@ class TestConditionGuard:
                         assert str(err) == "jacobian condition estimate exceeds 1e+14"
                         raised = True
                     assert raised == (cond > limit)
+                    if scale != "overflow":
+                        assert raised == (np.linalg.cond(J) > limit)
                     if certified:
                         assert cond <= limit / 2
                         assert scale != "overflow"
                     seen.add((certified, raised))
         assert seen == {(True, False), (False, False), (False, True)}
+
+    def test_singular_values_near_the_float_maximum(self):
+        # np.linalg.cond(J) is inf here, J / 1e300 has cond 1.60, and the
+        # row sums overflow, so the band certifies nothing
+        J = np.array([[1.5e308, 0.5e308], [0.2e308, 1.5e308]])
+        band = solver._band(2, 1)
+        assert np.isinf(np.linalg.cond(J))
+        assert not solver._certified(J[band], band, 1)
+        solver._check_jacobian(J, band, 1)
 
     @pytest.mark.parametrize("N", [61, 801])
     def test_dominant_jacobians_skip_the_svd(self, N, monkeypatch):
@@ -706,8 +720,20 @@ class TestEnumeration:
         assert len(calls) == 1
         assert len(cands) == hits == 1107
 
+    def test_many_blocks_of_words_in_one_kernel_pass(self, count_calls):
+        # 3^13 words span 195 blocks, but their 91 hits fit one: the prefix
+        # tree is walked once and L evaluated along all hits together
+        h = 1 / 13
+        scale = TimeScale.uniform(0, 1, h)
+        p = VariationalProblem(scale, Lagrangian(1, "(v1^2 - 1)^2"), [0.0], [11 * h])
+        assert 3**13 > 190 * solver._BLOCK_WORDS
+        calls = count_calls(Lagrangian, "partials")
+        cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0])
+        assert len(calls) == 1
+        assert len(cands) == 91
+
     def test_quartic_actions_in_one_stack_pass(self, count_calls):
-        # one action pass over the block's stack record, none per survivor
+        # one action pass over the hits' stack record, none per survivor
         calls = count_calls(_Along, "action")
         cands = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
         assert len(cands) == 1107
@@ -885,7 +911,9 @@ class TestEnumerationOracle:
     trajectory bytes, action, residuals, provenance, exceptions and
     warnings are equal bit for bit."""
 
-    @pytest.mark.parametrize("block", [solver._BLOCK_WORDS, 251, 1000])
+    # blocks of 1 to 3 words split the walk's chunks at every level and are
+    # narrower than the alphabet
+    @pytest.mark.parametrize("block", [solver._BLOCK_WORDS, 251, 1000, 1, 2, 3])
     def test_random_problems(self, block, monkeypatch):
         monkeypatch.setattr(solver, "_BLOCK_WORDS", block)
         rng = np.random.default_rng(block)

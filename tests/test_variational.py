@@ -234,6 +234,10 @@ class TestPartials:
             ("v1 * u1^v1 + 1", [1.5, 2.0, 0.75], [2.0, 2.0, -2.0], False),
             ("(u1 - 1)^2 + v1^3", [1.0, 0.0, 2.5], [-1.0, 0.0, 1.0], True),
             ("sqrt(u1^2) + v1", [0.0, -1.5, 2.0], [1.0, 0.0, -1.0], False),
+            # an array exponent, integral in every frame and direction
+            ("u1^(t - t + 2) + v1", [-1.5, 0.0, 2.0], [1.0, 0.0, -1.0], True),
+            # an array exponent, integral nowhere
+            ("u1^(t - t + 0.5) + v1", [0.5, 1.5, 2.0], [1.0, 0.0, -1.0], True),
         ],
     )
     def test_batched_equals_per_frame_on_edge_cases(self, body, u, v, exact):
