@@ -12,6 +12,10 @@ the package print the same digest exactly when they give the same bits:
 
     PYTHONPATH=<other checkout>/src python scripts/bits_digest.py
     PYTHONPATH=src python scripts/bits_digest.py
+
+With ``--records`` it also prints one line per record (its index, the
+first 16 hex digits of its own sha256 and the start of its text), so
+that ``diff`` on two such outputs names the records whose bits moved.
 """
 
 import argparse
@@ -192,6 +196,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--problems", type=int, default=120, help="random problems")
     parser.add_argument("--enumerations", type=int, default=120)
+    parser.add_argument(
+        "--records", action="store_true", help="print one line per record"
+    )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -203,8 +210,12 @@ def main() -> None:
             records += library_records(rng)
         for _ in range(args.enumerations):
             records += enumeration_records(rng)
-    for record in records:
-        digest.update(bits(record).encode() + b"\n")
+    for i, record in enumerate(records):
+        text = bits(record).encode()
+        digest.update(text + b"\n")
+        if args.records:
+            short = hashlib.sha256(text).hexdigest()[:16]
+            print(f"{i:5d} {short} {text[:60].decode(errors='replace')}")
     print(f"{len(records)} records  sha256 {digest.hexdigest()}")
 
 

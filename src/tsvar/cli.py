@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import ExprError
 from .noether import Transformation, check_conservation, invariance_residual
 from .solver import (
     NewtonOptions,
@@ -41,7 +40,7 @@ from .solver import (
     filter_second_el,
     solve,
 )
-from .timescale import GridFunction, PointClass, TimeScale, TimeScaleError
+from .timescale import GridFunction, PointClass, TimeScale, _json_float, _json_floats
 from .variational import Lagrangian, VariationalProblem, _along
 
 SCHEMA_VERSION = "tsvar/1"
@@ -80,15 +79,9 @@ def _field(obj: dict, key: str, convert, default=None):
 
 def _integer(value) -> int:
     """value as an int, if it is a finite integral JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    if isinstance(value, float) and not value.is_integer():  # also inf and NaN
+    if not _json_float(value).is_integer():  # also inf and NaN
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
 
 
 def _object(value) -> dict:
@@ -98,7 +91,7 @@ def _object(value) -> dict:
 
 
 def _vector(obj: dict, key: str, n: int) -> np.ndarray:
-    arr = np.atleast_1d(_field(obj, key, _floats))
+    arr = np.atleast_1d(_field(obj, key, _json_floats))
     if arr.shape != (n,):
         raise ProblemFileError(f"{key} must have {n} component(s)")
     return arr
@@ -113,7 +106,7 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
     ):
         if key not in entry:
             continue
-        arr = _field(entry, key, _floats)
+        arr = _field(entry, key, _json_floats)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.shape != (rows, n):
@@ -151,7 +144,9 @@ def load_problem(path: str | Path) -> LoadedProblem:
     if n < 1:
         raise ProblemFileError("dimension must be at least 1")
     q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)  # checks n cheaply
-    lagrangian = Lagrangian(n, str(obj["lagrangian"]))
+    if not isinstance(obj["lagrangian"], str):
+        raise ProblemFileError("'lagrangian' must be a string")
+    lagrangian = Lagrangian(n, obj["lagrangian"])
     problem = VariationalProblem(scale, lagrangian, q_a, q_b)
     trajectory = None
     if "trajectory" in obj:
@@ -168,7 +163,7 @@ def load_problem(path: str | Path) -> LoadedProblem:
             raise ProblemFileError("transformation 'tau' and 'xi' must be strings")
         transformation = Transformation.from_text(n, tau, xi)
     sopts = _field(obj, "solver", _object, {})
-    kinds = {"tol": float, "max_iter": _integer}
+    kinds = {"tol": _json_float, "max_iter": _integer}
     newton = NewtonOptions(
         **{key: _field(sopts, key, kind) for key, kind in kinds.items() if key in sopts}
     )
@@ -408,9 +403,6 @@ def main(argv=None) -> int:
         parser.error(f"argument --tol: must be finite, got {args.tol}")
     try:
         return args.func(args)
-    except (ProblemFileError, ExprError, TimeScaleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (SingularSystem, NoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

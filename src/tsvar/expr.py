@@ -102,45 +102,15 @@ class _Call:
     arg: object
 
 
-def _height(root) -> int:
-    """Depth of the tree, counted level by level without recursion."""
-    height, level = 0, [root]
+def _walk(root) -> tuple[int, set[str]]:
+    """The depth of the tree and the variable names it reads, walked level
+    by level without recursion."""
+    height, names, level = 0, set(), [root]
     while level:
         height += 1
+        names.update(n.name for n in level if isinstance(n, _Var))
         level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
-    return height
-
-
-def _homogeneous_degree(node, names: tuple[str, ...]) -> int | None:
-    """Degree of ``node`` as a homogeneous polynomial with constant
-    coefficients in the variables ``names``, or None if it is not
-    syntactically one.  Constant divisors and exponents are evaluated."""
-    if isinstance(node, _Num):
-        return 0
-    if isinstance(node, _Var):
-        return 1 if node.name in names else None
-    if isinstance(node, _Neg):
-        return _homogeneous_degree(node.arg, names)
-    if isinstance(node, _Call):
-        return 0 if _homogeneous_degree(node.arg, names) == 0 else None
-    a = _homogeneous_degree(node.left, names)
-    b = _homogeneous_degree(node.right, names)
-    if a is None or b is None:
-        return None
-    if node.op in "+-":
-        return a if a == b else None
-    if node.op == "*":
-        return a + b
-    if b != 0:
-        return None
-    try:  # a constant divisor or exponent (v1^0 reads v1 and has no value)
-        with np.errstate(over="ignore"):
-            k = float(_eval(node.right, {}).value)
-    except (ExprError, KeyError):
-        return None
-    if node.op == "/":
-        return a if k != 0.0 else None
-    return a * int(k) if k >= 0 and k.is_integer() else None
+    return height, names
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -513,6 +483,6 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-    if _height(root) > MAX_DEPTH:  # a long chain of binary operators
+    if _walk(root)[0] > MAX_DEPTH:  # a long chain of binary operators
         raise ExprSyntaxError(_TOO_DEEP, 0)
     return Expr(root, names)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, parse
-from .timescale import GridFunction, delta_derivative
+from .timescale import GridFunction, _quotients
 from .variational import Residual, VariationalProblem, _Along, _along
 
 __all__ = [
@@ -83,7 +83,7 @@ def _sample(
         raise ValueError("transformation dimension does not match the problem")
     e = _along(p, q, boundary=False)
     names = ["t"] + [f"q{k + 1}" for k in range(tr.dim)]
-    env = dict(zip(names, np.vstack([q.base.points, q.values.T])))
+    env = dict(zip(names, [q.base.points, *q.values.T]))
     taus = tr.tau._forward(env).value
     xis = np.column_stack([c._forward(env).value for c in tr.xi])
     return e, taus, xis
@@ -93,8 +93,8 @@ def _invariance(e: _Along, taus: np.ndarray, xis: np.ndarray) -> Residual:
     T, k = e.p.scale, len(e.t)
     if not T.is_exact_discrete:
         raise ValueError("invariance residual needs an exact discrete scale")
-    tau_d = delta_derivative(GridFunction(T, taus)).component(0)
-    xi_d = delta_derivative(GridFunction(T, xis)).values
+    tau_d = _quotients(T.points, taus[:, None])[:, 0]
+    xi_d = _quotients(T.points, xis)
     vals = (
         e.Lt * taus[:k]
         + np.sum(e.Lu * xis[T.sigmas[:k]], axis=1)

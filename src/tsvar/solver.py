@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .expr import ExprError, _homogeneous_degree
+from .expr import ExprError, _walk
 from .timescale import GridFunction, _expand_slopes
 from .variational import Lagrangian, VariationalProblem, _Along, _along, _alongs
 
@@ -305,10 +305,10 @@ def _newton(
         floor = np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
-def _detects_quadratic_slope(lagrangian: Lagrangian) -> bool:
-    """Whether L is syntactically a quadratic form in v that reads neither
-    t nor u, so that every affine trajectory is an extremal."""
-    return _homogeneous_degree(lagrangian.body.root, lagrangian.v_names) == 2
+def _reads_only_slope(lagrangian: Lagrangian) -> bool:
+    """Whether L names none of t, u1..un, so that L_t = L_u = 0 and both
+    Euler-Lagrange equations hold along every trajectory of constant slope."""
+    return _walk(lagrangian.body.root)[1].isdisjoint(("t", *lagrangian.u_names))
 
 
 def _candidates(e: _Along, provenance: Provenance, slopes: list) -> list[Candidate]:
@@ -326,9 +326,9 @@ def _candidates(e: _Along, provenance: Provenance, slopes: list) -> list[Candida
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
-    """A diagnosed extremal: the affine closed form if L is a pure quadratic
-    form in v with no t, u coupling (CLOSED_FORM), else Newton from it (NEWTON)."""
-    if _detects_quadratic_slope(p.lagrangian):
+    """A diagnosed extremal: the affine closed form if L names neither t nor
+    u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
+    if _reads_only_slope(p.lagrangian):
         e, provenance = _along(p, affine_extremal(p)), Provenance.CLOSED_FORM
     else:  # diagnosed from the record Newton stopped at
         e, provenance = _newton(p, None, opts), Provenance.NEWTON

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,6 +39,32 @@ MAX_POINTS = 10**6  # the most points uniform() and dense_interval() allocate
 
 class TimeScaleError(ValueError):
     """Invalid time-scale construction, lookup, or domain mismatch."""
+
+
+def _json_floats(value) -> np.ndarray:
+    """A decoded JSON number, or a list of them nested to any depth, as a
+    float array; null reads as NaN.  True, false and strings, which numpy
+    would convert, raise TypeError, and an integer beyond float range
+    raises ValueError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+    leaves = [value]
+    for _ in range(arr.ndim):  # the shape is regular: every item above a leaf is a list
+        leaves = chain.from_iterable(leaves)
+    if {bool, str} & set(map(type, leaves)):  # the only other leaves float() takes
+        raise TypeError("true, false or a string where a number belongs")
+    return arr
+
+
+def _json_float(value) -> float:
+    """A decoded JSON number as a float, checked as :func:`_json_floats`
+    checks one; null and lists raise TypeError too."""
+    if value is None or isinstance(value, list):
+        what = "null" if value is None else "a list"
+        raise TypeError(f"{what} where a number belongs")
+    return float(_json_floats(value))
 
 
 class GapKind(enum.Enum):
@@ -276,18 +303,27 @@ class TimeScale:
                 spec = obj[kind]
                 if not isinstance(spec, Mapping):
                     raise TimeScaleError(f"{kind!r} must be an object")
-                missing = [key for key in keys if key not in spec]
-                if missing:
-                    raise TimeScaleError(f"{kind!r} is missing {missing[0]!r}")
-                return make(*(float(spec[key]) for key in keys))
+                args = []
+                for key in keys:
+                    if key not in spec:
+                        raise TimeScaleError(f"{kind!r} is missing {key!r}")
+                    try:
+                        args.append(_json_float(spec[key]))
+                    except (TypeError, ValueError) as exc:
+                        where = f"{kind!r} field {key!r}"
+                        raise TimeScaleError(f"{exc} in {where}") from exc
+                return make(*args)
         if "points" not in obj:
             raise TimeScaleError(
                 "scale object needs 'points', 'uniform', or 'dense'"
             )
-        points = obj["points"]
+        try:
+            points = _json_floats(obj["points"])
+        except (TypeError, ValueError) as exc:
+            raise TimeScaleError(f"{exc} in 'points'") from exc
         gaps = obj.get("gaps")
         if gaps is None:
-            gaps = ["S"] * (len(points) - 1)
+            gaps = ["S"] * (points.size - 1)
         return cls.from_parts(points, gaps)
 
     def __eq__(self, other) -> bool:

@@ -75,9 +75,9 @@ class Lagrangian:
             self.body = Expr(body.root, names)
         else:
             self.body = parse(body, names)
-        # per variable, a column of seeds: zero for L itself, then one unit
-        # seed for each variable in turn (see partials)
-        seeds = np.eye(len(names) + 1, len(names), k=-1)
+        # per variable, a column of seeds: one unit seed for each variable
+        # in turn (see partials)
+        seeds = np.eye(len(names))
         self._seeds = {name: seeds[:, [j]] for j, name in enumerate(names)}
 
     def partials(
@@ -87,17 +87,17 @@ class Lagrangian:
 
         ``t`` has k entries and ``U``, ``V`` have k rows of n; the results
         have shapes (k,), (k,), (k, n) and (k, n).  One forward pass
-        carries every direction at once: a zero seed for L itself, then a
-        unit seed for each of t, u1..un, v1..vn.  Raises
+        carries every direction at once, a unit seed for each of t,
+        u1..un, v1..vn, and L rides along in every one.  Raises
         :class:`ExprDomainError` if L or a partial is undefined at any frame.
         """
         t = np.asarray(t, dtype=float)
         n = self.dim
         U = np.reshape(U, (t.size, n))
         V = np.reshape(V, (t.size, n))
-        cols = np.vstack([t, U.T, V.T])
-        out = self.body._forward(dict(zip(self.body.variables, cols)), self._seeds)
-        d = out.deriv[1:]
+        env = dict(zip(self.body.variables, [t, *U.T, *V.T]))
+        out = self.body._forward(env, self._seeds)
+        d = out.deriv
         return out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
 
     def value(self, t: float, u: np.ndarray, v: np.ndarray) -> float:

@@ -6,7 +6,9 @@ coloured assembly.  The gap-kind queries of a time scale as walks
 over a tuple of :class:`GapKind`, the reference for the ones
 :class:`TimeScale` reads off its graininess.  And the word-by-word slope
 enumeration, the reference for the walk of
-:func:`tsvar.solver.enumerate_slope_extremals`."""
+:func:`tsvar.solver.enumerate_slope_extremals`.  And the root of the
+linear first-EL system of a linear-quadratic Lagrangian, the reference
+for Newton."""
 
 import itertools
 
@@ -185,3 +187,23 @@ def loop_enumerate(p, alphabet, tol=1e-8):
                 )
             )
     return tuple(kept)
+
+
+def lq_first_el_root(scale, a, b, C, q_a, q_b) -> np.ndarray:
+    """The trajectory, shape (N, n), with ends q_a and q_b along which the
+    first-EL residual of L = sum_k (a_k + b_k t) v_k^2 + sum_ij C_ij u_i u_j
+    vanishes on the exact scale: rows i = 0 .. N-3 of the linear system
+    (P_{i+1} - P_i) / mu_i = 2 C q_{i+1}, P_i = 2 (a + b t_i) (q_{i+1} - q_i) / mu_i,
+    assembled over the trajectory flattened point by point and solved for
+    the interior values with np.linalg.solve.  C is symmetric."""
+    t, mu = scale.points, np.diff(scale.points)
+    N, n = t.size, len(a)
+    slopes = (np.eye(N - 1, N, 1) - np.eye(N - 1, N)) / mu[:, None]
+    outer = (np.eye(N - 2, N - 1, 1) - np.eye(N - 2, N - 1)) / mu[:-1, None]
+    M = -np.kron(np.eye(N - 2, N, 1), 2 * np.asarray(C))  # q_sigma = q_{i+1}
+    for k in range(n):
+        weight = 2 * (a[k] + b[k] * t[:-1])
+        M += np.kron(outer @ (weight[:, None] * slopes), np.diag(np.eye(n)[k]))
+    rhs = -(M[:, :n] @ q_a + M[:, -n:] @ q_b)
+    interior = np.linalg.solve(M[:, n:-n], rhs).reshape(N - 2, n)
+    return np.vstack([q_a, interior, q_b])

@@ -42,13 +42,32 @@ class TestSolve:
         assert report["second_el"] <= 1e-12
 
     def test_newton_fallback_for_quartic(self, tmp_path, capsys):
+        # the quartic reads u as well as v: Newton's
         path = write_problem(
-            tmp_path, lagrangian="(v1^2 - 1)^2", q_a=0.0, q_b=1.0
+            tmp_path, lagrangian="(v1^2 - 1)^2 + u1^2", q_a=0.0, q_b=1.0
         )
         code = cli.main(["solve", path])
         captured = capsys.readouterr().out
         assert code == 0
         assert "method: newton" in captured
+
+    @pytest.mark.parametrize(
+        "lagrangian, scale, q_b",
+        [
+            ("exp(v1)", {"uniform": {"a": 0, "b": 1, "h": 0.1}}, 10.0),
+            ("v1^2 + v1", {"dense": {"a": 0, "b": 1, "resolution": 9}}, 0.5),
+        ],
+    )
+    def test_slope_only_closed_form(self, lagrangian, scale, q_b, tmp_path, capsys):
+        # once a Newton failure (exit 3) and a refusal of the dense scale
+        # (exit 2): L reads only the slope, so the affine guess is the answer
+        path = write_problem(
+            tmp_path, lagrangian=lagrangian, scale=scale, q_a=0.0, q_b=q_b
+        )
+        code = cli.main(["solve", path])
+        captured = capsys.readouterr().out
+        assert code == 0
+        assert "method: closed_form" in captured
 
     def test_enumerate_counts(self, tmp_path, capsys):
         path = write_problem(
@@ -401,7 +420,38 @@ MALFORMED = {
     "slopes object": {**FIVE_POINT, "trajectory": {"slopes": {}}},
     "generator numbers": {**FIVE_POINT, "transformation": {"tau": 1, "xi": [2]}},
     "xi number": {**FIVE_POINT, "transformation": {"tau": "1", "xi": 5}},
+    "lagrangian number": {**FIVE_POINT, "lagrangian": 5},
+    "q_a beyond float range": {**FIVE_POINT, "q_a": 10**400},
+    "tol beyond float range": {**FIVE_POINT, "solver": {"tol": 10**400}},
+    "points beyond float range": {**FIVE_POINT, "scale": {"points": [0, 1, 10**400]}},
+    "h beyond float range": {
+        **FIVE_POINT, "scale": {"uniform": {"a": 0, "b": 1, "h": 10**400}}
+    },
 }
+
+
+NUMBER_FIELDS = {
+    "q_a": lambda x: {"q_a": x},
+    "q_b": lambda x: {"q_b": x},
+    "values": lambda x: {"trajectory": {"values": [0.0, x, 0.5, 0.75, 1.0]}},
+    "slopes": lambda x: {"trajectory": {"slopes": [[1.0], [x], [1.0], [1.0]]}},
+    "tol": lambda x: {"solver": {"tol": x}},
+    "points": lambda x: {"scale": {"points": [0.0, x, 2.0]}},
+    "h": lambda x: {"scale": {"uniform": {"a": 0.0, "b": 1.0, "h": x}}},
+    "resolution": lambda x: {"scale": {"dense": {"a": 0.0, "b": 1.0, "resolution": x}}},
+}
+
+
+@pytest.mark.parametrize("value", [True, "1"], ids=repr)
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_boolean_or_string_number_exit_2(field, value, tmp_path, capsys):
+    # float() would read true as 1 and "1" as 1: the field is named instead
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**FIVE_POINT, **NUMBER_FIELDS[field](value)}))
+    code, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import re
 import warnings
 from functools import partial
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
-from helpers import column_jacobian, loop_enumerate
+from helpers import column_jacobian, loop_enumerate, lq_first_el_root
 from tsvar import (
     ExprDomainError,
     GridFunction,
@@ -30,7 +31,7 @@ from tsvar import (
     solve_newton,
 )
 from tsvar import cli, solver, timescale
-from tsvar.solver import _detects_quadratic_slope
+from tsvar.solver import _reads_only_slope
 from tsvar.variational import _Along, _along
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
@@ -211,6 +212,31 @@ class TestNewton:
                 A[i, i + 1] -= 1.0
             exact = np.linalg.solve(A[:, 1:-1], -A[:, 0] * qa - A[:, -1] * qb)
             assert np.max(np.abs(q[1:-1] - exact)) <= 1e-9 * max(abs(qa), abs(qb))
+
+    def test_linear_quadratic_roots_match_a_direct_solve(self):
+        # L = sum_k (a_k + b_k t) v_k^2 + u^T C u has a linear first-EL
+        # system; Newton's root is that system's, assembled independently
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            scale = random_exact_scale(rng, 3, 61)
+            t = scale.points
+            b = rng.uniform(-1, 1, n).tolist()
+            # a + b t > 0 on the scale
+            a = (np.abs(b) * np.max(np.abs(t)) + rng.uniform(0.5, 2, n)).tolist()
+            G = rng.uniform(-1, 1, (n, n))
+            C = G @ G.T + 0.5 * np.eye(n)
+            terms = [f"({a[k]!r} + {b[k]!r}*t)*v{k + 1}^2" for k in range(n)]
+            terms += [
+                f"{float(C[i, j])!r}*u{i + 1}*u{j + 1}"
+                for i in range(n) for j in range(n)
+            ]
+            q_a, q_b = rng.uniform(-100, 100, (2, n))
+            p = VariationalProblem(scale, Lagrangian(n, " + ".join(terms)), q_a, q_b)
+            q = solve_newton(p).values
+            exact = lq_first_el_root(scale, a, b, C, q_a, q_b)
+            bound = 1e-9 * (1 + np.max(np.abs(exact)))
+            assert np.max(np.abs(q - exact)) <= bound
 
     def test_each_iterate_evaluated_once(self, monkeypatch, count_calls):
         # the check of the guess gives its residual, and the evaluation of
@@ -629,7 +655,7 @@ class TestSolve:
         assert produced == set(Provenance)
 
     @pytest.mark.parametrize(
-        "body, dim, verdict",
+        "body, dim, quadratic",  # quadratic: a pure quadratic form in v
         [
             ("v1^2", 1, True),
             ("3*v1^2 - v1*v2 + 0.5*v2^2", 2, True),
@@ -652,10 +678,62 @@ class TestSolve:
             ("v1^2/(1 - 1)", 1, False),
             ("v1^2 + v2", 2, False),
             ("(v1 + v2)*(v1 - 2*v2)", 2, True),
+            ("5", 1, False),
+            ("exp(v1 - v2) + sqrt(1 + v2^2)", 2, False),
+            ("v1^2*exp(0*t)", 1, False),
+            ("v2^2 + u2", 2, False),
         ],
     )
-    def test_quadratic_probe_verdicts(self, body, dim, verdict):
-        assert _detects_quadratic_slope(Lagrangian(dim, body)) is verdict
+    def test_quadratic_probe_verdicts(self, body, dim, quadratic):
+        # the closed form takes every body that names neither t nor u: the
+        # pure quadratic forms in v, as it always has, and every other one
+        names_state = re.search(r"\b(t|u\d+)\b", body) is not None
+        assert not (quadratic and names_state)
+        assert _reads_only_slope(Lagrangian(dim, body)) is not names_state
+
+    def test_slope_only_bodies_take_the_closed_form(self):
+        # Newton once took these and could fail at a guess already at its
+        # rounding floor, with no step taken; L_t = L_u = 0 makes the
+        # affine guess an extremal of both equations
+        bodies = {
+            1: ["exp(v1)", "(v1^2 - 1)^2", "v1^2 + v1", "sqrt(1 + v1^2)",
+                "v1^4 + 3*v1", "log(2 + sin(v1))", "v1^3", "5"],
+            2: ["v1*v2 + v2^4 + v1^2", "exp(v1 - v2) + v1^2 + v2^2"],
+        }
+        rng = np.random.default_rng(11)
+        solved = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 3))
+            body = str(rng.choice(bodies[n]))
+            scale = random_exact_scale(rng, 3, 399)
+            q_a, q_b = rng.uniform(-300, 300, (2, n))
+            p = VariationalProblem(scale, Lagrangian(n, body), q_a, q_b)
+            try:
+                c = solve(p)
+            except ExprDomainError:  # L overflows along the guess: an input error
+                continue
+            solved += 1
+            assert c.provenance is Provenance.CLOSED_FORM
+            assert np.array_equal(c.trajectory.values, affine_extremal(p).values)
+            assert_diagnostics_match(p, c)
+        assert solved >= 140
+
+    @pytest.mark.parametrize(
+        "scale", [TimeScale.uniform(0, 1, 0.125), TimeScale.dense_interval(0, 1, 9)]
+    )
+    @pytest.mark.parametrize(
+        "body, n",
+        [("exp(v1)", 1), ("(v1^2 - 1)^2", 1), ("v1^2 + v1", 1),
+         ("sqrt(1 + v1^2)", 1), ("v1*v2 + v2^4", 2)],
+    )
+    def test_closed_form_is_exact_on_dyadic_scales(self, scale, body, n):
+        # every value and quotient is dyadic, so every frame reads the same
+        # slope and both residuals are zero, not merely small
+        p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.full(n, 0.5))
+        c = solve(p)
+        assert c.provenance is Provenance.CLOSED_FORM
+        assert c.first_el == 0.0 and c.second_el == 0.0
+        assert_diagnostics_match(p, c)
 
     def test_tiny_state_coupling_goes_to_newton(self):
         # a random numerical probe once took v1^2 + 1e-10*u1^2 for a pure
