@@ -30,6 +30,7 @@ import numpy as np
 
 from tsvar import (
     Candidate,
+    Extremals,
     GridFunction,
     Lagrangian,
     NoConvergence,
@@ -85,6 +86,8 @@ def bits(x) -> str:
         return f"{x.dtype}{x.shape}:{x.tobytes().hex()}"
     if isinstance(x, (list, tuple)):
         return "(" + ",".join(map(bits, x)) + ")"
+    if isinstance(x, Extremals):
+        return bits(tuple(x))  # the tuple of its rows
     if isinstance(x, Candidate):
         return bits([x.slopes, x.trajectory, x.action, x.first_el, x.second_el])
     if isinstance(x, GridFunction):
@@ -160,7 +163,7 @@ def enumeration_records(rng):
     p = VariationalProblem(scale, Lagrangian(1, body), [q_a], [q_b])
     cands = outcome(enumerate_slope_extremals, p, letters.tolist(), tol=1e3)
     yield cands
-    if isinstance(cands, tuple) and all(isinstance(c, Candidate) for c in cands):
+    if isinstance(cands, Extremals):
         yield outcome(filter_second_el, p, cands, tol=1e-8)
 
 

@@ -11,6 +11,8 @@ import argparse
 import json
 from collections import Counter
 
+import numpy as np
+
 from tsvar import (
     Lagrangian,
     TimeScale,
@@ -37,19 +39,20 @@ def main() -> None:
 
     print(f"first-equation extremals : {len(extremals)}")
     print(f"second-equation survivors: {len(survivors)}")
-    print("action histogram (extremals):", dict(Counter(round(c.action, 6) for c in extremals)))
-    print("action histogram (survivors):", dict(Counter(round(c.action, 6) for c in survivors)))
+    for name, rows in (("extremals", extremals), ("survivors", survivors)):
+        histogram = Counter(round(a, 6) for a in rows.action.tolist())
+        print(f"action histogram ({name}):", dict(histogram))
 
     mixed = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
-    in_first = any(c.slopes == mixed for c in extremals)
-    in_second = any(c.slopes == mixed for c in survivors)
+    in_first = bool(np.any(np.all(extremals.slopes == mixed, axis=1)))
+    in_second = bool(np.any(np.all(survivors.slopes == mixed, axis=1)))
     print(f"mixed-slope candidate {mixed}:")
     print(f"  first-equation extremal : {in_first}")
     print(f"  passes second equation  : {in_second}")
 
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
-            fh.write("\n".join(json.dumps(c.to_json()) for c in survivors) + "\n")
+            fh.write("\n".join(json.dumps(row) for row in survivors.to_json()) + "\n")
         print(f"wrote {len(survivors)} survivors to {args.jsonl}")
 
 

@@ -15,6 +15,7 @@ from .noether import (
 )
 from .solver import (
     Candidate,
+    Extremals,
     NewtonOptions,
     NoConvergence,
     Provenance,

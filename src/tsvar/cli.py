@@ -59,6 +59,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _write_table(row: str, *columns) -> None:
+    """Write ``row % cells`` for each row of the columns, in one formatting
+    pass and one write.  A column is an array or list of one cell per row,
+    or a 2-D array of several; "%.12g" formats a float as :func:`_fmt`
+    does, and "%12.12g" as ``f"{_fmt(x):>12}"``."""
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    sys.stdout.write(row * len(cells) % tuple(cells.ravel().tolist()))
+
+
 @dataclass
 class LoadedProblem:
     problem: VariationalProblem
@@ -205,9 +214,8 @@ def load_report(path: str | Path):
 
 def _print_trajectory(q: GridFunction) -> None:
     print("      t  " + "  ".join(f"q{k + 1}" for k in range(q.dim)))
-    for i in range(q.valid):
-        row = "  ".join(_fmt(x) for x in q.values[i])
-        print(f"  {_fmt(q.base.points[i]):>12}  {row}")
+    row = "  %12.12g  " + "  ".join(["%.12g"] * q.dim) + "\n"
+    _write_table(row, q.base.points[: q.valid], q.values)
 
 
 def cmd_solve(args) -> int:
@@ -226,15 +234,12 @@ def cmd_solve(args) -> int:
             shown = filter_second_el(p, cands, tol=tol)
             print(f"second-EL survivors: {len(shown)}")
         print("  slopes | action | first_el | second_el")
-        for c in shown[:20]:
-            slopes = ",".join(_fmt(s) for s in (c.slopes or ()))
-            print(
-                f"  [{slopes}] | {_fmt(c.action)} | {_fmt(c.first_el)}"
-                f" | {_fmt(c.second_el)}"
-            )
+        head, word = shown[:20], ",".join(["%.12g"] * (p.scale.n - 1))
+        row = f"  [{word}]" + " | %.12g" * 3 + "\n"
+        _write_table(row, head.slopes, head.action, head.first_el, head.second_el)
         if len(shown) > 20:
             print(f"  ... {len(shown) - 20} more")
-        _write_json(args.json_path, (c.to_json() for c in shown))
+        _write_json(args.json_path, shown.to_json())
         return EXIT_OK
     c = solve(p, loaded.newton)
     method = c.provenance.value.lower()
@@ -310,9 +315,9 @@ def cmd_noether(args) -> int:
             invariance = max(invariance, res.magnitude)
     print(f"invariance: {_fmt(invariance)}")
     print("conserved quantity per point:")
-    for i in range(report.conserved.valid):
-        t = report.conserved.base.points[i]
-        print(f"  {_fmt(t):>12}  {_fmt(report.conserved.values[i, 0])}")
+    conserved = report.conserved
+    points = conserved.base.points[: conserved.valid]
+    _write_table("  %12.12g  %.12g\n", points, conserved.values[:, 0])
     print(f"deviation: {_fmt(report.conservation_deviation)}")
     payload = report.to_json()
     payload["invariance"] = invariance
@@ -334,8 +339,7 @@ def cmd_scale_info(args) -> int:
     sides = (False, True)
     labels = [PointClass(lt, rt).label for lt in sides for rt in sides]
     classes = np.array(labels, dtype=object)[2 * left + right].tolist()
-    for t, cls, mu in zip(scale.points, classes, scale.mus):
-        print(f"  {_fmt(t):>12}  {cls}  {_fmt(mu)}")
+    _write_table("  %12.12g  %s  %.12g\n", scale.points, classes, scale.mus)
     _write_json(
         args.json_path,
         {
@@ -399,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and not np.isfinite(args.tol):
-        parser.error(f"argument --tol: must be finite, got {args.tol}")
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        parser.error(f"argument --tol: must be finite and non-negative, got {args.tol}")
     try:
         return args.func(args)
     except (SingularSystem, NoConvergence) as exc:

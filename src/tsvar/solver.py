@@ -12,22 +12,25 @@ Three routes:
   a walk over sequence prefixes that drops a prefix once the boundary
   value is out of its reach, and one evaluation of L along all hits.
 
-:func:`solve` picks between the first two.  Candidates carry diagnostics
+:func:`solve` picks between the first two and returns one
+:class:`Candidate`; the enumeration returns an :class:`Extremals` record,
+one column per field and one row per kept word.  Both carry diagnostics
 (action, first and second Euler-Lagrange residual magnitudes), computed
 on the stack record that found them, one array pass per quantity, so
-that a second-equation filter can narrow the set.
+that a second-equation filter, a mask over one column, can narrow the set.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .expr import ExprError, _walk
-from .timescale import GridFunction, _expand_slopes
+from .timescale import GridFunction, TimeScale, _expand_slopes
 from .variational import Lagrangian, VariationalProblem, _Along, _along, _alongs
 
 __all__ = [
@@ -36,6 +39,7 @@ __all__ = [
     "NoConvergence",
     "Provenance",
     "Candidate",
+    "Extremals",
     "affine_extremal",
     "solve_newton",
     "solve",
@@ -92,6 +96,19 @@ class Provenance(enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
+def _json_row(slopes, values, action, first_el, second_el, provenance) -> dict:
+    """One JSON-lines record of a candidate, from its fields as Python
+    lists and floats."""
+    return {
+        "slopes": slopes,
+        "values": values,
+        "action": action,
+        "first_el": first_el,
+        "second_el": second_el,
+        "provenance": provenance.value,
+    }
+
+
 @dataclass(frozen=True)
 class Candidate:
     trajectory: GridFunction
@@ -102,14 +119,63 @@ class Candidate:
     slopes: tuple[float, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "slopes": None if self.slopes is None else list(self.slopes),
-            "values": self.trajectory.values.tolist(),
-            "action": self.action,
-            "first_el": self.first_el,
-            "second_el": self.second_el,
-            "provenance": self.provenance.value,
-        }
+        return _json_row(
+            None if self.slopes is None else list(self.slopes),
+            self.trajectory.values.tolist(),
+            self.action,
+            self.first_el,
+            self.second_el,
+            self.provenance,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Extremals:
+    """Enumerated candidates as read-only columns, one row per slope word:
+    the slope letters, shape (h, N-1), the trajectory values, shape
+    (h, N, n), and the action and first- and second-EL magnitudes, shape
+    (h,).  ``len`` is h; ``x[i]`` builds row i's ENUMERATED
+    :class:`Candidate`, and iterating yields the rows' candidates in turn;
+    any other index, a boolean mask or a slice, gives the record of the
+    rows it selects."""
+
+    scale: TimeScale
+    slopes: np.ndarray
+    values: np.ndarray
+    action: np.ndarray
+    first_el: np.ndarray
+    second_el: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.slopes, self.values, self.action, self.first_el, self.second_el
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return Extremals(self.scale, *(column[i] for column in self._columns()))
+        return Candidate(
+            GridFunction(self.scale, self.values[i]),
+            Provenance.ENUMERATED,
+            float(self.action[i]),
+            float(self.first_el[i]),
+            float(self.second_el[i]),
+            tuple(self.slopes[i].tolist()),
+        )
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(self.__getitem__, range(len(self)))
+
+    def to_json(self) -> Iterator[dict]:
+        """Each row's JSON-lines record, as its candidate's ``to_json`` gives
+        it, read from the columns' ``tolist()``."""
+        for row in zip(*(column.tolist() for column in self._columns())):
+            yield _json_row(*row, Provenance.ENUMERATED)
 
 
 def affine_extremal(p: VariationalProblem) -> GridFunction:
@@ -311,18 +377,9 @@ def _reads_only_slope(lagrangian: Lagrangian) -> bool:
     return _walk(lagrangian.body.root)[1].isdisjoint(("t", *lagrangian.u_names))
 
 
-def _candidates(e: _Along, provenance: Provenance, slopes: list) -> list[Candidate]:
-    """The candidates of the stack record e, one per entry, diagnosed in one
-    array pass per quantity; ``slopes`` holds each entry's slope word."""
-    # first-EL, action, second-EL: the order one record's methods are read
-    # in, so that under warnings raised as errors the same one raises
-    firsts = np.max(np.abs(e.first_el_values()), axis=(-2, -1)).tolist()
-    actions = e.action().tolist()
-    seconds = np.max(np.abs(e.second_el_values()), axis=(-2, -1)).tolist()
-    return [
-        Candidate(GridFunction(e.p.scale, Q), provenance, *diagnostics)
-        for Q, *diagnostics in zip(e.Q, actions, firsts, seconds, slopes)
-    ]
+def _magnitudes(r: np.ndarray) -> np.ndarray:
+    """Max-norm of each residual of the stack r, shape (..., k, n)."""
+    return np.max(np.abs(r), axis=(-2, -1))
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
@@ -332,7 +389,12 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
         e, provenance = _along(p, affine_extremal(p)), Provenance.CLOSED_FORM
     else:  # diagnosed from the record Newton stopped at
         e, provenance = _newton(p, None, opts), Provenance.NEWTON
-    return _candidates(e[None], provenance, [None])[0]  # a stack of one
+    s = e[None]  # a stack of one, diagnosed as the enumeration's stacks are
+    # first-EL, action, second-EL: the order one record's methods are read
+    # in, so that under warnings raised as errors the same one raises
+    first = _magnitudes(s.first_el_values())[0]
+    action, second = s.action()[0], _magnitudes(s.second_el_values())[0]
+    return Candidate(e.q, provenance, float(action), float(first), float(second))
 
 
 @np.errstate(all="ignore")  # overflow in the walk only makes a miss
@@ -386,34 +448,41 @@ def _boundary_hits(p: VariationalProblem, letters: tuple[float, ...]) -> np.ndar
 
 
 def _extremals(
-    p: VariationalProblem,
-    values: np.ndarray,
-    words: np.ndarray,
-    letters: tuple[float, ...],
-    tol: float,
-) -> list[Candidate]:
-    """The first-EL extremals among the trajectories ``values`` of the
-    slope ``words`` (letter indices), all evaluated in one kernel pass."""
+    p: VariationalProblem, values: np.ndarray, slopes: np.ndarray, tol: float
+) -> tuple[np.ndarray, ...]:
+    """The columns of :class:`Extremals` for the first-EL extremals among
+    the trajectories ``values`` of the ``slopes`` words, all evaluated in
+    one kernel pass; action and second-EL are taken over the kept rows."""
     batch = _alongs(p, values)
-    firsts = np.max(np.abs(batch.first_el_values()), axis=(1, 2))
+    firsts = _magnitudes(batch.first_el_values())
     keep = np.flatnonzero(firsts <= tol)
-    slopes = [tuple(letters[a] for a in word) for word in words[keep].tolist()]
-    return _candidates(batch[keep], Provenance.ENUMERATED, slopes)
+    kept = batch[keep]
+    return (
+        slopes[keep], kept.Q, kept.action(), firsts[keep],
+        _magnitudes(kept.second_el_values()),
+    )
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # written so that NaN fails
+        raise ValueError(f"tol must be non-negative, got {tol}")
 
 
 def enumerate_slope_extremals(
     p: VariationalProblem,
     alphabet: tuple[float, ...] | list[float],
     tol: float = 1e-8,
-) -> tuple[Candidate, ...]:
+) -> Extremals:
     """All slope sequences over the alphabet that are extremals.
 
     A sequence s induces q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q_a.
     Kept are sequences that hit q_b within 1e-9 (their trajectory then
     ends at q_b exactly) and whose first Euler-Lagrange residual
     magnitude is at most ``tol``; each survivor carries its action and
-    second-EL magnitude from that same evaluation.  Output is in
-    lexicographic slope order (alphabet sorted ascending).
+    second-EL magnitude from that same evaluation.  Output is one
+    :class:`Extremals` record, its rows in lexicographic slope order
+    (alphabet sorted ascending).  A NaN or negative ``tol`` raises
+    ValueError.
 
     The prefix tree of the words is walked once, level by level, dropping
     a prefix once q_b is out of its reach (:func:`_boundary_hits`); L is
@@ -425,6 +494,7 @@ def enumerate_slope_extremals(
         raise ValueError("enumeration needs an exact discrete scale")
     if p.dim != 1:
         raise ValueError("enumeration is implemented for one-dimensional problems")
+    _check_tol(tol)
     letters = tuple(sorted(float(s) for s in set(alphabet)))
     if not letters:
         raise ValueError("alphabet must be non-empty")
@@ -437,21 +507,25 @@ def enumerate_slope_extremals(
             "use solve_newton instead"
         )
     m, qb, ranks = len(letters), float(p.q_b[0]), _boundary_hits(p, letters)
-    kept, place = [], m ** np.arange(gaps - 1, -1, -1)
+    place, letters = m ** np.arange(gaps - 1, -1, -1), np.asarray(letters)
+    # an empty block of columns, so that no hit gives an empty record
+    blocks = [(np.empty((0, gaps)), np.empty((0, gaps + 1, 1)), *np.empty((3, 0)))]
     for start in range(0, ranks.size, _BLOCK_WORDS):
-        words = ranks[start : start + _BLOCK_WORDS, None] // place % m
-        values = _expand_slopes(p.scale, p.q_a, np.asarray(letters)[words][..., None])
+        slopes = letters[ranks[start : start + _BLOCK_WORDS, None] // place % m]
+        values = _expand_slopes(p.scale, p.q_a, slopes[..., None])
         ends = values[:, -1, 0]
         # a hit within rounding is pinned, as affine_extremal pins
         values[ends != qb, -1, 0] = qb
-        kept += _stacked(
-            lambda s: _extremals(p, values[s], words[s], letters, tol), len(words)
+        blocks.append(
+            _stacked(lambda s: _extremals(p, values[s], slopes[s], tol), len(slopes))
         )
-    return tuple(kept)
+    return Extremals(p.scale, *map(np.concatenate, zip(*blocks)))
 
 
 def filter_second_el(
-    p: VariationalProblem, cands: tuple[Candidate, ...], tol: float = 1e-8
-) -> tuple[Candidate, ...]:
-    """Keep candidates whose second Euler-Lagrange magnitude is within tol."""
-    return tuple(c for c in cands if c.second_el <= tol)
+    p: VariationalProblem, cands: Extremals, tol: float = 1e-8
+) -> Extremals:
+    """The rows of cands whose second Euler-Lagrange magnitude is within
+    tol; a NaN or negative tol raises ValueError."""
+    _check_tol(tol)
+    return cands[cands.second_el <= tol]

@@ -404,6 +404,21 @@ class TestNonFiniteInput:
         assert exc.value.code == 2
         assert "error: argument --tol: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "solve", "noether", "scale-info"])
+    def test_tol_rejects_negative(self, command, capsys):
+        # a negative tolerance would fail every check, or keep no extremal
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(QUARTIC), "--tol", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --tol: must be finite and non-negative, got -1.0" in err
+
+    def test_zero_tol_is_valid(self, capsys):
+        assert cli.main(["verify", str(QUARTIC), "--first-el", "--tol", "0"]) == 0
+        argv = ["solve", str(QUARTIC), "--enumerate=-1,0,1", "--tol", "0"]
+        assert cli.main(argv) == 0
+        assert "first-EL extremals: 1107" in capsys.readouterr().out
+
     def test_enumeration_rejects_nan_letter(self, capsys):
         code, err = run_cli(
             ["solve", str(QUARTIC), "--enumerate=nan,0", "--filter-second-el"], capsys
@@ -728,3 +743,28 @@ class TestDenseResolution:
         code = cli.main(["scale-info", str(self.write(tmp_path, resolution))])
         assert code == 0
         assert capsys.readouterr().out.startswith("points: 11 ")
+
+
+class TestTables:
+    CELLS = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, -1.7976931348623157e308,
+             123456789012345.0, 0.1 + 0.2, np.nan, np.inf, -np.inf]
+
+    def test_one_pass_equals_the_per_row_format(self, capsys):
+        # "%12.12g" is f"{_fmt(x):>12}" and "%.12g" is _fmt(x), cell for cell
+        x = np.array(self.CELLS)
+        y = np.roll(x, 3)
+        labels = [f"c{i}" for i in range(x.size)]
+        cli._write_table("  %12.12g  %s  %.12g\n", x, labels, y)
+        fmt = cli._fmt
+        rows = zip(x, labels, y)
+        want = "".join(f"  {fmt(a):>12}  {s}  {fmt(b)}\n" for a, s, b in rows)
+        assert capsys.readouterr().out == want
+
+    def test_two_dimensional_column_and_no_rows(self, capsys):
+        t, Q = np.array(self.CELLS), np.column_stack([self.CELLS, self.CELLS[::-1]])
+        cli._write_table("  %12.12g  %.12g  %.12g\n", t, Q)
+        fmt = cli._fmt
+        rows = zip(t, Q)
+        want = "".join(f"  {fmt(a):>12}  {fmt(b)}  {fmt(c)}\n" for a, (b, c) in rows)
+        cli._write_table("%.12g\n", np.empty(0))
+        assert capsys.readouterr().out == want

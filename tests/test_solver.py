@@ -12,7 +12,9 @@ import pytest
 from conftest import random_exact_scale, trajectory_from_slopes
 from helpers import column_jacobian, loop_enumerate, lq_first_el_root
 from tsvar import (
+    Candidate,
     ExprDomainError,
+    Extremals,
     GridFunction,
     Lagrangian,
     NewtonOptions,
@@ -1098,6 +1100,117 @@ class TestEnumerationOracle:
             assert result[0] is ValueError
 
 
+def _columns(x):
+    """The record's columns as bytes, with their shapes."""
+    return [
+        (c.shape, c.tobytes())
+        for c in (x.slopes, x.values, x.action, x.first_el, x.second_el)
+    ]
+
+
+def _fields(c):
+    """A candidate's fields, bit for bit."""
+    return (
+        c.slopes,
+        c.trajectory.values.tobytes(),
+        *(float(x).hex() for x in (c.action, c.first_el, c.second_el)),
+        c.provenance,
+    )
+
+
+class TestExtremals:
+    def test_columns(self):
+        r = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        assert isinstance(r, Extremals)
+        assert len(r) == 1107
+        assert r.slopes.shape == (1107, 8)
+        assert r.values.shape == (1107, 9, 1)
+        assert r.action.shape == r.first_el.shape == r.second_el.shape == (1107,)
+        for column in (r.slopes, r.values, r.action, r.first_el, r.second_el):
+            assert not column.flags.writeable
+
+    def test_int_index_builds_the_rows_candidate(self):
+        r = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        rows = list(r)
+        assert len(rows) == len(r)
+        for i in (0, 1, 500, len(r) - 1):
+            c = r[i]
+            assert isinstance(c, Candidate)
+            assert c.provenance is Provenance.ENUMERATED
+            assert c.slopes == tuple(r.slopes[i].tolist())
+            assert all(type(s) is float for s in c.slopes)
+            assert all(type(x) is float for x in (c.action, c.first_el, c.second_el))
+            assert c.trajectory.values.tobytes() == r.values[i].tobytes()
+            assert c.trajectory.base == r.scale
+            assert _fields(c) == _fields(rows[i])
+            assert _fields(r[np.int64(i)]) == _fields(c)
+
+    def test_negative_index(self):
+        r = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        assert _fields(r[-1]) == _fields(r[len(r) - 1])
+        assert _fields(r[-len(r)]) == _fields(r[0])
+        for i in (len(r), -len(r) - 1):
+            with pytest.raises(IndexError):
+                r[i]
+
+    def test_boolean_mask_gives_a_record(self):
+        r = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        mask = r.action == 0.0
+        sub = r[mask]
+        assert isinstance(sub, Extremals)
+        assert sub.scale == r.scale
+        assert len(sub) == int(mask.sum()) == 70
+        want = [_fields(c) for c in r if c.action == 0.0]
+        assert [_fields(c) for c in sub] == want
+        assert _columns(sub) == [
+            (c[mask].shape, c[mask].tobytes())
+            for c in (r.slopes, r.values, r.action, r.first_el, r.second_el)
+        ]
+        assert len(r[np.zeros(len(r), dtype=bool)]) == 0
+        assert _columns(r[:20]) == _columns(r[np.arange(len(r)) < 20])
+
+    def test_empty_record(self):
+        p = quartic_problem()
+        r = enumerate_slope_extremals(p, [2.0], tol=1e-8)
+        assert isinstance(r, Extremals)
+        assert len(r) == 0
+        assert list(r) == []
+        assert list(r.to_json()) == []
+        assert r.slopes.shape == (0, 8)
+        assert r.values.shape == (0, 9, 1)
+        assert r.action.shape == r.first_el.shape == r.second_el.shape == (0,)
+        with pytest.raises(IndexError):
+            r[0]
+        assert _columns(r[r.second_el <= 1e-8]) == _columns(r)
+        assert _columns(filter_second_el(p, r)) == _columns(r)
+
+    def test_no_trajectory_object_on_the_enumeration_path(self, count_calls):
+        # rows stay columns: a GridFunction is built only when a row is read
+        calls = count_calls(GridFunction, "__post_init__")
+        p = quartic_problem()
+        r = filter_second_el(p, enumerate_slope_extremals(p, [-1.0, 0.0, 1.0]))
+        assert len(r) == 71 and len(calls) == 0
+        r[0]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, -1e-300])
+    def test_bad_tol_rejected(self, tol):
+        p = quartic_problem()
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=tol)
+        r = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            filter_second_el(p, r, tol=tol)
+
+    def test_zero_tol_is_valid(self):
+        p = quartic_problem()
+        r = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=0.0)
+        assert np.all(r.first_el == 0.0)
+        survivors = filter_second_el(p, r, tol=0.0)
+        assert np.all(survivors.second_el == 0.0)
+        assert len(survivors) <= len(r)
+
+
 class TestFilter:
     def test_subset_and_idempotent(self):
         p = quartic_problem()
@@ -1107,6 +1220,8 @@ class TestFilter:
         kept = {c.slopes for c in once}
         assert kept <= {c.slopes for c in cands}
         assert [c.slopes for c in twice] == [c.slopes for c in once]
+        assert isinstance(twice, Extremals)
+        assert _columns(twice) == _columns(once)
 
     def test_monotone_in_tol(self):
         p = quartic_problem()
@@ -1135,3 +1250,17 @@ class TestSerialization:
         assert obj["slopes"] == [0.0] * 8
         assert obj["action"] == 1.0
         assert len(obj["values"]) == 9
+
+    def test_json_lines_from_columns_on_random_problems(self, tmp_path):
+        # the --json report of an enumeration, written from the record's
+        # columns, equals the rows' candidates' to_json() byte for byte
+        rng = np.random.default_rng(solver._BLOCK_WORDS)
+        path, kept = tmp_path / "rows.jsonl", 0
+        for _ in range(25):
+            p, letters, tol = _random_case(rng)
+            r = enumerate_slope_extremals(p, letters, tol=tol)
+            cli._write_json(str(path), r.to_json())
+            want = "\n".join(json.dumps(c.to_json()) for c in r) + "\n"
+            assert path.read_text() == want
+            kept += len(r)
+        assert kept > 20
