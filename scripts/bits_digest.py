@@ -164,7 +164,7 @@ def enumeration_records(rng):
     cands = outcome(enumerate_slope_extremals, p, letters.tolist(), tol=1e3)
     yield cands
     if isinstance(cands, Extremals):
-        yield outcome(filter_second_el, p, cands, tol=1e-8)
+        yield outcome(filter_second_el, cands, tol=1e-8)
 
 
 def many_blocks():

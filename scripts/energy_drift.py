@@ -33,7 +33,8 @@ def run(h: float) -> tuple[float, float]:
         t = scale.points[i]
         u = q.values[scale.sigma(i)]
         v = qd.values[i]
-        classical.append(-L.value(t, u, v) + float(L.d3(t, u, v) @ v))
+        value, _, _, Lv = L.partials([t], [u], [v])
+        classical.append(-float(value[0]) + float(Lv[0] @ v))
     classical = np.array(classical)
     drift = float(classical.max() - classical.min())
     corrected = second_el_residual(problem, q).magnitude

@@ -35,7 +35,7 @@ def main() -> None:
         [0.0],
     )
     extremals = enumerate_slope_extremals(problem, [-1.0, 0.0, 1.0], tol=args.tol)
-    survivors = filter_second_el(problem, extremals, tol=args.tol)
+    survivors = filter_second_el(extremals, tol=args.tol)
 
     print(f"first-equation extremals : {len(extremals)}")
     print(f"second-equation survivors: {len(survivors)}")

@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
         print(f"first-EL extremals: {len(cands)}")
         shown = cands
         if args.filter_second_el:
-            shown = filter_second_el(p, cands, tol=tol)
+            shown = filter_second_el(cands, tol=tol)
             print(f"second-EL survivors: {len(shown)}")
         print("  slopes | action | first_el | second_el")
         head, word = shown[:20], ",".join(["%.12g"] * (p.scale.n - 1))
@@ -405,6 +405,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tol is not None and not 0 <= args.tol < np.inf:
         parser.error(f"argument --tol: must be finite and non-negative, got {args.tol}")
+    for flag in ("sweep", "seed"):  # noether's; absent elsewhere
+        value = getattr(args, flag, 0)
+        if value < 0:
+            parser.error(f"argument --{flag}: must be non-negative, got {value}")
     try:
         return args.func(args)
     except (SingularSystem, NoConvergence) as exc:

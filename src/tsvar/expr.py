@@ -472,6 +472,8 @@ class Expr:
 
 def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     """Parse ``text`` against the declared variable names."""
+    if not isinstance(text, str):
+        raise TypeError(f"expression text must be a string, got {type(text).__name__}")
     names = tuple(variables)
     for name in names:
         if name in FUNCTIONS:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -194,19 +193,15 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, values)
 
 
-def _pinned(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
-    """The trajectories with interior values X, one row of n(N-2) per
-    trajectory, and ends q_a and q_b: shape (len(X), N, n)."""
+def _iterates(p: VariationalProblem, X: np.ndarray) -> tuple[_Along, np.ndarray]:
+    """The record of the trajectories with interior values X, one row of
+    n(N-2) per trajectory, and ends q_a and q_b, from one kernel pass, and
+    Newton's residual vectors of them, one row each; row i is the float
+    that trajectory i's ``first_el()`` gives."""
     Q = np.empty((len(X), p.scale.n, p.dim))
     Q[:, 0], Q[:, 1:-1], Q[:, -1] = p.q_a, X.reshape(len(X), -1, p.dim), p.q_b
-    return Q
-
-
-def _first_el_rows(p: VariationalProblem, X: np.ndarray) -> np.ndarray:
-    """Newton's residual vectors of the trajectories ``_pinned(p, X)``, one
-    row each, from one kernel pass; row i is the float that trajectory i's
-    ``first_el()`` gives."""
-    return _alongs(p, _pinned(p, X)).first_el_values().reshape(len(X), -1)
+    e = _alongs(p, Q)
+    return e, e.first_el_values().reshape(len(X), -1)
 
 
 def _stacked(evaluate, h: int):
@@ -224,27 +219,31 @@ def _stacked(evaluate, h: int):
         raise
 
 
-def _jacobian(residuals, x: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
+def _jacobian(
+    p: VariationalProblem,
+    x: np.ndarray,
+    F: np.ndarray,
+    band: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
     """Forward-difference Jacobian of the first-EL residual F at x.
 
-    ``residuals`` maps a stack of unknown vectors, shape (h, x.size), to
-    their residual vectors, shape (h, F.size).  Row block i reads only
-    q_i, q_{i+1} and q_{i+2}, the unknown blocks i-1 .. i+1, so the
-    Jacobian is block-tridiagonal with n x n blocks.  Columns k with the
-    same colour k mod 3n never meet in a row or a frame and are perturbed
+    Row block i reads only q_i, q_{i+1} and q_{i+2}, the unknown blocks
+    i-1 .. i+1, so the Jacobian is block-tridiagonal with n x n blocks,
+    its entries at the indices ``band`` (:func:`_band`).  Columns k with
+    the same colour k mod 3n never meet in a row or a frame and are perturbed
     together (Curtis, Powell & Reid 1974); the min(3n, x.size) perturbed
-    vectors go to ``residuals`` as one stack, and each in-band entry is
+    vectors go to :func:`_iterates` as one stack, and each in-band entry is
     the float a one-column perturbation gives.  Out-of-band entries are 0.
     If the stacked evaluation raises, the colours are evaluated one at a
     time in colour order, so the error is the first failing colour's.
     """
-    width = min(3 * n, x.size)
+    width = min(3 * p.dim, x.size)
     steps = FD_STEP * np.maximum(1.0, np.abs(x))
     colour = np.arange(x.size) % width
     X = np.tile(x, (width, 1))
     X[colour, np.arange(x.size)] += steps
-    D = _stacked(lambda s: residuals(X[s]), width) - F
-    rows, cols = _band(x.size, n)
+    D = _stacked(lambda s: _iterates(p, X[s])[1], width) - F
+    rows, cols = band
     J = np.zeros((F.size, x.size))
     J[rows, cols] = D[colour[cols], rows] / steps[cols]
     return J
@@ -343,9 +342,8 @@ def _newton(
     x = q_init.values[1:-1].ravel().copy()
     if q_init.values[[0, -1]].tobytes() != np.stack([p.q_a, p.q_b]).tobytes():
         # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
-        e = _alongs(p, _pinned(p, x[None]))[0]
-    F, floor = e.first_el_values().ravel(), 0.0
-    residuals, band = partial(_first_el_rows, p), _band(x.size, p.dim)
+        e = _iterates(p, x[None])[0][0]
+    F, floor, band = e.first_el_values().ravel(), 0.0, _band(x.size, p.dim)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.max(np.abs(F)))
@@ -354,20 +352,19 @@ def _newton(
             return e
         if it == opts.max_iter:
             raise NoConvergence(e.q, history)
-        J = _jacobian(residuals, x, F, p.dim)
+        J = _jacobian(p, x, F, band)
         _check_jacobian(J, band, p.dim)
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
-            e_trial = _alongs(p, _pinned(p, trial[None]))[0]
-            F_trial = e_trial.first_el_values().ravel()
+            e_trial, (F_trial,) = _iterates(p, trial[None])
             if np.max(np.abs(F_trial)) < mag:
                 break
             alpha *= 0.5
         else:
             raise NoConvergence(e.q, history)
-        x, F, e = trial, F_trial, e_trial
+        x, F, e = trial, F_trial, e_trial[0]
         floor = np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
@@ -522,9 +519,7 @@ def enumerate_slope_extremals(
     return Extremals(p.scale, *map(np.concatenate, zip(*blocks)))
 
 
-def filter_second_el(
-    p: VariationalProblem, cands: Extremals, tol: float = 1e-8
-) -> Extremals:
+def filter_second_el(cands: Extremals, tol: float = 1e-8) -> Extremals:
     """The rows of cands whose second Euler-Lagrange magnitude is within
     tol; a NaN or negative tol raises ValueError."""
     _check_tol(tol)

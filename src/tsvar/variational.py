@@ -28,11 +28,11 @@ Lagrangian variables follow a fixed naming convention: ``t`` for time,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, parse
+from .expr import parse
 from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
@@ -55,26 +55,19 @@ AUTONOMY_TOL = 1e-10
 class Lagrangian:
     """Scalar integrand L(t, u, v) with exact first partials via dual numbers.
 
-    ``dim`` is the trajectory dimension n; the body is an expression over
-    t, u1..un, v1..vn.  :meth:`partials` evaluates L and all its first
-    partials over an array of frames; :meth:`value` and :meth:`d1`..
-    :meth:`d3` are the same call on a single frame.
+    ``dim`` is the trajectory dimension n; the body is the text of an
+    expression over t, u1..un, v1..vn.  :meth:`partials` evaluates L and
+    all its first partials over an array of frames.
     """
 
-    def __init__(self, dim: int, body: str | Expr):
+    def __init__(self, dim: int, body: str):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
         self.u_names = tuple(f"u{k + 1}" for k in range(dim))
         self.v_names = tuple(f"v{k + 1}" for k in range(dim))
         names = ("t",) + self.u_names + self.v_names
-        if isinstance(body, Expr):
-            unknown = set(body.variables) - set(names)
-            if unknown:
-                raise ValueError(f"unexpected variables {sorted(unknown)}")
-            self.body = Expr(body.root, names)
-        else:
-            self.body = parse(body, names)
+        self.body = parse(body, names)
         # per variable, a column of seeds: one unit seed for each variable
         # in turn (see partials)
         seeds = np.eye(len(names))
@@ -99,21 +92,6 @@ class Lagrangian:
         out = self.body._forward(env, self._seeds)
         d = out.deriv
         return out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
-
-    def value(self, t: float, u: np.ndarray, v: np.ndarray) -> float:
-        return float(self.partials([t], [u], [v])[0][0])
-
-    def d1(self, t: float, u: np.ndarray, v: np.ndarray) -> float:
-        """Partial with respect to time."""
-        return float(self.partials([t], [u], [v])[1][0])
-
-    def d2(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the u slot."""
-        return self.partials([t], [u], [v])[2][0]
-
-    def d3(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the v slot."""
-        return self.partials([t], [u], [v])[3][0]
 
     def __repr__(self) -> str:
         return f"Lagrangian(dim={self.dim}, body={str(self.body)!r})"
@@ -159,7 +137,7 @@ class Residual:
     points: np.ndarray
     values: np.ndarray
     approximate: bool
-    magnitude: float = 0.0
+    magnitude: float = field(init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float).copy()

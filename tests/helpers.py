@@ -8,7 +8,8 @@ over a tuple of :class:`GapKind`, the reference for the ones
 enumeration, the reference for the walk of
 :func:`tsvar.solver.enumerate_slope_extremals`.  And the root of the
 linear first-EL system of a linear-quadratic Lagrangian, the reference
-for Newton."""
+for Newton.  And L with its partials at one frame, read from a
+one-frame call of :meth:`Lagrangian.partials`."""
 
 import itertools
 
@@ -74,6 +75,14 @@ def random_checked_pair(rng, variables, value_cap=1e4):
         partials = [expr.partial(v, env) for v in variables]
         if all(np.isfinite(p) and abs(p) <= value_cap for p in partials):
             return expr, env
+
+
+def frame_partials(L, t, u, v):
+    """L, dL/dt, dL/du and dL/dv at the single frame (t, u, v), from one
+    ``partials`` call on a stack of one frame: two floats and two
+    length-n arrays."""
+    value, Lt, Lu, Lv = L.partials([t], [u], [v])
+    return float(value[0]), float(Lt[0]), Lu[0], Lv[0]
 
 
 def column_jacobian(residual, x, F, fd_step):

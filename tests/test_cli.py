@@ -413,6 +413,15 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert "error: argument --tol: must be finite and non-negative, got -1.0" in err
 
+    @pytest.mark.parametrize("flag, value", [("--sweep", "-3"), ("--seed", "-1")])
+    def test_noether_counts_reject_negative(self, flag, value, capsys):
+        # a negative sweep would skip the sweep and still exit 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["noether", str(QUADRATIC), "--solve", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be non-negative, got {value}" in err
+
     def test_zero_tol_is_valid(self, capsys):
         assert cli.main(["verify", str(QUARTIC), "--first-el", "--tol", "0"]) == 0
         argv = ["solve", str(QUARTIC), "--enumerate=-1,0,1", "--tol", "0"]

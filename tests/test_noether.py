@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
+from helpers import frame_partials
 from tsvar import (
     Expr,
     GridFunction,
@@ -131,9 +132,8 @@ class TestConservedQuantity:
             v = qd.values[i]
             tau = 1.0
             xi = q.values[i, 0]
-            classical = float(L.d3(t, u, v) @ [xi]) + (
-                L.value(t, u, v) - float(L.d3(t, u, v) @ v)
-            ) * tau
+            value, _, _, Lv = frame_partials(L, t, u, v)
+            classical = float(Lv @ [xi]) + (value - float(Lv @ v)) * tau
             assert cons[i] == classical
 
 

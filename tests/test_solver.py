@@ -3,7 +3,6 @@ import itertools
 import json
 import re
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -324,7 +323,7 @@ class TestNewton:
         monkeypatch.setattr(
             solver,
             "_jacobian",
-            lambda residuals, x, F, n: column_jacobian(
+            lambda p, x, F, band: column_jacobian(
                 first_el_vector(p), x, F, solver.FD_STEP
             ),
         )
@@ -340,19 +339,14 @@ class TestNewton:
 
 
 def first_el_vector(p):
-    """Newton's residual, one trajectory per evaluation: interior values to
-    stacked first-EL rows."""
-    return lambda x: (
-        _along(p, GridFunction(p.scale, solver._pinned(p, x[None])[0]))
-        .first_el()
-        .values.ravel()
-    )
+    """Newton's residual, one trajectory per evaluation: interior values,
+    between the ends q_a and q_b, to stacked first-EL rows."""
 
+    def residual(x):
+        values = np.vstack([p.q_a, x.reshape(-1, p.dim), p.q_b])
+        return _along(p, GridFunction(p.scale, values)).first_el().values.ravel()
 
-def first_el_rows(p):
-    """Newton's stacked residual map: a stack of interior value vectors to
-    their residual vectors, in one kernel pass."""
-    return partial(solver._first_el_rows, p)
+    return residual
 
 
 JACOBIAN_TERMS = {
@@ -394,7 +388,7 @@ class TestJacobian:
             x = affine_extremal(p).values[1:-1].ravel()
             x = x + rng.uniform(-1, 1, x.size)
             F = residual(x)
-            J = solver._jacobian(first_el_rows(p), x, F, n)
+            J = solver._jacobian(p, x, F, solver._band(x.size, n))
             assert np.array_equal(J, column_jacobian(residual, x, F, solver.FD_STEP))
 
     @pytest.mark.parametrize("n, body", list(enumerate(COUNT_BODIES, start=1)))
@@ -407,7 +401,7 @@ class TestJacobian:
             x = affine_extremal(p).values[1:-1].ravel()
             F = first_el_vector(p)(x)
             before = len(calls)
-            solver._jacobian(first_el_rows(p), x, F, n)
+            solver._jacobian(p, x, F, solver._band(x.size, n))
             per_jacobian.append(len(calls) - before)
         assert per_jacobian == [1, 1]
 
@@ -550,9 +544,9 @@ class TestConditionGuard:
         def outcomes():
             out, jacobian = [], solver._jacobian
 
-            def recording(residuals, x, F, n):
+            def recording(p, x, F, band):
                 out.append(x.tobytes())
-                return jacobian(residuals, x, F, n)
+                return jacobian(p, x, F, band)
 
             with monkeypatch.context() as m:
                 m.setattr(solver, "_jacobian", recording)
@@ -772,6 +766,28 @@ class TestSolve:
         assert len(calls) == 1 + 2 * len(jacobians)
         assert_diagnostics_match(p, c)
 
+    def test_newton_builds_the_band_once(self, monkeypatch):
+        # the Jacobian's band depends only on the unknowns' count and n
+        bands, jacobians = [], []
+        band, jacobian = solver._band, solver._jacobian
+
+        def counted_band(*args):
+            bands.append(args)
+            return band(*args)
+
+        def counted_jacobian(*args):
+            jacobians.append(None)
+            return jacobian(*args)
+
+        monkeypatch.setattr(solver, "_band", counted_band)
+        monkeypatch.setattr(solver, "_jacobian", counted_jacobian)
+        scale = TimeScale.uniform(1, 2, 1 / 20)
+        L = Lagrangian(2, COUNT_BODIES[1])
+        p = VariationalProblem(scale, L, -np.ones(2), np.ones(2))
+        solve_newton(p)
+        assert len(jacobians) == 2
+        assert bands == [(38, 2)]
+
     def test_closed_form_evaluates_lagrangian_once(self, count_calls):
         calls = count_calls(Lagrangian, "partials")
         c = solve(closed_form_problems()[0])
@@ -784,7 +800,7 @@ class TestEnumeration:
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
         assert len(cands) == 1107
-        survivors = filter_second_el(p, cands, tol=1e-8)
+        survivors = filter_second_el(cands, tol=1e-8)
         assert len(survivors) == 71
 
     def test_quartic_file_evaluation_count(self, count_calls):
@@ -848,7 +864,7 @@ class TestEnumeration:
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
-        survivors = filter_second_el(p, cands, tol=1e-8)
+        survivors = filter_second_el(cands, tol=1e-8)
         assert any(c.slopes == QT for c in cands)
         assert not any(c.slopes == QT for c in survivors)
         rejected = [c for c in cands if c.second_el > 1e-8]
@@ -1182,13 +1198,13 @@ class TestExtremals:
         with pytest.raises(IndexError):
             r[0]
         assert _columns(r[r.second_el <= 1e-8]) == _columns(r)
-        assert _columns(filter_second_el(p, r)) == _columns(r)
+        assert _columns(filter_second_el(r)) == _columns(r)
 
     def test_no_trajectory_object_on_the_enumeration_path(self, count_calls):
         # rows stay columns: a GridFunction is built only when a row is read
         calls = count_calls(GridFunction, "__post_init__")
         p = quartic_problem()
-        r = filter_second_el(p, enumerate_slope_extremals(p, [-1.0, 0.0, 1.0]))
+        r = filter_second_el(enumerate_slope_extremals(p, [-1.0, 0.0, 1.0]))
         assert len(r) == 71 and len(calls) == 0
         r[0]
         assert len(calls) == 1
@@ -1200,13 +1216,13 @@ class TestExtremals:
             enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=tol)
         r = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="tol must be non-negative"):
-            filter_second_el(p, r, tol=tol)
+            filter_second_el(r, tol=tol)
 
     def test_zero_tol_is_valid(self):
         p = quartic_problem()
         r = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=0.0)
         assert np.all(r.first_el == 0.0)
-        survivors = filter_second_el(p, r, tol=0.0)
+        survivors = filter_second_el(r, tol=0.0)
         assert np.all(survivors.second_el == 0.0)
         assert len(survivors) <= len(r)
 
@@ -1215,8 +1231,8 @@ class TestFilter:
     def test_subset_and_idempotent(self):
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
-        once = filter_second_el(p, cands, tol=1e-8)
-        twice = filter_second_el(p, once, tol=1e-8)
+        once = filter_second_el(cands, tol=1e-8)
+        twice = filter_second_el(once, tol=1e-8)
         kept = {c.slopes for c in once}
         assert kept <= {c.slopes for c in cands}
         assert [c.slopes for c in twice] == [c.slopes for c in once]
@@ -1226,15 +1242,15 @@ class TestFilter:
     def test_monotone_in_tol(self):
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [-1.0, 0.0, 1.0], tol=1e-8)
-        small = filter_second_el(p, cands, tol=1e-10)
-        large = filter_second_el(p, cands, tol=100.0)
+        small = filter_second_el(cands, tol=1e-10)
+        large = filter_second_el(cands, tol=100.0)
         assert {c.slopes for c in small} <= {c.slopes for c in large}
         assert len(large) == len(cands)
 
     def test_empty_input(self):
         p = quartic_problem()
         empty = filter_second_el(
-            p, enumerate_slope_extremals(p, [2.0], tol=1e-8), tol=1e-8
+            enumerate_slope_extremals(p, [2.0], tol=1e-8), tol=1e-8
         )
         assert len(empty) == 0
 

@@ -255,6 +255,86 @@ class TestFromSlopes:
             GridFunction.from_slopes(TimeScale.uniform(0, 1, 0.25), 0.0, [1.0, 2.0])
 
 
+def random_mixed_scale(rng) -> TimeScale:
+    """A random scale with every point class and a DENSE last gap: random
+    gap letters on both sides of the run S S D D S, then a D."""
+    head, tail = rng.choice(["S", "D"], size=(2, int(rng.integers(0, 8)))).tolist()
+    kinds = head + list("SSDDS") + tail + ["D"]
+    steps = rng.uniform(0.05, 2.0, len(kinds) + 1)
+    return TimeScale.from_parts(rng.uniform(-5.0, 5.0) + np.cumsum(steps), kinds)
+
+
+def mixed_pairs(seed, count=100):
+    """(scale, f, g): two random 2-D grid functions on each of ``count``
+    random mixed scales."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        T = random_mixed_scale(rng)
+        f, g = (GridFunction(T, rng.uniform(-10, 10, (T.n, 2))) for _ in range(2))
+        yield T, f, g
+
+
+def product_rule_defects(T, f, g):
+    """The forward quotient of fg minus each product-rule form
+    f^D g^sigma + f g^D and f^D g + f^sigma g^D, per gap, with a bound on
+    their rounding: 16 eps times the sum of the magnitudes that enter."""
+    k = T.n - 1
+    F, G, s = f.values, g.values, T.sigmas[:k]
+    df, dg = delta_derivative(f).values, delta_derivative(g).values
+    h = np.diff(T.points)[:, None]
+    dp = delta_derivative(GridFunction(T, F * G)).values
+    forms = (df * G[s] + F[:k] * dg, df * G[:k] + F[s] * dg)
+    size = (np.abs(F[1:] * G[1:]) + np.abs(F[:k] * G[:k])) / h + h * np.abs(df * dg)
+    size += np.abs(df) * (np.abs(G[:k]) + np.abs(G[1:]))
+    size += np.abs(dg) * (np.abs(F[:k]) + np.abs(F[1:]))
+    return [dp - form for form in forms], 16 * np.finfo(float).eps * size
+
+
+class TestIdentitiesOnMixedScales:
+    """Bohner & Peterson's delta-calculus identities (Dynamic Equations on
+    Time Scales, 2001, Thms 1.16 and 1.20) on mixed S/D scales.  On a
+    DENSE gap sigma(t) = t and mu = 0, so the forms that read g^sigma are
+    exact only on SCATTERED gaps."""
+
+    def test_scales_hold_every_point_class_and_a_dense_last_gap(self):
+        classes = {PointClass(a, b).label for a in (False, True) for b in (False, True)}
+        for T, _, _ in mixed_pairs(0):
+            assert {T.classify(i).label for i in range(1, T.n - 1)} == classes
+            assert T.gaps[-1] is GapKind.DENSE and T.kappa_length == T.n
+
+    def test_shift_formula_at_every_point_of_the_derivative_prefix(self):
+        # f^sigma = f + mu f^D: exactly on DENSE gaps, to rounding elsewhere
+        for T, f, _ in mixed_pairs(1):
+            df = delta_derivative(f).values
+            k = len(df)
+            shifted, got = f.values[T.sigmas[:k]], f.values[:k] + T.mus[:k, None] * df
+            dense = T.mus[:k] == 0.0
+            assert np.array_equal(got[dense], shifted[dense])
+            bound = 4 * np.finfo(float).eps * (np.abs(f.values[:k]) + np.abs(shifted))
+            assert np.all(np.abs(got - shifted) <= bound)
+
+    def test_product_rule_on_scattered_gaps(self):
+        for T, f, g in mixed_pairs(2):
+            defects, bound = product_rule_defects(T, f, g)
+            scattered = T.mus[:-1] > 0
+            for defect in defects:
+                assert np.all(np.abs(defect[scattered]) <= bound[scattered])
+
+    def test_product_rule_defect_on_dense_gaps(self):
+        # sigma(t) = t there, so g^sigma reads g_i, not g_{i+1}, and both
+        # forms miss the quotient (f_{i+1} g_{i+1} - f_i g_i) / h_i by
+        # exactly h_i f^D_i g^D_i
+        for T, f, g in mixed_pairs(3):
+            defects, bound = product_rule_defects(T, f, g)
+            dense = T.mus[:-1] == 0.0
+            h = np.diff(T.points)[dense, None]
+            df, dg = delta_derivative(f).values, delta_derivative(g).values
+            want = h * df[dense] * dg[dense]
+            assert np.all(np.abs(want) > bound[dense])  # the defect is no rounding
+            for defect in defects:
+                assert np.all(np.abs(defect[dense] - want) <= bound[dense])
+
+
 class TestPushforward:
     def test_identity(self):
         T = TimeScale.uniform(0, 3, 1)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, rel_err, trajectory_from_slopes
-from helpers import random_expr_text
+from helpers import frame_partials, random_expr_text
 from tsvar import (
     ExprDomainError,
     GapKind,
     GridFunction,
     Lagrangian,
+    Residual,
     TimeScale,
     VariationalProblem,
     action,
@@ -20,6 +21,7 @@ from tsvar import (
     first_el_integral_residual,
     first_el_residual,
     hamiltonian,
+    parse,
     second_el_residual,
     solve_newton,
 )
@@ -168,8 +170,7 @@ class TestFirstElIntegral:
                 (scale.points[i], q.values[scale.sigma(i)], qd.values[i])
                 for i in range(qd.valid)
             ]
-            d2 = np.array([L.d2(*f) for f in frames])
-            d3 = np.array([L.d3(*f) for f in frames])
+            _, _, d2, d3 = map(np.array, zip(*(frame_partials(L, *f) for f in frames)))
             g = np.array([d3[i] - integral(scale, d2, i) for i in range(len(frames))])
             got = first_el_integral_residual(p, q)
             assert np.array_equal(got.values, g - g.min(axis=0))
@@ -196,12 +197,7 @@ def _assert_batched_equals_per_frame(L, t, U, V, exact):
     n = L.dim
     batched = L.partials(t, U, V)
     frames = list(zip(t, U, V))
-    single = [
-        np.array([L.value(*f) for f in frames]),
-        np.array([L.d1(*f) for f in frames]),
-        np.array([L.d2(*f) for f in frames]),
-        np.array([L.d3(*f) for f in frames]),
-    ]
+    single = map(np.array, zip(*(frame_partials(L, *f) for f in frames)))
     value, grad = _per_direction(L, t, U, V)
     directions = [value, grad[:, 0], grad[:, 1 : n + 1], grad[:, n + 1 :]]
     for got, a, b in zip(batched, single, directions):
@@ -215,6 +211,11 @@ def _assert_batched_equals_per_frame(L, t, U, V, exact):
 
 
 class TestPartials:
+    @pytest.mark.parametrize("body", [parse("v1", ("t", "u1", "v1")), 2.0, None])
+    def test_body_must_be_text(self, body):
+        with pytest.raises(TypeError, match="must be a string"):
+            Lagrangian(1, body)
+
     def test_batched_equals_per_frame_on_random_bodies(self):
         rng = np.random.default_rng(11)
         names = ["t", "u1", "u2", "v1", "v2"]
@@ -329,7 +330,8 @@ class TestHamiltonian:
             t = scale.points[i]
             u = q.values[scale.sigma(i)]
             v = qd.values[i]
-            classical = -L.value(t, u, v) + float(L.d3(t, u, v) @ v)
+            value, _, _, Lv = frame_partials(L, t, u, v)
+            classical = -value + float(Lv @ v)
             assert hamiltonian(p, q, i) == classical
 
     def test_out_of_prefix_index(self):
@@ -370,7 +372,8 @@ class TestSecondEl:
             r = second_el_residual(p, q).values[:, 0]
             t, mu, v = scale.points, scale.mus, delta_derivative(q).values
             H = np.array([hamiltonian(p, q, i) for i in range(scale.n - 1)])
-            Lt = np.array([L.d1(t[i], q.values[i + 1], v[i]) for i in range(len(v))])
+            frames = zip(t, q.values[1:], v)
+            Lt = np.array([frame_partials(L, *frame)[1] for frame in frames])
             E = H - mu[:-1] * Lt
             for j in range(1, scale.n - 1):
                 closed = (H[j] - E[j - 1]) / mu[j - 1]
@@ -475,6 +478,16 @@ class TestRecord:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), kind
 
 
+class TestResidual:
+    def test_magnitude_is_the_max_norm_and_not_an_argument(self):
+        r = Residual("k", [0.0, 1.0], [[1.0, -3.0], [2.0, 0.5]], False)
+        assert r.magnitude == 3.0
+        assert Residual("k", [0.0], [1.0], False).magnitude == 1.0
+        assert Residual("k", [], np.empty((0, 1)), False).magnitude == 0.0
+        with pytest.raises(TypeError, match="magnitude"):
+            Residual("k", [0.0], [1.0], False, magnitude=7.0)
+
+
 class TestStructuralProperties:
     def test_second_el_zero_on_extremals_of_slope_only_lagrangians(self):
         rng = np.random.default_rng(11)
@@ -507,7 +520,8 @@ class TestStructuralProperties:
                 t = scale.points[i]
                 u = q.values[scale.sigma(i)]
                 v = qd.values[i]
-                E.append(-L.value(t, u, v) + float(L.d3(t, u, v) @ v))
+                value, _, _, Lv = frame_partials(L, t, u, v)
+                E.append(-value + float(Lv @ v))
             drift = max(E) - min(E)
             return drift, second_el_residual(p, q).magnitude
 
