@@ -13,10 +13,13 @@ NAME is either a declared variable or one of sin, cos, exp, log, sqrt.
 Evaluation is forward mode over arrays: each variable is a :class:`Dual`
 of an array of frames and a derivative seed, so one pass evaluates every
 frame along one direction, or along several directions at once when the
-seeds form a column.  Derivatives are exact to the rules of
-differentiation.  A domain error at any frame, including overflow of
-``exp`` and of powers, raises :class:`ExprDomainError` naming the
-subexpression.
+seeds form a column.  A second-order pass also carries, in the same
+pass, the second derivatives along every pair of those directions (the
+hyper-dual numbers of Fike & Alonso, AIAA 2011-886).  Derivatives are
+exact to the rules of differentiation.  A domain error at any frame,
+including overflow of ``exp`` and of powers, and a point where a
+second-order pass meets a subexpression that is differentiable once but
+not twice, raises :class:`ExprDomainError` naming the subexpression.
 """
 
 from __future__ import annotations
@@ -61,14 +64,19 @@ class ExprDomainError(ExprError):
 
 @dataclass(frozen=True)
 class Dual:
-    """First-order dual number: value plus one directional derivative.
+    """Forward-mode number: a value, its directional derivatives and, in a
+    second-order pass, its second derivatives.
 
-    Either part may be a float or a numpy array of frames; the two
-    broadcast against each other.
+    Each part may be a float or a numpy array of frames; the parts
+    broadcast against each other.  ``hess`` is None in a first-order
+    pass.  In a second-order pass ``deriv`` leads with an axis of seed
+    directions and ``hess`` with two, entry (i, j) being the second
+    derivative along directions i and j.
     """
 
     value: float | np.ndarray
     deriv: float | np.ndarray
+    hess: float | np.ndarray | None = None
 
 
 # -- AST ----------------------------------------------------------------
@@ -280,7 +288,24 @@ def _print(node, parent_prec: int = 0) -> str:
 # Every value flowing through the tree is a Dual whose parts are floats
 # (constant subexpressions) or arrays of frames.  Domain checks look at
 # every frame at once; the offending subexpression is printed only when
-# an error is actually raised.
+# an error is actually raised.  A first-order pass computes exactly what
+# it would without the second-order rules: each of them runs only when
+# the Dual carries a ``hess``.
+
+
+def _outer(a, b):
+    """Entry (i, j) a_i * b_j of two derivative parts, over their leading
+    axis of directions; 0.0 if either is a constant's scalar zero."""
+    if np.ndim(a) == 0 or np.ndim(b) == 0:
+        return 0.0
+    return a[:, None] * b[None, :]
+
+
+def _sym(a, b):
+    """a_i * b_j + b_i * a_j: symmetric in (i, j) bit for bit, as every
+    second-derivative part is."""
+    ab = _outer(a, b)
+    return ab + np.swapaxes(ab, 0, 1) if np.ndim(ab) else 0.0
 
 
 def _no_overflow(result, arg, node):
@@ -308,7 +333,18 @@ def _int_pow(a: Dual, b: Dual, node) -> Dual:
         deriv = np.zeros(np.broadcast(av, a.deriv).shape)
     else:
         deriv = k * np.power(av, k - 1) * a.deriv
-    return Dual(v, deriv)
+    if a.hess is None:
+        return Dual(v, deriv)
+    # d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da, each term taken as 0
+    # where its factor k or k (k-1) is, so that a zero base raises no warning
+    k2 = k * (k - 1)
+    if np.ndim(k):
+        slope = np.where(k == 0, 0.0, k * np.power(av, km1))
+        curve = np.where(k2 == 0, 0.0, k2 * np.power(av, np.where(k2 == 0, 0.0, k - 2)))
+    else:
+        slope = k * np.power(av, k - 1) if k else 0.0
+        curve = k2 * np.power(av, k - 2) if k2 else 0.0
+    return Dual(v, deriv, slope * a.hess + curve * _outer(a.deriv, a.deriv))
 
 
 def _real_pow(a: Dual, b: Dual, node) -> Dual:
@@ -320,12 +356,30 @@ def _real_pow(a: Dual, b: Dual, node) -> Dual:
     # else unbounded
     if np.any(zero & (a.deriv != 0.0) & (bv <= 1.0)):
         raise ExprDomainError("non-differentiable power at zero base", _print(node))
+    # and its second derivatives there are 0 for b > 2, else unbounded along
+    # a direction that moves the base (b (b-1) x^(b-2)), and unbounded for
+    # b <= 1 where the base curves (b x^(b-1) d2x)
+    if a.hess is not None and (
+        np.any(zero & (a.deriv != 0.0) & (bv <= 2.0))
+        or np.any(zero & (a.hess != 0.0) & (bv <= 1.0))
+    ):
+        raise ExprDomainError("power not twice differentiable at zero base", _print(node))
     base = np.where(zero, 1.0, av)
     log_a = np.log(base)
     x = bv * log_a
     v = _no_overflow(np.exp(x), x, node)
-    dv = v * (b.deriv * log_a + bv * a.deriv / base)
-    return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv))
+    dx = b.deriv * log_a + bv * a.deriv / base
+    dv = v * dx
+    if a.hess is None:
+        return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv))
+    # x = b log a: d2x = d2b log a + (db da + da db) / a + b (d2a - da da / a) / a
+    hx = (
+        b.hess * log_a
+        + _sym(b.deriv, a.deriv) / base
+        + bv * (a.hess - _outer(a.deriv, a.deriv) / base) / base
+    )
+    hv = v * (hx + _outer(dx, dx))
+    return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv), np.where(zero, 0.0, hv))
 
 
 def _pow(a: Dual, b: Dual, node) -> Dual:
@@ -333,12 +387,15 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
 
     Where the exponent is an integer with zero derivative the power is
     taken directly, which keeps negative bases meaningful (even powers of
-    negative numbers); everywhere else it goes through exp(b log a).
+    negative numbers); everywhere else it goes through exp(b log a).  A
+    second-order pass decides frame by frame only (:func:`_pow_by_frame`).
     """
     bv = b.value
     if np.ndim(bv) == np.ndim(b.deriv) == 0:  # a constant exponent, as the 2 of v1^2
         integral = b.deriv == 0.0 and float(bv).is_integer()
         return (_int_pow if integral else _real_pow)(a, b, node)
+    if b.hess is not None:
+        return _pow_by_frame(a, b, node)
     integral = (b.deriv == 0.0) & np.isfinite(bv) & (np.trunc(bv) == bv)
     mask, *parts = np.broadcast_arrays(integral, a.value, a.deriv, bv, b.deriv)
     value = np.empty(mask.shape)
@@ -349,6 +406,32 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
         value[sel] = out.value
         deriv[sel] = out.deriv
     return Dual(value, deriv)
+
+
+def _pow_by_frame(a: Dual, b: Dual, node) -> Dual:
+    """:func:`_pow` of an exponent that varies over the k frames, in a
+    second-order pass, where the directions at a frame make one number:
+    a frame's power is taken directly where the exponent is an integer
+    whose first and second derivatives vanish along every direction, and
+    through exp(b log a) elsewhere."""
+    bv = b.value
+    d, k = len(b.deriv), bv.shape[-1]
+    moving = np.any(np.broadcast_to(b.deriv != 0.0, (d, k)), axis=0)
+    moving |= np.any(np.broadcast_to(b.hess != 0.0, (d, d, k)), axis=(0, 1))
+    integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
+
+    def at(x, sel):  # x at the frames sel, if x varies over frames
+        return x[..., sel] if np.shape(x)[-1:] == (k,) else x
+
+    value, deriv, hess = np.empty(k), np.empty((d, k)), np.empty((d, d, k))
+    for sel, path in ((integral, _int_pow), (~integral, _real_pow)):
+        out = path(
+            Dual(at(a.value, sel), at(a.deriv, sel), at(a.hess, sel)),
+            Dual(at(bv, sel), at(b.deriv, sel), at(b.hess, sel)),
+            node,
+        )
+        value[sel], deriv[:, sel], hess[:, :, sel] = out.value, out.deriv, out.hess
+    return Dual(value, deriv, hess)
 
 
 def _call(node, x: Dual) -> Dual:
@@ -371,37 +454,59 @@ def _call(node, x: Dual) -> Dual:
         zero = xv == 0.0
         if np.any(zero & (x.deriv != 0.0)):
             raise ExprDomainError("sqrt not differentiable at zero", _print(node))
+        if x.hess is not None and np.any(zero & (x.hess != 0.0)):
+            raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
         v = np.sqrt(xv)
         d = 0.5 / np.where(zero, np.inf, v)
     else:  # pragma: no cover - parser only emits known functions
         raise ExprError(f"unknown function {fn!r}")
-    return Dual(v, d * x.deriv)
+    if x.hess is None:
+        return Dual(v, d * x.deriv)
+    if fn in ("sin", "cos"):
+        d2 = -v
+    elif fn == "exp":
+        d2 = v
+    elif fn == "log":
+        d2 = -d * d
+    else:  # sqrt: -2 d^3, so 0 at a zero argument, where d is 0
+        d2 = -2.0 * d * d * d
+    return Dual(v, d * x.deriv, d * x.hess + d2 * _outer(x.deriv, x.deriv))
 
 
-def _eval(node, env: Mapping[str, Dual]) -> Dual:
+def _eval(node, env: Mapping[str, Dual], zero: float | None) -> Dual:
+    """The Dual of node; ``zero`` is a constant's ``hess``, None in a
+    first-order pass and 0.0 in a second-order one."""
     if isinstance(node, _Num):
-        return Dual(node.value, 0.0)
+        return Dual(node.value, 0.0, zero)
     if isinstance(node, _Var):
         return env[node.name]
     if isinstance(node, _Neg):
-        a = _eval(node.arg, env)
-        return Dual(-a.value, -a.deriv)
+        a = _eval(node.arg, env, zero)
+        return Dual(-a.value, -a.deriv, None if zero is None else -a.hess)
     if isinstance(node, _Call):
-        return _call(node, _eval(node.arg, env))
+        return _call(node, _eval(node.arg, env, zero))
     op = node.op
-    a = _eval(node.left, env)
-    b = _eval(node.right, env)
+    a = _eval(node.left, env, zero)
+    b = _eval(node.right, env, zero)
     if op == "+":
-        return Dual(a.value + b.value, a.deriv + b.deriv)
+        h = None if zero is None else a.hess + b.hess
+        return Dual(a.value + b.value, a.deriv + b.deriv, h)
     if op == "-":
-        return Dual(a.value - b.value, a.deriv - b.deriv)
+        h = None if zero is None else a.hess - b.hess
+        return Dual(a.value - b.value, a.deriv - b.deriv, h)
     if op == "*":
-        return Dual(a.value * b.value, a.deriv * b.value + a.value * b.deriv)
+        h = None
+        if zero is not None:
+            h = a.hess * b.value + a.value * b.hess + _sym(a.deriv, b.deriv)
+        return Dual(a.value * b.value, a.deriv * b.value + a.value * b.deriv, h)
     if op == "/":
         if np.any(b.value == 0.0):
             raise ExprDomainError("division by zero", _print(node))
         v = a.value / b.value
-        return Dual(v, (a.deriv - v * b.deriv) / b.value)
+        d = (a.deriv - v * b.deriv) / b.value
+        # from a = v b: d2v = (d2a - v d2b - (dv db + db dv)) / b
+        h = None if zero is None else (a.hess - v * b.hess - _sym(d, b.deriv)) / b.value
+        return Dual(v, d, h)
     return _pow(a, b, node)
 
 
@@ -415,32 +520,37 @@ class Expr:
     root: object
     variables: tuple[str, ...]
 
-    def _forward(self, env: Mapping[str, object], seed=None) -> Dual:
-        """Value and directional derivative at every frame in one pass.
+    def _forward(self, env: Mapping[str, object], seed=None, order: int = 1) -> Dual:
+        """Value and directional derivatives at every frame in one pass.
 
         ``env`` maps every variable to an array of frames; ``seed`` maps
         every variable to its derivative seed (zero when omitted), which
         broadcasts against the frames, so a column of seeds carries
         several directions through the same pass.  Both parts of the
-        result have the broadcast shape.
+        result have the broadcast shape.  With ``order=2`` the seeds must
+        lead with that axis of directions, and the result also carries the
+        second derivatives along every pair of them, the axis twice.
         """
+        zero = None if order == 1 else 0.0
         frames = {
             name: Dual(
                 np.asarray(env[name], dtype=float),
                 0.0 if seed is None else np.asarray(seed[name], dtype=float),
+                zero,
             )
             for name in self.variables
         }
         # overflow of exp and of powers raises in _no_overflow; elsewhere it
         # gives inf, as float arithmetic does
         with np.errstate(over="ignore"):
-            out = _eval(self.root, frames)
+            out = _eval(self.root, frames, zero)
         shape = np.broadcast_shapes(
             *(np.shape(x) for d in frames.values() for x in (d.value, d.deriv))
         )
-        return Dual(
-            np.broadcast_to(out.value, shape), np.broadcast_to(out.deriv, shape)
-        )
+        value, deriv = np.broadcast_to(out.value, shape), np.broadcast_to(out.deriv, shape)
+        if zero is None:
+            return Dual(value, deriv)
+        return Dual(value, deriv, np.broadcast_to(out.hess, shape[:1] + shape))
 
     def _single(self, mapping: Mapping[str, float], what: str = "environment"):
         """One frame: each variable as a length-1 array."""

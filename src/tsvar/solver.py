@@ -5,8 +5,9 @@ Three routes:
 * a closed-form affine extremal c*t + k through the boundary values,
 * damped Newton iteration on the first Euler-Lagrange residual system
   (unknowns are the interior trajectory values): per step, one
-  evaluation of L along the stack of the coloured Jacobian's perturbed
-  trajectories and one along each trial iterate,
+  second-order evaluation of L along the iterate, from which the exact
+  block-tridiagonal Jacobian is assembled, and one evaluation along each
+  trial iterate,
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
@@ -31,6 +32,7 @@ import numpy as np
 from .expr import ExprError, _walk
 from .timescale import GridFunction, TimeScale, _expand_slopes
 from .variational import Lagrangian, VariationalProblem, _Along, _along, _alongs
+from .variational import _check_trajectory, _frames
 
 __all__ = [
     "NewtonOptions",
@@ -54,7 +56,6 @@ BOUNDARY_HIT_TOL = 1e-9
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
-FD_STEP = 1e-7
 
 
 class SingularSystem(RuntimeError):
@@ -220,32 +221,42 @@ def _stacked(evaluate, h: int):
 
 
 def _jacobian(
-    p: VariationalProblem,
-    x: np.ndarray,
-    F: np.ndarray,
-    band: tuple[np.ndarray, np.ndarray],
+    p: VariationalProblem, Q: np.ndarray, band: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Forward-difference Jacobian of the first-EL residual F at x.
+    """Jacobian of Newton's residual at the trajectory Q, shape (N, n), in
+    the interior values, from one second-order kernel pass along Q.
 
-    Row block i reads only q_i, q_{i+1} and q_{i+2}, the unknown blocks
-    i-1 .. i+1, so the Jacobian is block-tridiagonal with n x n blocks,
-    its entries at the indices ``band`` (:func:`_band`).  Columns k with
-    the same colour k mod 3n never meet in a row or a frame and are perturbed
-    together (Curtis, Powell & Reid 1974); the min(3n, x.size) perturbed
-    vectors go to :func:`_iterates` as one stack, and each in-band entry is
-    the float a one-column perturbation gives.  Out-of-band entries are 0.
-    If the stacked evaluation raises, the colours are evaluated one at a
-    time in colour order, so the error is the first failing colour's.
+    Residual row block i, R_i = (L_v(i+1) - L_v(i))/mu_i - L_u(i), reads
+    frames i and i+1, frame i being (t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i),
+    so its n x n blocks at q_i, q_{i+1} and q_{i+2} are
+
+        (L_vv(i)/mu_i + L_uv(i))/mu_i,
+        (-L_vv(i+1)/mu_{i+1} - L_vu(i) - L_vv(i)/mu_i)/mu_i - L_uu(i) - L_uv(i)/mu_i,
+        (L_vu(i+1) + L_vv(i+1)/mu_{i+1})/mu_i,
+
+    the linearisation of the three-point discrete Euler-Lagrange equation
+    (Marsden & West, Acta Numerica 10, 2001), exact to rounding.  They
+    fill the indices ``band`` (:func:`_band`), the blocks at the ends q_0
+    and q_{N-1} falling outside it; out-of-band entries are 0.
     """
-    width = min(3 * p.dim, x.size)
-    steps = FD_STEP * np.maximum(1.0, np.abs(x))
-    colour = np.arange(x.size) % width
-    X = np.tile(x, (width, 1))
-    X[colour, np.arange(x.size)] += steps
-    D = _stacked(lambda s: _iterates(p, X[s])[1], width) - F
+    n = p.dim
+    t, U, V = _frames(p.scale, Q[None])
+    H = p.lagrangian.partials(t, U, V, order=2)[4]
+    u, v = slice(1, n + 1), slice(n + 1, None)
+    uu, uv, vu, vv = H[:, u, u], H[:, u, v], H[:, v, u], H[:, v, v]
+    mu = p.scale.mus[: t.size, None, None]
+    m0, m1 = mu[:-1], mu[1:]  # mu_i and mu_{i+1} of row block i
+    blocks = np.concatenate(
+        [
+            (vv[:-1] / m0 + uv[:-1]) / m0,
+            (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0,
+            (vu[1:] + vv[1:] / m1) / m0,
+        ],
+        axis=2,
+    )  # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
     rows, cols = band
-    J = np.zeros((F.size, x.size))
-    J[rows, cols] = D[colour[cols], rows] / steps[cols]
+    J = np.zeros((blocks.shape[0] * n,) * 2)
+    J[rows, cols] = blocks[rows // n, rows % n, cols - (rows // n - 1) * n]
     return J
 
 
@@ -312,22 +323,36 @@ def solve_newton(
     """Newton iteration on the first Euler-Lagrange residuals.
 
     Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
-    a coloured finite-difference Jacobian whose 3n perturbed trajectories
-    share one kernel pass (:func:`_jacobian`), and damped steps are
-    accepted only when the residual max-norm decreases.  Each iterate is
-    evaluated once: the check of ``q_init`` gives the first residual when
-    its ends are q_a and q_b exactly, and an accepted trial's evaluation
-    is the next iterate's.  It stops at ``opts.tol`` or at the rounding
-    floor of the residual F, eps * max_i(sum_j |J_ij| |x_j| + |F_i|) with
-    the previous Jacobian J.  ``q_init`` defaults to the affine extremal.
+    the exact block-tridiagonal one, assembled from the second partials of
+    L along the iterate in one kernel pass (:func:`_jacobian`), and damped
+    steps are accepted only when the residual max-norm decreases.  Each
+    iterate is evaluated once: ``q_init`` is checked without evaluating L,
+    its residual is the trajectory's with the ends pinned to q_a and q_b,
+    and an accepted trial's evaluation is the next iterate's.  A solve of
+    k steps with no halvings thus makes 1 + 2k kernel passes; on a
+    linear-quadratic L the first step lands on the root, so k = 1.
 
-    A Jacobian with a non-finite entry, or whose 2-norm condition number
-    exceeds CONDITION_LIMIT, raises SingularSystem.  The condition is
-    decided from the band first: a strictly diagonally dominant J whose
-    Varah bound (Varah 1975) is at most half the limit passes without an
-    SVD, and any other J goes to np.linalg.cond (:func:`_check_jacobian`).
+    It stops at ``opts.tol`` or at the rounding floor of the residual F,
+    eps * max_i(sum_j |J_ij| |x_j| + |F_i|).  An iterate is first tested
+    against the floor from the Jacobian of the step that reached it, and,
+    if that fails, against the floor from its own Jacobian, which the next
+    step needs anyway; so the guess can stop at its floor, and a solve that
+    stops at ``opts.tol`` builds no Jacobian there.  ``q_init`` defaults
+    to the affine extremal.
+
+    A non-finite residual, a Jacobian with a non-finite entry, or one whose
+    2-norm condition number exceeds CONDITION_LIMIT raises SingularSystem.
+    The condition is decided from the band first: a strictly diagonally
+    dominant J whose Varah bound (Varah 1975) is at most half the limit
+    passes without an SVD, and any other J goes to np.linalg.cond
+    (:func:`_check_jacobian`).
     """
     return _newton(p, q_init, opts).q
+
+
+def _floor(J: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
+    """The rounding floor of the residual F at x, given the Jacobian J."""
+    return np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
 def _newton(
@@ -338,12 +363,10 @@ def _newton(
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
         q_init = affine_extremal(p)
-    e = _along(p, q_init)  # checks q_init, and that L is defined along it
+    _check_trajectory(p, q_init)
     x = q_init.values[1:-1].ravel().copy()
-    if q_init.values[[0, -1]].tobytes() != np.stack([p.q_a, p.q_b]).tobytes():
-        # ends within BOUNDARY_TOL: the residual is the pinned trajectory's
-        e = _iterates(p, x[None])[0][0]
-    F, floor, band = e.first_el_values().ravel(), 0.0, _band(x.size, p.dim)
+    e, (F,) = _iterates(p, x[None])  # ends within BOUNDARY_TOL are pinned
+    e, floor, band = e[0], 0.0, _band(x.size, p.dim)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.max(np.abs(F)))
@@ -352,8 +375,12 @@ def _newton(
             return e
         if it == opts.max_iter:
             raise NoConvergence(e.q, history)
-        J = _jacobian(p, x, F, band)
+        if not np.isfinite(mag):  # only the guess's: a trial must lower mag
+            raise SingularSystem("residual has non-finite entries")
+        J = _jacobian(p, e.Q, band)
         _check_jacobian(J, band, p.dim)
+        if mag <= _floor(J, x, F):
+            return e
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
@@ -365,7 +392,7 @@ def _newton(
         else:
             raise NoConvergence(e.q, history)
         x, F, e = trial, F_trial, e_trial[0]
-        floor = np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
+        floor = _floor(J, x, F)
 
 
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:

@@ -53,11 +53,13 @@ AUTONOMY_TOL = 1e-10
 
 
 class Lagrangian:
-    """Scalar integrand L(t, u, v) with exact first partials via dual numbers.
+    """Scalar integrand L(t, u, v) with exact first and second partials
+    via forward-mode (hyper-)dual numbers.
 
     ``dim`` is the trajectory dimension n; the body is the text of an
     expression over t, u1..un, v1..vn.  :meth:`partials` evaluates L and
-    all its first partials over an array of frames.
+    all its first partials, and on request all its second partials, over
+    an array of frames.
     """
 
     def __init__(self, dim: int, body: str):
@@ -73,25 +75,30 @@ class Lagrangian:
         seeds = np.eye(len(names))
         self._seeds = {name: seeds[:, [j]] for j, name in enumerate(names)}
 
-    def partials(
-        self, t: np.ndarray, U: np.ndarray, V: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """L, dL/dt, dL/du and dL/dv at every frame (t_i, U_i, V_i).
+    def partials(self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1):
+        """L, dL/dt, dL/du and dL/dv at every frame (t_i, U_i, V_i), and
+        with ``order=2`` the second partials too.
 
         ``t`` has k entries and ``U``, ``V`` have k rows of n; the results
-        have shapes (k,), (k,), (k, n) and (k, n).  One forward pass
-        carries every direction at once, a unit seed for each of t,
-        u1..un, v1..vn, and L rides along in every one.  Raises
-        :class:`ExprDomainError` if L or a partial is undefined at any frame.
+        have shapes (k,), (k,), (k, n) and (k, n).  With ``order=2`` a
+        fifth, of shape (k, 2n+1, 2n+1), holds at each frame the symmetric
+        matrix of second partials over (t, u1..un, v1..vn), from the same
+        pass.  One forward pass carries every direction at once, a unit
+        seed for each of t, u1..un, v1..vn, and L rides along in every
+        one.  Raises :class:`ExprDomainError` if L or a partial of the
+        order asked for is undefined at any frame.
         """
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order!r}")
         t = np.asarray(t, dtype=float)
         n = self.dim
         U = np.reshape(U, (t.size, n))
         V = np.reshape(V, (t.size, n))
         env = dict(zip(self.body.variables, [t, *U.T, *V.T]))
-        out = self.body._forward(env, self._seeds)
+        out = self.body._forward(env, self._seeds, order)
         d = out.deriv
-        return out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
+        first = out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
+        return first if order == 1 else (*first, np.moveaxis(out.hess, -1, 0))
 
     def __repr__(self) -> str:
         return f"Lagrangian(dim={self.dim}, body={str(self.body)!r})"
@@ -239,12 +246,12 @@ class _Along:
         return E.max(axis=-1) - E.min(axis=-1)
 
 
-def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
-    """Check q, then evaluate L and its partials along it in one kernel pass.
-
-    ``boundary=False`` leaves the boundary values unchecked, for quantities
-    that range over unconstrained trajectories.
-    """
+def _check_trajectory(
+    p: VariationalProblem, q: GridFunction, boundary: bool = True
+) -> None:
+    """Raise ValueError unless q covers p's scale in p's dimension and,
+    unless ``boundary`` is False, starts and ends within BOUNDARY_TOL of
+    q_a and q_b."""
     if q.base != p.scale:
         raise ValueError("trajectory lives on a different scale")
     if not q.is_full:
@@ -256,6 +263,15 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
     if boundary and not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
+
+
+def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
+    """Check q, then evaluate L and its partials along it in one kernel pass.
+
+    ``boundary=False`` leaves the boundary values unchecked, for quantities
+    that range over unconstrained trajectories.
+    """
+    _check_trajectory(p, q, boundary)
     return _alongs(p, q.values[None], q.approximate)[0]
 
 
@@ -265,16 +281,24 @@ def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray
     return _quotients(t, composite) + term[..., :-1, :]
 
 
+def _frames(T: TimeScale, Q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The frames (t_i, q(sigma(t_i)), q_delta(t_i)) of every trajectory of
+    Q, shape (h, N, n), on the derivative prefix of k = N-1 points: t of
+    shape (k,) and U, V of shape (h, k, n), q_delta being the forward
+    quotient that :func:`delta_derivative` takes."""
+    k = T.n - 1
+    return T.points[:k], Q[:, T.sigmas[:k]], _quotients(T.points, Q)
+
+
 def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Along:
     """Evaluate L and its partials along every trajectory of Q in one pass.
 
-    Q has shape (h, N, n) and is not checked.  Frame i of a trajectory is
-    (t_i, q(sigma(t_i)), q_delta(t_i)) on the derivative prefix, q_delta
-    being the forward quotient that :func:`delta_derivative` takes.
+    Q has shape (h, N, n) and is not checked; its frames are
+    :func:`_frames`'.
     """
     T, (h, _, n) = p.scale, Q.shape
     k = T.n - 1
-    t, U, V = T.points[:k], Q[:, T.sigmas[:k]], _quotients(T.points, Q)
+    t, U, V = _frames(T, Q)
     L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, h), U, V)
     approximate = approximate or T.has_dense
     return _Along(

@@ -2,7 +2,7 @@
 acceptance suite: a generator of safe expression strings plus a central
 finite-difference oracle for partial derivatives.  Also the one-column-
 at-a-time forward-difference Jacobian, the reference for Newton's
-coloured assembly.  The gap-kind queries of a time scale as walks
+exact Jacobian.  The gap-kind queries of a time scale as walks
 over a tuple of :class:`GapKind`, the reference for the ones
 :class:`TimeScale` reads off its graininess.  And the word-by-word slope
 enumeration, the reference for the walk of
@@ -83,6 +83,9 @@ def frame_partials(L, t, u, v):
     length-n arrays."""
     value, Lt, Lu, Lv = L.partials([t], [u], [v])
     return float(value[0]), float(Lt[0]), Lu[0], Lv[0]
+
+
+FD_STEP = 1e-7  # column_jacobian's relative step in the tests
 
 
 def column_jacobian(residual, x, F, fd_step):

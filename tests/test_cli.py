@@ -143,13 +143,20 @@ class TestSolve:
         assert err == "error: bad 'max_iter': 2.5 is not an integer\n"
 
     def test_overflowing_residual_exit_3(self, tmp_path, capsys):
-        # the affine guess's first-EL rows overflow, so the Jacobian holds NaN
+        # the affine guess's first-EL rows overflow: no step can be solved for
         path = write_problem(tmp_path, lagrangian="1e300*v1^2*u1^3", q_b=100.0)
         with pytest.warns(RuntimeWarning):
             code = cli.main(["solve", path])
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "numerical failure: jacobian has non-finite entries\n"
+        assert err == "numerical failure: residual has non-finite entries\n"
+
+    def test_once_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
+        # u1^1.5 at u1 = q_b = 0 has no second partial for Newton's Jacobian
+        path = write_problem(tmp_path, lagrangian="u1^1.5 + v1^2", q_a=1.0, q_b=0.0)
+        assert cli.main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: power not twice differentiable at zero base in 'u1^1.5'\n"
 
     @pytest.mark.parametrize(
         "q_a, q_b", [(12345.6, 12345.9), (100000.1, 100000.4), (54321.7, 54322.0)]

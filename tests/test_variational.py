@@ -216,6 +216,55 @@ class TestPartials:
         with pytest.raises(TypeError, match="must be a string"):
             Lagrangian(1, body)
 
+    @pytest.mark.parametrize("order", [0, 3, 1.5, "2"])
+    def test_order_is_one_or_two(self, order):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            Lagrangian(1, "v1^2").partials([0.0], [[0.0]], [[1.0]], order)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # b (b-1) u^(b-2) is unbounded at u = 0 for 1 < b < 2
+            ("u1^1.5 + v1^2", "power not twice differentiable at zero base in 'u1^1.5'"),
+            # the base's own second derivative times b x^(b-1), b < 1
+            ("(u1^2)^0.5 + v1", "power not twice differentiable at zero base in '(u1^2.0)^0.5'"),
+            ("sqrt(u1^2) + v1^2", "sqrt not twice differentiable at zero in 'sqrt(u1^2.0)'"),
+        ],
+    )
+    def test_once_but_not_twice_differentiable_point(self, body, message):
+        # the first-order pass is defined at u1 = 0 and finite; the
+        # second-order one raises there, naming the subexpression, rather
+        # than return an infinite or NaN second partial
+        L = Lagrangian(1, body)
+        t, U, V = np.array([0.5, 1.0]), np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]])
+        assert all(np.all(np.isfinite(x)) for x in L.partials(t, U, V))
+        with pytest.raises(ExprDomainError) as err:
+            L.partials(t, U, V, order=2)
+        assert str(err.value) == message
+
+    def test_second_order_power_decided_frame_by_frame(self):
+        # the exponent v1^3 + 2 is flat to second order at v1 = 0, where the
+        # negative base is squared directly; at v1 = 1 it moves, and the
+        # power goes through exp(b log a) as sympy's derivatives do
+        sympy = pytest.importorskip("sympy")
+        L = Lagrangian(1, "u1^(v1^3 + 2)")
+        t, U, V = np.array([0.5, 0.5]), np.array([[-1.5], [1.5]]), np.array([[0.0], [1.0]])
+        *first, H = L.partials(t, U, V, order=2)
+        assert [float(x[0]) for x in first[:2]] == [2.25, 0.0]
+        assert first[2][0, 0] == -3.0 and first[3][0, 0] == 0.0
+        assert np.array_equal(H[0], [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        s = sympy.symbols("t u1 v1")
+        want = sympy.hessian(s[1] ** (s[2] ** 3 + 2), s).subs({s[1]: 1.5, s[2]: 1.0})
+        want = np.array(want, dtype=float)
+        assert np.max(np.abs(H[1] - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    @pytest.mark.parametrize("body", ["u1^2.5 + v1", "(u1^2)^1.5 + v1"])
+    def test_twice_differentiable_powers_at_zero_base(self, body):
+        # x^2.5 and |u|^3 have zero second partials at 0
+        L = Lagrangian(1, body)
+        H = L.partials([0.5], [[0.0]], [[1.0]], order=2)[4]
+        assert np.array_equal(H, np.zeros((1, 3, 3)))
+
     def test_batched_equals_per_frame_on_random_bodies(self):
         rng = np.random.default_rng(11)
         names = ["t", "u1", "u2", "v1", "v2"]
@@ -273,35 +322,67 @@ class TestPartials:
         assert str(batched.value) == str(scalar.value)
 
 
-def _sympy_partials(text, names, frames):
+def _sympy_partials(text, names, frames, order=1):
     """L and its gradient over (t, u1..un, v1..vn) at each frame (one row
-    of values per name), from sympy's symbolic derivatives of the body."""
+    of values per name), from sympy's symbolic derivatives of the body;
+    with ``order=2`` also the second derivatives, one row per pair of
+    names in row-major order, each pair differentiated twice by sympy."""
     sympy = pytest.importorskip("sympy")
     symbols = sympy.symbols(names)
     body = sympy.sympify(text.replace("^", "**"), locals=dict(zip(names, symbols)))
     exprs = [body] + [sympy.diff(body, s) for s in symbols]
+    if order == 2:
+        exprs += [sympy.diff(body, a, b) for a in symbols for b in symbols]
     fn = sympy.lambdify(symbols, exprs, "numpy")
     k = frames.shape[1]
     return [np.broadcast_to(np.asarray(r, dtype=float), (k,)) for r in fn(*frames)]
 
 
+def _random_bodies(n):
+    """The 100 random bodies over (t, u1..un, v1..vn) of the oracle tests,
+    every other one scaled by the real power t^1.5, each with 5 frames:
+    (names, text, t, U, V), the same for the same n."""
+    rng = np.random.default_rng(70 + n)
+    names = list(Lagrangian(n, "t").body.variables)
+    for i in range(100):
+        text = random_expr_text(rng, names)
+        if i % 2:
+            text = f"t^1.5 * ({text})"
+        t = rng.uniform(0.25, 2.0, 5)
+        U, V = rng.uniform(-2, 2, (2, 5, n))
+        yield names, text, t, U, V
+
+
 class TestSympyOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_first_partials_match_symbolic_derivatives(self, n):
-        # random bodies, every other one scaled by the real power t^1.5;
         # the worst gap over these 300 bodies is about 1e-14
-        rng = np.random.default_rng(70 + n)
-        names = list(Lagrangian(n, "t").body.variables)
-        for i in range(100):
-            text = random_expr_text(rng, names)
-            if i % 2:
-                text = f"t^1.5 * ({text})"
-            t = rng.uniform(0.25, 2.0, 5)
-            U, V = rng.uniform(-2, 2, (2, 5, n))
+        for names, text, t, U, V in _random_bodies(n):
             got = np.column_stack(Lagrangian(n, text).partials(t, U, V))
             frames = np.vstack([t, U.T, V.T])
             want = np.column_stack(_sympy_partials(text, names, frames))
             assert np.all(np.isfinite(want)), text
+            gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(gap) <= 1e-12, (text, np.max(gap))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_second_partials_match_symbolic_derivatives(self, n):
+        # the same 300 bodies: the second-order pass gives the first-order
+        # results and, per frame, the symmetric matrix of second partials
+        # that sympy's twice-differentiated body gives; the worst gap is
+        # about 1e-14
+        d = 2 * n + 1
+        for names, text, t, U, V in _random_bodies(n):
+            L = Lagrangian(n, text)
+            *first, H = L.partials(t, U, V, order=2)
+            assert H.shape == (5, d, d)
+            assert np.array_equal(H, H.swapaxes(1, 2))
+            for a, b in zip(first, L.partials(t, U, V)):
+                assert np.array_equal(a, b)
+            frames = np.vstack([t, U.T, V.T])
+            want = np.column_stack(_sympy_partials(text, names, frames, 2)[1 + d :])
+            assert np.all(np.isfinite(want)), text
+            got = H.reshape(5, d * d)
             gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             assert np.max(gap) <= 1e-12, (text, np.max(gap))
 
