@@ -19,7 +19,8 @@ hyper-dual numbers of Fike & Alonso, AIAA 2011-886).  Derivatives are
 exact to the rules of differentiation.  A domain error at any frame,
 including overflow of ``exp`` and of powers, and a point where a
 second-order pass meets a subexpression that is differentiable once but
-not twice, raises :class:`ExprDomainError` naming the subexpression.
+not twice along its seeds, raises :class:`ExprDomainError` naming the
+subexpression.
 """
 
 from __future__ import annotations
@@ -383,55 +384,46 @@ def _real_pow(a: Dual, b: Dual, node) -> Dual:
 
 
 def _pow(a: Dual, b: Dual, node) -> Dual:
-    """Power, decided frame by frame and direction by direction.
+    """Power, decided frame by frame.
 
-    Where the exponent is an integer with zero derivative the power is
-    taken directly, which keeps negative bases meaningful (even powers of
-    negative numbers); everywhere else it goes through exp(b log a).  A
-    second-order pass decides frame by frame only (:func:`_pow_by_frame`).
+    Where the exponent is an integer whose derivatives vanish along every
+    direction the power is taken directly, which keeps negative bases
+    meaningful (even powers of negative numbers); everywhere else it goes
+    through exp(b log a).
     """
     bv = b.value
     if np.ndim(bv) == np.ndim(b.deriv) == 0:  # a constant exponent, as the 2 of v1^2
         integral = b.deriv == 0.0 and float(bv).is_integer()
         return (_int_pow if integral else _real_pow)(a, b, node)
-    if b.hess is not None:
-        return _pow_by_frame(a, b, node)
-    integral = (b.deriv == 0.0) & np.isfinite(bv) & (np.trunc(bv) == bv)
-    mask, *parts = np.broadcast_arrays(integral, a.value, a.deriv, bv, b.deriv)
-    value = np.empty(mask.shape)
-    deriv = np.empty(mask.shape)
-    for sel, path in ((mask, _int_pow), (~mask, _real_pow)):
-        av, ad, sv, sd = (x[sel] for x in parts)
-        out = path(Dual(av, ad), Dual(sv, sd), node)
-        value[sel] = out.value
-        deriv[sel] = out.deriv
-    return Dual(value, deriv)
-
-
-def _pow_by_frame(a: Dual, b: Dual, node) -> Dual:
-    """:func:`_pow` of an exponent that varies over the k frames, in a
-    second-order pass, where the directions at a frame make one number:
-    a frame's power is taken directly where the exponent is an integer
-    whose first and second derivatives vanish along every direction, and
-    through exp(b log a) elsewhere."""
-    bv = b.value
-    d, k = len(b.deriv), bv.shape[-1]
-    moving = np.any(np.broadcast_to(b.deriv != 0.0, (d, k)), axis=0)
-    moving |= np.any(np.broadcast_to(b.hess != 0.0, (d, d, k)), axis=(0, 1))
+    # an exponent that varies over the k frames, the last axis of every part
+    k = np.broadcast_shapes(np.shape(a.value), np.shape(bv))[-1]
+    moving = np.zeros(k, dtype=bool)
+    for part in (b.deriv, 0.0 if b.hess is None else b.hess):
+        nonzero = np.asarray(part != 0.0)
+        moving |= np.broadcast_to(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
     integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
 
     def at(x, sel):  # x at the frames sel, if x varies over frames
         return x[..., sel] if np.shape(x)[-1:] == (k,) else x
 
-    value, deriv, hess = np.empty(k), np.empty((d, k)), np.empty((d, d, k))
-    for sel, path in ((integral, _int_pow), (~integral, _real_pow)):
-        out = path(
+    on, off = (
+        path(
             Dual(at(a.value, sel), at(a.deriv, sel), at(a.hess, sel)),
             Dual(at(bv, sel), at(b.deriv, sel), at(b.hess, sel)),
             node,
         )
-        value[sel], deriv[:, sel], hess[:, :, sel] = out.value, out.deriv, out.hess
-    return Dual(value, deriv, hess)
+        for sel, path in ((integral, _int_pow), (~integral, _real_pow))
+    )
+
+    def stitch(x, y):  # one part, x on the integral frames and y elsewhere
+        out = np.empty(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]) + (k,))
+        out[..., integral], out[..., ~integral] = x, y
+        return out
+
+    value, deriv = stitch(on.value, off.value), stitch(on.deriv, off.deriv)
+    if b.hess is None:
+        return Dual(value, deriv)
+    return Dual(value, deriv, stitch(on.hess, off.hess))
 
 
 def _call(node, x: Dual) -> Dual:

@@ -238,10 +238,17 @@ def _jacobian(
     (Marsden & West, Acta Numerica 10, 2001), exact to rounding.  They
     fill the indices ``band`` (:func:`_band`), the blocks at the ends q_0
     and q_{N-1} falling outside it; out-of-band entries are 0.
+
+    The pass takes only the second partials that the band reads: along u
+    and v, which the interior values move, and at the last frame, whose
+    u is q_{N-1}, along v alone.  So L need not be twice differentiable
+    in t, nor in u at q_b.
     """
     n = p.dim
     t, U, V = _frames(p.scale, Q[None])
-    H = p.lagrangian.partials(t, U, V, order=2)[4]
+    moving = np.ones((t.size, 2 * n + 1), dtype=bool)
+    moving[:, 0] = moving[-1, 1 : n + 1] = False
+    H = p.lagrangian.partials(t, U, V, order=2, moving=moving)[4]
     u, v = slice(1, n + 1), slice(n + 1, None)
     uu, uv, vu, vv = H[:, u, u], H[:, u, v], H[:, v, u], H[:, v, v]
     mu = p.scale.mus[: t.size, None, None]
@@ -336,9 +343,11 @@ def solve_newton(
     eps * max_i(sum_j |J_ij| |x_j| + |F_i|).  An iterate is first tested
     against the floor from the Jacobian of the step that reached it, and,
     if that fails, against the floor from its own Jacobian, which the next
-    step needs anyway; so the guess can stop at its floor, and a solve that
-    stops at ``opts.tol`` builds no Jacobian there.  ``q_init`` defaults
-    to the affine extremal.
+    step needs anyway; so the guess can stop at its floor, a solve that
+    stops at ``opts.tol`` builds no Jacobian there, and the iterate of the
+    last allowed step is tested against its own floor before NoConvergence
+    is raised (its Jacobian's condition is not checked: no step follows).
+    ``q_init`` defaults to the affine extremal.
 
     A non-finite residual, a Jacobian with a non-finite entry, or one whose
     2-norm condition number exceeds CONDITION_LIMIT raises SingularSystem.
@@ -350,8 +359,10 @@ def solve_newton(
     return _newton(p, q_init, opts).q
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _floor(J: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
-    """The rounding floor of the residual F at x, given the Jacobian J."""
+    """The rounding floor of the residual F at x, given the Jacobian J;
+    inf or NaN, which stops no solve, if J or the sum is not finite."""
     return np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
 
 
@@ -373,14 +384,14 @@ def _newton(
         history.append(mag)
         if mag <= max(opts.tol, floor):
             return e
-        if it == opts.max_iter:
-            raise NoConvergence(e.q, history)
         if not np.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
         J = _jacobian(p, e.Q, band)
-        _check_jacobian(J, band, p.dim)
-        if mag <= _floor(J, x, F):
+        if mag <= _floor(J, x, F) < np.inf:  # a non-finite J gives no floor
             return e
+        if it == opts.max_iter:
+            raise NoConvergence(e.q, history)
+        _check_jacobian(J, band, p.dim)
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):

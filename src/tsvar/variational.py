@@ -75,7 +75,9 @@ class Lagrangian:
         seeds = np.eye(len(names))
         self._seeds = {name: seeds[:, [j]] for j, name in enumerate(names)}
 
-    def partials(self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1):
+    def partials(
+        self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1, moving=None
+    ):
         """L, dL/dt, dL/du and dL/dv at every frame (t_i, U_i, V_i), and
         with ``order=2`` the second partials too.
 
@@ -85,8 +87,12 @@ class Lagrangian:
         matrix of second partials over (t, u1..un, v1..vn), from the same
         pass.  One forward pass carries every direction at once, a unit
         seed for each of t, u1..un, v1..vn, and L rides along in every
-        one.  Raises :class:`ExprDomainError` if L or a partial of the
-        order asked for is undefined at any frame.
+        one.  ``moving``, a boolean mask that broadcasts to (k, 2n+1),
+        keeps the seed of variable j at frame i only where entry (i, j) is
+        set: every partial along a variable held there is returned as 0
+        and is not taken.  Raises :class:`ExprDomainError` if L or a
+        partial of the order asked for, along the moving variables, is
+        undefined at any frame.
         """
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -94,8 +100,12 @@ class Lagrangian:
         n = self.dim
         U = np.reshape(U, (t.size, n))
         V = np.reshape(V, (t.size, n))
+        seeds = self._seeds
+        if moving is not None:
+            mask = np.broadcast_to(moving, (t.size, 2 * n + 1))
+            seeds = {name: s * mask[:, j] for j, (name, s) in enumerate(seeds.items())}
         env = dict(zip(self.body.variables, [t, *U.T, *V.T]))
-        out = self.body._forward(env, self._seeds, order)
+        out = self.body._forward(env, seeds, order)
         d = out.deriv
         first = out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
         return first if order == 1 else (*first, np.moveaxis(out.hess, -1, 0))

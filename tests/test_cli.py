@@ -152,11 +152,27 @@ class TestSolve:
         assert err == "numerical failure: residual has non-finite entries\n"
 
     def test_once_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
-        # u1^1.5 at u1 = q_b = 0 has no second partial for Newton's Jacobian
-        path = write_problem(tmp_path, lagrangian="u1^1.5 + v1^2", q_a=1.0, q_b=0.0)
+        # |u1|^1.5 is differentiable once at u1 = 0 but not twice; the
+        # affine guess from -1 to 1 meets 0 at the interior point t = 0.5,
+        # where Newton's Jacobian reads L_uu
+        path = write_problem(
+            tmp_path, lagrangian="(u1^2)^0.75 + v1^2", q_a=-1.0, q_b=1.0
+        )
         assert cli.main(["solve", path]) == 2
         err = capsys.readouterr().err
-        assert err == "error: power not twice differentiable at zero base in 'u1^1.5'\n"
+        assert err == (
+            "error: power not twice differentiable at zero base in '(u1^2.0)^0.75'\n"
+        )
+
+    def test_lagrangian_twice_differentiable_where_newton_reads_it_exit_0(
+        self, tmp_path, capsys
+    ):
+        # u1^1.5 has no second partial at u1 = q_b = 0, nor t^1.5 at t = 0,
+        # but Newton's Jacobian reads neither
+        for body, q_b in (("u1^1.5 + v1^2", 0.0), ("t^1.5*v1^2 + u1^2", 2.0)):
+            path = write_problem(tmp_path, lagrangian=body, q_a=1.0, q_b=q_b)
+            assert cli.main(["solve", path]) == 0
+            assert capsys.readouterr().out.startswith("method: newton\n")
 
     @pytest.mark.parametrize(
         "q_a, q_b", [(12345.6, 12345.9), (100000.1, 100000.4), (54321.7, 54322.0)]

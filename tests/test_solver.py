@@ -33,7 +33,7 @@ from tsvar import (
 )
 from tsvar import cli, solver, timescale
 from tsvar.solver import _reads_only_slope
-from tsvar.variational import _Along, _along
+from tsvar.variational import _Along, _along, _frames
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 
@@ -292,17 +292,69 @@ class TestNewton:
             assert q.values[0, 0] == p.q_a[0] and q.values[-1, 0] == p.q_b[0]
 
     def test_domain_error_in_the_second_partials_names_the_subexpression(self):
-        # u1^1.5 is differentiable once at u1 = 0, where the last frame
-        # reads q_b, but not twice: the guess's residual is finite, and the
-        # Jacobian's pass raises rather than fill J with inf or NaN
+        # u1^1.5 is differentiable once at u1 = 0 but not twice; the guess
+        # meets 0 at the interior point t = 0.5, where the band reads L_uu:
+        # its residual is finite, and the Jacobian's pass raises rather
+        # than fill J with inf or NaN
         scale = TimeScale.uniform(0, 1, 0.125)
-        p = VariationalProblem(scale, Lagrangian(1, "u1^1.5 + v1^2"), [1.0], [0.0])
-        assert np.isfinite(first_el_residual(p, affine_extremal(p)).magnitude)
+        p = VariationalProblem(scale, Lagrangian(1, "u1^1.5 + v1^2"), [1.0], [1.0])
+        guess = GridFunction(scale, 2 * np.abs(scale.points - 0.5)[:, None])
+        assert guess.values[4, 0] == 0.0
+        assert np.isfinite(first_el_residual(p, guess).magnitude)
         with pytest.raises(ExprDomainError) as err:
-            solve_newton(p)
+            solve_newton(p, guess)
         assert str(err.value) == (
             "power not twice differentiable at zero base in 'u1^1.5'"
         )
+
+    @pytest.mark.parametrize(
+        "body, q_b", [("u1^1.5 + v1^2", 0.0), ("t^1.5*v1^2 + u1^2", 2.0)]
+    )
+    def test_second_partials_the_band_does_not_read_may_be_undefined(self, body, q_b):
+        # L_uu of u1^1.5 at the last frame, whose u is q_b = 0, and L_tt of
+        # t^1.5 at t_0 = 0 are unbounded, and the full second-order pass
+        # raises there; the band reads neither, so the Jacobian is taken,
+        # agrees with the column oracle within its forward-difference
+        # truncation (measured 1.6e-9 of the largest entry), and Newton
+        # converges
+        scale = TimeScale.uniform(0, 1, 0.125)
+        p = VariationalProblem(scale, Lagrangian(1, body), [1.0], [q_b])
+        Q = affine_extremal(p).values
+        with pytest.raises(ExprDomainError, match="not twice differentiable"):
+            p.lagrangian.partials(*_frames(scale, Q[None]), order=2)
+        residual, x = first_el_vector(p), Q[1:-1].ravel()
+        J = solver._jacobian(p, Q, solver._band(x.size, 1))
+        reference = column_jacobian(residual, x, residual(x), FD_STEP)
+        assert np.max(np.abs(J - reference)) <= 1e-8 * np.max(np.abs(J))
+        q = solve_newton(p)
+        assert first_el_residual(p, q).magnitude <= NewtonOptions().tol
+
+    def test_last_iterate_is_tested_against_its_own_floor(self, monkeypatch):
+        # the iterate of step max_iter is judged by the floor of the
+        # Jacobian built there before NoConvergence is raised, and before
+        # that Jacobian's condition is checked: here a singular stand-in
+        # whose floor covers the step's residual stops the solve, whatever
+        # max_iter is
+        scale = TimeScale.uniform(0, 1, 0.125)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^4"), [0.0], [2.0])
+        with pytest.raises(NoConvergence) as err:
+            solve_newton(p, opts=NewtonOptions(max_iter=1))
+        step = err.value.trajectory.values
+        eps = np.finfo(float).eps
+        big = 2 * err.value.history[-1] / (eps * np.sum(np.abs(step[1:-1])))
+        calls, jacobian = [], solver._jacobian
+
+        def second_singular(*args):
+            calls.append(None)
+            J = jacobian(*args)
+            return J if len(calls) == 1 else np.full_like(J, big)
+
+        monkeypatch.setattr(solver, "_jacobian", second_singular)
+        for max_iter in (1, 2):
+            calls.clear()
+            q = solve_newton(p, opts=NewtonOptions(max_iter=max_iter))
+            assert len(calls) == 2
+            assert q.values.tobytes() == step.tobytes()
 
     def test_guess_at_its_rounding_floor_converges_without_a_step(self, monkeypatch):
         # the guess's residual, about 1.4e-10 of rounding, is above tol but
@@ -475,9 +527,9 @@ class TestJacobian:
         # one second-order pass along the one trajectory, whatever N
         orders, partials = [], Lagrangian.partials
 
-        def counted(self, t, U, V, order=1):
+        def counted(self, t, U, V, order=1, moving=None):
             orders.append((order, len(t)))
-            return partials(self, t, U, V, order)
+            return partials(self, t, U, V, order, moving)
 
         monkeypatch.setattr(Lagrangian, "partials", counted)
         for N in (21, 201):

@@ -258,6 +258,29 @@ class TestPartials:
         want = np.array(want, dtype=float)
         assert np.max(np.abs(H[1] - want) / np.maximum(1.0, np.abs(want))) <= 1e-12
 
+    def test_held_variables_carry_no_seed(self):
+        # every partial along a variable held at a frame is 0 there, and the
+        # rest are the full passes' bits; t^1.5 at t = 0 and u1^1.5 at
+        # u1 = 0 have no second partial along t and u, which are held there
+        L = Lagrangian(1, "t^1.5*v1^2 + u1^1.5*v1")
+        t = np.array([0.0, 0.5, 1.0])
+        U, V = np.array([[1.0], [2.0], [0.0]]), np.array([[1.0], [2.0], [3.0]])
+        moving = np.ones((3, 3), dtype=bool)
+        moving[:, 0] = moving[2, 1] = False
+        with pytest.raises(ExprDomainError, match="not twice differentiable"):
+            L.partials(t, U, V, order=2)
+        *first, H = L.partials(t, U, V, order=2, moving=moving)
+        full = L.partials(t, U, V)
+        held = [np.zeros(3), np.array([[1.0], [1.0], [0.0]]), np.ones((3, 1))]
+        assert np.array_equal(first[0], full[0])
+        for got, want, keep in zip(first[1:], full[1:], held):
+            assert np.array_equal(got, want * keep)
+        assert np.array_equal(H[0], [[0.0, 0.0, 0.0], [0.0, 0.75, 1.5], [0.0, 1.5, 0.0]])
+        frame = L.partials(t[1:2], U[1:2], V[1:2], order=2)[4][0].copy()
+        frame[0] = frame[:, 0] = 0.0
+        assert np.array_equal(H[1], frame)
+        assert np.array_equal(H[2], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+
     @pytest.mark.parametrize("body", ["u1^2.5 + v1", "(u1^2)^1.5 + v1"])
     def test_twice_differentiable_powers_at_zero_base(self, body):
         # x^2.5 and |u|^3 have zero second partials at 0
