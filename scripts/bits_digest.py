@@ -48,6 +48,7 @@ from tsvar import (
     first_el_integral_residual,
     first_el_residual,
     hamiltonian,
+    parse,
     second_el_residual,
     solve,
     solve_newton,
@@ -67,6 +68,41 @@ TERMS = (
     "log(u{j}^2 + 1) + v{j}^2",
     "t^1.5*v{j}^2 + u{j}^3",
 )
+VARIABLES = ("t", "u1", "v1")
+# the tokenizer, the parser's precedence and error positions, and the
+# printer: each text with VARIABLES, then the name collisions
+TEXTS = (
+    "v1^2", "(v1^2 - 1)^2", "1e-3 + v1", "1.5E+2*u1", "1.", ".5", "1.e-3", "12e3",
+    "2^3^2", "(2^3)^2", "-v1^2", "(-v1)^2", "--v1", "-(-v1)", "v1^-2", "v1^-u1^2",
+    "t - u1 - v1", "t - (u1 - v1)", "t / u1 / v1", "t / (u1 / v1)", "t*u1/v1",
+    "t + u1*v1", "(t + u1)*v1", "t*u1 + v1", "-t*u1", "-(t*u1)", "t*-u1", "t--u1",
+    "t/-u1^2", "-t^u1^v1", "sin(cos(exp(log(sqrt(v1)))))", "sin(v1)^2", "-sin(-v1)",
+    "\t\nv1\r+\f1\v", "v1\x1c+1", "v1\u00a0*\u30002", "\u0663 + v1",
+    "((((v1))))", "(-1)", "-1", "0.0 - 0", "1e309 * v1",
+    "+".join(["v1"] * 100), "-" * 99 + "v1", "v1^" * 99 + "v1",
+    "sin(" * 99 + "v1" + ")" * 99, "(" * 99 + "v1" + ")" * 99,
+    "", "   ", "v1 +", "+v1", "v1 $ 2", "v1 # 2", "v1 . 2", "..5", "1.5.2", "1e",
+    "1e+", "v1)", "(v1", "()", ")", "(", "v1 v1", "2 v1", "v1 (2)", "sin", "sin + v1",
+    "sin v1", "sin()", "sin(v1", "tan(v1)", "x7 + v1", "v1 ^", "^v1", "*v1", "v1 */ 2",
+    "+".join(["v1"] * 101), "-" * 100 + "v1", "v1^" * 100 + "v1",
+    "sin(" * 100 + "v1" + ")" * 100, "(" * 100 + "v1" + ")" * 100,
+    "v1+v1*(" * 40 + "v1" + ")" * 40, "v1+v1*(" * 99 + "v1" + ")" * 99,
+)
+COLLISIONS = (("t", "exp"), ("sin",), ("v1", "log", "cos"))
+# every rule of the kernel, at frames that meet zero and negative values
+BODIES = (
+    "v1^0", "(-v1)^0", "(1 - v1)^0 * t", "v1^1", "v1^2 + u1^3", "-(-v1)^2",
+    "(u1*v1 - t)^3", "u1^-2 + v1", "t^v1", "u1^v1", "(u1^2 + 1)^v1", "(v1^2 + 1)^-0.5",
+    "u1^1.5 + v1^2", "u1^2.5 * v1", "sqrt(u1^2) + v1", "(u1^2)^0.5 + v1", "sqrt(u1^4) + v1",
+    "sin(v1) * cos(u1) - t", "exp(-v1^2) + exp(t*u1)", "log(u1^2 + 1) * v1",
+    "log(u1) + v1", "sqrt(v1^2 + 1) / (u1^2 + 1)", "v1 / u1", "t*v1^2 + u1*v1",
+)
+GRID = np.array([-1.5, 0.0, 0.5, 2.0])
+FRAMES = tuple(  # every combination of GRID, and three frames inside every domain
+    np.array(f, dtype=float)
+    for f in (np.meshgrid(GRID, GRID, GRID), [[0.3, 1.0, 2.5], [0.7, 1.2, 0.4], [0.2, -1.1, 3.0]])
+)
+
 CLI_RUNS = (
     ["solve"],
     ["solve", "--enumerate=-1,0,1"],
@@ -180,6 +216,28 @@ def many_blocks():
     yield outcome(enumerate_slope_extremals, p, [-1.0, -0.5, 0.0, 0.5, 1.0], tol=1e3)
 
 
+def frontend_records():
+    """The printed form and the tree of each text in TEXTS, or the class
+    and message of what parse raises; then each collision's verdict."""
+    for text in TEXTS:
+        e = outcome(parse, text, VARIABLES)
+        yield (text, e) if isinstance(e, tuple) else (text, str(e), repr(e.root))
+    for names in COLLISIONS:
+        yield (names, outcome(parse, "1", names))
+    yield outcome(parse, b"v1", VARIABLES)
+
+
+def kernel_records():
+    """L and its partials, first and second order, of each body in BODIES
+    at each set of FRAMES, or the class and message of what is raised."""
+    for body in BODIES:
+        L = Lagrangian(1, body)
+        for t, u, v in FRAMES:
+            t, u, v = t.ravel(), u.reshape(-1, 1), v.reshape(-1, 1)
+            for order in (1, 2):
+                yield (body, order, outcome(L.partials, t, u, v, order))
+
+
 def cli_records():
     """stdout, stderr, exit code and --json report of each command."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,7 +266,7 @@ def main() -> None:
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = [*many_blocks(), *cli_records()]
+        records = [*frontend_records(), *kernel_records(), *many_blocks(), *cli_records()]
         for _ in range(args.problems):
             records += library_records(rng)
         for _ in range(args.enumerations):

@@ -5,7 +5,7 @@ forward-mode derivatives, Euler-Lagrange and DuBois-Reymond residuals,
 extremal solvers, and Noether-type conserved quantities.
 """
 
-from .expr import Dual, Expr, ExprDomainError, ExprError, ExprSyntaxError, parse
+from .expr import Expr, ExprDomainError, ExprError, ExprSyntaxError, parse
 from .noether import (
     NoetherReport,
     Transformation,

@@ -1,26 +1,27 @@
 """Arithmetic expressions over named variables with forward-mode derivatives.
 
-Grammar (whitespace insensitive; ``^`` binds tightest and associates to
-the right, then unary minus, then ``*`` ``/``, then ``+`` ``-``):
+Grammar (whitespace, as ``str.isspace`` defines it, is ignored; ``^``
+binds tightest and associates to the right, then unary minus, then ``*``
+``/``, then ``+`` ``-``, these four associating to the left):
 
-    expression := term (('+' | '-') term)*
-    term       := unary (('*' | '/') unary)*
+    expression := unary (('+' | '-' | '*' | '/') unary)*
     unary      := '-' unary | power
     power      := atom ('^' unary)?
     atom       := NUMBER | NAME | NAME '(' expression ')' | '(' expression ')'
 
 NAME is either a declared variable or one of sin, cos, exp, log, sqrt.
-Evaluation is forward mode over arrays: each variable is a :class:`Dual`
-of an array of frames and a derivative seed, so one pass evaluates every
-frame along one direction, or along several directions at once when the
-seeds form a column.  A second-order pass also carries, in the same
-pass, the second derivatives along every pair of those directions (the
-hyper-dual numbers of Fike & Alonso, AIAA 2011-886).  Derivatives are
-exact to the rules of differentiation.  A domain error at any frame,
-including overflow of ``exp`` and of powers, and a point where a
-second-order pass meets a subexpression that is differentiable once but
-not twice along its seeds, raises :class:`ExprDomainError` naming the
-subexpression.
+One table, ``_PREC``, ranks the operators for the parser and the printer.
+:meth:`Expr._forward` is the only evaluation: forward mode over arrays,
+each variable a :class:`Dual` of an array of frames and a derivative
+seed, so one pass evaluates every frame along one direction, or along
+several directions at once when the seeds form a column.  A second-order
+pass also carries, in the same pass, the second derivatives along every
+pair of those directions (the hyper-dual numbers of Fike & Alonso, AIAA
+2011-886).  Derivatives are exact to the rules of differentiation.  A
+domain error at any frame, including overflow of ``exp`` and of powers,
+and a point where a second-order pass meets a subexpression that is
+differentiable once but not twice along its seeds, raises
+:class:`ExprDomainError` naming the subexpression.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
-    "Dual",
     "Expr",
     "parse",
     "FUNCTIONS",
@@ -124,50 +124,35 @@ def _walk(root) -> tuple[int, set[str]]:
 
 # -- tokenizer ----------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token after any whitespace (``\s`` is ``str.isspace``): its kind is
+# the name of the group that matched, and BAD is any other character
+_TOKEN = re.compile(
+    r"\s*(?:(?P<NUM>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)|(?P<OP>[-+*/^])|(?P<PAREN>[()])"
+    r"|(?P<EOF>\Z)|(?P<BAD>.))"
+)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # NUM, NAME, OP, LPAREN, RPAREN, EOF
+    kind: str  # NUM, NAME, OP, PAREN, EOF
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NUM", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), i))
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
+    for m in _TOKEN.finditer(text):  # each match starts where the last ended
+        tok = _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+        if tok.kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {tok.text!r}", tok.pos)
+        tokens.append(tok)
+        if tok.kind == "EOF":
+            return tokens
+
+
+# operator precedence, read by the parser and the printer; "neg" is unary minus
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class _Parser:
@@ -181,84 +166,64 @@ class _Parser:
         return self.tokens[self.i]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {what}", tok.pos)
-        return self.advance()
+    def accept(self, text: str) -> bool:
+        """Whether the next token is the operator or parenthesis ``text``,
+        taken if it is."""
+        taken = self.peek().text == text
+        self.i += taken
+        return taken
 
-    def expression(self):
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = _BinOp(op, node, self.term())
-        return node
-
-    def term(self):
+    def binary(self, min_prec: int = 1):
+        """Unary operands joined by the operators that ``_PREC`` ranks at
+        ``min_prec`` or above, each associating to the left.  A unary
+        operand takes every ``^`` after it, so only ``+ - * /`` meet here."""
         node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = _BinOp(op, node, self.unary())
+        while (tok := self.peek()).kind == "OP" and _PREC[tok.text] >= min_prec:
+            self.advance()
+            node = _BinOp(tok.text, node, self.binary(_PREC[tok.text] + 1))
         return node
 
     def unary(self):
-        tok = self.peek()
         if self.level == MAX_DEPTH:
-            raise ExprSyntaxError(_TOO_DEEP, tok.pos)
+            raise ExprSyntaxError(_TOO_DEEP, self.peek().pos)
         self.level += 1
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            node = _Neg(self.unary())
-        else:
-            node = self.power()
+        node = _Neg(self.unary()) if self.accept("-") else self.power()
         self.level -= 1
         return node
 
     def power(self):
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
-            return _BinOp("^", base, self.unary())
-        return base
+        return _BinOp("^", base, self.unary()) if self.accept("^") else base
 
     def atom(self):
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "NUM":
-            self.advance()
             return _Num(float(tok.text))
-        if tok.kind == "NAME":
-            self.advance()
-            name = tok.text
-            if self.peek().kind == "LPAREN":
-                if name not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {name!r}", tok.pos)
-                self.advance()
-                arg = self.expression()
-                self.expect("RPAREN", "')'")
-                return _Call(name, arg)
-            if name in FUNCTIONS:
+        if tok.kind == "NAME" and self.accept("("):
+            if tok.text not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
+            node = _Call(tok.text, self.binary())
+        elif tok.kind == "NAME":
+            if tok.text in FUNCTIONS:
                 raise ExprSyntaxError(
-                    f"function {name!r} needs an argument list", tok.pos
+                    f"function {tok.text!r} needs an argument list", tok.pos
                 )
-            if name not in self.variables:
-                raise ExprSyntaxError(f"undeclared variable {name!r}", tok.pos)
-            return _Var(name)
-        if tok.kind == "LPAREN":
-            self.advance()
-            node = self.expression()
-            self.expect("RPAREN", "')'")
-            return node
-        raise ExprSyntaxError("expected a value", tok.pos)
+            if tok.text not in self.variables:
+                raise ExprSyntaxError(f"undeclared variable {tok.text!r}", tok.pos)
+            return _Var(tok.text)
+        elif tok.text == "(":
+            node = self.binary()
+        else:
+            raise ExprSyntaxError("expected a value", tok.pos)
+        if not self.accept(")"):
+            raise ExprSyntaxError("expected ')'", self.peek().pos)
+        return node
 
 
 # -- printing -----------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _print(node, parent_prec: int = 0) -> str:
@@ -309,6 +274,16 @@ def _sym(a, b):
     return ab + np.swapaxes(ab, 0, 1) if np.ndim(ab) else 0.0
 
 
+def _chain(x: Dual, v, d, d2) -> Dual:
+    """f(x) by the chain rule, from f's value ``v`` and first derivative
+    ``d`` at x's value: d(f(x)) = d dx, and in a second-order pass
+    d2(f(x)) = d d2x + f'' dx dx, where ``d2()`` gives f''.  It is called
+    only there, so a first-order pass computes no second derivative."""
+    if x.hess is None:
+        return Dual(v, d * x.deriv)
+    return Dual(v, d * x.deriv, d * x.hess + d2() * _outer(x.deriv, x.deriv))
+
+
 def _no_overflow(result, arg, node):
     """``result``, unless a finite argument overflowed to an infinite one."""
     if not np.isfinite(result).all() and np.any(np.isinf(result) & np.isfinite(arg)):
@@ -325,26 +300,26 @@ def _int_pow(a: Dual, b: Dual, node) -> Dual:
     if zero_to_negative:
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
-    # x^0 has derivative zero; there k - 1 is replaced by 0 so that a zero
-    # base raises no division warning
-    if np.ndim(k):
-        km1 = np.where(k == 0, 0.0, k - 1)
-        deriv = np.where(k == 0, 0.0, k * np.power(av, km1) * a.deriv)
-    elif k == 0:
+    # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da
+    if np.ndim(k) == 0 and k != 0:
+        return _chain(
+            a, v, k * np.power(av, k - 1),
+            lambda: k * (k - 1) * np.power(av, k - 2) if k != 1 else 0.0,
+        )
+    # x^0, and exponents that vary over frames: each term is taken as 0
+    # where its factor k or k (k-1) is, so that a zero base raises no warning
+    if np.ndim(k) == 0:
+        slope = curve = 0.0
         deriv = np.zeros(np.broadcast(av, a.deriv).shape)
     else:
-        deriv = k * np.power(av, k - 1) * a.deriv
+        slope = k * np.power(av, np.where(k == 0, 0.0, k - 1))
+        deriv = np.where(k == 0, 0.0, slope * a.deriv)
     if a.hess is None:
         return Dual(v, deriv)
-    # d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da, each term taken as 0
-    # where its factor k or k (k-1) is, so that a zero base raises no warning
-    k2 = k * (k - 1)
     if np.ndim(k):
-        slope = np.where(k == 0, 0.0, k * np.power(av, km1))
+        k2 = k * (k - 1)
+        slope = np.where(k == 0, 0.0, slope)
         curve = np.where(k2 == 0, 0.0, k2 * np.power(av, np.where(k2 == 0, 0.0, k - 2)))
-    else:
-        slope = k * np.power(av, k - 1) if k else 0.0
-        curve = k2 * np.power(av, k - 2) if k2 else 0.0
     return Dual(v, deriv, slope * a.hess + curve * _outer(a.deriv, a.deriv))
 
 
@@ -431,38 +406,30 @@ def _call(node, x: Dual) -> Dual:
     if fn in ("sin", "cos") and np.any(np.isinf(xv)):
         raise ExprDomainError(f"{fn} of an infinite value", _print(node))
     if fn == "sin":
-        v, d = np.sin(xv), np.cos(xv)
-    elif fn == "cos":
-        v, d = np.cos(xv), -np.sin(xv)
-    elif fn == "exp":
-        v = d = _no_overflow(np.exp(xv), xv, node)
-    elif fn == "log":
+        v = np.sin(xv)
+        return _chain(x, v, np.cos(xv), lambda: -v)
+    if fn == "cos":
+        v = np.cos(xv)
+        return _chain(x, v, -np.sin(xv), lambda: -v)
+    if fn == "exp":
+        v = _no_overflow(np.exp(xv), xv, node)
+        return _chain(x, v, v, lambda: v)
+    if fn == "log":
         if np.any(xv <= 0.0):
             raise ExprDomainError("log of a non-positive value", _print(node))
-        v, d = np.log(xv), 1.0 / xv
-    elif fn == "sqrt":
-        if np.any(xv < 0.0):
-            raise ExprDomainError("sqrt of a negative value", _print(node))
-        zero = xv == 0.0
-        if np.any(zero & (x.deriv != 0.0)):
-            raise ExprDomainError("sqrt not differentiable at zero", _print(node))
-        if x.hess is not None and np.any(zero & (x.hess != 0.0)):
-            raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
-        v = np.sqrt(xv)
-        d = 0.5 / np.where(zero, np.inf, v)
-    else:  # pragma: no cover - parser only emits known functions
-        raise ExprError(f"unknown function {fn!r}")
-    if x.hess is None:
-        return Dual(v, d * x.deriv)
-    if fn in ("sin", "cos"):
-        d2 = -v
-    elif fn == "exp":
-        d2 = v
-    elif fn == "log":
-        d2 = -d * d
-    else:  # sqrt: -2 d^3, so 0 at a zero argument, where d is 0
-        d2 = -2.0 * d * d * d
-    return Dual(v, d * x.deriv, d * x.hess + d2 * _outer(x.deriv, x.deriv))
+        d = 1.0 / xv
+        return _chain(x, np.log(xv), d, lambda: -d * d)
+    # sqrt, the last of FUNCTIONS
+    if np.any(xv < 0.0):
+        raise ExprDomainError("sqrt of a negative value", _print(node))
+    zero = xv == 0.0
+    if np.any(zero & (x.deriv != 0.0)):
+        raise ExprDomainError("sqrt not differentiable at zero", _print(node))
+    if x.hess is not None and np.any(zero & (x.hess != 0.0)):
+        raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
+    v = np.sqrt(xv)
+    d = 0.5 / np.where(zero, np.inf, v)
+    return _chain(x, v, d, lambda: -2.0 * d * d * d)  # 0 at a zero argument, as d
 
 
 def _eval(node, env: Mapping[str, Dual], zero: float | None) -> Dual:
@@ -506,7 +473,10 @@ def _eval(node, env: Mapping[str, Dual], zero: float | None) -> Dual:
 class Expr:
     """A parsed expression and the variable names it may reference.
 
-    Immutable; evaluation is a pure function of the environment.
+    Immutable.  ``str`` prints it with the parentheses that ``_PREC``
+    needs, and :meth:`_forward`, a pure function of its arguments, is the
+    only way to evaluate it: on arrays of frames, a single point being a
+    stack of one frame.
     """
 
     root: object
@@ -544,46 +514,28 @@ class Expr:
             return Dual(value, deriv)
         return Dual(value, deriv, np.broadcast_to(out.hess, shape[:1] + shape))
 
-    def _single(self, mapping: Mapping[str, float], what: str = "environment"):
-        """One frame: each variable as a length-1 array."""
-        missing = [v for v in self.variables if v not in mapping]
-        if missing:
-            raise ExprError(f"{what} is missing variables {missing}")
-        return {name: np.array([float(mapping[name])]) for name in self.variables}
-
-    def evaluate(self, env: Mapping[str, float]) -> float:
-        return self._forward(self._single(env)).value.item()
-
-    def directional(
-        self, env: Mapping[str, float], seed: Mapping[str, float]
-    ) -> tuple[float, float]:
-        """Value and directional derivative along the given seed vector."""
-        out = self._forward(self._single(env), self._single(seed, "seed"))
-        return out.value.item(), out.deriv.item()
-
-    def partial(self, var: str, env: Mapping[str, float]) -> float:
-        """Partial derivative with respect to one declared variable."""
-        if var not in self.variables:
-            raise ExprError(f"{var!r} is not a declared variable")
-        seed = {name: (1.0 if name == var else 0.0) for name in self.variables}
-        return self.directional(env, seed)[1]
-
     def __str__(self) -> str:
         return _print(self.root)
 
 
 def parse(text: str, variables: Iterable[str] = ()) -> Expr:
-    """Parse ``text`` against the declared variable names."""
+    """Parse ``text`` against the declared variable names.
+
+    Raises :class:`ExprSyntaxError`, with the position of the offending
+    token, on text outside the grammar above or nested deeper than
+    MAX_DEPTH levels; :class:`ExprError` if a declared name is one of
+    FUNCTIONS; and TypeError if ``text`` is not a string.
+    """
     if not isinstance(text, str):
         raise TypeError(f"expression text must be a string, got {type(text).__name__}")
     names = tuple(variables)
     for name in names:
         if name in FUNCTIONS:
             raise ExprError(f"variable name {name!r} collides with a function")
-    if not text or not text.strip():
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, names)
-    root = parser.expression()
+    root = parser.binary()
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)

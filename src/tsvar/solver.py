@@ -220,6 +220,7 @@ def _stacked(evaluate, h: int):
         raise
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite J fails _check_jacobian
 def _jacobian(
     p: VariationalProblem, Q: np.ndarray, band: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:

@@ -238,13 +238,6 @@ class TimeScale:
             raise IndexError(f"point index {i} out of range [0, {self.n})")
         return i
 
-    def spacing(self, i: int) -> float:
-        """Distance to the next point (quadrature weight of gap i)."""
-        i = self._check_index(i)
-        if i == self.n - 1:
-            return 0.0
-        return float(self.points[i + 1] - self.points[i])
-
     def sigma(self, i: int) -> int:
         """Forward jump, as an index.  Fixes the last point and right-dense points."""
         return int(self.sigmas[self._check_index(i)])

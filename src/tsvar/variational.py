@@ -93,6 +93,13 @@ class Lagrangian:
         and is not taken.  Raises :class:`ExprDomainError` if L or a
         partial of the order asked for, along the moving variables, is
         undefined at any frame.
+
+        A first-order pass judges each subexpression by its own value and
+        first derivative, so it cannot see a kink behind an inner
+        derivative of 0: at u1 = 0 it returns dL/du = 0 for
+        ``sqrt(u1^2)`` and ``(u1^2)^0.5``, which are |u1|, as it does for
+        the differentiable ``sqrt(u1^4)``.  The second-order pass raises
+        on the first two there.
         """
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")

@@ -9,7 +9,8 @@ enumeration, the reference for the walk of
 :func:`tsvar.solver.enumerate_slope_extremals`.  And the root of the
 linear first-EL system of a linear-quadratic Lagrangian, the reference
 for Newton.  And L with its partials at one frame, read from a
-one-frame call of :meth:`Lagrangian.partials`."""
+one-frame call of :meth:`Lagrangian.partials`, and an expression's
+value and derivative at one point, read from a one-frame forward pass."""
 
 import itertools
 
@@ -53,6 +54,20 @@ def random_expr_text(rng, variables, depth=3) -> str:
     return f"sqrt(({sub()})^2 + 1)"
 
 
+def at_point(expr, env, seed=None) -> tuple[float, float]:
+    """The value of ``expr`` at the point ``env`` and its derivative along
+    ``seed``: a mapping of every variable to its seed, the name of one
+    variable for the partial along it, or None for a zero seed.  One
+    forward pass over a stack of one frame gives both floats."""
+    if isinstance(seed, str):
+        seed = {name: float(name == seed) for name in expr.variables}
+    out = expr._forward(
+        {name: [env[name]] for name in expr.variables},
+        None if seed is None else {name: [seed[name]] for name in expr.variables},
+    )
+    return out.value.item(), out.deriv.item()
+
+
 def finite_difference_partial(expr, var, env) -> float:
     """Central difference with step 1e-6 * max(1, |x|)."""
     step = 1e-6 * max(1.0, abs(env[var]))
@@ -60,7 +75,7 @@ def finite_difference_partial(expr, var, env) -> float:
     lo = dict(env)
     hi[var] += step
     lo[var] -= step
-    return (expr.evaluate(hi) - expr.evaluate(lo)) / (2.0 * step)
+    return (at_point(expr, hi)[0] - at_point(expr, lo)[0]) / (2.0 * step)
 
 
 def random_checked_pair(rng, variables, value_cap=1e4):
@@ -69,10 +84,10 @@ def random_checked_pair(rng, variables, value_cap=1e4):
         text = random_expr_text(rng, variables)
         expr = parse(text, variables)
         env = {v: float(rng.uniform(-2.0, 2.0)) for v in variables}
-        value = expr.evaluate(env)
+        value = at_point(expr, env)[0]
         if not np.isfinite(value) or abs(value) > value_cap:
             continue
-        partials = [expr.partial(v, env) for v in variables]
+        partials = [at_point(expr, env, v)[1] for v in variables]
         if all(np.isfinite(p) and abs(p) <= value_cap for p in partials):
             return expr, env
 

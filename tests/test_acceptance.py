@@ -24,7 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from conftest import random_exact_scale, rel_err, trajectory_from_slopes
-from helpers import finite_difference_partial, frame_partials, random_checked_pair
+from helpers import (
+    at_point,
+    finite_difference_partial,
+    frame_partials,
+    random_checked_pair,
+)
 from tsvar import (
     GridFunction,
     Lagrangian,
@@ -319,7 +324,7 @@ def test_criterion_8_forward_mode_matches_finite_differences():
     for _ in range(1000):
         expr, env = random_checked_pair(rng, variables)
         for var in variables:
-            ad = expr.partial(var, env)
+            ad = at_point(expr, env, var)[1]
             fd = finite_difference_partial(expr, var, env)
             worst = max(worst, abs(ad - fd) / max(1.0, abs(ad)))
     elapsed = time.perf_counter() - t0

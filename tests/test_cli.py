@@ -164,6 +164,24 @@ class TestSolve:
             "error: power not twice differentiable at zero base in '(u1^2.0)^0.75'\n"
         )
 
+    def test_once_non_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
+        # u1^0.5 has no first partial at u1 = q_b = 0, which the residual reads
+        path = write_problem(tmp_path, lagrangian="u1^0.5 + v1^2", q_a=1.0, q_b=0.0)
+        assert cli.main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-differentiable power at zero base in 'u1^0.5'\n"
+
+    def test_overflowing_jacobian_exit_3(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"points": [k * 1e-160 for k in range(6)]},
+            lagrangian="v1^2 + u1^2",
+            q_b=1e-9,
+        )
+        assert cli.main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: jacobian has non-finite entries\n"
+
     def test_lagrangian_twice_differentiable_where_newton_reads_it_exit_0(
         self, tmp_path, capsys
     ):

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference_partial, random_checked_pair
-from tsvar import ExprDomainError, ExprError, ExprSyntaxError, parse
+from helpers import (
+    at_point,
+    finite_difference_partial,
+    frame_partials,
+    random_checked_pair,
+)
+from tsvar import ExprDomainError, ExprError, ExprSyntaxError, Lagrangian, parse
 
 VARS = ("t", "u1", "v1")
 
@@ -14,12 +19,12 @@ VARS = ("t", "u1", "v1")
 class TestParse:
     def test_square_of_slope(self):
         e = parse("v1^2", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 3}) == 9.0
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 3})[0] == 9.0
 
     def test_quartic(self):
         e = parse("(v1^2 - 1)^2", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 0}) == 1.0
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 1}) == 0.0
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 0})[0] == 1.0
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 1})[0] == 0.0
 
     def test_trailing_operator_position(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -55,7 +60,7 @@ class TestParse:
     )
     def test_depth_bound_is_inclusive(self, body, value):
         e = parse(body, VARS)
-        got = e.evaluate({"t": 0.0, "u1": 0.0, "v1": 1.0})
+        got = at_point(e, {"t": 0.0, "u1": 0.0, "v1": 1.0})[0]
         assert value is None or got == value
         assert parse(str(e), VARS) == e
 
@@ -77,55 +82,79 @@ class TestParse:
         a = parse("v1^2+ t *u1", VARS)
         b = parse("v1 ^ 2 + t * u1", VARS)
         env = {"t": 2.0, "u1": 3.0, "v1": 4.0}
-        assert a.evaluate(env) == b.evaluate(env)
+        assert at_point(a, env)[0] == at_point(b, env)[0]
 
     def test_power_right_associative(self):
         e = parse("2^3^2", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 0}) == 512.0
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 0})[0] == 512.0
 
     def test_power_binds_tighter_than_unary_minus(self):
         e = parse("-v1^2", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 3}) == -9.0
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 3})[0] == -9.0
 
     def test_negative_exponent(self):
         e = parse("v1^-2", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 2}) == 0.25
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 2})[0] == 0.25
 
     def test_scientific_literal(self):
         e = parse("1e-3 + v1", VARS)
-        assert e.evaluate({"t": 0, "u1": 0, "v1": 1}) == pytest.approx(1.001)
+        assert at_point(e, {"t": 0, "u1": 0, "v1": 1})[0] == pytest.approx(1.001)
+
+
+class TestFrontEnd:
+    """The tokenizer's error branch, atom's missing-argument branch and
+    parse's trailing-token and name-collision branches."""
+
+    @pytest.mark.parametrize(
+        "body, message, position",
+        [
+            ("v1 $ 2", "unexpected character '$'", 3),
+            ("sin + v1", "function 'sin' needs an argument list", 0),
+            ("v1)", "unexpected ')'", 2),
+            ("1e", "unexpected 'e'", 1),
+        ],
+    )
+    def test_error_message_and_position(self, body, message, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(body, VARS)
+        assert str(err.value) == f"{message} at position {position}"
+        assert err.value.position == position
+
+    def test_variable_named_like_a_function(self):
+        with pytest.raises(ExprError) as err:
+            parse("t", ("t", "exp"))
+        assert str(err.value) == "variable name 'exp' collides with a function"
+
+    def test_whitespace_is_str_isspace(self):
+        assert "\x1c".isspace()
+        assert str(parse("v1\x1c+1", VARS)) == "v1 + 1.0"
 
 
 class TestEvaluate:
     def test_negative_base_even_power(self):
         e = parse("u1^2", VARS)
-        assert e.evaluate({"t": 0, "u1": -3, "v1": 0}) == 9.0
+        assert at_point(e, {"t": 0, "u1": -3, "v1": 0})[0] == 9.0
 
     def test_log_domain_error_mentions_subexpression(self):
         e = parse("log(u1)", VARS)
         with pytest.raises(ExprDomainError) as err:
-            e.evaluate({"t": 0, "u1": 0.0, "v1": 0})
+            at_point(e, {"t": 0, "u1": 0.0, "v1": 0})
         assert "log(u1)" in str(err.value)
 
     def test_division_by_zero(self):
         e = parse("1 / v1", VARS)
         with pytest.raises(ExprDomainError):
-            e.evaluate({"t": 0, "u1": 0, "v1": 0.0})
+            at_point(e, {"t": 0, "u1": 0, "v1": 0.0})
 
     def test_zero_to_negative_power(self):
         e = parse("v1^-1", VARS)
         with pytest.raises(ExprDomainError):
-            e.evaluate({"t": 0, "u1": 0, "v1": 0.0})
+            at_point(e, {"t": 0, "u1": 0, "v1": 0.0})
 
     def test_sqrt_negative(self):
         e = parse("sqrt(v1)", VARS)
         with pytest.raises(ExprDomainError):
-            e.evaluate({"t": 0, "u1": 0, "v1": -1.0})
-
-    def test_missing_binding_rejected(self):
-        e = parse("v1 + u1", VARS)
-        with pytest.raises(ExprError):
-            e.evaluate({"v1": 1.0})
+            at_point(e, {"t": 0, "u1": 0, "v1": -1.0})
 
     def test_functions(self):
         e = parse("sin(t) + cos(t) + exp(u1) + log(v1) + sqrt(v1)", VARS)
@@ -137,31 +166,72 @@ class TestEvaluate:
             + math.log(1.5)
             + math.sqrt(1.5)
         )
-        assert e.evaluate(env) == pytest.approx(want, rel=1e-15)
+        assert at_point(e, env)[0] == pytest.approx(want, rel=1e-15)
+
+
+class TestKernelBranches:
+    @pytest.mark.parametrize("body", ["v1^0", "(-v1)^0"])
+    def test_zeroth_power_has_zero_slope_partial(self, body):
+        # exactly +0.0, also where the base falls (not 0 * -1 = -0.0), and
+        # no division warning at a zero base
+        L = Lagrangian(1, body)
+        for v in (0.0, -2.0, 3.0):
+            value, _, _, Lv = frame_partials(L, 0.5, [1.0], [v])
+            assert value == 1.0
+            assert Lv[0] == 0.0 and not np.signbit(Lv[0])
+
+    def test_first_order_power_at_zero_base(self):
+        L = Lagrangian(1, "u1^0.5 + v1^2")
+        with pytest.raises(ExprDomainError) as err:
+            L.partials([0.5], [[0.0]], [[1.0]])
+        assert str(err.value) == "non-differentiable power at zero base in 'u1^0.5'"
+
+    def test_sine_of_infinity(self):
+        e = parse("sin(v1)", VARS)
+        with pytest.raises(ExprDomainError) as err:
+            at_point(e, {"t": 0.0, "u1": 0.0, "v1": math.inf})
+        assert str(err.value) == "sin of an infinite value in 'sin(v1)'"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("sqrt(u1^2)", "sqrt not twice differentiable at zero in 'sqrt(u1^2.0)'"),
+            (
+                "(u1^2)^0.5",
+                "power not twice differentiable at zero base in '(u1^2.0)^0.5'",
+            ),
+        ],
+    )
+    def test_first_order_pass_misses_a_kink_behind_a_zero_slope(self, body, message):
+        # |u1| has no derivative at 0, but the inner u1^2 has slope 0 there:
+        # the first-order parts equal those of the differentiable sqrt(u1^4),
+        # so the first-order pass returns 0; only the second-order pass tells
+        # the two apart
+        kinked, smooth = (Lagrangian(1, f"{b} + v1^2") for b in (body, "sqrt(u1^4)"))
+        for L in (kinked, smooth):
+            assert frame_partials(L, 0.5, [0.0], [1.0])[2][0] == 0.0
+        smooth.partials([0.5], [[0.0]], [[1.0]], order=2)
+        with pytest.raises(ExprDomainError) as err:
+            kinked.partials([0.5], [[0.0]], [[1.0]], order=2)
+        assert str(err.value) == message
 
 
 class TestDirectional:
     def test_square(self):
         e = parse("v1^2", VARS)
-        val, der = e.directional(
-            {"t": 0, "u1": 0, "v1": 3}, {"t": 0, "u1": 0, "v1": 1}
-        )
+        val, der = at_point(e, {"t": 0, "u1": 0, "v1": 3}, {"t": 0, "u1": 0, "v1": 1})
         assert (val, der) == (9.0, 6.0)
 
     def test_cubic_product(self):
         # d/dv of (v^2-1)(1+3v^2) = 2v(1+3v^2) + 6v(v^2-1) = 8 at v=1
         e = parse("(v1^2-1)*(1+3*v1^2)", VARS)
-        val, der = e.directional(
-            {"t": 0, "u1": 0, "v1": 1.0}, {"t": 0, "u1": 0, "v1": 1.0}
-        )
+        val, der = at_point(e, {"t": 0, "u1": 0, "v1": 1.0}, {"t": 0, "u1": 0, "v1": 1.0})
         assert val == 0.0
         assert der == pytest.approx(8.0, abs=1e-14)
 
     def test_zero_seed(self):
         e = parse("exp(v1)*sin(t)+u1^3", VARS)
-        _, der = e.directional(
-            {"t": 0.3, "u1": 0.7, "v1": -0.2}, {"t": 0, "u1": 0, "v1": 0}
-        )
+        _, der = at_point(e, {"t": 0.3, "u1": 0.7, "v1": -0.2}, {"t": 0, "u1": 0, "v1": 0})
         assert der == 0.0
 
 
@@ -169,20 +239,15 @@ class TestPartial:
     def test_slope_partial(self):
         e = parse("v1^2", VARS)
         for c in (-2.0, 0.5, 3.0):
-            assert e.partial("v1", {"t": 0, "u1": 0, "v1": c}) == 2 * c
+            assert at_point(e, {"t": 0, "u1": 0, "v1": c}, "v1")[1] == 2 * c
 
     def test_autonomous_time_partial(self):
         e = parse("v1^2", VARS)
-        assert e.partial("t", {"t": 5.0, "u1": 1.0, "v1": 2.0}) == 0.0
+        assert at_point(e, {"t": 5.0, "u1": 1.0, "v1": 2.0}, "t")[1] == 0.0
 
     def test_bilinear(self):
         e = parse("u1*v1", VARS)
-        assert e.partial("u1", {"t": 0, "u1": 2.0, "v1": 5.0}) == 5.0
-
-    def test_unknown_variable_rejected(self):
-        e = parse("v1", VARS)
-        with pytest.raises(ExprError):
-            e.partial("w1", {"t": 0, "u1": 0, "v1": 0})
+        assert at_point(e, {"t": 0, "u1": 2.0, "v1": 5.0}, "u1")[1] == 5.0
 
 
 @settings(deadline=None, max_examples=150)
@@ -191,7 +256,7 @@ def test_partials_match_central_differences(seed):
     rng = np.random.default_rng(seed)
     expr, env = random_checked_pair(rng, VARS)
     for var in VARS:
-        ad = expr.partial(var, env)
+        ad = at_point(expr, env, var)[1]
         fd = finite_difference_partial(expr, var, env)
         assert abs(ad - fd) <= 1e-6 * max(1.0, abs(ad))
 
@@ -208,9 +273,9 @@ def test_directional_is_linear_in_the_seed(seed, alpha, beta):
     s1 = {v: float(rng.uniform(-1, 1)) for v in VARS}
     s2 = {v: float(rng.uniform(-1, 1)) for v in VARS}
     mixed = {v: alpha * s1[v] + beta * s2[v] for v in VARS}
-    _, d1 = expr.directional(env, s1)
-    _, d2 = expr.directional(env, s2)
-    _, dm = expr.directional(env, mixed)
+    _, d1 = at_point(expr, env, s1)
+    _, d2 = at_point(expr, env, s2)
+    _, dm = at_point(expr, env, mixed)
     want = alpha * d1 + beta * d2
     assert abs(dm - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -224,7 +289,7 @@ def test_print_reparse_round_trip(seed):
     for _ in range(100):
         env = {v: float(rng.uniform(-2, 2)) for v in VARS}
         try:
-            a = expr.evaluate(env)
+            a = at_point(expr, env)[0]
         except ExprDomainError:
             continue
-        assert reparsed.evaluate(env) == a
+        assert at_point(reparsed, env)[0] == a

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
-from helpers import frame_partials
+from helpers import at_point, frame_partials
 from tsvar import (
     Expr,
     GridFunction,
@@ -245,8 +245,8 @@ def test_noether_from_the_two_equations():
             {"t": t, **{f"q{j + 1}": x for j, x in enumerate(row)}}
             for t, row in zip(scale.points, q.values)
         ]
-        taus = np.array([tr.tau.evaluate(env) for env in envs])
-        xis = np.array([[c.evaluate(env) for c in tr.xi] for env in envs])
+        taus = np.array([at_point(tr.tau, env)[0] for env in envs])
+        xis = np.array([[at_point(c, env)[0] for c in tr.xi] for env in envs])
         k = scale.n - 2
         terms = [
             np.sum(first_el_residual(p, q).values * xis[1 : k + 1], axis=1),

@@ -559,6 +559,15 @@ class TestJacobian:
         with pytest.raises(SingularSystem, match="^residual has non-finite entries$"):
             solve_newton(p, GridFunction(scale, values))
 
+    def test_overflowing_jacobian_is_one_singular_system(self):
+        # gaps of 1e-160: the residual is finite, but its Jacobian's entries,
+        # L_vv / mu^2, overflow; that is reported once, as SingularSystem,
+        # and not first as a RuntimeWarning (an error in this suite)
+        scale = TimeScale.from_points(np.arange(6) * 1e-160)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^2"), [0.0], [1e-9])
+        with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
+            solve_newton(p)
+
 
 def band_matrix(rng, n, blocks, kind):
     """A random block-tridiagonal matrix with n x n blocks, shaped like

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, rel_err, trajectory_from_slopes
-from helpers import frame_partials, random_expr_text
+from helpers import at_point, frame_partials, random_expr_text
 from tsvar import (
     ExprDomainError,
     GapKind,
@@ -188,8 +188,8 @@ def _per_direction(L, t, U, V):
     names = L.body.variables
     value, grad = [], []
     for env in (dict(zip(names, np.r_[ti, ui, vi])) for ti, ui, vi in zip(t, U, V)):
-        value.append(L.body.evaluate(env))
-        grad.append([L.body.partial(name, env) for name in names])
+        value.append(at_point(L.body, env)[0])
+        grad.append([at_point(L.body, env, name)[1] for name in names])
     return np.array(value), np.array(grad)
 
 
@@ -341,7 +341,7 @@ class TestPartials:
         env = {"t": t[2], "u1": U[2, 0], "v1": V[2, 0]}
         with pytest.raises(ExprDomainError) as scalar:
             for name in ("t", "u1", "v1"):
-                L.body.partial(name, env)
+                at_point(L.body, env, name)
         assert str(batched.value) == str(scalar.value)
 
 
