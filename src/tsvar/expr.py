@@ -201,7 +201,10 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "NUM":
-            return _Num(float(tok.text))
+            value = float(tok.text)
+            if value == np.inf:  # a literal past the float range, as 1e309
+                raise ExprSyntaxError(f"number {tok.text} is out of range", tok.pos)
+            return _Num(value)
         if tok.kind == "NAME" and self.accept("("):
             if tok.text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
@@ -522,8 +525,8 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     """Parse ``text`` against the declared variable names.
 
     Raises :class:`ExprSyntaxError`, with the position of the offending
-    token, on text outside the grammar above or nested deeper than
-    MAX_DEPTH levels; :class:`ExprError` if a declared name is one of
+    token, on text outside the grammar above, on a number too large for
+    a float, or on text nested deeper than MAX_DEPTH levels; :class:`ExprError` if a declared name is one of
     FUNCTIONS; and TypeError if ``text`` is not a string.
     """
     if not isinstance(text, str):

@@ -120,6 +120,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "error: result overflows in 'exp(1000.0 * v1)'" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--enumerate=-1,0,1"]])
+    def test_out_of_range_literal_exit_2(self, flags, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
+            lagrangian="v1^2 + 1e309*u1",
+            q_b=1.0,
+        )
+        assert cli.main(["solve", *flags, path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: number 1e309 is out of range at position 7\n"
+
     def test_no_convergence_exit_3(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,

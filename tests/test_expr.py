@@ -112,6 +112,8 @@ class TestFrontEnd:
             ("sin + v1", "function 'sin' needs an argument list", 0),
             ("v1)", "unexpected ')'", 2),
             ("1e", "unexpected 'e'", 1),
+            ("1e309 * v1", "number 1e309 is out of range", 0),
+            ("v1 + 2*1.8e308", "number 1.8e308 is out of range", 7),
         ],
     )
     def test_error_message_and_position(self, body, message, position):
@@ -119,6 +121,11 @@ class TestFrontEnd:
             parse(body, VARS)
         assert str(err.value) == f"{message} at position {position}"
         assert err.value.position == position
+
+    def test_largest_and_underflowing_literals_parse(self):
+        # only a literal whose float is infinite is refused
+        assert parse("1.7976931348623157e308 * v1", VARS).root.left.value == np.finfo(float).max
+        assert parse("1e-400 + v1", VARS).root.left.value == 0.0
 
     def test_variable_named_like_a_function(self):
         with pytest.raises(ExprError) as err:
