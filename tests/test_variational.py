@@ -330,19 +330,49 @@ class TestPartials:
             ("v1^-1", "v1", 0.0),
         ],
     )
-    def test_domain_error_at_one_frame_matches_scalar_message(self, body, var, bad):
+    @pytest.mark.parametrize("order, newton", [(1, False), (2, False), (2, True)])
+    def test_domain_error_at_one_frame_matches_scalar_message(
+        self, body, var, bad, order, newton
+    ):
+        # newton: the mask of Newton's Jacobian, t held at every frame and u
+        # at the last
         L = Lagrangian(1, body)
         t = np.array([0.0, 0.5, 1.0, 1.5])
         U = np.array([[0.5], [1.5], [2.0], [2.5]])
         V = np.array([[2.0], [3.0], [0.5], [2.5]])
         (U if var == "u1" else V)[2, 0] = bad
+        moving = None
+        if newton:
+            moving = np.ones((4, 3), dtype=bool)
+            moving[:, 0] = moving[-1, 1] = False
         with pytest.raises(ExprDomainError) as batched:
-            L.partials(t, U, V)
+            L.partials(t, U, V, order, moving)
         env = {"t": t[2], "u1": U[2, 0], "v1": V[2, 0]}
         with pytest.raises(ExprDomainError) as scalar:
             for name in ("t", "u1", "v1"):
                 at_point(L.body, env, name)
         assert str(batched.value) == str(scalar.value)
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_left_operand_raises_first(self, order):
+        # both sides fail, at different frames: the error is the left one's
+        L = Lagrangian(1, "log(u1) + sqrt(v1)")
+        t = np.linspace(0.0, 1.0, 5)
+        U, V = np.ones((5, 1)), np.ones((5, 1))
+        U[3, 0], V[1, 0] = 0.0, -1.0
+        with pytest.raises(ExprDomainError) as err:
+            L.partials(t, U, V, order)
+        assert str(err.value) == "log of a non-positive value in 'log(u1)'"
+
+    def test_overflowed_constant_poisons_the_other_partials(self):
+        # 1e200*1e200 is inf; inf times the zero seeds of t and v is NaN, so
+        # dL/dt and dL/dv are NaN, with numpy's warning (README, ROADMAP 7)
+        L = Lagrangian(1, "1e200*1e200*u1 + v1^2")
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            value, Lt, Lu, Lv = L.partials([0.5], [[2.0]], [[1.0]])
+        assert value[0] == np.inf and Lu[0, 0] == np.inf
+        assert np.isnan(Lt[0]) and np.isnan(Lv[0, 0])
 
 
 def _sympy_partials(text, names, frames, order=1):
