@@ -27,8 +27,8 @@ differentiable once but not twice along its seeds, raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,16 +63,14 @@ class ExprDomainError(ExprError):
         self.subexpression = subexpression
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(NamedTuple):
     """Forward-mode number: a value, its directional derivatives and, in a
     second-order pass, its second derivatives.
 
-    Each part may be a float or a numpy array of frames; the parts
-    broadcast against each other.  ``hess`` is None in a first-order
-    pass.  In a second-order pass ``deriv`` leads with an axis of seed
-    directions and ``hess`` with two, entry (i, j) being the second
-    derivative along directions i and j.
+    Each part may be a float or a numpy array of frames.  ``hess`` is None
+    in a first-order pass.  In a second-order pass ``deriv`` leads with an
+    axis of seed directions and ``hess`` with two, entry (i, j) being the
+    second derivative along directions i and j.
     """
 
     value: float | np.ndarray
@@ -254,18 +252,23 @@ def _print(node, parent_prec: int = 0) -> str:
 
 # -- evaluation ---------------------------------------------------------
 #
-# Every value flowing through the tree is a Dual whose parts are floats
-# (constant subexpressions) or arrays of frames.  Domain checks look at
-# every frame at once; the offending subexpression is printed only when
-# an error is actually raised.  A first-order pass computes exactly what
-# it would without the second-order rules: each of them runs only when
-# the Dual carries a ``hess``.
+# parse compiles the tree once into nested closures, one per node
+# (_compile).  Each takes ``env``, which maps every variable to its
+# (value, deriv, hess) triple, and ``zero``, a constant's hess: None in a
+# first-order pass and 0.0 in a second-order one; it returns the node's
+# triple, evaluating operands left to right.  Parts are floats (constant
+# subexpressions) or arrays of frames.  Domain checks look at every frame
+# at once, by np.count_nonzero, which costs a fraction of np.any on small
+# arrays; the offending subexpression is printed only when an error is
+# actually raised.  A first-order pass computes exactly what it would
+# without the second-order rules: each of them runs only when the triple
+# carries a hess.
 
 
 def _outer(a, b):
     """Entry (i, j) a_i * b_j of two derivative parts, over their leading
     axis of directions; 0.0 if either is a constant's scalar zero."""
-    if np.ndim(a) == 0 or np.ndim(b) == 0:
+    if getattr(a, "ndim", 0) == 0 or getattr(b, "ndim", 0) == 0:
         return 0.0
     return a[:, None] * b[None, :]
 
@@ -274,94 +277,95 @@ def _sym(a, b):
     """a_i * b_j + b_i * a_j: symmetric in (i, j) bit for bit, as every
     second-derivative part is."""
     ab = _outer(a, b)
-    return ab + np.swapaxes(ab, 0, 1) if np.ndim(ab) else 0.0
+    return 0.0 if type(ab) is float else ab + ab.swapaxes(0, 1)
 
 
-def _chain(x: Dual, v, d, d2) -> Dual:
+def _chain(x, v, d, d2):
     """f(x) by the chain rule, from f's value ``v`` and first derivative
     ``d`` at x's value: d(f(x)) = d dx, and in a second-order pass
     d2(f(x)) = d d2x + f'' dx dx, where ``d2()`` gives f''.  It is called
     only there, so a first-order pass computes no second derivative."""
-    if x.hess is None:
-        return Dual(v, d * x.deriv)
-    return Dual(v, d * x.deriv, d * x.hess + d2() * _outer(x.deriv, x.deriv))
+    _, dx, hx = x
+    if hx is None:
+        return v, d * dx, None
+    return v, d * dx, d * hx + d2() * _outer(dx, dx)
 
 
 def _no_overflow(result, arg, node):
     """``result``, unless a finite argument overflowed to an infinite one."""
-    if not np.isfinite(result).all() and np.any(np.isinf(result) & np.isfinite(arg)):
+    if np.count_nonzero(np.isfinite(result)) < result.size and np.count_nonzero(
+        np.isinf(result) & np.isfinite(arg)
+    ):
         raise ExprDomainError("result overflows", _print(node))
     return result
 
 
-def _int_pow(a: Dual, b: Dual, node) -> Dual:
-    av, k = a.value, b.value
-    if np.ndim(k):
-        zero_to_negative = np.any((av == 0.0) & (k < 0))
+def _int_pow(a, b, node):
+    av, da, ha = a
+    k = b[0]
+    varying = getattr(k, "ndim", 0) > 0
+    if varying:
+        zero_to_negative = np.count_nonzero((av == 0.0) & (k < 0))
     else:  # one exponent for every frame, as the 2 of v1^2: decided in Python
-        zero_to_negative = k < 0 and np.any(av == 0.0)
+        zero_to_negative = k < 0 and np.count_nonzero(av == 0.0)
     if zero_to_negative:
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
     # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da
-    if np.ndim(k) == 0 and k != 0:
+    if not varying and k != 0:
         return _chain(
             a, v, k * np.power(av, k - 1),
             lambda: k * (k - 1) * np.power(av, k - 2) if k != 1 else 0.0,
         )
     # x^0, and exponents that vary over frames: each term is taken as 0
     # where its factor k or k (k-1) is, so that a zero base raises no warning
-    if np.ndim(k) == 0:
+    if not varying:
         slope = curve = 0.0
-        deriv = np.zeros(np.broadcast(av, a.deriv).shape)
+        deriv = np.zeros(np.broadcast(av, da).shape)
     else:
         slope = k * np.power(av, np.where(k == 0, 0.0, k - 1))
-        deriv = np.where(k == 0, 0.0, slope * a.deriv)
-    if a.hess is None:
-        return Dual(v, deriv)
-    if np.ndim(k):
+        deriv = np.where(k == 0, 0.0, slope * da)
+    if ha is None:
+        return v, deriv, None
+    if varying:
         k2 = k * (k - 1)
         slope = np.where(k == 0, 0.0, slope)
         curve = np.where(k2 == 0, 0.0, k2 * np.power(av, np.where(k2 == 0, 0.0, k - 2)))
-    return Dual(v, deriv, slope * a.hess + curve * _outer(a.deriv, a.deriv))
+    return v, deriv, slope * ha + curve * _outer(da, da)
 
 
-def _real_pow(a: Dual, b: Dual, node) -> Dual:
-    av, bv = a.value, b.value
-    if np.any((av < 0.0) | ((av == 0.0) & (bv <= 0.0))):
+def _real_pow(a, b, node):
+    (av, da, ha), (bv, db, hb) = a, b
+    if np.count_nonzero((av < 0.0) | ((av == 0.0) & (bv <= 0.0))):
         raise ExprDomainError("non-integer power of a non-positive base", _print(node))
     zero = av == 0.0
     # bv > 0 at a zero base; the derivative of x^b there is 0 for b > 1,
     # else unbounded
-    if np.any(zero & (a.deriv != 0.0) & (bv <= 1.0)):
+    if np.count_nonzero(zero & (da != 0.0) & (bv <= 1.0)):
         raise ExprDomainError("non-differentiable power at zero base", _print(node))
     # and its second derivatives there are 0 for b > 2, else unbounded along
     # a direction that moves the base (b (b-1) x^(b-2)), and unbounded for
     # b <= 1 where the base curves (b x^(b-1) d2x)
-    if a.hess is not None and (
-        np.any(zero & (a.deriv != 0.0) & (bv <= 2.0))
-        or np.any(zero & (a.hess != 0.0) & (bv <= 1.0))
+    if ha is not None and (
+        np.count_nonzero(zero & (da != 0.0) & (bv <= 2.0))
+        or np.count_nonzero(zero & (ha != 0.0) & (bv <= 1.0))
     ):
         raise ExprDomainError("power not twice differentiable at zero base", _print(node))
     base = np.where(zero, 1.0, av)
     log_a = np.log(base)
     x = bv * log_a
     v = _no_overflow(np.exp(x), x, node)
-    dx = b.deriv * log_a + bv * a.deriv / base
+    dx = db * log_a + bv * da / base
     dv = v * dx
-    if a.hess is None:
-        return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv))
+    if ha is None:
+        return np.where(zero, 0.0, v), np.where(zero, 0.0, dv), None
     # x = b log a: d2x = d2b log a + (db da + da db) / a + b (d2a - da da / a) / a
-    hx = (
-        b.hess * log_a
-        + _sym(b.deriv, a.deriv) / base
-        + bv * (a.hess - _outer(a.deriv, a.deriv) / base) / base
-    )
+    hx = hb * log_a + _sym(db, da) / base + bv * (ha - _outer(da, da) / base) / base
     hv = v * (hx + _outer(dx, dx))
-    return Dual(np.where(zero, 0.0, v), np.where(zero, 0.0, dv), np.where(zero, 0.0, hv))
+    return np.where(zero, 0.0, v), np.where(zero, 0.0, dv), np.where(zero, 0.0, hv)
 
 
-def _pow(a: Dual, b: Dual, node) -> Dual:
+def _pow(a, b, node):
     """Power, decided frame by frame.
 
     Where the exponent is an integer whose derivatives vanish along every
@@ -369,14 +373,14 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
     meaningful (even powers of negative numbers); everywhere else it goes
     through exp(b log a).
     """
-    bv = b.value
-    if np.ndim(bv) == np.ndim(b.deriv) == 0:  # a constant exponent, as the 2 of v1^2
-        integral = b.deriv == 0.0 and float(bv).is_integer()
+    bv, db, hb = b
+    if getattr(bv, "ndim", 0) == getattr(db, "ndim", 0) == 0:  # as the 2 of v1^2
+        integral = db == 0.0 and float(bv).is_integer()
         return (_int_pow if integral else _real_pow)(a, b, node)
     # an exponent that varies over the k frames, the last axis of every part
-    k = np.broadcast_shapes(np.shape(a.value), np.shape(bv))[-1]
+    k = np.broadcast_shapes(np.shape(a[0]), np.shape(bv))[-1]
     moving = np.zeros(k, dtype=bool)
-    for part in (b.deriv, 0.0 if b.hess is None else b.hess):
+    for part in (db, 0.0 if hb is None else hb):
         nonzero = np.asarray(part != 0.0)
         moving |= np.broadcast_to(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
     integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
@@ -385,11 +389,7 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
         return x[..., sel] if np.shape(x)[-1:] == (k,) else x
 
     on, off = (
-        path(
-            Dual(at(a.value, sel), at(a.deriv, sel), at(a.hess, sel)),
-            Dual(at(bv, sel), at(b.deriv, sel), at(b.hess, sel)),
-            node,
-        )
+        path(tuple(at(x, sel) for x in a), tuple(at(x, sel) for x in b), node)
         for sel, path in ((integral, _int_pow), (~integral, _real_pow))
     )
 
@@ -398,15 +398,13 @@ def _pow(a: Dual, b: Dual, node) -> Dual:
         out[..., integral], out[..., ~integral] = x, y
         return out
 
-    value, deriv = stitch(on.value, off.value), stitch(on.deriv, off.deriv)
-    if b.hess is None:
-        return Dual(value, deriv)
-    return Dual(value, deriv, stitch(on.hess, off.hess))
+    parts = [stitch(x, y) for x, y in zip(on[:2], off[:2])]
+    return (*parts, None if hb is None else stitch(on[2], off[2]))
 
 
-def _call(node, x: Dual) -> Dual:
-    fn, xv = node.fn, x.value
-    if fn in ("sin", "cos") and np.any(np.isinf(xv)):
+def _call(node, x):
+    fn, (xv, dx, hx) = node.fn, x
+    if fn in ("sin", "cos") and np.count_nonzero(np.isinf(xv)):
         raise ExprDomainError(f"{fn} of an infinite value", _print(node))
     if fn == "sin":
         v = np.sin(xv)
@@ -418,63 +416,104 @@ def _call(node, x: Dual) -> Dual:
         v = _no_overflow(np.exp(xv), xv, node)
         return _chain(x, v, v, lambda: v)
     if fn == "log":
-        if np.any(xv <= 0.0):
+        if np.count_nonzero(xv <= 0.0):
             raise ExprDomainError("log of a non-positive value", _print(node))
         d = 1.0 / xv
         return _chain(x, np.log(xv), d, lambda: -d * d)
     # sqrt, the last of FUNCTIONS
-    if np.any(xv < 0.0):
+    if np.count_nonzero(xv < 0.0):
         raise ExprDomainError("sqrt of a negative value", _print(node))
     zero = xv == 0.0
-    if np.any(zero & (x.deriv != 0.0)):
+    if np.count_nonzero(zero & (dx != 0.0)):
         raise ExprDomainError("sqrt not differentiable at zero", _print(node))
-    if x.hess is not None and np.any(zero & (x.hess != 0.0)):
+    if hx is not None and np.count_nonzero(zero & (hx != 0.0)):
         raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
     v = np.sqrt(xv)
     d = 0.5 / np.where(zero, np.inf, v)
     return _chain(x, v, d, lambda: -2.0 * d * d * d)  # 0 at a zero argument, as d
 
 
-def _eval(node, env: Mapping[str, Dual], zero: float | None) -> Dual:
-    """The Dual of node; ``zero`` is a constant's ``hess``, None in a
-    first-order pass and 0.0 in a second-order one."""
+def _compile(node):
+    """The closure that evaluates ``node``: (env, zero) -> its triple."""
     if isinstance(node, _Num):
-        return Dual(node.value, 0.0, zero)
+        c = node.value
+        return lambda env, zero: (c, 0.0, zero)
     if isinstance(node, _Var):
-        return env[node.name]
+        name = node.name
+        return lambda env, zero: env[name]
     if isinstance(node, _Neg):
-        a = _eval(node.arg, env, zero)
-        return Dual(-a.value, -a.deriv, None if zero is None else -a.hess)
+        arg = _compile(node.arg)
+
+        def neg(env, zero):
+            v, d, h = arg(env, zero)
+            return -v, -d, None if h is None else -h
+
+        return neg
     if isinstance(node, _Call):
-        return _call(node, _eval(node.arg, env, zero))
-    op = node.op
-    a = _eval(node.left, env, zero)
-    b = _eval(node.right, env, zero)
-    if op == "+":
-        h = None if zero is None else a.hess + b.hess
-        return Dual(a.value + b.value, a.deriv + b.deriv, h)
-    if op == "-":
-        h = None if zero is None else a.hess - b.hess
-        return Dual(a.value - b.value, a.deriv - b.deriv, h)
-    if op == "*":
-        h = None
-        if zero is not None:
-            h = a.hess * b.value + a.value * b.hess + _sym(a.deriv, b.deriv)
-        return Dual(a.value * b.value, a.deriv * b.value + a.value * b.deriv, h)
-    if op == "/":
-        if np.any(b.value == 0.0):
+        arg = _compile(node.arg)
+        return lambda env, zero: _call(node, arg(env, zero))
+    left, right = _compile(node.left), _compile(node.right)
+    if node.op == "^":
+        return lambda env, zero: _pow(left(env, zero), right(env, zero), node)
+    return _BINARY[node.op](left, right, node)
+
+
+def _add(left, right, node):
+    def add(env, zero):
+        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
+        return av + bv, ad + bd, None if ah is None else ah + bh
+
+    return add
+
+
+def _sub(left, right, node):
+    def sub(env, zero):
+        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
+        return av - bv, ad - bd, None if ah is None else ah - bh
+
+    return sub
+
+
+def _mul(left, right, node):
+    def mul(env, zero):
+        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
+        h = None if ah is None else ah * bv + av * bh + _sym(ad, bd)
+        return av * bv, ad * bv + av * bd, h
+
+    return mul
+
+
+def _div(left, right, node):
+    def div(env, zero):
+        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
+        if np.count_nonzero(bv == 0.0):
             raise ExprDomainError("division by zero", _print(node))
-        v = a.value / b.value
-        d = (a.deriv - v * b.deriv) / b.value
+        v = av / bv
+        d = (ad - v * bd) / bv
         # from a = v b: d2v = (d2a - v d2b - (dv db + db dv)) / b
-        h = None if zero is None else (a.hess - v * b.hess - _sym(d, b.deriv)) / b.value
-        return Dual(v, d, h)
-    return _pow(a, b, node)
+        return v, d, None if ah is None else (ah - v * bh - _sym(d, bd)) / bv
+
+    return div
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
+
+def _shape(shapes) -> tuple[int, ...]:
+    """The shape that ``shapes`` broadcast to."""
+    shapes = set(shapes)
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+
+
+def _broadcast(x, shape):
+    """x, broadcast to ``shape`` if it has another."""
+    return x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape)
 
 
 @dataclass(frozen=True)
 class Expr:
-    """A parsed expression and the variable names it may reference.
+    """A parsed expression, the variable names it may reference and the
+    ones it reads.
 
     Immutable.  ``str`` prints it with the parentheses that ``_PREC``
     needs, and :meth:`_forward`, a pure function of its arguments, is the
@@ -484,6 +523,8 @@ class Expr:
 
     root: object
     variables: tuple[str, ...]
+    names: frozenset[str]
+    _run: Callable = field(repr=False, compare=False)  # _compile(root)
 
     def _forward(self, env: Mapping[str, object], seed=None, order: int = 1) -> Dual:
         """Value and directional derivatives at every frame in one pass.
@@ -491,31 +532,30 @@ class Expr:
         ``env`` maps every variable to an array of frames; ``seed`` maps
         every variable to its derivative seed (zero when omitted), which
         broadcasts against the frames, so a column of seeds carries
-        several directions through the same pass.  Both parts of the
-        result have the broadcast shape.  With ``order=2`` the seeds must
+        several directions through the same pass.  The value has the
+        shape the frames broadcast to, and the derivatives the shape the
+        frames and the seeds broadcast to.  With ``order=2`` the seeds must
         lead with that axis of directions, and the result also carries the
         second derivatives along every pair of them, the axis twice.
         """
         zero = None if order == 1 else 0.0
-        frames = {
-            name: Dual(
-                np.asarray(env[name], dtype=float),
-                0.0 if seed is None else np.asarray(seed[name], dtype=float),
-                zero,
-            )
-            for name in self.variables
-        }
+        names = self.variables
+        values = [np.asarray(env[name], dtype=float) for name in names]
+        seeds = [0.0] * len(names)
+        if seed is not None:
+            seeds = [np.asarray(seed[name], dtype=float) for name in names]
         # overflow of exp and of powers raises in _no_overflow; elsewhere it
         # gives inf, as float arithmetic does
         with np.errstate(over="ignore"):
-            out = _eval(self.root, frames, zero)
-        shape = np.broadcast_shapes(
-            *(np.shape(x) for d in frames.values() for x in (d.value, d.deriv))
-        )
-        value, deriv = np.broadcast_to(out.value, shape), np.broadcast_to(out.deriv, shape)
+            value, deriv, hess = self._run(
+                dict(zip(names, zip(values, seeds, [zero] * len(names)))), zero
+            )
+        frames = _shape(x.shape for x in values)
+        shape = frames if seed is None else _shape([frames, *(x.shape for x in seeds)])
+        value, deriv = _broadcast(value, frames), _broadcast(deriv, shape)
         if zero is None:
             return Dual(value, deriv)
-        return Dual(value, deriv, np.broadcast_to(out.hess, shape[:1] + shape))
+        return Dual(value, deriv, _broadcast(hess, shape[:1] + shape))
 
     def __str__(self) -> str:
         return _print(self.root)
@@ -526,8 +566,9 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
 
     Raises :class:`ExprSyntaxError`, with the position of the offending
     token, on text outside the grammar above, on a number too large for
-    a float, or on text nested deeper than MAX_DEPTH levels; :class:`ExprError` if a declared name is one of
-    FUNCTIONS; and TypeError if ``text`` is not a string.
+    a float, or on text nested deeper than MAX_DEPTH levels;
+    :class:`ExprError` if a declared name is one of FUNCTIONS; and
+    TypeError if ``text`` is not a string.
     """
     if not isinstance(text, str):
         raise TypeError(f"expression text must be a string, got {type(text).__name__}")
@@ -542,6 +583,7 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-    if _walk(root)[0] > MAX_DEPTH:  # a long chain of binary operators
+    height, reads = _walk(root)
+    if height > MAX_DEPTH:  # a long chain of binary operators
         raise ExprSyntaxError(_TOO_DEEP, 0)
-    return Expr(root, names)
+    return Expr(root, names, frozenset(reads), _compile(root))

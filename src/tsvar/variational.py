@@ -70,10 +70,9 @@ class Lagrangian:
         self.v_names = tuple(f"v{k + 1}" for k in range(dim))
         names = ("t",) + self.u_names + self.v_names
         self.body = parse(body, names)
-        # per variable, a column of seeds: one unit seed for each variable
-        # in turn (see partials)
-        seeds = np.eye(len(names))
-        self._seeds = {name: seeds[:, [j]] for j, name in enumerate(names)}
+        # row j: variable j's column of seeds, one unit seed for each
+        # variable in turn (see partials)
+        self._unit = np.eye(len(names))[:, :, None]
 
     def partials(
         self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1, moving=None
@@ -104,18 +103,18 @@ class Lagrangian:
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")
         t = np.asarray(t, dtype=float)
-        n = self.dim
-        U = np.reshape(U, (t.size, n))
-        V = np.reshape(V, (t.size, n))
-        seeds = self._seeds
+        k, n, names = t.size, self.dim, self.body.variables
+        U = np.asarray(U).reshape(k, n)
+        V = np.asarray(V).reshape(k, n)
+        seeds = self._unit
         if moving is not None:
-            mask = np.broadcast_to(moving, (t.size, 2 * n + 1))
-            seeds = {name: s * mask[:, j] for j, (name, s) in enumerate(seeds.items())}
-        env = dict(zip(self.body.variables, [t, *U.T, *V.T]))
-        out = self.body._forward(env, seeds, order)
-        d = out.deriv
-        first = out.value[0], d[0], d[1 : n + 1].T, d[n + 1 :].T
-        return first if order == 1 else (*first, np.moveaxis(out.hess, -1, 0))
+            mask = np.broadcast_to(moving, (k, 2 * n + 1)).T
+            seeds = np.multiply(seeds, mask, order="C")  # rows as the frames
+        value, d, H = self.body._forward(
+            dict(zip(names, [t, *U.T, *V.T])), dict(zip(names, seeds)), order
+        )
+        first = value, d[0], d[1 : n + 1].T, d[n + 1 :].T
+        return first if order == 1 else (*first, H.transpose(2, 0, 1))
 
     def __repr__(self) -> str:
         return f"Lagrangian(dim={self.dim}, body={str(self.body)!r})"
