@@ -454,7 +454,10 @@ def _compile(node):
         return lambda env, zero: _call(node, arg(env, zero))
     left, right = _compile(node.left), _compile(node.right)
     if node.op == "^":
-        return lambda env, zero: _pow(left(env, zero), right(env, zero), node)
+        power = _pow
+        if isinstance(node.right, _Num):  # a literal exponent, as the 2 of v1^2
+            power = _int_pow if node.right.value.is_integer() else _real_pow
+        return lambda env, zero: power(left(env, zero), right(env, zero), node)
     return _BINARY[node.op](left, right, node)
 
 
@@ -499,10 +502,11 @@ def _div(left, right, node):
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
-def _shape(shapes) -> tuple[int, ...]:
-    """The shape that ``shapes`` broadcast to."""
-    shapes = set(shapes)
-    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+def _shape(parts) -> tuple[int, ...]:
+    """The shape that the arrays ``parts`` broadcast to, from one array of
+    each shape."""
+    first = {x.shape: x for x in parts}
+    return np.broadcast(*first.values()).shape if len(first) > 1 else next(iter(first), ())
 
 
 def _broadcast(x, shape):
@@ -550,8 +554,8 @@ class Expr:
             value, deriv, hess = self._run(
                 dict(zip(names, zip(values, seeds, [zero] * len(names)))), zero
             )
-        frames = _shape(x.shape for x in values)
-        shape = frames if seed is None else _shape([frames, *(x.shape for x in seeds)])
+        frames = _shape(values)
+        shape = frames if seed is None else _shape([*values, *seeds])
         value, deriv = _broadcast(value, frames), _broadcast(deriv, shape)
         if zero is None:
             return Dual(value, deriv)

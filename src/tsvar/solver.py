@@ -24,14 +24,15 @@ that a second-equation filter, a mask over one column, can narrow the set.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprError, _walk
+from .expr import ExprError
 from .timescale import GridFunction, TimeScale, _expand_slopes
-from .variational import Lagrangian, VariationalProblem, _Along, _along, _alongs
+from .variational import Lagrangian, VariationalProblem, _Along, _alongs
 from .variational import _check_trajectory, _frames
 
 __all__ = [
@@ -56,6 +57,7 @@ BOUNDARY_HIT_TOL = 1e-9
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
+_EPS = np.finfo(float).eps
 
 
 class SingularSystem(RuntimeError):
@@ -250,21 +252,19 @@ def _jacobian(
     moving = np.ones((t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
     H = p.lagrangian.partials(t, U, V, order=2, moving=moving)[4]
-    u, v = slice(1, n + 1), slice(n + 1, None)
-    uu, uv, vu, vv = H[:, u, u], H[:, u, v], H[:, v, u], H[:, v, v]
+    uu, uv = H[:, 1 : n + 1, 1 : n + 1], H[:, 1 : n + 1, n + 1 :]
+    vu, vv = H[:, n + 1 :, 1 : n + 1], H[:, n + 1 :, n + 1 :]
     mu = p.scale.mus[: t.size, None, None]
     m0, m1 = mu[:-1], mu[1:]  # mu_i and mu_{i+1} of row block i
-    blocks = np.concatenate(
-        [
-            (vv[:-1] / m0 + uv[:-1]) / m0,
-            (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0,
-            (vu[1:] + vv[1:] / m1) / m0,
-        ],
-        axis=2,
-    )  # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
+    # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
+    blocks = np.empty((t.size - 1, n, 3 * n))
+    blocks[..., :n] = (vv[:-1] / m0 + uv[:-1]) / m0
+    blocks[..., n : 2 * n] = (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0
+    blocks[..., 2 * n :] = (vu[1:] + vv[1:] / m1) / m0
     rows, cols = band
+    block = rows // n
     J = np.zeros((blocks.shape[0] * n,) * 2)
-    J[rows, cols] = blocks[rows // n, rows % n, cols - (rows // n - 1) * n]
+    J[band] = blocks[block, rows - block * n, cols - (block - 1) * n]
     return J
 
 
@@ -273,10 +273,10 @@ def _band(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     tridiagonal matrix with n x n blocks, row by row, each row's columns
     ascending: row r of block r // n meets the columns of blocks
     r // n - 1 .. r // n + 1."""
-    rows = np.repeat(np.arange(size), 3 * n)
-    cols = (rows // n - 1) * n + np.tile(np.arange(3 * n), size)
+    rows = np.arange(size)
+    cols = ((rows // n - 1) * n)[:, None] + np.arange(3 * n)
     inside = (cols >= 0) & (cols < size)
-    return rows[inside], cols[inside]
+    return rows.repeat(3 * n)[inside.ravel()], cols[inside]
 
 
 @np.errstate(over="ignore")  # an overflowing sum certifies nothing
@@ -296,8 +296,8 @@ def _certified(entries: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int)
     a = np.abs(entries)
     row_sums = np.bincount(rows, a)  # every row and column holds its diagonal
     norm_inf, diagonal = row_sums.max(), a[rows == cols]
-    alpha = np.min(diagonal - (row_sums - diagonal))
-    alpha -= (3 * n + 2) * np.finfo(float).eps * norm_inf
+    alpha = (diagonal - (row_sums - diagonal)).min()
+    alpha -= (3 * n + 2) * _EPS * norm_inf
     if not alpha > 0:
         return False
     norm_1 = np.bincount(cols, a).max()
@@ -312,7 +312,7 @@ def _check_jacobian(J: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) 
     when J's band does not certify the condition (:func:`_certified`), on
     J times a power of two: exact, and the SVD cannot overflow."""
     entries = J[band]
-    if not np.all(np.isfinite(entries)):  # an overflowing residual; the SVD would fail
+    if not np.isfinite(entries).all():  # an overflowing residual; the SVD would fail
         raise SingularSystem("jacobian has non-finite entries")
     if _certified(entries, band, n):
         return
@@ -357,20 +357,21 @@ def solve_newton(
     passes without an SVD, and any other J goes to np.linalg.cond
     (:func:`_check_jacobian`).
     """
-    return _newton(p, q_init, opts).q
+    return _newton(p, q_init, opts)[0][0].q
 
 
 @np.errstate(invalid="ignore", over="ignore")
 def _floor(J: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
     """The rounding floor of the residual F at x, given the Jacobian J;
     inf or NaN, which stops no solve, if J or the sum is not finite."""
-    return np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x) + np.abs(F))
+    return _EPS * (np.abs(J) @ np.abs(x) + np.abs(F)).max()
 
 
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
 ) -> _Along:
-    """:func:`solve_newton`, returning the record of the iterate it stops at."""
+    """:func:`solve_newton`, returning the record of the iterate it stops
+    at, a stack of one, and the max-norm of its residual."""
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
@@ -378,59 +379,60 @@ def _newton(
     _check_trajectory(p, q_init)
     x = q_init.values[1:-1].ravel().copy()
     e, (F,) = _iterates(p, x[None])  # ends within BOUNDARY_TOL are pinned
-    e, floor, band = e[0], 0.0, _band(x.size, p.dim)
+    floor, band = 0.0, _band(x.size, p.dim)
     history: list[float] = []
     for it in range(opts.max_iter + 1):
-        mag = float(np.max(np.abs(F)))
+        mag = float(np.abs(F).max())
         history.append(mag)
         if mag <= max(opts.tol, floor):
-            return e
-        if not np.isfinite(mag):  # only the guess's: a trial must lower mag
+            return e, mag
+        if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        J = _jacobian(p, e.Q, band)
+        J = _jacobian(p, e.Q[0], band)
         if mag <= _floor(J, x, F) < np.inf:  # a non-finite J gives no floor
-            return e
+            return e, mag
         if it == opts.max_iter:
-            raise NoConvergence(e.q, history)
+            raise NoConvergence(e[0].q, history)
         _check_jacobian(J, band, p.dim)
         dx = np.linalg.solve(J, -F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
             e_trial, (F_trial,) = _iterates(p, trial[None])
-            if np.max(np.abs(F_trial)) < mag:
+            if np.abs(F_trial).max() < mag:
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(e.q, history)
-        x, F, e = trial, F_trial, e_trial[0]
+            raise NoConvergence(e[0].q, history)
+        x, F, e = trial, F_trial, e_trial
         floor = _floor(J, x, F)
 
 
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:
     """Whether L names none of t, u1..un, so that L_t = L_u = 0 and both
     Euler-Lagrange equations hold along every trajectory of constant slope."""
-    return _walk(lagrangian.body.root)[1].isdisjoint(("t", *lagrangian.u_names))
+    return lagrangian.body.names.isdisjoint(("t", *lagrangian.u_names))
 
 
 def _magnitudes(r: np.ndarray) -> np.ndarray:
     """Max-norm of each residual of the stack r, shape (..., k, n)."""
-    return np.max(np.abs(r), axis=(-2, -1))
+    return np.abs(r).max(axis=(-2, -1))
 
 
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
+    # a stack of one, diagnosed as the enumeration's stacks are; first-EL,
+    # action, second-EL is the order one record's methods are read in, so
+    # that under warnings raised as errors the same one raises
     if _reads_only_slope(p.lagrangian):
-        e, provenance = _along(p, affine_extremal(p)), Provenance.CLOSED_FORM
-    else:  # diagnosed from the record Newton stopped at
-        e, provenance = _newton(p, None, opts), Provenance.NEWTON
-    s = e[None]  # a stack of one, diagnosed as the enumeration's stacks are
-    # first-EL, action, second-EL: the order one record's methods are read
-    # in, so that under warnings raised as errors the same one raises
-    first = _magnitudes(s.first_el_values())[0]
+        s, provenance = _alongs(p, affine_extremal(p).values[None]), Provenance.CLOSED_FORM
+        first = _magnitudes(s.first_el_values())[0]
+    else:  # the record Newton stopped at, and its first-EL magnitude
+        (s, first), provenance = _newton(p, None, opts), Provenance.NEWTON
     action, second = s.action()[0], _magnitudes(s.second_el_values())[0]
-    return Candidate(e.q, provenance, float(action), float(first), float(second))
+    q = GridFunction(p.scale, s.Q[0])
+    return Candidate(q, provenance, float(action), float(first), float(second))
 
 
 @np.errstate(all="ignore")  # overflow in the walk only makes a miss

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -224,7 +225,7 @@ class TimeScale:
         """The gap kinds as the letters 'S' and 'D'."""
         return np.where(self.mus[:-1] > 0, "S", "D")
 
-    @property
+    @cached_property  # the scale is immutable
     def is_exact_discrete(self) -> bool:
         return bool(np.all(self.mus[:-1] > 0))
 
@@ -420,7 +421,7 @@ def _expand_slopes(scale: TimeScale, q_a, s: np.ndarray) -> np.ndarray:
 def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Forward quotients of values, shape (..., m, n), over the m points:
     (values[i+1] - values[i]) / (points[i+1] - points[i]) for i < m-1."""
-    return (values[..., 1:, :] - values[..., :-1, :]) / np.diff(points)[:, None]
+    return (values[..., 1:, :] - values[..., :-1, :]) / (points[1:] - points[:-1])[:, None]
 
 
 def delta_derivative(f: GridFunction) -> GridFunction:
@@ -448,14 +449,15 @@ def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.n
     lo, hi = int(lo), int(hi)
     if not 0 <= lo <= hi < scale.n:
         raise TimeScaleError(f"bad integration range [{lo}, {hi}] on n={scale.n}")
-    j = np.arange(lo, hi)
     dense = scale.mus[lo:hi] == 0.0
-    if hi > lo and np.max(j + dense) >= f.shape[-2]:
+    # the last term reads f at hi - 1, and at hi too if its gap is dense
+    if hi > lo and hi - 1 + dense[-1] >= f.shape[-2]:
         raise TimeScaleError("function prefix too short for this integral")
-    w = np.diff(scale.points[lo : hi + 1])[:, None]
-    terms = f[..., j, :] * w
-    jd = j[dense]
-    terms[..., dense, :] = 0.5 * (f[..., jd, :] + f[..., jd + 1, :]) * w[dense]
+    w = (scale.points[lo + 1 : hi + 1] - scale.points[lo:hi])[:, None]
+    terms = f[..., lo:hi, :] * w
+    if np.count_nonzero(dense):
+        jd = np.arange(lo, hi)[dense]
+        terms[..., dense, :] = 0.5 * (f[..., jd, :] + f[..., jd + 1, :]) * w[dense]
     start = np.zeros(f.shape[:-2] + (1, f.shape[-1]))
     return np.cumsum(np.concatenate([start, terms], axis=-2), axis=-2)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import parse
+from .expr import _broadcast, parse
 from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
@@ -70,9 +70,10 @@ class Lagrangian:
         self.v_names = tuple(f"v{k + 1}" for k in range(dim))
         names = ("t",) + self.u_names + self.v_names
         self.body = parse(body, names)
-        # row j: variable j's column of seeds, one unit seed for each
-        # variable in turn (see partials)
+        # per variable, a column of seeds: one unit seed for each variable
+        # in turn (see partials)
         self._unit = np.eye(len(names))[:, :, None]
+        self._seeds = dict(zip(names, self._unit))
 
     def partials(
         self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1, moving=None
@@ -106,13 +107,12 @@ class Lagrangian:
         k, n, names = t.size, self.dim, self.body.variables
         U = np.asarray(U).reshape(k, n)
         V = np.asarray(V).reshape(k, n)
-        seeds = self._unit
+        seeds = self._seeds
         if moving is not None:
-            mask = np.broadcast_to(moving, (k, 2 * n + 1)).T
-            seeds = np.multiply(seeds, mask, order="C")  # rows as the frames
-        value, d, H = self.body._forward(
-            dict(zip(names, [t, *U.T, *V.T])), dict(zip(names, seeds)), order
-        )
+            mask = _broadcast(np.asarray(moving), (k, 2 * n + 1)).T
+            # one product for every seed, laid out as the frames are
+            seeds = dict(zip(names, np.multiply(self._unit, mask, order="C")))
+        value, d, H = self.body._forward(dict(zip(names, [t, *U.T, *V.T])), seeds, order)
         first = value, d[0], d[1 : n + 1].T, d[n + 1 :].T
         return first if order == 1 else (*first, H.transpose(2, 0, 1))
 
@@ -221,7 +221,7 @@ class _Along:
 
     def hamiltonian(self, mu) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
-        return -self.L + np.sum(self.Lv * self.v, axis=-1) + self.Lt * mu
+        return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * mu
 
     def action(self) -> np.ndarray:
         T, L = self.p.scale, self.L
@@ -275,9 +275,9 @@ def _check_trajectory(
     if q.dim != p.dim:
         raise ValueError(f"trajectory dimension {q.dim} != problem dimension {p.dim}")
     # written so that a NaN endpoint fails
-    if boundary and not np.max(np.abs(q.values[0] - p.q_a)) <= BOUNDARY_TOL:
+    if boundary and not np.abs(q.values[0] - p.q_a).max() <= BOUNDARY_TOL:
         raise ValueError(f"trajectory start {q.values[0]} != q_a {p.q_a}")
-    if boundary and not np.max(np.abs(q.values[-1] - p.q_b)) <= BOUNDARY_TOL:
+    if boundary and not np.abs(q.values[-1] - p.q_b).max() <= BOUNDARY_TOL:
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
 
 
@@ -315,7 +315,7 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> 
     T, (h, _, n) = p.scale, Q.shape
     k = T.n - 1
     t, U, V = _frames(T, Q)
-    L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, h), U, V)
+    L, Lt, Lu, Lv = p.lagrangian.partials(t if h == 1 else np.tile(t, h), U, V)
     approximate = approximate or T.has_dense
     return _Along(
         p, t, T.mus[:k], approximate, Q, V,
