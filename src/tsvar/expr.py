@@ -452,54 +452,30 @@ def _compile(node):
     if isinstance(node, _Call):
         arg = _compile(node.arg)
         return lambda env, zero: _call(node, arg(env, zero))
-    left, right = _compile(node.left), _compile(node.right)
-    if node.op == "^":
+    left, right, op = _compile(node.left), _compile(node.right), node.op
+    if op == "^":
         power = _pow
         if isinstance(node.right, _Num):  # a literal exponent, as the 2 of v1^2
             power = _int_pow if node.right.value.is_integer() else _real_pow
         return lambda env, zero: power(left(env, zero), right(env, zero), node)
-    return _BINARY[node.op](left, right, node)
 
-
-def _add(left, right, node):
-    def add(env, zero):
+    def binary(env, zero):
         (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
-        return av + bv, ad + bd, None if ah is None else ah + bh
-
-    return add
-
-
-def _sub(left, right, node):
-    def sub(env, zero):
-        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
-        return av - bv, ad - bd, None if ah is None else ah - bh
-
-    return sub
-
-
-def _mul(left, right, node):
-    def mul(env, zero):
-        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
-        h = None if ah is None else ah * bv + av * bh + _sym(ad, bd)
-        return av * bv, ad * bv + av * bd, h
-
-    return mul
-
-
-def _div(left, right, node):
-    def div(env, zero):
-        (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)
-        if np.count_nonzero(bv == 0.0):
+        if op == "+":
+            return av + bv, ad + bd, None if ah is None else ah + bh
+        if op == "-":
+            return av - bv, ad - bd, None if ah is None else ah - bh
+        if op == "*":
+            h = None if ah is None else ah * bv + av * bh + _sym(ad, bd)
+            return av * bv, ad * bv + av * bd, h
+        if np.count_nonzero(bv == 0.0):  # op is "/"
             raise ExprDomainError("division by zero", _print(node))
         v = av / bv
         d = (ad - v * bd) / bv
         # from a = v b: d2v = (d2a - v d2b - (dv db + db dv)) / b
         return v, d, None if ah is None else (ah - v * bh - _sym(d, bd)) / bv
 
-    return div
-
-
-_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+    return binary
 
 
 def _shape(parts) -> tuple[int, ...]:
@@ -527,7 +503,7 @@ class Expr:
 
     root: object
     variables: tuple[str, ...]
-    names: frozenset[str]
+    reads: frozenset[str]  # the variables the tree names
     _run: Callable = field(repr=False, compare=False)  # _compile(root)
 
     def _forward(self, env: Mapping[str, object], seed=None, order: int = 1) -> Dual:

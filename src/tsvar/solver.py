@@ -411,7 +411,7 @@ def _newton(
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:
     """Whether L names none of t, u1..un, so that L_t = L_u = 0 and both
     Euler-Lagrange equations hold along every trajectory of constant slope."""
-    return lagrangian.body.names.isdisjoint(("t", *lagrangian.u_names))
+    return lagrangian.body.reads.isdisjoint(("t", *lagrangian.u_names))
 
 
 def _magnitudes(r: np.ndarray) -> np.ndarray:

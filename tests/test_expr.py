@@ -127,6 +127,10 @@ class TestFrontEnd:
         assert parse("1.7976931348623157e308 * v1", VARS).root.left.value == np.finfo(float).max
         assert parse("1e-400 + v1", VARS).root.left.value == 0.0
 
+    def test_reads_are_the_variables_the_tree_names(self):
+        assert parse("t*v1 + 2", VARS).reads == {"t", "v1"}
+        assert parse("sin(1)^2", VARS).reads == set()
+
     def test_variable_named_like_a_function(self):
         with pytest.raises(ExprError) as err:
             parse("t", ("t", "exp"))

@@ -31,7 +31,7 @@ from tsvar import (
     solve,
     solve_newton,
 )
-from tsvar import cli, solver, timescale
+from tsvar import cli, expr, solver, timescale
 from tsvar.solver import _reads_only_slope
 from tsvar.variational import _Along, _along, _frames
 
@@ -831,6 +831,14 @@ class TestSolve:
         names_state = re.search(r"\b(t|u\d+)\b", body) is not None
         assert not (quadratic and names_state)
         assert _reads_only_slope(Lagrangian(dim, body)) is not names_state
+
+    def test_solve_reads_the_parsed_name_set(self, monkeypatch):
+        # parse walks the tree once and keeps the names it reads; a solve
+        # picks its route from that set without walking the tree again
+        p = VariationalProblem(TimeScale.uniform(0, 1, 0.25), Lagrangian(1, "v1^4"), [0], [1])
+        for module in (expr, solver):
+            monkeypatch.setattr(module, "_walk", lambda root: pytest.fail("walked"), raising=False)
+        assert solve(p).provenance is Provenance.CLOSED_FORM
 
     def test_slope_only_bodies_take_the_closed_form(self):
         # Newton once took these and could fail at a guess already at its
