@@ -5,14 +5,17 @@ Times first-order passes and second-order passes with the mask Newton's
 Jacobian uses (t held at every frame, u held at the last), on k random
 frames, for three bodies in n = 1 and n = 3 dimensions: a linear-quadratic
 one, the quartic and one with exp, sin, sqrt and log.  Each figure is the
-minimum over repeats of the mean of a timed loop, with the garbage
-collector off; the interpreter and numpy versions head the table.
+minimum over repeats of the mean of a timed loop, in CPU time of this
+process (on a shared virtual machine, time the CPU is taken away is not
+the kernel's), with the garbage collector off; the interpreter and numpy
+versions head the table.
 
     PYTHONPATH=src python scripts/kernel_timing.py [--repeat R] [--sizes K,K,..]
 """
 
 import argparse
 import platform
+import time
 import timeit
 
 import numpy as np
@@ -23,7 +26,9 @@ from tsvar import Lagrangian
 BODIES = {
     "lq": "1.3*t*v{j}^2 + 0.7*u{j}^2",
     "quartic": "(v{j}^2 - 1)^2",
-    "exp-sin-sqrt-log": "exp(0.3*v{j}) + sin(u{j}) + sqrt(v{j}^2 + 1) + log(t*u{j}^2 + 1)",
+    "exp-sin-sqrt-log": (
+        "exp(0.3*v{j}) + sin(u{j}) + sqrt(v{j}^2 + 1) + log(t*u{j}^2 + 1)"
+    ),
 }
 SECONDS_PER_REPEAT = 0.01
 
@@ -31,7 +36,7 @@ SECONDS_PER_REPEAT = 0.01
 def seconds_per_call(call, repeat: int) -> float:
     """The minimum over ``repeat`` timed loops of the mean time of one call,
     each loop about SECONDS_PER_REPEAT long."""
-    timer = timeit.Timer(call)
+    timer = timeit.Timer(call, timer=time.process_time)
     once = min(timer.repeat(3, 1))
     number = max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
     return min(timer.repeat(repeat, number)) / number
@@ -61,7 +66,8 @@ def main() -> None:
         for n in (1, 3):
             for k in sizes:
                 first, second = row(body, n, k, args.repeat)
-                print(f"{name:>16}  {n}  {k:>6}  {first * 1e6:10.1f}  {second * 1e6:10.1f}")
+                us = f"{first * 1e6:10.1f}  {second * 1e6:10.1f}"
+                print(f"{name:>16}  {n}  {k:>6}  {us}")
 
 
 if __name__ == "__main__":

@@ -482,7 +482,9 @@ def _shape(parts) -> tuple[int, ...]:
     """The shape that the arrays ``parts`` broadcast to, from one array of
     each shape."""
     first = {x.shape: x for x in parts}
-    return np.broadcast(*first.values()).shape if len(first) > 1 else next(iter(first), ())
+    if len(first) > 1:
+        return np.broadcast(*first.values()).shape
+    return next(iter(first), ())
 
 
 def _broadcast(x, shape):
@@ -517,6 +519,15 @@ class Expr:
         frames and the seeds broadcast to.  With ``order=2`` the seeds must
         lead with that axis of directions, and the result also carries the
         second derivatives along every pair of them, the axis twice.
+
+        The pass calls the closures that parse compiled from the tree, one
+        per node, on plain (value, deriv, hess) tuples.  Beyond numpy's
+        arithmetic it costs a few Python calls per node and, once per
+        pass, one error-state switch and a broadcast of the parts whose
+        shape falls short.  On the hundred or so frames of a Newton solve
+        numpy's overhead per call, not the frame count, sets the cost of
+        a first-order pass; second derivatives add arithmetic that grows
+        with the square of the directions.
         """
         zero = None if order == 1 else 0.0
         names = self.variables

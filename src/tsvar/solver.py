@@ -252,19 +252,21 @@ def _jacobian(
     moving = np.ones((t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
     H = p.lagrangian.partials(t, U, V, order=2, moving=moving)[4]
-    uu, uv = H[:, 1 : n + 1, 1 : n + 1], H[:, 1 : n + 1, n + 1 :]
-    vu, vv = H[:, n + 1 :, 1 : n + 1], H[:, n + 1 :, n + 1 :]
+    u, v = slice(1, n + 1), slice(n + 1, None)
+    uu, uv, vu, vv = H[:, u, u], H[:, u, v], H[:, v, u], H[:, v, v]
     mu = p.scale.mus[: t.size, None, None]
     m0, m1 = mu[:-1], mu[1:]  # mu_i and mu_{i+1} of row block i
-    # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
-    blocks = np.empty((t.size - 1, n, 3 * n))
-    blocks[..., :n] = (vv[:-1] / m0 + uv[:-1]) / m0
-    blocks[..., n : 2 * n] = (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0
-    blocks[..., 2 * n :] = (vu[1:] + vv[1:] / m1) / m0
+    blocks = np.concatenate(
+        [
+            (vv[:-1] / m0 + uv[:-1]) / m0,
+            (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0,
+            (vu[1:] + vv[1:] / m1) / m0,
+        ],
+        axis=2,
+    )  # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
     rows, cols = band
-    block = rows // n
     J = np.zeros((blocks.shape[0] * n,) * 2)
-    J[band] = blocks[block, rows - block * n, cols - (block - 1) * n]
+    J[rows, cols] = blocks[rows // n, rows % n, cols - (rows // n - 1) * n]
     return J
 
 
@@ -369,7 +371,7 @@ def _floor(J: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
 
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
-) -> _Along:
+) -> tuple[_Along, float]:
     """:func:`solve_newton`, returning the record of the iterate it stops
     at, a stack of one, and the max-norm of its residual."""
     if not p.scale.is_exact_discrete:
@@ -426,7 +428,8 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
     # action, second-EL is the order one record's methods are read in, so
     # that under warnings raised as errors the same one raises
     if _reads_only_slope(p.lagrangian):
-        s, provenance = _alongs(p, affine_extremal(p).values[None]), Provenance.CLOSED_FORM
+        s = _alongs(p, affine_extremal(p).values[None])
+        provenance = Provenance.CLOSED_FORM
         first = _magnitudes(s.first_el_values())[0]
     else:  # the record Newton stopped at, and its first-EL magnitude
         (s, first), provenance = _newton(p, None, opts), Provenance.NEWTON

@@ -421,7 +421,8 @@ def _expand_slopes(scale: TimeScale, q_a, s: np.ndarray) -> np.ndarray:
 def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Forward quotients of values, shape (..., m, n), over the m points:
     (values[i+1] - values[i]) / (points[i+1] - points[i]) for i < m-1."""
-    return (values[..., 1:, :] - values[..., :-1, :]) / (points[1:] - points[:-1])[:, None]
+    widths = points[1:] - points[:-1]
+    return (values[..., 1:, :] - values[..., :-1, :]) / widths[:, None]
 
 
 def delta_derivative(f: GridFunction) -> GridFunction:

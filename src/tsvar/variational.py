@@ -70,8 +70,8 @@ class Lagrangian:
         self.v_names = tuple(f"v{k + 1}" for k in range(dim))
         names = ("t",) + self.u_names + self.v_names
         self.body = parse(body, names)
-        # per variable, a column of seeds: one unit seed for each variable
-        # in turn (see partials)
+        # row j, variable j's column of seeds: one unit seed for each
+        # variable in turn (see partials)
         self._unit = np.eye(len(names))[:, :, None]
         self._seeds = dict(zip(names, self._unit))
 
@@ -100,6 +100,12 @@ class Lagrangian:
         ``sqrt(u1^2)`` and ``(u1^2)^0.5``, which are |u1|, as it does for
         the differentiable ``sqrt(u1^4)``.  The second-order pass raises
         on the first two there.
+
+        A call is one :meth:`Expr._forward` pass of the body, whose tree
+        parse compiled once, plus a few numpy calls here: the unit seeds
+        are built with the Lagrangian, and a mask scales all of them in
+        one product.  The results are views of the pass's arrays, not
+        copies (``scripts/kernel_timing.py`` prints the cost of a call).
         """
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")

@@ -124,7 +124,8 @@ class TestFrontEnd:
 
     def test_largest_and_underflowing_literals_parse(self):
         # only a literal whose float is infinite is refused
-        assert parse("1.7976931348623157e308 * v1", VARS).root.left.value == np.finfo(float).max
+        largest = parse("1.7976931348623157e308 * v1", VARS).root.left.value
+        assert largest == np.finfo(float).max
         assert parse("1e-400 + v1", VARS).root.left.value == 0.0
 
     def test_reads_are_the_variables_the_tree_names(self):

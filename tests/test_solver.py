@@ -835,9 +835,11 @@ class TestSolve:
     def test_solve_reads_the_parsed_name_set(self, monkeypatch):
         # parse walks the tree once and keeps the names it reads; a solve
         # picks its route from that set without walking the tree again
-        p = VariationalProblem(TimeScale.uniform(0, 1, 0.25), Lagrangian(1, "v1^4"), [0], [1])
+        scale = TimeScale.uniform(0, 1, 0.25)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^4"), [0], [1])
         for module in (expr, solver):
-            monkeypatch.setattr(module, "_walk", lambda root: pytest.fail("walked"), raising=False)
+            walk = lambda root: pytest.fail("walked")  # noqa: E731
+            monkeypatch.setattr(module, "_walk", walk, raising=False)
         assert solve(p).provenance is Provenance.CLOSED_FORM
 
     def test_slope_only_bodies_take_the_closed_form(self):
