@@ -341,12 +341,13 @@ def _real_pow(a, b, node):
     zero = av == 0.0
     # bv > 0 at a zero base; the derivative of x^b there is 0 for b > 1,
     # else unbounded
-    if np.count_nonzero(zero & (da != 0.0) & (bv <= 1.0)):
+    at_zero = np.count_nonzero(zero) > 0  # else neither check can fail
+    if at_zero and np.count_nonzero(zero & (da != 0.0) & (bv <= 1.0)):
         raise ExprDomainError("non-differentiable power at zero base", _print(node))
     # and its second derivatives there are 0 for b > 2, else unbounded along
     # a direction that moves the base (b (b-1) x^(b-2)), and unbounded for
     # b <= 1 where the base curves (b x^(b-1) d2x)
-    if ha is not None and (
+    if at_zero and ha is not None and (
         np.count_nonzero(zero & (da != 0.0) & (bv <= 2.0))
         or np.count_nonzero(zero & (ha != 0.0) & (bv <= 1.0))
     ):
@@ -424,9 +425,10 @@ def _call(node, x):
     if np.count_nonzero(xv < 0.0):
         raise ExprDomainError("sqrt of a negative value", _print(node))
     zero = xv == 0.0
-    if np.count_nonzero(zero & (dx != 0.0)):
+    at_zero = np.count_nonzero(zero) > 0  # else neither check can fail
+    if at_zero and np.count_nonzero(zero & (dx != 0.0)):
         raise ExprDomainError("sqrt not differentiable at zero", _print(node))
-    if hx is not None and np.count_nonzero(zero & (hx != 0.0)):
+    if at_zero and hx is not None and np.count_nonzero(zero & (hx != 0.0)):
         raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
     v = np.sqrt(xv)
     d = 0.5 / np.where(zero, np.inf, v)
