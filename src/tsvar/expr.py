@@ -399,8 +399,8 @@ def _pow(a, b, node):
         out[..., integral], out[..., ~integral] = x, y
         return out
 
-    parts = [stitch(x, y) for x, y in zip(on[:2], off[:2])]
-    return (*parts, None if hb is None else stitch(on[2], off[2]))
+    value, deriv = stitch(on[0], off[0]), stitch(on[1], off[1])
+    return value, deriv, None if hb is None else stitch(on[2], off[2])
 
 
 def _call(node, x):
