@@ -320,6 +320,7 @@ class TestPartials:
         V = np.array(v)[:, None]
         _assert_batched_equals_per_frame(L, t, U, V, exact)
 
+    @pytest.mark.parametrize("order, newton", [(1, False), (2, False), (2, True)])
     @pytest.mark.parametrize(
         "body, var, bad",
         [
@@ -330,7 +331,6 @@ class TestPartials:
             ("v1^-1", "v1", 0.0),
         ],
     )
-    @pytest.mark.parametrize("order, newton", [(1, False), (2, False), (2, True)])
     def test_domain_error_at_one_frame_matches_scalar_message(
         self, body, var, bad, order, newton
     ):
