@@ -67,10 +67,11 @@ class Dual(NamedTuple):
     """Forward-mode number: a value, its directional derivatives and, in a
     second-order pass, its second derivatives.
 
-    Each part may be a float or a numpy array of frames.  ``hess`` is None
-    in a first-order pass.  In a second-order pass ``deriv`` leads with an
-    axis of seed directions and ``hess`` with two, entry (i, j) being the
-    second derivative along directions i and j.
+    Each part may be a float or a numpy array of frames; the parts
+    broadcast against each other.  ``hess`` is None in a first-order
+    pass.  In a second-order pass ``deriv`` leads with an axis of seed
+    directions and ``hess`` with two, entry (i, j) being the second
+    derivative along directions i and j.
     """
 
     value: float | np.ndarray
