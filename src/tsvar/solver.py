@@ -359,7 +359,8 @@ def solve_newton(
     passes without an SVD, and any other J goes to np.linalg.cond
     (:func:`_check_jacobian`).
     """
-    return _newton(p, q_init, opts)[0][0].q
+    e, _ = _newton(p, q_init, opts)
+    return e[0].q
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -424,9 +425,10 @@ def _magnitudes(r: np.ndarray) -> np.ndarray:
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
-    # a stack of one, diagnosed as the enumeration's stacks are; first-EL,
-    # action, second-EL is the order one record's methods are read in, so
-    # that under warnings raised as errors the same one raises
+    # a stack of one, diagnosed as the enumeration's stacks are: first-EL
+    # (Newton's from its last residual), action, then second-EL, the order
+    # one record's methods are read in, so that under warnings raised as
+    # errors the same one raises
     if _reads_only_slope(p.lagrangian):
         s = _alongs(p, affine_extremal(p).values[None])
         provenance = Provenance.CLOSED_FORM
