@@ -264,9 +264,15 @@ def _jacobian(
         ],
         axis=2,
     )  # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
-    rows, cols = band
-    J = np.zeros((blocks.shape[0] * n,) * 2)
-    J[rows, cols] = blocks[rows // n, rows % n, cols - (rows // n - 1) * n]
+    # row r of the blocks holds row r of J from column (r // n - 1) * n on,
+    # in the band's order; the band leaves out the blocks at q_0 and
+    # q_{N-1}: the first n columns of the first block row, the last n of
+    # the last
+    size = blocks.shape[0] * n
+    inside = np.ones((size, 3 * n), dtype=bool)
+    inside[:n, :n] = inside[-n:, 2 * n :] = False
+    J = np.zeros((size, size))
+    J[band] = blocks.reshape(size, 3 * n)[inside]
     return J
 
 
