@@ -6,8 +6,8 @@ Three routes:
 * damped Newton iteration on the first Euler-Lagrange residual system
   (unknowns are the interior trajectory values): per step, one
   second-order evaluation of L along the iterate, from which the exact
-  block-tridiagonal Jacobian is assembled, and one evaluation along each
-  trial iterate,
+  Hessian of the discrete action is assembled, symmetric and block-
+  tridiagonal, and one evaluation along each trial iterate,
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
@@ -61,7 +61,9 @@ _EPS = np.finfo(float).eps
 
 
 class SingularSystem(RuntimeError):
-    """The Newton Jacobian is numerically singular."""
+    """Newton's system is numerically singular: the action's Hessian is
+    ill-conditioned, or it or the residual's Jacobian has a non-finite
+    entry, or the residual does."""
 
 
 class NoConvergence(RuntimeError):
@@ -222,110 +224,106 @@ def _stacked(evaluate, h: int):
         raise
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite J fails _check_jacobian
-def _jacobian(
-    p: VariationalProblem, Q: np.ndarray, band: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Jacobian of Newton's residual at the trajectory Q, shape (N, n), in
-    the interior values, from one second-order kernel pass along Q.
+@np.errstate(over="ignore", invalid="ignore")  # _floor judges a non-finite H
+def _hessian(p: VariationalProblem, e: _Along) -> tuple[np.ndarray, np.ndarray]:
+    """The Hessian H of the discrete action S in the interior values at the
+    trajectory of e, a record of one, from one second-order kernel pass
+    along e's frames: its diagonal blocks D, shape (N-2, n, n), and the
+    blocks above them E, shape (N-3, n, n).
 
-    Residual row block i, R_i = (L_v(i+1) - L_v(i))/mu_i - L_u(i), reads
-    frames i and i+1, frame i being (t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i),
-    so its n x n blocks at q_i, q_{i+1} and q_{i+2} are
+    Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S; with
+    t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i at
+    (q_i, q_i), b = -(L_vu + a) at (q_i, q_{i+1}) and c = mu_i L_uu +
+    (L_uv + L_vu) + a at (q_{i+1}, q_{i+1}), so D_j = c_j + a_{j+1} and
+    E_j = b_{j+1}.  The kernel's second partials are symmetric bit for bit,
+    and so is every D_j.  The gradient of S is -mu F, F the first-EL
+    residual, so H = -mu J for F's Jacobian J (Marsden & West, Acta
+    Numerica 10, 2001).
 
-        (L_vv(i)/mu_i + L_uv(i))/mu_i,
-        (-L_vv(i+1)/mu_{i+1} - L_vu(i) - L_vv(i)/mu_i)/mu_i - L_uu(i) - L_uv(i)/mu_i,
-        (L_vu(i+1) + L_vv(i+1)/mu_{i+1})/mu_i,
-
-    the linearisation of the three-point discrete Euler-Lagrange equation
-    (Marsden & West, Acta Numerica 10, 2001), exact to rounding.  They
-    fill the indices ``band`` (:func:`_band`), the blocks at the ends q_0
-    and q_{N-1} falling outside it; out-of-band entries are 0.
-
-    The pass takes only the second partials that the band reads: along u
-    and v, which the interior values move, and at the last frame, whose
-    u is q_{N-1}, along v alone.  So L need not be twice differentiable
-    in t, nor in u at q_b.
+    The pass takes only the second partials that H reads: along u and v,
+    which the interior values move, and at the last frame, whose u is
+    q_{N-1}, along v alone.  So L need not be twice differentiable in t,
+    nor in u at q_b.
     """
     n = p.dim
-    t, U, V = _frames(p.scale, Q[None])
-    moving = np.ones((t.size, 2 * n + 1), dtype=bool)
+    moving = np.ones((e.t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
-    H = p.lagrangian.partials(t, U, V, order=2, moving=moving)[4]
+    H = p.lagrangian.partials(e.t, e.Q[0, 1:], e.v[0], order=2, moving=moving)[4]
     u, v = slice(1, n + 1), slice(n + 1, None)
-    uu, uv, vu, vv = H[:, u, u], H[:, u, v], H[:, v, u], H[:, v, v]
-    mu = p.scale.mus[: t.size, None, None]
-    m0, m1 = mu[:-1], mu[1:]  # mu_i and mu_{i+1} of row block i
-    blocks = np.concatenate(
-        [
-            (vv[:-1] / m0 + uv[:-1]) / m0,
-            (-vv[1:] / m1 - vu[:-1] - vv[:-1] / m0) / m0 - uu[:-1] - uv[:-1] / m0,
-            (vu[1:] + vv[1:] / m1) / m0,
-        ],
-        axis=2,
-    )  # row block i, component, then the columns of q_i, q_{i+1}, q_{i+2}
-    # row r of the blocks holds row r of J from column (r // n - 1) * n on,
-    # in the band's order; the band leaves out the blocks at q_0 and
-    # q_{N-1}: the first n columns of the first block row, the last n of
-    # the last
-    size = blocks.shape[0] * n
-    inside = np.ones((size, 3 * n), dtype=bool)
-    inside[:n, :n] = inside[-n:, 2 * n :] = False
-    J = np.zeros((size, size))
-    J[band] = blocks.reshape(size, 3 * n)[inside]
-    return J
+    mu = e.mu[:, None, None]
+    a = H[:, v, v] / mu
+    b = -(H[:, v, u] + a)
+    c = mu * H[:, u, u] + (H[:, u, v] + H[:, v, u]) + a
+    return c[:-1] + a[1:], b[1:-1]
 
 
-def _band(size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the band of a size x size block-
-    tridiagonal matrix with n x n blocks, row by row, each row's columns
-    ascending: row r of block r // n meets the columns of blocks
-    r // n - 1 .. r // n + 1."""
-    rows = np.arange(size)
-    cols = ((rows // n - 1) * n)[:, None] + np.arange(3 * n)
-    inside = (cols >= 0) & (cols < size)
-    return rows.repeat(3 * n)[inside.ravel()], cols[inside]
+def _times(D: np.ndarray, E: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x, H symmetric of diagonal blocks D and blocks E above them."""
+    y = (D @ x[..., None])[..., 0]
+    y[:-1] += (E @ x[1:, :, None])[..., 0]
+    y[1:] += (x[:-1, None, :] @ E)[:, 0]
+    return y
+
+
+def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The symmetric block-tridiagonal matrix of diagonal blocks D and
+    blocks E above them, zero elsewhere."""
+    m, n = D.shape[:2]
+    H, i = np.zeros((m, n, m, n)), np.arange(m)
+    H[i, :, i] = D
+    H[i[:-1], :, i[1:]] = E
+    H[i[1:], :, i[:-1]] = E.transpose(0, 2, 1)
+    return H.reshape(m * n, m * n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _floor(A: tuple[np.ndarray, np.ndarray], mu: np.ndarray, x, F) -> float:
+    """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of F at x,
+    J = -H/mu, from the blocks A = (|D|, |E|) of |H| and the row blocks'
+    mu, both perhaps times one power of two.  NaN, no floor, if an entry of
+    |H|/mu is not finite (J overflows where H need not); inf if the sum
+    overflows."""
+    aD, aE = A
+    lower = np.minimum(mu[:-1], mu[1:])  # E_i lies in row blocks i and i + 1
+    top = np.concatenate([aD.max(axis=(1, 2)) / mu, aE.max(axis=(1, 2)) / lower])
+    if not np.isfinite(top).all():
+        return np.nan
+    rows = _times(aD, aE, np.abs(x).reshape(mu.size, -1)) / mu[:, None]
+    return _EPS * (rows.ravel() + np.abs(F)).max()
 
 
 @np.errstate(over="ignore")  # an overflowing sum certifies nothing
-def _certified(entries: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) -> bool:
-    """Whether the band ``entries`` of J, at the indices ``band``, prove
-    cond_2(J) <= CONDITION_LIMIT / 2 by strict diagonal dominance.
+def _certified(A: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the blocks A = (|D|, |E|) of |H| prove cond_2(H) <=
+    CONDITION_LIMIT / 2 by strict diagonal dominance.
 
-    With alpha = min_i(|J_ii| - sum_{j != i} |J_ij|) > 0, ||J^-1||_inf <=
-    1 / alpha (Varah, Linear Algebra Appl. 11, 1975), so for s unknowns
-    cond_2(J) <= sqrt(s * ||J||_1 * ||J||_inf) / alpha.  A row's sum of
-    at most 3n terms and its alpha_i round by less than (3n + 2) * eps
-    times the largest row sum, which alpha gives up; the factor 2 under
-    the limit leaves room for the rounding of the bound itself and of
-    the SVD's own estimate, so a certified J is one np.linalg.cond passes.
+    With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <=
+    1 / alpha (Varah, Linear Algebra Appl. 11, 1975); H being symmetric,
+    ||H||_1 = ||H||_inf, so for s unknowns cond_2(H) <= sqrt(s) *
+    ||H||_inf / alpha.  A row's sum of 3n terms at most and its alpha_i
+    round by less than (3n + 2) * eps times the largest row sum, which
+    alpha gives up; the factor 2 under the limit leaves room for the
+    rounding of the bound itself and of the SVD's own estimate, so a
+    certified H is one np.linalg.cond passes.
     """
-    rows, cols = band
-    a = np.abs(entries)
-    row_sums = np.bincount(rows, a)  # every row and column holds its diagonal
-    norm_inf, diagonal = row_sums.max(), a[rows == cols]
-    alpha = (diagonal - (row_sums - diagonal)).min()
-    alpha -= (3 * n + 2) * _EPS * norm_inf
+    aD, aE = A
+    n, rows = aD.shape[1], _times(aD, aE, np.ones(aD.shape[:2]))
+    norm, diagonal = rows.max(), np.diagonal(aD, axis1=1, axis2=2)
+    alpha = (diagonal - (rows - diagonal)).min() - (3 * n + 2) * _EPS * norm
     if not alpha > 0:
         return False
-    norm_1 = np.bincount(cols, a).max()
-    # ||J||_1 and ||J||_inf are at least alpha: neither ratio underflows
-    bound = np.sqrt(row_sums.size * (norm_1 / alpha)) * np.sqrt(norm_inf / alpha)
-    return bool(bound <= CONDITION_LIMIT / 2)
+    return bool(np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2)
 
 
-def _check_jacobian(J: np.ndarray, band: tuple[np.ndarray, np.ndarray], n: int) -> None:
-    """Raise SingularSystem unless J is finite and its condition number is
-    at most CONDITION_LIMIT.  J is zero outside ``band``; the SVD runs only
-    when J's band does not certify the condition (:func:`_certified`), on
-    J times a power of two: exact, and the SVD cannot overflow."""
-    entries = J[band]
-    if not np.isfinite(entries).all():  # an overflowing residual; the SVD would fail
-        raise SingularSystem("jacobian has non-finite entries")
-    if _certified(entries, band, n):
+def _check_condition(A: tuple[np.ndarray, np.ndarray], H: np.ndarray) -> None:
+    """Raise SingularSystem if the 2-norm condition number of the finite H
+    exceeds CONDITION_LIMIT.  The SVD runs only when the blocks A of |H| do
+    not certify it (:func:`_certified`), on H times a power of two: exact,
+    and the SVD cannot overflow."""
+    if _certified(A):
         return
-    exponent = np.frexp(np.max(np.abs(entries)))[1]  # largest entry to [0.5, 1)
-    if np.linalg.cond(np.ldexp(J, -exponent)) > CONDITION_LIMIT:
+    exponent = np.frexp(np.abs(H).max())[1]  # largest entry to [0.5, 1)
+    if np.linalg.cond(np.ldexp(H, -exponent)) > CONDITION_LIMIT:
         raise SingularSystem(
             f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
         )
@@ -336,44 +334,38 @@ def solve_newton(
     q_init: GridFunction | None = None,
     opts: NewtonOptions = NewtonOptions(),
 ) -> GridFunction:
-    """Newton iteration on the first Euler-Lagrange residuals.
+    """Newton iteration on the first Euler-Lagrange residuals F.
 
-    Unknowns are the interior values q(t_1) .. q(t_{N-2}); the Jacobian is
-    the exact block-tridiagonal one, assembled from the second partials of
-    L along the iterate in one kernel pass (:func:`_jacobian`), and damped
-    steps are accepted only when the residual max-norm decreases.  Each
-    iterate is evaluated once: ``q_init`` is checked without evaluating L,
-    its residual is the trajectory's with the ends pinned to q_a and q_b,
-    and an accepted trial's evaluation is the next iterate's.  A solve of
-    k steps with no halvings thus makes 1 + 2k kernel passes; on a
-    linear-quadratic L the first step lands on the root, so k = 1.
+    Unknowns are the interior values q(t_1) .. q(t_{N-2}), in which the
+    discrete action S has gradient -mu F.  Each step solves H dx = mu F, H
+    the exact Hessian of S, symmetric and block-tridiagonal, from the
+    second partials of L along the iterate in one kernel pass
+    (:func:`_hessian`); damped steps are accepted only when the residual
+    max-norm decreases.  Each iterate is evaluated once: ``q_init`` is
+    checked without evaluating L, its residual is the trajectory's with the
+    ends pinned to q_a and q_b, and an accepted trial's evaluation is the
+    next iterate's.  A solve of k steps with no halvings thus makes 1 + 2k
+    kernel passes; on a linear-quadratic L the first step lands on the
+    root, so k = 1.
 
-    It stops at ``opts.tol`` or at the rounding floor of the residual F,
-    eps * max_i(sum_j |J_ij| |x_j| + |F_i|).  An iterate is first tested
-    against the floor from the Jacobian of the step that reached it, and,
-    if that fails, against the floor from its own Jacobian, which the next
-    step needs anyway; so the guess can stop at its floor, a solve that
-    stops at ``opts.tol`` builds no Jacobian there, and the iterate of the
-    last allowed step is tested against its own floor before NoConvergence
-    is raised (its Jacobian's condition is not checked: no step follows).
-    ``q_init`` defaults to the affine extremal.
+    It stops at ``opts.tol`` or at the rounding floor of F, eps *
+    max_i(sum_j |J_ij| |x_j| + |F_i|), J = -H/mu being F's Jacobian.  An
+    iterate is first tested against the floor from the Hessian of the step
+    that reached it, and, if that fails, against the floor from its own
+    Hessian, which the next step needs anyway; so the guess can stop at
+    its floor, a solve that stops at ``opts.tol`` builds no Hessian there,
+    and the iterate of the last allowed step is tested against its own
+    floor before NoConvergence is raised (its Hessian's condition is not
+    checked: no step follows).  ``q_init`` defaults to the affine extremal.
 
-    A non-finite residual, a Jacobian with a non-finite entry, or one whose
-    2-norm condition number exceeds CONDITION_LIMIT raises SingularSystem.
-    The condition is decided from the band first: a strictly diagonally
-    dominant J whose Varah bound (Varah 1975) is at most half the limit
-    passes without an SVD, and any other J goes to np.linalg.cond
-    (:func:`_check_jacobian`).
+    A non-finite residual, a J with a non-finite entry (no floor), or an H
+    whose 2-norm condition number exceeds CONDITION_LIMIT raises
+    SingularSystem.  A strictly diagonally dominant H whose Varah bound
+    (Varah 1975) is at most half the limit passes without an SVD, and any
+    other H goes to np.linalg.cond (:func:`_check_condition`).
     """
     e, _ = _newton(p, q_init, opts)
     return e[0].q
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _floor(J: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
-    """The rounding floor of the residual F at x, given the Jacobian J;
-    inf or NaN, which stops no solve, if J or the sum is not finite."""
-    return _EPS * (np.abs(J) @ np.abs(x) + np.abs(F)).max()
 
 
 def _newton(
@@ -388,7 +380,10 @@ def _newton(
     _check_trajectory(p, q_init)
     x = q_init.values[1:-1].ravel().copy()
     e, (F,) = _iterates(p, x[None])  # ends within BOUNDARY_TOL are pinned
-    floor, band = 0.0, _band(x.size, p.dim)
+    # H dx = mu F is solved times 2^-k, k >= 0 taking every mu to w <= 1:
+    # exact, and neither w F nor 2^-k |H| |x| overflows where F, |J| |x| do not
+    k = max(np.frexp(p.scale.mus.max())[1], 0)
+    w, floor = np.ldexp(p.scale.mus[:-2], -k), 0.0
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.abs(F).max())
@@ -397,13 +392,18 @@ def _newton(
             return e, mag
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        J = _jacobian(p, e.Q[0], band)
-        if mag <= _floor(J, x, F) < np.inf:  # a non-finite J gives no floor
+        D, E = (np.ldexp(B, -k) for B in _hessian(p, e))
+        A = np.abs(D), np.abs(E)
+        floor = _floor(A, w, x, F)
+        if mag <= floor < np.inf:
             return e, mag
         if it == opts.max_iter:
             raise NoConvergence(e[0].q, history)
-        _check_jacobian(J, band, p.dim)
-        dx = np.linalg.solve(J, -F)
+        if math.isnan(floor):  # the SVD would fail
+            raise SingularSystem("jacobian has non-finite entries")
+        H = _dense(D, E)
+        _check_condition(A, H)
+        dx = np.linalg.solve(H, (w[:, None] * F.reshape(w.size, -1)).ravel())
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
@@ -414,7 +414,7 @@ def _newton(
         else:
             raise NoConvergence(e[0].q, history)
         x, F, e = trial, F_trial, e_trial
-        floor = _floor(J, x, F)
+        floor = _floor(A, w, x, F)
 
 
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:

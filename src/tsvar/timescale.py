@@ -73,6 +73,18 @@ class GapKind(enum.Enum):
     DENSE = "D"
 
 
+_SCATTERED = {"S": True, GapKind.SCATTERED: True, "D": False, GapKind.DENSE: False}
+
+
+def _scattered(kind) -> bool:
+    """Whether a gap kind, a letter or a member, is SCATTERED."""
+    try:
+        return _SCATTERED[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, a list say
+        message = f"unknown gap kind {kind!r} (expected 'S' or 'D')"
+        raise TimeScaleError(message) from None
+
+
 @dataclass(frozen=True)
 class PointClass:
     """Side classification of a single point of a time scale."""
@@ -127,14 +139,11 @@ class TimeScale:
             raise TimeScaleError("points must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise TimeScaleError("points must be strictly increasing")
-        kinds = np.fromiter(gaps, dtype=object)
-        scattered = (kinds == "S") | (kinds == GapKind.SCATTERED)
-        unknown = ~scattered & (kinds != "D") & (kinds != GapKind.DENSE)
-        if unknown.any():
-            bad = kinds[unknown][0]
-            raise TimeScaleError(f"unknown gap kind {bad!r} (expected 'S' or 'D')")
-        if kinds.size != pts.size - 1:
-            raise TimeScaleError(f"expected {pts.size - 1} gap kinds, got {kinds.size}")
+        scattered = np.fromiter(map(_scattered, gaps), dtype=bool)
+        if scattered.size != pts.size - 1:
+            raise TimeScaleError(
+                f"expected {pts.size - 1} gap kinds, got {scattered.size}"
+            )
         # a SCATTERED gap is a jump of width mu; a DENSE one has mu = 0 and
         # fixes its left point under sigma, as does the last point
         mus = np.zeros(pts.size)

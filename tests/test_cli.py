@@ -194,6 +194,28 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: jacobian has non-finite entries\n"
 
+    def test_jacobian_overflowing_where_the_hessian_does_not_exit_3(
+        self, tmp_path, capsys
+    ):
+        # gaps of 1e-156: the action's Hessian is finite, the residual's
+        # Jacobian, a further 1/mu, is not, so there is no rounding floor
+        path = write_problem(
+            tmp_path,
+            scale={"points": [k * 1e-156 for k in range(8)]},
+            lagrangian="v1^2 + 0.5*u1^4",
+            q_b=1e-82,
+        )
+        assert cli.main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: jacobian has non-finite entries\n"
+
+    def test_unhashable_gap_kind_exit_2(self, tmp_path, capsys):
+        scale = {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", ["S"], "D", "S"]}
+        path = write_problem(tmp_path, scale=scale)
+        assert cli.main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad scale: unknown gap kind ['S'] (expected 'S' or 'D')\n"
+
     def test_lagrangian_twice_differentiable_where_newton_reads_it_exit_0(
         self, tmp_path, capsys
     ):

@@ -249,27 +249,29 @@ class TestNewton:
     def test_each_iterate_evaluated_once(self, monkeypatch, count_calls):
         # the guess is checked without a kernel pass and evaluated pinned,
         # the evaluation of the accepted trial step is the next iterate's,
-        # and each Jacobian is one second-order pass along its iterate
+        # and each Hessian is one second-order pass along its iterate's
+        # own record
         calls = count_calls(Lagrangian, "partials")
-        seen, along_jacobians = [], []
-        alongs, jacobian = solver._alongs, solver._jacobian
+        seen, records, along_hessians = [], [], []
+        alongs, hessian = solver._alongs, solver._hessian
 
         def recording_stack(p, Q, *args):
             seen.extend(q.tobytes() for q in Q)
-            return alongs(p, Q, *args)
+            records.append(alongs(p, Q, *args))
+            return records[-1]
 
-        def recording_jacobian(p, Q, band):
-            along_jacobians.append(Q.tobytes())
-            return jacobian(p, Q, band)
+        def recording_hessian(p, e):
+            along_hessians.append(e)
+            return hessian(p, e)
 
         monkeypatch.setattr(solver, "_alongs", recording_stack)
-        monkeypatch.setattr(solver, "_jacobian", recording_jacobian)
+        monkeypatch.setattr(solver, "_hessian", recording_hessian)
         solve_newton(newton_problem())
         # one step, no halvings: the guess and the accepted step, each once
-        # in a first-order pass, and the guess once more in the Jacobian's
+        # in a first-order pass, and the guess once more in the Hessian's
         assert len(seen) == 2
         assert len(set(seen)) == len(seen)
-        assert along_jacobians == seen[:1]
+        assert len(along_hessians) == 1 and along_hessians[0] is records[0]
         assert len(calls) == 2 + 1
 
     def test_ends_off_by_rounding_give_the_same_bits(self, count_calls):
@@ -293,9 +295,9 @@ class TestNewton:
 
     def test_domain_error_in_the_second_partials_names_the_subexpression(self):
         # u1^1.5 is differentiable once at u1 = 0 but not twice; the guess
-        # meets 0 at the interior point t = 0.5, where the band reads L_uu:
-        # its residual is finite, and the Jacobian's pass raises rather
-        # than fill J with inf or NaN
+        # meets 0 at the interior point t = 0.5, where the Hessian reads
+        # L_uu: its residual is finite, and the Hessian's pass raises rather
+        # than fill H with inf or NaN
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "u1^1.5 + v1^2"), [1.0], [1.0])
         guess = GridFunction(scale, 2 * np.abs(scale.points - 0.5)[:, None])
@@ -313,8 +315,8 @@ class TestNewton:
     def test_second_partials_the_band_does_not_read_may_be_undefined(self, body, q_b):
         # L_uu of u1^1.5 at the last frame, whose u is q_b = 0, and L_tt of
         # t^1.5 at t_0 = 0 are unbounded, and the full second-order pass
-        # raises there; the band reads neither, so the Jacobian is taken,
-        # agrees with the column oracle within its forward-difference
+        # raises there; the Hessian reads neither, so it is taken, agrees
+        # with -mu times the column oracle within its forward-difference
         # truncation (measured 1.6e-9 of the largest entry), and Newton
         # converges
         scale = TimeScale.uniform(0, 1, 0.125)
@@ -323,33 +325,39 @@ class TestNewton:
         with pytest.raises(ExprDomainError, match="not twice differentiable"):
             p.lagrangian.partials(*_frames(scale, Q[None]), order=2)
         residual, x = first_el_vector(p), Q[1:-1].ravel()
-        J = solver._jacobian(p, Q, solver._band(x.size, 1))
-        reference = column_jacobian(residual, x, residual(x), FD_STEP)
-        assert np.max(np.abs(J - reference)) <= 1e-8 * np.max(np.abs(J))
+        H = hessian_matrix(p, Q)
+        reference = -row_mus(p)[:, None] * column_jacobian(
+            residual, x, residual(x), FD_STEP
+        )
+        assert np.max(np.abs(H - reference)) <= 1e-8 * np.max(np.abs(H))
         q = solve_newton(p)
         assert first_el_residual(p, q).magnitude <= NewtonOptions().tol
 
     def test_last_iterate_is_tested_against_its_own_floor(self, monkeypatch):
         # the iterate of step max_iter is judged by the floor of the
-        # Jacobian built there before NoConvergence is raised, and before
-        # that Jacobian's condition is checked: here a singular stand-in
-        # whose floor covers the step's residual stops the solve, whatever
-        # max_iter is
+        # Hessian built there before NoConvergence is raised, and before
+        # that Hessian's condition is checked: here a singular stand-in,
+        # zero diagonal blocks between 7 unknowns, whose floor covers the
+        # step's residual stops the solve, whatever max_iter is
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^4"), [0.0], [2.0])
         with pytest.raises(NoConvergence) as err:
             solve_newton(p, opts=NewtonOptions(max_iter=1))
         step = err.value.trajectory.values
         eps = np.finfo(float).eps
-        big = 2 * err.value.history[-1] / (eps * np.sum(np.abs(step[1:-1])))
-        calls, jacobian = [], solver._jacobian
+        # every unknown is some row's neighbour, so the floor is at least
+        # eps * big/mu * max|x|
+        big = 2 * err.value.history[-1] * 0.125 / (eps * np.max(np.abs(step)))
+        calls, hessian = [], solver._hessian
 
         def second_singular(*args):
             calls.append(None)
-            J = jacobian(*args)
-            return J if len(calls) == 1 else np.full_like(J, big)
+            D, E = hessian(*args)
+            if len(calls) == 1:
+                return D, E
+            return np.zeros_like(D), np.full_like(E, big)
 
-        monkeypatch.setattr(solver, "_jacobian", second_singular)
+        monkeypatch.setattr(solver, "_hessian", second_singular)
         for max_iter in (1, 2):
             calls.clear()
             q = solve_newton(p, opts=NewtonOptions(max_iter=max_iter))
@@ -358,30 +366,30 @@ class TestNewton:
 
     def test_guess_at_its_rounding_floor_converges_without_a_step(self, monkeypatch):
         # the guess's residual, about 1.4e-10 of rounding, is above tol but
-        # within the floor of the Jacobian built at the guess; before, no
+        # within the floor of the Hessian built at the guess; before, no
         # step could lower it and the solve failed with NoConvergence
         scale = TimeScale.uniform(0, 1, 1 / 200)
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 0*u1"), [0.0], [10.0])
         guess = affine_extremal(p)
         assert first_el_residual(p, guess).magnitude > NewtonOptions().tol
-        solves, jacobians, jacobian = [], [], solver._jacobian
+        solves, hessians, hessian = [], [], solver._hessian
 
         def counted(*args):
-            jacobians.append(None)
-            return jacobian(*args)
+            hessians.append(None)
+            return hessian(*args)
 
-        monkeypatch.setattr(solver, "_jacobian", counted)
+        monkeypatch.setattr(solver, "_hessian", counted)
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
         q = solve_newton(p)
-        assert (len(jacobians), solves) == (1, [])
+        assert (len(hessians), solves) == (1, [])
         assert q.values.tobytes() == guess.values.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_same_iterates_as_the_one_column_jacobian(self, seed, monkeypatch):
-        # Newton with the exact Jacobian against Newton with the one-column-
-        # at-a-time forward-difference Jacobian of the one-trajectory
-        # residual: the same verdict, iterates that agree within what the
-        # stop test cannot tell apart, and no more steps
+        # Newton with the exact Hessian against Newton with -mu times the
+        # one-column-at-a-time forward-difference Jacobian of the one-
+        # trajectory residual: the same verdict, iterates that agree within
+        # what the stop test cannot tell apart, and no more steps
         rng = np.random.default_rng(seed)
         n, N = 1 + seed % 3, int(rng.integers(3, 202))
         kind = sorted(JACOBIAN_TERMS)[seed % len(JACOBIAN_TERMS)]
@@ -413,13 +421,16 @@ class TestNewton:
                     return type(exc), len(steps)
 
         exact, exact_steps = outcome()
-        monkeypatch.setattr(
-            solver,
-            "_jacobian",
-            lambda p, Q, band: column_jacobian(
-                residual, Q[1:-1].ravel(), residual(Q[1:-1].ravel()), FD_STEP
-            ),
-        )
+        mus = row_mus(p)[:, None]
+        if not isinstance(exact, type):  # the residual's Jacobian there
+            J = -hessian_matrix(p, exact) / mus
+
+        def oracle_hessian(p, e):  # the blocks of -mu J's symmetric part
+            x = e.Q[0, 1:-1].ravel()
+            H = -mus * column_jacobian(residual, x, residual(x), FD_STEP)
+            return blocks((H + H.T) / 2, n)
+
+        monkeypatch.setattr(solver, "_hessian", oracle_hessian)
         oracle, oracle_steps = outcome()
         assert exact_steps <= oracle_steps
         assert isinstance(exact, type) == isinstance(oracle, type)
@@ -430,7 +441,6 @@ class TestNewton:
         # J (x_o - x_e) to first order: at most the two final residuals,
         # plus the rounding of the product
         x_e, x_o = exact[1:-1].ravel(), oracle[1:-1].ravel()
-        J = solver._jacobian(p, exact, solver._band(x_e.size, n))
         stops = np.max(np.abs(residual(x_e))) + np.max(np.abs(residual(x_o)))
         rounding = 8 * np.finfo(float).eps * np.max(np.abs(J) @ np.abs(x_e))
         assert np.max(np.abs(J @ (x_o - x_e))) <= stops + rounding
@@ -455,6 +465,26 @@ def first_el_vector(p):
     return residual
 
 
+def row_mus(p):
+    """The graininess mu_i of each of Newton's rows, row block i being
+    first-EL row i: the Hessian's row is -mu_i times the Jacobian's."""
+    return np.repeat(p.scale.mus[:-2], p.dim)
+
+
+def hessian_matrix(p, Q):
+    """The dense Hessian of p's action in the interior values, at the
+    trajectory values Q."""
+    return solver._dense(*solver._hessian(p, solver._alongs(p, Q[None])))
+
+
+def blocks(H, n):
+    """The diagonal n x n blocks of the block-tridiagonal H and the blocks
+    above them."""
+    m = H.shape[0] // n
+    H, i = H.reshape(m, n, m, n), np.arange(m)
+    return H[i, :, i], H[i[:-1], :, i[1:]]
+
+
 JACOBIAN_TERMS = {
     "polynomial": "t*v{j}^2 + u{j}^3*v{k} + 0.5*u{j}*u{k}",
     "exp": "exp(v{j}/3)*u{k} + v{j}^2",
@@ -463,6 +493,14 @@ JACOBIAN_TERMS = {
     "real power": "t^1.5*u{j}^2*v{k} + v{j}^2",
 }
 
+
+# the symbolic oracle's bodies: linear-quadratic in t, the quartic, and
+# exp and sin, each coupling u and v across components, unsymmetrically
+SYMBOLIC_BODIES = (
+    "(1 + t)*v{j}^2 + {j}*t*u{j}*v{k} + 0.5*u{j}*u{k}",
+    "(v{j}^2 - 1)^2 + 0.5*u{j}^4 + {j}*u{j}*v{k}",
+    "exp(v{j}/3)*sin(u{k}) + t*v{j}^2 + sin(u{j} + v{k})",
+)
 
 # n = 1, 2, 3: Newton takes one step on uniform [1, 2] from q = -1 to q = 1
 COUNT_BODIES = (
@@ -476,14 +514,15 @@ class TestJacobian:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", sorted(JACOBIAN_TERMS))
     def test_equals_column_by_column_reference(self, kind, n):
-        # the one-column forward difference of column k with step s is
-        # J e_k + (s/2) R'' e_k e_k + O(s^2), and R'' e_k e_k is
-        # (J(x + s e_k) - J(x)) e_k / s to first order: so each entry of the
-        # reference is within |J(x + s e_k) - J(x)| e_k, twice its leading
-        # truncation, plus 16 eps * c_r / s for the rounding of residual row
-        # r, c_r = (|L_v(i+1)| + |L_v(i)|)/mu_i + |L_u(i)|; the worst entry
-        # reaches half of that bound with 8 in place of 16.  And the action's
-        # Hessian, -diag(mu) J, is symmetric to rounding
+        # the Hessian of the action is -mu J, J being the residual's
+        # Jacobian.  The one-column forward difference of column k with
+        # step s is J e_k + (s/2) R'' e_k e_k + O(s^2), and R'' e_k e_k is
+        # (J(x + s e_k) - J(x)) e_k / s to first order: so each entry of
+        # -mu times the reference is within |H(x + s e_k) - H(x)| e_k, twice
+        # its leading truncation, plus 16 eps * mu_r * c_r / s for the
+        # rounding of residual row r, c_r = (|L_v(i+1)| + |L_v(i)|)/mu_i +
+        # |L_u(i)|; the worst entry reaches half of that bound with 8 in
+        # place of 16.  And H is exactly symmetric
         rng = np.random.default_rng(n)
         body = " + ".join(
             JACOBIAN_TERMS[kind].format(j=j, k=j % n + 1) for j in range(1, n + 1)
@@ -499,61 +538,95 @@ class TestJacobian:
             residual = first_el_vector(p)
             x = affine_extremal(p).values[1:-1].ravel()
             x = x + rng.uniform(-1, 1, x.size)
-            band = solver._band(x.size, n)
 
             def pinned(x):
                 return np.vstack([p.q_a, x.reshape(-1, n), p.q_b])
 
-            J = solver._jacobian(p, pinned(x), band)
-            reference = column_jacobian(residual, x, residual(x), FD_STEP)
+            H = hessian_matrix(p, pinned(x))
+            mus = row_mus(p)[:, None]
+            reference = -mus * column_jacobian(residual, x, residual(x), FD_STEP)
             steps = FD_STEP * np.maximum(1.0, np.abs(x))
             moved = x + np.diag(steps)  # row k: x with unknown k stepped
             change = np.column_stack(
-                [solver._jacobian(p, pinned(y), band)[:, k] for k, y in enumerate(moved)]
-            ) - J
+                [hessian_matrix(p, pinned(y))[:, k] for k, y in enumerate(moved)]
+            ) - H
             e = _along(p, GridFunction(scale, pinned(x)))
             mu = scale.mus[: N - 2, None]
             c = ((np.abs(e.Lv[1:]) + np.abs(e.Lv[:-1])) / mu + np.abs(e.Lu[:-1])).ravel()
-            bound = np.abs(change) + 16 * eps * c[:, None] / steps
-            assert np.all(np.abs(J - reference) <= bound)
-            outside = np.ones(J.shape, bool)
-            outside[band] = False
-            assert not np.any(J[outside]) and not np.any(reference[outside])
-            M = np.repeat(mu[:, 0], n)[:, None] * J
-            assert np.max(np.abs(M - M.T)) <= 8 * eps * np.max(np.abs(M))
+            bound = np.abs(change) + 16 * eps * mus * c[:, None] / steps
+            assert np.all(np.abs(H - reference) <= bound)
+            block = np.arange(x.size) // n
+            outside = np.abs(block[:, None] - block) > 1
+            assert not np.any(H[outside]) and not np.any(reference[outside])
+            assert np.array_equal(H, H.T)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("body", SYMBOLIC_BODIES)
+    def test_equals_the_symbolic_hessian_of_the_action(self, body, n):
+        # sympy's Hessian of sum_i mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i)
+        # in the interior values, taken exactly at the float points and
+        # values; every diagonal block comes out exactly symmetric
+        sympy = pytest.importorskip("sympy")
+        rng = np.random.default_rng(n)
+        text = " + ".join(body.format(j=j, k=j % n + 1) for j in range(1, n + 1))
+        t = sympy.Symbol("t")
+        u, v = sympy.symbols(f"u1:{n + 1}"), sympy.symbols(f"v1:{n + 1}")
+        names = {"t": t, **{str(s): s for s in u + v}}
+        L = sympy.sympify(text.replace("^", "**"), locals=names)
+        q = sympy.Matrix(5, n, lambda i, c: sympy.Symbol(f"q{i}_{c}"))
+        for _ in range(3):
+            scale = TimeScale.from_points(np.sort(rng.uniform(0.5, 2.5, 5)))
+            Q = rng.uniform(-1, 1, (5, n))
+            p = VariationalProblem(scale, Lagrangian(n, text), Q[0], Q[-1])
+            D, E = solver._hessian(p, solver._alongs(p, Q[None]))
+            action = 0
+            for i in range(4):
+                mu = sympy.Rational(scale.mus[i])
+                frame = {t: sympy.Rational(scale.points[i])}
+                for c in range(n):
+                    frame[u[c]] = q[i + 1, c]
+                    frame[v[c]] = (q[i + 1, c] - q[i, c]) / mu
+                action += mu * L.subs(frame, simultaneous=True)
+            at = {q[i, c]: sympy.Rational(Q[i, c]) for i in range(5) for c in range(n)}
+            want = sympy.hessian(action, list(q[1:4, :])).subs(at).evalf(30)
+            want = np.array(want, dtype=float)
+            got = solver._dense(D, E)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(D, D.transpose(0, 2, 1))
 
     @pytest.mark.parametrize("n, body", list(enumerate(COUNT_BODIES, start=1)))
     def test_one_kernel_pass_per_jacobian(self, n, body, monkeypatch):
-        # one second-order pass along the one trajectory, whatever N
-        orders, partials = [], Lagrangian.partials
+        # one second-order pass along the one trajectory's record, whatever N
+        orders, partials, records = [], Lagrangian.partials, []
 
         def counted(self, t, U, V, order=1, moving=None):
             orders.append((order, len(t)))
             return partials(self, t, U, V, order, moving)
 
-        monkeypatch.setattr(Lagrangian, "partials", counted)
         for N in (21, 201):
             scale = TimeScale.uniform(1, 2, 1 / (N - 1))
             p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.ones(n))
-            x = affine_extremal(p).values[1:-1].ravel()
-            solver._jacobian(p, affine_extremal(p).values, solver._band(x.size, n))
+            records.append((p, solver._alongs(p, affine_extremal(p).values[None])))
+        monkeypatch.setattr(Lagrangian, "partials", counted)
+        for p, e in records:
+            solver._hessian(p, e)
         assert orders == [(2, 20), (2, 200)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_residual_fails_in_the_condition_estimate(self, monkeypatch):
         # the bump overflows the guess's first-EL rows to +-inf, while the
-        # exact Jacobian there is finite: no step can be solved for, so the
-        # solve is refused before any Jacobian is built or judged
+        # exact Hessian there is finite: no step can be solved for, so the
+        # solve is refused before any Hessian is built or judged
         def unreachable(*args):
-            raise AssertionError("a Jacobian was built or judged")
+            raise AssertionError("a Hessian was built or judged")
 
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "1e300*v1*v1"), [0.0], [1.0])
         values = affine_extremal(p).values.copy()
         values[4] += 1e7
         assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
-        assert np.all(np.isfinite(solver._jacobian(p, values, solver._band(7, 1))))
-        monkeypatch.setattr(solver, "_jacobian", unreachable)
+        assert np.all(np.isfinite(hessian_matrix(p, values)))
+        monkeypatch.setattr(solver, "_hessian", unreachable)
         monkeypatch.setattr(solver, "_certified", unreachable)
         monkeypatch.setattr(np.linalg, "cond", unreachable)
         with pytest.raises(SingularSystem, match="^residual has non-finite entries$"):
@@ -568,40 +641,58 @@ class TestJacobian:
         with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
             solve_newton(p)
 
+    def test_jacobian_overflowing_where_the_hessian_does_not_is_singular(self):
+        # gaps of 1e-156: the Hessian's entries, about L_vv / mu = 2e156,
+        # are finite, but the residual's Jacobian's, a further 1/mu, are
+        # not; the floor and the finiteness are judged in the residual's
+        # units, so there is no floor and the solve is refused, not stopped
+        # with a first-EL magnitude of 1e214
+        scale = TimeScale.from_points(np.arange(8) * 1e-156)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 0.5*u1^4"), [0.0], [1e-82])
+        assert np.all(np.isfinite(hessian_matrix(p, affine_extremal(p).values)))
+        with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
+            solve_newton(p)
 
-def band_matrix(rng, n, blocks, kind):
-    """A random block-tridiagonal matrix with n x n blocks, shaped like
-    Newton's Jacobian, and its band indices."""
-    size = n * blocks
-    band = rows, cols = solver._band(size, n)
-    entries = rng.uniform(-1, 1, rows.size)
-    diagonal = rows == cols
-    off = np.bincount(rows, np.abs(entries) * ~diagonal, size)
-    sign = rng.choice([-1.0, 1.0], size)
+
+def symmetric_blocks(rng, n, m, kind):
+    """The blocks (D, E) of a random symmetric block-tridiagonal matrix of
+    m x m blocks of n x n, shaped like Newton's Hessian."""
+    size = n * m
+    block = np.arange(size) // n
+    H = np.triu(rng.uniform(-1, 1, (size, size)))
+    H += np.triu(H, 1).T
+    H[np.abs(block[:, None] - block) > 1] = 0.0
+    diagonal, sign = np.diag_indices(size), rng.choice([-1.0, 1.0], size)
+    k = rng.integers(size)
+
+    def off():
+        return np.abs(H).sum(axis=1) - np.abs(H[diagonal])
+
     if kind == "strict":  # margins from far above to far below the limit
         margin = 10.0 ** rng.uniform(-15, 0) * rng.uniform(1, 2, size)
-        entries[diagonal] = sign * (off + margin * np.maximum(off, 1.0))
-    elif kind == "graded":  # cond near the Varah bound: one row scaled down
-        entries[diagonal] = sign * (off + 1.0)
-        entries[rows == rng.integers(size)] *= 10.0 ** rng.uniform(-16, -12)
+        H[diagonal] = sign * (off() + margin * np.maximum(off(), 1.0))
+    elif kind == "graded":  # cond near the Varah bound: row and column k scaled down
+        s = 10.0 ** rng.uniform(-16, -12)
+        H[k] *= s
+        H[:, k] *= s
+        H[diagonal] = sign * (off() + 1.0)
+        H[k, k] = sign[k] * (off()[k] + s)
     elif kind == "weak":  # alpha = 0: some rows only as large as their sums
-        entries[diagonal] = sign * (off + (rng.random(size) < 0.5))
-    elif kind == "singular":  # a zero row or a zero column
-        entries[diagonal] = sign * (off + 1.0)
-        which = rows if rng.random() < 0.5 else cols
-        entries[which == rng.integers(size)] = 0.0
-    J = np.zeros((size, size))
-    J[band] = entries  # "free": no dominance asked for
-    return J, band
+        H[diagonal] = sign * (off() + (rng.random(size) < 0.5))
+    elif kind == "singular":  # a zero row and column
+        H[diagonal] = sign * (off() + 1.0)
+        H[k] = H[:, k] = 0.0
+    return blocks(H, n)  # "free": no dominance asked for
 
 
 class TestConditionGuard:
     @pytest.mark.parametrize("seed", range(4))
     def test_verdict_equals_the_svds(self, seed):
-        # the guard raises exactly when the condition of J, scaled by a
+        # the guard raises exactly when the condition of H, scaled by a
         # power of two to a largest entry in [0.5, 1), exceeds the limit:
-        # np.linalg.cond(J)'s verdict wherever J's singular values do not
-        # overflow; whatever the band certifies has cond at most half the limit
+        # np.linalg.cond(H)'s verdict wherever H's singular values do not
+        # overflow; whatever the blocks certify has cond at most half the
+        # limit.  The one dense build holds the blocks and their mirror
         rng = np.random.default_rng(seed)
         limit = solver.CONDITION_LIMIT
         seen = set()
@@ -609,23 +700,29 @@ class TestConditionGuard:
             for scale in (1.0, 1e-300, 1e300, "overflow"):
                 for _ in range(6):
                     n = int(rng.integers(1, 4))
-                    J, band = band_matrix(rng, n, int(rng.integers(1, 61)), kind)
+                    D, E = symmetric_blocks(rng, n, int(rng.integers(1, 61)), kind)
                     if scale == "overflow":  # row sums overflow to inf
-                        J *= 1.5e308 / (np.max(np.abs(J)) or 1.0)
+                        top = max(np.max(np.abs(D)), np.max(np.abs(E), initial=0.0))
+                        D, E = D / (top or 1.0) * 1.5e308, E / (top or 1.0) * 1.5e308
                     else:
-                        J *= scale
-                    certified = solver._certified(J[band], band, n)
-                    exponent = np.frexp(np.max(np.abs(J)))[1]
-                    cond = np.linalg.cond(np.ldexp(J, -exponent))
+                        D, E = D * scale, E * scale
+                    H = solver._dense(D, E)
+                    assert np.array_equal(blocks(H, n)[0], D)
+                    assert np.array_equal(blocks(H, n)[1], E)
+                    assert np.array_equal(H, H.T)
+                    A = np.abs(D), np.abs(E)
+                    certified = solver._certified(A)
+                    exponent = np.frexp(np.max(np.abs(H)))[1]
+                    cond = np.linalg.cond(np.ldexp(H, -exponent))
                     try:
-                        solver._check_jacobian(J, band, n)
+                        solver._check_condition(A, H)
                         raised = False
                     except SingularSystem as err:
                         assert str(err) == "jacobian condition estimate exceeds 1e+14"
                         raised = True
                     assert raised == (cond > limit)
                     if scale != "overflow":
-                        assert raised == (np.linalg.cond(J) > limit)
+                        assert raised == (np.linalg.cond(H) > limit)
                     if certified:
                         assert cond <= limit / 2
                         assert scale != "overflow"
@@ -633,13 +730,13 @@ class TestConditionGuard:
         assert seen == {(True, False), (False, False), (False, True)}
 
     def test_singular_values_near_the_float_maximum(self):
-        # np.linalg.cond(J) is inf here, J / 1e300 has cond 1.60, and the
-        # row sums overflow, so the band certifies nothing
-        J = np.array([[1.5e308, 0.5e308], [0.2e308, 1.5e308]])
-        band = solver._band(2, 1)
-        assert np.isinf(np.linalg.cond(J))
-        assert not solver._certified(J[band], band, 1)
-        solver._check_jacobian(J, band, 1)
+        # np.linalg.cond(H) is inf here, H / 1e300 has cond 2, and the row
+        # sums overflow, so the blocks certify nothing
+        D, E = np.array([[[1.5e308]], [[1.5e308]]]), np.array([[[0.5e308]]])
+        H, A = solver._dense(D, E), (D, E)
+        assert np.isinf(np.linalg.cond(H))
+        assert not solver._certified(A)
+        solver._check_condition(A, H)
 
     @pytest.mark.parametrize("N", [61, 801])
     def test_dominant_jacobians_skip_the_svd(self, N, monkeypatch):
@@ -650,19 +747,19 @@ class TestConditionGuard:
         assert calls == []
 
     def test_other_jacobians_take_one_svd_each(self, monkeypatch):
-        # rows of v1^2 - 5*u1^2 on h = 1/8: |J_ii| = 246 < 256, their sum
-        calls, jacobians = count_svds(monkeypatch), []
-        jacobian = solver._jacobian
+        # rows of v1^2 - 5*u1^2 on h = 1/8: |H_ii| = 30.75 < 32, their sum
+        calls, hessians = count_svds(monkeypatch), []
+        hessian = solver._hessian
 
         def counted(*args):
-            jacobians.append(None)
-            return jacobian(*args)
+            hessians.append(None)
+            return hessian(*args)
 
-        monkeypatch.setattr(solver, "_jacobian", counted)
+        monkeypatch.setattr(solver, "_hessian", counted)
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 - 5*u1^2"), [0.0], [1.0])
         solve_newton(p)
-        assert len(calls) == len(jacobians) > 0
+        assert len(calls) == len(hessians) > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_bits_as_the_svd_only_guard(self, seed, monkeypatch):
@@ -687,14 +784,14 @@ class TestConditionGuard:
             return verdicts[-1]
 
         def outcomes():
-            out, jacobian = [], solver._jacobian
+            out, hessian = [], solver._hessian
 
-            def recording(p, Q, band):
-                out.append(Q.tobytes())
-                return jacobian(p, Q, band)
+            def recording(p, e):
+                out.append(e.Q.tobytes())
+                return hessian(p, e)
 
             with monkeypatch.context() as m:
-                m.setattr(solver, "_jacobian", recording)
+                m.setattr(solver, "_hessian", recording)
                 for p in problems:
                     try:
                         c = solve(p, NewtonOptions(max_iter=8))
@@ -709,7 +806,7 @@ class TestConditionGuard:
 
         monkeypatch.setattr(solver, "_certified", recorded)
         guarded = outcomes()
-        monkeypatch.setattr(solver, "_certified", lambda entries, band, n: False)
+        monkeypatch.setattr(solver, "_certified", lambda A: False)
         assert outcomes() == guarded
         assert True in verdicts and False in verdicts
 
@@ -726,9 +823,9 @@ def count_svds(monkeypatch):
     return calls
 
 
-# Newton bodies whose Jacobians the band certifies (the first two), never
-# certifies (v^2 - 5u^2, and t*u with its zero Jacobian) or certifies at
-# some iterates (the rest)
+# Newton bodies whose Hessians the blocks certify (the first two), never
+# certify (v^2 - 5u^2, and t*u with its zero Hessian) or certify at some
+# iterates (the rest)
 GUARD_BODIES = (
     "t*v{j}^2 + u{j}^2",
     "t*v{j}^2 + u{j}^2 + 0.25*u{j}*u{k}",
@@ -904,48 +1001,26 @@ class TestSolve:
     def test_newton_makes_one_plus_two_k_kernel_passes(
         self, n, body, N, count_calls, monkeypatch
     ):
-        # the guess, then per step one Jacobian and one trial; the
+        # the guess, then per step one Hessian and one trial; the
         # candidate is diagnosed from the last trial's evaluation.  L is
-        # linear-quadratic, so the exact Jacobian's first step lands on the
+        # linear-quadratic, so the exact Hessian's first step lands on the
         # root to the stop test and k = 1
-        jacobians = []
-        jacobian = solver._jacobian
+        hessians = []
+        hessian = solver._hessian
 
         def counted(*args):
-            jacobians.append(None)
-            return jacobian(*args)
+            hessians.append(None)
+            return hessian(*args)
 
-        monkeypatch.setattr(solver, "_jacobian", counted)
+        monkeypatch.setattr(solver, "_hessian", counted)
         calls = count_calls(Lagrangian, "partials")
         scale = TimeScale.uniform(1, 2, 1 / (N - 1))
         p = VariationalProblem(scale, Lagrangian(n, body), -np.ones(n), np.ones(n))
         c = solve(p)
         assert c.provenance is Provenance.NEWTON
-        assert len(jacobians) == 1
-        assert len(calls) == 1 + 2 * len(jacobians)
+        assert len(hessians) == 1
+        assert len(calls) == 1 + 2 * len(hessians)
         assert_diagnostics_match(p, c)
-
-    def test_newton_builds_the_band_once(self, monkeypatch):
-        # the Jacobian's band depends only on the unknowns' count and n
-        bands, jacobians = [], []
-        band, jacobian = solver._band, solver._jacobian
-
-        def counted_band(*args):
-            bands.append(args)
-            return band(*args)
-
-        def counted_jacobian(*args):
-            jacobians.append(None)
-            return jacobian(*args)
-
-        monkeypatch.setattr(solver, "_band", counted_band)
-        monkeypatch.setattr(solver, "_jacobian", counted_jacobian)
-        scale = TimeScale.uniform(1, 2, 1 / 20)
-        L = Lagrangian(2, COUNT_BODIES[1])
-        p = VariationalProblem(scale, L, -np.ones(2), np.ones(2))
-        solve_newton(p)
-        assert len(jacobians) == 1
-        assert bands == [(38, 2)]
 
     def test_closed_form_evaluates_lagrangian_once(self, count_calls):
         calls = count_calls(Lagrangian, "partials")
