@@ -33,7 +33,7 @@ import numpy as np
 from .expr import ExprError
 from .timescale import GridFunction, TimeScale, _expand_slopes
 from .variational import Lagrangian, VariationalProblem, _Along, _alongs
-from .variational import _check_trajectory, _frames
+from .variational import _check_trajectory
 
 __all__ = [
     "NewtonOptions",
@@ -277,7 +277,7 @@ def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _floor(A: tuple[np.ndarray, np.ndarray], mu: np.ndarray, x, F) -> float:
+def _floor(A: tuple, mu: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
     """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of F at x,
     J = -H/mu, from the blocks A = (|D|, |E|) of |H| and the row blocks'
     mu, both perhaps times one power of two.  NaN, no floor, if an entry of
@@ -293,7 +293,7 @@ def _floor(A: tuple[np.ndarray, np.ndarray], mu: np.ndarray, x, F) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing sum certifies nothing
-def _certified(A: tuple[np.ndarray, np.ndarray]) -> bool:
+def _certified(A: tuple) -> bool:
     """Whether the blocks A = (|D|, |E|) of |H| prove cond_2(H) <=
     CONDITION_LIMIT / 2 by strict diagonal dominance.
 
@@ -315,7 +315,7 @@ def _certified(A: tuple[np.ndarray, np.ndarray]) -> bool:
     return bool(np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2)
 
 
-def _check_condition(A: tuple[np.ndarray, np.ndarray], H: np.ndarray) -> None:
+def _check_condition(A: tuple, H: np.ndarray) -> None:
     """Raise SingularSystem if the 2-norm condition number of the finite H
     exceeds CONDITION_LIMIT.  The SVD runs only when the blocks A of |H| do
     not certify it (:func:`_certified`), on H times a power of two: exact,

@@ -347,7 +347,7 @@ class TestNewton:
         eps = np.finfo(float).eps
         # every unknown is some row's neighbour, so the floor is at least
         # eps * big/mu * max|x|
-        big = 2 * err.value.history[-1] * 0.125 / (eps * np.max(np.abs(step)))
+        big = 2 * err.value.history[-1] * 0.125 / (eps * np.max(np.abs(step[1:-1])))
         calls, hessian = [], solver._hessian
 
         def second_singular(*args):
@@ -707,8 +707,7 @@ class TestConditionGuard:
                     else:
                         D, E = D * scale, E * scale
                     H = solver._dense(D, E)
-                    assert np.array_equal(blocks(H, n)[0], D)
-                    assert np.array_equal(blocks(H, n)[1], E)
+                    assert all(map(np.array_equal, blocks(H, n), (D, E)))
                     assert np.array_equal(H, H.T)
                     A = np.abs(D), np.abs(E)
                     certified = solver._certified(A)
