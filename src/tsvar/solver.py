@@ -224,12 +224,12 @@ def _stacked(evaluate, h: int):
         raise
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _floor judges a non-finite H
-def _hessian(p: VariationalProblem, e: _Along) -> tuple[np.ndarray, np.ndarray]:
-    """The Hessian H of the discrete action S in the interior values at the
-    trajectory of e, a record of one, from one second-order kernel pass
-    along e's frames: its diagonal blocks D, shape (N-2, n, n), and the
-    blocks above them E, shape (N-3, n, n).
+@np.errstate(over="ignore", invalid="ignore")  # _newton judges a non-finite |J|
+def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """2^-k times the Hessian H of the discrete action S in the interior
+    values at the trajectory of e, a record of one, from one second-order
+    kernel pass along e's frames: its diagonal blocks D, shape (N-2, n, n),
+    and the blocks above them E, shape (N-3, n, n).
 
     Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S; with
     t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i at
@@ -238,7 +238,8 @@ def _hessian(p: VariationalProblem, e: _Along) -> tuple[np.ndarray, np.ndarray]:
     E_j = b_{j+1}.  The kernel's second partials are symmetric bit for bit,
     and so is every D_j.  The gradient of S is -mu F, F the first-EL
     residual, so H = -mu J for F's Jacobian J (Marsden & West, Acta
-    Numerica 10, 2001).
+    Numerica 10, 2001).  The factor 2^-k, exact, is applied before the
+    products, so 2^-k mu_i L_uu is finite even where mu_i L_uu is not.
 
     The pass takes only the second partials that H reads: along u and v,
     which the interior values move, and at the last frame, whose u is
@@ -251,18 +252,10 @@ def _hessian(p: VariationalProblem, e: _Along) -> tuple[np.ndarray, np.ndarray]:
     H = p.lagrangian.partials(e.t, e.Q[0, 1:], e.v[0], order=2, moving=moving)[4]
     u, v = slice(1, n + 1), slice(n + 1, None)
     mu = e.mu[:, None, None]
-    a = H[:, v, v] / mu
-    b = -(H[:, v, u] + a)
-    c = mu * H[:, u, u] + (H[:, u, v] + H[:, v, u]) + a
+    a = np.ldexp(H[:, v, v] / mu, -k)
+    b = -(np.ldexp(H[:, v, u], -k) + a)
+    c = np.ldexp(mu, -k) * H[:, u, u] + np.ldexp(H[:, u, v] + H[:, v, u], -k) + a
     return c[:-1] + a[1:], b[1:-1]
-
-
-def _times(D: np.ndarray, E: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x, H symmetric of diagonal blocks D and blocks E above them."""
-    y = (D @ x[..., None])[..., 0]
-    y[:-1] += (E @ x[1:, :, None])[..., 0]
-    y[1:] += (x[:-1, None, :] @ E)[:, 0]
-    return y
 
 
 def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -276,53 +269,46 @@ def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
     return H.reshape(m * n, m * n)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _floor(A: tuple, mu: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
-    """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of F at x,
-    J = -H/mu, from the blocks A = (|D|, |E|) of |H| and the row blocks'
-    mu, both perhaps times one power of two.  NaN, no floor, if an entry of
-    |H|/mu is not finite (J overflows where H need not); inf if the sum
-    overflows."""
-    aD, aE = A
-    lower = np.minimum(mu[:-1], mu[1:])  # E_i lies in row blocks i and i + 1
-    top = np.concatenate([aD.max(axis=(1, 2)) / mu, aE.max(axis=(1, 2)) / lower])
-    if not np.isfinite(top).all():
-        return np.nan
-    rows = _times(aD, aE, np.abs(x).reshape(mu.size, -1)) / mu[:, None]
-    return _EPS * (rows.ravel() + np.abs(F)).max()
+@np.errstate(invalid="ignore", over="ignore")
+def _floor(A: np.ndarray, w: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
+    """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of the
+    residual F at x, J = -H/mu its Jacobian, from A = |H| and the rows'
+    mu w, both perhaps times one power of two; inf, which stops no solve,
+    if the sum overflows."""
+    return _EPS * ((A @ np.abs(x)) / w + np.abs(F)).max()
 
 
 @np.errstate(over="ignore")  # an overflowing sum certifies nothing
-def _certified(A: tuple) -> bool:
-    """Whether the blocks A = (|D|, |E|) of |H| prove cond_2(H) <=
-    CONDITION_LIMIT / 2 by strict diagonal dominance.
+def _certified(A: np.ndarray, n: int) -> bool:
+    """Whether A = |H|, H symmetric and block-tridiagonal with n x n
+    blocks, proves cond_2(H) <= CONDITION_LIMIT / 2 by strict diagonal
+    dominance.
 
     With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <=
     1 / alpha (Varah, Linear Algebra Appl. 11, 1975); H being symmetric,
     ||H||_1 = ||H||_inf, so for s unknowns cond_2(H) <= sqrt(s) *
-    ||H||_inf / alpha.  A row's sum of 3n terms at most and its alpha_i
-    round by less than (3n + 2) * eps times the largest row sum, which
-    alpha gives up; the factor 2 under the limit leaves room for the
+    ||H||_inf / alpha.  A row's sum of 3n nonzero terms at most and its
+    alpha_i round by less than (3n + 2) * eps times the largest row sum,
+    which alpha gives up; the factor 2 under the limit leaves room for the
     rounding of the bound itself and of the SVD's own estimate, so a
     certified H is one np.linalg.cond passes.
     """
-    aD, aE = A
-    n, rows = aD.shape[1], _times(aD, aE, np.ones(aD.shape[:2]))
-    norm, diagonal = rows.max(), np.diagonal(aD, axis1=1, axis2=2)
+    rows, diagonal = A.sum(axis=1), A.diagonal()
+    norm = rows.max()
     alpha = (diagonal - (rows - diagonal)).min() - (3 * n + 2) * _EPS * norm
     if not alpha > 0:
         return False
     return bool(np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2)
 
 
-def _check_condition(A: tuple, H: np.ndarray) -> None:
+def _check_condition(A: np.ndarray, H: np.ndarray, n: int) -> None:
     """Raise SingularSystem if the 2-norm condition number of the finite H
-    exceeds CONDITION_LIMIT.  The SVD runs only when the blocks A of |H| do
-    not certify it (:func:`_certified`), on H times a power of two: exact,
-    and the SVD cannot overflow."""
-    if _certified(A):
+    exceeds CONDITION_LIMIT.  The SVD runs only when A = |H| does not
+    certify it (:func:`_certified`), on H times a power of two: exact, and
+    the SVD cannot overflow."""
+    if _certified(A, n):
         return
-    exponent = np.frexp(np.abs(H).max())[1]  # largest entry to [0.5, 1)
+    exponent = np.frexp(A.max())[1]  # largest entry to [0.5, 1)
     if np.linalg.cond(np.ldexp(H, -exponent)) > CONDITION_LIMIT:
         raise SingularSystem(
             f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
@@ -381,9 +367,9 @@ def _newton(
     x = q_init.values[1:-1].ravel().copy()
     e, (F,) = _iterates(p, x[None])  # ends within BOUNDARY_TOL are pinned
     # H dx = mu F is solved times 2^-k, k >= 0 taking every mu to w <= 1:
-    # exact, and neither w F nor 2^-k |H| |x| overflows where F, |J| |x| do not
+    # exact, and neither w F nor 2^-k H overflows where F and J do not
     k = max(np.frexp(p.scale.mus.max())[1], 0)
-    w, floor = np.ldexp(p.scale.mus[:-2], -k), 0.0
+    w, floor = np.repeat(np.ldexp(p.scale.mus[:-2], -k), p.dim), 0.0
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.abs(F).max())
@@ -392,18 +378,19 @@ def _newton(
             return e, mag
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        D, E = (np.ldexp(B, -k) for B in _hessian(p, e))
-        A = np.abs(D), np.abs(E)
-        floor = _floor(A, w, x, F)
+        H = _dense(*_hessian(p, e, k))
+        A = np.abs(H)
+        with np.errstate(over="ignore"):  # J = -H/mu can overflow where H does not
+            finite = math.isfinite((A.max(axis=1) / w).max())
+        floor = _floor(A, w, x, F) if finite else math.nan  # no J, no floor
         if mag <= floor < np.inf:
             return e, mag
         if it == opts.max_iter:
             raise NoConvergence(e[0].q, history)
-        if math.isnan(floor):  # the SVD would fail
+        if not finite:  # the SVD would fail
             raise SingularSystem("jacobian has non-finite entries")
-        H = _dense(D, E)
-        _check_condition(A, H)
-        dx = np.linalg.solve(H, (w[:, None] * F.reshape(w.size, -1)).ravel())
+        _check_condition(A, H, p.dim)
+        dx = np.linalg.solve(H, w * F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx

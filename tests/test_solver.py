@@ -260,9 +260,9 @@ class TestNewton:
             records.append(alongs(p, Q, *args))
             return records[-1]
 
-        def recording_hessian(p, e):
+        def recording_hessian(p, e, *args):
             along_hessians.append(e)
-            return hessian(p, e)
+            return hessian(p, e, *args)
 
         monkeypatch.setattr(solver, "_alongs", recording_stack)
         monkeypatch.setattr(solver, "_hessian", recording_hessian)
@@ -425,10 +425,10 @@ class TestNewton:
         if not isinstance(exact, type):  # the residual's Jacobian there
             J = -hessian_matrix(p, exact) / mus
 
-        def oracle_hessian(p, e):  # the blocks of -mu J's symmetric part
+        def oracle_hessian(p, e, k):  # the blocks of -mu J's symmetric part
             x = e.Q[0, 1:-1].ravel()
             H = -mus * column_jacobian(residual, x, residual(x), FD_STEP)
-            return blocks((H + H.T) / 2, n)
+            return blocks(np.ldexp((H + H.T) / 2, -k), n)
 
         monkeypatch.setattr(solver, "_hessian", oracle_hessian)
         oracle, oracle_steps = outcome()
@@ -474,7 +474,7 @@ def row_mus(p):
 def hessian_matrix(p, Q):
     """The dense Hessian of p's action in the interior values, at the
     trajectory values Q."""
-    return solver._dense(*solver._hessian(p, solver._alongs(p, Q[None])))
+    return solver._dense(*solver._hessian(p, solver._alongs(p, Q[None]), 0))
 
 
 def blocks(H, n):
@@ -578,7 +578,7 @@ class TestJacobian:
             scale = TimeScale.from_points(np.sort(rng.uniform(0.5, 2.5, 5)))
             Q = rng.uniform(-1, 1, (5, n))
             p = VariationalProblem(scale, Lagrangian(n, text), Q[0], Q[-1])
-            D, E = solver._hessian(p, solver._alongs(p, Q[None]))
+            D, E = solver._hessian(p, solver._alongs(p, Q[None]), 0)
             action = 0
             for i in range(4):
                 mu = sympy.Rational(scale.mus[i])
@@ -609,7 +609,7 @@ class TestJacobian:
             records.append((p, solver._alongs(p, affine_extremal(p).values[None])))
         monkeypatch.setattr(Lagrangian, "partials", counted)
         for p, e in records:
-            solver._hessian(p, e)
+            solver._hessian(p, e, 0)
         assert orders == [(2, 20), (2, 200)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -652,6 +652,30 @@ class TestJacobian:
         assert np.all(np.isfinite(hessian_matrix(p, affine_extremal(p).values)))
         with pytest.raises(SingularSystem, match="^jacobian has non-finite entries$"):
             solve_newton(p)
+
+    def test_gaps_above_one_scale_the_hessian_before_its_products(self):
+        # gaps of 1e9: mu L_uu = 2e309 overflows in H, but neither F nor its
+        # Jacobian, whose entries are L_uu and L_vv / mu^2, does; the system
+        # is solved times 2^-30, taken before the products, so it converges
+        scale = TimeScale.uniform(0, 8e9, 1e9)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 1e300*u1^2"), [0.0], [1.0])
+        assert np.isinf(hessian_matrix(p, affine_extremal(p).values)).any()
+        q = solve_newton(p)
+        assert first_el_residual(p, q).magnitude <= NewtonOptions().tol
+
+    def test_gaps_of_1e96_keep_the_right_side_finite(self):
+        # gaps of 2e96 and |q| near 1e72: F, about 4e216, is finite, but mu F
+        # is not; solved times 2^-k, each of the quartic's Newton steps lowers
+        # |F| by a factor of about 3.4, as in F's own units
+        scale = TimeScale.from_points(1e98 + np.arange(6) * 2e96)
+        p = VariationalProblem(
+            scale, Lagrangian(1, "v1^2 + 0.5*u1^4"), [-7.5e71], [-1.4e72]
+        )
+        with pytest.raises(NoConvergence) as err:
+            solve_newton(p, opts=NewtonOptions(max_iter=5))
+        history = np.array(err.value.history)
+        assert len(history) == 6 and np.all(np.isfinite(history))
+        assert np.all(history[1:] < history[:-1] / 3)
 
 
 def symmetric_blocks(rng, n, m, kind):
@@ -709,12 +733,12 @@ class TestConditionGuard:
                     H = solver._dense(D, E)
                     assert all(map(np.array_equal, blocks(H, n), (D, E)))
                     assert np.array_equal(H, H.T)
-                    A = np.abs(D), np.abs(E)
-                    certified = solver._certified(A)
+                    A = np.abs(H)
+                    certified = solver._certified(A, n)
                     exponent = np.frexp(np.max(np.abs(H)))[1]
                     cond = np.linalg.cond(np.ldexp(H, -exponent))
                     try:
-                        solver._check_condition(A, H)
+                        solver._check_condition(A, H, n)
                         raised = False
                     except SingularSystem as err:
                         assert str(err) == "jacobian condition estimate exceeds 1e+14"
@@ -732,10 +756,10 @@ class TestConditionGuard:
         # np.linalg.cond(H) is inf here, H / 1e300 has cond 2, and the row
         # sums overflow, so the blocks certify nothing
         D, E = np.array([[[1.5e308]], [[1.5e308]]]), np.array([[[0.5e308]]])
-        H, A = solver._dense(D, E), (D, E)
+        H = solver._dense(D, E)
         assert np.isinf(np.linalg.cond(H))
-        assert not solver._certified(A)
-        solver._check_condition(A, H)
+        assert not solver._certified(H, 1)
+        solver._check_condition(H, H, 1)
 
     @pytest.mark.parametrize("N", [61, 801])
     def test_dominant_jacobians_skip_the_svd(self, N, monkeypatch):
@@ -785,9 +809,9 @@ class TestConditionGuard:
         def outcomes():
             out, hessian = [], solver._hessian
 
-            def recording(p, e):
+            def recording(p, e, *args):
                 out.append(e.Q.tobytes())
-                return hessian(p, e)
+                return hessian(p, e, *args)
 
             with monkeypatch.context() as m:
                 m.setattr(solver, "_hessian", recording)
@@ -805,7 +829,7 @@ class TestConditionGuard:
 
         monkeypatch.setattr(solver, "_certified", recorded)
         guarded = outcomes()
-        monkeypatch.setattr(solver, "_certified", lambda A: False)
+        monkeypatch.setattr(solver, "_certified", lambda *args: False)
         assert outcomes() == guarded
         assert True in verdicts and False in verdicts
 

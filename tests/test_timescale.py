@@ -90,7 +90,6 @@ class TestConstruction:
             # points are checked before kinds, kinds before their count
             ([0, 2, 1], ["X", "D"], "points must be strictly increasing"),
             ([0, 1, 2], ["X"], "unknown gap kind 'X' (expected 'S' or 'D')"),
-            ([0, 1, 2], ["S", ["S"]], "unknown gap kind ['S'] (expected 'S' or 'D')"),
         ],
     )
     def test_from_parts_single_fault_messages(self, points, gaps, message):
