@@ -17,7 +17,7 @@ Three routes:
 :class:`Candidate`; the enumeration returns an :class:`Extremals` record,
 one column per field and one row per kept word.  Both carry diagnostics
 (action, first and second Euler-Lagrange residual magnitudes), computed
-on the stack record that found them, one array pass per quantity, so
+on the record that found them, one array pass per quantity, so
 that a second-equation filter, a mask over one column, can narrow the set.
 """
 
@@ -198,15 +198,14 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, values)
 
 
-def _iterates(p: VariationalProblem, X: np.ndarray) -> tuple[_Along, np.ndarray]:
-    """The record of the trajectories with interior values X, one row of
-    n(N-2) per trajectory, and ends q_a and q_b, from one kernel pass, and
-    Newton's residual vectors of them, one row each; row i is the float
-    that trajectory i's ``first_el()`` gives."""
-    Q = np.empty((len(X), p.scale.n, p.dim))
-    Q[:, 0], Q[:, 1:-1], Q[:, -1] = p.q_a, X.reshape(len(X), -1, p.dim), p.q_b
+def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[_Along, np.ndarray]:
+    """The record of the trajectory with the n(N-2) interior values x and
+    ends q_a and q_b, from one kernel pass, and Newton's residual vector of
+    it, the floats its ``first_el()`` gives."""
+    Q = np.empty((p.scale.n, p.dim))
+    Q[0], Q[1:-1], Q[-1] = p.q_a, x.reshape(-1, p.dim), p.q_b
     e = _alongs(p, Q)
-    return e, e.first_el_values().reshape(len(X), -1)
+    return e, e.first_el_values().ravel()
 
 
 def _stacked(evaluate, h: int):
@@ -227,9 +226,9 @@ def _stacked(evaluate, h: int):
 @np.errstate(over="ignore", invalid="ignore")  # _newton judges a non-finite |J|
 def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-k times the Hessian H of the discrete action S in the interior
-    values at the trajectory of e, a record of one, from one second-order
-    kernel pass along e's frames: its diagonal blocks D, shape (N-2, n, n),
-    and the blocks above them E, shape (N-3, n, n).
+    values at the trajectory of e, from one second-order kernel pass along
+    e's frames: its diagonal blocks D, shape (N-2, n, n), and the blocks
+    above them E, shape (N-3, n, n).
 
     Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S; with
     t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i at
@@ -249,7 +248,7 @@ def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.n
     n = p.dim
     moving = np.ones((e.t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
-    H = p.lagrangian.partials(e.t, e.Q[0, 1:], e.v[0], order=2, moving=moving)[4]
+    H = p.lagrangian.partials(e.t, e.Q[1:], e.v, order=2, moving=moving)[4]
     u, v = slice(1, n + 1), slice(n + 1, None)
     mu = e.mu[:, None, None]
     a = np.ldexp(H[:, v, v] / mu, -k)
@@ -350,22 +349,20 @@ def solve_newton(
     (Varah 1975) is at most half the limit passes without an SVD, and any
     other H goes to np.linalg.cond (:func:`_check_condition`).
     """
-    e, _ = _newton(p, q_init, opts)
-    return e[0].q
+    return _newton(p, q_init, opts).q
 
 
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
-) -> tuple[_Along, float]:
-    """:func:`solve_newton`, returning the record of the iterate it stops
-    at, a stack of one, and the max-norm of its residual."""
+) -> _Along:
+    """:func:`solve_newton`, returning the record of the iterate it stops at."""
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:
         q_init = affine_extremal(p)
     _check_trajectory(p, q_init)
     x = q_init.values[1:-1].ravel().copy()
-    e, (F,) = _iterates(p, x[None])  # ends within BOUNDARY_TOL are pinned
+    e, F = _iterate(p, x)  # ends within BOUNDARY_TOL are pinned
     # H dx = mu F is solved times 2^-k, k >= 0 taking every mu to w <= 1:
     # exact, and neither w F nor 2^-k H overflows where F and J do not
     k = max(np.frexp(p.scale.mus.max())[1], 0)
@@ -375,7 +372,7 @@ def _newton(
         mag = float(np.abs(F).max())
         history.append(mag)
         if mag <= max(opts.tol, floor):
-            return e, mag
+            return e
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
         H = _dense(*_hessian(p, e, k))
@@ -384,9 +381,9 @@ def _newton(
             finite = math.isfinite((A.max(axis=1) / w).max())
         floor = _floor(A, w, x, F) if finite else math.nan  # no J, no floor
         if mag <= floor < np.inf:
-            return e, mag
+            return e
         if it == opts.max_iter:
-            raise NoConvergence(e[0].q, history)
+            raise NoConvergence(e.q, history)
         if not finite:  # the SVD would fail
             raise SingularSystem("jacobian has non-finite entries")
         _check_condition(A, H, p.dim)
@@ -394,12 +391,12 @@ def _newton(
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
-            e_trial, (F_trial,) = _iterates(p, trial[None])
+            e_trial, F_trial = _iterate(p, trial)
             if np.abs(F_trial).max() < mag:
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(e[0].q, history)
+            raise NoConvergence(e.q, history)
         x, F, e = trial, F_trial, e_trial
         floor = _floor(A, w, x, F)
 
@@ -418,19 +415,17 @@ def _magnitudes(r: np.ndarray) -> np.ndarray:
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
-    # a stack of one, diagnosed as the enumeration's stacks are: first-EL
-    # (Newton's from its last residual), action, then second-EL, the order
-    # one record's methods are read in, so that under warnings raised as
-    # errors the same one raises
     if _reads_only_slope(p.lagrangian):
-        s = _alongs(p, affine_extremal(p).values[None])
+        e = _alongs(p, affine_extremal(p).values)
         provenance = Provenance.CLOSED_FORM
-        first = _magnitudes(s.first_el_values())[0]
-    else:  # the record Newton stopped at, and its first-EL magnitude
-        (s, first), provenance = _newton(p, None, opts), Provenance.NEWTON
-    action, second = s.action()[0], _magnitudes(s.second_el_values())[0]
-    q = GridFunction(p.scale, s.Q[0])
-    return Candidate(q, provenance, float(action), float(first), float(second))
+    else:  # the record Newton stopped at
+        e, provenance = _newton(p, None, opts), Provenance.NEWTON
+    # first-EL (for Newton, the maximum of its last residual, exact), action,
+    # then second-EL: the order one record's methods are read in, so that
+    # under warnings raised as errors the same one raises
+    first, action = _magnitudes(e.first_el_values()), e.action()
+    second = _magnitudes(e.second_el_values())
+    return Candidate(e.q, provenance, float(action), float(first), float(second))
 
 
 @np.errstate(all="ignore")  # overflow in the walk only makes a miss

@@ -14,7 +14,7 @@ Each is arithmetic on one evaluation of L and its first partials at the
 frames (t, q_sigma, q_delta) of the trajectory: one private record, built
 in one kernel pass over one trajectory or a stack of them, whose entry i
 is trajectory i's record.  :mod:`tsvar.noether` reads the same record,
-and :mod:`tsvar.solver` evaluates and diagnoses its stacks through it.
+and :mod:`tsvar.solver` evaluates and diagnoses candidates through it.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -294,7 +294,7 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
     that range over unconstrained trajectories.
     """
     _check_trajectory(p, q, boundary)
-    return _alongs(p, q.values[None], q.approximate)[0]
+    return _alongs(p, q.values, q.approximate)
 
 
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -304,28 +304,28 @@ def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray
 
 
 def _frames(T: TimeScale, Q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The frames (t_i, q(sigma(t_i)), q_delta(t_i)) of every trajectory of
-    Q, shape (h, N, n), on the derivative prefix of k = N-1 points: t of
-    shape (k,) and U, V of shape (h, k, n), q_delta being the forward
-    quotient that :func:`delta_derivative` takes."""
+    """The frames (t_i, q(sigma(t_i)), q_delta(t_i)) of the trajectory or
+    stack of trajectories Q, shape (..., N, n), on the derivative prefix of
+    k = N-1 points: t of shape (k,) and U, V of shape (..., k, n), q_delta
+    being the forward quotient that :func:`delta_derivative` takes."""
     k = T.n - 1
-    return T.points[:k], Q[:, T.sigmas[:k]], _quotients(T.points, Q)
+    return T.points[:k], Q[..., T.sigmas[:k], :], _quotients(T.points, Q)
 
 
 def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Along:
-    """Evaluate L and its partials along every trajectory of Q in one pass.
+    """Evaluate L and its partials along the trajectory Q, shape (N, n), or
+    along each of a stack, shape (h, N, n), in one pass.
 
-    Q has shape (h, N, n) and is not checked; its frames are
-    :func:`_frames`'.
+    Q is not checked; its frames are :func:`_frames`'.
     """
-    T, (h, _, n) = p.scale, Q.shape
+    T, lead = p.scale, Q.shape[:-2]
     k = T.n - 1
     t, U, V = _frames(T, Q)
-    L, Lt, Lu, Lv = p.lagrangian.partials(t if h == 1 else np.tile(t, h), U, V)
-    approximate = approximate or T.has_dense
+    L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, lead) if lead else t, U, V)
     return _Along(
-        p, t, T.mus[:k], approximate, Q, V,
-        L.reshape(h, k), Lt.reshape(h, k), Lu.reshape(h, k, n), Lv.reshape(h, k, n),
+        p, t, T.mus[:k], approximate or T.has_dense, Q, V,
+        L.reshape(U.shape[:-1]), Lt.reshape(U.shape[:-1]),
+        Lu.reshape(U.shape), Lv.reshape(U.shape),
     )
 
 

@@ -255,8 +255,8 @@ class TestNewton:
         seen, records, along_hessians = [], [], []
         alongs, hessian = solver._alongs, solver._hessian
 
-        def recording_stack(p, Q, *args):
-            seen.extend(q.tobytes() for q in Q)
+        def recording(p, Q, *args):
+            seen.append(Q.tobytes())
             records.append(alongs(p, Q, *args))
             return records[-1]
 
@@ -264,7 +264,7 @@ class TestNewton:
             along_hessians.append(e)
             return hessian(p, e, *args)
 
-        monkeypatch.setattr(solver, "_alongs", recording_stack)
+        monkeypatch.setattr(solver, "_alongs", recording)
         monkeypatch.setattr(solver, "_hessian", recording_hessian)
         solve_newton(newton_problem())
         # one step, no halvings: the guess and the accepted step, each once
@@ -323,7 +323,7 @@ class TestNewton:
         p = VariationalProblem(scale, Lagrangian(1, body), [1.0], [q_b])
         Q = affine_extremal(p).values
         with pytest.raises(ExprDomainError, match="not twice differentiable"):
-            p.lagrangian.partials(*_frames(scale, Q[None]), order=2)
+            p.lagrangian.partials(*_frames(scale, Q), order=2)
         residual, x = first_el_vector(p), Q[1:-1].ravel()
         H = hessian_matrix(p, Q)
         reference = -row_mus(p)[:, None] * column_jacobian(
@@ -426,7 +426,7 @@ class TestNewton:
             J = -hessian_matrix(p, exact) / mus
 
         def oracle_hessian(p, e, k):  # the blocks of -mu J's symmetric part
-            x = e.Q[0, 1:-1].ravel()
+            x = e.Q[1:-1].ravel()
             H = -mus * column_jacobian(residual, x, residual(x), FD_STEP)
             return blocks(np.ldexp((H + H.T) / 2, -k), n)
 
@@ -474,7 +474,7 @@ def row_mus(p):
 def hessian_matrix(p, Q):
     """The dense Hessian of p's action in the interior values, at the
     trajectory values Q."""
-    return solver._dense(*solver._hessian(p, solver._alongs(p, Q[None]), 0))
+    return solver._dense(*solver._hessian(p, solver._alongs(p, Q), 0))
 
 
 def blocks(H, n):
@@ -511,6 +511,28 @@ COUNT_BODIES = (
 
 
 class TestJacobian:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_trajectory_record_gives_newtons_blocks(self, n):
+        # the record the library's residuals read, built from a checked
+        # trajectory, and the record of Newton's iterate with the same
+        # values give the same blocks, bit for bit
+        rng = np.random.default_rng(n)
+        for kind in sorted(JACOBIAN_TERMS):
+            body = " + ".join(
+                JACOBIAN_TERMS[kind].format(j=j, k=j % n + 1) for j in range(1, n + 1)
+            )
+            scale = TimeScale.from_points(np.sort(rng.uniform(0.5, 2.5, 9)))
+            q_a, q_b = rng.uniform(-1, 1, (2, n))
+            p = VariationalProblem(scale, Lagrangian(n, body), q_a, q_b)
+            x = rng.uniform(-1, 1, 7 * n)
+            iterate, _ = solver._iterate(p, x)
+            q = GridFunction(scale, np.vstack([q_a, x.reshape(-1, n), q_b]))
+            for k in (0, 3):
+                got = solver._hessian(p, _along(p, q), k)
+                want = solver._hessian(p, iterate, k)
+                for a, b in zip(got, want, strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", sorted(JACOBIAN_TERMS))
     def test_equals_column_by_column_reference(self, kind, n):
@@ -578,7 +600,7 @@ class TestJacobian:
             scale = TimeScale.from_points(np.sort(rng.uniform(0.5, 2.5, 5)))
             Q = rng.uniform(-1, 1, (5, n))
             p = VariationalProblem(scale, Lagrangian(n, text), Q[0], Q[-1])
-            D, E = solver._hessian(p, solver._alongs(p, Q[None]), 0)
+            D, E = solver._hessian(p, solver._alongs(p, Q), 0)
             action = 0
             for i in range(4):
                 mu = sympy.Rational(scale.mus[i])
@@ -606,7 +628,7 @@ class TestJacobian:
         for N in (21, 201):
             scale = TimeScale.uniform(1, 2, 1 / (N - 1))
             p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.ones(n))
-            records.append((p, solver._alongs(p, affine_extremal(p).values[None])))
+            records.append((p, solver._alongs(p, affine_extremal(p).values)))
         monkeypatch.setattr(Lagrangian, "partials", counted)
         for p, e in records:
             solver._hessian(p, e, 0)
