@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprError
+from .expr import ExprDomainError, ExprError
 from .timescale import GridFunction, TimeScale, _expand_slopes
 from .variational import Lagrangian, VariationalProblem, _Along, _alongs
 from .variational import _check_trajectory
@@ -326,10 +326,12 @@ def solve_newton(
     the exact Hessian of S, symmetric and block-tridiagonal, from the
     second partials of L along the iterate in one kernel pass
     (:func:`_hessian`); damped steps are accepted only when the residual
-    max-norm decreases.  Each iterate is evaluated once: ``q_init`` is
-    checked without evaluating L, its residual is the trajectory's with the
-    ends pinned to q_a and q_b, and an accepted trial's evaluation is the
-    next iterate's.  A solve of k steps with no halvings thus makes 1 + 2k
+    max-norm decreases, and a trial at which L or a first partial is
+    undefined fails (along ``q_init``, as a second partial along an iterate,
+    it raises ExprDomainError).  Each iterate is evaluated once: ``q_init``
+    is checked without evaluating L, its residual is the trajectory's with
+    the ends pinned to q_a and q_b, and an accepted trial's evaluation is
+    the next iterate's.  A solve of k steps with no halvings thus makes 1 + 2k
     kernel passes; on a linear-quadratic L the first step lands on the
     root, so k = 1.
 
@@ -391,9 +393,12 @@ def _newton(
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
-            e_trial, F_trial = _iterate(p, trial)
-            if np.abs(F_trial).max() < mag:
-                break
+            try:
+                e_trial, F_trial = _iterate(p, trial)
+                if np.abs(F_trial).max() < mag:
+                    break
+            except ExprDomainError:  # the step left L's domain: a failed trial
+                pass
             alpha *= 0.5
         else:
             raise NoConvergence(e.q, history)

@@ -209,6 +209,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: jacobian has non-finite entries\n"
 
+    def test_trial_step_outside_the_domain_exit_3(self, tmp_path, capsys):
+        # the affine guess is inside L's domain and a later trial step is
+        # not: that trial fails and is halved, and the solve ends at a
+        # singular Hessian, not as an input error
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.038461538461538464}},
+            lagrangian="log(v1^2 + 1) + exp(u1)",
+            q_b=5.0,
+        )
+        assert cli.main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: jacobian condition estimate exceeds 1e+14\n"
+
     def test_unhashable_gap_kind_exit_2(self, tmp_path, capsys):
         scale = {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", ["S"], "D", "S"]}
         path = write_problem(tmp_path, scale=scale)

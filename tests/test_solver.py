@@ -333,6 +333,35 @@ class TestNewton:
         q = solve_newton(p)
         assert first_el_residual(p, q).magnitude <= NewtonOptions().tol
 
+    def test_trial_step_outside_the_domain_is_a_failed_trial(self, monkeypatch):
+        # exp(u1) is finite along the affine guess, but two trial steps
+        # overflow it; each is halved as a trial that fails to lower the
+        # residual, and the solve goes on, to a singular Hessian here,
+        # rather than end as an input error
+        scale = TimeScale.uniform(0, 1, 0.038461538461538464)
+        L = Lagrangian(1, "log(v1^2 + 1) + exp(u1)")
+        p = VariationalProblem(scale, L, [0.0], [5.0])
+        assert np.isfinite(first_el_residual(p, affine_extremal(p)).magnitude)
+        outcomes, iterate = [], solver._iterate
+
+        def recording(p, x):
+            try:
+                outcomes.append(iterate(p, x))
+            except ExprDomainError as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+
+        monkeypatch.setattr(solver, "_iterate", recording)
+        with pytest.raises(
+            SingularSystem, match=r"^jacobian condition estimate exceeds 1e\+14$"
+        ):
+            solve_newton(p)
+        failed = [i for i, x in enumerate(outcomes) if isinstance(x, ExprDomainError)]
+        assert len(failed) == 2
+        assert str(outcomes[failed[0]]) == "result overflows in 'exp(u1)'"
+        assert failed[-1] < len(outcomes) - 1
+
     def test_last_iterate_is_tested_against_its_own_floor(self, monkeypatch):
         # the iterate of step max_iter is judged by the floor of the
         # Hessian built there before NoConvergence is raised, and before
