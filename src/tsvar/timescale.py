@@ -450,6 +450,7 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.base, out, approximate=approx)
 
 
+@np.errstate(over="ignore")  # an overflowing term or sum is inf, as in the kernel
 def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Delta integrals of the values f, shape (..., m, n) on the first m
     points, from point ``lo`` to each point lo..hi: row r integrates over

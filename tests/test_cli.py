@@ -223,6 +223,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: jacobian condition estimate exceeds 1e+14\n"
 
+    def test_overflowing_action_is_inf_without_a_warning(self, tmp_path, capsys):
+        # gaps of 1e9: mu * L overflows in the action's terms, which is inf
+        # as the kernel's own products are, not a RuntimeWarning
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 8e9, "h": 1e9}},
+            lagrangian="v1^2 + 1e300*u1^2",
+            q_b=1.0,
+        )
+        assert cli.main(["solve", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "action: inf\n" in captured.out
+
     def test_unhashable_gap_kind_exit_2(self, tmp_path, capsys):
         scale = {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", ["S"], "D", "S"]}
         path = write_problem(tmp_path, scale=scale)
