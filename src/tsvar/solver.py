@@ -326,14 +326,13 @@ def solve_newton(
     the exact Hessian of S, symmetric and block-tridiagonal, from the
     second partials of L along the iterate in one kernel pass
     (:func:`_hessian`); damped steps are accepted only when the residual
-    max-norm decreases, and a trial at which L or a first partial is
-    undefined fails (along ``q_init``, as a second partial along an iterate,
-    it raises ExprDomainError).  Each iterate is evaluated once: ``q_init``
-    is checked without evaluating L, its residual is the trajectory's with
-    the ends pinned to q_a and q_b, and an accepted trial's evaluation is
-    the next iterate's.  A solve of k steps with no halvings thus makes 1 + 2k
-    kernel passes; on a linear-quadratic L the first step lands on the
-    root, so k = 1.
+    max-norm decreases, and a trial outside L's domain is a failed one
+    (the guess, or a Hessian, outside it raises ExprDomainError).  Each
+    iterate is evaluated once: ``q_init`` is checked without evaluating L,
+    its residual is the trajectory's with the ends pinned to q_a and q_b,
+    and an accepted trial's evaluation is the next iterate's.  A solve of
+    k steps with no halvings thus makes 1 + 2k kernel passes; on a
+    linear-quadratic L the first step lands on the root, so k = 1.
 
     It stops at ``opts.tol`` or at the rounding floor of F, eps *
     max_i(sum_j |J_ij| |x_j| + |F_i|), J = -H/mu being F's Jacobian.  An
@@ -421,8 +420,7 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
     if _reads_only_slope(p.lagrangian):
-        e = _alongs(p, affine_extremal(p).values)
-        provenance = Provenance.CLOSED_FORM
+        e, provenance = _alongs(p, affine_extremal(p).values), Provenance.CLOSED_FORM
     else:  # the record Newton stopped at
         e, provenance = _newton(p, None, opts), Provenance.NEWTON
     # first-EL (for Newton, the maximum of its last residual, exact), action,
