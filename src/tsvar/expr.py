@@ -457,10 +457,7 @@ def _compile(node):
         return lambda env, zero: _call(node, arg(env, zero))
     left, right, op = _compile(node.left), _compile(node.right), node.op
     if op == "^":
-        power = _pow
-        if isinstance(node.right, _Num):  # a literal exponent, as the 2 of v1^2
-            power = _int_pow if node.right.value.is_integer() else _real_pow
-        return lambda env, zero: power(left(env, zero), right(env, zero), node)
+        return lambda env, zero: _pow(left(env, zero), right(env, zero), node)
 
     def binary(env, zero):
         (av, ad, ah), (bv, bd, bh) = left(env, zero), right(env, zero)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .expr import Expr, parse
 from .timescale import GridFunction, _quotients
-from .variational import Residual, VariationalProblem, _Along, _along
+from .variational import Residual, VariationalProblem, _Along, _along, _frames
 
 __all__ = [
     "Transformation",
@@ -94,10 +94,10 @@ def _invariance(e: _Along, taus: np.ndarray, xis: np.ndarray) -> Residual:
     if not T.is_exact_discrete:
         raise ValueError("invariance residual needs an exact discrete scale")
     tau_d = _quotients(T.points, taus[:, None])[:, 0]
-    xi_d = _quotients(T.points, xis)
+    _, xi_s, xi_d = _frames(T, xis)
     vals = (
         e.Lt * taus[:k]
-        + np.sum(e.Lu * xis[T.sigmas[:k]], axis=1)
+        + np.sum(e.Lu * xi_s, axis=1)
         + np.sum(e.Lv * xi_d, axis=1)
         + e.L * tau_d
         - np.sum(e.v * e.Lv, axis=1) * tau_d

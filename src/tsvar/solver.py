@@ -227,8 +227,8 @@ def _stacked(evaluate, h: int):
 def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-k times the Hessian H of the discrete action S in the interior
     values at the trajectory of e, from one second-order kernel pass along
-    e's frames: its diagonal blocks D, shape (N-2, n, n), and the blocks
-    above them E, shape (N-3, n, n).
+    e's frames (t, U, v), U_i = q_{i+1} on scattered gaps: its diagonal
+    blocks D, shape (N-2, n, n), and the blocks above them E, shape (N-3, n, n).
 
     Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S; with
     t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i at
@@ -248,7 +248,7 @@ def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.n
     n = p.dim
     moving = np.ones((e.t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
-    H = p.lagrangian.partials(e.t, e.Q[1:], e.v, order=2, moving=moving)[4]
+    H = p.lagrangian.partials(e.t, e.U, e.v, order=2, moving=moving)[4]
     u, v = slice(1, n + 1), slice(n + 1, None)
     mu = e.mu[:, None, None]
     a = np.ldexp(H[:, v, v] / mu, -k)

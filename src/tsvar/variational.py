@@ -196,19 +196,20 @@ class Residual:
 
 @dataclass(frozen=True)
 class _Along:
-    """L and its first partials at the frames (t, q_sigma, q_delta) of the
-    trajectory values Q on its derivative prefix, with the graininess mu
-    there.  Q is one trajectory, shape (N, n), or a stack of h, shape
-    (h, N, n), whose fields Q, v, L, Lt, Lu and Lv then lead with the
-    axis h; ``e[i]`` is trajectory i's record and ``e.q`` one record's
-    trajectory.  Every method reads a stack, one array pass per quantity,
-    and gives entry i the floats trajectory i's own record gives."""
+    """L and its first partials at the frames (t, U, v) = (t, q_sigma,
+    q_delta) that :func:`_frames` built from the trajectory values Q, with
+    the graininess mu there.  Q is one trajectory, shape (N, n), or a stack
+    of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and Lv then lead
+    with the axis h; ``e[i]`` is trajectory i's record and ``e.q`` one
+    record's trajectory.  Every method reads a stack, one array pass per
+    quantity, and gives entry i the floats trajectory i's own record gives."""
 
     p: VariationalProblem
     t: np.ndarray
     mu: np.ndarray
     approximate: bool
     Q: np.ndarray
+    U: np.ndarray
     v: np.ndarray
     L: np.ndarray
     Lt: np.ndarray
@@ -217,7 +218,7 @@ class _Along:
 
     def __getitem__(self, i) -> "_Along":
         return _Along(
-            self.p, self.t, self.mu, self.approximate, self.Q[i],
+            self.p, self.t, self.mu, self.approximate, self.Q[i], self.U[i],
             self.v[i], self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
         )
 
@@ -323,7 +324,7 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> 
     t, U, V = _frames(T, Q)
     L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, lead) if lead else t, U, V)
     return _Along(
-        p, t, T.mus[:k], approximate or T.has_dense, Q, V,
+        p, t, T.mus[:k], approximate or T.has_dense, Q, U, V,
         L.reshape(U.shape[:-1]), Lt.reshape(U.shape[:-1]),
         Lu.reshape(U.shape), Lv.reshape(U.shape),
     )
