@@ -611,6 +611,19 @@ class TestRecord:
                 a, b = getattr(got, kind)().values, getattr(want, kind)().values
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), kind
 
+    def test_record_keeps_the_frames_q_sigma(self):
+        # on a DENSE gap sigma(t_i) = t_i, so q_sigma is not Q[1:]
+        scale = TimeScale.from_parts([0.0, 0.5, 0.75, 1.5, 2.0, 3.0], "SDSDS")
+        k, sigmas = scale.n - 1, scale.sigmas[: scale.n - 1]
+        p = VariationalProblem(scale, Lagrangian(2, "v1^2 + u1*u2"), [0, 0], [0, 0])
+        Q = np.random.default_rng(0).uniform(-2, 2, (3, scale.n, 2))
+        stack = _alongs(p, Q)
+        assert stack.U.tobytes() == Q[:, sigmas, :].tobytes()
+        for i in range(3):
+            one = _alongs(p, Q[i])
+            assert one.U.shape == (k, 2) and one.U.tobytes() == Q[i, sigmas].tobytes()
+            assert stack[i].U.tobytes() == one.U.tobytes()
+
 
 class TestResidual:
     def test_magnitude_is_the_max_norm_and_not_an_argument(self):
