@@ -427,6 +427,7 @@ def _expand_slopes(scale: TimeScale, q_a, s: np.ndarray) -> np.ndarray:
     return values.cumsum(axis=-2)
 
 
+@np.errstate(over="ignore")  # an overflowing quotient is inf, as in the kernel
 def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Forward quotients of values, shape (..., m, n), over the m points:
     (values[i+1] - values[i]) / (points[i+1] - points[i]) for i < m-1."""

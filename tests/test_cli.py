@@ -237,6 +237,21 @@ class TestSolve:
         assert captured.err == ""
         assert "action: inf\n" in captured.out
 
+    def test_overflowing_quotient_in_a_trial_step_exit_3(self, tmp_path, capsys):
+        # trial steps whose dL/dv quotients overflow are failed trials, as an
+        # overflowing residual is, not a RuntimeWarning
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.5, "b": 2.5, "h": 0.5}},
+            n=2,
+            lagrangian="exp(v1/3)*u2 + v1^2 + exp(v2/3)*u1 + v2^2",
+            q_a=[-121.1, -182.7],
+            q_b=[118.8, 328.3],
+        )
+        assert cli.main(["solve", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no convergence after 22 Newton step(s)")
+
     def test_unhashable_gap_kind_exit_2(self, tmp_path, capsys):
         scale = {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", ["S"], "D", "S"]}
         path = write_problem(tmp_path, scale=scale)
@@ -320,6 +335,17 @@ class TestVerify:
         )
         assert cli.main(["verify", path]) == 2
         assert "error: result overflows in 'v1^400.0'" in capsys.readouterr().err
+
+    def test_overflowing_quotient_exit_2(self, tmp_path, capsys):
+        # q_delta overflows to inf over gaps of 1e-300, and then v1^2 does
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 4e-300, "h": 1e-300}},
+            q_b=0.0,
+            trajectory={"values": [0.0, 1e10, -1e10, 1.0, 0.0]},
+        )
+        assert cli.main(["verify", path]) == 2
+        assert capsys.readouterr().err == "error: result overflows in 'v1^2.0'\n"
 
     def test_missing_trajectory_exit_2(self, tmp_path):
         path = write_problem(tmp_path)
