@@ -23,12 +23,17 @@ do not converge then end differently even within one version.
 
 A run prints the verdict table; ``--compare`` prints every problem whose
 verdict or message differ, the verdict table between the two, and how far
-the trajectories that both solved moved, relative to 1 + max|q|.
+the trajectories that both solved moved, relative to 1 + max|q|.  It exits
+1, naming the offending rows, if a problem that OLD solved is not solved
+by NEW, or if a trajectory that both solved moved by more than
+1e-12 (1 + max|q_old|); differences in problems that OLD did not solve do
+not count.
 """
 
 import argparse
 import collections
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -52,6 +57,7 @@ BODIES = (
     "exp(v{j}) + u{j}^2",
 )
 SEEDS = {"ordinary": 12345, "extreme": 777}
+MOVE_TOL = 1e-12  # how far, relative to 1 + max|q_old|, a solved row may move
 
 
 def problems(mode: str, count: int):
@@ -99,21 +105,30 @@ def sweep(mode: str, count: int, out: str | None) -> None:
     print(f"{mode}, {count} problems:", dict(sorted(table.items())))
 
 
-def compare(old: str, new: str) -> None:
+def compare(old: str, new: str) -> list[str]:
+    """Print the comparison of two runs; return its offending rows."""
     rows = [[json.loads(line) for line in open(path)] for path in (old, new)]
-    table, moved, worst = collections.Counter(), 0, 0.0
+    table, moved, worst, offending = collections.Counter(), 0, 0.0, []
     for a, b in zip(*rows):
         table[a["verdict"], b["verdict"]] += 1
         if (a["verdict"], a["message"]) != (b["verdict"], b["message"]):
             was, now = (f"{r['verdict']} {r['message'][:60]!r}" for r in (a, b))
             print(f"{a['index']} {a['body'][:48]!r}: {was} -> {now}")
+            if a["verdict"] == "ok":
+                offending.append(f"{a['index']}: ok -> {b['verdict']}")
         elif a["verdict"] == "ok" and a["values"] != b["values"]:
             qa, qb = np.array(a["values"]), np.array(b["values"])
             moved += 1
-            worst = max(worst, np.abs(qa - qb).max() / (1 + np.abs(qa).max()))
+            shift, scale = np.abs(qa - qb).max(), 1 + np.abs(qa).max()
+            worst = max(worst, shift / scale)
+            if not shift <= MOVE_TOL * scale:
+                offending.append(f"{a['index']}: moved by {shift / scale:.2e}")
     pairs = {f"{x} -> {y}": c for (x, y), c in sorted(table.items())}
     print("verdicts old -> new:", pairs)
     print(f"solved by both and moved: {moved}, by at most {worst:.2e} (1 + max|q|)")
+    for row in offending:
+        print("offending:", row)
+    return offending
 
 
 def main() -> None:
@@ -124,7 +139,7 @@ def main() -> None:
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        sys.exit(1 if compare(*args.compare) else 0)
     else:
         sweep(args.mode, args.count, args.out)
 
