@@ -250,7 +250,7 @@ class TestSolve:
         )
         assert cli.main(["solve", path]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: no convergence after 22 Newton step(s)")
+        assert err.startswith("numerical failure: no convergence after 22 Newton")
 
     def test_unhashable_gap_kind_exit_2(self, tmp_path, capsys):
         scale = {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gaps": ["S", ["S"], "D", "S"]}
@@ -614,6 +614,44 @@ def test_malformed_problem_file_exit_2(name, tmp_path, capsys):
     code, err = run_cli(["solve", str(path)], capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+INPUT_ERRORS = {
+    "invalid JSON": (["solve"], None, "is not valid JSON: "),
+    "bad alphabet": (["solve", "--enumerate=a,b"], {}, "error: bad alphabet: "),
+    "noether without a trajectory": (
+        ["noether"],
+        {"transformation": {"tau": "1", "xi": ["1"]}},
+        "error: noether needs a trajectory in the problem file (or --solve)\n",
+    ),
+    "enumeration on a dense scale": (
+        ["solve", "--enumerate=-1,0,1"],
+        {"scale": {"dense": {"a": 0.0, "b": 1.0, "resolution": 9}}},
+        "error: enumeration needs an exact discrete scale\n",
+    ),
+    "enumeration with n = 2": (
+        ["solve", "--enumerate=-1,0,1"],
+        {"n": 2, "lagrangian": "v1^2 + v2^2", "q_a": [0.0, 0.0], "q_b": [2.0, 2.0]},
+        "error: enumeration is implemented for one-dimensional problems\n",
+    ),
+    "max_iter 0": (
+        ["solve"], {"solver": {"max_iter": 0}}, "error: max_iter must be at least 1\n"
+    ),
+    "tol 0": (
+        ["solve"], {"solver": {"tol": 0}}, "error: tol must be positive and finite\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_exit_2(case, tmp_path, capsys):
+    command, overrides, message = INPUT_ERRORS[case]
+    path = write_problem(tmp_path, **(overrides or {}))
+    if overrides is None:
+        Path(path).write_text('{"version": "tsvar/1",')
+    code, err = run_cli([*command, path], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_file_nested_past_the_decoder_limit_exit_2(tmp_path, capsys):
