@@ -4,7 +4,8 @@
 Runs seeded random problems through the library and hashes every result
 bit for bit: enumerations over random alphabets (one of them spanning
 many blocks of words), ``solve``, ``solve_newton`` from a perturbed guess,
-the residuals, ``check_conservation``, and the stdout, stderr, exit code
+the residuals, ``check_conservation`` under tau = 1 and under tau = t,
+xi = q, and the stdout, stderr, exit code
 and ``--json`` report of ``tsvar`` on ``problems/*.json``.  An exception
 counts as its class and message (and a ``NoConvergence`` as its history
 and last iterate too); warnings are raised as errors.  Two versions of
@@ -177,6 +178,9 @@ def library_records(rng):
         yield outcome(fn, p, q)
     yield outcome(hamiltonian, p, q, int(rng.integers(0, p.scale.n - 1)))
     tr = Transformation.from_text(p.dim, "1", ["0"] * p.dim)
+    yield outcome(check_conservation, p, q, tr)
+    # tau = t moves tau_delta off zero, so the invariance reads its bracket
+    tr = Transformation.from_text(p.dim, "t", [f"q{j + 1}" for j in range(p.dim)])
     yield outcome(check_conservation, p, q, tr)
     yield outcome(solve, p)
     newton = outcome(solve_newton, p)
