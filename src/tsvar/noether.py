@@ -3,15 +3,13 @@ conserved quantity that invariance buys along extremals.
 
 A transformation is given by its generator pair: a scalar time generator
 tau(t, q) and a state generator xi(t, q) with one component per
-trajectory dimension.  Invariance of the action is tested pointwise
-through a necessary-and-sufficient residual; when it vanishes, the
-quantity
-
-    dL/dv . xi + [L - dL/dv . q_delta - dL/dt * mu] * tau
-
-is the candidate constant of motion.  Generator variables are named
-``t`` and ``q1..qn`` and are evaluated at (t, q(t)); the shifted and
-delta-differentiated generator composites are formed on the grid.
+trajectory dimension, in ``t`` and ``q1..qn``, evaluated at (t, q(t)) as
+one array g = (tau, xi) and framed by :func:`_frames` as q is.  With H
+the record's Hamiltonian -L + dL/dv . q_delta + dL/dt * mu, invariance is
+the pointwise residual dL/dt tau_sigma + dL/du . xi_sigma + dL/dv .
+xi_delta - H tau_delta, and C = dL/dv . xi - H tau is the candidate
+constant of motion: C_delta = invariance + first_el . xi_sigma -
+second_el tau_sigma by the product rule.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, parse
-from .timescale import GridFunction, _quotients
+from .timescale import GridFunction
 from .variational import Residual, VariationalProblem, _Along, _along, _frames
 
 __all__ = [
@@ -76,40 +74,36 @@ class NoetherReport:
 
 def _sample(
     p: VariationalProblem, q: GridFunction, tr: Transformation
-) -> tuple[_Along, np.ndarray, np.ndarray]:
+) -> tuple[_Along, np.ndarray]:
     """L and its partials along q, not held to the boundary values, and
-    tau(t_i, q_i), xi(t_i, q_i) at every scale point."""
+    the generators g = (tau, xi)(t_i, q_i) at every scale point, shape
+    (N, 1+n)."""
     if tr.dim != p.dim:
         raise ValueError("transformation dimension does not match the problem")
     e = _along(p, q, boundary=False)
-    names = ["t"] + [f"q{k + 1}" for k in range(tr.dim)]
-    env = dict(zip(names, [q.base.points, *q.values.T]))
-    taus = tr.tau._forward(env).value
-    xis = np.column_stack([c._forward(env).value for c in tr.xi])
-    return e, taus, xis
+    env = dict(zip(tr.tau.variables, [q.base.points, *q.values.T]))
+    return e, np.column_stack([c._forward(env).value for c in (tr.tau, *tr.xi)])
 
 
-def _invariance(e: _Along, taus: np.ndarray, xis: np.ndarray) -> Residual:
-    T, k = e.p.scale, len(e.t)
+def _invariance(e: _Along, g: np.ndarray) -> np.ndarray:
+    """L_t tau_sigma + L_u . xi_sigma + L_v . xi_delta - H tau_delta for the
+    generators g, shape (..., N, 1+n), on the frames of the record e."""
+    T = e.p.scale
     if not T.is_exact_discrete:
         raise ValueError("invariance residual needs an exact discrete scale")
-    tau_d = _quotients(T.points, taus[:, None])[:, 0]
-    _, xi_s, xi_d = _frames(T, xis)
-    vals = (
-        e.Lt * taus[:k]
-        + np.sum(e.Lu * xi_s, axis=1)
-        + np.sum(e.Lv * xi_d, axis=1)
-        + e.L * tau_d
-        - np.sum(e.v * e.Lv, axis=1) * tau_d
+    _, g_s, g_d = _frames(T, g)
+    return (
+        e.Lt * g_s[..., 0]
+        + (e.Lu * g_s[..., 1:]).sum(axis=-1)
+        + (e.Lv * g_d[..., 1:]).sum(axis=-1)
+        - e.hamiltonian(e.mu) * g_d[..., 0]
     )
-    return Residual("invariance", e.t, vals, approximate=e.approximate)
 
 
-def _conserved(e: _Along, taus: np.ndarray, xis: np.ndarray) -> GridFunction:
-    k = len(e.t)
-    # the bracket L - dL/dv . q_delta - dL/dt * mu is minus the Hamiltonian
-    vals = np.sum(e.Lv * xis[:k], axis=1) - e.hamiltonian(e.mu) * taus[:k]
-    return GridFunction(e.p.scale, vals, approximate=e.approximate)
+def _conserved(e: _Along, g: np.ndarray) -> np.ndarray:
+    """L_v . xi - H tau for the generators g on the frames of the record e."""
+    g = g[..., : len(e.t), :]
+    return (e.Lv * g[..., 1:]).sum(axis=-1) - e.hamiltonian(e.mu) * g[..., 0]
 
 
 def invariance_residual(
@@ -117,11 +111,14 @@ def invariance_residual(
 ) -> Residual:
     """Pointwise invariance condition of the action along q.
 
-    Evaluates dL/dt tau + dL/du . xi_sigma + dL/dv . xi_delta
-    + L tau_delta - q_delta . dL/dv tau_delta; identically zero iff the
-    action is invariant under the generator pair.
+    Evaluates dL/dt tau_sigma + dL/du . xi_sigma + dL/dv . xi_delta
+    - H tau_delta, identically zero iff the action is invariant under the
+    generator pair.  As tau_sigma = tau + mu tau_delta, that is
+    dL/dt tau + dL/du . xi_sigma + dL/dv . xi_delta
+    + (L - dL/dv . q_delta) tau_delta up to rounding.
     """
-    return _invariance(*_sample(p, q, tr))
+    e, g = _sample(p, q, tr)
+    return Residual("invariance", e.t, _invariance(e, g), e.approximate)
 
 
 def conserved_quantity(
@@ -132,7 +129,8 @@ def conserved_quantity(
     Lagrangian arguments are (t, q_sigma, q_delta); the generators are
     taken at (t, q(t)).  Defined on the derivative prefix of q.
     """
-    return _conserved(*_sample(p, q, tr))
+    e, g = _sample(p, q, tr)
+    return GridFunction(p.scale, _conserved(e, g), approximate=e.approximate)
 
 
 def check_conservation(
@@ -145,12 +143,11 @@ def check_conservation(
     the residual itself covers).  L and the generators are evaluated once
     for both.
     """
-    sample = _sample(p, q, tr)
-    res, cons = _invariance(*sample), _conserved(*sample)
-    magnitude = float(np.max(np.abs(res.values[:-1])))
-    c = cons.component(0)
+    e, g = _sample(p, q, tr)
+    magnitude = float(np.max(np.abs(_invariance(e, g)[:-1])))
+    c = _conserved(e, g)
     return NoetherReport(
         invariance_magnitude=magnitude,
-        conserved=cons,
+        conserved=GridFunction(p.scale, c, approximate=e.approximate),
         conservation_deviation=float(c.max() - c.min()),
     )
