@@ -85,6 +85,7 @@ def _sample(
     return e, np.column_stack([c._forward(env).value for c in (tr.tau, *tr.xi)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def _invariance(e: _Along, g: np.ndarray) -> np.ndarray:
     """L_t tau_sigma + L_u . xi_sigma + L_v . xi_delta - H tau_delta for the
     generators g, shape (..., N, 1+n), on the frames of the record e."""
@@ -100,6 +101,7 @@ def _invariance(e: _Along, g: np.ndarray) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def _conserved(e: _Along, g: np.ndarray) -> np.ndarray:
     """L_v . xi - H tau for the generators g on the frames of the record e."""
     g = g[..., : len(e.t), :]

@@ -226,6 +226,7 @@ class _Along:
     def q(self) -> GridFunction:
         return GridFunction(self.p.scale, self.Q)
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
     def hamiltonian(self, mu) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
         return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * mu
@@ -298,6 +299,7 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
     return _alongs(p, q.values, q.approximate)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
     """(d/dt)_delta composite + term at the frames t, for composite and term
     of shape (..., k, n); the result covers the first k-1 frames."""

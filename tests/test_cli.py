@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,13 +156,44 @@ class TestSolve:
         assert err == "error: bad 'max_iter': 2.5 is not an integer\n"
 
     def test_overflowing_residual_exit_3(self, tmp_path, capsys):
-        # the affine guess's first-EL rows overflow: no step can be solved for
+        # the affine guess's first-EL rows overflow: no step can be solved
+        # for; the outer quotient's inf - inf is nan without a warning
         path = write_problem(tmp_path, lagrangian="1e300*v1^2*u1^3", q_b=100.0)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = cli.main(["solve", path])
         assert code == 3
         err = capsys.readouterr().err
         assert err == "numerical failure: residual has non-finite entries\n"
+
+    def test_overflowing_hamiltonian_without_warning(self, tmp_path, capsys):
+        # Newton converges, but L = v1 * u1 overflows at 3 of 4 frames: the
+        # action is -inf and the Hamiltonian's inf - inf makes second_el nan
+        points = [
+            0.14557293063291543, 0.4841463723815471, 0.829583735194998,
+            1.5311197387222544, 1.8119018593106655,
+        ]
+        path = write_problem(
+            tmp_path, scale={"points": points}, lagrangian="v1 * u1",
+            q_a=1e300, q_b=1e-300,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", path])
+        assert code == 0
+        assert capsys.readouterr() == (
+            "method: newton\n"
+            "      t  q1\n"
+            "  0.145572930633  1e+300\n"
+            "  0.484146372382  7.5e+299\n"
+            "  0.829583735195  5e+299\n"
+            "  1.53111973872  2.5e+299\n"
+            "  1.81190185931  1e-300\n"
+            "action: -inf\n"
+            "first_el: 1.48701690848e+284\n"
+            "second_el: nan\n",
+            "",
+        )
 
     def test_once_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
         # |u1|^1.5 is differentiable once at u1 = 0 but not twice; the
@@ -394,6 +426,32 @@ class TestNoether:
         out = capsys.readouterr().out
         invariance = float(out.split("invariance: ")[1].splitlines()[0])
         assert invariance > 0.1
+
+    def test_overflowing_products_without_warning(self, tmp_path, capsys):
+        # L_u xi_sigma overflows to inf and the record's L is inf, so the
+        # invariance is nan and the conserved quantity inf
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
+            lagrangian="1e300*u1^2 + v1^2",
+            q_b=1.0,
+            trajectory={"values": [0, 1e5, -1e5, 1e5, 1]},
+            transformation={"tau": "1", "xi": ["1e10*q1"]},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["noether", path])
+        assert code == 0
+        assert capsys.readouterr() == (
+            "invariance: nan\n"
+            "conserved quantity per point:\n"
+            "             0  inf\n"
+            "          0.25  inf\n"
+            "           0.5  inf\n"
+            "          0.75  1e+300\n"
+            "deviation: inf\n",
+            "",
+        )
 
     def test_missing_transformation_exit_2(self, tmp_path):
         path = write_problem(
