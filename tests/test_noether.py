@@ -19,6 +19,7 @@ from tsvar import (
     second_el_residual,
     solve_newton,
 )
+from tsvar.noether import _invariance, _sample
 
 
 def quadratic_problem(q_b=2.0):
@@ -67,6 +68,26 @@ class TestInvariance:
         tr = Transformation.from_text(1, "1", "1")
         with pytest.raises(ValueError):
             invariance_residual(p, affine(scale, 2.0), tr)
+
+    def test_linearity_in_generators(self):
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.125),
+            Lagrangian(1, "t*v1^2 + u1^2 + sin(v1)"),
+            [0.0],
+            [2.0],
+        )
+        q = GridFunction.sample(p.scale, lambda t: 2 * t * t)
+        alpha, beta = 1.7, -0.4
+        t1 = Transformation.from_text(1, "1 + t^2", "t*q1")
+        t2 = Transformation.from_text(1, "q1", "2 - t")
+        mixed = Transformation.from_text(
+            1,
+            f"{alpha}*(1 + t^2) + {beta}*q1",
+            f"{alpha}*t*q1 + {beta}*(2 - t)",
+        )
+        r1, r2, rm = (invariance_residual(p, q, tr).values for tr in (t1, t2, mixed))
+        want = alpha * r1 + beta * r2
+        assert np.max(np.abs(rm - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
 
 class TestConservedQuantity:
@@ -256,6 +277,35 @@ def test_noether_from_the_two_equations():
         dC = delta_derivative(conserved_quantity(p, q, tr)).values[:, 0]
         size = max(1.0, *(float(np.max(np.abs(x))) for x in terms))
         assert np.max(np.abs(dC - sum(terms))) <= 1e-13 * size
+
+
+def test_invariance_of_a_generator_stack_on_one_record():
+    # one _invariance call on a stack of generators, shape (m, N, 1+n),
+    # on one trajectory's record gives each generator's own residual bit
+    # for bit: the matrix whose null space a symmetry search reads
+    rng = np.random.default_rng(12)
+    bodies = {
+        1: "t*v1^2 + 0.7*u1^2 + 0.3*t*u1 + sin(v1)",
+        2: "t*v1^2 + v2^2 + u1*u2 + cos(t)*v1*v2",
+    }
+    monomials = ("1", "t", "q1", "t*q1", "t^2")
+    for n, body in bodies.items():
+        scale = random_exact_scale(rng, 4, 12)
+        q = GridFunction(scale, rng.uniform(-2, 2, (scale.n, n)))
+        p = VariationalProblem(scale, Lagrangian(n, body), q.values[0], q.values[-1])
+        basis = []
+        for m in monomials:
+            for slot in range(1 + n):  # tau = m, or the xi component slot - 1
+                texts = ["0"] * (1 + n)
+                texts[slot] = m
+                basis.append(Transformation.from_text(n, texts[0], texts[1:]))
+        e, _ = _sample(p, q, basis[0])
+        G = np.stack([_sample(p, q, tr)[1] for tr in basis])
+        rows = _invariance(e, G)
+        assert rows.shape == (len(basis), scale.n - 1)
+        for row, tr in zip(rows, basis):
+            own = invariance_residual(p, q, tr).values[:, 0]
+            assert row.tobytes() == own.tobytes()
 
 
 def test_vector_valued_generators():
