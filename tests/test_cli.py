@@ -428,8 +428,8 @@ class TestNoether:
         assert invariance > 0.1
 
     def test_overflowing_products_without_warning(self, tmp_path, capsys):
-        # L_u xi_sigma overflows to inf and the record's L is inf, so the
-        # invariance is nan and the conserved quantity inf
+        # L overflows to inf, so H tau_delta is inf * 0 = nan, and so does
+        # L_u xi_sigma: the invariance is nan and the conserved quantity inf
         path = write_problem(
             tmp_path,
             scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
