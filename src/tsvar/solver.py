@@ -11,7 +11,8 @@ Three routes:
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
-  value is out of its reach, and one evaluation of L along all hits.
+  value is out of its reach, and one evaluation of L over the prefix
+  tree of the hits, one frame per distinct prefix.
 
 :func:`solve` picks between the first two and returns one
 :class:`Candidate`; the enumeration returns an :class:`Extremals` record,
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprDomainError, ExprError
-from .timescale import GridFunction, TimeScale, _expand_slopes
-from .variational import Lagrangian, VariationalProblem, _Along, _alongs
+from .timescale import GridFunction, TimeScale, _quotients
+from .variational import Lagrangian, VariationalProblem, _Along, _alongs, _outer
 from .variational import _check_trajectory
 
 __all__ = [
@@ -52,8 +53,9 @@ __all__ = [
 ENUMERATION_GUARD = 10**8
 BOUNDARY_HIT_TOL = 1e-9
 # prefixes per chunk of the enumeration walk (bar one prefix's letters)
-# and boundary hits per kernel pass (with two or more letters a word has
-# at most 26 frames, since 2^27 words exceed the guard)
+# and boundary hits per kernel pass over their prefix tree (with two or
+# more letters the tree has at most 26 levels, since 2^27 words exceed the
+# guard, and no level more nodes than hits)
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
@@ -481,19 +483,75 @@ def _boundary_hits(p: VariationalProblem, letters: tuple[float, ...]) -> np.ndar
     return np.concatenate(hits)
 
 
-def _extremals(
-    p: VariationalProblem, values: np.ndarray, slopes: np.ndarray, tol: float
+def _tree_extremals(
+    p: VariationalProblem, letters: np.ndarray, ranks: np.ndarray, tol: float
 ) -> tuple[np.ndarray, ...]:
     """The columns of :class:`Extremals` for the first-EL extremals among
-    the trajectories ``values`` of the ``slopes`` words, all evaluated in
-    one kernel pass; action and second-EL are taken over the kept rows."""
-    batch = _alongs(p, values)
-    firsts = _magnitudes(batch.first_el_values())
-    keep = np.flatnonzero(firsts <= tol)
-    kept = batch[keep]
+    the boundary hits of the ascending ``ranks``, from one kernel pass over
+    the frames of their prefix tree.
+
+    Frame j of a word reads only its first j+1 letters, so it is the frame
+    of its prefix at level j of the tree, evaluated once however many hits
+    share that prefix.  The tree is built from the leaves up: level j's
+    prefixes are ranks // m^(N-2-j), a node starting where that changes;
+    its parent is the prefix // m on the level above and its letter the
+    prefix % m.  A node's value is its parent's plus mu_j * letter, the
+    walk's addition, which the cumulative sum of
+    :meth:`GridFunction.from_slopes` makes too; at the last level a value
+    other than q_b is pinned to it, as affine_extremal pins.  First-EL row
+    i reads frames i and i+1, so it is taken once per node of level i+1,
+    and a word's magnitude is the running maximum down its path, NaN
+    spreading as in a max.  Only the kept words get a trajectory, in one
+    record, for action and second-EL.
+    """
+    T, m, gaps, qb = p.scale, letters.size, p.scale.n - 1, float(p.q_b[0])
+    t = T.points
+    # leaves up: each level's letter codes and its nodes' parents
+    prefix, codes, parents = ranks, [], []
+    for _ in range(gaps):
+        up = prefix // m
+        new = np.diff(up, prepend=-1) != 0
+        codes.insert(0, prefix - m * up)
+        parents.insert(0, np.cumsum(new) - 1)
+        prefix = up[new]
+    q, qs, vs = p.q_a[:1], [], []
+    for j, (parent, code) in enumerate(zip(parents, codes)):
+        q_parent = q[parent]
+        q = q_parent + T.mus[j] * letters[code]
+        if j == gaps - 1:
+            q[q != qb] = qb  # a -0.0 end equal to q_b stays -0.0
+        qs.append(q)
+        vs.append(_quotients(t[j : j + 2], np.stack([q_parent, q], axis=1)[..., None]))
+    sizes = [q.size for q in qs]
+    offsets = np.cumsum([0] + sizes)
+    U, V = np.concatenate(qs), np.concatenate(vs)[:, 0, 0]
+    L, Lt, Lu, Lv = p.lagrangian.partials(np.repeat(t[:gaps], sizes), U, V)
+    first = np.zeros(sizes[0])
+    for j in range(1, gaps):
+        above, here = offsets[j - 1] + parents[j], slice(offsets[j], offsets[j + 1])
+        rows = _outer(
+            t[j - 1 : j + 1],
+            np.stack([Lv[above], Lv[here]], axis=1),
+            -np.stack([Lu[above], Lu[here]], axis=1),
+        )
+        first = np.maximum(first[parents[j]], np.abs(rows[:, 0, 0]))
+    keep = np.flatnonzero(first <= tol)
+    path, node = np.empty((gaps, keep.size), dtype=np.intp), keep
+    for j in range(gaps - 1, -1, -1):
+        path[j] = offsets[j] + node
+        node = parents[j][node]
+    # gathered level by level, each level's nodes in order
+    fields = (U, V, L, Lt, Lu[:, 0], Lv[:, 0])
+    U, V, L, Lt, Lu, Lv = (np.take(x, path).T for x in fields)
+    Q = np.empty((keep.size, gaps + 1, 1))
+    Q[:, 0], Q[:, 1:, 0] = p.q_a, U
+    kept = _Along(
+        p, t[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
+        L, Lt, Lu[..., None], Lv[..., None],
+    )
     return (
-        slopes[keep], kept.Q, kept.action(), firsts[keep],
-        _magnitudes(kept.second_el_values()),
+        letters[np.take(np.concatenate(codes), path).T], Q, kept.action(),
+        first[keep], _magnitudes(kept.second_el_values()),
     )
 
 
@@ -519,10 +577,12 @@ def enumerate_slope_extremals(
     ValueError.
 
     The prefix tree of the words is walked once, level by level, dropping
-    a prefix once q_b is out of its reach (:func:`_boundary_hits`); L is
-    evaluated only along the boundary hits, ``_BLOCK_WORDS`` of them in
-    word order per kernel pass.  If a pass fails, its hits are evaluated
-    one by one, so the error is that of the first hit in word order.
+    a prefix once q_b is out of its reach (:func:`_boundary_hits`).  L is
+    evaluated once per distinct prefix of the boundary hits, in one
+    kernel pass over the prefix tree of ``_BLOCK_WORDS`` of them in word
+    order (:func:`_tree_extremals`), and only the first-EL extremals get
+    a trajectory.  If a pass fails, its hits are evaluated one by one, so
+    the error is that of the first hit in word order.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
@@ -540,18 +600,13 @@ def enumerate_slope_extremals(
             f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
             "use solve_newton instead"
         )
-    m, qb, ranks = len(letters), float(p.q_b[0]), _boundary_hits(p, letters)
-    place, letters = m ** np.arange(gaps - 1, -1, -1), np.asarray(letters)
+    ranks, letters = _boundary_hits(p, letters), np.asarray(letters)
     # an empty block of columns, so that no hit gives an empty record
     blocks = [(np.empty((0, gaps)), np.empty((0, gaps + 1, 1)), *np.empty((3, 0)))]
     for start in range(0, ranks.size, _BLOCK_WORDS):
-        slopes = letters[ranks[start : start + _BLOCK_WORDS, None] // place % m]
-        values = _expand_slopes(p.scale, p.q_a, slopes[..., None])
-        ends = values[:, -1, 0]
-        # a hit within rounding is pinned, as affine_extremal pins
-        values[ends != qb, -1, 0] = qb
+        block = ranks[start : start + _BLOCK_WORDS]
         blocks.append(
-            _stacked(lambda s: _extremals(p, values[s], slopes[s], tol), len(slopes))
+            _stacked(lambda s: _tree_extremals(p, letters, block[s], tol), block.size)
         )
     return Extremals(p.scale, *map(np.concatenate, zip(*blocks)))
 

@@ -395,7 +395,10 @@ class GridFunction:
             raise TimeScaleError(
                 f"expected {scale.n - 1} slopes, one per gap, got {s.shape[0]}"
             )
-        return cls(scale, _expand_slopes(scale, q_a, s))
+        values = np.empty((scale.n, s.shape[1]))
+        values[0] = q_a
+        np.multiply(s, scale.mus[:-1, None], out=values[1:])
+        return cls(scale, values.cumsum(axis=0))
 
     @property
     def valid(self) -> int:
@@ -412,19 +415,6 @@ class GridFunction:
 
     def component(self, k: int) -> np.ndarray:
         return self.values[:, k]
-
-
-def _expand_slopes(scale: TimeScale, q_a, s: np.ndarray) -> np.ndarray:
-    """Values of the slope words s, shape (..., N-1, n), on the scale.
-
-    Each word's values are one sequential cumulative sum over
-    [q_a, s_0 mu_0, s_1 mu_1, ...], so they equal the step-by-step
-    recurrence q(t_{i+1}) = q(t_i) + s_i * mu(t_i) bit for bit.
-    """
-    values = np.empty(s.shape[:-2] + (scale.n, s.shape[-1]))
-    values[..., 0, :] = q_a
-    np.multiply(s, scale.mus[:-1, None], out=values[..., 1:, :])
-    return values.cumsum(axis=-2)
 
 
 @np.errstate(over="ignore")  # an overflowing quotient is inf, as in the kernel

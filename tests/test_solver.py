@@ -31,7 +31,7 @@ from tsvar import (
     solve,
     solve_newton,
 )
-from tsvar import cli, expr, solver, timescale
+from tsvar import cli, expr, solver
 from tsvar.solver import _reads_only_slope
 from tsvar.variational import _Along, _along, _frames
 
@@ -1143,31 +1143,64 @@ class TestEnumeration:
         assert len(cands) == 1107
         assert len(calls) == 1
 
-    def test_only_boundary_hits_are_expanded(self, monkeypatch):
-        # cost tripwire: no trajectory is built for a word that misses q_b
+    def test_only_kept_words_get_a_trajectory(self, monkeypatch):
+        # cost tripwire: no trajectory is built, nor any record of one, for
+        # a word that misses q_b or for a hit that fails first-EL
         scale = TimeScale.from_points(np.cumsum([0.0] + [0.125, 0.0625] * 4))
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 1.3*u1^2"), [0.0], [0.0])
         letters = [-1.0, 0.0, 1.0]
         words = np.array(list(itertools.product(letters, repeat=8)))
         hits = int(np.sum(np.abs(words @ scale.mus[:-1]) <= solver.BOUNDARY_HIT_TOL))
         assert 1 < hits < words.shape[0] // 5
-        expanded, ends = [], []
-        expand, from_slopes = solver._expand_slopes, GridFunction.from_slopes
+        built, init = [], _Along.__init__
 
-        def spy_expand(scale, q_a, s):
-            expanded.append(s.shape[0])
-            return expand(scale, q_a, s)
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.Q)
 
-        def spy_from_slopes(scale, q_a, slopes):
-            q = from_slopes(scale, q_a, slopes)
-            ends.append(q.values[-1, 0])
-            return q
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("a slope word was expanded")
 
-        monkeypatch.setattr(solver, "_expand_slopes", spy_expand)
-        monkeypatch.setattr(GridFunction, "from_slopes", staticmethod(spy_from_slopes))
-        enumerate_slope_extremals(p, letters, tol=1e-8)
-        assert sum(expanded) == hits
-        assert all(abs(end) <= solver.BOUNDARY_HIT_TOL for end in ends)
+        monkeypatch.setattr(_Along, "__init__", spy_init)
+        monkeypatch.setattr(GridFunction, "from_slopes", no_expansion)
+        cands = enumerate_slope_extremals(p, letters, tol=1e-8)
+        assert 0 < len(cands) < hits
+        assert len(built) == 1
+        assert built[0].tobytes() == cands.values.tobytes()
+
+    @staticmethod
+    def _distinct_prefixes(p, letters):
+        """The number of distinct prefixes of the boundary hits' words,
+        from the words themselves."""
+        gaps = p.scale.n - 1
+        words = np.array(list(itertools.product(letters, repeat=gaps)))
+        ends = p.q_a[0] + words @ p.scale.mus[:-1]
+        hits = words[np.abs(ends - p.q_b[0]) <= solver.BOUNDARY_HIT_TOL]
+        return len({tuple(w[: j + 1]) for w in hits.tolist() for j in range(gaps)})
+
+    @pytest.mark.parametrize("case", ["quartic-file", "3^13-words"])
+    def test_each_prefix_frame_is_evaluated_once(self, case, monkeypatch):
+        # frame j of a word reads only its first j+1 letters: the kernel
+        # pass takes one frame per distinct prefix of the hits, not one
+        # per (hit, frame)
+        if case == "quartic-file":
+            p, frames = cli.load_problem(QUARTIC).problem, 3138
+        else:
+            h = 1 / 13
+            scale = TimeScale.uniform(0, 1, h)
+            L = Lagrangian(1, "(v1^2 - 1)^2")
+            p, frames = VariationalProblem(scale, L, [0.0], [11 * h]), 545
+        letters = [-1.0, 0.0, 1.0]
+        assert self._distinct_prefixes(p, letters) == frames
+        sizes, partials = [], Lagrangian.partials
+
+        def spy(self, t, *args, **kwargs):
+            sizes.append(np.size(t))
+            return partials(self, t, *args, **kwargs)
+
+        monkeypatch.setattr(Lagrangian, "partials", spy)
+        enumerate_slope_extremals(p, letters)
+        assert sizes == [frames]
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
@@ -1250,7 +1283,7 @@ def _outcome(fn, p, letters, tol, mode):
         warnings.simplefilter(mode)
         # overflow while expanding a word that misses q_b warns in the
         # word-by-word loop; the walk ignores it, as such a word is no hit
-        lines, first = inspect.getsourcelines(timescale._expand_slopes)
+        lines, first = inspect.getsourcelines(GridFunction.from_slopes)
         for lineno in range(first, first + len(lines)):
             warnings.filterwarnings("ignore", category=RuntimeWarning, lineno=lineno)
         try:
