@@ -490,68 +490,71 @@ def _tree_extremals(
     the boundary hits of the ascending ``ranks``, from one kernel pass over
     the frames of their prefix tree.
 
+    Row r of ``prefix`` holds each hit's prefix of r letters, ranks //
+    m^(N-1-r), row 0 the empty one.  A node starts where a row changes;
+    nodes are numbered row by row, the root 0.  A node's parent is the row
+    above's node of its first hit, its letter the prefix % m, and its value
+    its parent's plus mu * letter: the walk's addition, which the
+    cumulative sum of :meth:`GridFunction.from_slopes` makes too.  A leaf's
+    value other than q_b is pinned to it, as affine_extremal pins.
+
     Frame j of a word reads only its first j+1 letters, so it is the frame
-    of its prefix at level j of the tree, evaluated once however many hits
-    share that prefix.  The tree is built from the leaves up: level j's
-    prefixes are ranks // m^(N-2-j), a node starting where that changes;
-    its parent is the prefix // m on the level above and its letter the
-    prefix % m.  A node's value is its parent's plus mu_j * letter, the
-    walk's addition, which the cumulative sum of
-    :meth:`GridFunction.from_slopes` makes too; at the last level a value
-    other than q_b is pinned to it, as affine_extremal pins.  First-EL row
-    i reads frames i and i+1, so it is taken once per node of level i+1,
-    and a word's magnitude is the running maximum down its path, NaN
-    spreading as in a max.  Only the kept words get a trajectory, in one
-    record, for action and second-EL.
+    of the word's node in row j+1, evaluated once however many hits share
+    that prefix.  First-EL row j reads frames j and j+1, so it is taken
+    once per node in row j+2, and a word's magnitude is the running
+    maximum down its path, NaN spreading as in a max.  Only the kept words
+    get a trajectory, in one record, for action and second-EL.
     """
     T, m, gaps, qb = p.scale, letters.size, p.scale.n - 1, float(p.q_b[0])
-    t = T.points
-    # leaves up: each level's letter codes and its nodes' parents
-    prefix, codes, parents = ranks, [], []
-    for _ in range(gaps):
-        up = prefix // m
-        new = np.diff(up, prepend=-1) != 0
-        codes.insert(0, prefix - m * up)
-        parents.insert(0, np.cumsum(new) - 1)
-        prefix = up[new]
-    q, qs, vs = p.q_a[:1], [], []
-    for j, (parent, code) in enumerate(zip(parents, codes)):
-        q_parent = q[parent]
-        q = q_parent + T.mus[j] * letters[code]
-        if j == gaps - 1:
-            q[q != qb] = qb  # a -0.0 end equal to q_b stays -0.0
-        qs.append(q)
-        vs.append(_quotients(t[j : j + 2], np.stack([q_parent, q], axis=1)[..., None]))
-    sizes = [q.size for q in qs]
-    offsets = np.cumsum([0] + sizes)
-    U, V = np.concatenate(qs), np.concatenate(vs)[:, 0, 0]
-    L, Lt, Lu, Lv = p.lagrangian.partials(np.repeat(t[:gaps], sizes), U, V)
-    first = np.zeros(sizes[0])
-    for j in range(1, gaps):
-        above, here = offsets[j - 1] + parents[j], slice(offsets[j], offsets[j + 1])
-        rows = _outer(
-            t[j - 1 : j + 1],
-            np.stack([Lv[above], Lv[here]], axis=1),
-            -np.stack([Lu[above], Lu[here]], axis=1),
-        )
-        first = np.maximum(first[parents[j]], np.abs(rows[:, 0, 0]))
-    keep = np.flatnonzero(first <= tol)
-    path, node = np.empty((gaps, keep.size), dtype=np.intp), keep
-    for j in range(gaps - 1, -1, -1):
-        path[j] = offsets[j] + node
-        node = parents[j][node]
-    # gathered level by level, each level's nodes in order
-    fields = (U, V, L, Lt, Lu[:, 0], Lv[:, 0])
-    U, V, L, Lt, Lu, Lv = (np.take(x, path).T for x in fields)
+    prefix = ranks // m ** np.arange(gaps, -1, -1)[:, None]
+    new = np.ones(prefix.shape, dtype=bool)
+    new[:, 1:] = prefix[:, 1:] != prefix[:, :-1]
+    node = np.cumsum(new).reshape(new.shape) - 1  # each hit's node per row
+    at = np.flatnonzero(new)  # each node's row and first hit, row-major
+    sizes = new.sum(axis=1)
+    edges = np.append(0, np.cumsum(sizes))  # row r's nodes: edges[r]:edges[r+1]
+    parent = node.ravel()[at - ranks.size]  # the row above's; the root's unused
+    code = prefix.ravel()[at] % m
+    frame = np.repeat(np.arange(-1, gaps), sizes)  # row - 1
+    q, step = np.empty(at.size), T.mus[frame] * letters[code]
+    q[0] = p.q_a[0]
+    for r in range(1, gaps + 1):
+        nodes = slice(edges[r], edges[r + 1])
+        q[nodes] = q[parent[nodes]] + step[nodes]
+    leaves = q[edges[gaps] :]
+    leaves[leaves != qb] = qb  # a -0.0 end equal to q_b stays -0.0
+    # node i >= 1 has the frame (t[frame[i]], q[i], V[i-1]), kernel entry i-1,
+    # and below row 1 a first-EL row on its parent's frame and its own
+    t, frame = T.points, frame[1:]
+    down, up, below = parent[1:], parent[edges[2] :] - 1, slice(edges[2] - 1, None)
+    V = _quotients(
+        np.stack([t[frame], t[frame + 1]], axis=1),
+        np.stack([q[down], q[1:]], axis=1)[..., None],
+    )[:, 0, 0]
+    L, Lt, Lu, Lv = p.lagrangian.partials(t[frame], q[1:], V)
+    rows = _outer(
+        np.stack([t[frame[below] - 1], t[frame[below]]], axis=1),
+        np.stack([Lv[up], Lv[below]], axis=1),
+        -np.stack([Lu[up], Lu[below]], axis=1),
+    )
+    first = np.zeros(at.size)
+    first[edges[2] :] = np.abs(rows[:, 0, 0])
+    for r in range(3, gaps + 1):
+        nodes = slice(edges[r], edges[r + 1])
+        first[nodes] = np.maximum(first[parent[nodes]], first[nodes])
+    keep = np.flatnonzero(first[edges[gaps] :] <= tol)
+    path = node[1:, keep]  # gathered row by row, each row's nodes in order
     Q = np.empty((keep.size, gaps + 1, 1))
-    Q[:, 0], Q[:, 1:, 0] = p.q_a, U
+    Q[:, 0], Q[:, 1:, 0] = p.q_a, q[path].T
+    fields = (V, L, Lt, Lu[:, 0], Lv[:, 0])
+    V, L, Lt, Lu, Lv = (x[path - 1].T for x in fields)
     kept = _Along(
         p, t[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
         L, Lt, Lu[..., None], Lv[..., None],
     )
     return (
-        letters[np.take(np.concatenate(codes), path).T], Q, kept.action(),
-        first[keep], _magnitudes(kept.second_el_values()),
+        letters[code[path].T], Q, kept.action(), first[keep + edges[gaps]],
+        _magnitudes(kept.second_el_values()),
     )
 
 

@@ -419,10 +419,11 @@ class GridFunction:
 
 @np.errstate(over="ignore")  # an overflowing quotient is inf, as in the kernel
 def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Forward quotients of values, shape (..., m, n), over the m points:
+    """Forward quotients of values, shape (..., m, n), over the m points,
+    shape (m,) or (..., m) with points of their own per leading index:
     (values[i+1] - values[i]) / (points[i+1] - points[i]) for i < m-1."""
-    widths = points[1:] - points[:-1]
-    return (values[..., 1:, :] - values[..., :-1, :]) / widths[:, None]
+    widths = points[..., 1:] - points[..., :-1]
+    return (values[..., 1:, :] - values[..., :-1, :]) / widths[..., None]
 
 
 def delta_derivative(f: GridFunction) -> GridFunction:

@@ -301,8 +301,9 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """(d/dt)_delta composite + term at the frames t, for composite and term
-    of shape (..., k, n); the result covers the first k-1 frames."""
+    """(d/dt)_delta composite + term at the frames t, shape (k,) or (..., k)
+    as :func:`_quotients` reads points, for composite and term of shape
+    (..., k, n); the result covers the first k-1 frames."""
     return _quotients(t, composite) + term[..., :-1, :]
 
 
