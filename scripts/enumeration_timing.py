@@ -7,17 +7,18 @@ the quartic (v1^2 - 1)^2 on 12 uniform gaps of [0, 1], and
 v1^2 + 1.3*u1^2 on 14 gaps alternating 0.125 and 0.0625, both from 0 to 0.
 Each row gives the boundary hits, the frames that L's kernel passes
 received, the kept rows (the first-EL extremals) and the minimum over
-repeats of one call's CPU time in this process (on a shared virtual
-machine, time the CPU is taken away is not the enumeration's), with the
-garbage collector off; the interpreter and numpy versions head the table.
+repeats of the mean of a timed loop, in CPU time of this process (on a
+shared virtual machine, time the CPU is taken away is not the
+enumeration's), with the garbage collector off; the interpreter and numpy
+versions head the table.
 
     PYTHONPATH=src python scripts/enumeration_timing.py [--repeat R]
 """
 
 import argparse
-import gc
 import platform
 import time
+import timeit
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tsvar import Lagrangian, TimeScale, VariationalProblem, cli, solver
 
 LETTERS = (-1.0, 0.0, 1.0)
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
+SECONDS_PER_REPEAT = 0.05
 
 
 def cases() -> dict[str, VariationalProblem]:
@@ -59,12 +61,14 @@ def frames_and_rows(p: VariationalProblem) -> tuple[int, int]:
 
 
 def seconds_per_call(p: VariationalProblem, repeat: int) -> float:
-    best = np.inf
-    for _ in range(repeat):
-        start = time.process_time()
-        solver.enumerate_slope_extremals(p, LETTERS)
-        best = min(best, time.process_time() - start)
-    return best
+    """The minimum over ``repeat`` timed loops of the mean time of one call,
+    each loop about SECONDS_PER_REPEAT long."""
+    timer = timeit.Timer(
+        lambda: solver.enumerate_slope_extremals(p, LETTERS), timer=time.process_time
+    )
+    once = min(timer.repeat(2, 1))
+    number = max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
+    return min(timer.repeat(repeat, number)) / number
 
 
 def main() -> None:
@@ -73,7 +77,6 @@ def main() -> None:
     args = parser.parse_args()
     print(f"Python {platform.python_version()}, numpy {np.__version__}")
     print(f"{'case':>24}  {'hits':>6}  {'frames':>7}  {'rows':>6}  {'ms/call':>8}")
-    gc.disable()
     for name, p in cases().items():
         hits = solver._boundary_hits(p, LETTERS).size
         frames, rows = frames_and_rows(p)

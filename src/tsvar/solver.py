@@ -501,9 +501,9 @@ def _tree_extremals(
     Frame j of a word reads only its first j+1 letters, so it is the frame
     of the word's node in row j+1, evaluated once however many hits share
     that prefix.  First-EL row j reads frames j and j+1, so it is taken
-    once per node in row j+2, and a word's magnitude is the running
-    maximum down its path, NaN spreading as in a max.  Only the kept words
-    get a trajectory, in one record, for action and second-EL.
+    once per node in row j+2, and a word's magnitude is the maximum of
+    its nodes' rows, NaN spreading as in a max.  Only the kept words get a
+    trajectory, in one record, for action and second-EL.
     """
     T, m, gaps, qb = p.scale, letters.size, p.scale.n - 1, float(p.q_b[0])
     prefix = ranks // m ** np.arange(gaps, -1, -1)[:, None]
@@ -515,35 +515,34 @@ def _tree_extremals(
     edges = np.append(0, np.cumsum(sizes))  # row r's nodes: edges[r]:edges[r+1]
     parent = node.ravel()[at - ranks.size]  # the row above's; the root's unused
     code = prefix.ravel()[at] % m
-    frame = np.repeat(np.arange(-1, gaps), sizes)  # row - 1
-    q, step = np.empty(at.size), T.mus[frame] * letters[code]
+    row = np.repeat(np.arange(gaps + 1), sizes)
+    q, step = np.empty(at.size), T.mus[row - 1] * letters[code]  # the root's unused
     q[0] = p.q_a[0]
     for r in range(1, gaps + 1):
         nodes = slice(edges[r], edges[r + 1])
         q[nodes] = q[parent[nodes]] + step[nodes]
     leaves = q[edges[gaps] :]
     leaves[leaves != qb] = qb  # a -0.0 end equal to q_b stays -0.0
-    # node i >= 1 has the frame (t[frame[i]], q[i], V[i-1]), kernel entry i-1,
-    # and below row 1 a first-EL row on its parent's frame and its own
-    t, frame = T.points, frame[1:]
-    down, up, below = parent[1:], parent[edges[2] :] - 1, slice(edges[2] - 1, None)
+    # node i >= 1 has frame j = row[i] - 1, (t[j], q[i], V[i-1]), kernel entry
+    # i-1, and below row 1 a first-EL row from its parent's frame and its own
+    t, j = T.points, row[1:] - 1
     V = _quotients(
-        np.stack([t[frame], t[frame + 1]], axis=1),
-        np.stack([q[down], q[1:]], axis=1)[..., None],
+        np.stack([t[j], t[j + 1]], axis=1),
+        np.stack([q[parent[1:]], q[1:]], axis=1)[..., None],
     )[:, 0, 0]
-    L, Lt, Lu, Lv = p.lagrangian.partials(t[frame], q[1:], V)
+    L, Lt, Lu, Lv = p.lagrangian.partials(t[j], q[1:], V)
+    up, below = parent[edges[2] :] - 1, slice(edges[2] - 1, None)
     rows = _outer(
-        np.stack([t[frame[below] - 1], t[frame[below]]], axis=1),
+        np.stack([t[j[below] - 1], t[j[below]]], axis=1),
         np.stack([Lv[up], Lv[below]], axis=1),
         -np.stack([Lu[up], Lu[below]], axis=1),
     )
-    first = np.zeros(at.size)
-    first[edges[2] :] = np.abs(rows[:, 0, 0])
-    for r in range(3, gaps + 1):
-        nodes = slice(edges[r], edges[r + 1])
-        first[nodes] = np.maximum(first[parent[nodes]], first[nodes])
-    keep = np.flatnonzero(first[edges[gaps] :] <= tol)
-    path = node[1:, keep]  # gathered row by row, each row's nodes in order
+    # each hit's magnitude, the largest |row| down its path
+    first = np.abs(rows[:, 0, 0])[node[2:] - edges[2]].max(axis=0)
+    keep = np.flatnonzero(first <= tol)
+    # in C order, so that each field is gathered and stored level by level,
+    # the layout in which the record's quotients along a path run fastest
+    path = np.take(node[1:], keep, axis=1)
     Q = np.empty((keep.size, gaps + 1, 1))
     Q[:, 0], Q[:, 1:, 0] = p.q_a, q[path].T
     fields = (V, L, Lt, Lu[:, 0], Lv[:, 0])
@@ -553,7 +552,7 @@ def _tree_extremals(
         L, Lt, Lu[..., None], Lv[..., None],
     )
     return (
-        letters[code[path].T], Q, kept.action(), first[keep + edges[gaps]],
+        letters[code[path].T], Q, kept.action(), first[keep],
         _magnitudes(kept.second_el_values()),
     )
 
