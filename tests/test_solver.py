@@ -1170,13 +1170,15 @@ class TestEnumeration:
 
     @staticmethod
     def _distinct_prefixes(p, letters):
-        """The number of distinct prefixes of the boundary hits' words,
-        from the words themselves."""
+        """The number of distinct prefixes of the boundary hits' words:
+        every word's end, in lexicographic order, then the hits' letters."""
+        ends, m = p.q_a, len(letters)
+        for mu in p.scale.mus[:-1]:
+            ends = (ends[:, None] + mu * np.array(letters)).ravel()
+        hits = np.flatnonzero(np.abs(ends - p.q_b[0]) <= solver.BOUNDARY_HIT_TOL)
         gaps = p.scale.n - 1
-        words = np.array(list(itertools.product(letters, repeat=gaps)))
-        ends = p.q_a[0] + words @ p.scale.mus[:-1]
-        hits = words[np.abs(ends - p.q_b[0]) <= solver.BOUNDARY_HIT_TOL]
-        return len({tuple(w[: j + 1]) for w in hits.tolist() for j in range(gaps)})
+        words = hits[:, None] // m ** np.arange(gaps - 1, -1, -1) % m
+        return len({tuple(w[: j + 1]) for w in words.tolist() for j in range(gaps)})
 
     @pytest.mark.parametrize("case", ["quartic-file", "3^13-words"])
     def test_each_prefix_frame_is_evaluated_once(self, case, monkeypatch):
