@@ -6,7 +6,8 @@ bit for bit: enumerations over random alphabets (one of them spanning
 many blocks of words), ``solve``, ``solve_newton`` from a perturbed guess,
 the residuals, ``check_conservation`` under tau = 1 and under tau = t,
 xi = q, and the stdout, stderr, exit code
-and ``--json`` report of ``tsvar`` on ``problems/*.json``.  An exception
+and ``--json`` report of ``tsvar`` on ``problems/*.json`` and on the
+problem files of GENERATED.  An exception
 counts as its class and message (and a ``NoConvergence`` as its history
 and last iterate too); warnings are raised as errors.  Two versions of
 the package print the same digest exactly when they give the same bits:
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -112,6 +114,47 @@ CLI_RUNS = (
     ["verify", "--first-el", "--second-el", "--erdmann"],
     ["noether", "--solve", "--sweep", "3"],
     ["scale-info"],
+)
+# problem files written to a temporary directory, each run with its argv:
+# an n = 2 Noether sweep, an enumeration that keeps no row, and every
+# verify check on a scale with both gap kinds
+GENERATED = (
+    (
+        "rotation.json",
+        {
+            "scale": {"points": [0.0, 0.1, 0.35, 0.5, 0.8, 1.0]},
+            "n": 2,
+            "lagrangian": "v1^2 + v2^2 + u1^2 + u2^2",
+            "q_a": [1.0, 0.0],
+            "q_b": [0.0, 1.0],
+            "transformation": {"tau": "0", "xi": ["-q2", "q1"]},
+        },
+        ["noether", "--solve", "--sweep", "3"],
+    ),
+    (
+        "unreachable.json",
+        {
+            "scale": {"uniform": {"a": 0.0, "b": 1.0, "h": 0.125}},
+            "lagrangian": "(v1^2 - 1)^2",
+            "q_a": 0.0,
+            "q_b": 0.3,
+        },
+        ["solve", "--enumerate=-1,0,1"],
+    ),
+    (
+        "mixed.json",
+        {
+            "scale": {
+                "points": [0.0, 0.2, 0.5, 0.6, 0.9, 1.0],
+                "gaps": ["S", "D", "S", "D", "S"],
+            },
+            "lagrangian": "v1^2 + u1^2",
+            "q_a": 0.0,
+            "q_b": 1.0,
+            "trajectory": {"values": [0.0, 0.15, 0.45, 0.55, 0.9, 1.0]},
+        },
+        ["verify", "--first-el", "--second-el", "--erdmann"],
+    ),
 )
 
 
@@ -246,14 +289,18 @@ def cli_records():
     """stdout, stderr, exit code and --json report of each command."""
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
-        for path in PROBLEMS:
-            for argv in CLI_RUNS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = outcome(cli.main, [*argv, str(path), "--json", str(report)])
-                written = report.read_text() if report.exists() else None
-                report.unlink(missing_ok=True)
-                yield (path.name, argv, code, out.getvalue(), err.getvalue(), written)
+        runs = [(path, argv) for path in PROBLEMS for argv in CLI_RUNS]
+        for name, problem, argv in GENERATED:
+            path = Path(tmp) / name
+            path.write_text(json.dumps(problem))
+            runs.append((path, argv))
+        for path, argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = outcome(cli.main, [*argv, str(path), "--json", str(report)])
+            written = report.read_text() if report.exists() else None
+            report.unlink(missing_ok=True)
+            yield (path.name, argv, code, out.getvalue(), err.getvalue(), written)
 
 
 def main() -> None:
