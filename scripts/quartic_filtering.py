@@ -5,10 +5,13 @@ Enumerates every slope word over {-1, 0, 1} on the nine-point dyadic
 scale, keeps the first-equation extremals, then filters them by the
 second equation.  Prints the counts, the action histogram on both sides,
 and the fate of the mixed-slope candidate (1,-1,0,0,0,0,1,-1).
+
+The survivors' JSON-lines rows are the report of
+
+    tsvar solve problems/quartic.json --enumerate=-1,0,1 --filter-second-el --json F
 """
 
 import argparse
-import json
 from collections import Counter
 
 import numpy as np
@@ -25,7 +28,6 @@ from tsvar import (
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--jsonl", help="write surviving candidates here")
     args = parser.parse_args()
 
     problem = VariationalProblem(
@@ -49,11 +51,6 @@ def main() -> None:
     print(f"mixed-slope candidate {mixed}:")
     print(f"  first-equation extremal : {in_first}")
     print(f"  passes second equation  : {in_second}")
-
-    if args.jsonl:
-        with open(args.jsonl, "w") as fh:
-            fh.write("\n".join(json.dumps(row) for row in survivors.to_json()) + "\n")
-        print(f"wrote {len(survivors)} survivors to {args.jsonl}")
 
 
 if __name__ == "__main__":

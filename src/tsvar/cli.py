@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -33,6 +34,7 @@ import numpy as np
 
 from .noether import Transformation, check_conservation, invariance_residual
 from .solver import (
+    Extremals,
     NewtonOptions,
     NoConvergence,
     SingularSystem,
@@ -218,6 +220,22 @@ def _print_trajectory(q: GridFunction) -> None:
     _write_table(row, q.base.points[: q.valid], q.values)
 
 
+def _enumeration_rows(shown: Extremals) -> Iterator[dict]:
+    """The --json rows of an enumeration, one per kept word in record
+    order, read from the columns' ``tolist()``."""
+    columns = shown.slopes, shown.values, shown.action, shown.first_el, shown.second_el
+    rows = zip(*(column.tolist() for column in columns))
+    for slopes, values, action, first_el, second_el in rows:
+        yield {
+            "slopes": slopes,
+            "values": values,
+            "action": action,
+            "first_el": first_el,
+            "second_el": second_el,
+            "provenance": "ENUMERATED",
+        }
+
+
 def cmd_solve(args) -> int:
     loaded = load_problem(args.file)
     p = loaded.problem
@@ -239,7 +257,7 @@ def cmd_solve(args) -> int:
         _write_table(row, head.slopes, head.action, head.first_el, head.second_el)
         if len(shown) > 20:
             print(f"  ... {len(shown) - 20} more")
-        _write_json(args.json_path, shown.to_json())
+        _write_json(args.json_path, _enumeration_rows(shown))
         return EXIT_OK
     c = solve(p, loaded.newton)
     method = c.provenance.value.lower()
@@ -319,9 +337,14 @@ def cmd_noether(args) -> int:
     points = conserved.base.points[: conserved.valid]
     _write_table("  %12.12g  %.12g\n", points, conserved.values[:, 0])
     print(f"deviation: {_fmt(report.conservation_deviation)}")
-    payload = report.to_json()
-    payload["invariance"] = invariance
-    _write_json(args.json_path, payload)
+    _write_json(
+        args.json_path,
+        {
+            "invariance": invariance,
+            "conserved": conserved.values[:, 0].tolist(),
+            "deviation": report.conservation_deviation,
+        },
+    )
     if args.tol is not None and report.conservation_deviation > args.tol:
         return EXIT_FAIL
     return EXIT_OK

@@ -64,13 +64,6 @@ class NoetherReport:
     conserved: GridFunction
     conservation_deviation: float
 
-    def to_json(self) -> dict:
-        return {
-            "invariance": self.invariance_magnitude,
-            "conserved": self.conserved.component(0).tolist(),
-            "deviation": self.conservation_deviation,
-        }
-
 
 def _sample(
     p: VariationalProblem, q: GridFunction, tr: Transformation

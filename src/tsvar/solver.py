@@ -92,6 +92,8 @@ class NewtonOptions:
     def __post_init__(self) -> None:
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -102,19 +104,6 @@ class Provenance(enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-def _json_row(slopes, values, action, first_el, second_el, provenance) -> dict:
-    """One JSON-lines record of a candidate, from its fields as Python
-    lists and floats."""
-    return {
-        "slopes": slopes,
-        "values": values,
-        "action": action,
-        "first_el": first_el,
-        "second_el": second_el,
-        "provenance": provenance.value,
-    }
-
-
 @dataclass(frozen=True)
 class Candidate:
     trajectory: GridFunction
@@ -123,16 +112,6 @@ class Candidate:
     first_el: float
     second_el: float
     slopes: tuple[float, ...] | None = None
-
-    def to_json(self) -> dict:
-        return _json_row(
-            None if self.slopes is None else list(self.slopes),
-            self.trajectory.values.tolist(),
-            self.action,
-            self.first_el,
-            self.second_el,
-            self.provenance,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +155,6 @@ class Extremals:
 
     def __iter__(self) -> Iterator[Candidate]:
         return map(self.__getitem__, range(len(self)))
-
-    def to_json(self) -> Iterator[dict]:
-        """Each row's JSON-lines record, as its candidate's ``to_json`` gives
-        it, read from the columns' ``tolist()``."""
-        for row in zip(*(column.tolist() for column in self._columns())):
-            yield _json_row(*row, Provenance.ENUMERATED)
 
 
 def affine_extremal(p: VariationalProblem) -> GridFunction:

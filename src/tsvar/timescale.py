@@ -362,7 +362,9 @@ class GridFunction:
             vals = vals.reshape(-1, 1)
         if vals.ndim != 2:
             raise TimeScaleError("values must be a 1-D or 2-D array")
-        if not 1 <= vals.shape[0] <= self.base.n:
+        if vals.shape[0] < 1:
+            raise TimeScaleError("values must cover at least one point")
+        if vals.shape[0] > self.base.n:
             raise TimeScaleError(
                 f"value count {vals.shape[0]} exceeds scale size {self.base.n}"
             )

@@ -63,6 +63,8 @@ class Lagrangian:
     """
 
     def __init__(self, dim: int, body: str):
+        if not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
@@ -183,15 +185,6 @@ class Residual:
         object.__setattr__(
             self, "magnitude", float(np.max(np.abs(vals))) if vals.size else 0.0
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": self.points.tolist(),
-            "values": self.values.tolist(),
-            "magnitude": self.magnitude,
-            "approximate": bool(self.approximate),
-        }
 
 
 @dataclass(frozen=True)

@@ -701,6 +701,17 @@ INPUT_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("key", ["scale", "lagrangian", "q_a", "q_b"])
+def test_missing_required_key_exit_2(key, tmp_path, capsys):
+    problem = {**FIVE_POINT}
+    del problem[key]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    code, err = run_cli(["verify", str(path)], capsys)
+    assert code == 2
+    assert err == f"error: problem file is missing {key!r}\n"
+
+
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
 def test_input_error_exit_2(case, tmp_path, capsys):
     command, overrides, message = INPUT_ERRORS[case]

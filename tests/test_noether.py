@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tsvar import (
     first_el_residual,
     invariance_residual,
     second_el_residual,
+    cli,
     solve_newton,
 )
 from tsvar.noether import _invariance, _sample
@@ -210,13 +213,40 @@ class TestCheckConservation:
         assert report.invariance_magnitude <= 1e-14
         assert report.conservation_deviation <= 1e-14
 
-    def test_report_json_keys(self):
+    def test_report_json_keys(self, tmp_path):
+        # noether --json: the conserved samples on the N-1 derivative
+        # points, and as the invariance the largest magnitude over the
+        # trajectory and the sweep's seeded uniform draws in [-span, span]
         p = quadratic_problem()
         q = solve_newton(p)
-        tr = Transformation.from_text(1, "1", "1")
-        obj = check_conservation(p, q, tr).to_json()
-        assert set(obj) == {"invariance", "conserved", "deviation"}
+        tr = Transformation.from_text(1, "t", "0")
+        path, out = tmp_path / "p.json", tmp_path / "report.json"
+        problem = {
+            "scale": p.scale.to_json(),
+            "lagrangian": "v1^2",
+            "q_a": 0.0,
+            "q_b": 2.0,
+            "trajectory": {"values": q.values[:, 0].tolist()},
+            "transformation": {"tau": "t", "xi": ["0"]},
+        }
+        path.write_text(json.dumps(problem))
+        argv = ["noether", str(path), "--sweep", "4", "--seed", "7", "--json", str(out)]
+        assert cli.main(argv) == 0
+        obj = cli.load_report(out)
+        assert list(obj) == ["invariance", "conserved", "deviation"]
+        report = check_conservation(p, q, tr)
         assert len(obj["conserved"]) == p.scale.n - 1
+        assert obj["conserved"] == report.conserved.values[:, 0].tolist()
+        assert obj["deviation"] == report.conservation_deviation
+        rng, span = np.random.default_rng(7), 1.0 + 0.0 + 2.0
+        sweep = [
+            invariance_residual(
+                p, GridFunction(p.scale, rng.uniform(-span, span, (p.scale.n, 1))), tr
+            ).magnitude
+            for _ in range(4)
+        ]
+        assert obj["invariance"] == max(report.invariance_magnitude, *sweep)
+        assert obj["invariance"] > report.invariance_magnitude
 
 
 def test_conservation_property_on_slope_only_lagrangians():
@@ -324,3 +354,11 @@ def test_vector_valued_generators():
 def test_transformation_dimension_mismatch():
     with pytest.raises(ValueError):
         Transformation.from_text(2, "1", ["1"])
+
+
+def test_generator_dimension_must_match_the_problem():
+    p = quadratic_problem()
+    tr = Transformation.from_text(2, "1", ["1", "0"])
+    message = "^transformation dimension does not match the problem$"
+    with pytest.raises(ValueError, match=message):
+        check_conservation(p, affine(p.scale, 2.0), tr)

@@ -482,6 +482,20 @@ class TestNewton:
         with pytest.raises(ValueError, match="positive and finite"):
             NewtonOptions(**options)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 2.0, "3"])
+    def test_options_reject_a_non_integer_max_iter(self, max_iter):
+        # range() would raise a bare TypeError inside the solve
+        message = f"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"
+        with pytest.raises(ValueError, match=message):
+            NewtonOptions(max_iter=max_iter)
+
+    def test_options_take_a_numpy_integer_max_iter(self):
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.25), Lagrangian(1, "v1^4 + u1^2"), [0.0], [1.0]
+        )
+        q = solve_newton(p, opts=NewtonOptions(max_iter=np.int64(50)))
+        assert q.values.tobytes() == solve_newton(p).values.tobytes()
+
 
 def first_el_vector(p):
     """Newton's residual, one trajectory per evaluation: interior values,
@@ -1534,7 +1548,7 @@ class TestExtremals:
         assert isinstance(r, Extremals)
         assert len(r) == 0
         assert list(r) == []
-        assert list(r.to_json()) == []
+        assert list(cli._enumeration_rows(r)) == []
         assert r.slopes.shape == (0, 8)
         assert r.values.shape == (0, 9, 1)
         assert r.action.shape == r.first_el.shape == r.second_el.shape == (0,)
@@ -1598,11 +1612,23 @@ class TestFilter:
         assert len(empty) == 0
 
 
+def _row(c: Candidate) -> dict:
+    """The JSON-lines row of an enumerated candidate, from its fields."""
+    return {
+        "slopes": list(c.slopes),
+        "values": c.trajectory.values.tolist(),
+        "action": c.action,
+        "first_el": c.first_el,
+        "second_el": c.second_el,
+        "provenance": c.provenance.value,
+    }
+
+
 class TestSerialization:
     def test_json_lines(self):
         p = quartic_problem()
         cands = enumerate_slope_extremals(p, [0.0], tol=1e-8)
-        lines = [json.dumps(c.to_json()) for c in cands]
+        lines = [json.dumps(row) for row in cli._enumeration_rows(cands)]
         assert len(lines) == 1
         obj = json.loads(lines[0])
         assert obj["provenance"] == Provenance.ENUMERATED.value
@@ -1612,14 +1638,15 @@ class TestSerialization:
 
     def test_json_lines_from_columns_on_random_problems(self, tmp_path):
         # the --json report of an enumeration, written from the record's
-        # columns, equals the rows' candidates' to_json() byte for byte
+        # columns, equals byte for byte the rows built from each row's
+        # Candidate fields
         rng = np.random.default_rng(solver._BLOCK_WORDS)
         path, kept = tmp_path / "rows.jsonl", 0
         for _ in range(25):
             p, letters, tol = _random_case(rng)
             r = enumerate_slope_extremals(p, letters, tol=tol)
-            cli._write_json(str(path), r.to_json())
-            want = "\n".join(json.dumps(c.to_json()) for c in r) + "\n"
+            cli._write_json(str(path), cli._enumeration_rows(r))
+            want = "\n".join(json.dumps(_row(r[i])) for i in range(len(r))) + "\n"
             assert path.read_text() == want
             kept += len(r)
         assert kept > 20

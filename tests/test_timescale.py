@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,79 @@ class TestPushforward:
         nu = GridFunction.sample(T, lambda t: -t)
         with pytest.raises(TimeScaleError):
             pushforward(T, nu, nu)
+
+
+def exact_message(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
+class TestInputChecks:
+    def test_no_points(self):
+        message = "points must be a non-empty 1-D sequence"
+        with pytest.raises(TimeScaleError, match=exact_message(message)):
+            TimeScale([], [])
+
+    def test_non_finite_point(self):
+        with pytest.raises(TimeScaleError, match="^points must be finite$"):
+            TimeScale.from_points([0.0, np.nan, 1.0])
+
+    def test_a_scale_never_equals_another_type(self):
+        T = TimeScale.from_points([0.0, 1.0, 2.0])
+        assert T.__eq__(1) is NotImplemented
+        assert (T == 1) is False and (T != 1) is True
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((3, 1, 1)), "values must be a 1-D or 2-D array"),
+            (np.zeros((4, 1)), "value count 4 exceeds scale size 3"),
+            (np.zeros((3, 0)), "dimension must be at least 1"),
+            (np.empty((0, 1)), "values must cover at least one point"),
+            (np.empty(0), "values must cover at least one point"),
+        ],
+        ids=["3-D", "4 rows", "0 columns", "0 rows", "empty 1-D"],
+    )
+    def test_grid_function_shape(self, values, message):
+        T = TimeScale.from_points([0.0, 1.0, 2.0])
+        with pytest.raises(TimeScaleError, match=exact_message(message)):
+            GridFunction(T, values)
+
+    def test_derivative_of_one_covered_point(self):
+        f = GridFunction(TimeScale.from_points([0.0, 1.0, 2.0]), [1.0])
+        message = "delta derivative needs at least two covered points"
+        with pytest.raises(TimeScaleError, match=exact_message(message)):
+            delta_derivative(f)
+
+    def test_integral_past_a_short_prefix(self):
+        f = GridFunction(TimeScale.uniform(0, 3, 1), [1.0, 2.0])
+        assert delta_integral(f, 0, 2)[0] == 3.0
+        message = "function prefix too short for this integral"
+        with pytest.raises(TimeScaleError, match=exact_message(message)):
+            delta_integral(f, 0, 3)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("nu elsewhere", "nu must live on the given scale"),
+            ("f elsewhere", "f must live on the given scale"),
+            ("nu 2-D", "nu must be scalar"),
+            ("nu short", "nu and f must cover the whole scale"),
+            ("f short", "nu and f must cover the whole scale"),
+        ],
+    )
+    def test_pushforward_arguments(self, case, message):
+        T, other = TimeScale.uniform(0, 3, 1), TimeScale.uniform(0, 4, 1)
+        nu = GridFunction.sample(T, lambda t: 2 * t)
+        f = GridFunction.sample(T, lambda t: t * t)
+        args = {
+            "nu elsewhere": (GridFunction.sample(other, lambda t: t), f),
+            "f elsewhere": (nu, GridFunction.sample(other, lambda t: t)),
+            "nu 2-D": (GridFunction(T, np.column_stack([T.points, T.points])), f),
+            "nu short": (GridFunction(T, T.points[:3]), f),
+            "f short": (nu, GridFunction(T, T.points[:3])),
+        }[case]
+        with pytest.raises(TimeScaleError, match=exact_message(message)):
+            pushforward(T, *args)
 
 
 class TestSerialization:

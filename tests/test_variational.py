@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -625,6 +626,60 @@ class TestRecord:
             assert stack[i].U.tobytes() == one.U.tobytes()
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            (0, "dimension must be at least 1"),
+            (1.5, "dimension must be an integer, got 1.5"),
+            (2.0, "dimension must be an integer, got 2.0"),
+        ],
+    )
+    def test_lagrangian_dimension(self, dim, message):
+        # range() would raise a bare TypeError on a float dimension
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Lagrangian(dim, "v1^2")
+
+    def test_lagrangian_repr(self):
+        L = Lagrangian(np.int64(2), "v1^2 + t*u2")
+        assert L.dim == 2 and type(L.dim) is int
+        assert repr(L) == "Lagrangian(dim=2, body='v1^2.0 + t * u2')"
+
+    def test_problem_needs_three_points(self):
+        two = TimeScale([0.0, 1.0], "S")
+        with pytest.raises(ValueError, match="^the scale needs at least three points$"):
+            VariationalProblem(two, Lagrangian(1, "v1^2"), [0.0], [1.0])
+
+    def test_problem_boundary_vector_length(self):
+        scale = TimeScale.uniform(0, 1, 0.5)
+        with pytest.raises(ValueError, match="^boundary vectors must have length 1$"):
+            VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0, 0.0], [1.0])
+
+    def test_residual_lengths_must_match(self):
+        message = "^points and values must have matching length$"
+        with pytest.raises(ValueError, match=message):
+            Residual("k", [0.0, 1.0], [1.0], False)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("other scale", "trajectory lives on a different scale"),
+            ("short", "trajectory must cover every point of the scale"),
+            ("two columns", "trajectory dimension 2 != problem dimension 1"),
+        ],
+    )
+    def test_trajectory_checks(self, case, message):
+        p = quadratic_problem()
+        values = 2.0 * p.scale.points
+        q = {
+            "other scale": GridFunction(TimeScale.uniform(0, 1, 0.25), values[::2]),
+            "short": GridFunction(p.scale, values[:-1]),
+            "two columns": GridFunction(p.scale, np.column_stack([values, values])),
+        }[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            action(p, q)
+
+
 class TestResidual:
     def test_magnitude_is_the_max_norm_and_not_an_argument(self):
         r = Residual("k", [0.0, 1.0], [[1.0, -3.0], [2.0, 0.5]], False)
@@ -701,15 +756,6 @@ class TestStructuralProperties:
         p10 = VariationalProblem(scale, scaled, qa, qb)
         for fn in (first_el_residual, second_el_residual):
             assert rel_err(fn(p10, q).values, 10.0 * fn(p0, q).values) < 1e-13
-
-    def test_residual_json_shape(self):
-        p = quadratic_problem()
-        r = first_el_residual(p, affine(p.scale, 2.0, 0.0))
-        obj = r.to_json()
-        assert obj["kind"] == "first_el"
-        assert len(obj["points"]) == len(obj["values"])
-        assert obj["magnitude"] == r.magnitude
-        assert obj["approximate"] is False
 
     def test_vector_valued_problem(self):
         scale = TimeScale.uniform(0, 1, 0.25)
