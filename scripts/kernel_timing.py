@@ -3,10 +3,11 @@
 
 Times first-order passes and second-order passes with the mask Newton's
 Jacobian uses (t held at every frame, u held at the last), on k random
-frames, for three bodies in n = 1 and n = 3 dimensions: a linear-quadratic
-one, the quartic and one with exp, sin, sqrt and log.  Each figure is the
-minimum over repeats of the mean of a timed loop, in CPU time of this
-process (on a shared virtual machine, time the CPU is taken away is not
+frames, for four bodies in n = 1 and n = 3 dimensions: a linear-quadratic
+one, the quartic, one with exp, sin, sqrt and log, and one with a real
+power, sqrt and an integer exponent that varies per frame.  Each figure
+is the minimum over repeats of the mean of a timed loop, in CPU time of
+this process (on a shared virtual machine, time the CPU is taken away is not
 the kernel's), with the garbage collector off; the interpreter and numpy
 versions head the table.
 
@@ -29,6 +30,7 @@ BODIES = {
     "exp-sin-sqrt-log": (
         "exp(0.3*v{j}) + sin(u{j}) + sqrt(v{j}^2 + 1) + log(t*u{j}^2 + 1)"
     ),
+    "powers": "t^1.5*v{j}^2 + sqrt(u{j}^2 + 1) + u{j}^(t - t + 3)",
 }
 SECONDS_PER_REPEAT = 0.01
 
