@@ -282,10 +282,10 @@ def _sym(a, b):
 
 
 def _chain(x, v, d, d2):
-    """f(x) by the chain rule, from f's value ``v`` and first derivative
-    ``d`` at x's value: d(f(x)) = d dx, and in a second-order pass
-    d2(f(x)) = d d2x + f'' dx dx, where ``d2()`` gives f''.  It is called
-    only there, so a first-order pass computes no second derivative."""
+    """f(x), f one of FUNCTIONS, by the chain rule from f's value ``v`` and
+    derivative ``d`` at x's value: d(f(x)) = d dx, and in a second-order
+    pass d2(f(x)) = d d2x + f'' dx dx, where ``d2()`` gives f''.  It is
+    called only there, so a first-order pass computes no second one."""
     _, dx, hx = x
     if hx is None:
         return v, d * dx, None
@@ -301,38 +301,30 @@ def _no_overflow(result, arg, node):
     return result
 
 
+def _fill(mask, value, x):
+    """x with ``value`` where ``mask`` is set, by np.where only if it is
+    set somewhere: x itself otherwise."""
+    return np.where(mask, value, x) if np.count_nonzero(mask) else x
+
+
 def _int_pow(a, b, node):
-    av, da, ha = a
-    k = b[0]
-    varying = getattr(k, "ndim", 0) > 0
-    if varying:
-        zero_to_negative = np.count_nonzero((av == 0.0) & (k < 0))
-    else:  # one exponent for every frame, as the 2 of v1^2: decided in Python
-        zero_to_negative = k < 0 and np.count_nonzero(av == 0.0)
-    if zero_to_negative:
+    """a^k for an integer k, one exponent for every frame (as the 2 of
+    v1^2) or one per frame."""
+    (av, da, ha), k = a, b[0]
+    negative = k < 0  # the base is looked at only if k is negative somewhere
+    if np.count_nonzero(negative) and np.count_nonzero(negative & (av == 0.0)):
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
-    # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da
-    if not varying and k != 0:
-        return _chain(
-            a, v, k * np.power(av, k - 1),
-            lambda: k * (k - 1) * np.power(av, k - 2) if k != 1 else 0.0,
-        )
-    # x^0, and exponents that vary over frames: each term is taken as 0
-    # where its factor k or k (k-1) is, so that a zero base raises no warning
-    if not varying:
-        slope = curve = 0.0
-        deriv = np.zeros(np.broadcast(av, da).shape)
-    else:
-        slope = k * np.power(av, np.where(k == 0, 0.0, k - 1))
-        deriv = np.where(k == 0, 0.0, slope * da)
+    # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da;
+    # each term is 0 where its factor k or k (k-1) is, and there the base is
+    # raised to the power 0, so that a zero base raises no warning
+    slope = k * np.power(av, k - (k != 0))
+    deriv = _fill(k == 0, 0.0, slope * da)
     if ha is None:
         return v, deriv, None
-    if varying:
-        k2 = k * (k - 1)
-        slope = np.where(k == 0, 0.0, slope)
-        curve = np.where(k2 == 0, 0.0, k2 * np.power(av, np.where(k2 == 0, 0.0, k - 2)))
-    return v, deriv, slope * ha + curve * _outer(da, da)
+    k2 = k * (k - 1)
+    curve = _fill(k2 == 0, 0.0, k2 * np.power(av, (k - 2) * (k2 != 0)))
+    return v, deriv, _fill(k == 0, 0.0, slope) * ha + curve * _outer(da, da)
 
 
 def _real_pow(a, b, node):
@@ -353,18 +345,18 @@ def _real_pow(a, b, node):
         or np.count_nonzero(zero & (ha != 0.0) & (bv <= 1.0))
     ):
         raise ExprDomainError("power not twice differentiable at zero base", _print(node))
-    base = np.where(zero, 1.0, av)
+    base = _fill(zero, 1.0, av)
     log_a = np.log(base)
     x = bv * log_a
     v = _no_overflow(np.exp(x), x, node)
     dx = db * log_a + bv * da / base
     dv = v * dx
     if ha is None:
-        return np.where(zero, 0.0, v), np.where(zero, 0.0, dv), None
+        return _fill(zero, 0.0, v), _fill(zero, 0.0, dv), None
     # x = b log a: d2x = d2b log a + (db da + da db) / a + b (d2a - da da / a) / a
     hx = hb * log_a + _sym(db, da) / base + bv * (ha - _outer(da, da) / base) / base
     hv = v * (hx + _outer(dx, dx))
-    return np.where(zero, 0.0, v), np.where(zero, 0.0, dv), np.where(zero, 0.0, hv)
+    return _fill(zero, 0.0, v), _fill(zero, 0.0, dv), _fill(zero, 0.0, hv)
 
 
 def _pow(a, b, node):
@@ -432,7 +424,7 @@ def _call(node, x):
     if at_zero and hx is not None and np.count_nonzero(zero & (hx != 0.0)):
         raise ExprDomainError("sqrt not twice differentiable at zero", _print(node))
     v = np.sqrt(xv)
-    d = 0.5 / np.where(zero, np.inf, v)
+    d = 0.5 / _fill(zero, np.inf, v)
     return _chain(x, v, d, lambda: -2.0 * d * d * d)  # 0 at a zero argument, as d
 
 

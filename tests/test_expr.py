@@ -192,6 +192,22 @@ class TestKernelBranches:
             assert value == 1.0
             assert Lv[0] == 0.0 and not np.signbit(Lv[0])
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("K", [-2, 0, 1, 2, 3])
+    def test_constant_and_per_frame_exponents_agree(self, K, order):
+        # u1^K has one exponent for every frame and u1^(t - t + K) one per
+        # frame; both take the one integer-power rule and give the same
+        # bits, at a zero base where K >= 0 and at an overflowed base
+        # (inf, whose derivatives turn NaN) where K is 0 or 1
+        U = [-1.5, -0.5, 0.25, 2.0] + ([0.0] if K >= 0 else [])
+        t = np.linspace(0.5, 2.0, len(U))
+        V = np.linspace(-1.0, 1.0, len(U))
+        for base in ["u1"] + (["(1e300*u1*1e10)"] if K in (0, 1) else []):
+            pair = [Lagrangian(1, f"{base}^{k}") for k in (K, f"(t - t + {K})")]
+            with np.errstate(invalid="ignore"):
+                constant, per_frame = (L.partials(t, U, V, order=order) for L in pair)
+            assert [x.tobytes() for x in constant] == [x.tobytes() for x in per_frame]
+
     def test_first_order_power_at_zero_base(self):
         L = Lagrangian(1, "u1^0.5 + v1^2")
         with pytest.raises(ExprDomainError) as err:
