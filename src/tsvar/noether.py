@@ -21,6 +21,7 @@ import numpy as np
 from .expr import Expr, parse
 from .timescale import GridFunction
 from .variational import Residual, VariationalProblem, _Along, _along, _frames
+from .variational import _dimension
 
 __all__ = [
     "Transformation",
@@ -42,7 +43,7 @@ class Transformation:
     def from_text(
         cls, dim: int, tau: str, xi: str | list[str] | tuple[str, ...]
     ) -> "Transformation":
-        names = ("t",) + tuple(f"q{k + 1}" for k in range(dim))
+        names = ("t",) + tuple(f"q{k + 1}" for k in range(_dimension(dim)))
         if isinstance(xi, str):
             xi = [xi]
         if len(xi) != dim:

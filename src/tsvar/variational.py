@@ -52,6 +52,15 @@ BOUNDARY_TOL = 1e-12
 AUTONOMY_TOL = 1e-10
 
 
+def _dimension(dim) -> int:
+    """``dim`` as an int; ValueError unless it is an integer of at least 1."""
+    if not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    return int(dim)
+
+
 class Lagrangian:
     """Scalar integrand L(t, u, v) with exact first and second partials
     via forward-mode (hyper-)dual numbers.
@@ -63,11 +72,7 @@ class Lagrangian:
     """
 
     def __init__(self, dim: int, body: str):
-        if not isinstance(dim, (int, np.integer)):
-            raise ValueError(f"dimension must be an integer, got {dim!r}")
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
         self.u_names = tuple(f"u{k + 1}" for k in range(dim))
         self.v_names = tuple(f"v{k + 1}" for k in range(dim))
         names = ("t",) + self.u_names + self.v_names

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,25 @@ def quadratic_problem(q_b=2.0):
 
 def affine(scale, c, k=0.0):
     return GridFunction.sample(scale, lambda t: c * t + k)
+
+
+class TestTransformation:
+    @pytest.mark.parametrize(
+        "dim, xi, message",
+        [
+            (1.5, ["1"], "dimension must be an integer, got 1.5"),
+            (0, [], "dimension must be at least 1"),
+        ],
+    )
+    def test_dimension(self, dim, xi, message):
+        # range() would raise a bare TypeError on 1.5, and a dimension of 0
+        # would pass until check_conservation compared it with the problem's
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Transformation.from_text(dim, "1", xi)
+
+    def test_numpy_integer_dimension(self):
+        tr = Transformation.from_text(np.int64(2), "1", ["q2", "-q1"])
+        assert tr.dim == 2 and [str(x) for x in tr.xi] == ["q2", "-q1"]
 
 
 class TestInvariance:
