@@ -10,8 +10,6 @@ linearly with the step).
 
 import argparse
 
-import numpy as np
-
 from tsvar import (
     Lagrangian,
     TimeScale,
@@ -27,15 +25,10 @@ def run(h: float) -> tuple[float, float]:
     L = Lagrangian(1, "t*v1^2")
     problem = VariationalProblem(scale, L, [0.0], [2.0])
     q = solve_newton(problem)
-    qd = delta_derivative(q)
-    classical = []
-    for i in range(qd.valid):
-        t = scale.points[i]
-        u = q.values[scale.sigma(i)]
-        v = qd.values[i]
-        value, _, _, Lv = L.partials([t], [u], [v])
-        classical.append(-float(value[0]) + float(Lv[0] @ v))
-    classical = np.array(classical)
+    v = delta_derivative(q).values
+    k = len(v)
+    value, _, _, Lv = L.partials(scale.points[:k], q.values[scale.sigmas[:k]], v)
+    classical = -value + (Lv * v).sum(axis=1)
     drift = float(classical.max() - classical.min())
     corrected = second_el_residual(problem, q).magnitude
     return drift, corrected
