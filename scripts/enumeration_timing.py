@@ -5,46 +5,79 @@ Times the enumeration layer alone, on problems built in memory, over the
 alphabet {-1, 0, 1}: the quartic file ``problems/quartic.json`` (8 gaps),
 the quartic (v1^2 - 1)^2 on 12 uniform gaps of [0, 1], and
 v1^2 + 1.3*u1^2 on 14 gaps alternating 0.125 and 0.0625, both from 0 to 0.
-Each row gives the boundary hits, the frames that L's kernel passes
-received, the kept rows (the first-EL extremals) and the minimum over
-repeats of the mean of a timed loop, in CPU time of this process (on a
-shared virtual machine, time the CPU is taken away is not the
-enumeration's), with the garbage collector off; the interpreter and numpy
-versions head the table.
+Each row gives the boundary hits (the rows kept at tol = inf), the frames
+that L's kernel passes received, the kept rows (the first-EL extremals)
+and the minimum over repeats of the mean of a timed loop, in CPU time of
+this process (on a shared virtual machine, time the CPU is taken away is
+not the enumeration's), with the garbage collector off; the interpreter
+and numpy versions head the table.
 
     PYTHONPATH=src python scripts/enumeration_timing.py [--repeat R]
+
+With ``--against SRC_DIR`` the ``tsvar`` package under SRC_DIR (the
+``src`` directory of another checkout) is imported as well, under another
+name, and each case is timed on both trees in alternation, one timed loop
+of each per repeat, the order swapped every repeat; the table then gives
+both times and their ratio, this tree's over the other's.  Back-to-back
+runs of two trees on a shared machine differ by more than a 10-20% change;
+alternation in one process resolves it.
+
+    PYTHONPATH=src python scripts/enumeration_timing.py --against OTHER/src
 """
 
 import argparse
+import importlib
+import importlib.util
 import platform
+import sys
 import time
 import timeit
 from pathlib import Path
 
 import numpy as np
 
-from tsvar import Lagrangian, TimeScale, VariationalProblem, cli, solver
+import tsvar
 
 LETTERS = (-1.0, 0.0, 1.0)
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 SECONDS_PER_REPEAT = 0.05
 
 
-def cases() -> dict[str, VariationalProblem]:
+def load_tree(src: Path):
+    """The ``tsvar`` package under ``src``, imported as ``tsvar_against``."""
+    init = src / "tsvar" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no tsvar package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        "tsvar_against", init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def cases(pkg) -> dict:
+    """The timed problems, built from the package ``pkg``'s own classes."""
+    TimeScale, Lagrangian, Problem = (
+        pkg.TimeScale, pkg.Lagrangian, pkg.VariationalProblem
+    )
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
     lq_scale = TimeScale.from_points(np.cumsum([0.0] + [0.125, 0.0625] * 7))
     return {
         "quartic.json": cli.load_problem(QUARTIC).problem,
-        "quartic, 12 gaps": VariationalProblem(
+        "quartic, 12 gaps": Problem(
             TimeScale.uniform(0, 1, 1 / 12), Lagrangian(1, "(v1^2 - 1)^2"), [0.0], [0.0]
         ),
-        "v1^2 + 1.3*u1^2, 14 gaps": VariationalProblem(
+        "v1^2 + 1.3*u1^2, 14 gaps": Problem(
             lq_scale, Lagrangian(1, "v1^2 + 1.3*u1^2"), [0.0], [0.0]
         ),
     }
 
 
-def frames_and_rows(p: VariationalProblem) -> tuple[int, int]:
-    """The frames that one call's kernel passes receive, and its kept rows."""
+def counts(pkg, p) -> tuple[int, int, int]:
+    """The boundary hits, the frames that one call's kernel passes receive,
+    and its kept rows."""
     L, frames = p.lagrangian, []
     partials = L.partials
 
@@ -54,34 +87,51 @@ def frames_and_rows(p: VariationalProblem) -> tuple[int, int]:
 
     L.partials = counted  # this instance only
     try:
-        rows = len(solver.enumerate_slope_extremals(p, LETTERS))
+        rows = len(pkg.enumerate_slope_extremals(p, LETTERS))
     finally:
         del L.partials
-    return sum(frames), rows
+    hits = len(pkg.enumerate_slope_extremals(p, LETTERS, tol=np.inf))
+    return hits, sum(frames), rows
 
 
-def seconds_per_call(p: VariationalProblem, repeat: int) -> float:
-    """The minimum over ``repeat`` timed loops of the mean time of one call,
-    each loop about SECONDS_PER_REPEAT long."""
-    timer = timeit.Timer(
-        lambda: solver.enumerate_slope_extremals(p, LETTERS), timer=time.process_time
+def timer(pkg, p) -> tuple[timeit.Timer, int]:
+    """A CPU-time timer of one call, and the number of calls that take
+    about SECONDS_PER_REPEAT."""
+    t = timeit.Timer(
+        lambda: pkg.enumerate_slope_extremals(p, LETTERS), timer=time.process_time
     )
-    once = min(timer.repeat(2, 1))
-    number = max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
-    return min(timer.repeat(repeat, number)) / number
+    once = min(t.repeat(2, 1))
+    return t, max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
+
+
+def seconds_per_call(timers: list, repeat: int) -> list[float]:
+    """For each (timer, number), the minimum over ``repeat`` timed loops
+    of the mean time of one call, the timers' loops in alternation."""
+    best = [np.inf] * len(timers)
+    for i in range(repeat):
+        order = range(len(timers)) if i % 2 == 0 else reversed(range(len(timers)))
+        for k in order:
+            t, number = timers[k]
+            best[k] = min(best[k], t.timeit(number) / number)
+    return best
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--against", type=Path, metavar="SRC_DIR")
     args = parser.parse_args()
+    packages = [tsvar] + ([load_tree(args.against.resolve())] if args.against else [])
     print(f"Python {platform.python_version()}, numpy {np.__version__}")
-    print(f"{'case':>24}  {'hits':>6}  {'frames':>7}  {'rows':>6}  {'ms/call':>8}")
-    for name, p in cases().items():
-        hits = solver._boundary_hits(p, LETTERS).size
-        frames, rows = frames_and_rows(p)
-        ms = seconds_per_call(p, args.repeat) * 1e3
-        print(f"{name:>24}  {hits:>6}  {frames:>7}  {rows:>6}  {ms:8.1f}")
+    head = f"{'case':>24}  {'hits':>6}  {'frames':>7}  {'rows':>6}  {'ms/call':>8}"
+    print(head + (f"  {'against':>8}  {'ratio':>6}" if args.against else ""))
+    problems = [cases(pkg) for pkg in packages]
+    for name in problems[0]:
+        hits, frames, rows = counts(tsvar, problems[0][name])
+        timers = [timer(pkg, ps[name]) for pkg, ps in zip(packages, problems)]
+        ms = [s * 1e3 for s in seconds_per_call(timers, args.repeat)]
+        line = f"{name:>24}  {hits:>6}  {frames:>7}  {rows:>6}  {ms[0]:8.3f}"
+        print(line + (f"  {ms[1]:8.3f}  {ms[0] / ms[1]:6.3f}" if args.against else ""))
 
 
 if __name__ == "__main__":

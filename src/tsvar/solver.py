@@ -11,8 +11,9 @@ Three routes:
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
-  value is out of its reach, and one evaluation of L over the prefix
-  tree of the hits, one frame per distinct prefix.
+  value is out of its reach and keeps the tree of the hits' prefixes,
+  values and parent pointers, and one evaluation of L over that tree,
+  one frame per distinct prefix.
 
 :func:`solve` picks between the first two and returns one
 :class:`Candidate`; the enumeration returns an :class:`Extremals` record,
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ExprDomainError, ExprError
-from .timescale import GridFunction, TimeScale, _quotients
-from .variational import Lagrangian, VariationalProblem, _Along, _alongs, _outer
+from .timescale import GridFunction, TimeScale
+from .variational import Lagrangian, VariationalProblem, _Along, _alongs
 from .variational import _check_trajectory
 
 __all__ = [
@@ -406,122 +407,161 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
     return Candidate(e.q, provenance, float(action), float(first), float(second))
 
 
-@np.errstate(all="ignore")  # overflow in the walk only makes a miss
-def _boundary_hits(p: VariationalProblem, letters: tuple[float, ...]) -> np.ndarray:
-    """The ranks of the slope words that end within BOUNDARY_HIT_TOL of
-    q_b, ascending.
+# a prefix tree, level by level from the prefixes of one letter: their
+# ends, each one's parent position in the level above and its letter code
+_Levels = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    A word's rank is its index in lexicographic order, its letters being
-    the base-|A| digits.  The walk extends prefixes by one letter per
-    level, q_{j+1} = q_j + s * mu_j: the additions of
-    :meth:`GridFunction.from_slopes`, so the ends are the ones that
-    expansion gives.  A prefix is dropped once no completion can end near
-    q_b, and a non-finite one at once: it stays non-finite.  The prefix
-    tree is walked once, depth first, in chunks: a chunk that one more
-    level would take past ``_BLOCK_WORDS`` prefixes is split in half, the
-    first half walked first, but a one-prefix chunk is extended anyway.
+
+@np.errstate(all="ignore")  # overflow in the walk only makes a miss
+def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
+    """The prefix tree of the slope words that end within BOUNDARY_HIT_TOL
+    of q_b: for each level r = 1 .. N-1, the ends of its prefixes of r
+    letters, each one's parent position in level r-1 (level 0 is the
+    empty prefix, at q_a) and its letter's index in ``letters``, all in
+    lexicographic order.  Only the hits' prefixes are kept, and a leaf's
+    end other than q_b is pinned to it, as affine_extremal pins.
+
+    The walk extends prefixes by one letter per level, q_{j+1} = q_j + s *
+    mu_j: the additions of :meth:`GridFunction.from_slopes`, so the ends
+    are the ones that expansion gives.  A prefix is dropped once no
+    completion can end near q_b, and a non-finite one at once: it stays
+    non-finite.  The tree is walked once, depth first, in chunks: a chunk
+    that one more level would take past ``_BLOCK_WORDS`` prefixes is split
+    in half, the first half walked first, but a one-prefix chunk is
+    extended anyway.  So each level's prefixes are found in lexicographic
+    order (an empty chunk is walked too, so every level gets one), and
+    each is recorded as its slot, m times its parent's position plus its
+    letter's index.  The prefixes that reach no hit, those without a
+    child, are then dropped level by level, bottom up.
     """
     m, mus, qb = len(letters), p.scale.mus[:-1], float(p.q_b[0])
     gaps, steps = mus.size, np.multiply.outer(mus, letters)  # s * mu, as from_slopes
     rest = np.append(np.cumsum(mus[::-1])[::-1][1:], 0.0)  # mu after gap j
-    lo, hi = letters[0] * rest, letters[-1] * rest
     size = max(map(abs, letters)) * rest
-    # Exact completions of a prefix q end in [q + lo_j, q + hi_j], the mus
-    # being positive.  A completion's float end is q plus at most gaps - 1
-    # rounded products, added in order, so it lies within gaps * eps/2 *
-    # (|q| + size_j) of its exact end (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2002, sec. 4.2, with one more rounding per
-    # product).  The bounds' own rounding (rest_j is a rounded sum) adds as
-    # much again, and the comparisons and the hit test's difference a few
-    # ulps of |q| + size_j + tol.  4 * (gaps + 2) * eps is over twice the
-    # total, so no word whose float end passes the hit test is dropped.
+    # Exact completions of a prefix q end in [q + lo_j, q + hi_j], lo_j =
+    # s_min * rest_j and hi_j = s_max * rest_j, the mus being positive.  A
+    # completion's float end is q plus at most gaps - 1 rounded products,
+    # added in order, so it lies within gaps * eps/2 * (|q| + size_j) of its
+    # exact end (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, sec. 4.2, with one more rounding per product), and the rounding
+    # of rest_j, a rounded sum, adds as much again.  So a prefix with a
+    # completion whose float end passes the hit test has q within tol + err
+    # of [q_b - hi_j, q_b - lo_j], err <= gaps * eps * (|q| + size_j), and
+    # hence |q| <= 2 (|q_b| + size_j + tol).  The margin tol + slack * (2
+    # |q_b| + 3 size_j + 3 tol), slack = 4 (gaps + 2) eps, is over twice err
+    # plus the rounding of the bounds below, a few ulps of |q_b| + size_j +
+    # margin, and of the hit test's difference: no such prefix is dropped.
+    # Where a product overflows, so does size_j and the margin, and np.fmax
+    # and np.fmin turn a bound that is then NaN, or infinite outward, into
+    # -+max, which keeps every finite prefix; no bound keeps an infinite
+    # prefix, which stays infinite.
     slack = 4 * (gaps + 2) * np.finfo(float).eps
-    hits, chunks = [], [(0, np.array([0]), p.q_a[:1])]  # level, ranks, ends
+    tol, big = BOUNDARY_HIT_TOL, np.finfo(float).max
+    margin = tol + slack * (2 * abs(qb) + 3 * size + 3 * tol)
+    lower = np.fmax(qb - letters[-1] * rest - margin, -big)
+    upper = np.fmin(qb - letters[0] * rest + margin, big)
+    ends, slots = [[] for _ in range(gaps + 1)], [[] for _ in range(gaps + 1)]
+    counts = [1] + [0] * gaps  # prefixes found so far per level
+    chunks = [(0, p.q_a[:1], 0)]  # level, ends, position of the first in its level
     while chunks:
-        j, rank, q = chunks.pop()
-        if rank.size * m > _BLOCK_WORDS and rank.size > 1:
-            half = rank.size // 2
-            chunks += [(j, rank[half:], q[half:]), (j, rank[:half], q[:half])]
+        j, q, at = chunks.pop()
+        if q.size * m > _BLOCK_WORDS and q.size > 1:
+            half = q.size // 2
+            chunks += [(j, q[half:], at + half), (j, q[:half], at)]
             continue
-        rank = (rank[:, None] * m + np.arange(m)).ravel()
         q = (q[:, None] + steps[j]).ravel()
         if j == gaps - 1:
-            hits.append(rank[np.abs(q - qb) <= BOUNDARY_HIT_TOL])  # NaN is no hit
-            continue
-        margin = BOUNDARY_HIT_TOL + slack * (np.abs(q) + size[j] + BOUNDARY_HIT_TOL)
-        # written so that a NaN bound keeps the prefix
-        far = (qb < q + lo[j] - margin) | (qb > q + hi[j] + margin)
-        live = np.isfinite(q) & ~far
-        chunks.append((j + 1, rank[live], q[live]))
-    return np.concatenate(hits)
+            live = np.abs(q - qb) <= tol  # NaN is no hit
+        else:  # and no bound keeps a NaN
+            live = (q >= lower[j]) & (q <= upper[j])
+        slot = live.nonzero()[0]
+        q, j = q[slot], j + 1
+        ends[j].append(q)
+        slots[j].append(slot + at * m)
+        if j < gaps:
+            chunks.append((j, q, counts[j]))
+        counts[j] += q.size
+    tree, keep = [], None
+    for r in range(gaps, 0, -1):
+        q, slot = _joined(ends[r]), _joined(slots[r])
+        if keep is not None:
+            q, slot = q[keep], slot[keep]
+        parent = slot // m
+        code = slot - parent * m  # np.divmod and % take twice as long
+        children, keep = np.bincount(parent, minlength=counts[r - 1]), None
+        if np.count_nonzero(children) < counts[r - 1]:
+            alive = children > 0
+            keep = alive.nonzero()[0]
+            parent = (np.cumsum(alive) - 1)[parent]  # positions among the kept
+        tree.append((q, parent, code))
+    leaves = tree[0][0]
+    leaves[leaves != qb] = qb  # a -0.0 end equal to q_b stays -0.0
+    return tree[::-1]
 
 
-def _tree_extremals(
-    p: VariationalProblem, letters: np.ndarray, ranks: np.ndarray, tol: float
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _extremals(
+    p: VariationalProblem, letters: np.ndarray, tree: _Levels, hits: range, tol: float
 ) -> tuple[np.ndarray, ...]:
     """The columns of :class:`Extremals` for the first-EL extremals among
-    the boundary hits of the ascending ``ranks``, from one kernel pass over
-    the frames of their prefix tree.
+    the leaves ``hits`` of the prefix tree ``tree`` (:func:`_hit_tree`),
+    from one kernel pass over the frames of their subtree: a contiguous
+    run of nodes at each level, the parent positions ascending.
 
-    Row r of ``prefix`` holds each hit's prefix of r letters, ranks //
-    m^(N-1-r), row 0 the empty one.  A node starts where a row changes;
-    nodes are numbered row by row, the root 0.  A node's parent is the row
-    above's node of its first hit, its letter the prefix % m, and its value
-    its parent's plus mu * letter: the walk's addition, which the
-    cumulative sum of :meth:`GridFunction.from_slopes` makes too.  A leaf's
-    value other than q_b is pinned to it, as affine_extremal pins.
-
-    Frame j of a word reads only its first j+1 letters, so it is the frame
-    of the word's node in row j+1, evaluated once however many hits share
-    that prefix.  First-EL row j reads frames j and j+1, so it is taken
-    once per node in row j+2, and a word's magnitude is the maximum of
-    its nodes' rows, NaN spreading as in a max.  Only the kept words get a
+    Nodes are numbered level by level, the root 0, so node i >= 1 is
+    kernel entry i-1.  Frame j of a word reads only its first j+1 letters,
+    so it is the frame of the word's node in level j+1, (t_j, q, (q -
+    q_parent) / mu_j), evaluated once however many hits share that prefix.
+    First-EL row j reads frames j and j+1, so it is taken once per node in
+    level j+2, from its own frame and its parent's, and a word's magnitude
+    is the largest of its nodes' rows, NaN spreading as in a max.  Both
+    take the floats and the error state of :func:`timescale._quotients`
+    and :func:`variational._outer`.  Only the kept words get a
     trajectory, in one record, for action and second-EL.
     """
-    T, m, gaps, qb = p.scale, letters.size, p.scale.n - 1, float(p.q_b[0])
-    prefix = ranks // m ** np.arange(gaps, -1, -1)[:, None]
-    new = np.ones(prefix.shape, dtype=bool)
-    new[:, 1:] = prefix[:, 1:] != prefix[:, :-1]
-    node = np.cumsum(new).reshape(new.shape) - 1  # each hit's node per row
-    at = np.flatnonzero(new)  # each node's row and first hit, row-major
-    sizes = new.sum(axis=1)
-    edges = np.append(0, np.cumsum(sizes))  # row r's nodes: edges[r]:edges[r+1]
-    parent = node.ravel()[at - ranks.size]  # the row above's; the root's unused
-    code = prefix.ravel()[at] % m
-    row = np.repeat(np.arange(gaps + 1), sizes)
-    q, step = np.empty(at.size), T.mus[row - 1] * letters[code]  # the root's unused
-    q[0] = p.q_a[0]
-    for r in range(1, gaps + 1):
-        nodes = slice(edges[r], edges[r + 1])
-        q[nodes] = q[parent[nodes]] + step[nodes]
-    leaves = q[edges[gaps] :]
-    leaves[leaves != qb] = qb  # a -0.0 end equal to q_b stays -0.0
-    # node i >= 1 has frame j = row[i] - 1, (t[j], q[i], V[i-1]), kernel entry
-    # i-1, and below row 1 a first-EL row from its parent's frame and its own
-    t, j = T.points, row[1:] - 1
-    V = _quotients(
-        np.stack([t[j], t[j + 1]], axis=1),
-        np.stack([q[parent[1:]], q[1:]], axis=1)[..., None],
-    )[:, 0, 0]
-    L, Lt, Lu, Lv = p.lagrangian.partials(t[j], q[1:], V)
-    up, below = parent[edges[2] :] - 1, slice(edges[2] - 1, None)
-    rows = _outer(
-        np.stack([t[j[below] - 1], t[j[below]]], axis=1),
-        np.stack([Lv[up], Lv[below]], axis=1),
-        -np.stack([Lu[up], Lu[below]], axis=1),
-    )
-    # each hit's magnitude, the largest |row| down its path
-    first = np.abs(rows[:, 0, 0])[node[2:] - edges[2]].max(axis=0)
+    lo, hi, levels = hits.start, hits.stop, []
+    for q, parent, code in reversed(tree):  # parents counted from the first
+        up = parent[lo:hi]
+        levels.append((q[lo:hi], up - up[0], code[lo:hi]))
+        lo, hi = up[0], up[-1] + 1
+    T, gaps, tree = p.scale, len(tree), levels[::-1]
+    sizes = [level[0].size for level in tree]
+    first_node = np.cumsum([0, 1, *sizes])  # level r: first_node[r]:first_node[r+1]
+    q = np.concatenate([p.q_a[:1], *(level[0] for level in tree)])
+    parent = np.concatenate([level[1] for level in tree])
+    parent += np.repeat(first_node[:-2], sizes)
+    mu = np.repeat(T.mus[:gaps], sizes)  # the gap of each node's frame
+    with np.errstate(over="ignore"):  # as _quotients
+        V = (q[1:] - q[parent]) / mu
+    L, Lt, Lu, Lv = p.lagrangian.partials(np.repeat(T.points[:gaps], sizes), q[1:], V)
+    Lu, Lv, up = Lu[:, 0], Lv[:, 0], parent[sizes[0] :] - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # as _outer
+        first = np.abs((Lv[sizes[0] :] - Lv[up]) / mu[up] + -Lu[up])
+    # each hit's magnitude, the largest |row| down its path, level by level
+    edges = first_node[2:] - first_node[2]
+    for r in range(2, gaps):
+        rows = first[edges[r - 1] : edges[r]]
+        np.maximum(first[edges[r - 2] : edges[r - 1]][tree[r][1]], rows, out=rows)
+    first = first[edges[-2] :]
     keep = np.flatnonzero(first <= tol)
-    # in C order, so that each field is gathered and stored level by level,
-    # the layout in which the record's quotients along a path run fastest
-    path = np.take(node[1:], keep, axis=1)
+    # the kept words' nodes, in C order, so that each field is gathered and
+    # stored level by level, the layout in which the record's quotients
+    # along a path run fastest
+    path = np.empty((gaps, keep.size), dtype=np.intp)
+    path[-1] = keep
+    for r in range(gaps - 1, 0, -1):
+        path[r - 1] = tree[r][1][path[r]]
+    path += first_node[1:-1, None]
     Q = np.empty((keep.size, gaps + 1, 1))
     Q[:, 0], Q[:, 1:, 0] = p.q_a, q[path].T
-    fields = (V, L, Lt, Lu[:, 0], Lv[:, 0])
-    V, L, Lt, Lu, Lv = (x[path - 1].T for x in fields)
+    code = np.concatenate([level[2] for level in tree])
+    path -= 1
+    V, L, Lt, Lu, Lv = (x[path].T for x in (V, L, Lt, Lu, Lv))
     kept = _Along(
-        p, t[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
+        p, T.points[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
         L, Lt, Lu[..., None], Lv[..., None],
     )
     return (
@@ -552,12 +592,13 @@ def enumerate_slope_extremals(
     ValueError.
 
     The prefix tree of the words is walked once, level by level, dropping
-    a prefix once q_b is out of its reach (:func:`_boundary_hits`).  L is
-    evaluated once per distinct prefix of the boundary hits, in one
-    kernel pass over the prefix tree of ``_BLOCK_WORDS`` of them in word
-    order (:func:`_tree_extremals`), and only the first-EL extremals get
-    a trajectory.  If a pass fails, its hits are evaluated one by one, so
-    the error is that of the first hit in word order.
+    a prefix once q_b is out of its reach, and the walk keeps the tree of
+    the boundary hits' prefixes (:func:`_hit_tree`).  L is evaluated once
+    per distinct prefix of the hits, in one kernel pass over the subtree
+    of ``_BLOCK_WORDS`` of them in word order (:func:`_extremals`), and
+    only the first-EL extremals get a trajectory.  If a pass fails, its
+    hits are evaluated one by one, so the error is that of the first hit
+    in word order.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")
@@ -575,13 +616,14 @@ def enumerate_slope_extremals(
             f"{len(letters)}^{gaps} sequences exceed the enumeration guard; "
             "use solve_newton instead"
         )
-    ranks, letters = _boundary_hits(p, letters), np.asarray(letters)
+    tree, letters = _hit_tree(p, letters), np.asarray(letters)
+    hits = range(tree[-1][0].size)
     # an empty block of columns, so that no hit gives an empty record
     blocks = [(np.empty((0, gaps)), np.empty((0, gaps + 1, 1)), *np.empty((3, 0)))]
-    for start in range(0, ranks.size, _BLOCK_WORDS):
-        block = ranks[start : start + _BLOCK_WORDS]
+    for start in range(0, len(hits), _BLOCK_WORDS):
+        block = hits[start : start + _BLOCK_WORDS]
         blocks.append(
-            _stacked(lambda s: _tree_extremals(p, letters, block[s], tol), block.size)
+            _stacked(lambda s: _extremals(p, letters, tree, block[s], tol), len(block))
         )
     return Extremals(p.scale, *map(np.concatenate, zip(*blocks)))
 

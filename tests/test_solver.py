@@ -1183,31 +1183,44 @@ class TestEnumeration:
         assert built[0].tobytes() == cands.values.tobytes()
 
     @staticmethod
-    def _distinct_prefixes(p, letters):
-        """The number of distinct prefixes of the boundary hits' words:
-        every word's end, in lexicographic order, then the hits' letters."""
+    def _hit_words(p, letters):
+        """The boundary hits' words, as rows of letter indices in
+        lexicographic order: every word's end, in lexicographic order, then
+        the hits' letters."""
         ends, m = p.q_a, len(letters)
         for mu in p.scale.mus[:-1]:
             ends = (ends[:, None] + mu * np.array(letters)).ravel()
         hits = np.flatnonzero(np.abs(ends - p.q_b[0]) <= solver.BOUNDARY_HIT_TOL)
         gaps = p.scale.n - 1
-        words = hits[:, None] // m ** np.arange(gaps - 1, -1, -1) % m
-        return len({tuple(w[: j + 1]) for w in words.tolist() for j in range(gaps)})
+        return hits[:, None] // m ** np.arange(gaps - 1, -1, -1) % m
 
-    @pytest.mark.parametrize("case", ["quartic-file", "3^13-words"])
-    def test_each_prefix_frame_is_evaluated_once(self, case, monkeypatch):
-        # frame j of a word reads only its first j+1 letters: the kernel
-        # pass takes one frame per distinct prefix of the hits, not one
-        # per (hit, frame)
+    @staticmethod
+    def _prefixes(words):
+        """The distinct non-empty prefixes of the words, per length."""
+        rows = words.tolist()
+        return [len({tuple(w[: j + 1]) for w in rows}) for j in range(words.shape[1])]
+
+    @staticmethod
+    def _case(case):
+        """The problem and its frame count: one per distinct prefix of the
+        hits."""
         if case == "quartic-file":
-            p, frames = cli.load_problem(QUARTIC).problem, 3138
-        else:
-            h = 1 / 13
-            scale = TimeScale.uniform(0, 1, h)
-            L = Lagrangian(1, "(v1^2 - 1)^2")
-            p, frames = VariationalProblem(scale, L, [0.0], [11 * h]), 545
-        letters = [-1.0, 0.0, 1.0]
-        assert self._distinct_prefixes(p, letters) == frames
+            return cli.load_problem(QUARTIC).problem, 3138
+        if case == "decimal-gaps":
+            # the walk keeps prefixes that reach no hit: 1756 nodes, 1244 of
+            # them the hits' prefixes
+            gaps = [0.1, 0.2, 0.15, 0.1, 0.25, 0.1, 0.2, 0.1]
+            scale = TimeScale.from_points(np.cumsum([0.0] + gaps))
+            L = Lagrangian(1, "v1^2 + 1.3*u1^2")
+            return VariationalProblem(scale, L, [0.0], [0.0]), 1244
+        h = 1 / 13
+        scale = TimeScale.uniform(0, 1, h)
+        L = Lagrangian(1, "(v1^2 - 1)^2")
+        return VariationalProblem(scale, L, [0.0], [11 * h]), 545
+
+    @staticmethod
+    def _pass_sizes(monkeypatch, p, letters):
+        """The frames of each kernel pass of one enumeration."""
         sizes, partials = [], Lagrangian.partials
 
         def spy(self, t, *args, **kwargs):
@@ -1216,7 +1229,47 @@ class TestEnumeration:
 
         monkeypatch.setattr(Lagrangian, "partials", spy)
         enumerate_slope_extremals(p, letters)
-        assert sizes == [frames]
+        return sizes
+
+    # a block of 1200 (quartic file, 1107 hits) or 100 (3^13 words, 91
+    # hits) splits the walk into chunks, but the hits still fit one pass
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "quartic-file",
+            "3^13-words",
+            "decimal-gaps",
+            "quartic-file-split-walk",
+            "3^13-words-split-walk",
+        ],
+    )
+    def test_each_prefix_frame_is_evaluated_once(self, case, monkeypatch):
+        # frame j of a word reads only its first j+1 letters: the kernel
+        # pass takes one frame per distinct prefix of the hits, not one
+        # per (hit, frame), none for a prefix that reaches no hit, and a
+        # prefix shared across a seam of the walk's chunks once
+        p, frames = self._case(case.removesuffix("-split-walk"))
+        letters = [-1.0, 0.0, 1.0]
+        words = self._hit_words(p, letters)
+        assert sum(self._prefixes(words)) == frames
+        if case.endswith("-split-walk"):
+            block = 1200 if case.startswith("quartic-file") else 100
+            # some level holds more hit prefixes than one chunk can extend
+            assert len(words) <= block < 3 * max(self._prefixes(words))
+            monkeypatch.setattr(solver, "_BLOCK_WORDS", block)
+        assert self._pass_sizes(monkeypatch, p, letters) == [frames]
+
+    def test_hits_over_two_passes_take_their_own_prefixes(self, monkeypatch):
+        # 91 hits in blocks of 50: each of the two passes takes the distinct
+        # prefixes of its own hits, those shared across the seam in both
+        p, frames = self._case("3^13-words")
+        letters = [-1.0, 0.0, 1.0]
+        words = self._hit_words(p, letters)
+        assert len(words) == 91
+        monkeypatch.setattr(solver, "_BLOCK_WORDS", 50)
+        sizes = self._pass_sizes(monkeypatch, p, letters)
+        assert sizes == [sum(self._prefixes(w)) for w in (words[:50], words[50:])]
+        assert sum(sizes) > frames
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
@@ -1273,6 +1326,17 @@ class TestEnumeration:
         cands = enumerate_slope_extremals(p, [1.0, -1.0, 0.0], tol=1e-8)
         slope_lists = [c.slopes for c in cands]
         assert slope_lists == sorted(slope_lists)
+
+    def test_overflowed_reach_keeps_the_prefixes(self):
+        # the gaps after the first sum past the float range, so the reach
+        # of a prefix over them is inf, and 0 * inf a NaN bound: the walk
+        # must keep every finite prefix there, and find the zero word
+        scale = TimeScale.from_points([-1.5e308, -1.4e308, 0.0, 1.4e308, 1.5e308])
+        assert scale.mus[1] > np.finfo(float).max - scale.mus[2]
+        assert np.all(np.isfinite(scale.mus))
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2"), [0.0], [0.0])
+        (word,) = _assert_matches_loop(p, [0.0, 1.0], tol=1e3)
+        assert word[0] == (0.0,) * 4
 
     def test_oracle_equivalence_on_quadratic(self):
         rng = np.random.default_rng(9)
