@@ -230,7 +230,7 @@ class _Parser:
 
 def _print(node, parent_prec: int = 0) -> str:
     if isinstance(node, _Num):
-        s = repr(node.value)
+        s = repr(node.value).removesuffix(".0")  # a whole number prints as 400
         return s if node.value >= 0 else f"({s})"
     if isinstance(node, _Var):
         return node.name
@@ -260,7 +260,8 @@ def _print(node, parent_prec: int = 0) -> str:
 # triple, evaluating operands left to right.  Parts are floats (constant
 # subexpressions) or arrays of frames.  Domain checks look at every frame
 # at once, by np.count_nonzero, which costs a fraction of np.any on small
-# arrays; the offending subexpression is printed only when an error is
+# arrays (a mask over a constant, a Python bool, by a plain truth test:
+# _some); the offending subexpression is printed only when an error is
 # actually raised.  A first-order pass computes exactly what it would
 # without the second-order rules: each of them runs only when the triple
 # carries a hess.
@@ -301,10 +302,17 @@ def _no_overflow(result, arg, node):
     return result
 
 
+def _some(mask) -> bool:
+    """Whether ``mask`` is set somewhere: a plain truth test on a Python
+    bool (a mask over a constant, as the k < 0 of v1^2), np.count_nonzero
+    on an array."""
+    return mask if type(mask) is bool else np.count_nonzero(mask) > 0
+
+
 def _fill(mask, value, x):
     """x with ``value`` where ``mask`` is set, by np.where only if it is
     set somewhere: x itself otherwise."""
-    return np.where(mask, value, x) if np.count_nonzero(mask) else x
+    return np.where(mask, value, x) if _some(mask) else x
 
 
 def _int_pow(a, b, node):
@@ -312,7 +320,7 @@ def _int_pow(a, b, node):
     v1^2) or one per frame."""
     (av, da, ha), k = a, b[0]
     negative = k < 0  # the base is looked at only if k is negative somewhere
-    if np.count_nonzero(negative) and np.count_nonzero(negative & (av == 0.0)):
+    if _some(negative) and np.count_nonzero(negative & (av == 0.0)):
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
     # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da;

@@ -119,7 +119,7 @@ class TestSolve:
         )
         assert cli.main(["solve", path]) == 2
         err = capsys.readouterr().err
-        assert "error: result overflows in 'exp(1000.0 * v1)'" in err
+        assert "error: result overflows in 'exp(1000 * v1)'" in err
 
     @pytest.mark.parametrize("flags", [[], ["--enumerate=-1,0,1"]])
     def test_out_of_range_literal_exit_2(self, flags, tmp_path, capsys):
@@ -205,7 +205,7 @@ class TestSolve:
         assert cli.main(["solve", path]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "error: power not twice differentiable at zero base in '(u1^2.0)^0.75'\n"
+            "error: power not twice differentiable at zero base in '(u1^2)^0.75'\n"
         )
 
     def test_once_non_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
@@ -366,7 +366,7 @@ class TestVerify:
             trajectory={"slopes": [20.0] * 8},
         )
         assert cli.main(["verify", path]) == 2
-        assert "error: result overflows in 'v1^400.0'" in capsys.readouterr().err
+        assert "error: result overflows in 'v1^400'" in capsys.readouterr().err
 
     def test_overflowing_quotient_exit_2(self, tmp_path, capsys):
         # q_delta overflows to inf over gaps of 1e-300, and then v1^2 does
@@ -377,7 +377,7 @@ class TestVerify:
             trajectory={"values": [0.0, 1e10, -1e10, 1.0, 0.0]},
         )
         assert cli.main(["verify", path]) == 2
-        assert capsys.readouterr().err == "error: result overflows in 'v1^2.0'\n"
+        assert capsys.readouterr().err == "error: result overflows in 'v1^2'\n"
 
     def test_missing_trajectory_exit_2(self, tmp_path):
         path = write_problem(tmp_path)

@@ -139,7 +139,7 @@ class TestFrontEnd:
 
     def test_whitespace_is_str_isspace(self):
         assert "\x1c".isspace()
-        assert str(parse("v1\x1c+1", VARS)) == "v1 + 1.0"
+        assert str(parse("v1\x1c+1", VARS)) == "v1 + 1"
 
 
 class TestEvaluate:
@@ -223,10 +223,10 @@ class TestKernelBranches:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("sqrt(u1^2)", "sqrt not twice differentiable at zero in 'sqrt(u1^2.0)'"),
+            ("sqrt(u1^2)", "sqrt not twice differentiable at zero in 'sqrt(u1^2)'"),
             (
                 "(u1^2)^0.5",
-                "power not twice differentiable at zero base in '(u1^2.0)^0.5'",
+                "power not twice differentiable at zero base in '(u1^2)^0.5'",
             ),
         ],
     )
