@@ -42,12 +42,33 @@ class TimeScaleError(ValueError):
     """Invalid time-scale construction, lookup, or domain mismatch."""
 
 
+def _number_leaves(value) -> tuple[list, tuple[int, ...]] | None:
+    """The leaves and shape of a list of numbers, or of a regular list of
+    equal-length lists of them; None for any other value."""
+    if type(value) is not list:
+        return None
+    leaves, shape = value, (len(value),)
+    if value and type(value[0]) is list:
+        shape += (len(value[0]),)
+        if set(map(type, value)) != {list} or set(map(len, value)) != {shape[1]}:
+            return None
+        leaves = list(chain.from_iterable(value))
+    return (leaves, shape) if set(map(type, leaves)) <= {float, int} else None
+
+
 def _json_floats(value) -> np.ndarray:
     """A decoded JSON number, or a list of them nested to any depth, as a
     float array; null reads as NaN.  True, false and strings, which numpy
     would convert, raise TypeError, and an integer beyond float range
-    raises ValueError."""
+    raises ValueError.
+
+    A list of numbers, or a regular list of equal-length lists of them,
+    is converted in one call over its leaves, faster than numpy converts
+    the nested list; any other value goes the general way."""
+    regular = _number_leaves(value)
     try:
+        if regular:
+            return np.array(regular[0], dtype=float).reshape(regular[1])
         arr = np.asarray(value, dtype=float)
     except OverflowError as exc:
         raise ValueError(str(exc)) from exc
@@ -139,7 +160,12 @@ class TimeScale:
             raise TimeScaleError("points must be finite")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise TimeScaleError("points must be strictly increasing")
-        scattered = np.fromiter(map(_scattered, gaps), dtype=bool)
+        if iter(gaps) is gaps:  # an iterator, read once
+            gaps = list(gaps)
+        try:
+            scattered = np.fromiter(map(_SCATTERED.__getitem__, gaps), dtype=bool)
+        except (KeyError, TypeError):  # name the first bad kind
+            scattered = np.fromiter(map(_scattered, gaps), dtype=bool)
         if scattered.size != pts.size - 1:
             raise TimeScaleError(
                 f"expected {pts.size - 1} gap kinds, got {scattered.size}"
