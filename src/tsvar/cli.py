@@ -61,13 +61,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+_BLOCK = 1024  # table rows per formatting pass, array entries per JSON block
+
+
 def _write_table(row: str, *columns) -> None:
-    """Write ``row % cells`` for each row of the columns, in one formatting
-    pass and one write.  A column is an array or list of one cell per row,
-    or a 2-D array of several; "%.12g" formats a float as :func:`_fmt`
-    does, and "%12.12g" as ``f"{_fmt(x):>12}"``."""
-    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    sys.stdout.write(row * len(cells) % tuple(cells.ravel().tolist()))
+    """Write ``row % cells`` for each row of the columns, ``_BLOCK`` rows
+    per formatting pass and write.  A column is an array or list of one
+    cell per row, or a 2-D array of several; "%.12g" formats a float as
+    :func:`_fmt` does, and "%12.12g" as ``f"{_fmt(x):>12}"``."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [np.asarray(c[start : start + _BLOCK], dtype=object) for c in columns]
+        cells = np.column_stack(block)
+        sys.stdout.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 @dataclass
@@ -189,29 +194,43 @@ def default_tol(scale: TimeScale) -> float:
     return 10.0 * float(np.max(np.diff(scale.points)[dense]))
 
 
+def _json_chunks(value) -> Iterator[str]:
+    """The text of ``json.dumps(value)`` in pieces, where every numpy array
+    stands for its ``tolist()``: a dict key by key, an array ``_BLOCK``
+    entries (rows) at a time."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_chunks(item)
+        yield "}"
+    elif isinstance(value, np.ndarray):
+        yield "["
+        for start in range(0, len(value), _BLOCK):
+            block = json.dumps(value[start : start + _BLOCK].tolist())[1:-1]
+            yield f"{', ' if start else ''}{block}"
+        yield "]"
+    else:
+        yield json.dumps(value)
+
+
 def _write_json(path: str | None, payload) -> None:
     """Write the --json report, if a path is given: a dict as one JSON
-    object, any other iterable as one JSON line per item.  A path that
-    cannot be written is an input error."""
+    object (see :func:`_json_chunks`), any other iterable as one JSON line
+    per item, a lone newline if it has none.  A path that cannot be
+    written is an input error."""
     if not path:
         return
-    if isinstance(payload, dict):
-        text = json.dumps(payload)
-    else:
-        text = "\n".join(json.dumps(item) for item in payload) + "\n"
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            if isinstance(payload, dict):
+                out.writelines(_json_chunks(payload))
+            else:
+                out.writelines(f"{json.dumps(item)}\n" for item in payload)
+                if not out.tell():
+                    out.write("\n")
     except OSError as exc:
         raise ProblemFileError(f"cannot write {path}: {exc}") from exc
-
-
-def load_report(path: str | Path):
-    """Re-read a report written by --json (object or JSON-lines)."""
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def _print_trajectory(q: GridFunction) -> None:
@@ -271,8 +290,8 @@ def cmd_solve(args) -> int:
         {
             "command": "solve",
             "method": method,
-            "points": p.scale.points.tolist(),
-            "values": c.trajectory.values.tolist(),
+            "points": p.scale.points,
+            "values": c.trajectory.values,
             "action": c.action,
             "first_el": c.first_el,
             "second_el": c.second_el,
@@ -341,7 +360,7 @@ def cmd_noether(args) -> int:
         args.json_path,
         {
             "invariance": invariance,
-            "conserved": conserved.values[:, 0].tolist(),
+            "conserved": conserved.values[:, 0],
             "deviation": report.conservation_deviation,
         },
     )
@@ -361,14 +380,15 @@ def cmd_scale_info(args) -> int:
     left = np.concatenate([[False], right[:-1]])
     sides = (False, True)
     labels = [PointClass(lt, rt).label for lt in sides for rt in sides]
-    classes = np.array(labels, dtype=object)[2 * left + right].tolist()
+    classes = np.array(labels, dtype=object)[2 * left + right]
     _write_table("  %12.12g  %s  %.12g\n", scale.points, classes, scale.mus)
     _write_json(
         args.json_path,
         {
             "command": "scale-info",
-            "scale": scale.to_json(),
-            "mu": scale.mus.tolist(),
+            # scale.to_json(), its lists left as arrays
+            "scale": {"points": scale.points, "gaps": scale._letters()},
+            "mu": scale.mus,
             "classes": classes,
             "kappa_length": scale.kappa_length,
             "exact_discrete": scale.is_exact_discrete,

@@ -10,9 +10,12 @@ enumeration, the reference for the walk of
 linear first-EL system of a linear-quadratic Lagrangian, the reference
 for Newton.  And L with its partials at one frame, read from a
 one-frame call of :meth:`Lagrangian.partials`, and an expression's
-value and derivative at one point, read from a one-frame forward pass."""
+value and derivative at one point, read from a one-frame forward pass.
+And the reader of a report that ``tsvar --json`` wrote."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -234,3 +237,12 @@ def lq_first_el_root(scale, a, b, C, q_a, q_b) -> np.ndarray:
     rhs = -(M[:, :n] @ q_a + M[:, -n:] @ q_b)
     interior = np.linalg.solve(M[:, n:-n], rhs).reshape(N - 2, n)
     return np.vstack([q_a, interior, q_b])
+
+
+def load_report(path: str | Path):
+    """Re-read a report written by --json (object or JSON-lines)."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return [json.loads(line) for line in text.splitlines() if line.strip()]

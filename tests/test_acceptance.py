@@ -28,6 +28,7 @@ from helpers import (
     at_point,
     finite_difference_partial,
     frame_partials,
+    load_report,
     random_checked_pair,
 )
 from tsvar import (
@@ -73,7 +74,7 @@ def test_criterion_1_quadratic_reproduction(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "report.json"
     code = cli.main(["solve", str(QUADRATIC_FILE), "--json", str(out)])
-    report = cli.load_report(out)
+    report = load_report(out)
     points = np.array(report["points"])
     values = np.array(report["values"])[:, 0]
     trajectory_err = float(np.max(np.abs(values - (2.0 * points + 0.0))))

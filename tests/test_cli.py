@@ -1,11 +1,15 @@
 import json
+import os
+import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsvar import Lagrangian, cli
+from helpers import load_report
+from tsvar import Lagrangian, check_conservation, cli, enumerate_slope_extremals, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = ROOT / "problems" / "quadratic.json"
@@ -34,7 +38,7 @@ class TestSolve:
         captured = capsys.readouterr().out
         assert code == 0
         assert "method: closed_form" in captured
-        report = cli.load_report(out)
+        report = load_report(out)
         points = np.array(report["points"])
         values = np.array(report["values"])[:, 0]
         assert np.max(np.abs(values - 2.0 * points)) <= 1e-12
@@ -98,7 +102,7 @@ class TestSolve:
             ]
         )
         assert code == 0
-        rows = cli.load_report(out)
+        rows = load_report(out)
         assert len(rows) == 71
         assert all(row["first_el"] <= 1e-8 for row in rows)
 
@@ -410,7 +414,7 @@ class TestNoether:
             ["noether", str(QUADRATIC), "--solve", "--json", str(out)]
         )
         assert code == 0
-        report = cli.load_report(out)
+        report = load_report(out)
         assert set(report) == {"invariance", "conserved", "deviation"}
         assert report["deviation"] <= 1e-12
         assert np.allclose(report["conserved"], 0.0, atol=1e-12)
@@ -482,7 +486,7 @@ class TestScaleInfo:
         assert cli.main(["scale-info", path, "--json", str(out)]) == 0
         text = capsys.readouterr().out
         assert "LEFT_SCATTERED+RIGHT_DENSE" in text
-        report = cli.load_report(out)
+        report = load_report(out)
         assert report["mu"] == [1.0, 0.0, 0.0, 0.0]
         assert report["exact_discrete"] is False
 
@@ -496,7 +500,7 @@ class TestScaleInfo:
             assert cli.main(["scale-info", path, "--json", str(out)]) == 0
             scale = cli.load_problem(path).problem.scale
             labels = [scale.classify(i).label for i in range(n)]
-            assert cli.load_report(out)["classes"] == labels
+            assert load_report(out)["classes"] == labels
             rows = capsys.readouterr().out.splitlines()[3:]
             assert [row.split()[1] for row in rows] == labels
 
@@ -538,9 +542,9 @@ class TestRoundTrip:
     def test_reports_reload_bit_for_bit(self, tmp_path):
         out = tmp_path / "report.json"
         assert cli.main(["solve", str(QUADRATIC), "--json", str(out)]) == 0
-        first = cli.load_report(out)
+        first = load_report(out)
         (tmp_path / "copy.json").write_text(json.dumps(first))
-        second = cli.load_report(tmp_path / "copy.json")
+        second = load_report(tmp_path / "copy.json")
         assert first == second
 
     def test_problem_schema_version_checked(self, tmp_path):
@@ -957,9 +961,9 @@ class TestParserReuse:
         )
         out = tmp_path / "report.json"
         assert cli.main(["verify", path, "--tol", "1e-3", "--json", str(out)]) == 0
-        assert cli.load_report(out)["tol"] == 1e-3
+        assert load_report(out)["tol"] == 1e-3
         assert cli.main(["verify", path, "--json", str(out)]) == 0
-        assert cli.load_report(out)["tol"] == 1e-8  # the exact-scale default
+        assert load_report(out)["tol"] == 1e-8  # the exact-scale default
 
     def test_nan_tol_exits_2_after_a_successful_call(self, capsys):
         assert cli.main(["scale-info", str(QUADRATIC)]) == 0
@@ -1013,3 +1017,160 @@ class TestTables:
         want = "".join(f"  {fmt(a):>12}  {fmt(b)}  {fmt(c)}\n" for a, (b, c) in rows)
         cli._write_table("%.12g\n", np.empty(0))
         assert capsys.readouterr().out == want
+
+
+class TestBlocks:
+    """Tables and reports are written ``cli._BLOCK`` rows or array entries
+    at a time; every byte is what one formatting pass over all rows and
+    ``json.dumps`` of the payload's ``tolist()`` give."""
+
+    SIZES = [1023, 1024, 1025, 2049]
+
+    def write(self, tmp_path, N, gaps, **overrides):
+        rng = np.random.default_rng(N)
+        points = np.cumsum(rng.uniform(0.01, 1.0, N)) * np.pi
+        kinds = rng.choice(["S", "D"], N - 1) if gaps == "mixed" else ["S"] * (N - 1)
+        scale = {"points": points.tolist(), "gaps": list(kinds)}
+        return write_problem(tmp_path, scale=scale, **overrides)
+
+    def run(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, "--json", str(out)]) == 0
+        return capsys.readouterr().out, out.read_text()
+
+    @staticmethod
+    def one_pass(row, *columns):
+        cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+        return row * len(cells) % tuple(cells.ravel().tolist())
+
+    def test_block_is_1024(self):
+        # SIZES sit on either side of one and two blocks
+        assert cli._BLOCK == 1024
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_scale_info(self, N, tmp_path, capsys):
+        path = self.write(tmp_path, N, "mixed")
+        stdout, report = self.run(["scale-info", path], tmp_path, capsys)
+        scale = cli.load_problem(path).problem.scale
+        labels = [scale.classify(i).label for i in range(N)]
+        head = (
+            f"points: {N}   span: [{cli._fmt(scale.a)}, {cli._fmt(scale.b)}]\n"
+            "exact discrete: False\n      t  class  mu\n"
+        )
+        row = "  %12.12g  %s  %.12g\n"
+        assert stdout == head + self.one_pass(row, scale.points, labels, scale.mus)
+        payload = {
+            "command": "scale-info",
+            "scale": scale.to_json(),
+            "mu": scale.mus.tolist(),
+            "classes": labels,
+            "kappa_length": scale.kappa_length,
+            "exact_discrete": False,
+        }
+        assert report == json.dumps(payload)
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_noether(self, N, tmp_path, capsys):
+        values = np.sin(np.arange(N) * 0.37).tolist()
+        path = self.write(
+            tmp_path,
+            N,
+            "scattered",
+            lagrangian="v1^2 + u1^2",
+            trajectory={"values": values},
+            transformation={"tau": "1", "xi": ["0"]},
+        )
+        stdout, report = self.run(["noether", path], tmp_path, capsys)
+        loaded = cli.load_problem(path)
+        r = check_conservation(
+            loaded.problem, loaded.trajectory, loaded.transformation
+        )
+        conserved = r.conserved.values[:, 0]
+        points = r.conserved.base.points[: r.conserved.valid]
+        fmt = cli._fmt
+        assert stdout == (
+            f"invariance: {fmt(r.invariance_magnitude)}\n"
+            "conserved quantity per point:\n"
+            + self.one_pass("  %12.12g  %.12g\n", points, conserved)
+            + f"deviation: {fmt(r.conservation_deviation)}\n"
+        )
+        payload = {
+            "invariance": r.invariance_magnitude,
+            "conserved": conserved.tolist(),
+            "deviation": r.conservation_deviation,
+        }
+        assert report == json.dumps(payload)
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_closed_form_solve(self, N, tmp_path, capsys):
+        path = self.write(tmp_path, N, "mixed", lagrangian="v1^2 + 0.5*v1", q_b=3.0)
+        stdout, report = self.run(["solve", path], tmp_path, capsys)
+        p = cli.load_problem(path).problem
+        c = solve(p)
+        values = c.trajectory.values
+        fmt = cli._fmt
+        assert stdout == (
+            "method: closed_form\n      t  q1\n"
+            + self.one_pass("  %12.12g  %.12g\n", p.scale.points, values)
+            + f"action: {fmt(c.action)}\nfirst_el: {fmt(c.first_el)}\n"
+            + f"second_el: {fmt(c.second_el)}\n"
+        )
+        payload = {
+            "command": "solve",
+            "method": "closed_form",
+            "points": p.scale.points.tolist(),
+            "values": values.tolist(),
+            "action": c.action,
+            "first_el": c.first_el,
+            "second_el": c.second_el,
+        }
+        assert report == json.dumps(payload)
+
+    def test_unfiltered_quartic_enumeration(self, tmp_path, capsys):
+        stdout, report = self.run(
+            ["solve", str(QUARTIC), "--enumerate=-1,0,1"], tmp_path, capsys
+        )
+        cands = enumerate_slope_extremals(cli.load_problem(QUARTIC).problem, [-1, 0, 1])
+        assert len(cands) == 1107
+        assert stdout.startswith("first-EL extremals: 1107\n")
+        assert stdout.endswith("  ... 1087 more\n")
+        rows = (
+            {
+                "slopes": cands.slopes[i].tolist(),
+                "values": cands.values[i].tolist(),
+                "action": float(cands.action[i]),
+                "first_el": float(cands.first_el[i]),
+                "second_el": float(cands.second_el[i]),
+                "provenance": "ENUMERATED",
+            }
+            for i in range(len(cands))
+        )
+        assert report == "\n".join(json.dumps(row) for row in rows) + "\n"
+
+    def test_empty_enumeration_report_is_one_newline(self, tmp_path, capsys):
+        path = write_problem(tmp_path, q_b=100.0)
+        argv = ["solve", path, "--enumerate=-1,0,1"]
+        stdout, report = self.run(argv, tmp_path, capsys)
+        assert stdout == (
+            "first-EL extremals: 0\n  slopes | action | first_el | second_el\n"
+        )
+        assert report == "\n"
+
+    def test_report_memory_is_bounded_by_the_input(self, tmp_path):
+        # the traced peak of a long scale-info --json stays within 3 times
+        # that of decoding its problem file: no N-length list of floats or
+        # of their text is built for the report or the table
+        path = self.write(tmp_path, 20001, "mixed")
+        text = Path(path).read_text()
+        out = str(tmp_path / "report.json")
+        tracemalloc.start()
+        try:
+            json.loads(text)
+            decoded = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+                assert cli.main(["scale-info", path, "--json", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * decoded, (peak, decoded)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale, trajectory_from_slopes
-from helpers import at_point, frame_partials
+from helpers import at_point, frame_partials, load_report
 from tsvar import (
     Expr,
     GridFunction,
@@ -252,7 +252,7 @@ class TestCheckConservation:
         path.write_text(json.dumps(problem))
         argv = ["noether", str(path), "--sweep", "4", "--seed", "7", "--json", str(out)]
         assert cli.main(argv) == 0
-        obj = cli.load_report(out)
+        obj = load_report(out)
         assert list(obj) == ["invariance", "conserved", "deviation"]
         report = check_conservation(p, q, tr)
         assert len(obj["conserved"]) == p.scale.n - 1

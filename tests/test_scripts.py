@@ -1,6 +1,7 @@
 """Smoke test: every study script in ``scripts/`` runs with its default
-arguments and exits 0.  And ``newton_sweep.py --compare`` exits 1 exactly
-when a solved row is lost or moves too far."""
+arguments and exits 0, and the timing scripts run ``--against`` a source
+tree.  And ``newton_sweep.py --compare`` exits 1 exactly when a solved
+row is lost or moves too far."""
 
 import json
 import os
@@ -77,3 +78,19 @@ def test_newton_sweep_compare_exits_1_on_an_offending_row(case, tmp_path):
     proc = run_script(ROOT / "scripts" / "newton_sweep.py", "--compare", *paths)
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert ("offending: 0:" in proc.stdout) == bool(code)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("kernel_timing.py", ["--repeat", "1", "--sizes", "21"]),
+        ("enumeration_timing.py", ["--repeat", "1"]),
+    ],
+    ids=["kernel_timing.py", "enumeration_timing.py"],
+)
+def test_timing_against_a_source_tree(script, args):
+    # this tree against itself: both columns and a ratio on every row
+    proc = run_script(ROOT / "scripts" / script, *args, "--against", "src")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert rows and all(float(row.split()[-1]) > 0 for row in rows)
