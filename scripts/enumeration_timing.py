@@ -18,9 +18,12 @@ With ``--against SRC_DIR`` the ``tsvar`` package under SRC_DIR (the
 ``src`` directory of another checkout) is imported as well, under another
 name, and each case is timed on both trees in alternation, one timed loop
 of each per repeat, the order swapped every repeat; the table then gives
-both times and their ratio, this tree's over the other's.  Back-to-back
-runs of two trees on a shared machine differ by more than a 10-20% change;
-alternation in one process resolves it.
+both times and a ratio, this tree's over the other's: the median over
+repeats of the ratio of the two loops of one repeat.  Back-to-back runs of
+two trees on a shared machine differ by more than a 10-20% change;
+alternation in one process resolves it, and pairing each loop with its
+neighbour keeps a burst of noise that spans one tree's loops out of the
+ratio.
 
     PYTHONPATH=src python scripts/enumeration_timing.py --against OTHER/src
 """
@@ -104,16 +107,23 @@ def timer(pkg, p) -> tuple[timeit.Timer, int]:
     return t, max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
 
 
-def seconds_per_call(timers: list, repeat: int) -> list[float]:
-    """For each (timer, number), the minimum over ``repeat`` timed loops
-    of the mean time of one call, the timers' loops in alternation."""
-    best = [np.inf] * len(timers)
+def seconds_per_call(timers: list, repeat: int) -> np.ndarray:
+    """For each (timer, number), the mean time of one call in each of
+    ``repeat`` timed loops, shape (repeat, timers), the timers' loops in
+    alternation, the order swapped every repeat."""
+    means = np.empty((repeat, len(timers)))
     for i in range(repeat):
         order = range(len(timers)) if i % 2 == 0 else reversed(range(len(timers)))
         for k in order:
             t, number = timers[k]
-            best[k] = min(best[k], t.timeit(number) / number)
-    return best
+            means[i, k] = t.timeit(number) / number
+    return means
+
+
+def paired_ratio(means: np.ndarray) -> float:
+    """The median over repeats of the first timer's loop mean over the
+    second's, from :func:`seconds_per_call`."""
+    return float(np.median(means[:, 0] / means[:, 1]))
 
 
 def main() -> None:
@@ -129,9 +139,12 @@ def main() -> None:
     for name in problems[0]:
         hits, frames, rows = counts(tsvar, problems[0][name])
         timers = [timer(pkg, ps[name]) for pkg, ps in zip(packages, problems)]
-        ms = [s * 1e3 for s in seconds_per_call(timers, args.repeat)]
+        means = seconds_per_call(timers, args.repeat)
+        ms = means.min(axis=0) * 1e3
         line = f"{name:>24}  {hits:>6}  {frames:>7}  {rows:>6}  {ms[0]:8.3f}"
-        print(line + (f"  {ms[1]:8.3f}  {ms[0] / ms[1]:6.3f}" if args.against else ""))
+        if args.against:
+            line += f"  {ms[1]:8.3f}  {paired_ratio(means):6.3f}"
+        print(line)
 
 
 if __name__ == "__main__":

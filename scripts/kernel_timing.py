@@ -17,7 +17,8 @@ With ``--against SRC_DIR`` the ``tsvar`` package under SRC_DIR (the
 ``src`` directory of another checkout) is imported as well, as
 ``enumeration_timing.py --against`` does, and each pass is timed on both
 trees in alternation; each row then also gives the other tree's times
-and the ratios, this tree's over the other's.
+and the ratios, this tree's over the other's, each the median over
+repeats of the ratio of the two loops of one repeat.
 
     PYTHONPATH=src python scripts/kernel_timing.py --against OTHER/src
 """
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 import tsvar
-from enumeration_timing import load_tree, seconds_per_call
+from enumeration_timing import load_tree, paired_ratio, seconds_per_call
 
 # per component j of q, summed over j = 1..n
 BODIES = {
@@ -90,11 +91,11 @@ def main() -> None:
                     seconds_per_call([timer(row[order]) for row in rows], args.repeat)
                     for order in (0, 1)
                 )
-                line = f"{name:>16}  {n}  {k:>6}  "
-                line += f"{first[0] * 1e6:10.1f}  {second[0] * 1e6:10.1f}"
+                us = first.min(axis=0) * 1e6, second.min(axis=0) * 1e6
+                line = f"{name:>16}  {n}  {k:>6}  {us[0][0]:10.1f}  {us[1][0]:10.1f}"
                 if args.against:
-                    line += f"  {first[1] * 1e6:10.1f}  {second[1] * 1e6:10.1f}"
-                    ratios = first[0] / first[1], second[0] / second[1]
+                    line += f"  {us[0][1]:10.1f}  {us[1][1]:10.1f}"
+                    ratios = paired_ratio(first), paired_ratio(second)
                     line += "  %7.3f  %7.3f" % ratios
                 print(line)
 

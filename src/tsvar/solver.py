@@ -7,7 +7,9 @@ Three routes:
   (unknowns are the interior trajectory values): per step, one
   second-order evaluation of L along the iterate, from which the exact
   Hessian of the discrete action is assembled, symmetric and block-
-  tridiagonal, and one evaluation along each trial iterate,
+  tridiagonal, and one evaluation along each trial iterate; a scalar
+  Hessian that strict diagonal dominance proves well conditioned is
+  solved on its band in O(N), any other one as a dense matrix,
 * enumeration of the slope sequences over a finite alphabet that end at
   the boundary value, used as a ground-truth oracle on small instances:
   a walk over sequence prefixes that drops a prefix once the boundary
@@ -244,20 +246,69 @@ def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
     return H.reshape(m * n, m * n)
 
 
+class _Tridiagonal:
+    """|H| for a scalar H, the symmetric tridiagonal matrix of diagonal d
+    and off-diagonal e, both non-negative, as far as :func:`_floor`,
+    :func:`_certified` and :func:`_check_condition` read it: the product
+    with a vector, the row sums, the row maxima, the largest entry and the
+    diagonal, each in O(N), the zeros off the band adding nothing."""
+
+    __slots__ = ("d", "e")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self.d, self.e = d, e
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        product = self.d * y
+        product[:-1] += self.e * y[1:]
+        product[1:] += self.e * y[:-1]
+        return product
+
+    def sum(self, axis: int) -> np.ndarray:  # row sums, equal to column sums
+        return self @ np.ones_like(self.d)
+
+    def max(self, axis: int | None = None):
+        rows = self.d.copy()  # np.maximum, as a max, spreads NaN
+        np.maximum(rows[:-1], self.e, out=rows[:-1])
+        np.maximum(rows[1:], self.e, out=rows[1:])
+        return rows if axis == 1 else rows.max()
+
+    def diagonal(self) -> np.ndarray:
+        return self.d
+
+
+def _eliminate(d: np.ndarray, e: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The solution y of H y = r, H the symmetric tridiagonal matrix of
+    diagonal d and off-diagonal e, by Gaussian elimination without
+    pivoting: a forward sweep and a back substitution in plain floats,
+    O(N), with no BLAS call.  For a strictly diagonally dominant H every
+    pivot is nonzero and the elimination is stable (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 9.5)."""
+    d, e, y = d.tolist(), e.tolist(), r.tolist()
+    for i, c in enumerate(e):  # d[i] becomes the pivot of row i
+        m = c / d[i]
+        d[i + 1] -= m * c
+        y[i + 1] -= m * y[i]
+    y[-1] /= d[-1]
+    for i in range(len(e) - 1, -1, -1):
+        y[i] = (y[i] - e[i] * y[i + 1]) / d[i]
+    return np.array(y)
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def _floor(A: np.ndarray, w: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
     """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of the
-    residual F at x, J = -H/mu its Jacobian, from A = |H| and the rows'
-    mu w, both perhaps times one power of two; inf, which stops no solve,
-    if the sum overflows."""
+    residual F at x, J = -H/mu its Jacobian, from A = |H|, dense or
+    :class:`_Tridiagonal`, and the rows' mu w, both perhaps times one power
+    of two; inf, which stops no solve, if the sum overflows."""
     return _EPS * ((A @ np.abs(x)) / w + np.abs(F)).max()
 
 
 @np.errstate(over="ignore")  # an overflowing sum certifies nothing
 def _certified(A: np.ndarray, n: int) -> bool:
-    """Whether A = |H|, H symmetric and block-tridiagonal with n x n
-    blocks, proves cond_2(H) <= CONDITION_LIMIT / 2 by strict diagonal
-    dominance.
+    """Whether A = |H|, dense or :class:`_Tridiagonal`, H symmetric and
+    block-tridiagonal with n x n blocks, proves cond_2(H) <=
+    CONDITION_LIMIT / 2 by strict diagonal dominance.
 
     With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <=
     1 / alpha (Varah, Linear Algebra Appl. 11, 1975); H being symmetric,
@@ -325,6 +376,13 @@ def solve_newton(
     SingularSystem.  A strictly diagonally dominant H whose Varah bound
     (Varah 1975) is at most half the limit passes without an SVD, and any
     other H goes to np.linalg.cond (:func:`_check_condition`).
+
+    For n = 1, H is tridiagonal: the finiteness test, the floor and the
+    Varah bound are read from its two bands in O(N), and an H that the
+    bound passes is solved on the band by elimination without pivoting
+    (:func:`_eliminate`), O(N) in time and memory.  Any other H, n >= 2 or
+    a scalar H the bound does not pass, is built dense, (n(N-2))^2 floats,
+    and solved by np.linalg.solve in O((nN)^3).
     """
     return _newton(p, q_init, opts).q
 
@@ -352,8 +410,12 @@ def _newton(
             return e
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        H = _dense(*_hessian(p, e, k))
-        A = np.abs(H)
+        D, E = _hessian(p, e, k)
+        if p.dim == 1:  # H tridiagonal: |H| from its bands
+            A = _Tridiagonal(np.abs(D.ravel()), np.abs(E.ravel()))
+        else:
+            H = _dense(D, E)
+            A = np.abs(H)
         with np.errstate(over="ignore"):  # J = -H/mu can overflow where H does not
             finite = math.isfinite((A.max(axis=1) / w).max())
         floor = _floor(A, w, x, F) if finite else math.nan  # no J, no floor
@@ -363,8 +425,13 @@ def _newton(
             raise NoConvergence(e.q, history)
         if not finite:  # the SVD would fail
             raise SingularSystem("jacobian has non-finite entries")
-        _check_condition(A, H, p.dim)
-        dx = np.linalg.solve(H, w * F)
+        if p.dim == 1 and _certified(A, 1):  # stable without pivoting
+            dx = _eliminate(D.ravel(), E.ravel(), w * F)
+        else:
+            if p.dim == 1:
+                H = _dense(D, E)
+            _check_condition(A, H, p.dim)
+            dx = np.linalg.solve(H, w * F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx

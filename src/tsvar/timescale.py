@@ -17,6 +17,7 @@ for the resolution to grow.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -196,11 +197,11 @@ class TimeScale:
         if not (h > 0):
             raise TimeScaleError("need step h > 0")
         ratio = (b - a) / h
-        if not ratio <= MAX_POINTS - 1:  # also an infinite ratio
-            raise TimeScaleError(f"(b-a)/h = {ratio!r} exceeds {MAX_POINTS} points")
-        k = round(ratio)
-        if abs(ratio - k) > 1e-9:
+        k = round(ratio) if math.isfinite(ratio) else ratio
+        if abs(ratio - k) > 1e-9:  # NaN for an infinite ratio: not raised
             raise TimeScaleError(f"(b-a)/h = {ratio!r} is not integral")
+        if not k <= MAX_POINTS - 1:  # the rounded count; also inf and NaN
+            raise TimeScaleError(f"(b-a)/h = {ratio!r} exceeds {MAX_POINTS} points")
         if k < 2:
             raise TimeScaleError("a time scale needs at least three points")
         return cls(np.linspace(a, b, k + 1), "S" * k)

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -851,19 +852,29 @@ class TestConditionGuard:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_bits_as_the_svd_only_guard(self, seed, monkeypatch):
-        # Newton with every verdict left to np.linalg.cond takes the same
-        # iterates and stops with the same bits, or fails the same way
+        # Newton with every verdict left to np.linalg.cond, so that every
+        # step is solved dense, takes the same iterates and stops with the
+        # same bits, or fails the same way, wherever no step took the band:
+        # n >= 2, and scalar Hessians the blocks do not certify.  Where a
+        # certified scalar step was eliminated on its band instead, the two
+        # runs differ by rounding only: the same verdict class, and solved
+        # trajectories within 1e-12 (1 + max|q|), the sweep's criterion
         rng = np.random.default_rng(seed)
         problems = []
-        for body in GUARD_BODIES:
-            n, N = int(rng.integers(1, 4)), int(rng.integers(3, 30))
-            h = 2.0 / (N - 1)
-            scale = TimeScale.from_points(
-                0.5 + np.arange(N) * h + rng.uniform(-0.3, 0.3, N) * h
-            )
-            terms = " + ".join(body.format(j=j, k=j % n + 1) for j in range(1, n + 1))
-            q_a, q_b = rng.uniform(-1, 1, (2, n))
-            problems.append(VariationalProblem(scale, Lagrangian(n, terms), q_a, q_b))
+        for dims in ((1, 4), (1, 2)):  # each body again with n = 1
+            for body in GUARD_BODIES:
+                n, N = int(rng.integers(*dims)), int(rng.integers(3, 30))
+                h = 2.0 / (N - 1)
+                scale = TimeScale.from_points(
+                    0.5 + np.arange(N) * h + rng.uniform(-0.3, 0.3, N) * h
+                )
+                terms = " + ".join(
+                    body.format(j=j, k=j % n + 1) for j in range(1, n + 1)
+                )
+                q_a, q_b = rng.uniform(-1, 1, (2, n))
+                problems.append(
+                    VariationalProblem(scale, Lagrangian(n, terms), q_a, q_b)
+                )
         verdicts = []
         certified = solver._certified
 
@@ -872,31 +883,202 @@ class TestConditionGuard:
             return verdicts[-1]
 
         def outcomes():
-            out, hessian = [], solver._hessian
+            # per problem: the verdict class, the solved trajectory, the
+            # bits of every iterate and result, and the band solves
+            runs, hessian, eliminate = [], solver._hessian, solver._eliminate
 
             def recording(p, e, *args):
-                out.append(e.Q.tobytes())
+                runs[-1][2].append(e.Q.tobytes())
                 return hessian(p, e, *args)
+
+            def counted(*args):
+                runs[-1][3].append(None)
+                return eliminate(*args)
 
             with monkeypatch.context() as m:
                 m.setattr(solver, "_hessian", recording)
+                m.setattr(solver, "_eliminate", counted)
                 for p in problems:
+                    runs.append(["ok", None, [], []])
+                    out = runs[-1][2]
                     try:
                         c = solve(p, NewtonOptions(max_iter=8))
+                        runs[-1][1] = c.trajectory.values
                         out.append(c.trajectory.values.tobytes())
-                        out.append((c.action, c.first_el, c.second_el))
+                        out.append(repr((c.action, c.first_el, c.second_el)))
                     except NoConvergence as exc:
-                        out.append((str(exc), exc.history))
+                        runs[-1][0] = NoConvergence
+                        out.append(repr((str(exc), exc.history)))
                         out.append(exc.trajectory.values.tobytes())
                     except SingularSystem as exc:
-                        out.append((type(exc), str(exc)))
-            return [x if isinstance(x, bytes) else repr(x) for x in out]
+                        runs[-1][0] = SingularSystem
+                        out.append(str(exc))
+            return runs
 
         monkeypatch.setattr(solver, "_certified", recorded)
         guarded = outcomes()
         monkeypatch.setattr(solver, "_certified", lambda *args: False)
-        assert outcomes() == guarded
+        dense = outcomes()
         assert True in verdicts and False in verdicts
+        banded = 0
+        for p, (kind, q, bits, band), (dense_kind, q_dense, dense_bits, none) in zip(
+            problems, guarded, dense
+        ):
+            assert none == [] and kind is dense_kind
+            if not band:
+                assert bits == dense_bits
+                continue
+            banded += 1
+            assert p.dim == 1
+            if q is not None:
+                bound = 1e-12 * (1 + np.max(np.abs(q_dense)))
+                assert np.max(np.abs(q - q_dense)) <= bound
+        assert 0 < banded < len(problems)
+
+
+def certified_band(rng, m, kind):
+    """The diagonal and off-diagonal of a random strictly diagonally
+    dominant symmetric tridiagonal matrix of m rows: margins up to the row
+    sums (plain), or diagonals spread over 2^-20 .. 2^20 with each
+    off-diagonal below 0.45 of its smaller neighbour (graded)."""
+    sign = rng.choice([-1.0, 1.0], m)
+    if kind == "graded":
+        d = sign * 2.0 ** rng.uniform(-20, 20, m)
+        e = rng.uniform(-0.45, 0.45, m - 1) * np.minimum(abs(d[:-1]), abs(d[1:]))
+        return d, e
+    e = rng.uniform(-1, 1, m - 1)
+    rows = np.zeros(m)
+    rows[:-1] += abs(e)
+    rows[1:] += abs(e)
+    return sign * (rows + rng.uniform(0.01, 1, m) * np.maximum(rows, 1.0)), e
+
+
+def band_of(D, E):
+    """|H| of the scalar H of blocks D and E, as Newton reads it."""
+    return solver._Tridiagonal(np.abs(D.ravel()), np.abs(E.ravel()))
+
+
+def lq_scalar_problem(N):
+    """t*v1^2 + u1^2 on N uniform points of [1, 2], q 0 -> 2: linear-
+    quadratic, its Hessian certified, so Newton takes one band step."""
+    scale = TimeScale.uniform(1, 2, 1 / (N - 1))
+    return VariationalProblem(scale, Lagrangian(1, "t*v1^2 + u1^2"), [0.0], [2.0])
+
+
+class TestBand:
+    # the scalar Hessian on its band against the dense matrix it stands
+    # for; _dense and np.linalg.solve stay the oracle
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_elimination_equals_the_dense_solve(self, seed):
+        # on certified H the band and the dense solve differ by at most
+        # 4 eps |H^-1| (|H| |y| + |r|), componentwise, a few ulps of the
+        # solution's componentwise condition (measured: 0.86 at most),
+        # from m = 1 unknown (N = 3) up, on graded rows, and with entries
+        # near 1e-300 and 1e300
+        rng = np.random.default_rng(seed)
+        eps = np.finfo(float).eps
+        for m in (1, 2, 3, *rng.integers(4, 120, 6)):
+            for kind in ("plain", "graded"):
+                for scale in (1.0, 1e-300, 1e300):
+                    d, e = certified_band(rng, int(m), kind)
+                    d, e = d * scale, e * scale
+                    D, E = d[:, None, None], e[:, None, None]
+                    assert solver._certified(band_of(D, E), 1)
+                    H = solver._dense(D, E)
+                    r = rng.uniform(-1, 1, int(m))
+                    y = solver._eliminate(d, e, r)
+                    assert y.shape == r.shape
+                    condition = np.abs(np.linalg.inv(H)) @ (
+                        np.abs(H) @ np.abs(y) + np.abs(r)
+                    )
+                    gap = np.abs(y - np.linalg.solve(H, r))
+                    assert np.all(gap <= 4 * eps * condition)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_certificate_and_floor_equal_the_dense_ones(self, seed):
+        # the band's row maxima, largest entry and diagonal are the dense
+        # |H|'s bit for bit; its row sums and floor round within 2 and 4
+        # eps of them, and it certifies what the dense |H| certifies,
+        # wherever Varah's alpha is not within that rounding of zero
+        rng = np.random.default_rng(seed)
+        eps = np.finfo(float).eps
+        seen = set()
+        for kind in ("strict", "graded", "weak", "free", "singular"):
+            for scale in (1.0, 1e-300, 1e300, "overflow"):
+                for _ in range(6):
+                    D, E = symmetric_blocks(rng, 1, int(rng.integers(1, 61)), kind)
+                    if scale == "overflow":
+                        top = max(np.max(np.abs(D)), np.max(np.abs(E), initial=0.0))
+                        D, E = D / (top or 1.0) * 1.5e308, E / (top or 1.0) * 1.5e308
+                    else:
+                        D, E = D * scale, E * scale
+                    A, band = np.abs(solver._dense(D, E)), band_of(D, E)
+                    assert np.array_equal(band.max(axis=1), A.max(axis=1))
+                    assert band.max() == A.max()
+                    assert np.array_equal(band.diagonal(), A.diagonal())
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        rows, dense_rows = band.sum(axis=1), A.sum(axis=1)
+                        gap = np.abs(rows - dense_rows)
+                        norm = dense_rows.max()
+                        alpha = (2 * A.diagonal() - dense_rows).min() - 5 * eps * norm
+                    finite = np.isfinite(dense_rows)
+                    assert np.array_equal(np.isfinite(rows), finite)
+                    assert np.all(gap[finite] <= 2 * eps * dense_rows[finite])
+                    w = rng.uniform(0.1, 1, D.shape[0])
+                    x, F = rng.uniform(-1, 1, (2, D.shape[0]))
+                    floor, dense_floor = (
+                        solver._floor(a, w, x, F) for a in (band, A)
+                    )
+                    if np.isinf(dense_floor):
+                        assert np.isinf(floor)
+                    else:
+                        assert abs(floor - dense_floor) <= 4 * eps * dense_floor
+                    verdict = solver._certified(A, 1)
+                    if not abs(alpha) <= 4 * eps * norm:
+                        assert solver._certified(band, 1) == verdict
+                    seen.add(verdict)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("N", [3, 61, 801])
+    def test_certified_scalar_solve_builds_no_dense_matrix(self, N, monkeypatch):
+        # one band elimination per step, and no dense H, no LAPACK solve
+        # and no SVD; the root is the one the dense solve gives
+        p = lq_scalar_problem(N)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_certified", lambda *args: False)
+            dense = solve_newton(p).values
+        eliminations, eliminate = [], solver._eliminate
+
+        def counted(*args):
+            eliminations.append(None)
+            return eliminate(*args)
+
+        def unreachable(*args):
+            raise AssertionError("dense path taken")
+
+        monkeypatch.setattr(solver, "_eliminate", counted)
+        for module, name in (
+            (solver, "_dense"), (np.linalg, "solve"), (np.linalg, "cond")
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+        q = solve_newton(p).values
+        assert len(eliminations) == 1
+        assert np.max(np.abs(q - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
+
+    def test_memory_is_linear_in_the_points(self):
+        # at N = 2001 the dense H and |H| would take 64 MB; the band solve
+        # peaks at about 1 MB
+        p = lq_scalar_problem(2001)
+        solve(p)  # warm: first-call allocations are not the solve's
+        tracemalloc.start()
+        try:
+            c = solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.provenance is Provenance.NEWTON
+        assert peak < 4 * 2**20, peak
 
 
 def count_svds(monkeypatch):

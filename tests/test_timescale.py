@@ -18,6 +18,7 @@ from tsvar import (
     delta_integral,
     pushforward,
 )
+from tsvar.timescale import MAX_POINTS
 
 
 def mixed_scale():
@@ -60,6 +61,26 @@ class TestConstruction:
     def test_uniform_rejects_non_divisible(self):
         with pytest.raises(TimeScaleError):
             TimeScale.uniform(0, 1, 0.3)
+
+    def test_uniform_takes_exactly_max_points(self):
+        # (2 - 1) / (1/999999) = 999999.0000000001: integral to 1e-9, and
+        # the bound is on the rounded count of gaps
+        T = TimeScale.uniform(1, 2, 1 / 999999)
+        assert T.n == MAX_POINTS == 10**6
+        assert T.points[0] == 1 and T.points[-1] == 2
+
+    @pytest.mark.parametrize(
+        "a, b, h, ratio",
+        [
+            (0, 10**6, 1, "1000000.0"),  # 10^6 + 1 points
+            (0, 1e308, 1e-308, "inf"),
+            (0, np.inf, np.inf, "nan"),
+        ],
+    )
+    def test_uniform_refuses_more_than_max_points(self, a, b, h, ratio):
+        message = f"^\\(b-a\\)/h = {ratio} exceeds 1000000 points$"
+        with pytest.raises(TimeScaleError, match=message):
+            TimeScale.uniform(a, b, h)
 
     def test_dense_interval(self):
         T = TimeScale.dense_interval(0, 1, 1001)
