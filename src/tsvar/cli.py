@@ -26,12 +26,12 @@ import argparse
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
+from .expr import _Record, _set
 from .noether import Transformation, check_conservation, invariance_residual
 from .solver import (
     Extremals,
@@ -75,12 +75,19 @@ def _write_table(row: str, *columns) -> None:
         sys.stdout.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
-@dataclass
-class LoadedProblem:
-    problem: VariationalProblem
-    trajectory: GridFunction | None
-    transformation: Transformation | None
-    newton: NewtonOptions
+class LoadedProblem(_Record):
+    """What a problem file holds; equal only to itself."""
+
+    __slots__ = ("problem", "trajectory", "transformation", "newton")
+
+    def __init__(
+        self, problem: VariationalProblem, trajectory: GridFunction | None,
+        transformation: Transformation | None, newton: NewtonOptions,
+    ):
+        _set(self, "problem", problem)
+        _set(self, "trajectory", trajectory)
+        _set(self, "transformation", transformation)
+        _set(self, "newton", newton)
 
 
 def _field(obj: dict, key: str, convert, default=None):

@@ -27,8 +27,7 @@ differentiable once but not twice along its seeds, raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -63,9 +62,56 @@ class ExprDomainError(ExprError):
         self.subexpression = subexpression
 
 
-class Dual(NamedTuple):
+class _Record:
+    """Base of tsvar's records.  A record's fields are its slots not named
+    with a leading underscore, set once by its ``__init__`` through
+    ``_set``; assigning or deleting an attribute then raises
+    AttributeError.  ``repr`` lists the fields as a dataclass's does, and
+    a record equals only itself unless it is a :class:`_Value`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:  # copy and pickle: (__dict__, slots)
+        for part in state:
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
+    def _key(self) -> tuple:  # the fields' values
+        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
+
+    def __repr__(self) -> str:
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class _Value(_Record):
+    """A record equal to a record of its own class with equal fields, and
+    hashed by them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class Dual(_Record):
     """Forward-mode number: a value, its directional derivatives and, in a
-    second-order pass, its second derivatives.
+    second-order pass, its second derivatives; it unpacks as
+    (value, deriv, hess) and is equal only to itself.
 
     Each part may be a float or a numpy array of frames; the parts
     broadcast against each other.  ``hess`` is None in a first-order
@@ -74,40 +120,56 @@ class Dual(NamedTuple):
     derivative along directions i and j.
     """
 
-    value: float | np.ndarray
-    deriv: float | np.ndarray
-    hess: float | np.ndarray | None = None
+    __slots__ = ("value", "deriv", "hess")
+
+    def __init__(self, value, deriv, hess=None):
+        _set(self, "value", value)
+        _set(self, "deriv", deriv)
+        _set(self, "hess", hess)
+
+    def __iter__(self):
+        return iter((self.value, self.deriv, self.hess))
 
 
 # -- AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Num:
-    value: float
+class _Num(_Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
+class _Var(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class _Neg:
-    arg: object
+class _Neg(_Value):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class _BinOp:
-    op: str
-    left: object
-    right: object
+class _BinOp(_Value):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class _Call:
-    fn: str
-    arg: object
+class _Call(_Value):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 def _walk(root) -> tuple[int, set[str]]:
@@ -132,11 +194,13 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM, NAME, OP, PAREN, EOF
-    text: str
-    pos: int
+class _Token(_Record):
+    __slots__ = ("kind", "text", "pos")  # kind: NUM, NAME, OP, PAREN, EOF
+
+    def __init__(self, kind: str, text: str, pos: int):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -492,21 +556,24 @@ def _broadcast(x, shape):
     return x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape)
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(_Value):
     """A parsed expression, the variable names it may reference and the
     ones it reads.
 
-    Immutable.  ``str`` prints it with the parentheses that ``_PREC``
-    needs, and :meth:`_forward`, a pure function of its arguments, is the
-    only way to evaluate it: on arrays of frames, a single point being a
-    stack of one frame.
+    Immutable, and equal to an expression of the same tree and names.
+    ``str`` prints it with the parentheses that ``_PREC`` needs, and
+    :meth:`_forward`, a pure function of its arguments, is the only way
+    to evaluate it: on arrays of frames, a single point being a stack of
+    one frame.
     """
 
-    root: object
-    variables: tuple[str, ...]
-    reads: frozenset[str]  # the variables the tree names
-    _run: Callable = field(repr=False, compare=False)  # _compile(root)
+    __slots__ = ("root", "variables", "reads", "_run")
+
+    def __init__(self, root, variables: tuple[str, ...], reads: frozenset[str], _run):
+        _set(self, "root", root)
+        _set(self, "variables", variables)
+        _set(self, "reads", reads)  # the variables the tree names
+        _set(self, "_run", _run)  # _compile(root)
 
     def _forward(self, env: Mapping[str, object], seed=None, order: int = 1) -> Dual:
         """Value and directional derivatives at every frame in one pass.

@@ -14,11 +14,9 @@ second_el tau_sigma by the product rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .expr import Expr, parse
+from .expr import Expr, _Record, _set, _Value, parse
 from .timescale import GridFunction
 from .variational import Residual, VariationalProblem, _Along, _along, _frames
 from .variational import _dimension
@@ -32,12 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Transformation:
-    """Generator pair (tau, xi) of a one-parameter transformation family."""
+class Transformation(_Value):
+    """Generator pair (tau, xi) of a one-parameter transformation family,
+    equal to a pair of equal expressions."""
 
-    tau: Expr
-    xi: tuple[Expr, ...]
+    __slots__ = ("tau", "xi")
+
+    def __init__(self, tau: Expr, xi: tuple[Expr, ...]):
+        _set(self, "tau", tau)
+        _set(self, "xi", xi)
 
     @classmethod
     def from_text(
@@ -55,15 +56,20 @@ class Transformation:
         return len(self.xi)
 
 
-@dataclass(frozen=True)
-class NoetherReport:
+class NoetherReport(_Record):
     """Bundle of the invariance magnitude, the conserved samples, and the
-    max-minus-min deviation of those samples.  Pass/fail against a
-    tolerance is left to the caller."""
+    max-minus-min deviation of those samples; equal only to itself.
+    Pass/fail against a tolerance is left to the caller."""
 
-    invariance_magnitude: float
-    conserved: GridFunction
-    conservation_deviation: float
+    __slots__ = ("invariance_magnitude", "conserved", "conservation_deviation")
+
+    def __init__(
+        self, invariance_magnitude: float, conserved: GridFunction,
+        conservation_deviation: float,
+    ):
+        _set(self, "invariance_magnitude", invariance_magnitude)
+        _set(self, "conserved", conserved)
+        _set(self, "conservation_deviation", conservation_deviation)
 
 
 def _sample(

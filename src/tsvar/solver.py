@@ -30,11 +30,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ExprDomainError, ExprError
+from .expr import ExprDomainError, ExprError, _Record, _set, _Value
 from .timescale import GridFunction, TimeScale
 from .variational import Lagrangian, VariationalProblem, _Along, _alongs
 from .variational import _check_trajectory
@@ -87,17 +86,20 @@ class NoConvergence(RuntimeError):
         self.history = history
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    tol: float = 1e-10
-    max_iter: int = 50
+class NewtonOptions(_Value):
+    """Newton's residual target and step limit; equal to options with the
+    same two."""
 
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < np.inf:
+    __slots__ = ("tol", "max_iter")
+
+    def __init__(self, tol: float = 1e-10, max_iter: int = 50):
+        _set(self, "tol", tol)
+        _set(self, "max_iter", max_iter)
+        if not 0 < tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
+        if not isinstance(max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
@@ -107,34 +109,45 @@ class Provenance(enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-@dataclass(frozen=True)
-class Candidate:
-    trajectory: GridFunction
-    provenance: Provenance
-    action: float
-    first_el: float
-    second_el: float
-    slopes: tuple[float, ...] | None = None
+class Candidate(_Record):
+    """A trajectory, the route that found it, its action and first- and
+    second-EL magnitudes, and its slope word if it was enumerated; equal
+    only to itself."""
+
+    __slots__ = (
+        "trajectory", "provenance", "action", "first_el", "second_el", "slopes"
+    )
+
+    def __init__(
+        self, trajectory: GridFunction, provenance: Provenance, action: float,
+        first_el: float, second_el: float, slopes: tuple[float, ...] | None = None,
+    ):
+        _set(self, "trajectory", trajectory)
+        _set(self, "provenance", provenance)
+        _set(self, "action", action)
+        _set(self, "first_el", first_el)
+        _set(self, "second_el", second_el)
+        _set(self, "slopes", slopes)
 
 
-@dataclass(frozen=True, eq=False)
-class Extremals:
+class Extremals(_Record):
     """Enumerated candidates as read-only columns, one row per slope word:
     the slope letters, shape (h, N-1), the trajectory values, shape
     (h, N, n), and the action and first- and second-EL magnitudes, shape
     (h,).  ``len`` is h; ``x[i]`` builds row i's ENUMERATED
     :class:`Candidate`, and iterating yields the rows' candidates in turn;
     any other index, a boolean mask or a slice, gives the record of the
-    rows it selects."""
+    rows it selects.  Equal only to itself."""
 
-    scale: TimeScale
-    slopes: np.ndarray
-    values: np.ndarray
-    action: np.ndarray
-    first_el: np.ndarray
-    second_el: np.ndarray
+    __slots__ = ("scale", "slopes", "values", "action", "first_el", "second_el")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scale: TimeScale, slopes, values, action, first_el, second_el):
+        _set(self, "scale", scale)
+        _set(self, "slopes", slopes)
+        _set(self, "values", values)
+        _set(self, "action", action)
+        _set(self, "first_el", first_el)
+        _set(self, "second_el", second_el)
         for column in self._columns():
             column.setflags(write=False)
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .expr import _Record, _set, _Value
 
 __all__ = [
     "TimeScaleError",
@@ -107,12 +108,15 @@ def _scattered(kind) -> bool:
         raise TimeScaleError(message) from None
 
 
-@dataclass(frozen=True)
-class PointClass:
-    """Side classification of a single point of a time scale."""
+class PointClass(_Value):
+    """Side classification of a single point of a time scale, equal to
+    the classification of the same two sides."""
 
-    left_scattered: bool
-    right_scattered: bool
+    __slots__ = ("left_scattered", "right_scattered")
+
+    def __init__(self, left_scattered: bool, right_scattered: bool):
+        _set(self, "left_scattered", left_scattered)
+        _set(self, "right_scattered", right_scattered)
 
     @property
     def is_isolated(self) -> bool:
@@ -133,8 +137,7 @@ class PointClass:
         return f"{left}+{right}"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TimeScale:
+class TimeScale(_Record):
     """Strictly increasing points with one :class:`GapKind` per adjacent pair.
 
     Use the factory constructors (:meth:`from_points`, :meth:`uniform`,
@@ -146,12 +149,11 @@ class TimeScale:
     :meth:`mu` and :meth:`sigma` of every point as read-only arrays.  The
     gap kinds, given as letters or members, are read once into them: gap i
     is SCATTERED exactly when ``mus[i] > 0``, since the points strictly
-    increase, and every per-gap query reads that.
+    increase, and every per-gap query reads that.  Two scales are equal
+    when their points and graininess are.
     """
 
-    points: np.ndarray
-    mus: np.ndarray
-    sigmas: np.ndarray
+    __slots__ = ("points", "mus", "sigmas", "__dict__")  # __dict__: cached_property
 
     def __init__(self, points: Sequence[float], gaps: Iterable[GapKind | str]) -> None:
         pts = np.asarray(points, dtype=float).copy()
@@ -179,7 +181,7 @@ class TimeScale:
         sigmas[:-1] += scattered
         for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _set(self, name, arr)
 
     # -- constructors -------------------------------------------------
 
@@ -364,14 +366,17 @@ class TimeScale:
             and np.array_equal(self.mus, other.mus)
         )
 
+    def __hash__(self) -> int:  # equal scales have equal points
+        return hash((self.n, self.a, self.b))
+
     def __repr__(self) -> str:
         kinds = "".join(self._letters())
         return f"TimeScale(n={self.n}, [{self.a:g}, {self.b:g}], gaps={kinds!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Vector-valued samples on a leading prefix of a time scale.
+class GridFunction(_Record):
+    """Vector-valued samples on a leading prefix of a time scale; equal
+    only to itself.
 
     ``values`` has one length-``dim`` row per covered point.  A full grid
     function covers every point of ``base``; derivative-like results cover
@@ -379,27 +384,27 @@ class GridFunction:
     that involved a DENSE-gap approximation somewhere upstream.
     """
 
-    base: TimeScale
-    values: np.ndarray
-    approximate: bool = False
+    __slots__ = ("base", "values", "approximate")
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, base: TimeScale, values: np.ndarray, approximate: bool = False):
+        vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
         if vals.ndim != 2:
             raise TimeScaleError("values must be a 1-D or 2-D array")
         if vals.shape[0] < 1:
             raise TimeScaleError("values must cover at least one point")
-        if vals.shape[0] > self.base.n:
+        if vals.shape[0] > base.n:
             raise TimeScaleError(
-                f"value count {vals.shape[0]} exceeds scale size {self.base.n}"
+                f"value count {vals.shape[0]} exceeds scale size {base.n}"
             )
         if vals.shape[1] < 1:
             raise TimeScaleError("dimension must be at least 1")
         vals = vals.copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _set(self, "base", base)
+        _set(self, "values", vals)
+        _set(self, "approximate", approximate)
 
     @classmethod
     def sample(

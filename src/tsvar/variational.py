@@ -28,11 +28,9 @@ Lagrangian variables follow a fixed naming convention: ``t`` for time,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .expr import _broadcast, parse
+from .expr import _broadcast, _Record, _set, parse
 from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
@@ -133,51 +131,51 @@ class Lagrangian:
         return f"Lagrangian(dim={self.dim}, body={str(self.body)!r})"
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
-    """A time scale, a Lagrangian, and fixed boundary values."""
+class VariationalProblem(_Record):
+    """A time scale, a Lagrangian, and fixed boundary values; equal only
+    to itself."""
 
-    scale: TimeScale
-    lagrangian: Lagrangian
-    q_a: np.ndarray
-    q_b: np.ndarray
+    __slots__ = ("scale", "lagrangian", "q_a", "q_b")
 
-    def __post_init__(self) -> None:
-        if self.scale.n < 3:
+    def __init__(
+        self, scale: TimeScale, lagrangian: Lagrangian, q_a: np.ndarray, q_b: np.ndarray
+    ):
+        if scale.n < 3:
             raise ValueError("the scale needs at least three points")
-        qa = np.atleast_1d(np.asarray(self.q_a, dtype=float)).copy()
-        qb = np.atleast_1d(np.asarray(self.q_b, dtype=float)).copy()
-        n = self.lagrangian.dim
+        qa = np.atleast_1d(np.asarray(q_a, dtype=float)).copy()
+        qb = np.atleast_1d(np.asarray(q_b, dtype=float)).copy()
+        n = lagrangian.dim
         if qa.shape != (n,) or qb.shape != (n,):
             raise ValueError(f"boundary vectors must have length {n}")
         if not np.all(np.isfinite([qa, qb])):
             raise ValueError(f"boundary vectors must be finite: q_a {qa}, q_b {qb}")
-        for name, arr in (("q_a", qa), ("q_b", qb)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        qa.setflags(write=False)
+        qb.setflags(write=False)
+        _set(self, "scale", scale)
+        _set(self, "lagrangian", lagrangian)
+        _set(self, "q_a", qa)
+        _set(self, "q_b", qb)
 
     @property
     def dim(self) -> int:
         return self.lagrangian.dim
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Pointwise residual values over a leading prefix of a scale.
+class Residual(_Record):
+    """Pointwise residual values over a leading prefix of a scale; equal
+    only to itself.
 
     ``magnitude`` is the max-norm over all entries.  ``approximate`` is
     set when any DENSE gap contributed to the computation.
     """
 
-    kind: str
-    points: np.ndarray
-    values: np.ndarray
-    approximate: bool
-    magnitude: float = field(init=False)
+    __slots__ = ("kind", "points", "values", "approximate", "magnitude")
 
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).copy()
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(
+        self, kind: str, points: np.ndarray, values: np.ndarray, approximate: bool
+    ):
+        pts = np.asarray(points, dtype=float).copy()
+        vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
         vals = vals.copy()
@@ -185,15 +183,14 @@ class Residual:
             raise ValueError("points and values must have matching length")
         pts.setflags(write=False)
         vals.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "magnitude", float(np.max(np.abs(vals))) if vals.size else 0.0
-        )
+        _set(self, "kind", kind)
+        _set(self, "points", pts)
+        _set(self, "values", vals)
+        _set(self, "approximate", approximate)
+        _set(self, "magnitude", float(np.max(np.abs(vals))) if vals.size else 0.0)
 
 
-@dataclass(frozen=True)
-class _Along:
+class _Along(_Record):
     """L and its first partials at the frames (t, U, v) = (t, q_sigma,
     q_delta) that :func:`_frames` built from the trajectory values Q, with
     the graininess mu there.  Q is one trajectory, shape (N, n), or a stack
@@ -202,17 +199,20 @@ class _Along:
     record's trajectory.  Every method reads a stack, one array pass per
     quantity, and gives entry i the floats trajectory i's own record gives."""
 
-    p: VariationalProblem
-    t: np.ndarray
-    mu: np.ndarray
-    approximate: bool
-    Q: np.ndarray
-    U: np.ndarray
-    v: np.ndarray
-    L: np.ndarray
-    Lt: np.ndarray
-    Lu: np.ndarray
-    Lv: np.ndarray
+    __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
+
+    def __init__(self, p, t, mu, approximate, Q, U, v, L, Lt, Lu, Lv):
+        _set(self, "p", p)
+        _set(self, "t", t)
+        _set(self, "mu", mu)
+        _set(self, "approximate", approximate)
+        _set(self, "Q", Q)
+        _set(self, "U", U)
+        _set(self, "v", v)
+        _set(self, "L", L)
+        _set(self, "Lt", Lt)
+        _set(self, "Lu", Lu)
+        _set(self, "Lv", Lv)
 
     def __getitem__(self, i) -> "_Along":
         return _Along(

@@ -1,0 +1,210 @@
+"""The records tsvar returns: immutable, with the constructor keywords and
+defaults of their documented signatures, and an equality that never
+raises, identity for records that hold arrays, value equality for
+expressions, point classes, Newton options and transformations.  And a
+fresh import compiles tsvar's own files and no generated code."""
+
+import copy
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tsvar import (
+    Candidate,
+    Expr,
+    Extremals,
+    GridFunction,
+    Lagrangian,
+    NewtonOptions,
+    NoetherReport,
+    PointClass,
+    Provenance,
+    Residual,
+    TimeScale,
+    Transformation,
+    VariationalProblem,
+    check_conservation,
+    enumerate_slope_extremals,
+    first_el_residual,
+    parse,
+)
+from tsvar.cli import LoadedProblem
+from tsvar.expr import Dual
+
+ROOT = Path(__file__).resolve().parents[1]
+EMPTY = inspect.Parameter.empty
+
+# each public record's constructor: its parameters, and the defaults of those
+# that have one
+SIGNATURES = {
+    Expr: ("root", "variables", "reads", "_run"),
+    Dual: ("value", "deriv", ("hess", None)),
+    PointClass: ("left_scattered", "right_scattered"),
+    TimeScale: ("points", "gaps"),
+    GridFunction: ("base", "values", ("approximate", False)),
+    VariationalProblem: ("scale", "lagrangian", "q_a", "q_b"),
+    Residual: ("kind", "points", "values", "approximate"),
+    NewtonOptions: (("tol", 1e-10), ("max_iter", 50)),
+    Candidate: (
+        "trajectory", "provenance", "action", "first_el", "second_el", ("slopes", None)
+    ),
+    Extremals: ("scale", "slopes", "values", "action", "first_el", "second_el"),
+    Transformation: ("tau", "xi"),
+    NoetherReport: ("invariance_magnitude", "conserved", "conservation_deviation"),
+    LoadedProblem: ("problem", "trajectory", "transformation", "newton"),
+}
+VALUE_RECORDS = {"Expr", "PointClass", "NewtonOptions", "Transformation"}
+
+
+def build() -> dict:
+    """One of each public record, by name, built afresh on every call from
+    the same inputs, with arrays in two dimensions where a record holds
+    them."""
+    scale = TimeScale.from_points([0.0, 0.5, 1.25, 2.0])
+    p = VariationalProblem(scale, Lagrangian(2, "v1^2 + v2^2 + u1*u2"), [0, 0], [1, 2])
+    q = GridFunction(scale, np.outer(scale.points, [0.5, 1.0]))
+    tr = Transformation.from_text(2, "1", ["0", "0"])
+    quartic = VariationalProblem(
+        TimeScale.uniform(0, 1, 0.25), Lagrangian(1, "(v1^2 - 1)^2"), [0.0], [0.0]
+    )
+    extremals = enumerate_slope_extremals(quartic, [-1.0, 0.0, 1.0])
+    e = parse("v1^2 + t*u2", ["t", "u1", "u2", "v1", "v2"])
+    records = [
+        e,
+        e._forward({"t": [1.0, 2.0], "u1": 0, "u2": 1, "v1": 3, "v2": 0}),
+        scale.classify(1),
+        scale,
+        q,
+        p,
+        first_el_residual(p, q),
+        NewtonOptions(tol=1e-9, max_iter=7),
+        Candidate(q, Provenance.NEWTON, 1.0, 0.0, 0.0),
+        extremals,
+        tr,
+        check_conservation(p, q, tr),
+        LoadedProblem(p, q, tr, NewtonOptions()),
+    ]
+    return {type(x).__name__: x for x in records}
+
+
+@pytest.fixture(scope="module")
+def twins():
+    return build(), build()
+
+
+def test_every_public_record_is_built():
+    assert set(build()) == {cls.__name__ for cls in SIGNATURES}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_constructor_keywords_and_defaults(cls):
+    want = [(p, EMPTY) if isinstance(p, str) else p for p in SIGNATURES[cls]]
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == want
+    assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("name", sorted(build()))
+def test_fields_cannot_be_assigned_or_deleted(name, twins):
+    x = twins[0][name]
+    fields = [f for f in type(x).__slots__ if f != "__dict__"]
+    assert fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.unknown = 1
+
+
+@pytest.mark.parametrize("name", sorted(build()))
+def test_equality_and_hash_never_raise(name, twins):
+    x, y = twins[0][name], twins[1][name]
+    assert x == x and not x != x
+    assert isinstance(hash(x), int) and hash(x) == hash(x)
+    same = x == y
+    assert isinstance(hash(y), int)
+    if name in VALUE_RECORDS:
+        assert same and hash(x) == hash(y)
+    elif name == "TimeScale":  # equal points and graininess
+        assert same and hash(x) == hash(y)
+    else:
+        assert not same and x != y
+
+
+@pytest.mark.parametrize("name", sorted(build()))
+def test_copies_keep_every_field(name, twins):
+    x = twins[0][name]
+    for twin in (copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is type(x)
+        for field in [f for f in type(x).__slots__ if f != "__dict__"]:
+            a, b = getattr(twin, field), getattr(x, field)
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert type(a) is type(b)
+
+
+def test_value_equality():
+    e = parse("-(x + 2.5)^3 * sin(y) / 1e3 - x^-2", ["x", "y"])
+    again = parse(str(e), ["x", "y"])
+    assert again == e and hash(again) == hash(e)
+    assert parse(str(e), ["x", "y", "z"]) != e
+    assert PointClass(True, False) == PointClass(
+        left_scattered=True, right_scattered=False
+    )
+    assert PointClass(True, False) != PointClass(False, True)
+    assert NewtonOptions() == NewtonOptions(1e-10, 50) != NewtonOptions(max_iter=5)
+    assert NewtonOptions() != (1e-10, 50)
+
+
+def test_expression_repr_is_the_dataclass_text():
+    e = parse("-(x + 2.5)^3 * sin(y) / 1e3 - x^-2", ["x", "y"])
+    assert repr(e.root) == (
+        "_BinOp(op='-', left=_BinOp(op='/', left=_BinOp(op='*', left=_Neg("
+        "arg=_BinOp(op='^', left=_BinOp(op='+', left=_Var(name='x'), right="
+        "_Num(value=2.5)), right=_Num(value=3.0))), right=_Call(fn='sin', "
+        "arg=_Var(name='y'))), right=_Num(value=1000.0)), right=_BinOp(op='^', "
+        "left=_Var(name='x'), right=_Neg(arg=_Num(value=2.0))))"
+    )
+    assert repr(NewtonOptions()) == "NewtonOptions(tol=1e-10, max_iter=50)"
+
+
+def test_dual_unpacks_as_value_deriv_hess():
+    d = Dual(1.0, 2.0)
+    assert tuple(d) == (1.0, 2.0, None)
+    value, deriv, hess = Dual(1.0, 2.0, 3.0)
+    assert (value, deriv, hess) == (d.value, d.deriv, 3.0)
+
+
+GUARD = """
+import sys
+import numpy
+before, compiled = set(sys.modules), []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+import tsvar, tsvar.cli
+print(sum(name == "<string>" for name in compiled))
+print("dataclasses" in set(sys.modules) - before)
+"""
+
+
+def test_import_compiles_no_generated_code():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

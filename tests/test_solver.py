@@ -1805,7 +1805,7 @@ class TestExtremals:
 
     def test_no_trajectory_object_on_the_enumeration_path(self, count_calls):
         # rows stay columns: a GridFunction is built only when a row is read
-        calls = count_calls(GridFunction, "__post_init__")
+        calls = count_calls(GridFunction, "__init__")
         p = quartic_problem()
         r = filter_second_el(enumerate_slope_extremals(p, [-1.0, 0.0, 1.0]))
         assert len(r) == 71 and len(calls) == 0
