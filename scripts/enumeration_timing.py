@@ -4,7 +4,10 @@
 Times the enumeration layer alone, on problems built in memory, over the
 alphabet {-1, 0, 1}: the quartic file ``problems/quartic.json`` (8 gaps),
 the quartic (v1^2 - 1)^2 on 12 uniform gaps of [0, 1], and
-v1^2 + 1.3*u1^2 on 14 gaps alternating 0.125 and 0.0625, both from 0 to 0.
+v1^2 + 1.3*u1^2 on 14 gaps alternating 0.125 and 0.0625, both from 0 to 0;
+and over 3000 letters evenly spaced in [-1, 1], v1^2 + 0.5*u1^2 on 2
+gaps of [0, 1] from 0 to 0 (about 25 ms a call), whose second level the
+walk extends in many small passes.
 Each row gives the boundary hits (the rows kept at tol = inf), the frames
 that L's kernel passes received, the kept rows (the first-EL extremals)
 and the minimum over repeats of the mean of a timed loop, in CPU time of
@@ -42,6 +45,7 @@ import numpy as np
 import tsvar
 
 LETTERS = (-1.0, 0.0, 1.0)
+WIDE = tuple(np.linspace(-1, 1, 3000).tolist())
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 SECONDS_PER_REPEAT = 0.05
 
@@ -61,24 +65,37 @@ def load_tree(src: Path):
 
 
 def cases(pkg) -> dict:
-    """The timed problems, built from the package ``pkg``'s own classes."""
+    """The timed problems and their alphabets, built from the package
+    ``pkg``'s own classes."""
     TimeScale, Lagrangian, Problem = (
         pkg.TimeScale, pkg.Lagrangian, pkg.VariationalProblem
     )
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     lq_scale = TimeScale.from_points(np.cumsum([0.0] + [0.125, 0.0625] * 7))
     return {
-        "quartic.json": cli.load_problem(QUARTIC).problem,
-        "quartic, 12 gaps": Problem(
-            TimeScale.uniform(0, 1, 1 / 12), Lagrangian(1, "(v1^2 - 1)^2"), [0.0], [0.0]
+        "quartic.json": (cli.load_problem(QUARTIC).problem, LETTERS),
+        "quartic, 12 gaps": (
+            Problem(
+                TimeScale.uniform(0, 1, 1 / 12), Lagrangian(1, "(v1^2 - 1)^2"),
+                [0.0], [0.0],
+            ),
+            LETTERS,
         ),
-        "v1^2 + 1.3*u1^2, 14 gaps": Problem(
-            lq_scale, Lagrangian(1, "v1^2 + 1.3*u1^2"), [0.0], [0.0]
+        "v1^2 + 1.3*u1^2, 14 gaps": (
+            Problem(lq_scale, Lagrangian(1, "v1^2 + 1.3*u1^2"), [0.0], [0.0]),
+            LETTERS,
+        ),
+        "3000 letters, 2 gaps": (
+            Problem(
+                TimeScale.uniform(0, 1, 0.5), Lagrangian(1, "v1^2 + 0.5*u1^2"),
+                [0.0], [0.0],
+            ),
+            WIDE,
         ),
     }
 
 
-def counts(pkg, p) -> tuple[int, int, int]:
+def counts(pkg, p, letters) -> tuple[int, int, int]:
     """The boundary hits, the frames that one call's kernel passes receive,
     and its kept rows."""
     L, frames = p.lagrangian, []
@@ -90,18 +107,18 @@ def counts(pkg, p) -> tuple[int, int, int]:
 
     L.partials = counted  # this instance only
     try:
-        rows = len(pkg.enumerate_slope_extremals(p, LETTERS))
+        rows = len(pkg.enumerate_slope_extremals(p, letters))
     finally:
         del L.partials
-    hits = len(pkg.enumerate_slope_extremals(p, LETTERS, tol=np.inf))
+    hits = len(pkg.enumerate_slope_extremals(p, letters, tol=np.inf))
     return hits, sum(frames), rows
 
 
-def timer(pkg, p) -> tuple[timeit.Timer, int]:
+def timer(pkg, p, letters) -> tuple[timeit.Timer, int]:
     """A CPU-time timer of one call, and the number of calls that take
     about SECONDS_PER_REPEAT."""
     t = timeit.Timer(
-        lambda: pkg.enumerate_slope_extremals(p, LETTERS), timer=time.process_time
+        lambda: pkg.enumerate_slope_extremals(p, letters), timer=time.process_time
     )
     once = min(t.repeat(2, 1))
     return t, max(1, int(SECONDS_PER_REPEAT / max(once, 1e-7)))
@@ -137,8 +154,8 @@ def main() -> None:
     print(head + (f"  {'against':>8}  {'ratio':>6}" if args.against else ""))
     problems = [cases(pkg) for pkg in packages]
     for name in problems[0]:
-        hits, frames, rows = counts(tsvar, problems[0][name])
-        timers = [timer(pkg, ps[name]) for pkg, ps in zip(packages, problems)]
+        hits, frames, rows = counts(tsvar, *problems[0][name])
+        timers = [timer(pkg, *ps[name]) for pkg, ps in zip(packages, problems)]
         means = seconds_per_call(timers, args.repeat)
         ms = means.min(axis=0) * 1e3
         line = f"{name:>24}  {hits:>6}  {frames:>7}  {rows:>6}  {ms[0]:8.3f}"

@@ -80,6 +80,8 @@ class _Record:
     def __setstate__(self, state) -> None:  # copy and pickle: (__dict__, slots)
         for part in state:
             for name, value in (part or {}).items():
+                if isinstance(value, np.ndarray):  # numpy's copies are writable
+                    (value := value.view()).setflags(write=False)
                 _set(self, name, value)
 
     def _key(self) -> tuple:  # the fields' values
@@ -618,6 +620,13 @@ class Expr(_Value):
     def __str__(self) -> str:
         return _print(self.root)
 
+    def __reduce__(self):  # copy and pickle: the tree, its closures compiled anew
+        return _compiled, (self.root, self.variables, self.reads)
+
+
+def _compiled(root, variables: tuple[str, ...], reads: frozenset[str]) -> Expr:
+    return Expr(root, variables, reads, _compile(root))
+
 
 def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     """Parse ``text`` against the declared variable names.
@@ -644,4 +653,4 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
     height, reads = _walk(root)
     if height > MAX_DEPTH:  # a long chain of binary operators
         raise ExprSyntaxError(_TOO_DEEP, 0)
-    return Expr(root, names, frozenset(reads), _compile(root))
+    return _compiled(root, names, frozenset(reads))

@@ -54,8 +54,8 @@ __all__ = [
 
 ENUMERATION_GUARD = 10**8
 BOUNDARY_HIT_TOL = 1e-9
-# prefixes per chunk of the enumeration walk (bar one prefix's letters)
-# and boundary hits per kernel pass over their prefix tree (with two or
+# words per pass of the enumeration walk (bar one prefix's letters) and
+# boundary hits per kernel pass over their prefix tree (with two or
 # more letters the tree has at most 26 levels, since 2^27 words exceed the
 # guard, and no level more nodes than hits)
 _BLOCK_WORDS = 2**13
@@ -505,14 +505,12 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     mu_j: the additions of :meth:`GridFunction.from_slopes`, so the ends
     are the ones that expansion gives.  A prefix is dropped once no
     completion can end near q_b, and a non-finite one at once: it stays
-    non-finite.  The tree is walked once, depth first, in chunks: a chunk
-    that one more level would take past ``_BLOCK_WORDS`` prefixes is split
-    in half, the first half walked first, but a one-prefix chunk is
-    extended anyway.  So each level's prefixes are found in lexicographic
-    order (an empty chunk is walked too, so every level gets one), and
-    each is recorded as its slot, m times its parent's position plus its
-    letter's index.  The prefixes that reach no hit, those without a
-    child, are then dropped level by level, bottom up.
+    non-finite.  The tree is walked once, level by level, a level's
+    prefixes extended in order, ``_BLOCK_WORDS // m`` at a time (one at
+    least), so each level comes out whole and in lexicographic order, and
+    each prefix is recorded as its slot, m times its parent's position
+    plus its letter's index.  The prefixes that reach no hit, those
+    without a child, are then dropped level by level, bottom up.
     """
     m, mus, qb = len(letters), p.scale.mus[:-1], float(p.q_b[0])
     gaps, steps = mus.size, np.multiply.outer(mus, letters)  # s * mu, as from_slopes
@@ -540,36 +538,27 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     margin = tol + slack * (2 * abs(qb) + 3 * size + 3 * tol)
     lower = np.fmax(qb - letters[-1] * rest - margin, -big)
     upper = np.fmin(qb - letters[0] * rest + margin, big)
-    ends, slots = [[] for _ in range(gaps + 1)], [[] for _ in range(gaps + 1)]
-    counts = [1] + [0] * gaps  # prefixes found so far per level
-    chunks = [(0, p.q_a[:1], 0)]  # level, ends, position of the first in its level
-    while chunks:
-        j, q, at = chunks.pop()
-        if q.size * m > _BLOCK_WORDS and q.size > 1:
-            half = q.size // 2
-            chunks += [(j, q[half:], at + half), (j, q[:half], at)]
-            continue
-        q = (q[:, None] + steps[j]).ravel()
-        if j == gaps - 1:
-            live = np.abs(q - qb) <= tol  # NaN is no hit
-        else:  # and no bound keeps a NaN
-            live = (q >= lower[j]) & (q <= upper[j])
-        slot = live.nonzero()[0]
-        q, j = q[slot], j + 1
-        ends[j].append(q)
-        slots[j].append(slot + at * m)
-        if j < gaps:
-            chunks.append((j, q, counts[j]))
-        counts[j] += q.size
+    walk, width = [(p.q_a[:1], None)], max(_BLOCK_WORDS // m, 1)  # ends, slots
+    for j in range(gaps):
+        q, passes = walk[j][0], []
+        for at in range(0, max(q.size, 1), width):  # an empty level takes one pass
+            x = (q[at : at + width, None] + steps[j]).ravel()
+            if j == gaps - 1:
+                live = np.abs(x - qb) <= tol  # NaN is no hit
+            else:  # and no bound keeps a NaN
+                live = (x >= lower[j]) & (x <= upper[j])
+            slot = live.nonzero()[0]
+            passes.append((x[slot], slot + at * m))
+        walk.append(tuple(map(_joined, zip(*passes))))
     tree, keep = [], None
     for r in range(gaps, 0, -1):
-        q, slot = _joined(ends[r]), _joined(slots[r])
+        (q, slot), above = walk[r], walk[r - 1][0].size
         if keep is not None:
             q, slot = q[keep], slot[keep]
         parent = slot // m
         code = slot - parent * m  # np.divmod and % take twice as long
-        children, keep = np.bincount(parent, minlength=counts[r - 1]), None
-        if np.count_nonzero(children) < counts[r - 1]:
+        children, keep = np.bincount(parent, minlength=above), None
+        if np.count_nonzero(children) < above:
             alive = children > 0
             keep = alive.nonzero()[0]
             parent = (np.cumsum(alive) - 1)[parent]  # positions among the kept
@@ -579,7 +568,7 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     return tree[::-1]
 
 
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+def _joined(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
@@ -671,14 +660,14 @@ def enumerate_slope_extremals(
     (alphabet sorted ascending).  A NaN or negative ``tol`` raises
     ValueError.
 
-    The prefix tree of the words is walked once, level by level, dropping
-    a prefix once q_b is out of its reach, and the walk keeps the tree of
-    the boundary hits' prefixes (:func:`_hit_tree`).  L is evaluated once
-    per distinct prefix of the hits, in one kernel pass over the subtree
-    of ``_BLOCK_WORDS`` of them in word order (:func:`_extremals`), and
-    only the first-EL extremals get a trajectory.  If a pass fails, its
-    hits are evaluated one by one, so the error is that of the first hit
-    in word order.
+    The prefix tree of the words is walked once, level by level, about
+    ``_BLOCK_WORDS`` words a pass, dropping a prefix once q_b is out of
+    its reach, and the walk keeps the tree of the boundary hits' prefixes
+    (:func:`_hit_tree`).  L is evaluated once per distinct prefix of the
+    hits, in one kernel pass over the subtree of ``_BLOCK_WORDS`` of them
+    in word order (:func:`_extremals`), and only the first-EL extremals
+    get a trajectory.  If a pass fails, its hits are evaluated one by
+    one, so the error is that of the first hit in word order.
     """
     if not p.scale.is_exact_discrete:
         raise ValueError("enumeration needs an exact discrete scale")

@@ -7,6 +7,7 @@ fresh import compiles tsvar's own files and no generated code."""
 import copy
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -140,15 +141,19 @@ def test_equality_and_hash_never_raise(name, twins):
 
 @pytest.mark.parametrize("name", sorted(build()))
 def test_copies_keep_every_field(name, twins):
+    # a copy, a deep copy and a pickle round trip keep each field's type,
+    # an array's bytes and its read-only flag
     x = twins[0][name]
-    for twin in (copy.copy(x), copy.deepcopy(x)):
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is type(x)
         for field in [f for f in type(x).__slots__ if f != "__dict__"]:
             a, b = getattr(twin, field), getattr(x, field)
             if isinstance(b, np.ndarray):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert a.flags.writeable <= b.flags.writeable, field
             else:
                 assert type(a) is type(b)
+        assert twin == x or name not in VALUE_RECORDS
 
 
 def test_value_equality():

@@ -1332,6 +1332,23 @@ class TestEnumeration:
         assert len(calls) == 1
         assert len(cands) == 91
 
+    def test_walk_extends_a_wide_level_in_small_passes(self):
+        # 3000 letters over 2 gaps: level 2 holds 9e6 words, 72 MB of floats
+        # if extended in one pass; the walk extends its 3000 prefixes
+        # _BLOCK_WORDS // 3000 at a time and peaks at about 1 MB
+        scale = TimeScale.uniform(0, 1, 0.5)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 0.5*u1^2"), [0.0], [0.0])
+        letters = tuple(np.linspace(-1, 1, 3000).tolist())
+        solver._hit_tree(p, letters)  # warm: first-call allocations are not the walk's
+        tracemalloc.start()
+        try:
+            tree = solver._hit_tree(p, letters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [level[0].size for level in tree] == [3000, 3000]
+        assert peak < 8 * 2**20, peak
+
     def test_quartic_actions_in_one_stack_pass(self, count_calls):
         # one action pass over the hits' stack record, none per survivor
         calls = count_calls(_Along, "action")
@@ -1414,7 +1431,8 @@ class TestEnumeration:
         return sizes
 
     # a block of 1200 (quartic file, 1107 hits) or 100 (3^13 words, 91
-    # hits) splits the walk into chunks, but the hits still fit one pass
+    # hits) splits a level of the walk into passes, but the hits still fit
+    # one kernel pass
     @pytest.mark.parametrize(
         "case",
         [
@@ -1429,14 +1447,14 @@ class TestEnumeration:
         # frame j of a word reads only its first j+1 letters: the kernel
         # pass takes one frame per distinct prefix of the hits, not one
         # per (hit, frame), none for a prefix that reaches no hit, and a
-        # prefix shared across a seam of the walk's chunks once
+        # prefix shared across a seam of the walk's passes once
         p, frames = self._case(case.removesuffix("-split-walk"))
         letters = [-1.0, 0.0, 1.0]
         words = self._hit_words(p, letters)
         assert sum(self._prefixes(words)) == frames
         if case.endswith("-split-walk"):
             block = 1200 if case.startswith("quartic-file") else 100
-            # some level holds more hit prefixes than one chunk can extend
+            # some level holds more hit prefixes than one pass can extend
             assert len(words) <= block < 3 * max(self._prefixes(words))
             monkeypatch.setattr(solver, "_BLOCK_WORDS", block)
         assert self._pass_sizes(monkeypatch, p, letters) == [frames]
@@ -1610,8 +1628,8 @@ class TestEnumerationOracle:
     trajectory bytes, action, residuals, provenance, exceptions and
     warnings are equal bit for bit."""
 
-    # blocks of 1 to 3 words split the walk's chunks at every level and are
-    # narrower than the alphabet
+    # blocks of 1 to 3 words extend one prefix per pass of the walk at every
+    # level and are narrower than the alphabet
     @pytest.mark.parametrize("block", [solver._BLOCK_WORDS, 251, 1000, 1, 2, 3])
     def test_random_problems(self, block, monkeypatch):
         monkeypatch.setattr(solver, "_BLOCK_WORDS", block)
