@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale
 import sys
 from collections.abc import Iterator
 from functools import cache
-from pathlib import Path
+from os import PathLike
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def _write_table(row: str, *columns) -> None:
     :func:`_fmt` does, and "%12.12g" as ``f"{_fmt(x):>12}"``."""
     for start in range(0, len(columns[0]), _BLOCK):
         block = [np.asarray(c[start : start + _BLOCK], dtype=object) for c in columns]
-        cells = np.column_stack(block)
+        cells = np.concatenate([b.reshape(len(b), -1) for b in block], axis=1)
         sys.stdout.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
@@ -114,7 +115,7 @@ def _object(value) -> dict:
 
 
 def _vector(obj: dict, key: str, n: int) -> np.ndarray:
-    arr = np.atleast_1d(_field(obj, key, _json_floats))
+    arr = np.array(_field(obj, key, _json_floats), dtype=float, ndmin=1)
     if arr.shape != (n,):
         raise ProblemFileError(f"{key} must have {n} component(s)")
     return arr
@@ -134,7 +135,7 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
             arr = arr[:, None]
         if arr.shape != (rows, n):
             raise ProblemFileError(f"{what} must be {rows} x {n}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ProblemFileError(f"{what} must be finite")
         if key == "values":
             return GridFunction(scale, arr)
@@ -142,9 +143,11 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
 
 
-def load_problem(path: str | Path) -> LoadedProblem:
+def load_problem(path: str | PathLike) -> LoadedProblem:
     try:
-        obj = json.loads(Path(path).read_text())
+        with open(path, "rb", buffering=0) as file:  # decoded as text mode would
+            text = file.read().decode(locale.getpreferredencoding(False))
+        obj = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -198,7 +201,7 @@ def default_tol(scale: TimeScale) -> float:
     if scale.is_exact_discrete:
         return 1e-8
     dense = scale.mus[:-1] == 0.0
-    return 10.0 * float(np.max(np.diff(scale.points)[dense]))
+    return 10.0 * float((scale.points[1:] - scale.points[:-1])[dense].max())
 
 
 def _json_chunks(value) -> Iterator[str]:
@@ -351,7 +354,7 @@ def cmd_noether(args) -> int:
     invariance = report.invariance_magnitude
     if args.sweep > 0:
         rng = np.random.default_rng(args.seed)
-        span = 1.0 + float(np.max(np.abs(p.q_a)) + np.max(np.abs(p.q_b)))
+        span = 1.0 + float(np.abs(p.q_a).max() + np.abs(p.q_b).max())
         for _ in range(args.sweep):
             values = rng.uniform(-span, span, size=(p.scale.n, p.dim))
             random_q = GridFunction(p.scale, values)

@@ -196,23 +196,16 @@ _TOKEN = re.compile(
 )
 
 
-class _Token(_Record):
-    __slots__ = ("kind", "text", "pos")  # kind: NUM, NAME, OP, PAREN, EOF
-
-    def __init__(self, kind: str, text: str, pos: int):
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "pos", pos)
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Each token of ``text`` as (kind, text, position), the last one EOF."""
     tokens = []
     for m in _TOKEN.finditer(text):  # each match starts where the last ended
-        tok = _Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-        if tok.kind == "BAD":
-            raise ExprSyntaxError(f"unexpected character {tok.text!r}", tok.pos)
+        kind = m.lastgroup
+        tok = (kind, m[kind], m.start(kind))
+        if kind == "BAD":
+            raise ExprSyntaxError(f"unexpected character {tok[1]!r}", tok[2])
         tokens.append(tok)
-        if tok.kind == "EOF":
+        if kind == "EOF":
             return tokens
 
 
@@ -227,17 +220,17 @@ class _Parser:
         self.i = 0
         self.level = 0  # unary() calls in progress: one per level of nesting
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         self.i += 1
         return self.tokens[self.i - 1]
 
     def accept(self, text: str) -> bool:
         """Whether the next token is the operator or parenthesis ``text``,
         taken if it is."""
-        taken = self.peek().text == text
+        taken = self.tokens[self.i][1] == text
         self.i += taken
         return taken
 
@@ -246,14 +239,14 @@ class _Parser:
         ``min_prec`` or above, each associating to the left.  A unary
         operand takes every ``^`` after it, so only ``+ - * /`` meet here."""
         node = self.unary()
-        while (tok := self.peek()).kind == "OP" and _PREC[tok.text] >= min_prec:
+        while (tok := self.peek())[0] == "OP" and _PREC[tok[1]] >= min_prec:
             self.advance()
-            node = _BinOp(tok.text, node, self.binary(_PREC[tok.text] + 1))
+            node = _BinOp(tok[1], node, self.binary(_PREC[tok[1]] + 1))
         return node
 
     def unary(self):
         if self.level == MAX_DEPTH:
-            raise ExprSyntaxError(_TOO_DEEP, self.peek().pos)
+            raise ExprSyntaxError(_TOO_DEEP, self.peek()[2])
         self.level += 1
         node = _Neg(self.unary()) if self.accept("-") else self.power()
         self.level -= 1
@@ -264,30 +257,28 @@ class _Parser:
         return _BinOp("^", base, self.unary()) if self.accept("^") else base
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "NUM":
-            value = float(tok.text)
+        kind, text, pos = self.advance()
+        if kind == "NUM":
+            value = float(text)
             if value == np.inf:  # a literal past the float range, as 1e309
-                raise ExprSyntaxError(f"number {tok.text} is out of range", tok.pos)
+                raise ExprSyntaxError(f"number {text} is out of range", pos)
             return _Num(value)
-        if tok.kind == "NAME" and self.accept("("):
-            if tok.text not in FUNCTIONS:
-                raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
-            node = _Call(tok.text, self.binary())
-        elif tok.kind == "NAME":
-            if tok.text in FUNCTIONS:
-                raise ExprSyntaxError(
-                    f"function {tok.text!r} needs an argument list", tok.pos
-                )
-            if tok.text not in self.variables:
-                raise ExprSyntaxError(f"undeclared variable {tok.text!r}", tok.pos)
-            return _Var(tok.text)
-        elif tok.text == "(":
+        if kind == "NAME" and self.accept("("):
+            if text not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function {text!r}", pos)
+            node = _Call(text, self.binary())
+        elif kind == "NAME":
+            if text in FUNCTIONS:
+                raise ExprSyntaxError(f"function {text!r} needs an argument list", pos)
+            if text not in self.variables:
+                raise ExprSyntaxError(f"undeclared variable {text!r}", pos)
+            return _Var(text)
+        elif text == "(":
             node = self.binary()
         else:
-            raise ExprSyntaxError("expected a value", tok.pos)
+            raise ExprSyntaxError("expected a value", pos)
         if not self.accept(")"):
-            raise ExprSyntaxError("expected ')'", self.peek().pos)
+            raise ExprSyntaxError("expected ')'", self.peek()[2])
         return node
 
 
@@ -647,9 +638,9 @@ def parse(text: str, variables: Iterable[str] = ()) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text, names)
     root = parser.binary()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+    kind, found, pos = parser.peek()
+    if kind != "EOF":
+        raise ExprSyntaxError(f"unexpected {found!r}", pos)
     height, reads = _walk(root)
     if height > MAX_DEPTH:  # a long chain of binary operators
         raise ExprSyntaxError(_TOO_DEEP, 0)

@@ -146,7 +146,7 @@ def check_conservation(
     for both.
     """
     e, g = _sample(p, q, tr)
-    magnitude = float(np.max(np.abs(_invariance(e, g)[:-1])))
+    magnitude = float(np.abs(_invariance(e, g)[:-1]).max())
     c = _conserved(e, g)
     return NoetherReport(
         invariance_magnitude=magnitude,

@@ -61,7 +61,7 @@ BOUNDARY_HIT_TOL = 1e-9
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
 MAX_HALVINGS = 20
-_EPS = np.finfo(float).eps
+_EPS, _BIG = np.finfo(float).eps, np.finfo(float).max
 
 
 class SingularSystem(RuntimeError):
@@ -397,30 +397,32 @@ def solve_newton(
     a scalar H the bound does not pass, is built dense, (n(N-2))^2 floats,
     and solved by np.linalg.solve in O((nN)^3).
     """
-    return _newton(p, q_init, opts).q
+    return _newton(p, q_init, opts)[0].q
 
 
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
 ) -> _Along:
-    """:func:`solve_newton`, returning the record of the iterate it stops at."""
+    """:func:`solve_newton`, returning the record of the iterate it stops
+    at and the magnitude of that iterate's residual."""
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
-    if q_init is None:
+    if q_init is None:  # its ends are q_a and q_b: nothing to check
         q_init = affine_extremal(p)
-    _check_trajectory(p, q_init)
+    else:
+        _check_trajectory(p, q_init)
     x = q_init.values[1:-1].ravel().copy()
     e, F = _iterate(p, x)  # ends within BOUNDARY_TOL are pinned
     # H dx = mu F is solved times 2^-k, k >= 0 taking every mu to w <= 1:
     # exact, and neither w F nor 2^-k H overflows where F and J do not
     k = max(np.frexp(p.scale.mus.max())[1], 0)
-    w, floor = np.repeat(np.ldexp(p.scale.mus[:-2], -k), p.dim), 0.0
+    w, floor = np.ldexp(p.scale.mus[:-2], -k).repeat(p.dim), 0.0
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.abs(F).max())
         history.append(mag)
         if mag <= max(opts.tol, floor):
-            return e
+            return e, mag
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
         D, E = _hessian(p, e, k)
@@ -433,7 +435,7 @@ def _newton(
             finite = math.isfinite((A.max(axis=1) / w).max())
         floor = _floor(A, w, x, F) if finite else math.nan  # no J, no floor
         if mag <= floor < np.inf:
-            return e
+            return e, mag
         if it == opts.max_iter:
             raise NoConvergence(e.q, history)
         if not finite:  # the SVD would fail
@@ -475,14 +477,14 @@ def _magnitudes(r: np.ndarray) -> np.ndarray:
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
+    # first-EL (Newton's from its last residual), action, then second-EL: one
+    # record's methods in order, so that under warnings as errors the same raises
     if _reads_only_slope(p.lagrangian):
         e, provenance = _alongs(p, affine_extremal(p).values), Provenance.CLOSED_FORM
+        first = _magnitudes(e.first_el_values())
     else:  # the record Newton stopped at
-        e, provenance = _newton(p, None, opts), Provenance.NEWTON
-    # first-EL (for Newton, the maximum of its last residual, exact), action,
-    # then second-EL: the order one record's methods are read in, so that
-    # under warnings raised as errors the same one raises
-    first, action = _magnitudes(e.first_el_values()), e.action()
+        (e, first), provenance = _newton(p, None, opts), Provenance.NEWTON
+    action = e.action()
     second = _magnitudes(e.second_el_values())
     return Candidate(e.q, provenance, float(action), float(first), float(second))
 
@@ -514,7 +516,7 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     """
     m, mus, qb = len(letters), p.scale.mus[:-1], float(p.q_b[0])
     gaps, steps = mus.size, np.multiply.outer(mus, letters)  # s * mu, as from_slopes
-    rest = np.append(np.cumsum(mus[::-1])[::-1][1:], 0.0)  # mu after gap j
+    rest = np.concatenate([mus[::-1].cumsum()[::-1][1:], [0.0]])  # mu after gap j
     size = max(map(abs, letters)) * rest
     # Exact completions of a prefix q end in [q + lo_j, q + hi_j], lo_j =
     # s_min * rest_j and hi_j = s_max * rest_j, the mus being positive.  A
@@ -533,8 +535,8 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     # and np.fmin turn a bound that is then NaN, or infinite outward, into
     # -+max, which keeps every finite prefix; no bound keeps an infinite
     # prefix, which stays infinite.
-    slack = 4 * (gaps + 2) * np.finfo(float).eps
-    tol, big = BOUNDARY_HIT_TOL, np.finfo(float).max
+    slack = 4 * (gaps + 2) * _EPS
+    tol, big = BOUNDARY_HIT_TOL, _BIG
     margin = tol + slack * (2 * abs(qb) + 3 * size + 3 * tol)
     lower = np.fmax(qb - letters[-1] * rest - margin, -big)
     upper = np.fmin(qb - letters[0] * rest + margin, big)
@@ -561,7 +563,7 @@ def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
         if np.count_nonzero(children) < above:
             alive = children > 0
             keep = alive.nonzero()[0]
-            parent = (np.cumsum(alive) - 1)[parent]  # positions among the kept
+            parent = (alive.cumsum() - 1)[parent]  # positions among the kept
         tree.append((q, parent, code))
     leaves = tree[0][0]
     leaves[leaves != qb] = qb  # a -0.0 end equal to q_b stays -0.0
@@ -598,14 +600,15 @@ def _extremals(
         lo, hi = up[0], up[-1] + 1
     T, gaps, tree = p.scale, len(tree), levels[::-1]
     sizes = [level[0].size for level in tree]
-    first_node = np.cumsum([0, 1, *sizes])  # level r: first_node[r]:first_node[r+1]
+    # level r holds the nodes first_node[r] up to first_node[r + 1]
+    first_node = np.array([0, 1, *sizes]).cumsum()
     q = np.concatenate([p.q_a[:1], *(level[0] for level in tree)])
     parent = np.concatenate([level[1] for level in tree])
-    parent += np.repeat(first_node[:-2], sizes)
-    mu = np.repeat(T.mus[:gaps], sizes)  # the gap of each node's frame
+    parent += first_node[:-2].repeat(sizes)
+    mu = T.mus[:gaps].repeat(sizes)  # the gap of each node's frame
     with np.errstate(over="ignore"):  # as _quotients
         V = (q[1:] - q[parent]) / mu
-    L, Lt, Lu, Lv = p.lagrangian.partials(np.repeat(T.points[:gaps], sizes), q[1:], V)
+    L, Lt, Lu, Lv = p.lagrangian.partials(T.points[:gaps].repeat(sizes), q[1:], V)
     Lu, Lv, up = Lu[:, 0], Lv[:, 0], parent[sizes[0] :] - 1
     with np.errstate(over="ignore", invalid="ignore"):  # as _outer
         first = np.abs((Lv[sizes[0] :] - Lv[up]) / mu[up] + -Lu[up])
@@ -615,7 +618,7 @@ def _extremals(
         rows = first[edges[r - 1] : edges[r]]
         np.maximum(first[edges[r - 2] : edges[r - 1]][tree[r][1]], rows, out=rows)
     first = first[edges[-2] :]
-    keep = np.flatnonzero(first <= tol)
+    keep = (first <= tol).nonzero()[0]
     # the kept words' nodes, in C order, so that each field is gathered and
     # stored level by level, the layout in which the record's quotients
     # along a path run fastest
@@ -677,7 +680,7 @@ def enumerate_slope_extremals(
     letters = tuple(sorted(float(s) for s in set(alphabet)))
     if not letters:
         raise ValueError("alphabet must be non-empty")
-    if not np.all(np.isfinite(letters)):
+    if not np.isfinite(letters).all():
         raise ValueError(f"alphabet letters must be finite, got {list(letters)}")
     gaps = p.scale.n - 1
     if len(letters) ** gaps > ENUMERATION_GUARD:

@@ -156,12 +156,13 @@ class TimeScale(_Record):
     __slots__ = ("points", "mus", "sigmas", "__dict__")  # __dict__: cached_property
 
     def __init__(self, points: Sequence[float], gaps: Iterable[GapKind | str]) -> None:
-        pts = np.asarray(points, dtype=float).copy()
+        pts = np.array(points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise TimeScaleError("points must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise TimeScaleError("points must be finite")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        widths = pts[1:] - pts[:-1]
+        if not (widths > 0).all():
             raise TimeScaleError("points must be strictly increasing")
         if iter(gaps) is gaps:  # an iterator, read once
             gaps = list(gaps)
@@ -176,7 +177,7 @@ class TimeScale(_Record):
         # a SCATTERED gap is a jump of width mu; a DENSE one has mu = 0 and
         # fixes its left point under sigma, as does the last point
         mus = np.zeros(pts.size)
-        mus[:-1] = np.where(scattered, np.diff(pts), 0.0)
+        mus[:-1] = np.where(scattered, widths, 0.0)
         sigmas = np.arange(pts.size)
         sigmas[:-1] += scattered
         for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
@@ -265,7 +266,7 @@ class TimeScale(_Record):
 
     @cached_property  # the scale is immutable
     def is_exact_discrete(self) -> bool:
-        return bool(np.all(self.mus[:-1] > 0))
+        return bool((self.mus[:-1] > 0).all())
 
     @property
     def has_dense(self) -> bool:
@@ -472,7 +473,7 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     if m < 2:
         raise TimeScaleError("delta derivative needs at least two covered points")
     out = _quotients(f.base.points[:m], f.values)
-    approx = f.approximate or bool(np.any(f.base.mus[: m - 1] == 0.0))
+    approx = f.approximate or bool((f.base.mus[: m - 1] == 0.0).any())
     return GridFunction(f.base, out, approximate=approx)
 
 
@@ -496,7 +497,7 @@ def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.n
         jd = np.arange(lo, hi)[dense]
         terms[..., dense, :] = 0.5 * (f[..., jd, :] + f[..., jd + 1, :]) * w[dense]
     start = np.zeros(f.shape[:-2] + (1, f.shape[-1]))
-    return np.cumsum(np.concatenate([start, terms], axis=-2), axis=-2)
+    return np.concatenate([start, terms], axis=-2).cumsum(axis=-2)
 
 
 def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:

@@ -94,8 +94,10 @@ class Lagrangian:
         seed for each of t, u1..un, v1..vn, and L rides along in every
         one.  ``moving``, a boolean mask that broadcasts to (k, 2n+1),
         keeps the seed of variable j at frame i only where entry (i, j) is
-        set: every partial along a variable held there is returned as 0
-        and is not taken.  Raises :class:`ExprDomainError` if L or a
+        set: a partial along a variable held there is not taken, and is 0
+        where every value along the pass is finite (a zero seed times an
+        overflowed value is NaN: 1e300*u1*1e300*v1 + t gives dL/dt = NaN
+        with t held).  Raises :class:`ExprDomainError` if L or a
         partial of the order asked for, along the moving variables, is
         undefined at any frame.
 
@@ -142,12 +144,12 @@ class VariationalProblem(_Record):
     ):
         if scale.n < 3:
             raise ValueError("the scale needs at least three points")
-        qa = np.atleast_1d(np.asarray(q_a, dtype=float)).copy()
-        qb = np.atleast_1d(np.asarray(q_b, dtype=float)).copy()
+        qa = np.array(q_a, dtype=float, ndmin=1)
+        qb = np.array(q_b, dtype=float, ndmin=1)
         n = lagrangian.dim
         if qa.shape != (n,) or qb.shape != (n,):
             raise ValueError(f"boundary vectors must have length {n}")
-        if not np.all(np.isfinite([qa, qb])):
+        if not (np.isfinite(qa) & np.isfinite(qb)).all():
             raise ValueError(f"boundary vectors must be finite: q_a {qa}, q_b {qb}")
         qa.setflags(write=False)
         qb.setflags(write=False)
@@ -187,7 +189,7 @@ class Residual(_Record):
         _set(self, "points", pts)
         _set(self, "values", vals)
         _set(self, "approximate", approximate)
-        _set(self, "magnitude", float(np.max(np.abs(vals))) if vals.size else 0.0)
+        _set(self, "magnitude", float(np.abs(vals).max()) if vals.size else 0.0)
 
 
 class _Along(_Record):
@@ -395,7 +397,7 @@ def classical_check(p: VariationalProblem, q: GridFunction) -> Residual:
     classical -L + dL/dv . v; the result approximates the classical
     DuBois-Reymond equation and converges as the grid is refined.
     """
-    if np.any(p.scale.mus):
+    if p.scale.mus.any():
         raise ValueError("classical check needs an all-dense scale")
     r = second_el_residual(p, q)
     return Residual("classical_second_el", r.points, r.values, approximate=True)

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stdout
@@ -114,6 +116,11 @@ class TestSolve:
 
     def test_missing_file_exit_2(self):
         assert cli.main(["solve", "no-such-file.json"]) == 2
+
+    def test_empty_path_exit_2(self, capsys):
+        code, err = run_cli(["solve", ""], capsys)
+        assert code == 2
+        assert err == "error: cannot read : [Errno 2] No such file or directory: ''\n"
 
     def test_exp_overflow_exit_2(self, tmp_path, capsys):
         path = write_problem(
@@ -678,6 +685,28 @@ def test_malformed_problem_file_exit_2(name, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{\r\n  "n": 1,\r\n  "q_a": \r\n}', b'{\r  "n": 1,\r  "q_a": \r}', b'{"n": 1\xff}'],
+    ids=["CRLF", "CR", "not UTF-8"],
+)
+def test_file_is_decoded_as_in_text_mode(content, tmp_path, capsys):
+    # universal newlines, so an error is placed at the same line and char,
+    # and the locale's encoding, so an undecodable byte is the same error
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    try:
+        with open(path) as file:
+            json.loads(file.read())
+    except json.JSONDecodeError as exc:
+        want = f"error: {path} is not valid JSON: {exc}\n"
+    except UnicodeDecodeError as exc:
+        want = f"error: {exc}\n"
+    else:  # an encoding that decodes every byte
+        want = "error: problem file is missing 'scale'\n"
+    assert run_cli(["scale-info", str(path)], capsys) == (2, want)
+
+
 INPUT_ERRORS = {
     "invalid JSON": (["solve"], None, "is not valid JSON: "),
     "bad alphabet": (["solve", "--enumerate=a,b"], {}, "error: bad alphabet: "),
@@ -1174,3 +1203,59 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 3 * decoded, (peak, decoded)
+
+
+class TestPerCallPath:
+    """A call reads its file with open() and calls numpy's C functions and
+    array methods: it enters no Python function of pathlib, nor of numpy's
+    wrapper modules fromnumeric, shape_base and function_base (numpy.core.*
+    and numpy.lib.function_base in numpy 1.x, numpy._core.* and
+    numpy.lib._*_impl in numpy 2)."""
+
+    WRAPPERS = ("fromnumeric", "shape_base", "function_base")
+
+    def wrapped(self, module: str) -> bool:
+        top, last = module.partition(".")[0], module.rpartition(".")[2]
+        return top == "pathlib" or (
+            top == "numpy" and any(name in last for name in self.WRAPPERS)
+        )
+
+    def entered(self, argv) -> set[tuple[str, str]]:
+        """The (module, function) of every Python frame that a second call
+        of ``cli.main(argv)`` enters from pathlib or those numpy modules."""
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0  # fills lazy caches
+        seen, previous = set(), sys.getprofile()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen.add((frame.f_globals.get("__name__", ""), frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            with redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+        finally:
+            sys.setprofile(previous)
+        assert code == 0
+        return {(module, name) for module, name in seen if self.wrapped(module)}
+
+    def test_module_names_matched(self):
+        for module in ("pathlib", "numpy.core.fromnumeric", "numpy._core.shape_base",
+                       "numpy.lib.function_base", "numpy.lib._shape_base_impl"):
+            assert self.wrapped(module)
+        for module in ("numpy._core._methods", "numpy._core.numeric", "json", "tsvar.cli"):
+            assert not self.wrapped(module)
+
+    def test_newton_solve(self, tmp_path):
+        points = np.linspace(1.0, 2.0, 61).tolist()
+        path = write_problem(
+            tmp_path, scale={"points": points}, lagrangian="t*v1^2 + u1^2"
+        )
+        argv = ["solve", path, "--json", str(tmp_path / "report.json")]
+        assert self.entered(argv) == set()
+
+    def test_enumeration(self, tmp_path):
+        argv = ["solve", str(QUARTIC), "--enumerate=-1,0,1", "--filter-second-el",
+                "--json", str(tmp_path / "report.json")]
+        assert self.entered(argv) == set()

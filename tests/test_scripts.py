@@ -86,8 +86,9 @@ def test_newton_sweep_compare_exits_1_on_an_offending_row(case, tmp_path):
         ("kernel_timing.py", ["--repeat", "1", "--sizes", "21"]),
         ("enumeration_timing.py", ["--repeat", "1"]),
         ("startup_timing.py", ["--repeat", "1"]),
+        ("call_timing.py", ["--repeat", "1"]),
     ],
-    ids=["kernel_timing.py", "enumeration_timing.py", "startup_timing.py"],
+    ids=["kernel_timing.py", "enumeration_timing.py", "startup_timing.py", "call_timing.py"],
 )
 def test_timing_against_a_source_tree(script, args):
     # this tree against itself: both columns and a ratio on every row

@@ -281,6 +281,27 @@ class TestPartials:
         assert np.array_equal(H[1], frame)
         assert np.array_equal(H[2], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "body, L, Lt, H",
+        [
+            # every value along the pass finite: the held partials are 0
+            ("2*u1*3*v1 + t", 6.5, 0.0, [[0, 0, 0], [0, 0, 6.0], [0, 6.0, 0]]),
+            # the product overflows; the zero seed of t times inf is NaN,
+            # and it spreads into dL/dt and every second partial
+            ("1e300*u1*1e300*v1 + t", np.inf, np.nan, np.full((3, 3), np.nan)),
+        ],
+        ids=["finite", "overflowed"],
+    )
+    def test_held_partial_is_0_only_where_the_pass_is_finite(self, body, L, Lt, H):
+        moving = [[False, True, True]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Lagrangian(1, body).partials(
+                [0.5], [[1.0]], [[1.0]], order=2, moving=moving
+            )
+        assert got[0].tolist() == [L]
+        assert np.array_equal(got[1], [Lt], equal_nan=True)
+        assert np.array_equal(got[4][0], H, equal_nan=True)
+
     @pytest.mark.parametrize("body", ["u1^2.5 + v1", "(u1^2)^1.5 + v1"])
     def test_twice_differentiable_powers_at_zero_base(self, body):
         # x^2.5 and |u|^3 have zero second partials at 0
