@@ -528,7 +528,7 @@ def pushforward(
     if not (nu.is_full and f.is_full):
         raise TimeScaleError("nu and f must cover the whole scale")
     w = nu.component(0)
-    if not np.all(np.diff(w) > 0):
+    if not (w[1:] > w[:-1]).all():
         raise TimeScaleError("nu must be strictly increasing on the scale")
     image = TimeScale(w, scale._letters())
     f_image = GridFunction(image, f.values, approximate=f.approximate)

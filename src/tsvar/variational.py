@@ -112,7 +112,7 @@ class Lagrangian:
         parse compiled once, plus a few numpy calls here: the unit seeds
         are built with the Lagrangian, and a mask scales all of them in
         one product.  The results are views of the pass's arrays, not
-        copies (``scripts/kernel_timing.py`` prints the cost of a call).
+        copies (``scripts/ab_timing.py`` prints the cost of a call).
         """
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")

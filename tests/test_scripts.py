@@ -1,18 +1,23 @@
 """Smoke test: every study script in ``scripts/`` runs with its default
-arguments and exits 0, and the timing scripts run ``--against`` a source
+arguments and exits 0, and ``ab_timing.py`` runs ``--against`` a source
 tree.  And ``newton_sweep.py --compare`` exits 1 exactly when a solved
 row is lost or moves too far."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+_spec = importlib.util.spec_from_file_location("ab_timing", ROOT / "scripts" / "ab_timing.py")
+AB_TIMING = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(AB_TIMING)
 
 
 def test_scripts_found():
@@ -80,19 +85,25 @@ def test_newton_sweep_compare_exits_1_on_an_offending_row(case, tmp_path):
     assert ("offending: 0:" in proc.stdout) == bool(code)
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("kernel_timing.py", ["--repeat", "1", "--sizes", "21"]),
-        ("enumeration_timing.py", ["--repeat", "1"]),
-        ("startup_timing.py", ["--repeat", "1"]),
-        ("call_timing.py", ["--repeat", "1"]),
-    ],
-    ids=["kernel_timing.py", "enumeration_timing.py", "startup_timing.py", "call_timing.py"],
-)
-def test_timing_against_a_source_tree(script, args):
-    # this tree against itself: both columns and a ratio on every row
-    proc = run_script(ROOT / "scripts" / script, *args, "--against", "src")
+def test_timing_against_a_source_tree():
+    # this tree against itself, one pair per case
+    proc = run_script(ROOT / "scripts" / "ab_timing.py", "--repeat", "1", "--against", "src")
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
-    assert rows and all(float(row.split()[-1]) > 0 for row in rows)
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert {"python", "numpy", "blas", "blas_threads", "cpu", "nproc"} <= set(record)
+    assert len(record["trees"]) == 2 and record["trees"][0] == record["trees"][1]
+    assert [case["case"] for case in record["cases"]] == list(AB_TIMING.CASES)
+    for case in record["cases"]:
+        assert len(case["median_s"]) == 2 and min(case["median_s"]) > 0
+        assert case["ratio"] > 0 and case["interval"] is None
+
+
+def test_sign_interval():
+    assert AB_TIMING.sign_interval([1.0] * 31) == [1.0, 1.0]
+    near = 0.9 + 0.02 * np.sin(np.arange(31))
+    assert AB_TIMING.sign_interval(near)[1] < 1
+    # 2 P(B <= 9) = 0.029 and 2 P(B <= 10) = 0.071 for B ~ Binomial(31, 1/2)
+    assert AB_TIMING.sign_interval(np.arange(31.0, 0.0, -1.0)) == [10.0, 22.0]
+    assert AB_TIMING.sign_interval(np.arange(1.0, 7.0)) == [1.0, 6.0]
+    for n in range(1, 6):
+        assert AB_TIMING.sign_interval([0.9] * n) is None

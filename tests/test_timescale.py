@@ -450,6 +450,7 @@ class TestInputChecks:
             ("nu 2-D", "nu must be scalar"),
             ("nu short", "nu and f must cover the whole scale"),
             ("f short", "nu and f must cover the whole scale"),
+            ("nu infinite", "nu must be strictly increasing on the scale"),
         ],
     )
     def test_pushforward_arguments(self, case, message):
@@ -462,6 +463,8 @@ class TestInputChecks:
             "nu 2-D": (GridFunction(T, np.column_stack([T.points, T.points])), f),
             "nu short": (GridFunction(T, T.points[:3]), f),
             "f short": (nu, GridFunction(T, T.points[:3])),
+            # inf - inf would warn before the check raised
+            "nu infinite": (GridFunction(T, [0.0, np.inf, np.inf, np.inf]), f),
         }[case]
         with pytest.raises(TimeScaleError, match=exact_message(message)):
             pushforward(T, *args)
