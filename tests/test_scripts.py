@@ -1,6 +1,6 @@
 """Smoke test: every study script in ``scripts/`` runs with its default
 arguments and exits 0, and ``ab_timing.py`` runs ``--against`` a source
-tree.  And ``newton_sweep.py --compare`` exits 1 exactly when a solved
+tree, each of its four families of cases checked on its own.  And ``newton_sweep.py --compare`` exits 1 exactly when a solved
 row is lost or moves too far."""
 
 import importlib.util
@@ -18,6 +18,15 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 _spec = importlib.util.spec_from_file_location("ab_timing", ROOT / "scripts" / "ab_timing.py")
 AB_TIMING = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(AB_TIMING)
+# ab_timing.py's runs are checked one family of cases at a time; a family's
+# test id is the name of the script whose cases it took over
+FAMILIES = {
+    "kernel_timing.py": ("kernel", set()),
+    "enumeration_timing.py": ("enumeration", {"hits", "frames", "rows"}),
+    "call_timing.py": ("call", {"exit"}),
+    "startup_timing.py": ("startup", set()),
+}
+DEFAULT_RUNS = sorted([p.name for p in SCRIPTS if p.name != "ab_timing.py"] + list(FAMILIES))
 
 
 def test_scripts_found():
@@ -39,9 +48,46 @@ def run_script(script, *args):
     )
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_runs_with_defaults(script):
-    proc = run_script(script)
+def ab_timing_record(proc) -> dict:
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert {"python", "numpy", "blas", "blas_threads", "cpu", "nproc"} <= set(record)
+    assert {name.split()[0] for name in AB_TIMING.CASES} == {f for f, _ in FAMILIES.values()}
+    assert [case["case"] for case in record["cases"]] == list(AB_TIMING.CASES)
+    return record
+
+
+def family_cases(record: dict, name: str) -> list:
+    family, extra = FAMILIES[name]
+    cases = [case for case in record["cases"] if case["case"].split()[0] == family]
+    assert cases and all(set(case["extra"]) == extra for case in cases)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def ab_timing_defaults():
+    # one default run, one tree, for all four families
+    return ab_timing_record(run_script(ROOT / "scripts" / "ab_timing.py"))
+
+
+@pytest.fixture(scope="module")
+def ab_timing_against_itself():
+    # this tree against itself, one pair per case, for all four families
+    return ab_timing_record(
+        run_script(ROOT / "scripts" / "ab_timing.py", "--repeat", "1", "--against", "src")
+    )
+
+
+@pytest.mark.parametrize("name", DEFAULT_RUNS)
+def test_script_runs_with_defaults(name, request):
+    if name in FAMILIES:
+        record = request.getfixturevalue("ab_timing_defaults")
+        assert record["repeat"] == 5 and len(record["trees"]) == 1
+        for case in family_cases(record, name):
+            assert len(case["median_s"]) == 1 and case["median_s"][0] > 0
+            assert case["ratio"] is None and case["interval"] is None
+        return
+    proc = run_script(ROOT / "scripts" / name)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 
@@ -85,15 +131,11 @@ def test_newton_sweep_compare_exits_1_on_an_offending_row(case, tmp_path):
     assert ("offending: 0:" in proc.stdout) == bool(code)
 
 
-def test_timing_against_a_source_tree():
-    # this tree against itself, one pair per case
-    proc = run_script(ROOT / "scripts" / "ab_timing.py", "--repeat", "1", "--against", "src")
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout.splitlines()[-1])
-    assert {"python", "numpy", "blas", "blas_threads", "cpu", "nproc"} <= set(record)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_timing_against_a_source_tree(name, ab_timing_against_itself):
+    record = ab_timing_against_itself
     assert len(record["trees"]) == 2 and record["trees"][0] == record["trees"][1]
-    assert [case["case"] for case in record["cases"]] == list(AB_TIMING.CASES)
-    for case in record["cases"]:
+    for case in family_cases(record, name):
         assert len(case["median_s"]) == 2 and min(case["median_s"]) > 0
         assert case["ratio"] > 0 and case["interval"] is None
 
