@@ -58,6 +58,7 @@ from tsvar import (
 )
 
 PROBLEMS = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json"))
+RANDOM_PROBLEMS = ENUMERATIONS = 120  # seeded draws of each kind
 
 # per component k of q (j = k + 1, i the next component, cyclically)
 TERMS = (
@@ -306,8 +307,6 @@ def cli_records():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--problems", type=int, default=120, help="random problems")
-    parser.add_argument("--enumerations", type=int, default=120)
     parser.add_argument(
         "--records", action="store_true", help="print one line per record"
     )
@@ -318,9 +317,9 @@ def main() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = [*frontend_records(), *kernel_records(), *many_blocks(), *cli_records()]
-        for _ in range(args.problems):
+        for _ in range(RANDOM_PROBLEMS):
             records += library_records(rng)
-        for _ in range(args.enumerations):
+        for _ in range(ENUMERATIONS):
             records += enumeration_records(rng)
     for i, record in enumerate(records):
         text = bits(record).encode()

@@ -545,8 +545,13 @@ def _shape(parts) -> tuple[int, ...]:
 
 
 def _broadcast(x, shape):
-    """x, broadcast to ``shape`` if it has another."""
-    return x if getattr(x, "shape", None) == shape else np.broadcast_to(x, shape)
+    """x, broadcast to ``shape`` if it has another: the read-only view that
+    np.broadcast_to takes from nditer, without its Python-level wrapper."""
+    if getattr(x, "shape", None) == shape:
+        return x
+    flags = ("multi_index", "refs_ok", "zerosize_ok")  # multi_index: no coalescing
+    with np.nditer((x,), flags, ("readonly",), itershape=shape) as it:
+        return it.itviews[0]
 
 
 class Expr(_Value):

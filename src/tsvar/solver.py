@@ -259,37 +259,6 @@ def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
     return H.reshape(m * n, m * n)
 
 
-class _Tridiagonal:
-    """|H| for a scalar H, the symmetric tridiagonal matrix of diagonal d
-    and off-diagonal e, both non-negative, as far as :func:`_floor`,
-    :func:`_certified` and :func:`_check_condition` read it: the product
-    with a vector, the row sums, the row maxima, the largest entry and the
-    diagonal, each in O(N), the zeros off the band adding nothing."""
-
-    __slots__ = ("d", "e")
-
-    def __init__(self, d: np.ndarray, e: np.ndarray):
-        self.d, self.e = d, e
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        product = self.d * y
-        product[:-1] += self.e * y[1:]
-        product[1:] += self.e * y[:-1]
-        return product
-
-    def sum(self, axis: int) -> np.ndarray:  # row sums, equal to column sums
-        return self @ np.ones_like(self.d)
-
-    def max(self, axis: int | None = None):
-        rows = self.d.copy()  # np.maximum, as a max, spreads NaN
-        np.maximum(rows[:-1], self.e, out=rows[:-1])
-        np.maximum(rows[1:], self.e, out=rows[1:])
-        return rows if axis == 1 else rows.max()
-
-    def diagonal(self) -> np.ndarray:
-        return self.d
-
-
 def _eliminate(d: np.ndarray, e: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The solution y of H y = r, H the symmetric tridiagonal matrix of
     diagonal d and off-diagonal e, by Gaussian elimination without
@@ -308,50 +277,90 @@ def _eliminate(d: np.ndarray, e: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-@np.errstate(invalid="ignore", over="ignore")
-def _floor(A: np.ndarray, w: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
-    """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of the
-    residual F at x, J = -H/mu its Jacobian, from A = |H|, dense or
-    :class:`_Tridiagonal`, and the rows' mu w, both perhaps times one power
-    of two; inf, which stops no solve, if the sum overflows."""
-    return _EPS * ((A @ np.abs(x)) / w + np.abs(F)).max()
+class _Hessian:
+    """Newton's matrix H of diagonal blocks D and blocks E above them, n x n,
+    as a step reads it: |H|'s row maxima, the floor, the Varah certificate
+    and the solve.  The storage is picked once, from n: for n = 1, |H| is
+    kept as its two bands and read in O(N), and H is built dense only to be
+    solved uncertified; for n >= 2, H and |H| are built dense at once, which
+    at Newton's sizes is cheaper than a block band."""
 
+    __slots__ = ("D", "E", "H", "A", "d", "e", "verdict")
 
-@np.errstate(over="ignore")  # an overflowing sum certifies nothing
-def _certified(A: np.ndarray, n: int) -> bool:
-    """Whether A = |H|, dense or :class:`_Tridiagonal`, H symmetric and
-    block-tridiagonal with n x n blocks, proves cond_2(H) <=
-    CONDITION_LIMIT / 2 by strict diagonal dominance.
+    def __init__(self, D: np.ndarray, E: np.ndarray):
+        self.D, self.E, self.H, self.A, self.verdict = D, E, None, None, None
+        if D.shape[1] == 1:  # |H| as its diagonal d and off-diagonal e
+            self.d, self.e = np.abs(D.ravel()), np.abs(E.ravel())
+        else:
+            self.H = _dense(D, E)
+            self.A = np.abs(self.H)
 
-    With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <=
-    1 / alpha (Varah, Linear Algebra Appl. 11, 1975); H being symmetric,
-    ||H||_1 = ||H||_inf, so for s unknowns cond_2(H) <= sqrt(s) *
-    ||H||_inf / alpha.  A row's sum of 3n nonzero terms at most and its
-    alpha_i round by less than (3n + 2) * eps times the largest row sum,
-    which alpha gives up; the factor 2 under the limit leaves room for the
-    rounding of the bound itself and of the SVD's own estimate, so a
-    certified H is one np.linalg.cond passes.
-    """
-    rows, diagonal = A.sum(axis=1), A.diagonal()
-    norm = rows.max()
-    alpha = (diagonal - (rows - diagonal)).min() - (3 * n + 2) * _EPS * norm
-    if not alpha > 0:
-        return False
-    return bool(np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2)
+    def _product(self, y: np.ndarray) -> np.ndarray:  # |H| y
+        if self.A is not None:
+            return self.A @ y
+        product = self.d * y
+        product[:-1] += self.e * y[1:]
+        product[1:] += self.e * y[:-1]
+        return product
 
+    def row_maxima(self) -> np.ndarray:
+        if self.A is not None:
+            return self.A.max(axis=1)
+        rows = self.d.copy()  # np.maximum, as a max, spreads NaN
+        np.maximum(rows[:-1], self.e, out=rows[:-1])
+        np.maximum(rows[1:], self.e, out=rows[1:])
+        return rows
 
-def _check_condition(A: np.ndarray, H: np.ndarray, n: int) -> None:
-    """Raise SingularSystem if the 2-norm condition number of the finite H
-    exceeds CONDITION_LIMIT.  The SVD runs only when A = |H| does not
-    certify it (:func:`_certified`), on H times a power of two: exact, and
-    the SVD cannot overflow."""
-    if _certified(A, n):
-        return
-    exponent = np.frexp(A.max())[1]  # largest entry to [0.5, 1)
-    if np.linalg.cond(np.ldexp(H, -exponent)) > CONDITION_LIMIT:
-        raise SingularSystem(
-            f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
-        )
+    @np.errstate(invalid="ignore", over="ignore")
+    def floor(self, w: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
+        """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of the
+        residual F at x, J = -H/mu its Jacobian, from |H| and the rows' mu
+        w, both perhaps times one power of two; inf, which stops no solve,
+        if the sum overflows."""
+        return _EPS * (self._product(np.abs(x)) / w + np.abs(F)).max()
+
+    @np.errstate(over="ignore")  # an overflowing sum certifies nothing
+    def certified(self) -> bool:
+        """Whether |H| proves cond_2(H) <= CONDITION_LIMIT / 2 by strict
+        diagonal dominance, judged once.  With alpha = min_i(|H_ii| -
+        sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <= 1 / alpha (Varah, Linear
+        Algebra Appl. 11, 1975); H being symmetric, ||H||_1 = ||H||_inf, so
+        for s unknowns cond_2(H) <= sqrt(s) * ||H||_inf / alpha.  A row's sum
+        of 3n nonzero terms at most and its alpha_i round by less than (3n +
+        2) * eps times the largest row sum, which alpha gives up; the factor
+        2 under the limit leaves room for the rounding of the bound itself
+        and of the SVD's own estimate, so a certified H is one
+        np.linalg.cond passes."""
+        if self.verdict is None:
+            if self.A is None:  # row sums, equal to column sums
+                rows, diagonal = self._product(np.ones_like(self.d)), self.d
+            else:
+                rows, diagonal = self.A.sum(axis=1), self.A.diagonal()
+            norm = rows.max()
+            slack = (3 * self.D.shape[1] + 2) * _EPS * norm
+            alpha = (diagonal - (rows - diagonal)).min() - slack
+            self.verdict = bool(alpha > 0) and bool(  # no division unless alpha > 0
+                np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2
+            )
+        return self.verdict
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """y with H y = r, H finite: on the band if H is scalar and certified
+        (:func:`_eliminate`), else by np.linalg.solve, after SingularSystem
+        if cond_2(H) exceeds CONDITION_LIMIT; an uncertified H takes an SVD
+        for that, times a power of two: exact, and it cannot overflow."""
+        if self.A is None and self.certified():
+            return _eliminate(self.D.ravel(), self.E.ravel(), r)
+        if self.H is None:
+            self.H = _dense(self.D, self.E)
+        if not self.certified():
+            top = self.row_maxima().max() if self.A is None else self.A.max()
+            exponent = np.frexp(top)[1]  # largest entry to [0.5, 1)
+            if np.linalg.cond(np.ldexp(self.H, -exponent)) > CONDITION_LIMIT:
+                raise SingularSystem(
+                    f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
+                )
+        return np.linalg.solve(self.H, r)
 
 
 def solve_newton(
@@ -388,14 +397,14 @@ def solve_newton(
     whose 2-norm condition number exceeds CONDITION_LIMIT raises
     SingularSystem.  A strictly diagonally dominant H whose Varah bound
     (Varah 1975) is at most half the limit passes without an SVD, and any
-    other H goes to np.linalg.cond (:func:`_check_condition`).
+    other H goes to np.linalg.cond.
 
-    For n = 1, H is tridiagonal: the finiteness test, the floor and the
-    Varah bound are read from its two bands in O(N), and an H that the
-    bound passes is solved on the band by elimination without pivoting
-    (:func:`_eliminate`), O(N) in time and memory.  Any other H, n >= 2 or
-    a scalar H the bound does not pass, is built dense, (n(N-2))^2 floats,
-    and solved by np.linalg.solve in O((nN)^3).
+    Each Hessian is a :class:`_Hessian`, stored by n.  For n = 1 the
+    finiteness test, the floor and the Varah bound read |H|'s two bands in
+    O(N), and an H that the bound passes is solved on the band by
+    elimination without pivoting, O(N) in time and memory.  Any other H,
+    n >= 2 or a scalar H the bound does not pass, is built dense,
+    (n(N-2))^2 floats, and solved by np.linalg.solve in O((nN)^3).
     """
     return _newton(p, q_init, opts)[0].q
 
@@ -425,28 +434,17 @@ def _newton(
             return e, mag
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        D, E = _hessian(p, e, k)
-        if p.dim == 1:  # H tridiagonal: |H| from its bands
-            A = _Tridiagonal(np.abs(D.ravel()), np.abs(E.ravel()))
-        else:
-            H = _dense(D, E)
-            A = np.abs(H)
+        hessian = _Hessian(*_hessian(p, e, k))
         with np.errstate(over="ignore"):  # J = -H/mu can overflow where H does not
-            finite = math.isfinite((A.max(axis=1) / w).max())
-        floor = _floor(A, w, x, F) if finite else math.nan  # no J, no floor
+            finite = math.isfinite((hessian.row_maxima() / w).max())
+        floor = hessian.floor(w, x, F) if finite else math.nan  # no J, no floor
         if mag <= floor < np.inf:
             return e, mag
         if it == opts.max_iter:
             raise NoConvergence(e.q, history)
         if not finite:  # the SVD would fail
             raise SingularSystem("jacobian has non-finite entries")
-        if p.dim == 1 and _certified(A, 1):  # stable without pivoting
-            dx = _eliminate(D.ravel(), E.ravel(), w * F)
-        else:
-            if p.dim == 1:
-                H = _dense(D, E)
-            _check_condition(A, H, p.dim)
-            dx = np.linalg.solve(H, w * F)
+        dx = hessian.solve(w * F)
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             trial = x + alpha * dx
@@ -460,7 +458,7 @@ def _newton(
         else:
             raise NoConvergence(e.q, history)
         x, F, e = trial, F_trial, e_trial
-        floor = _floor(A, w, x, F)
+        floor = hessian.floor(w, x, F)
 
 
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:

@@ -259,9 +259,9 @@ class _Along(_Record):
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
     def erdmann(self) -> np.ndarray:
-        moving = np.argwhere(np.abs(self.Lt) > AUTONOMY_TOL)
-        if moving.size:
-            i = tuple(moving[0])
+        moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()
+        if moving[0].size:
+            i = tuple(axis[0] for axis in moving)
             raise ValueError(
                 f"lagrangian is not autonomous: dL/dt = {self.Lt[i]:.3e} "
                 f"at t = {float(self.t[i[-1]])!r}"

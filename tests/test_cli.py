@@ -1259,3 +1259,22 @@ class TestPerCallPath:
         argv = ["solve", str(QUARTIC), "--enumerate=-1,0,1", "--filter-second-el",
                 "--json", str(tmp_path / "report.json")]
         assert self.entered(argv) == set()
+
+    def test_scale_info_on_a_uniform_scale(self):
+        assert self.entered(["scale-info", str(QUADRATIC)]) == set()
+
+    def test_closed_form_solve_on_a_uniform_scale(self, tmp_path):
+        argv = ["solve", str(QUADRATIC), "--json", str(tmp_path / "report.json")]
+        assert self.entered(argv) == set()
+
+    def test_noether_sweep(self):
+        argv = ["noether", str(QUADRATIC), "--solve", "--sweep", "2"]
+        assert self.entered(argv) == set()
+
+    def test_verify_all_three(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            trajectory={"values": [0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
+        )
+        argv = ["verify", path, "--first-el", "--second-el", "--erdmann"]
+        assert self.entered(argv) == set()

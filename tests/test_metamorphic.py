@@ -5,9 +5,24 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_scale
-from tsvar import GridFunction, Lagrangian, VariationalProblem, action, first_el_residual
+from tsvar import (
+    GridFunction,
+    Lagrangian,
+    VariationalProblem,
+    action,
+    first_el_residual,
+    second_el_residual,
+)
 
 EPS = np.finfo(float).eps
+# bodies in t, u and v through exp, sin, cos and sqrt
+BODIES = (
+    "exp(v1/4)*t + u1^2",
+    "sin(u1)*v1^2 + cos(t)",
+    "sqrt(v1^2 + 1)*t + u1*v1",
+    "cos(t*u1) + v1^2*exp(-t/3)",
+    "sqrt(t^2 + u1^2 + 1)*v1^2 + sin(v1)",
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -26,3 +41,35 @@ def test_null_lagrangian(n):
         exact = (t[-1] * Q[-1] - t[0] * Q[0]).sum()
         bound = 4 * EPS * ((np.abs(t) + (T.b - T.a))[:, None] * np.abs(Q)).sum()
         assert abs(action(p, q) - exact) <= bound
+
+
+def test_scaling_multiplies_the_residuals():
+    # L -> 2.5 L + 1.5 multiplies the first-EL and the second-EL residual by
+    # 2.5.  Each residual row is (C_{i+1} - C_i)/mu_i + term_i, C being L_v
+    # or the Hamiltonian -L + L_v v + L_t mu, and each partial of the
+    # scaled L is 2.5 times L's, rounded once; so the two sides differ by a
+    # few roundings of each side's terms, not of the residual, which
+    # cancels: within 6 eps of S_i = (|C_{i+1}| + |C_i|)/mu_i + |term_i|,
+    # C summed in absolute values, from the scaled L's partials (measured:
+    # 2.4 eps at most on 1000 such problems).  Against 1 + max|2.5 r| the
+    # second-EL gap read up to 126 eps there, where the Hamiltonian's terms
+    # on gaps of 0.05 dwarf the residual
+    rng = np.random.default_rng(25)
+    for k in range(200):
+        body = BODIES[k % len(BODIES)]
+        T = random_exact_scale(rng, 3, 60)
+        Q = rng.uniform(-2.0, 2.0, (T.n, 1))
+        q, scaled = GridFunction(T, Q), Lagrangian(1, f"2.5*({body}) + 1.5")
+        t, mu = T.points[:-1], T.mus[:-1]
+        v = np.diff(Q[:, 0]) / mu
+        partials = scaled.partials(t, Q[1:], v[:, None])
+        L, Lt, Lu, Lv = (np.abs(x).ravel() for x in partials)
+        hamiltonian = L + Lv * np.abs(v) + Lt * mu
+        terms = {first_el_residual: (Lv, Lu), second_el_residual: (hamiltonian, Lt)}
+        for residual, (C, term) in terms.items():
+            r, r_scaled = (
+                residual(VariationalProblem(T, lagrangian, Q[0], Q[-1]), q).values[:, 0]
+                for lagrangian in (Lagrangian(1, body), scaled)
+            )
+            S = (C[1:] + C[:-1]) / mu[:-1] + term[:-1]
+            assert np.all(np.abs(r_scaled - 2.5 * r) <= 6 * EPS * S)

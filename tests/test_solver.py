@@ -693,7 +693,7 @@ class TestJacobian:
         assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
         assert np.all(np.isfinite(hessian_matrix(p, values)))
         monkeypatch.setattr(solver, "_hessian", unreachable)
-        monkeypatch.setattr(solver, "_certified", unreachable)
+        monkeypatch.setattr(solver, "_Hessian", unreachable)
         monkeypatch.setattr(np.linalg, "cond", unreachable)
         with pytest.raises(SingularSystem, match="^residual has non-finite entries$"):
             solve_newton(p, GridFunction(scale, values))
@@ -777,15 +777,18 @@ def symmetric_blocks(rng, n, m, kind):
 
 class TestConditionGuard:
     @pytest.mark.parametrize("seed", range(4))
-    def test_verdict_equals_the_svds(self, seed):
+    def test_verdict_equals_the_svds(self, seed, monkeypatch):
         # the guard raises exactly when the condition of H, scaled by a
         # power of two to a largest entry in [0.5, 1), exceeds the limit:
         # np.linalg.cond(H)'s verdict wherever H's singular values do not
         # overflow; whatever the blocks certify has cond at most half the
-        # limit.  The one dense build holds the blocks and their mirror
+        # limit.  The one dense build holds the blocks and their mirror,
+        # and it is the matrix that a guarded solve hands to LAPACK (here a
+        # stub: near the float maximum the LU itself could overflow)
         rng = np.random.default_rng(seed)
         limit = solver.CONDITION_LIMIT
-        seen = set()
+        seen, solved = set(), []
+        monkeypatch.setattr(np.linalg, "solve", lambda H, r: solved.append(H) or r)
         for kind in ("strict", "graded", "weak", "free", "singular"):
             for scale in (1.0, 1e-300, 1e300, "overflow"):
                 for _ in range(6):
@@ -799,17 +802,22 @@ class TestConditionGuard:
                     H = solver._dense(D, E)
                     assert all(map(np.array_equal, blocks(H, n), (D, E)))
                     assert np.array_equal(H, H.T)
-                    A = np.abs(H)
-                    certified = solver._certified(A, n)
+                    hessian = solver._Hessian(D, E)
+                    certified = hessian.certified()
+                    if n > 1:  # stored dense
+                        assert certified == varah(np.abs(H), n)
                     exponent = np.frexp(np.max(np.abs(H)))[1]
                     cond = np.linalg.cond(np.ldexp(H, -exponent))
                     try:
-                        solver._check_condition(A, H, n)
+                        hessian.solve(np.ones(H.shape[0]))
                         raised = False
                     except SingularSystem as err:
                         assert str(err) == "jacobian condition estimate exceeds 1e+14"
                         raised = True
                     assert raised == (cond > limit)
+                    if not raised and not (n == 1 and certified):
+                        assert np.array_equal(solved.pop(), H)
+                    assert solved == []
                     if scale != "overflow":
                         assert raised == (np.linalg.cond(H) > limit)
                     if certified:
@@ -820,12 +828,15 @@ class TestConditionGuard:
 
     def test_singular_values_near_the_float_maximum(self):
         # np.linalg.cond(H) is inf here, H / 1e300 has cond 2, and the row
-        # sums overflow, so the blocks certify nothing
+        # sums overflow, so the blocks certify nothing; the guard passes H,
+        # and LAPACK solves it
         D, E = np.array([[[1.5e308]], [[1.5e308]]]), np.array([[[0.5e308]]])
         H = solver._dense(D, E)
         assert np.isinf(np.linalg.cond(H))
-        assert not solver._certified(H, 1)
-        solver._check_condition(H, H, 1)
+        hessian = solver._Hessian(D, E)
+        assert not hessian.certified()
+        r = np.array([1e300, -1e300])
+        assert np.array_equal(hessian.solve(r), np.linalg.solve(H, r))
 
     @pytest.mark.parametrize("N", [61, 801])
     def test_dominant_jacobians_skip_the_svd(self, N, monkeypatch):
@@ -876,10 +887,10 @@ class TestConditionGuard:
                     VariationalProblem(scale, Lagrangian(n, terms), q_a, q_b)
                 )
         verdicts = []
-        certified = solver._certified
+        certified = solver._Hessian.certified
 
-        def recorded(*args):
-            verdicts.append(certified(*args))
+        def recorded(self):
+            verdicts.append(certified(self))
             return verdicts[-1]
 
         def outcomes():
@@ -915,9 +926,9 @@ class TestConditionGuard:
                         out.append(str(exc))
             return runs
 
-        monkeypatch.setattr(solver, "_certified", recorded)
+        monkeypatch.setattr(solver._Hessian, "certified", recorded)
         guarded = outcomes()
-        monkeypatch.setattr(solver, "_certified", lambda *args: False)
+        monkeypatch.setattr(solver._Hessian, "certified", lambda self: False)
         dense = outcomes()
         assert True in verdicts and False in verdicts
         banded = 0
@@ -954,8 +965,22 @@ def certified_band(rng, m, kind):
 
 
 def band_of(D, E):
-    """|H| of the scalar H of blocks D and E, as Newton reads it."""
-    return solver._Tridiagonal(np.abs(D.ravel()), np.abs(E.ravel()))
+    """The scalar H of blocks D and E as Newton holds it, |H| on its two
+    bands."""
+    return solver._Hessian(D, E)
+
+
+def varah(A, n):
+    """The Varah certificate of H from the dense |H| A, blocks n x n, in the
+    solver's arithmetic: the verdict the dense storage gives."""
+    with np.errstate(over="ignore"):
+        rows, diagonal = A.sum(axis=1), A.diagonal()
+        norm = rows.max()
+        slack = (3 * n + 2) * np.finfo(float).eps * norm
+        alpha = (diagonal - (rows - diagonal)).min() - slack
+        if not alpha > 0:
+            return False
+        return bool(np.sqrt(rows.size) * (norm / alpha) <= solver.CONDITION_LIMIT / 2)
 
 
 def lq_scalar_problem(N):
@@ -984,10 +1009,12 @@ class TestBand:
                     d, e = certified_band(rng, int(m), kind)
                     d, e = d * scale, e * scale
                     D, E = d[:, None, None], e[:, None, None]
-                    assert solver._certified(band_of(D, E), 1)
+                    band = band_of(D, E)
+                    assert band.certified()
                     H = solver._dense(D, E)
                     r = rng.uniform(-1, 1, int(m))
-                    y = solver._eliminate(d, e, r)
+                    y = band.solve(r)
+                    assert np.array_equal(y, solver._eliminate(d, e, r))
                     assert y.shape == r.shape
                     condition = np.abs(np.linalg.inv(H)) @ (
                         np.abs(H) @ np.abs(y) + np.abs(r)
@@ -1000,7 +1027,8 @@ class TestBand:
         # the band's row maxima, largest entry and diagonal are the dense
         # |H|'s bit for bit; its row sums and floor round within 2 and 4
         # eps of them, and it certifies what the dense |H| certifies,
-        # wherever Varah's alpha is not within that rounding of zero
+        # wherever Varah's alpha is not within that rounding of zero; the
+        # dense |H|'s floor and verdict are taken here, from A
         rng = np.random.default_rng(seed)
         eps = np.finfo(float).eps
         seen = set()
@@ -1014,11 +1042,12 @@ class TestBand:
                     else:
                         D, E = D * scale, E * scale
                     A, band = np.abs(solver._dense(D, E)), band_of(D, E)
-                    assert np.array_equal(band.max(axis=1), A.max(axis=1))
-                    assert band.max() == A.max()
-                    assert np.array_equal(band.diagonal(), A.diagonal())
+                    assert np.array_equal(band.row_maxima(), A.max(axis=1))
+                    assert band.row_maxima().max() == A.max()
+                    assert np.array_equal(band.d, A.diagonal())
                     with np.errstate(over="ignore", invalid="ignore"):
-                        rows, dense_rows = band.sum(axis=1), A.sum(axis=1)
+                        rows = band._product(np.ones(D.shape[0]))
+                        dense_rows = A.sum(axis=1)
                         gap = np.abs(rows - dense_rows)
                         norm = dense_rows.max()
                         alpha = (2 * A.diagonal() - dense_rows).min() - 5 * eps * norm
@@ -1027,16 +1056,16 @@ class TestBand:
                     assert np.all(gap[finite] <= 2 * eps * dense_rows[finite])
                     w = rng.uniform(0.1, 1, D.shape[0])
                     x, F = rng.uniform(-1, 1, (2, D.shape[0]))
-                    floor, dense_floor = (
-                        solver._floor(a, w, x, F) for a in (band, A)
-                    )
+                    floor = band.floor(w, x, F)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        dense_floor = eps * ((A @ np.abs(x)) / w + np.abs(F)).max()
                     if np.isinf(dense_floor):
                         assert np.isinf(floor)
                     else:
                         assert abs(floor - dense_floor) <= 4 * eps * dense_floor
-                    verdict = solver._certified(A, 1)
+                    verdict = varah(A, 1)
                     if not abs(alpha) <= 4 * eps * norm:
-                        assert solver._certified(band, 1) == verdict
+                        assert band.certified() == verdict
                     seen.add(verdict)
         assert seen == {True, False}
 
@@ -1046,7 +1075,7 @@ class TestBand:
         # and no SVD; the root is the one the dense solve gives
         p = lq_scalar_problem(N)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_certified", lambda *args: False)
+            m.setattr(solver._Hessian, "certified", lambda self: False)
             dense = solve_newton(p).values
         eliminations, eliminate = [], solver._eliminate
 

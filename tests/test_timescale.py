@@ -102,6 +102,35 @@ class TestConstruction:
         with pytest.raises(TimeScaleError, match="^b - a = inf is not finite$"):
             TimeScale.dense_interval(a, b, 5)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_points_equal_linspace_bit_for_bit(self, seed):
+        # uniform and dense_interval space their points without np.linspace,
+        # a Python-level numpy function, and give its bits: on random spans
+        # from 1e-300 to 1e300, on subnormal ones, and with integer ends
+        rng = np.random.default_rng(seed)
+        tiny = float(np.nextafter(0.0, 1.0))  # 2^-1074, the least subnormal
+        for _ in range(100):
+            k = int(rng.integers(2, 3000))
+            h = float(10.0 ** rng.uniform(-300, 300 - np.log10(k)))
+            a = float(k * h * rng.uniform(-1e3, 1e3))
+            ends = [(a, a + k * h, h)]
+            i, j = (int(x) for x in rng.integers(1, 10**4, 2))
+            ends.append((i * tiny, (i + k * j) * tiny, j * tiny))  # exact
+            ends.append((i - 10**4, i, None))
+            for a, b, h in ends:
+                want = np.linspace(a, b, k + 1)
+                scales = [TimeScale.dense_interval(a, b, k + 1)]
+                if h is not None:
+                    scales.append(TimeScale.uniform(a, b, h))
+                for T in scales:
+                    assert T.points.tobytes() == want.tobytes()
+        # where linspace's step underflows to 0, its points repeat, so no
+        # scale is built from them
+        assert not np.all(np.diff(np.linspace(0.0, 3 * tiny, 11)) > 0)
+        message = "^points must be strictly increasing$"
+        with pytest.raises(TimeScaleError, match=message):
+            TimeScale.dense_interval(0.0, 3 * tiny, 11)
+
     @pytest.mark.parametrize(
         "points, gaps, message",
         [
