@@ -265,8 +265,7 @@ def _enumeration_rows(shown: Extremals) -> Iterator[dict]:
         }
 
 
-def cmd_solve(args) -> int:
-    loaded = load_problem(args.file)
+def cmd_solve(args, loaded: LoadedProblem) -> int:
     p = loaded.problem
     tol = args.tol if args.tol is not None else default_tol(p.scale)
     if args.enumerate_alphabet is not None:
@@ -310,8 +309,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    loaded = load_problem(args.file)
+def cmd_verify(args, loaded: LoadedProblem) -> int:
     p = loaded.problem
     if loaded.trajectory is None:
         raise ProblemFileError("verify needs a trajectory in the problem file")
@@ -336,8 +334,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_FAIL
 
 
-def cmd_noether(args) -> int:
-    loaded = load_problem(args.file)
+def cmd_noether(args, loaded: LoadedProblem) -> int:
     p = loaded.problem
     if loaded.transformation is None:
         raise ProblemFileError("noether needs a transformation in the problem file")
@@ -379,8 +376,7 @@ def cmd_noether(args) -> int:
     return EXIT_OK
 
 
-def cmd_scale_info(args) -> int:
-    loaded = load_problem(args.file)
+def cmd_scale_info(args, loaded: LoadedProblem) -> int:
     scale = loaded.problem.scale
     print(f"points: {scale.n}   span: [{_fmt(scale.a)}, {_fmt(scale.b)}]")
     print(f"exact discrete: {scale.is_exact_discrete}")
@@ -463,7 +459,7 @@ def main(argv=None) -> int:
         if value < 0:
             parser.error(f"argument --{flag}: must be non-negative, got {value}")
     try:
-        return args.func(args)
+        return args.func(args, load_problem(args.file))
     except (SingularSystem, NoConvergence) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

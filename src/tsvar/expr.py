@@ -437,15 +437,15 @@ def _pow(a, b, node):
         integral = db == 0.0 and float(bv).is_integer()
         return (_int_pow if integral else _real_pow)(a, b, node)
     # an exponent that varies over the k frames, the last axis of every part
-    k = np.broadcast_shapes(np.shape(a[0]), np.shape(bv))[-1]
+    k = _shape([x for x in (a[0], bv) if type(x) is not float])[-1]
     moving = np.zeros(k, dtype=bool)
     for part in (db, 0.0 if hb is None else hb):
         nonzero = np.asarray(part != 0.0)
-        moving |= np.broadcast_to(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
+        moving |= _broadcast(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
     integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
 
     def at(x, sel):  # x at the frames sel, if x varies over frames
-        return x[..., sel] if np.shape(x)[-1:] == (k,) else x
+        return x[..., sel] if getattr(x, "shape", ())[-1:] == (k,) else x
 
     on, off = (
         path(tuple(at(x, sel) for x in a), tuple(at(x, sel) for x in b), node)
@@ -453,7 +453,7 @@ def _pow(a, b, node):
     )
 
     def stitch(x, y):  # one part, x on the integral frames and y elsewhere
-        out = np.empty(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]) + (k,))
+        out = np.empty(_shape((x[..., :0], y[..., :0]))[:-1] + (k,))
         out[..., integral], out[..., ~integral] = x, y
         return out
 

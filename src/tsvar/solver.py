@@ -199,21 +199,6 @@ def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[_Along, np.ndarray]:
     return e, e.first_el_values().ravel()
 
 
-def _stacked(evaluate, h: int):
-    """evaluate(slice(None)), one kernel pass over a stack of h items.
-
-    If that pass raises, each item is evaluated alone, in stack order, so
-    the error is the one the first failing item raises alone; the pass's
-    own error is re-raised should none fail.
-    """
-    try:
-        return evaluate(slice(None))
-    except (ExprError, ArithmeticError, Warning):  # Warning: raised as error
-        for i in range(h):
-            evaluate(slice(i, i + 1))
-        raise
-
-
 @np.errstate(over="ignore", invalid="ignore")  # _newton judges a non-finite |J|
 def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-k times the Hessian H of the discrete action S in the interior
@@ -285,10 +270,10 @@ class _Hessian:
     solved uncertified; for n >= 2, H and |H| are built dense at once, which
     at Newton's sizes is cheaper than a block band."""
 
-    __slots__ = ("D", "E", "H", "A", "d", "e", "verdict")
+    __slots__ = ("D", "E", "H", "A", "d", "e")
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
-        self.D, self.E, self.H, self.A, self.verdict = D, E, None, None, None
+        self.D, self.E, self.H, self.A = D, E, None, None
         if D.shape[1] == 1:  # |H| as its diagonal d and off-diagonal e
             self.d, self.e = np.abs(D.ravel()), np.abs(E.ravel())
         else:
@@ -322,40 +307,37 @@ class _Hessian:
     @np.errstate(over="ignore")  # an overflowing sum certifies nothing
     def certified(self) -> bool:
         """Whether |H| proves cond_2(H) <= CONDITION_LIMIT / 2 by strict
-        diagonal dominance, judged once.  With alpha = min_i(|H_ii| -
-        sum_{j != i} |H_ij|) > 0, ||H^-1||_inf <= 1 / alpha (Varah, Linear
-        Algebra Appl. 11, 1975); H being symmetric, ||H||_1 = ||H||_inf, so
-        for s unknowns cond_2(H) <= sqrt(s) * ||H||_inf / alpha.  A row's sum
-        of 3n nonzero terms at most and its alpha_i round by less than (3n +
-        2) * eps times the largest row sum, which alpha gives up; the factor
-        2 under the limit leaves room for the rounding of the bound itself
-        and of the SVD's own estimate, so a certified H is one
-        np.linalg.cond passes."""
-        if self.verdict is None:
-            if self.A is None:  # row sums, equal to column sums
-                rows, diagonal = self._product(np.ones_like(self.d)), self.d
-            else:
-                rows, diagonal = self.A.sum(axis=1), self.A.diagonal()
-            norm = rows.max()
-            slack = (3 * self.D.shape[1] + 2) * _EPS * norm
-            alpha = (diagonal - (rows - diagonal)).min() - slack
-            self.verdict = bool(alpha > 0) and bool(  # no division unless alpha > 0
-                np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2
-            )
-        return self.verdict
+        diagonal dominance.  With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|)
+        > 0, ||H^-1||_inf <= 1 / alpha (Varah, Linear Algebra Appl. 11,
+        1975); H being symmetric, ||H||_1 = ||H||_inf, so for s unknowns
+        cond_2(H) <= sqrt(s) * ||H||_inf / alpha.  A row's sum of 3n nonzero
+        terms at most and its alpha_i round by less than (3n + 2) * eps times
+        the largest row sum, which alpha gives up; the factor 2 under the
+        limit leaves room for the rounding of the bound itself and of the
+        SVD's own estimate, so a certified H is one np.linalg.cond passes."""
+        if self.A is None:  # row sums, equal to column sums
+            rows, diagonal = self._product(np.ones_like(self.d)), self.d
+        else:
+            rows, diagonal = self.A.sum(axis=1), self.A.diagonal()
+        norm = rows.max()
+        slack = (3 * self.D.shape[1] + 2) * _EPS * norm
+        alpha = (diagonal - (rows - diagonal)).min() - slack
+        return bool(alpha > 0) and bool(  # no division unless alpha > 0
+            np.sqrt(rows.size) * (norm / alpha) <= CONDITION_LIMIT / 2
+        )
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """y with H y = r, H finite: on the band if H is scalar and certified
         (:func:`_eliminate`), else by np.linalg.solve, after SingularSystem
         if cond_2(H) exceeds CONDITION_LIMIT; an uncertified H takes an SVD
         for that, times a power of two: exact, and it cannot overflow."""
-        if self.A is None and self.certified():
+        certified = self.certified()
+        if certified and self.A is None:
             return _eliminate(self.D.ravel(), self.E.ravel(), r)
         if self.H is None:
             self.H = _dense(self.D, self.E)
-        if not self.certified():
-            top = self.row_maxima().max() if self.A is None else self.A.max()
-            exponent = np.frexp(top)[1]  # largest entry to [0.5, 1)
+        if not certified:
+            exponent = np.frexp(self.row_maxima().max())[1]  # largest entry to [0.5, 1)
             if np.linalg.cond(np.ldexp(self.H, -exponent)) > CONDITION_LIMIT:
                 raise SingularSystem(
                     f"jacobian condition estimate exceeds {CONDITION_LIMIT:.0e}"
@@ -411,9 +393,9 @@ def solve_newton(
 
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
-) -> _Along:
-    """:func:`solve_newton`, returning the record of the iterate it stops
-    at and the magnitude of that iterate's residual."""
+) -> tuple[_Along, float]:
+    """:func:`solve_newton`, returning a pair: the record of the iterate it
+    stops at and the magnitude of that iterate's residual."""
     if not p.scale.is_exact_discrete:
         raise ValueError("Newton solve needs an exact discrete scale")
     if q_init is None:  # its ends are q_a and q_b: nothing to check
@@ -692,9 +674,12 @@ def enumerate_slope_extremals(
     blocks = [(np.empty((0, gaps)), np.empty((0, gaps + 1, 1)), *np.empty((3, 0)))]
     for start in range(0, len(hits), _BLOCK_WORDS):
         block = hits[start : start + _BLOCK_WORDS]
-        blocks.append(
-            _stacked(lambda s: _extremals(p, letters, tree, block[s], tol), len(block))
-        )
+        try:
+            blocks.append(_extremals(p, letters, tree, block, tol))
+        except (ExprError, ArithmeticError, Warning):  # Warning: raised as error
+            for hit in block:  # the first hit that fails alone raises its error
+                _extremals(p, letters, tree, range(hit, hit + 1), tol)
+            raise  # the block's own error, should no hit fail alone
     return Extremals(p.scale, *map(np.concatenate, zip(*blocks)))
 
 

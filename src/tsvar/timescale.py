@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -158,14 +157,15 @@ class TimeScale(_Record):
     Instances are immutable and safe to share.
 
     ``mus`` (graininess) and ``sigmas`` (forward-jump indices) hold
-    :meth:`mu` and :meth:`sigma` of every point as read-only arrays.  The
-    gap kinds, given as letters or members, are read once into them: gap i
-    is SCATTERED exactly when ``mus[i] > 0``, since the points strictly
+    :meth:`mu` and :meth:`sigma` of every point as read-only arrays, and
+    ``is_exact_discrete`` whether every gap is SCATTERED.  The gap kinds,
+    given as letters or members, are read once into them: gap i is
+    SCATTERED exactly when ``mus[i] > 0``, since the points strictly
     increase, and every per-gap query reads that.  Two scales are equal
     when their points and graininess are.
     """
 
-    __slots__ = ("points", "mus", "sigmas", "__dict__")  # __dict__: cached_property
+    __slots__ = ("points", "mus", "sigmas", "is_exact_discrete")
 
     def __init__(self, points: Sequence[float], gaps: Iterable[GapKind | str]) -> None:
         pts = np.array(points, dtype=float)
@@ -195,6 +195,7 @@ class TimeScale(_Record):
         for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
             arr.setflags(write=False)
             _set(self, name, arr)
+        _set(self, "is_exact_discrete", bool(scattered.all()))
 
     # -- constructors -------------------------------------------------
 
@@ -275,10 +276,6 @@ class TimeScale(_Record):
     def _letters(self) -> np.ndarray:
         """The gap kinds as the letters 'S' and 'D'."""
         return np.where(self.mus[:-1] > 0, "S", "D")
-
-    @cached_property  # the scale is immutable
-    def is_exact_discrete(self) -> bool:
-        return bool((self.mus[:-1] > 0).all())
 
     @property
     def has_dense(self) -> bool:

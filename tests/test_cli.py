@@ -1208,11 +1208,11 @@ class TestBlocks:
 class TestPerCallPath:
     """A call reads its file with open() and calls numpy's C functions and
     array methods: it enters no Python function of pathlib, nor of numpy's
-    wrapper modules fromnumeric, shape_base and function_base (numpy.core.*
-    and numpy.lib.function_base in numpy 1.x, numpy._core.* and
+    wrapper modules fromnumeric, shape_base, function_base and stride_tricks
+    (numpy.core.* and numpy.lib.* in numpy 1.x, numpy._core.* and
     numpy.lib._*_impl in numpy 2)."""
 
-    WRAPPERS = ("fromnumeric", "shape_base", "function_base")
+    WRAPPERS = ("fromnumeric", "shape_base", "function_base", "stride_tricks")
 
     def wrapped(self, module: str) -> bool:
         top, last = module.partition(".")[0], module.rpartition(".")[2]
@@ -1242,7 +1242,8 @@ class TestPerCallPath:
 
     def test_module_names_matched(self):
         for module in ("pathlib", "numpy.core.fromnumeric", "numpy._core.shape_base",
-                       "numpy.lib.function_base", "numpy.lib._shape_base_impl"):
+                       "numpy.lib.function_base", "numpy.lib._shape_base_impl",
+                       "numpy.lib._stride_tricks_impl"):
             assert self.wrapped(module)
         for module in ("numpy._core._methods", "numpy._core.numeric", "json", "tsvar.cli"):
             assert not self.wrapped(module)
@@ -1278,3 +1279,22 @@ class TestPerCallPath:
         )
         argv = ["verify", path, "--first-el", "--second-el", "--erdmann"]
         assert self.entered(argv) == set()
+
+    def test_verify_with_an_exponent_over_frames(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            lagrangian="u1^t + v1^2",
+            q_a=1.0,
+            q_b=3.0,
+            trajectory={"values": [1, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0]},
+        )
+        argv = ["verify", path, "--first-el", "--tol", "1e300"]
+        assert self.entered(argv) == set()
+
+    def test_newton_solve_with_an_exponent_over_frames(self, tmp_path):
+        path = write_problem(
+            tmp_path,
+            scale={"uniform": {"a": 1.0, "b": 2.0, "h": 0.125}},
+            lagrangian="v1^2 + t^u1",
+        )
+        assert self.entered(["solve", path]) == set()

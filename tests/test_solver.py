@@ -1095,6 +1095,31 @@ class TestBand:
         assert len(eliminations) == 1
         assert np.max(np.abs(q - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
 
+    def test_certificate_is_read_once_per_step(self, monkeypatch):
+        # with the certificate refused, so that each step takes the dense
+        # path, every step that solves asks for it once, scalar or not
+        verdicts, steps, solve_step = [], [], solver._Hessian.solve
+
+        def counted(self, r):
+            steps.append(None)
+            return solve_step(self, r)
+
+        def refused(self):
+            verdicts.append(None)
+            return False
+
+        monkeypatch.setattr(solver._Hessian, "certified", refused)
+        monkeypatch.setattr(solver._Hessian, "solve", counted)
+        scale = TimeScale.uniform(1, 2, 0.125)
+        n2 = Lagrangian(2, "(v1^2 - 1)^2 + t*v2^2 + u1^2 + 0.25*u1*u2")
+        for p in (
+            lq_scalar_problem(61), VariationalProblem(scale, n2, [0.0, 0.0], [1.0, 2.0])
+        ):
+            verdicts.clear()
+            steps.clear()
+            solve_newton(p)
+            assert steps and len(verdicts) == len(steps)
+
     def test_memory_is_linear_in_the_points(self):
         # at N = 2001 the dense H and |H| would take 64 MB; the band solve
         # peaks at about 1 MB
