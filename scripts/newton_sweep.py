@@ -32,6 +32,7 @@ not count.
 
 import argparse
 import collections
+import contextlib
 import json
 import sys
 import warnings
@@ -94,20 +95,22 @@ def outcome(mode: str, terms: str, points, q_a, q_b) -> dict:
 
 def sweep(mode: str, count: int, out: str | None) -> None:
     table = collections.Counter()
-    sink = open(out, "w") if out else None
-    for i, terms, points, q_a, q_b in problems(mode, count):
-        row = {"index": i, "body": terms, **outcome(mode, terms, points, q_a, q_b)}
-        table[row["verdict"]] += 1
-        if sink:
-            sink.write(json.dumps(row) + "\n")
-    if sink:
-        sink.close()
+    with open(out, "w") if out else contextlib.nullcontext() as sink:
+        for i, terms, points, q_a, q_b in problems(mode, count):
+            verdict = outcome(mode, terms, points, q_a, q_b)
+            row = {"index": i, "body": terms, **verdict}
+            table[row["verdict"]] += 1
+            if sink:
+                sink.write(json.dumps(row) + "\n")
     print(f"{mode}, {count} problems:", dict(sorted(table.items())))
 
 
 def compare(old: str, new: str) -> list[str]:
     """Print the comparison of two runs; return its offending rows."""
-    rows = [[json.loads(line) for line in open(path)] for path in (old, new)]
+    rows = []
+    for path in (old, new):
+        with open(path) as lines:
+            rows.append([json.loads(line) for line in lines])
     table, moved, worst, offending = collections.Counter(), 0, 0.0, []
     for a, b in zip(*rows):
         table[a["verdict"], b["verdict"]] += 1

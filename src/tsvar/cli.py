@@ -351,7 +351,10 @@ def cmd_noether(args, loaded: LoadedProblem) -> int:
     invariance = report.invariance_magnitude
     if args.sweep > 0:
         rng = np.random.default_rng(args.seed)
-        span = 1.0 + float(np.abs(p.q_a).max() + np.abs(p.q_b).max())
+        # summed as Python floats, which overflow to inf without a warning,
+        # and capped so that the draw's range 2 * span stays finite
+        span = 1.0 + (float(np.abs(p.q_a).max()) + float(np.abs(p.q_b).max()))
+        span = min(span, np.finfo(float).max / 2)
         for _ in range(args.sweep):
             values = rng.uniform(-span, span, size=(p.scale.n, p.dim))
             random_q = GridFunction(p.scale, values)

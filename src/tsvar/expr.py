@@ -12,9 +12,10 @@ binds tightest and associates to the right, then unary minus, then ``*``
 NAME is either a declared variable or one of sin, cos, exp, log, sqrt.
 One table, ``_PREC``, ranks the operators for the parser and the printer.
 :meth:`Expr._forward` is the only evaluation: forward mode over arrays,
-each variable a :class:`Dual` of an array of frames and a derivative
-seed, so one pass evaluates every frame along one direction, or along
-several directions at once when the seeds form a column.  A second-order
+each variable a plain (value, deriv, hess) triple of an array of frames
+and a derivative seed, so one pass evaluates every frame along one
+direction, or along several directions at once when the seeds form a
+column; the pass returns its result as a :class:`Dual`.  A second-order
 pass also carries, in the same pass, the second derivatives along every
 pair of those directions (the hyper-dual numbers of Fike & Alonso, AIAA
 2011-886).  Derivatives are exact to the rules of differentiation.  A
@@ -37,7 +38,6 @@ __all__ = [
     "ExprDomainError",
     "Expr",
     "parse",
-    "FUNCTIONS",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -77,12 +77,11 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state) -> None:  # copy and pickle: (__dict__, slots)
-        for part in state:
-            for name, value in (part or {}).items():
-                if isinstance(value, np.ndarray):  # numpy's copies are writable
-                    (value := value.view()).setflags(write=False)
-                _set(self, name, value)
+    def __setstate__(self, state) -> None:  # copy and pickle: (None, slots)
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):  # numpy's copies are writable
+                (value := value.view()).setflags(write=False)
+            _set(self, name, value)
 
     def _key(self) -> tuple:  # the fields' values
         return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
@@ -297,15 +296,13 @@ def _print(node, parent_prec: int = 0) -> str:
         return f"({s})" if parent_prec > _PREC["neg"] else s
     if isinstance(node, _Call):
         return f"{node.fn}({_print(node.arg)})"
-    if isinstance(node, _BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # right-associative, and the right side may be a unary chain
-            s = f"{_print(node.left, prec + 1)}^{_print(node.right, prec)}"
-        else:
-            s = f"{_print(node.left, prec)} {node.op} {_print(node.right, prec + 1)}"
-        return f"({s})" if parent_prec > prec else s
-    raise TypeError(f"unknown node {node!r}")
+    prec = _PREC[node.op]  # a _BinOp, the last kind of node
+    if node.op == "^":
+        # right-associative, and the right side may be a unary chain
+        s = f"{_print(node.left, prec + 1)}^{_print(node.right, prec)}"
+    else:
+        s = f"{_print(node.left, prec)} {node.op} {_print(node.right, prec + 1)}"
+    return f"({s})" if parent_prec > prec else s
 
 
 # -- evaluation ---------------------------------------------------------

@@ -12,9 +12,9 @@ a candidate trajectory:
 
 Each is arithmetic on one evaluation of L and its first partials at the
 frames (t, q_sigma, q_delta) of the trajectory: one private record, built
-in one kernel pass over one trajectory or a stack of them, whose entry i
-is trajectory i's record.  :mod:`tsvar.noether` reads the same record,
-and :mod:`tsvar.solver` evaluates and diagnoses candidates through it.
+in one kernel pass over the trajectory.  :mod:`tsvar.noether` reads the
+same record, and :mod:`tsvar.solver` evaluates and diagnoses candidates
+through it, the enumeration through one record of a stack of them.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -195,10 +195,10 @@ class Residual(_Record):
 class _Along(_Record):
     """L and its first partials at the frames (t, U, v) = (t, q_sigma,
     q_delta) that :func:`_frames` built from the trajectory values Q, with
-    the graininess mu there.  Q is one trajectory, shape (N, n), or a stack
+    the graininess mu there.  Q is one trajectory, shape (N, n), and ``e.q``
+    is that trajectory.  Only the enumeration builds the record of a stack
     of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and Lv then lead
-    with the axis h; ``e[i]`` is trajectory i's record and ``e.q`` one
-    record's trajectory.  Every method reads a stack, one array pass per
+    with the axis h.  Every method reads a stack, one array pass per
     quantity, and gives entry i the floats trajectory i's own record gives."""
 
     __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
@@ -215,12 +215,6 @@ class _Along(_Record):
         _set(self, "Lt", Lt)
         _set(self, "Lu", Lu)
         _set(self, "Lv", Lv)
-
-    def __getitem__(self, i) -> "_Along":
-        return _Along(
-            self.p, self.t, self.mu, self.approximate, self.Q[i], self.U[i],
-            self.v[i], self.L[i], self.Lt[i], self.Lu[i], self.Lv[i],
-        )
 
     @property
     def q(self) -> GridFunction:
@@ -301,9 +295,9 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """(d/dt)_delta composite + term at the frames t, shape (k,) or (..., k)
-    as :func:`_quotients` reads points, for composite and term of shape
-    (..., k, n); the result covers the first k-1 frames."""
+    """(d/dt)_delta composite + term at the frames t, shape (k,), for
+    composite and term of shape (..., k, n); the result covers the first
+    k-1 frames."""
     return _quotients(t, composite) + term[..., :-1, :]
 
 
@@ -317,19 +311,16 @@ def _frames(T: TimeScale, Q: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Along:
-    """Evaluate L and its partials along the trajectory Q, shape (N, n), or
-    along each of a stack, shape (h, N, n), in one pass.
+    """Evaluate L and its partials along the trajectory Q, shape (N, n), in
+    one pass.
 
     Q is not checked; its frames are :func:`_frames`'.
     """
-    T, lead = p.scale, Q.shape[:-2]
-    k = T.n - 1
+    T = p.scale
     t, U, V = _frames(T, Q)
-    L, Lt, Lu, Lv = p.lagrangian.partials(np.tile(t, lead) if lead else t, U, V)
     return _Along(
-        p, t, T.mus[:k], approximate or T.has_dense, Q, U, V,
-        L.reshape(U.shape[:-1]), Lt.reshape(U.shape[:-1]),
-        Lu.reshape(U.shape), Lv.reshape(U.shape),
+        p, t, T.mus[: T.n - 1], approximate or T.has_dense, Q, U, V,
+        *p.lagrangian.partials(t, U, V),
     )
 
 

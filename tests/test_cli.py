@@ -464,6 +464,22 @@ class TestNoether:
             "",
         )
 
+    def test_sweep_with_a_span_past_half_the_float_range(self, tmp_path, capsys):
+        # |q_a| + |q_b| = 1e308: a draw over [-span, span] would have a range
+        # past the largest float, which numpy's uniform refuses with an
+        # OverflowError; capped, the draw overflows v1^2, an exit 2
+        path = write_problem(
+            tmp_path,
+            q_a=5e307,
+            q_b=5e307,
+            trajectory={"values": [5e307] * 9},
+            transformation={"tau": "1", "xi": ["1"]},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["noether", path, "--sweep", "1"]) == 2
+        assert capsys.readouterr().err == "error: result overflows in 'v1^2'\n"
+
     def test_missing_transformation_exit_2(self, tmp_path):
         path = write_problem(
             tmp_path,

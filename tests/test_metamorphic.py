@@ -8,8 +8,11 @@ from conftest import random_exact_scale
 from tsvar import (
     GridFunction,
     Lagrangian,
+    TimeScale,
     VariationalProblem,
     action,
+    enumerate_slope_extremals,
+    filter_second_el,
     first_el_residual,
     second_el_residual,
 )
@@ -73,3 +76,27 @@ def test_scaling_multiplies_the_residuals():
             )
             S = (C[1:] + C[:-1]) / mu[:-1] + term[:-1]
             assert np.all(np.abs(r_scaled - 2.5 * r) <= 6 * EPS * S)
+
+
+@pytest.mark.parametrize("c, d", [(2, 3), (0.5, -1), (3, 0.25), (1.7, -0.4), (0.3, 2)])
+def test_quartic_under_an_affine_time_map(c, d):
+    # t' = c t + d maps the quartic (v^2 - 1)^2 on uniform(0, 1, 0.125) to
+    # ((c v')^2 - 1)^2 / c, and its slopes {-1, 0, 1} to {-1/c, 0, 1/c}: the
+    # enumeration keeps the same 1107 words and the filter the same 71
+    T = TimeScale.uniform(0, 1, 0.125)
+    words = []
+    for scale, body, letters in (
+        (T, "(v1^2 - 1)^2", [-1.0, 0.0, 1.0]),
+        (
+            TimeScale.from_parts(c * T.points + d, "S" * (T.n - 1)),
+            f"(({c}*v1)^2 - 1)^2 / {c}",
+            [-1 / c, 0.0, 1 / c],
+        ),
+    ):
+        p = VariationalProblem(scale, Lagrangian(1, body), [0.0], [0.0])
+        cands = enumerate_slope_extremals(p, letters, tol=1e-8)
+        kept = filter_second_el(cands, tol=1e-8)
+        words.append([np.rint(x.slopes / letters[-1]) for x in (cands, kept)])
+    assert [len(x) for x in words[1]] == [1107, 71]
+    for mapped, reference in zip(words[1], words[0]):
+        assert np.array_equal(mapped, reference)

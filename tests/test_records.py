@@ -2,7 +2,8 @@
 defaults of their documented signatures, and an equality that never
 raises, identity for records that hold arrays, value equality for
 expressions, point classes, Newton options and transformations.  And a
-fresh import compiles tsvar's own files and no generated code."""
+fresh import compiles tsvar's own files and no generated code, and the
+package's public names are its modules' ``__all__``."""
 
 import copy
 import inspect
@@ -10,11 +11,13 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsvar
 from tsvar import (
     Candidate,
     Expr,
@@ -34,6 +37,7 @@ from tsvar import (
     first_el_residual,
     parse,
 )
+from tsvar import expr, noether, solver, timescale, variational
 from tsvar.cli import LoadedProblem
 from tsvar.expr import Dual
 
@@ -213,3 +217,15 @@ def test_import_compiles_no_generated_code():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_package_names_are_the_modules_all():
+    # one list of public names per module, and the package exports each
+    names = {
+        name
+        for name, value in vars(tsvar).items()
+        if name[0] != "_" and not isinstance(value, types.ModuleType)
+    }
+    modules = (expr, noether, solver, timescale, variational)
+    assert names == {name for module in modules for name in module.__all__}
+    assert len(names) == 39

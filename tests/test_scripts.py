@@ -33,8 +33,8 @@ def test_scripts_found():
     assert len(SCRIPTS) >= 3
 
 
-def run_script(script, *args):
-    env = dict(os.environ)
+def run_script(script, *args, **variables):
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
@@ -126,8 +126,12 @@ def test_newton_sweep_compare_exits_1_on_an_offending_row(case, tmp_path):
     for name, rows in (("old", OLD_SWEEP), ("new", new_rows)):
         paths.append(tmp_path / f"{name}.jsonl")
         paths[-1].write_text("".join(json.dumps(row) + "\n" for row in rows))
-    proc = run_script(ROOT / "scripts" / "newton_sweep.py", "--compare", *paths)
+    # in development mode a file left to the garbage collector warns
+    proc = run_script(
+        ROOT / "scripts" / "newton_sweep.py", "--compare", *paths, PYTHONDEVMODE="1"
+    )
     assert proc.returncode == code, proc.stdout + proc.stderr
+    assert "ResourceWarning" not in proc.stderr
     assert ("offending: 0:" in proc.stdout) == bool(code)
 
 
