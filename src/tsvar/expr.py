@@ -15,9 +15,9 @@ One table, ``_PREC``, ranks the operators for the parser and the printer.
 each variable a plain (value, deriv, hess) triple of an array of frames
 and a derivative seed, so one pass evaluates every frame along one
 direction, or along several directions at once when the seeds form a
-column; the pass returns its result as a :class:`Dual`.  A second-order
-pass also carries, in the same pass, the second derivatives along every
-pair of those directions (the hyper-dual numbers of Fike & Alonso, AIAA
+column; the pass returns such a triple.  A second-order pass also
+carries, in the same pass, the second derivatives along every pair of
+those directions (the hyper-dual numbers of Fike & Alonso, AIAA
 2011-886).  Derivatives are exact to the rules of differentiation.  A
 domain error at any frame, including overflow of ``exp`` and of powers,
 and a point where a second-order pass meets a subexpression that is
@@ -28,7 +28,7 @@ differentiable once but not twice along its seeds, raises
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -107,29 +107,6 @@ class _Value(_Record):
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
-
-
-class Dual(_Record):
-    """Forward-mode number: a value, its directional derivatives and, in a
-    second-order pass, its second derivatives; it unpacks as
-    (value, deriv, hess) and is equal only to itself.
-
-    Each part may be a float or a numpy array of frames; the parts
-    broadcast against each other.  ``hess`` is None in a first-order
-    pass.  In a second-order pass ``deriv`` leads with an axis of seed
-    directions and ``hess`` with two, entry (i, j) being the second
-    derivative along directions i and j.
-    """
-
-    __slots__ = ("value", "deriv", "hess")
-
-    def __init__(self, value, deriv, hess=None):
-        _set(self, "value", value)
-        _set(self, "deriv", deriv)
-        _set(self, "hess", hess)
-
-    def __iter__(self):
-        return iter((self.value, self.deriv, self.hess))
 
 
 # -- AST ----------------------------------------------------------------
@@ -570,17 +547,19 @@ class Expr(_Value):
         _set(self, "reads", reads)  # the variables the tree names
         _set(self, "_run", _run)  # _compile(root)
 
-    def _forward(self, env: Mapping[str, object], seed=None, order: int = 1) -> Dual:
-        """Value and directional derivatives at every frame in one pass.
+    def _forward(self, values, seeds=None, order: int = 1) -> tuple:
+        """Value and directional derivatives at every frame in one pass,
+        as the triple (value, deriv, hess).
 
-        ``env`` maps every variable to an array of frames; ``seed`` maps
-        every variable to its derivative seed (zero when omitted), which
-        broadcasts against the frames, so a column of seeds carries
-        several directions through the same pass.  The value has the
-        shape the frames broadcast to, and the derivatives the shape the
-        frames and the seeds broadcast to.  With ``order=2`` the seeds must
-        lead with that axis of directions, and the result also carries the
-        second derivatives along every pair of them, the axis twice.
+        ``values`` holds an array of frames for each of ``variables``, in
+        that order; ``seeds``, in the same order, each one's derivative
+        seed (zero when omitted), which broadcasts against the frames, so
+        a column of seeds carries several directions through the same
+        pass.  The value has the shape the frames broadcast to, and the
+        derivatives the shape the frames and the seeds broadcast to.
+        ``hess`` is None at order 1.  With ``order=2`` the seeds must lead
+        with that axis of directions, and ``hess`` holds the second
+        derivatives along every pair of them, the axis twice.
 
         The pass calls the closures that parse compiled from the tree, one
         per node, on plain (value, deriv, hess) tuples.  Beyond numpy's
@@ -592,23 +571,18 @@ class Expr(_Value):
         with the square of the directions.
         """
         zero = None if order == 1 else 0.0
-        names = self.variables
-        values = [np.asarray(env[name], dtype=float) for name in names]
-        seeds = [0.0] * len(names)
-        if seed is not None:
-            seeds = [np.asarray(seed[name], dtype=float) for name in names]
+        values = [np.asarray(x, dtype=float) for x in values]
+        if seeds is not None:
+            seeds = [np.asarray(s, dtype=float) for s in seeds]
+        parts = zip(values, seeds or [0.0] * len(values), [zero] * len(values))
         # overflow of exp and of powers raises in _no_overflow; elsewhere it
         # gives inf, as float arithmetic does
         with np.errstate(over="ignore"):
-            value, deriv, hess = self._run(
-                dict(zip(names, zip(values, seeds, [zero] * len(names)))), zero
-            )
+            value, deriv, hess = self._run(dict(zip(self.variables, parts)), zero)
         frames = _shape(values)
-        shape = frames if seed is None else _shape([*values, *seeds])
+        shape = frames if seeds is None else _shape([*values, *seeds])
         value, deriv = _broadcast(value, frames), _broadcast(deriv, shape)
-        if zero is None:
-            return Dual(value, deriv)
-        return Dual(value, deriv, _broadcast(hess, shape[:1] + shape))
+        return value, deriv, None if zero is None else _broadcast(hess, shape[:1] + shape)
 
     def __str__(self) -> str:
         return _print(self.root)

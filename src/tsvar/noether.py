@@ -81,8 +81,8 @@ def _sample(
     if tr.dim != p.dim:
         raise ValueError("transformation dimension does not match the problem")
     e = _along(p, q, boundary=False)
-    env = dict(zip(tr.tau.variables, [q.base.points, *q.values.T]))
-    return e, np.array([c._forward(env).value for c in (tr.tau, *tr.xi)]).T
+    values = [q.base.points, *q.values.T]
+    return e, np.array([c._forward(values)[0] for c in (tr.tau, *tr.xi)]).T
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel

@@ -78,7 +78,6 @@ class Lagrangian:
         # row j, variable j's column of seeds: one unit seed for each
         # variable in turn (see partials)
         self._unit = np.eye(len(names))[:, :, None]
-        self._seeds = dict(zip(names, self._unit))
 
     def partials(
         self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1, moving=None
@@ -109,23 +108,23 @@ class Lagrangian:
         on the first two there.
 
         A call is one :meth:`Expr._forward` pass of the body, whose tree
-        parse compiled once, plus a few numpy calls here: the unit seeds
-        are built with the Lagrangian, and a mask scales all of them in
-        one product.  The results are views of the pass's arrays, not
-        copies (``scripts/ab_timing.py`` prints the cost of a call).
+        parse compiled once, plus a few numpy calls here: its seeds are the
+        rows of a unit matrix built with the Lagrangian, or of their one
+        product with a mask.  The results are views of the pass's arrays,
+        not copies (``scripts/ab_timing.py`` prints the cost of a call).
         """
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order!r}")
         t = np.asarray(t, dtype=float)
-        k, n, names = t.size, self.dim, self.body.variables
+        k, n = t.size, self.dim
         U = np.asarray(U).reshape(k, n)
         V = np.asarray(V).reshape(k, n)
-        seeds = self._seeds
+        seeds = self._unit
         if moving is not None:
             mask = _broadcast(np.asarray(moving), (k, 2 * n + 1)).T
             # one product for every seed, laid out as the frames are
-            seeds = dict(zip(names, np.multiply(self._unit, mask, order="C")))
-        value, d, H = self.body._forward(dict(zip(names, [t, *U.T, *V.T])), seeds, order)
+            seeds = np.multiply(self._unit, mask, order="C")
+        value, d, H = self.body._forward([t, *U.T, *V.T], seeds, order)
         first = value, d[0], d[1 : n + 1].T, d[n + 1 :].T
         return first if order == 1 else (*first, H.transpose(2, 0, 1))
 

@@ -64,11 +64,11 @@ def at_point(expr, env, seed=None) -> tuple[float, float]:
     forward pass over a stack of one frame gives both floats."""
     if isinstance(seed, str):
         seed = {name: float(name == seed) for name in expr.variables}
-    out = expr._forward(
-        {name: [env[name]] for name in expr.variables},
-        None if seed is None else {name: [seed[name]] for name in expr.variables},
+    value, deriv, _ = expr._forward(
+        [[env[name]] for name in expr.variables],
+        None if seed is None else [[seed[name]] for name in expr.variables],
     )
-    return out.value.item(), out.deriv.item()
+    return value.item(), deriv.item()
 
 
 def finite_difference_partial(expr, var, env) -> float:

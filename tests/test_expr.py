@@ -278,6 +278,25 @@ class TestPartial:
         assert at_point(e, {"t": 0, "u1": 2.0, "v1": 5.0}, "u1")[1] == 5.0
 
 
+def test_forward_returns_a_plain_triple():
+    # frames and seeds in the order of the variables; the pass returns the
+    # tuple (value, deriv, hess), hess None at order 1
+    e = parse("u1*v1^2 + t", VARS)
+    frames = [[1.0, 2.0], [3.0, -1.0], [0.5, 2.0]]
+    first = e._forward(frames)
+    assert type(first) is tuple and len(first) == 3 and first[2] is None
+    assert first[0].tolist() == [1.75, -2.0] and first[1].tolist() == [0.0, 0.0]
+    # one unit seed per variable: the partials (1, v^2, 2uv), and second
+    # partials L_uv = 2v and L_vv = 2u, each for both frames
+    value, deriv, hess = e._forward(frames, np.eye(3)[:, :, None], order=2)
+    assert value.tolist() == [1.75, -2.0]
+    assert deriv.tolist() == [[1.0, 1.0], [0.25, 4.0], [3.0, -4.0]]
+    want = np.zeros((3, 3, 2))
+    want[1, 2] = want[2, 1] = [1.0, 4.0]
+    want[2, 2] = [6.0, -2.0]
+    assert hess.tolist() == want.tolist()
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 2**31 - 1))
 def test_partials_match_central_differences(seed):

@@ -39,7 +39,6 @@ from tsvar import (
 )
 from tsvar import expr, noether, solver, timescale, variational
 from tsvar.cli import LoadedProblem
-from tsvar.expr import Dual
 
 ROOT = Path(__file__).resolve().parents[1]
 EMPTY = inspect.Parameter.empty
@@ -48,7 +47,6 @@ EMPTY = inspect.Parameter.empty
 # that have one
 SIGNATURES = {
     Expr: ("root", "variables", "reads", "_run"),
-    Dual: ("value", "deriv", ("hess", None)),
     PointClass: ("left_scattered", "right_scattered"),
     TimeScale: ("points", "gaps"),
     GridFunction: ("base", "values", ("approximate", False)),
@@ -81,7 +79,6 @@ def build() -> dict:
     e = parse("v1^2 + t*u2", ["t", "u1", "u2", "v1", "v2"])
     records = [
         e,
-        e._forward({"t": [1.0, 2.0], "u1": 0, "u2": 1, "v1": 3, "v2": 0}),
         scale.classify(1),
         scale,
         q,
@@ -183,13 +180,6 @@ def test_expression_repr_is_the_dataclass_text():
         "left=_Var(name='x'), right=_Neg(arg=_Num(value=2.0))))"
     )
     assert repr(NewtonOptions()) == "NewtonOptions(tol=1e-10, max_iter=50)"
-
-
-def test_dual_unpacks_as_value_deriv_hess():
-    d = Dual(1.0, 2.0)
-    assert tuple(d) == (1.0, 2.0, None)
-    value, deriv, hess = Dual(1.0, 2.0, 3.0)
-    assert (value, deriv, hess) == (d.value, d.deriv, 3.0)
 
 
 GUARD = """
