@@ -179,11 +179,15 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     c = (q_b - q_a) / (b - a) and k = (b*q_a - a*q_b) / (b - a),
     componentwise.  For Lagrangians depending only on the slope this is
     an extremal; for the quadratic slope Lagrangian it is the minimizer.
+    Raises ValueError where c*t + k is not finite, as where b - a overflows.
     """
     a, b = p.scale.a, p.scale.b
-    c = (p.q_b - p.q_a) / (b - a)
-    k = (b * p.q_a - a * p.q_b) / (b - a)
-    values = p.scale.points[:, None] * c[None, :] + k[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (p.q_b - p.q_a) / (b - a)
+        k = (b * p.q_a - a * p.q_b) / (b - a)
+        values = p.scale.points[:, None] * c[None, :] + k[None, :]
+    if np.count_nonzero(~np.isfinite(values)):
+        raise ValueError("result overflows in the affine extremal c*t + k")
     # rounding in c*t + k can miss the boundary values; the ends are pinned
     values[0], values[-1] = p.q_a, p.q_b
     return GridFunction(p.scale, values)

@@ -177,6 +177,29 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: residual has non-finite entries\n"
 
+    @pytest.mark.parametrize(
+        "points, lagrangian, q_a, q_b",
+        [
+            ([-1e308, 0.0, 1e308], "v1^2", 3.0, 5.0),
+            ([-1e308, 0.0, 1e308], "v1^2 + u1^2", 3.0, 5.0),
+            ([0.0, 1e200, 2e200], "v1^2", 1e200, 1e200),
+        ],
+    )
+    def test_overflowing_affine_extremal_exit_2(
+        self, points, lagrangian, q_a, q_b, tmp_path, capsys
+    ):
+        # b - a or b*q_a overflows, so c*t + k is not finite: an input error,
+        # named before the kernel or Newton reads the guess, and no warning
+        path = write_problem(
+            tmp_path, scale={"points": points}, lagrangian=lagrangian, q_a=q_a, q_b=q_b
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve", path])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert err == "error: result overflows in the affine extremal c*t + k\n"
+
     def test_overflowing_hamiltonian_without_warning(self, tmp_path, capsys):
         # Newton converges, but L = v1 * u1 overflows at 3 of 4 frames: the
         # action is -inf and the Hamiltonian's inf - inf makes second_el nan
