@@ -8,8 +8,6 @@ DuBois-Reymond residual shrinks.  Expected: first-order decay, factor
 two per refinement.
 """
 
-import argparse
-
 from tsvar import (
     GridFunction,
     Lagrangian,
@@ -18,24 +16,17 @@ from tsvar import (
     classical_check,
 )
 
+RESOLUTIONS = (101, 201, 401, 801)  # point counts
+Q_B = 1.0
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--resolutions", default="101,201,401,801", help="comma-separated point counts"
-    )
-    parser.add_argument("--q-b", type=float, default=1.0)
-    args = parser.parse_args()
-    resolutions = [int(s) for s in args.resolutions.split(",")]
-
-    alpha = args.q_b - 0.25  # q(t) = t^2/4 + alpha t, q(0) = 0
+    alpha = Q_B - 0.25  # q(t) = t^2/4 + alpha t, q(0) = 0
     previous = None
     print("resolution        h      residual   factor")
-    for resolution in resolutions:
+    for resolution in RESOLUTIONS:
         scale = TimeScale.dense_interval(0.0, 1.0, resolution)
-        problem = VariationalProblem(
-            scale, Lagrangian(1, "v1^2 + u1"), [0.0], [args.q_b]
-        )
+        problem = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1"), [0.0], [Q_B])
         q = GridFunction.sample(scale, lambda t: t * t / 4 + alpha * t)
         magnitude = classical_check(problem, q).magnitude
         h = 1.0 / (resolution - 1)

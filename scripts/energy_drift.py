@@ -8,8 +8,6 @@ step) and the graininess-corrected second-equation residual (which decays
 linearly with the step).
 """
 
-import argparse
-
 from tsvar import (
     Lagrangian,
     TimeScale,
@@ -18,6 +16,8 @@ from tsvar import (
     second_el_residual,
     solve_newton,
 )
+
+STEPS = (0.1, 0.05, 0.025, 0.0125)
 
 
 def run(h: float) -> tuple[float, float]:
@@ -35,11 +35,8 @@ def run(h: float) -> tuple[float, float]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", default="0.1,0.05,0.025,0.0125")
-    args = parser.parse_args()
     print("       h   classical drift   corrected residual")
-    for h in (float(s) for s in args.steps.split(",")):
+    for h in STEPS:
         drift, corrected = run(h)
         print(f"{h:>8}   {drift:15.6f}   {corrected:18.6e}")
 

@@ -11,7 +11,6 @@ The survivors' JSON-lines rows are the report of
     tsvar solve problems/quartic.json --enumerate=-1,0,1 --filter-second-el --json F
 """
 
-import argparse
 from collections import Counter
 
 import numpy as np
@@ -24,20 +23,18 @@ from tsvar import (
     filter_second_el,
 )
 
+TOL = 1e-8  # of both equations
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    args = parser.parse_args()
-
     problem = VariationalProblem(
         TimeScale.uniform(0.0, 1.0, 0.125),
         Lagrangian(1, "(v1^2 - 1)^2"),
         [0.0],
         [0.0],
     )
-    extremals = enumerate_slope_extremals(problem, [-1.0, 0.0, 1.0], tol=args.tol)
-    survivors = filter_second_el(extremals, tol=args.tol)
+    extremals = enumerate_slope_extremals(problem, [-1.0, 0.0, 1.0], tol=TOL)
+    survivors = filter_second_el(extremals, tol=TOL)
 
     print(f"first-equation extremals : {len(extremals)}")
     print(f"second-equation survivors: {len(survivors)}")
