@@ -39,7 +39,12 @@ of the ratio of the two samples of one repeat (this tree's over the
 other's), a distribution-free 95% interval for that median (the sign-test
 interval; Hollander & Wolfe, *Nonparametric Statistical Methods*; it needs
 6 repeats at least) and the repeats this tree won.  An interval wholly
-below 1 says this tree is faster on that case.
+below 1 says this tree is faster on that case.  Each row has its own
+interval, so on unchanged code about one row in twenty excludes 1 by
+chance.  A row whose interval lies wholly above 1 is therefore rerun
+alone, in process, for 31 repeats (``run_case`` on that one case), and
+it counts against this tree only if the rerun's interval lies wholly
+above 1 too.
 
     PYTHONPATH=src python scripts/ab_timing.py --repeat 31 --against OTHER/src
 
