@@ -147,7 +147,9 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
     try:
         with open(path, "rb", buffering=0) as file:  # decoded as text mode would
             text = file.read().decode(locale.getpreferredencoding(False))
-        obj = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -473,3 +475,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

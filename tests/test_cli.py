@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -582,6 +583,28 @@ class TestScaleInfo:
             '"DENSE", "LEFT_DENSE+RIGHT_SCATTERED", "LEFT_SCATTERED+RIGHT_DENSE", '
             '"DENSE"], "kappa_length": 7, "exact_discrete": false}'
         )
+
+    @pytest.mark.parametrize(
+        "path", [QUADRATIC, ROOT / "missing.json"], ids=["file", "missing"]
+    )
+    def test_module_form_runs_main(self, path, capsys):
+        # python -m tsvar.cli prints and exits as the in-process call does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        argv = ["scale-info", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsvar.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, *captured)
+        assert code == (0 if path.exists() else 2)
 
 
 class TestRoundTrip:
