@@ -11,7 +11,9 @@ linear first-EL system of a linear-quadratic Lagrangian, the reference
 for Newton.  And L with its partials at one frame, read from a
 one-frame call of :meth:`Lagrangian.partials`, and an expression's
 value and derivative at one point, read from a one-frame forward pass.
-And the reader of a report that ``tsvar --json`` wrote."""
+And the discrete Euler-Lagrange map, the reference for Newton that
+solves no band.  And the reader of a report that ``tsvar --json``
+wrote."""
 
 import itertools
 import json
@@ -237,6 +239,45 @@ def lq_first_el_root(scale, a, b, C, q_a, q_b) -> np.ndarray:
     rhs = -(M[:, :n] @ q_a + M[:, -n:] @ q_b)
     interior = np.linalg.solve(M[:, n:-n], rhs).reshape(N - 2, n)
     return np.vstack([q_a, interior, q_b])
+
+
+def march(p, q_0, q_1) -> np.ndarray:
+    """The trajectory, shape (N, n), that the discrete Euler-Lagrange map
+    of p carries from q_0 and q_1 on p's exact discrete scale (Marsden &
+    West, Acta Numerica 10, 2001).  First-EL row i, (Lv_{i+1} - Lv_i)/mu_i
+    = Lu_i at the frames (t_j, q_{j+1}, (q_{j+1} - q_j)/mu_j), reads q_{i+2}
+    only through Lv_{i+1}: each step solves Lv_{i+1} = Lv_i + mu_i Lu_i
+    for q_{i+2} by Newton from the linear extrapolation, its n x n
+    Jacobian L_vu + L_vv/mu_{i+1} read from a second-order
+    ``Lagrangian.partials`` pass at frame i+1, until a step moves q_{i+2}
+    by at most 1e-15 (1 + max|q_{i+2}|).  No band, no residual assembly
+    and no stop test is shared with the solver.  A singular step block
+    raises np.linalg.LinAlgError naming the problem and the row."""
+    L, t, mu, n = p.lagrangian, p.scale.points, p.scale.mus, p.dim
+    u, v = slice(1, n + 1), slice(n + 1, None)
+    Q = np.empty((t.size, n))
+    Q[0], Q[1] = q_0, q_1
+    slope = (Q[1] - Q[0]) / mu[0]
+    _, _, Lu, Lv = L.partials(t[:1], Q[1:2], slope[None])
+    for i in range(t.size - 2):
+        target, h = Lv[0] + mu[i] * Lu[0], mu[i + 1]
+        x, dx = Q[i + 1] + h * slope, None
+        for _ in range(50):
+            slope = (x - Q[i + 1]) / h
+            _, _, Lu, Lv, H = L.partials(t[i + 1 : i + 2], x[None], slope[None], 2)
+            if dx is not None and np.abs(dx).max() <= 1e-15 * (1 + np.abs(x).max()):
+                break
+            try:
+                dx = np.linalg.solve(H[0, v, u] + H[0, v, v] / h, target - Lv[0])
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"singular step block at row {i} of {L!r} on {p.scale!r}"
+                ) from exc
+            x = x + dx
+        else:
+            raise RuntimeError(f"step of row {i} of {L!r} on {p.scale!r} did not settle")
+        Q[i + 2] = x
+    return Q
 
 
 def load_report(path: str | Path):

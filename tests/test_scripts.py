@@ -1,7 +1,8 @@
-"""Smoke test: every study script in ``scripts/`` runs with its default
+"""Smoke test: every script in ``scripts/`` runs with its default
 arguments and exits 0, and ``ab_timing.py`` runs ``--against`` a source
-tree, each of its four families of cases checked on its own.  And ``newton_sweep.py --compare`` exits 1 exactly when a solved
-row is lost or moves too far."""
+tree, each of its four families of cases checked on its own.  And
+``newton_sweep.py --compare`` exits 1 exactly when a solved row is lost
+or moves too far."""
 
 import importlib.util
 import json
