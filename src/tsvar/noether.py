@@ -4,8 +4,8 @@ conserved quantity that invariance buys along extremals.
 A transformation is given by its generator pair: a scalar time generator
 tau(t, q) and a state generator xi(t, q) with one component per
 trajectory dimension, in ``t`` and ``q1..qn``, evaluated at (t, q(t)) as
-one array g = (tau, xi) and framed by :func:`_frames` as q is.  With H
-the record's Hamiltonian -L + dL/dv . q_delta + dL/dt * mu, invariance is
+one array g = (tau, xi).  The arithmetic is the methods of q's evaluation
+record in :mod:`tsvar.variational`: with H its Hamiltonian, invariance is
 the pointwise residual dL/dt tau_sigma + dL/du . xi_sigma + dL/dv .
 xi_delta - H tau_delta, and C = dL/dv . xi - H tau is the candidate
 constant of motion: C_delta = invariance + first_el . xi_sigma -
@@ -18,8 +18,7 @@ import numpy as np
 
 from .expr import Expr, _Record, _set, _Value, parse
 from .timescale import GridFunction
-from .variational import Residual, VariationalProblem, _Along, _along, _frames
-from .variational import _dimension
+from .variational import Residual, VariationalProblem, _Along, _along, _dimension
 
 __all__ = [
     "Transformation",
@@ -85,29 +84,6 @@ def _sample(
     return e, np.array([c._forward(values)[0] for c in (tr.tau, *tr.xi)]).T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
-def _invariance(e: _Along, g: np.ndarray) -> np.ndarray:
-    """L_t tau_sigma + L_u . xi_sigma + L_v . xi_delta - H tau_delta for the
-    generators g, shape (..., N, 1+n), on the frames of the record e."""
-    T = e.p.scale
-    if not T.is_exact_discrete:
-        raise ValueError("invariance residual needs an exact discrete scale")
-    _, g_s, g_d = _frames(T, g)
-    return (
-        e.Lt * g_s[..., 0]
-        + (e.Lu * g_s[..., 1:]).sum(axis=-1)
-        + (e.Lv * g_d[..., 1:]).sum(axis=-1)
-        - e.hamiltonian(e.mu) * g_d[..., 0]
-    )
-
-
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
-def _conserved(e: _Along, g: np.ndarray) -> np.ndarray:
-    """L_v . xi - H tau for the generators g on the frames of the record e."""
-    g = g[..., : len(e.t), :]
-    return (e.Lv * g[..., 1:]).sum(axis=-1) - e.hamiltonian(e.mu) * g[..., 0]
-
-
 def invariance_residual(
     p: VariationalProblem, q: GridFunction, tr: Transformation
 ) -> Residual:
@@ -120,7 +96,7 @@ def invariance_residual(
     + (L - dL/dv . q_delta) tau_delta up to rounding.
     """
     e, g = _sample(p, q, tr)
-    return Residual("invariance", e.t, _invariance(e, g), e.approximate)
+    return Residual("invariance", e.t, e.invariance(g), e.approximate)
 
 
 def conserved_quantity(
@@ -132,7 +108,7 @@ def conserved_quantity(
     taken at (t, q(t)).  Defined on the derivative prefix of q.
     """
     e, g = _sample(p, q, tr)
-    return GridFunction(p.scale, _conserved(e, g), approximate=e.approximate)
+    return GridFunction(p.scale, e.conserved(g), approximate=e.approximate)
 
 
 def check_conservation(
@@ -146,8 +122,8 @@ def check_conservation(
     for both.
     """
     e, g = _sample(p, q, tr)
-    magnitude = float(np.abs(_invariance(e, g)[:-1]).max())
-    c = _conserved(e, g)
+    magnitude = float(np.abs(e.invariance(g)[:-1]).max())
+    c = e.conserved(g)
     return NoetherReport(
         invariance_magnitude=magnitude,
         conserved=GridFunction(p.scale, c, approximate=e.approximate),

@@ -6,15 +6,16 @@ a candidate trajectory:
 
 * the action (the delta integral itself),
 * the first Euler-Lagrange residual and its integral (constancy) form,
-* the Hamiltonian-like quantity -L + dL/dv . v + dL/dt * mu,
+* the Hamiltonian-like quantity H = -L + dL/dv . v + dL/dt * mu,
 * the second Euler-Lagrange (DuBois-Reymond) residual built from it,
-* the Erdmann constancy deviation for autonomous Lagrangians.
+* Noether's invariance residual and conserved quantity C for generators,
+* the Erdmann deviation of an autonomous L: the spread of H, -C at (1, 0).
 
 Each is arithmetic on one evaluation of L and its first partials at the
 frames (t, q_sigma, q_delta) of the trajectory: one private record, built
-in one kernel pass over the trajectory.  :mod:`tsvar.noether` reads the
-same record, and :mod:`tsvar.solver` evaluates and diagnoses candidates
-through it, the enumeration through one record of a stack of them.
+in one kernel pass over the trajectory.  :mod:`tsvar.noether` calls the
+record's methods, and :mod:`tsvar.solver` evaluates and diagnoses
+candidates through it, the enumeration through one record of a stack.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -197,8 +198,8 @@ class _Along(_Record):
     the graininess mu there.  Q is one trajectory, shape (N, n), and ``e.q``
     is that trajectory.  Only the enumeration builds the record of a stack
     of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and Lv then lead
-    with the axis h.  Every method reads a stack, one array pass per
-    quantity, and gives entry i the floats trajectory i's own record gives."""
+    with the axis h.  Every method but ``erdmann`` reads a stack, one array
+    pass per quantity, entry i bit for bit as trajectory i's own record."""
 
     __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
@@ -220,9 +221,31 @@ class _Along(_Record):
         return GridFunction(self.p.scale, self.Q)
 
     @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
-    def hamiltonian(self, mu) -> np.ndarray:
+    def hamiltonian(self) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
-        return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * mu
+        return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * self.mu
+
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    def invariance(self, g: np.ndarray) -> np.ndarray:
+        """L_t tau_sigma + L_u . xi_sigma + L_v . xi_delta - H tau_delta for the
+        generators g = (tau, xi) at the scale points, shape (..., N, 1+n),
+        framed as Q is."""
+        T = self.p.scale
+        if not T.is_exact_discrete:
+            raise ValueError("invariance residual needs an exact discrete scale")
+        _, g_s, g_d = _frames(T, g)
+        return (
+            self.Lt * g_s[..., 0]
+            + (self.Lu * g_s[..., 1:]).sum(axis=-1)
+            + (self.Lv * g_d[..., 1:]).sum(axis=-1)
+            - self.hamiltonian() * g_d[..., 0]
+        )
+
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    def conserved(self, g: np.ndarray) -> np.ndarray:
+        """L_v . xi - H tau for the generators g on the derivative prefix."""
+        g = g[..., : len(self.t), :]
+        return (self.Lv * g[..., 1:]).sum(axis=-1) - self.hamiltonian() * g[..., 0]
 
     def action(self) -> np.ndarray:
         T, L = self.p.scale, self.L
@@ -245,22 +268,22 @@ class _Along(_Record):
 
     def second_el_values(self) -> np.ndarray:
         """(d/dt)_delta of the Hamiltonian composite + dL/dt, shape (..., k-1, 1)."""
-        return _outer(self.t, self.hamiltonian(self.mu)[..., None], self.Lt[..., None])
+        return _outer(self.t, self.hamiltonian()[..., None], self.Lt[..., None])
 
     def second_el(self) -> Residual:
         r = self.second_el_values()
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
     def erdmann(self) -> np.ndarray:
-        moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()
-        if moving[0].size:
-            i = tuple(axis[0] for axis in moving)
+        moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()[0]
+        if moving.size:
+            i = moving[0]
             raise ValueError(
                 f"lagrangian is not autonomous: dL/dt = {self.Lt[i]:.3e} "
-                f"at t = {float(self.t[i[-1]])!r}"
+                f"at t = {float(self.t[i])!r}"
             )
-        E = self.hamiltonian(0.0)
-        return E.max(axis=-1) - E.min(axis=-1)
+        H = self.hamiltonian()
+        return H.max() - H.min()
 
 
 def _check_trajectory(
@@ -359,7 +382,7 @@ def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
     i, k = int(i), len(e.t)
     if not 0 <= i < k:
         raise IndexError(f"index {i} outside the derivative prefix of length {k}")
-    return float(e.hamiltonian(e.mu)[i])
+    return float(e.hamiltonian()[i])
 
 
 def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
@@ -372,10 +395,11 @@ def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
 
 
 def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
-    """Max-minus-min of -L + dL/dv . q_delta along the trajectory.
+    """Max-minus-min of the Hamiltonian along the trajectory.
 
     Only defined for autonomous Lagrangians; dL/dt is checked pointwise
-    along the trajectory and the first violating point is reported.
+    along the trajectory, within AUTONOMY_TOL of 0, and the first violating
+    point is reported.  H is then -L + dL/dv . q_delta up to dL/dt * mu.
     """
     return float(_along(p, q).erdmann())
 

@@ -23,7 +23,7 @@ from tsvar import (
     cli,
     solve_newton,
 )
-from tsvar.noether import _invariance, _sample
+from tsvar.noether import _sample
 
 
 def quadratic_problem(q_b=2.0):
@@ -330,7 +330,7 @@ def test_noether_from_the_two_equations():
 
 
 def test_invariance_of_a_generator_stack_on_one_record():
-    # one _invariance call on a stack of generators, shape (m, N, 1+n),
+    # one invariance call on a stack of generators, shape (m, N, 1+n),
     # on one trajectory's record gives each generator's own residual bit
     # for bit: the matrix whose null space a symmetry search reads
     rng = np.random.default_rng(12)
@@ -351,7 +351,7 @@ def test_invariance_of_a_generator_stack_on_one_record():
                 basis.append(Transformation.from_text(n, texts[0], texts[1:]))
         e, _ = _sample(p, q, basis[0])
         G = np.stack([_sample(p, q, tr)[1] for tr in basis])
-        rows = _invariance(e, G)
+        rows = e.invariance(G)
         assert rows.shape == (len(basis), scale.n - 1)
         for row, tr in zip(rows, basis):
             own = invariance_residual(p, q, tr).values[:, 0]
