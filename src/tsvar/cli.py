@@ -62,6 +62,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _check_finite(**quantities) -> None:
+    """ValueError, an exit 2, naming the first quantity with an inf or nan:
+    L, a partial or a product overflowed along the trajectory.  Called
+    before anything is printed or written."""
+    for name, value in quantities.items():
+        bad = np.asarray(value)[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"{name} is not finite: {_fmt(bad[0])}")
+
+
 _BLOCK = 1024  # table rows per formatting pass, array entries per JSON block
 
 
@@ -290,6 +300,7 @@ def cmd_solve(args, loaded: LoadedProblem) -> int:
         _write_json(args.json_path, _enumeration_rows(shown))
         return EXIT_OK
     c = solve(p, loaded.newton)
+    _check_finite(action=c.action, first_el=c.first_el, second_el=c.second_el)
     method = c.provenance.value.lower()
     print(f"method: {method}")
     _print_trajectory(c.trajectory)
@@ -350,7 +361,7 @@ def cmd_noether(args, loaded: LoadedProblem) -> int:
             "noether needs a trajectory in the problem file (or --solve)"
         )
     report = check_conservation(p, q, tr)
-    invariance = report.invariance_magnitude
+    magnitudes = [report.invariance_magnitude]  # and each sweep trajectory's
     if args.sweep > 0:
         rng = np.random.default_rng(args.seed)
         # summed as Python floats, which overflow to inf without a warning,
@@ -360,11 +371,16 @@ def cmd_noether(args, loaded: LoadedProblem) -> int:
         for _ in range(args.sweep):
             values = rng.uniform(-span, span, size=(p.scale.n, p.dim))
             random_q = GridFunction(p.scale, values)
-            res = invariance_residual(p, random_q, tr)
-            invariance = max(invariance, res.magnitude)
+            magnitudes.append(invariance_residual(p, random_q, tr).magnitude)
+    conserved = report.conserved
+    _check_finite(
+        invariance=magnitudes,
+        conserved=conserved.values,
+        deviation=report.conservation_deviation,
+    )
+    invariance = max(magnitudes)
     print(f"invariance: {_fmt(invariance)}")
     print("conserved quantity per point:")
-    conserved = report.conserved
     points = conserved.base.points[: conserved.valid]
     _write_table("  %12.12g  %.12g\n", points, conserved.values[:, 0])
     print(f"deviation: {_fmt(report.conservation_deviation)}")

@@ -111,6 +111,7 @@ def conserved_quantity(
     return GridFunction(p.scale, e.conserved(g), approximate=e.approximate)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
 def check_conservation(
     p: VariationalProblem, q: GridFunction, tr: Transformation
 ) -> NoetherReport:

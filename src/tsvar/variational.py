@@ -274,6 +274,7 @@ class _Along(_Record):
         r = self.second_el_values()
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
     def erdmann(self) -> np.ndarray:
         moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()[0]
         if moving.size:

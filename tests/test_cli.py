@@ -203,7 +203,8 @@ class TestSolve:
 
     def test_overflowing_hamiltonian_without_warning(self, tmp_path, capsys):
         # Newton converges, but L = v1 * u1 overflows at 3 of 4 frames: the
-        # action is -inf and the Hamiltonian's inf - inf makes second_el nan
+        # action is -inf and the Hamiltonian's inf - inf makes second_el nan,
+        # an exit 2 naming the first of them before anything is printed
         points = [
             0.14557293063291543, 0.4841463723815471, 0.829583735194998,
             1.5311197387222544, 1.8119018593106655,
@@ -212,23 +213,13 @@ class TestSolve:
             tmp_path, scale={"points": points}, lagrangian="v1 * u1",
             q_a=1e300, q_b=1e-300,
         )
+        report = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["solve", path])
-        assert code == 0
-        assert capsys.readouterr() == (
-            "method: newton\n"
-            "      t  q1\n"
-            "  0.145572930633  1e+300\n"
-            "  0.484146372382  7.5e+299\n"
-            "  0.829583735195  5e+299\n"
-            "  1.53111973872  2.5e+299\n"
-            "  1.81190185931  1e-300\n"
-            "action: -inf\n"
-            "first_el: 1.48701690848e+284\n"
-            "second_el: nan\n",
-            "",
-        )
+            code = cli.main(["solve", path, "--json", str(report)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: action is not finite: -inf\n")
+        assert not report.exists()
 
     def test_once_differentiable_lagrangian_exit_2(self, tmp_path, capsys):
         # |u1|^1.5 is differentiable once at u1 = 0 but not twice; the
@@ -292,17 +283,18 @@ class TestSolve:
 
     def test_overflowing_action_is_inf_without_a_warning(self, tmp_path, capsys):
         # gaps of 1e9: mu * L overflows in the action's terms, which is inf
-        # as the kernel's own products are, not a RuntimeWarning
+        # as the kernel's own products are, not a RuntimeWarning; the CLI
+        # names the infinite action, an exit 2
         path = write_problem(
             tmp_path,
             scale={"uniform": {"a": 0.0, "b": 8e9, "h": 1e9}},
             lagrangian="v1^2 + 1e300*u1^2",
             q_b=1.0,
         )
-        assert cli.main(["solve", path]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert "action: inf\n" in captured.out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", path]) == 2
+        assert capsys.readouterr() == ("", "error: action is not finite: inf\n")
 
     def test_overflowing_quotient_in_a_trial_step_exit_3(self, tmp_path, capsys):
         # trial steps whose dL/dv quotients overflow are failed trials, as an
@@ -464,7 +456,8 @@ class TestNoether:
 
     def test_overflowing_products_without_warning(self, tmp_path, capsys):
         # L overflows to inf, so H tau_delta is inf * 0 = nan, and so does
-        # L_u xi_sigma: the invariance is nan and the conserved quantity inf
+        # L_u xi_sigma: the invariance is nan and the conserved quantity inf,
+        # an exit 2 naming the invariance before anything is printed
         path = write_problem(
             tmp_path,
             scale={"uniform": {"a": 0.0, "b": 1.0, "h": 0.25}},
@@ -473,20 +466,45 @@ class TestNoether:
             trajectory={"values": [0, 1e5, -1e5, 1e5, 1]},
             transformation={"tau": "1", "xi": ["1e10*q1"]},
         )
+        report = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main(["noether", path])
-        assert code == 0
-        assert capsys.readouterr() == (
-            "invariance: nan\n"
-            "conserved quantity per point:\n"
-            "             0  inf\n"
-            "          0.25  inf\n"
-            "           0.5  inf\n"
-            "          0.75  1e+300\n"
-            "deviation: inf\n",
-            "",
+            code = cli.main(["noether", path, "--json", str(report)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: invariance is not finite: nan\n")
+        assert not report.exists()
+        # the given trajectory's invariance is 0, but 6e306*u1^2 overflows
+        # on the sweep's first draw from [-6, 6]: that nan is not dropped by
+        # the largest magnitude
+        path = write_problem(
+            tmp_path,
+            lagrangian="6e306*u1^2 + v1^2",
+            q_b=5.0,
+            trajectory={"values": [0.0] * 8 + [5.0]},
+            transformation={"tau": "0", "xi": ["1"]},
         )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["noether", path]) == 0
+            capsys.readouterr()
+            assert cli.main(["noether", path, "--sweep", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: invariance is not finite: nan\n")
+        # u1^3 and H = -u1^3 are finite, from -1.66e308 to 1.66e308, but
+        # their spread overflows: the deviation is an exit 2, and Erdmann's
+        # spread of the same H a verify fail
+        path = write_problem(
+            tmp_path,
+            lagrangian="u1^3",
+            q_b=0.0,
+            trajectory={"values": [0.0, 5.5e102, -5.5e102] + [0.0] * 6},
+            transformation={"tau": "1", "xi": ["0"]},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["noether", path]) == 2
+            assert capsys.readouterr().err == "error: deviation is not finite: inf\n"
+            assert cli.main(["verify", path, "--erdmann"]) == 1
+        assert capsys.readouterr() == ("erdmann: inf FAIL\n", "")
 
     def test_sweep_with_a_span_past_half_the_float_range(self, tmp_path, capsys):
         # |q_a| + |q_b| = 1e308: a draw over [-span, span] would have a range
