@@ -133,10 +133,9 @@ class TestConservedQuantity:
         q = trajectory_from_slopes(p.scale, 0.0, (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0))
         tr = Transformation.from_text(1, "1", "0")
         cons = conserved_quantity(p, q, tr).component(0)
-        # L - dL/dv * v is the negative of the Erdmann quantity
-        assert cons.max() - cons.min() == pytest.approx(
-            erdmann_deviation(p, q), abs=1e-14
-        )
+        # C = -H at (tau, xi) = (1, 0), and Erdmann's is the spread of H:
+        # bit for bit, as dL/dt = 0 and dL/dv is finite
+        assert cons.max() - cons.min() == erdmann_deviation(p, q)
 
     def test_zero_generators(self):
         p = quadratic_problem()
@@ -299,19 +298,29 @@ def test_noether_from_the_two_equations():
     # by the product rule on an exact discrete scale, for any trajectory,
     # Delta C_i = first_el_i . xi(sigma(t_i)) - second_el_i tau(sigma(t_i))
     #             + invariance_i
-    # so both Euler-Lagrange equations and invariance give conservation
+    # so both Euler-Lagrange equations and invariance give conservation.
+    # The last case is the extremal of v1^2 + u1^2 on a fixed grid with
+    # tau = 1 and xi = 0: summed with weights mu, the drift C_end - C_0 is
+    # all the second equation's part, the first-EL and invariance parts 0
     rng = np.random.default_rng(6)
     cases = {
         1: ("t*v1^2 + 0.7*u1^2 + 0.3*t*u1 + sin(v1)", "1 + 0.3*t*q1", ["q1 - 0.5*t"]),
         2: ("t*v1^2 + v2^2 + u1*u2 + cos(t)*v1*v2", "0.2*q1*q2 + 1", ["q2", "t - q1"]),
     }
+    problems = []
     for _ in range(200):
         n = int(rng.integers(1, 3))
         body, tau, xi = cases[n]
         scale = random_exact_scale(rng, 4, 9)
         q = GridFunction(scale, rng.uniform(-2, 2, (scale.n, n)))
         p = VariationalProblem(scale, Lagrangian(n, body), q.values[0], q.values[-1])
-        tr = Transformation.from_text(n, tau, xi)
+        problems.append((p, q, Transformation.from_text(n, tau, xi)))
+    grid = VariationalProblem(
+        TimeScale.uniform(0, 1, 1 / 16), Lagrangian(1, "v1^2 + u1^2"), [0.0], [1.0]
+    )
+    problems.append((grid, solve_newton(grid), Transformation.from_text(1, "1", "0")))
+    for p, q, tr in problems:
+        scale = p.scale
         envs = [
             {"t": t, **{f"q{j + 1}": x for j, x in enumerate(row)}}
             for t, row in zip(scale.points, q.values)
@@ -324,9 +333,15 @@ def test_noether_from_the_two_equations():
             -second_el_residual(p, q).values[:, 0] * taus[1 : k + 1],
             invariance_residual(p, q, tr).values[:k, 0],
         ]
-        dC = delta_derivative(conserved_quantity(p, q, tr)).values[:, 0]
+        C = conserved_quantity(p, q, tr)
+        dC = delta_derivative(C).values[:, 0]
         size = max(1.0, *(float(np.max(np.abs(x))) for x in terms))
         assert np.max(np.abs(dC - sum(terms))) <= 1e-13 * size
+    first, second, invariance = (float(scale.mus[:k] @ x) for x in terms)
+    drift = C.values[-1, 0] - C.values[0, 0]
+    assert first == invariance == 0.0
+    assert second == pytest.approx(0.0773266708893, abs=1e-12)
+    assert drift == pytest.approx(second, abs=1e-15)
 
 
 def test_invariance_of_a_generator_stack_on_one_record():
