@@ -64,7 +64,7 @@ def _fmt(x: float) -> str:
 
 def _check_finite(**quantities) -> None:
     """ValueError, an exit 2, naming the first quantity with an inf or nan:
-    L, a partial or a product overflowed along the trajectory.  Called
+    L, a partial or a product overflowed along a trajectory.  Called
     before anything is printed or written."""
     for name, value in quantities.items():
         bad = np.asarray(value)[~np.isfinite(value)]
@@ -372,15 +372,15 @@ def cmd_noether(args, loaded: LoadedProblem) -> int:
             values = rng.uniform(-span, span, size=(p.scale.n, p.dim))
             random_q = GridFunction(p.scale, values)
             magnitudes.append(invariance_residual(p, random_q, tr).magnitude)
-    conserved = report.conserved
     _check_finite(
         invariance=magnitudes,
-        conserved=conserved.values,
+        conserved=report.conserved.values,
         deviation=report.conservation_deviation,
     )
     invariance = max(magnitudes)
     print(f"invariance: {_fmt(invariance)}")
     print("conserved quantity per point:")
+    conserved = report.conserved
     points = conserved.base.points[: conserved.valid]
     _write_table("  %12.12g  %.12g\n", points, conserved.values[:, 0])
     print(f"deviation: {_fmt(report.conservation_deviation)}")
