@@ -4,10 +4,10 @@ conserved quantity that invariance buys along extremals.
 A transformation is given by its generator pair: a scalar time generator
 tau(t, q) and a state generator xi(t, q) with one component per
 trajectory dimension, in ``t`` and ``q1..qn``, evaluated at (t, q(t)) as
-one array g = (tau, xi).  The arithmetic is the methods of q's evaluation
-record in :mod:`tsvar.variational`: with H its Hamiltonian, invariance is
-the pointwise residual dL/dt tau_sigma + dL/du . xi_sigma + dL/dv .
-xi_delta - H tau_delta, and C = dL/dv . xi - H tau is the candidate
+one array g = (tau, xi).  The methods of q's evaluation record in
+:mod:`tsvar.variational` do the arithmetic: with H its Hamiltonian,
+invariance is the pointwise residual dL/dt tau_sigma + dL/du . xi_sigma +
+dL/dv . xi_delta - H tau_delta, and C = dL/dv . xi - H tau is the candidate
 constant of motion: C_delta = invariance + first_el . xi_sigma -
 second_el tau_sigma by the product rule.
 """
