@@ -28,6 +28,7 @@ differentiable once but not twice along its seeds, raises
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -297,6 +298,11 @@ def _print(node, parent_prec: int = 0) -> str:
 # without the second-order rules: each of them runs only when the triple
 # carries a hess.
 
+# tsvar's one rule for non-finite array arithmetic: an overflow is inf, and
+# inf - inf or 0 * inf NaN, without a warning; divide and underflow keep the
+# caller's error state.  A fresh errstate per use, which numpy 1.x nests safely
+_nonfinite = partial(np.errstate, over="ignore", invalid="ignore")
+
 
 def _outer(a, b):
     """Entry (i, j) a_i * b_j of two derivative parts, over their leading
@@ -547,6 +553,7 @@ class Expr(_Value):
         _set(self, "reads", reads)  # the variables the tree names
         _set(self, "_run", _run)  # _compile(root)
 
+    @_nonfinite()  # overflow of exp and of powers raises in _no_overflow
     def _forward(self, values, seeds=None, order: int = 1) -> tuple:
         """Value and directional derivatives at every frame in one pass,
         as the triple (value, deriv, hess).
@@ -575,10 +582,7 @@ class Expr(_Value):
         if seeds is not None:
             seeds = [np.asarray(s, dtype=float) for s in seeds]
         parts = zip(values, seeds or [0.0] * len(values), [zero] * len(values))
-        # overflow of exp and of powers raises in _no_overflow; elsewhere it
-        # gives inf, as float arithmetic does
-        with np.errstate(over="ignore"):
-            value, deriv, hess = self._run(dict(zip(self.variables, parts)), zero)
+        value, deriv, hess = self._run(dict(zip(self.variables, parts)), zero)
         frames = _shape(values)
         shape = frames if seeds is None else _shape([*values, *seeds])
         value, deriv = _broadcast(value, frames), _broadcast(deriv, shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, _Record, _set, _Value, parse
+from .expr import Expr, _nonfinite, _Record, _set, _Value, parse
 from .timescale import GridFunction
 from .variational import Residual, VariationalProblem, _Along, _along, _dimension
 
@@ -111,7 +111,7 @@ def conserved_quantity(
     return GridFunction(p.scale, e.conserved(g), approximate=e.approximate)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+@_nonfinite()
 def check_conservation(
     p: VariationalProblem, q: GridFunction, tr: Transformation
 ) -> NoetherReport:

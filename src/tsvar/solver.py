@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .expr import ExprDomainError, ExprError, _Record, _set, _Value
+from .expr import ExprDomainError, ExprError, _nonfinite, _Record, _set, _Value
 from .timescale import GridFunction, TimeScale
 from .variational import Lagrangian, VariationalProblem, _Along, _alongs
 from .variational import _check_trajectory
@@ -173,6 +173,7 @@ class Extremals(_Record):
         return map(self.__getitem__, range(len(self)))
 
 
+@_nonfinite()
 def affine_extremal(p: VariationalProblem) -> GridFunction:
     """The affine trajectory c*t + k through both boundary values.
 
@@ -182,10 +183,9 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     Raises ValueError where c*t + k is not finite, as where b - a overflows.
     """
     a, b = p.scale.a, p.scale.b
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = (p.q_b - p.q_a) / (b - a)
-        k = (b * p.q_a - a * p.q_b) / (b - a)
-        values = p.scale.points[:, None] * c[None, :] + k[None, :]
+    c = (p.q_b - p.q_a) / (b - a)
+    k = (b * p.q_a - a * p.q_b) / (b - a)
+    values = p.scale.points[:, None] * c[None, :] + k[None, :]
     if np.count_nonzero(~np.isfinite(values)):
         raise ValueError("result overflows in the affine extremal c*t + k")
     # rounding in c*t + k can miss the boundary values; the ends are pinned
@@ -203,7 +203,7 @@ def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[_Along, np.ndarray]:
     return e, e.first_el_values().ravel()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _newton judges a non-finite |J|
+@_nonfinite()  # _newton judges a non-finite |J|
 def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
     """2^-k times the Hessian H of the discrete action S in the interior
     values at the trajectory of e, from one second-order kernel pass along
@@ -300,7 +300,7 @@ class _Hessian:
         np.maximum(rows[1:], self.e, out=rows[1:])
         return rows
 
-    @np.errstate(invalid="ignore", over="ignore")
+    @_nonfinite()
     def floor(self, w: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
         """The rounding floor eps * max_i(sum_j |J_ij| |x_j| + |F_i|) of the
         residual F at x, J = -H/mu its Jacobian, from |H| and the rows' mu
@@ -308,7 +308,7 @@ class _Hessian:
         if the sum overflows."""
         return _EPS * (self._product(np.abs(x)) / w + np.abs(F)).max()
 
-    @np.errstate(over="ignore")  # an overflowing sum certifies nothing
+    @_nonfinite()  # an overflowing sum certifies nothing
     def certified(self) -> bool:
         """Whether |H| proves cond_2(H) <= CONDITION_LIMIT / 2 by strict
         diagonal dominance.  With alpha = min_i(|H_ii| - sum_{j != i} |H_ij|)
@@ -395,6 +395,7 @@ def solve_newton(
     return _newton(p, q_init, opts)[0].q
 
 
+@_nonfinite()
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
 ) -> tuple[_Along, float]:
@@ -421,8 +422,8 @@ def _newton(
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
         hessian = _Hessian(*_hessian(p, e, k))
-        with np.errstate(over="ignore"):  # J = -H/mu can overflow where H does not
-            finite = math.isfinite((hessian.row_maxima() / w).max())
+        # J = -H/mu can overflow where H does not
+        finite = math.isfinite((hessian.row_maxima() / w).max())
         floor = hessian.floor(w, x, F) if finite else math.nan  # no J, no floor
         if mag <= floor < np.inf:
             return e, mag
@@ -461,8 +462,8 @@ def _magnitudes(r: np.ndarray) -> np.ndarray:
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
-    # first-EL (Newton's from its last residual), action, then second-EL: one
-    # record's methods in order, so that under warnings as errors the same raises
+    # first-EL (Newton's from its last residual), action and second-EL: the
+    # methods of one record
     if _reads_only_slope(p.lagrangian):
         e, provenance = _alongs(p, affine_extremal(p).values), Provenance.CLOSED_FORM
         first = _magnitudes(e.first_el_values())
@@ -478,7 +479,7 @@ def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candi
 _Levels = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-@np.errstate(all="ignore")  # overflow in the walk only makes a miss
+@_nonfinite()  # overflow in the walk only makes a miss
 def _hit_tree(p: VariationalProblem, letters: tuple[float, ...]) -> _Levels:
     """The prefix tree of the slope words that end within BOUNDARY_HIT_TOL
     of q_b: for each level r = 1 .. N-1, the ends of its prefixes of r
@@ -558,6 +559,7 @@ def _joined(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+@_nonfinite()
 def _extremals(
     p: VariationalProblem, letters: np.ndarray, tree: _Levels, hits: range, tol: float
 ) -> tuple[np.ndarray, ...]:
@@ -590,12 +592,10 @@ def _extremals(
     parent = np.concatenate([level[1] for level in tree])
     parent += first_node[:-2].repeat(sizes)
     mu = T.mus[:gaps].repeat(sizes)  # the gap of each node's frame
-    with np.errstate(over="ignore"):  # as _quotients
-        V = (q[1:] - q[parent]) / mu
+    V = (q[1:] - q[parent]) / mu  # as _quotients
     L, Lt, Lu, Lv = p.lagrangian.partials(T.points[:gaps].repeat(sizes), q[1:], V)
     Lu, Lv, up = Lu[:, 0], Lv[:, 0], parent[sizes[0] :] - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # as _outer
-        first = np.abs((Lv[sizes[0] :] - Lv[up]) / mu[up] + -Lu[up])
+    first = np.abs((Lv[sizes[0] :] - Lv[up]) / mu[up] + -Lu[up])  # as _outer
     # each hit's magnitude, the largest |row| down its path, level by level
     edges = first_node[2:] - first_node[2]
     for r in range(2, gaps):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import _Record, _set, _Value
+from .expr import _nonfinite, _Record, _set, _Value
 
 __all__ = [
     "TimeScaleError",
@@ -425,6 +425,7 @@ class GridFunction(_Record):
         return cls(scale, np.vstack(rows))
 
     @classmethod
+    @_nonfinite()
     def from_slopes(cls, scale: TimeScale, q_a, slopes) -> "GridFunction":
         """Expand q(t_{i+1}) = q(t_i) + s_i * mu(t_i) from q(t_0) = q_a.
 
@@ -461,7 +462,7 @@ class GridFunction(_Record):
         return self.values[:, k]
 
 
-@np.errstate(over="ignore")  # an overflowing quotient is inf, as in the kernel
+@_nonfinite()
 def _quotients(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Forward quotients of values, shape (..., m, n), over the m points,
     shape (m,): (values[i+1] - values[i]) / (points[i+1] - points[i]) for
@@ -486,7 +487,7 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.base, out, approximate=approx)
 
 
-@np.errstate(over="ignore")  # an overflowing term or sum is inf, as in the kernel
+@_nonfinite()
 def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Delta integrals of the values f, shape (..., m, n) on the first m
     points, from point ``lo`` to each point lo..hi: row r integrates over

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import _broadcast, _Record, _set, parse
+from .expr import _broadcast, _nonfinite, _Record, _set, parse
 from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
@@ -96,10 +96,10 @@ class Lagrangian:
         keeps the seed of variable j at frame i only where entry (i, j) is
         set: a partial along a variable held there is not taken, and is 0
         where every value along the pass is finite (a zero seed times an
-        overflowed value is NaN: 1e300*u1*1e300*v1 + t gives dL/dt = NaN
-        with t held).  Raises :class:`ExprDomainError` if L or a
-        partial of the order asked for, along the moving variables, is
-        undefined at any frame.
+        overflowed value is NaN, without a warning, by ``expr._nonfinite``:
+        1e300*u1*1e300*v1 + t gives dL/dt = NaN with t held).  Raises
+        :class:`ExprDomainError` if L or a partial of the order asked for,
+        along the moving variables, is undefined at any frame.
 
         A first-order pass judges each subexpression by its own value and
         first derivative, so it cannot see a kink behind an inner
@@ -220,12 +220,12 @@ class _Along(_Record):
     def q(self) -> GridFunction:
         return GridFunction(self.p.scale, self.Q)
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    @_nonfinite()
     def hamiltonian(self) -> np.ndarray:
         """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
         return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * self.mu
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    @_nonfinite()
     def invariance(self, g: np.ndarray) -> np.ndarray:
         """L_t tau_sigma + L_u . xi_sigma + L_v . xi_delta - H tau_delta for the
         generators g = (tau, xi) at the scale points, shape (..., N, 1+n),
@@ -241,7 +241,7 @@ class _Along(_Record):
             - self.hamiltonian() * g_d[..., 0]
         )
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    @_nonfinite()
     def conserved(self, g: np.ndarray) -> np.ndarray:
         """L_v . xi - H tau for the generators g on the derivative prefix."""
         g = g[..., : len(self.t), :]
@@ -274,7 +274,7 @@ class _Along(_Record):
         r = self.second_el_values()
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
-    @np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+    @_nonfinite()
     def erdmann(self) -> np.ndarray:
         moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()[0]
         if moving.size:
@@ -316,7 +316,7 @@ def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Al
     return _alongs(p, q.values, q.approximate)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan, as in the kernel
+@_nonfinite()
 def _outer(t: np.ndarray, composite: np.ndarray, term: np.ndarray) -> np.ndarray:
     """(d/dt)_delta composite + term at the frames t, shape (k,), for
     composite and term of shape (..., k, n); the result covers the first
@@ -360,6 +360,7 @@ def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
     return _along(p, q).first_el()
 
 
+@_nonfinite()
 def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residual:
     """Deviation from constancy of dL/dv minus the running integral of dL/du.
 

@@ -204,8 +204,7 @@ class TestKernelBranches:
         V = np.linspace(-1.0, 1.0, len(U))
         for base in ["u1"] + (["(1e300*u1*1e10)"] if K in (0, 1) else []):
             pair = [Lagrangian(1, f"{base}^{k}") for k in (K, f"(t - t + {K})")]
-            with np.errstate(invalid="ignore"):
-                constant, per_frame = (L.partials(t, U, V, order=order) for L in pair)
+            constant, per_frame = (L.partials(t, U, V, order=order) for L in pair)
             assert [x.tobytes() for x in constant] == [x.tobytes() for x in per_frame]
 
     def test_first_order_power_at_zero_base(self):

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import json
 import re
@@ -697,7 +696,6 @@ class TestJacobian:
             solver._hessian(p, e, 0)
         assert orders == [(2, 20), (2, 200)]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_residual_fails_in_the_condition_estimate(self, monkeypatch):
         # the bump overflows the guess's first-EL rows to +-inf, while the
         # exact Hessian there is finite: no step can be solved for, so the
@@ -1638,11 +1636,6 @@ def _outcome(fn, p, letters, tol, mode):
     gives under the warnings action ``mode``, bit for bit."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(mode)
-        # overflow while expanding a word that misses q_b warns in the
-        # word-by-word loop; the walk ignores it, as such a word is no hit
-        lines, first = inspect.getsourcelines(GridFunction.from_slopes)
-        for lineno in range(first, first + len(lines)):
-            warnings.filterwarnings("ignore", category=RuntimeWarning, lineno=lineno)
         try:
             result = [
                 (

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from tsvar import (
     Lagrangian,
     Residual,
     TimeScale,
+    Transformation,
     VariationalProblem,
     action,
+    check_conservation,
     classical_check,
+    conserved_quantity,
     delta_derivative,
     delta_integral,
     erdmann_deviation,
     first_el_integral_residual,
     first_el_residual,
     hamiltonian,
+    invariance_residual,
     parse,
     second_el_residual,
     solve_newton,
@@ -294,10 +299,7 @@ class TestPartials:
     )
     def test_held_partial_is_0_only_where_the_pass_is_finite(self, body, L, Lt, H):
         moving = [[False, True, True]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = Lagrangian(1, body).partials(
-                [0.5], [[1.0]], [[1.0]], order=2, moving=moving
-            )
+        got = Lagrangian(1, body).partials([0.5], [[1.0]], [[1.0]], order=2, moving=moving)
         assert got[0].tolist() == [L]
         assert np.array_equal(got[1], [Lt], equal_nan=True)
         assert np.array_equal(got[4][0], H, equal_nan=True)
@@ -388,9 +390,10 @@ class TestPartials:
 
     def test_overflowed_constant_poisons_the_other_partials(self):
         # 1e200*1e200 is inf; inf times the zero seeds of t and v is NaN, so
-        # dL/dt and dL/dv are NaN, with numpy's warning (README, ROADMAP 7)
+        # dL/dt and dL/dv are NaN, without a warning (README)
         L = Lagrangian(1, "1e200*1e200*u1 + v1^2")
-        with pytest.warns(RuntimeWarning, match="invalid value"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value, Lt, Lu, Lv = L.partials([0.5], [[2.0]], [[1.0]])
         assert value[0] == np.inf and Lu[0, 0] == np.inf
         assert np.isnan(Lt[0]) and np.isnan(Lv[0, 0])
@@ -803,3 +806,62 @@ class TestNonFiniteInput:
         values[end] = np.nan
         with pytest.raises(ValueError, match="!= q_"):
             first_el_residual(p, GridFunction(p.scale, values))
+
+
+# inputs whose arithmetic overflows or meets inf - inf and 0 * inf, on the
+# points 0 .. 2 by 0.5: a Lagrangian body and a trajectory for each
+NON_FINITE_INPUTS = {
+    "overflowed constant": ("1e200*1e200*u1 + v1^2", [0.0, 0.2, 0.5, 0.7, 1.0]),
+    "overflowing integral": ("1e300*u1*v1 + v1^2", [0.0, 1e8, 1e8, 1e8, 0.0]),
+    "infinite values": ("v1^2", [0.0, np.inf, np.inf, 1.0, 0.0]),
+}
+
+
+def _public_calls(body, values):
+    """One call of each public function that reads arrays, on one input."""
+    scale = TimeScale.from_points(np.arange(5) * 0.5)
+    L = Lagrangian(1, body)
+    p = VariationalProblem(scale, L, values[:1], values[-1:])
+    q, tr = GridFunction(scale, values), Transformation.from_text(1, "1", ["0"])
+    with np.errstate(all="ignore"):  # the frames, in the test's own arithmetic
+        V = np.diff(values) / np.diff(scale.points)
+    return {
+        "partials": lambda: L.partials(scale.points[:-1], values[1:], V),
+        "first_el_residual": lambda: first_el_residual(p, q),
+        "second_el_residual": lambda: second_el_residual(p, q),
+        "first_el_integral_residual": lambda: first_el_integral_residual(p, q),
+        "action": lambda: action(p, q),
+        "invariance_residual": lambda: invariance_residual(p, q, tr),
+        "conserved_quantity": lambda: conserved_quantity(p, q, tr),
+        "check_conservation": lambda: check_conservation(p, q, tr),
+        "delta_derivative": lambda: delta_derivative(q),
+        "delta_integral": lambda: delta_integral(q, 0, scale.n - 1),
+        "from_slopes": lambda: GridFunction.from_slopes(scale, values[0], V),
+    }
+
+
+def _bits(result):
+    """The bytes of every float a result holds."""
+    if isinstance(result, tuple):
+        return tuple(map(_bits, result))
+    if hasattr(result, "conservation_deviation"):
+        fields = "invariance_magnitude", "conserved", "conservation_deviation"
+        return _bits(tuple(getattr(result, f) for f in fields))
+    return np.asarray(getattr(result, "values", result), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("function", list(_public_calls("v1^2", [0.0] * 5)))
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUTS))
+def test_non_finite_arithmetic_raises_no_warning(case, function):
+    # one rule for every function: an overflow is inf and inf - inf or
+    # 0 * inf is NaN, without a warning, whatever the caller's error state
+    values = np.array(NON_FINITE_INPUTS[case][1])
+    call = _public_calls(NON_FINITE_INPUTS[case][0], values)[function]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = _bits(call())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(call()) == want
+        with np.errstate(over="raise", invalid="raise"):
+            assert _bits(call()) == want
