@@ -145,11 +145,13 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
             arr = arr[:, None]
         if arr.shape != (rows, n):
             raise ProblemFileError(f"{what} must be {rows} x {n}, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ProblemFileError(f"{what} must be finite")
         if key == "values":
-            return GridFunction(scale, arr)
-        return GridFunction.from_slopes(scale, problem.q_a, arr)
+            q = GridFunction(scale, arr)
+        else:  # finite slopes can still overflow in the expansion
+            q = GridFunction.from_slopes(scale, problem.q_a, arr)
+        if not np.isfinite(q.values).all():
+            raise ProblemFileError(f"trajectory from the {key!r} entry must be finite")
+        return q
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
 
 

@@ -706,6 +706,38 @@ class TestNonFiniteInput:
         assert cli.main(argv) == 0
         assert "first-EL extremals: 1107" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {  # the product 1.7e308 * mu_0 overflows
+                "scale": {"points": [
+                    -3.6726095527168456, 1.9874465223722417,
+                    2.5076343099927376, 3.750875502437257,
+                ]},
+                "lagrangian": "log(u1) + v1^2",
+                "q_a": 2.0,
+                "q_b": -1e300,
+                "trajectory": {"slopes": [[1.7e308], [0.0], [2.0]]},
+            },
+            {  # every product is finite, and their sum overflows
+                "scale": {"points": [0.0, 1.0, 2.0, 3.0]},
+                "trajectory": {"slopes": [1e308, 1e308, 0.0]},
+            },
+        ],
+        ids=["product", "sum"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "verify", "noether", "scale-info"])
+    def test_slope_list_expanding_past_the_float_range(
+        self, command, overrides, tmp_path, capsys
+    ):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**FIVE_POINT, **overrides}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run_cli([command, str(path)], capsys)
+        assert code == 2
+        assert err == "error: trajectory from the 'slopes' entry must be finite\n"
+
     def test_enumeration_rejects_nan_letter(self, capsys):
         code, err = run_cli(
             ["solve", str(QUARTIC), "--enumerate=nan,0", "--filter-second-el"], capsys
