@@ -287,6 +287,7 @@ class _Along(_Record):
         return H.max() - H.min()
 
 
+@_nonfinite()  # an end that overflows q - q_a fails the check
 def _check_trajectory(
     p: VariationalProblem, q: GridFunction, boundary: bool = True
 ) -> None:
