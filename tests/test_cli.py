@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 
 from helpers import load_report
 from tsvar import Lagrangian, check_conservation, cli, enumerate_slope_extremals, solve
+from tsvar.expr import FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = ROOT / "problems" / "quadratic.json"
@@ -969,6 +973,122 @@ def test_mutated_scale_never_tracebacks(form, path, kind, tmp_path, capsys):
         code, err = run_cli([command, str(path)], capsys)
         assert code in {0, 1, 2, 3}, (command, code)
         assert "Traceback" not in err
+
+
+# A seeded fuzz of problem files built from the schema: every scale form,
+# n = 1 and 2, bodies over every function and power rule, and extreme
+# numbers in every numeric field
+FUZZ_EXTREMES = [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308, 0, 1, -2, 3]
+FUZZ_ORDINARY = [0.25, -0.5, 1.0, 2.0, -1.5]
+FUZZ_BODIES = [
+    "v1^2", "v1^2 + u1^2", "(v1^2 - 1)^2 + u1^2", "t*v1^2", "exp(v1) + u1^2",
+    "1e300*v1*v1", "v1 * u1", "1e300*u1^2 + v1^2", "log(u1) + v1^2",
+    "sqrt(v1^2 + 1) + u1^2", "v1^4 - u1^3", "t*u1", "cos(u1) + v1^2/2",
+]
+FUZZ_LEAVES = ["2", "0.5", "1e300", "1e-300", "5e-324", "1e200*1e200", "0"]
+FUZZ_EXPONENTS = ["2", "3", "-1", "0", "0.5", "1.5", "-2", "(t - t + 2)", "(t - t + 0.5)", "v1"]
+FUZZ_TAUS = ["1", "0", "t", "2*t + 1", "1e300*t", "q1"]
+FUZZ_XIS = ["0", "1", "q{i}", "1e10*q{i}", "t*q{i}", "exp(q{i})", "log(q{i})"]
+FUZZ_COMMANDS = [
+    ["solve"],
+    ["solve", "--enumerate=-1,0,1"],
+    ["solve", "--enumerate=-1,0,1", "--filter-second-el"],
+    ["verify", "--first-el", "--second-el"],
+    ["verify", "--erdmann"],
+    ["noether"],
+    ["noether", "--solve", "--sweep", "2"],
+    ["scale-info"],
+]
+
+
+def fuzz_number(rng):
+    return rng.choice(FUZZ_EXTREMES if rng.random() < 0.1 else FUZZ_ORDINARY)
+
+
+def fuzz_scale(rng):
+    """A scale entry of one of the four forms, and the point count it is
+    meant to have."""
+    form = rng.choice(["points", "points", "gaps", "uniform", "uniform", "dense"])
+    a, k = fuzz_number(rng), rng.randint(2, 8)
+    extreme = rng.random() < 0.2
+    span = rng.choice([1e-300, 1e300, 1.7e308] if extreme else [1.0, 0.5, 3])
+    if form == "uniform":
+        h = span / k if rng.random() < 0.8 else fuzz_number(rng)
+        return {"uniform": {"a": a, "b": a + span, "h": h}}, k + 1
+    if form == "dense":
+        resolution = rng.choice([k + 1, k + 1, k + 1, 2, 0, -1, 1.5, 1e300, 5e-324])
+        return {"dense": {"a": a, "b": a + span, "resolution": resolution}}, k + 1
+    factors = [1, 0.5, 2] + ([1e-300, 1e300] if extreme else [])
+    points = [a]
+    for _ in range(k):
+        points.append(points[-1] + span / k * rng.choice(factors))
+    if form == "points":
+        return {"points": points}, k + 1
+    return {"points": points, "gaps": [rng.choice("SD") for _ in range(k)]}, k + 1
+
+
+def fuzz_body(rng, n, depth=3):
+    names = ["t", *(f"{c}{i}" for c in "uv" for i in range(1, n + 1))]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names + FUZZ_LEAVES)
+    r = rng.random()
+    if r < 0.45:
+        op = rng.choice("+-*/")
+        return f"({fuzz_body(rng, n, depth - 1)} {op} {fuzz_body(rng, n, depth - 1)})"
+    if r < 0.75:
+        return f"({fuzz_body(rng, n, depth - 1)})^{rng.choice(FUZZ_EXPONENTS)}"
+    return f"{rng.choice(FUNCTIONS)}({fuzz_body(rng, n, depth - 1)})"
+
+
+def fuzz_problem(rng) -> dict:
+    n = rng.choice([1, 1, 2])
+    scale, N = fuzz_scale(rng)
+    body = rng.choice(FUZZ_BODIES) if rng.random() < 0.5 else fuzz_body(rng, n)
+    if n == 2 and rng.random() < 0.5:
+        body += " + v2^2 + u2^2"
+    q_a, q_b = ([fuzz_number(rng) for _ in range(n)] for _ in "ab")
+    obj = {"version": "tsvar/1", "scale": scale, "n": n, "lagrangian": body}
+    obj["q_a"], obj["q_b"] = (q[0] if n == 1 and rng.random() < 0.5 else q for q in (q_a, q_b))
+    r = rng.random()
+    if r < 0.5:
+        rows = [[fuzz_number(rng) for _ in range(n)] for _ in range(N)]
+        if rng.random() < 0.8:  # on the boundary values, for verify and noether
+            rows[0], rows[-1] = q_a, q_b
+        obj["trajectory"] = {"values": rows}
+    elif r < 0.8:
+        obj["trajectory"] = {"slopes": [[fuzz_number(rng) for _ in range(n)] for _ in range(N - 1)]}
+    if rng.random() < 0.9:
+        xi = [rng.choice(FUZZ_XIS).format(i=i + 1) for i in range(n)]
+        obj["transformation"] = {"tau": rng.choice(FUZZ_TAUS), "xi": xi}
+    if rng.random() < 0.5:
+        tol = rng.choice([1e-300, 1e-10, 1.0, 5e-324, 0])
+        obj["solver"] = {"tol": tol, "max_iter": rng.choice([1, 5, 50, 0])}
+    return obj
+
+
+def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
+    # every command on 400 seeded files, under warnings as errors: an exit
+    # code of 0-3, no exception, and no nan or inf printed by a plain solve
+    # or noether that exits 0
+    rng, path = random.Random(20261020), tmp_path / "p.json"
+    codes = Counter()
+    for case in range(400):
+        obj = fuzz_problem(rng)
+        path.write_text(json.dumps(obj))
+        for command in FUZZ_COMMANDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main([*command, str(path)])
+                except BaseException as exc:  # noqa: BLE001 - named with the file
+                    raise AssertionError((case, command, obj)) from exc
+            out = capsys.readouterr().out
+            assert code in {0, 1, 2, 3}, (case, command, obj)
+            codes[command[0], code] += 1
+            if code == 0 and (command == ["solve"] or command[0] == "noether"):
+                assert not re.search(r"\b(nan|inf)\b", out), (case, command, obj)
+    # the files reach every command's results, not only its input errors
+    assert all(codes[command[0], 0] >= 20 for command in FUZZ_COMMANDS), codes
 
 
 class TestDimensionGuard:
