@@ -1080,7 +1080,7 @@ def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
                 warnings.simplefilter("error")
                 try:
                     code = cli.main([*command, str(path)])
-                except BaseException as exc:  # noqa: BLE001 - named with the file
+                except Exception as exc:  # noqa: BLE001 - named with the file
                     raise AssertionError((case, command, obj)) from exc
             out = capsys.readouterr().out
             assert code in {0, 1, 2, 3}, (case, command, obj)
