@@ -28,6 +28,7 @@ import locale
 import sys
 from collections.abc import Iterator
 from functools import cache
+from itertools import chain
 from os import PathLike
 
 import numpy as np
@@ -43,7 +44,7 @@ from .solver import (
     filter_second_el,
     solve,
 )
-from .timescale import GridFunction, PointClass, TimeScale, _json_float, _json_floats
+from .timescale import GridFunction, PointClass, TimeScale
 from .variational import Lagrangian, VariationalProblem, _along
 
 SCHEMA_VERSION = "tsvar/1"
@@ -101,6 +102,53 @@ class LoadedProblem(_Record):
         _set(self, "newton", newton)
 
 
+def _number_leaves(value) -> tuple[list, tuple[int, ...]] | None:
+    """The leaves and shape of a list of numbers, or of a regular list of
+    equal-length lists of them; None for any other value."""
+    if type(value) is not list:
+        return None
+    leaves, shape = value, (len(value),)
+    if value and type(value[0]) is list:
+        shape += (len(value[0]),)
+        if set(map(type, value)) != {list} or set(map(len, value)) != {shape[1]}:
+            return None
+        leaves = list(chain.from_iterable(value))
+    return (leaves, shape) if set(map(type, leaves)) <= {float, int} else None
+
+
+def _json_floats(value) -> np.ndarray:
+    """A decoded JSON number, or a list of them nested to any depth, as a
+    float array; null reads as NaN.  True, false and strings, which numpy
+    would convert, raise TypeError, and an integer beyond float range
+    raises ValueError.
+
+    A list of numbers, or a regular list of equal-length lists of them,
+    is converted in one call over its leaves, faster than numpy converts
+    the nested list; any other value goes the general way."""
+    regular = _number_leaves(value)
+    try:
+        if regular:
+            return np.array(regular[0], dtype=float).reshape(regular[1])
+        arr = np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+    leaves = [value]
+    for _ in range(arr.ndim):  # the shape is regular: every item above a leaf is a list
+        leaves = chain.from_iterable(leaves)
+    if {bool, str} & set(map(type, leaves)):  # the only other leaves float() takes
+        raise TypeError("true, false or a string where a number belongs")
+    return arr
+
+
+def _json_float(value) -> float:
+    """A decoded JSON number as a float, checked as :func:`_json_floats`
+    checks one; null and lists raise TypeError too."""
+    if value is None or isinstance(value, list):
+        what = "null" if value is None else "a list"
+        raise TypeError(f"{what} where a number belongs")
+    return float(_json_floats(value))
+
+
 def _field(obj: dict, key: str, convert, default=None):
     """convert(obj[key]), or the default if absent; a wrong type names the key."""
     if key not in obj:
@@ -129,6 +177,42 @@ def _vector(obj: dict, key: str, n: int) -> np.ndarray:
     if arr.shape != (n,):
         raise ProblemFileError(f"{key} must have {n} component(s)")
     return arr
+
+
+# the scale's shorthands: each key's factory and the fields it reads
+_SHORTHANDS = {
+    "uniform": (TimeScale.uniform, ("a", "b", "h")),
+    "dense": (TimeScale.dense_interval, ("a", "b", "resolution")),
+}
+
+
+def _scale(obj: dict) -> TimeScale:
+    """A scale object: ``points`` with ``gaps`` (all "S" when omitted), or
+    the ``uniform`` or ``dense`` shorthand."""
+    for kind, (make, keys) in _SHORTHANDS.items():
+        if kind in obj:
+            spec = obj[kind]
+            if not isinstance(spec, dict):
+                raise ProblemFileError(f"{kind!r} must be an object")
+            args = []
+            for key in keys:
+                if key not in spec:
+                    raise ProblemFileError(f"{kind!r} is missing {key!r}")
+                try:
+                    args.append(_json_float(spec[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ProblemFileError(f"{exc} in {kind!r} field {key!r}") from exc
+            return make(*args)
+    if "points" not in obj:
+        raise ProblemFileError("scale object needs 'points', 'uniform', or 'dense'")
+    try:
+        points = _json_floats(obj["points"])
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{exc} in 'points'") from exc
+    gaps = obj.get("gaps")
+    if gaps is None:
+        gaps = "S" * (points.size - 1)
+    return TimeScale.from_parts(points, gaps)
 
 
 def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunction:
@@ -177,7 +261,7 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
         if key not in obj:
             raise ProblemFileError(f"problem file is missing {key!r}")
     try:
-        scale = TimeScale.from_json(_field(obj, "scale", _object))
+        scale = _scale(_field(obj, "scale", _object))
     except (ValueError, TypeError) as exc:  # TimeScaleError is a ValueError
         raise ProblemFileError(f"bad scale: {exc}") from exc
     n = _field(obj, "n", _integer, 1)
@@ -415,7 +499,6 @@ def cmd_scale_info(args, loaded: LoadedProblem) -> int:
         args.json_path,
         {
             "command": "scale-info",
-            # scale.to_json(), its lists left as arrays
             "scale": {"points": scale.points, "gaps": scale._letters()},
             "mu": scale.mus,
             "classes": classes,

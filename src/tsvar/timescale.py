@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,53 +40,6 @@ MAX_POINTS = 10**6  # the most points uniform() and dense_interval() allocate
 
 class TimeScaleError(ValueError):
     """Invalid time-scale construction, lookup, or domain mismatch."""
-
-
-def _number_leaves(value) -> tuple[list, tuple[int, ...]] | None:
-    """The leaves and shape of a list of numbers, or of a regular list of
-    equal-length lists of them; None for any other value."""
-    if type(value) is not list:
-        return None
-    leaves, shape = value, (len(value),)
-    if value and type(value[0]) is list:
-        shape += (len(value[0]),)
-        if set(map(type, value)) != {list} or set(map(len, value)) != {shape[1]}:
-            return None
-        leaves = list(chain.from_iterable(value))
-    return (leaves, shape) if set(map(type, leaves)) <= {float, int} else None
-
-
-def _json_floats(value) -> np.ndarray:
-    """A decoded JSON number, or a list of them nested to any depth, as a
-    float array; null reads as NaN.  True, false and strings, which numpy
-    would convert, raise TypeError, and an integer beyond float range
-    raises ValueError.
-
-    A list of numbers, or a regular list of equal-length lists of them,
-    is converted in one call over its leaves, faster than numpy converts
-    the nested list; any other value goes the general way."""
-    regular = _number_leaves(value)
-    try:
-        if regular:
-            return np.array(regular[0], dtype=float).reshape(regular[1])
-        arr = np.asarray(value, dtype=float)
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from exc
-    leaves = [value]
-    for _ in range(arr.ndim):  # the shape is regular: every item above a leaf is a list
-        leaves = chain.from_iterable(leaves)
-    if {bool, str} & set(map(type, leaves)):  # the only other leaves float() takes
-        raise TypeError("true, false or a string where a number belongs")
-    return arr
-
-
-def _json_float(value) -> float:
-    """A decoded JSON number as a float, checked as :func:`_json_floats`
-    checks one; null and lists raise TypeError too."""
-    if value is None or isinstance(value, list):
-        what = "null" if value is None else "a list"
-        raise TypeError(f"{what} where a number belongs")
-    return float(_json_floats(value))
 
 
 def _spaced(a: float, b: float, k: int) -> np.ndarray:
@@ -328,45 +280,6 @@ class TimeScale(_Record):
             if 0 <= i < self.n and abs(float(self.points[i]) - t) <= tol:
                 return i
         raise TimeScaleError(f"no scale point within tolerance of t = {t!r}")
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "gaps": self._letters().tolist()}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TimeScale":
-        """Parse the canonical form or the uniform/dense shorthands."""
-        for kind, keys, make in (
-            ("uniform", ("a", "b", "h"), cls.uniform),
-            ("dense", ("a", "b", "resolution"), cls.dense_interval),
-        ):
-            if kind in obj:
-                spec = obj[kind]
-                if not isinstance(spec, Mapping):
-                    raise TimeScaleError(f"{kind!r} must be an object")
-                args = []
-                for key in keys:
-                    if key not in spec:
-                        raise TimeScaleError(f"{kind!r} is missing {key!r}")
-                    try:
-                        args.append(_json_float(spec[key]))
-                    except (TypeError, ValueError) as exc:
-                        where = f"{kind!r} field {key!r}"
-                        raise TimeScaleError(f"{exc} in {where}") from exc
-                return make(*args)
-        if "points" not in obj:
-            raise TimeScaleError(
-                "scale object needs 'points', 'uniform', or 'dense'"
-            )
-        try:
-            points = _json_floats(obj["points"])
-        except (TypeError, ValueError) as exc:
-            raise TimeScaleError(f"{exc} in 'points'") from exc
-        gaps = obj.get("gaps")
-        if gaps is None:
-            gaps = ["S"] * (points.size - 1)
-        return cls.from_parts(points, gaps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimeScale):

@@ -163,12 +163,6 @@ class TupleScale:
             return self.n - 1
         return self.n
 
-    def to_json(self) -> dict:
-        return {
-            "points": [float(t) for t in self.points],
-            "gaps": [g.value for g in self.gaps],
-        }
-
     def __repr__(self) -> str:
         kinds = "".join(g.value for g in self.gaps)
         a, b = float(self.points[0]), float(self.points[-1])

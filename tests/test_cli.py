@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from helpers import load_report
-from tsvar import Lagrangian, check_conservation, cli, enumerate_slope_extremals, solve
+from tsvar import (
+    Lagrangian, TimeScale, check_conservation, cli, enumerate_slope_extremals, solve
+)
 from tsvar.expr import FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1209,6 +1211,40 @@ def test_points_of_the_wrong_shape_are_named(points, message, tmp_path, capsys):
     assert err == f"error: bad scale: {message}\n"
 
 
+class TestScaleObject:
+    """The scale object of a problem file, read by ``cli._scale``."""
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            {"points": [0.0, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0], "gaps": ["S"] + ["D"] * 5},
+            {"uniform": {"a": 0, "b": 1, "h": 0.125}},
+            {"dense": {"a": 0, "b": 1, "resolution": 11}},
+        ],
+        ids=["mixed", "uniform", "dense"],
+    )
+    def test_round_trip_through_scale_info(self, scale, tmp_path):
+        # the scale object of a scale-info report, written into a problem
+        # file, loads back to an equal scale
+        path, report = write_problem(tmp_path, scale=scale), tmp_path / "report.json"
+        assert cli.main(["scale-info", path, "--json", str(report)]) == 0
+        copy = write_problem(tmp_path, "copy.json", scale=load_report(report)["scale"])
+        original = cli.load_problem(path).problem.scale
+        assert cli.load_problem(copy).problem.scale == original
+
+    def test_uniform_shorthand(self):
+        obj = {"uniform": {"a": 0, "b": 1, "h": 0.125}}
+        assert cli._scale(obj) == TimeScale.uniform(0, 1, 0.125)
+
+    def test_dense_shorthand(self):
+        obj = {"dense": {"a": 0, "b": 1, "resolution": 11}}
+        assert cli._scale(obj) == TimeScale.dense_interval(0, 1, 11)
+
+    def test_missing_gaps_defaults_scattered(self):
+        T = cli._scale({"points": [0, 1, 2, 3]})
+        assert T.is_exact_discrete
+
+
 class TestParserReuse:
     """One parser serves every main call of a process."""
 
@@ -1322,7 +1358,7 @@ class TestBlocks:
         assert stdout == head + self.one_pass(row, scale.points, labels, scale.mus)
         payload = {
             "command": "scale-info",
-            "scale": scale.to_json(),
+            "scale": json.loads(Path(path).read_text())["scale"],
             "mu": scale.mus.tolist(),
             "classes": labels,
             "kappa_length": scale.kappa_length,

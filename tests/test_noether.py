@@ -241,7 +241,7 @@ class TestCheckConservation:
         tr = Transformation.from_text(1, "t", "0")
         path, out = tmp_path / "p.json", tmp_path / "report.json"
         problem = {
-            "scale": p.scale.to_json(),
+            "scale": {"points": p.scale.points.tolist()},
             "lagrangian": "v1^2",
             "q_a": 0.0,
             "q_b": 2.0,
