@@ -172,6 +172,14 @@ def _object(value) -> dict:
     return value
 
 
+def _known(obj: dict, keys, where: str) -> dict:
+    """obj, if every key it holds is one of keys; the first other is named."""
+    for key in obj:
+        if key not in keys:
+            raise ProblemFileError(f"unknown key {key!r} in {where}")
+    return obj
+
+
 def _vector(obj: dict, key: str, n: int) -> np.ndarray:
     arr = np.array(_field(obj, key, _json_floats), dtype=float, ndmin=1)
     if arr.shape != (n,):
@@ -179,21 +187,25 @@ def _vector(obj: dict, key: str, n: int) -> np.ndarray:
     return arr
 
 
-# the scale's shorthands: each key's factory and the fields it reads
+# the scale's keys: its shorthands, each with its factory and the keys of
+# its object, and the keys of the explicit form
 _SHORTHANDS = {
     "uniform": (TimeScale.uniform, ("a", "b", "h")),
     "dense": (TimeScale.dense_interval, ("a", "b", "resolution")),
 }
+_POINTS = ("points", "gaps")
 
 
 def _scale(obj: dict) -> TimeScale:
     """A scale object: ``points`` with ``gaps`` (all "S" when omitted), or
-    the ``uniform`` or ``dense`` shorthand."""
+    the ``uniform`` or ``dense`` shorthand alone."""
     for kind, (make, keys) in _SHORTHANDS.items():
         if kind in obj:
+            _known(obj, (kind,), f"'scale' beside {kind!r}")
             spec = obj[kind]
             if not isinstance(spec, dict):
                 raise ProblemFileError(f"{kind!r} must be an object")
+            _known(spec, keys, repr(kind))
             args = []
             for key in keys:
                 if key not in spec:
@@ -205,6 +217,7 @@ def _scale(obj: dict) -> TimeScale:
             return make(*args)
     if "points" not in obj:
         raise ProblemFileError("scale object needs 'points', 'uniform', or 'dense'")
+    _known(obj, _POINTS, "'scale'")
     try:
         points = _json_floats(obj["points"])
     except (TypeError, ValueError) as exc:
@@ -215,15 +228,18 @@ def _scale(obj: dict) -> TimeScale:
     return TimeScale.from_parts(points, gaps)
 
 
+_TRAJECTORY = ("values", "slopes")  # the trajectory's keys, one per form
+
+
 def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunction:
     scale = problem.scale
     n = problem.dim
-    for key, rows, what in (
-        ("values", scale.n, "trajectory values"),
-        ("slopes", scale.n - 1, "slope list"),
+    for key, rows, what in zip(
+        _TRAJECTORY, (scale.n, scale.n - 1), ("trajectory values", "slope list")
     ):
         if key not in entry:
             continue
+        _known(entry, (key,), f"'trajectory' beside {key!r}")
         arr = _field(entry, key, _json_floats)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -237,6 +253,15 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
             raise ProblemFileError(f"trajectory from the {key!r} entry must be finite")
         return q
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
+
+
+_PROBLEM = (  # the keys of a problem file
+    "version", "scale", "n", "lagrangian", "q_a", "q_b",
+    "trajectory", "transformation", "solver",
+)
+_TRANSFORMATION = ("tau", "xi")
+_SOLVER = {"tol": _json_float, "max_iter": _integer}  # NewtonOptions' fields
+_RETIRED = ("max_halvings", "fd_step")  # solver keys Newton no longer reads
 
 
 def load_problem(path: str | PathLike) -> LoadedProblem:
@@ -257,6 +282,7 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
     version = obj.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ProblemFileError(f"unsupported schema version {version!r}")
+    _known(obj, _PROBLEM, "the problem file")
     for key in ("scale", "lagrangian", "q_a", "q_b"):
         if key not in obj:
             raise ProblemFileError(f"problem file is missing {key!r}")
@@ -277,7 +303,8 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
         trajectory = _trajectory_from_entry(_field(obj, "trajectory", _object), problem)
     transformation = None
     if "transformation" in obj:
-        tspec = _field(obj, "transformation", _object)
+        tspec = _known(_field(obj, "transformation", _object), _TRANSFORMATION,
+                       "'transformation'")
         if "tau" not in tspec or "xi" not in tspec:
             raise ProblemFileError("transformation needs 'tau' and 'xi'")
         tau, xi = tspec["tau"], tspec["xi"]
@@ -287,9 +314,9 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
             raise ProblemFileError("transformation 'tau' and 'xi' must be strings")
         transformation = Transformation.from_text(n, tau, xi)
     sopts = _field(obj, "solver", _object, {})
-    kinds = {"tol": _json_float, "max_iter": _integer}
+    _known(sopts, (*_SOLVER, *_RETIRED), "'solver'")
     newton = NewtonOptions(
-        **{key: _field(sopts, key, kind) for key, kind in kinds.items() if key in sopts}
+        **{key: _field(sopts, key, kind) for key, kind in _SOLVER.items() if key in sopts}
     )
     return LoadedProblem(problem, trajectory, transformation, newton)
 

@@ -852,6 +852,111 @@ INPUT_ERRORS = {
 }
 
 
+TRAJECTORY = [0.0, 0.25, 0.5, 0.75, 1.0]
+UNKNOWN_KEYS = {
+    "top level": (
+        {"transfromation": {"tau": "1", "xi": ["1"]}},
+        "unknown key 'transfromation' in the problem file",
+    ),
+    "solver": ({"solver": {"tolerance": 1e-3}}, "unknown key 'tolerance' in 'solver'"),
+    "transformation": (
+        {"transformation": {"tau": "1", "xi": ["1"], "eta": "0"}},
+        "unknown key 'eta' in 'transformation'",
+    ),
+    "trajectory": (
+        {"trajectory": {"values": TRAJECTORY, "weights": TRAJECTORY}},
+        "unknown key 'weights' in 'trajectory' beside 'values'",
+    ),
+    "both trajectory forms": (
+        {"trajectory": {"slopes": [1.0] * 4, "values": TRAJECTORY}},
+        "unknown key 'slopes' in 'trajectory' beside 'values'",
+    ),
+    "scale": (
+        {"scale": {"points": [0.0, 0.25, 0.5, 0.75, 1.0], "gap": ["S"] * 4}},
+        "bad scale: unknown key 'gap' in 'scale'",
+    ),
+    "gaps beside uniform": (
+        {"scale": {"uniform": {"a": 0, "b": 1, "h": 0.25}, "gaps": ["D"] * 4}},
+        "bad scale: unknown key 'gaps' in 'scale' beside 'uniform'",
+    ),
+    "points beside dense": (
+        {"scale": {"points": [0.0, 0.5, 1.0], "dense": {"a": 0, "b": 1, "resolution": 5}}},
+        "bad scale: unknown key 'points' in 'scale' beside 'dense'",
+    ),
+    "uniform": (
+        {"scale": {"uniform": {"a": 0, "b": 1, "h": 0.25, "step": 0.5}}},
+        "bad scale: unknown key 'step' in 'uniform'",
+    ),
+    "dense": (
+        {"scale": {"dense": {"a": 0, "b": 1, "resolution": 5, "n": 5}}},
+        "bad scale: unknown key 'n' in 'dense'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_key_exit_2(case, tmp_path, capsys):
+    # the loader names the first key it does not read, whichever command runs
+    overrides, message = UNKNOWN_KEYS[case]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**FIVE_POINT, **overrides}))
+    for command in ("solve", "verify", "noether", "scale-info"):
+        assert run_cli([command, str(path)], capsys) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["verify", "--erdmann"], ["noether", "--solve", "--sweep", "2"], ["scale-info"]],
+    ids=" ".join,
+)
+def test_retired_solver_keys_leave_the_output_unchanged(command, tmp_path, capsys):
+    # FIVE_POINT's solver holds max_halvings and fd_step beside tol and max_iter
+    path, report = tmp_path / "p.json", tmp_path / "report.json"
+    results = []
+    for solver in (FIVE_POINT["solver"], {"tol": 1e-10, "max_iter": 50}):
+        path.write_text(json.dumps({**FIVE_POINT, "solver": solver}))
+        code = cli.main([*command, str(path), "--json", str(report)])
+        results.append((code, capsys.readouterr(), report.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)  # verify fails the affine trajectory
+
+
+class Pairs(list):
+    """A decoded JSON object as its (key, value) pairs, repeated keys kept."""
+
+
+def test_readme_schema_lists_the_loaders_keys():
+    # the README's tsvar/1 block, its comments removed, read as JSON; a key
+    # listed twice shows two forms of one object
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Problem file schema (`tsvar/1`)", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    listed = {}
+
+    def walk(name, pairs):
+        for key, value in pairs:
+            listed.setdefault(name, set()).add(key)
+            if isinstance(value, Pairs):
+                walk(key, value)
+
+    walk("problem", json.loads(re.sub("//.*", "", block), object_pairs_hook=Pairs))
+    loader = {
+        "problem": cli._PROBLEM,
+        "scale": (*cli._POINTS, *cli._SHORTHANDS),
+        **{kind: keys for kind, (_, keys) in cli._SHORTHANDS.items()},
+        "trajectory": cli._TRAJECTORY,
+        "transformation": cli._TRANSFORMATION,
+        "solver": (*cli._SOLVER, *cli._RETIRED),
+    }
+    assert listed == {name: set(keys) for name, keys in loader.items()}
+    retired = {
+        key
+        for line in block.splitlines() if "retired" in line
+        for key in re.findall(r'"(\w+)":', line.split("//")[0])
+    }
+    assert retired == set(cli._RETIRED)
+
+
 @pytest.mark.parametrize("key", ["scale", "lagrangian", "q_a", "q_b"])
 def test_missing_required_key_exit_2(key, tmp_path, capsys):
     problem = {**FIVE_POINT}
