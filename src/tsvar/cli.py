@@ -399,13 +399,15 @@ def cmd_solve(args, loaded: LoadedProblem) -> int:
         except ValueError as exc:
             raise ProblemFileError(f"bad alphabet: {exc}") from exc
         cands = enumerate_slope_extremals(p, alphabet, tol=tol)
+        shown = filter_second_el(cands, tol=tol) if args.filter_second_el else cands
+        head = shown[:20]
+        rows = shown if args.json_path else head  # every row printed or written
+        _check_finite(action=rows.action, first_el=rows.first_el, second_el=rows.second_el)
         print(f"first-EL extremals: {len(cands)}")
-        shown = cands
         if args.filter_second_el:
-            shown = filter_second_el(cands, tol=tol)
             print(f"second-EL survivors: {len(shown)}")
         print("  slopes | action | first_el | second_el")
-        head, word = shown[:20], ",".join(["%.12g"] * (p.scale.n - 1))
+        word = ",".join(["%.12g"] * (p.scale.n - 1))
         row = f"  [{word}]" + " | %.12g" * 3 + "\n"
         _write_table(row, head.slopes, head.action, head.first_el, head.second_el)
         if len(shown) > 20:

@@ -744,6 +744,33 @@ class TestNonFiniteInput:
         assert code == 2
         assert err == "error: trajectory from the 'slopes' entry must be finite\n"
 
+    @pytest.mark.parametrize(
+        "flags, shown", [([], True), (["--json", "report.json"], True),
+                         (["--filter-second-el"], False)],
+        ids=["printed", "written", "filtered out"],
+    )
+    def test_enumeration_checks_the_rows_it_shows(self, flags, shown, tmp_path, capsys):
+        # the one first-EL extremal, the zero word, has action -inf and
+        # second-EL nan; the second-EL filter drops it, and nothing is shown
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "scale": {"points": [-0.5, -0.25, 0.25]},
+            "lagrangian": "(1e-300)^0.5 / 0.5 - 1e200*1e200",
+            "q_a": -1.5,
+            "q_b": -1.5,
+        }))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", str(path), "--enumerate=-1,0,1", *flags])
+        out, err = capsys.readouterr()
+        if shown:
+            assert (code, out, err) == (2, "", "error: action is not finite: -inf\n")
+            assert not (tmp_path / "report.json").exists()
+        else:
+            assert (code, err) == (0, "")
+            assert "second-EL survivors: 0" in out
+
     def test_enumeration_rejects_nan_letter(self, capsys):
         code, err = run_cli(
             ["solve", str(QUARTIC), "--enumerate=nan,0", "--filter-second-el"], capsys
@@ -1175,8 +1202,8 @@ def fuzz_problem(rng) -> dict:
 
 def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
     # every command on 400 seeded files, under warnings as errors: an exit
-    # code of 0-3, no exception, and no nan or inf printed by a plain solve
-    # or noether that exits 0
+    # code of 0-3, no exception, and no nan or inf printed by a solve
+    # (plain or enumerating) or noether that exits 0
     rng, path = random.Random(20261020), tmp_path / "p.json"
     codes = Counter()
     for case in range(400):
@@ -1192,7 +1219,7 @@ def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
             out = capsys.readouterr().out
             assert code in {0, 1, 2, 3}, (case, command, obj)
             codes[command[0], code] += 1
-            if code == 0 and (command == ["solve"] or command[0] == "noether"):
+            if code == 0 and command[0] in ("solve", "noether"):
                 assert not re.search(r"\b(nan|inf)\b", out), (case, command, obj)
     # the files reach every command's results, not only its input errors
     assert all(codes[command[0], 0] >= 20 for command in FUZZ_COMMANDS), codes
