@@ -45,7 +45,7 @@ from .solver import (
     solve,
 )
 from .timescale import GridFunction, PointClass, TimeScale
-from .variational import Lagrangian, VariationalProblem, _along
+from .variational import Lagrangian, VariationalProblem, _along, _dimension
 
 SCHEMA_VERSION = "tsvar/1"
 
@@ -294,6 +294,7 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
     if n < 1:
         raise ProblemFileError("dimension must be at least 1")
     q_a, q_b = _vector(obj, "q_a", n), _vector(obj, "q_b", n)  # checks n cheaply
+    _dimension(n)  # bounds n before a Lagrangian allocates its seeds
     if not isinstance(obj["lagrangian"], str):
         raise ProblemFileError("'lagrangian' must be a string")
     lagrangian = Lagrangian(n, obj["lagrangian"])

@@ -49,14 +49,17 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-12
 AUTONOMY_TOL = 1e-10
+MAX_DIM = 1000  # a Lagrangian's seeds are (2n+1)^2 floats: 32 MB at n = 1000
 
 
 def _dimension(dim) -> int:
-    """``dim`` as an int; ValueError unless it is an integer of at least 1."""
+    """``dim`` as an int; ValueError unless it is an integer from 1 to MAX_DIM."""
     if not isinstance(dim, (int, np.integer)):
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds {MAX_DIM}")
     return int(dim)
 
 

@@ -19,6 +19,7 @@ from tsvar import (
     Lagrangian, TimeScale, check_conservation, cli, enumerate_slope_extremals, solve
 )
 from tsvar.expr import FUNCTIONS
+from tsvar.variational import MAX_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = ROOT / "problems" / "quadratic.json"
@@ -1243,6 +1244,10 @@ class TestDimensionGuard:
             ({"n": 0}, "error: dimension must be at least 1"),
             ({"n": -3, "q_a": [], "q_b": []}, "error: dimension must be at least 1"),
             ({"n": 2.5}, "error: bad 'n': 2.5 is not an integer"),
+            (
+                {"n": MAX_DIM + 1, "q_a": [0.0] * (MAX_DIM + 1), "q_b": [0.0] * (MAX_DIM + 1)},
+                f"error: dimension {MAX_DIM + 1} exceeds {MAX_DIM}",
+            ),
         ],
     )
     def test_boundary_vectors_checked_before_lagrangian(

@@ -652,6 +652,7 @@ class TestInputChecks:
             (0, "dimension must be at least 1"),
             (1.5, "dimension must be an integer, got 1.5"),
             (2.0, "dimension must be an integer, got 2.0"),
+            (10**6, "dimension 1000000 exceeds 1000"),  # before its seeds
         ],
     )
     def test_lagrangian_dimension(self, dim, message):
