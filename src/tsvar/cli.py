@@ -1,20 +1,10 @@
 """Batch front end: read a problem file, run a subcommand, emit a table
 plus optional machine-readable JSON.
 
-Problem files are JSON with schema version "tsvar/1":
-
-    {
-      "version": "tsvar/1",
-      "scale": {"points": [...], "gaps": ["S", ...]}
-               | {"uniform": {"a": .., "b": .., "h": ..}}
-               | {"dense": {"a": .., "b": .., "resolution": ..}},
-      "n": 1,
-      "lagrangian": "v1^2",
-      "q_a": 0.0, "q_b": 2.0,
-      "trajectory": {"values": [...]} | {"slopes": [...]},
-      "transformation": {"tau": "1", "xi": ["1"]},
-      "solver": {"tol": 1e-10, "max_iter": 50}
-    }
+Problem files are JSON with schema version "tsvar/1", read by
+:func:`load_problem` alone.  Each object's key list stands next to its
+reader, and the README's schema block lists the same keys; a key outside
+them is an input error.
 
 Exit codes: 0 success/pass, 1 verification fail, 2 input error,
 3 numerical failure.
@@ -172,12 +162,11 @@ def _object(value) -> dict:
     return value
 
 
-def _known(obj: dict, keys, where: str) -> dict:
-    """obj, if every key it holds is one of keys; the first other is named."""
+def _known(obj: dict, keys, where: str) -> None:
+    """Name the first key of obj that is not one of keys, as an input error."""
     for key in obj:
         if key not in keys:
             raise ProblemFileError(f"unknown key {key!r} in {where}")
-    return obj
 
 
 def _vector(obj: dict, key: str, n: int) -> np.ndarray:
@@ -304,8 +293,8 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
         trajectory = _trajectory_from_entry(_field(obj, "trajectory", _object), problem)
     transformation = None
     if "transformation" in obj:
-        tspec = _known(_field(obj, "transformation", _object), _TRANSFORMATION,
-                       "'transformation'")
+        tspec = _field(obj, "transformation", _object)
+        _known(tspec, _TRANSFORMATION, "'transformation'")
         if "tau" not in tspec or "xi" not in tspec:
             raise ProblemFileError("transformation needs 'tau' and 'xi'")
         tau, xi = tspec["tau"], tspec["xi"]
@@ -317,7 +306,7 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
     sopts = _field(obj, "solver", _object, {})
     _known(sopts, (*_SOLVER, *_RETIRED), "'solver'")
     newton = NewtonOptions(
-        **{key: _field(sopts, key, kind) for key, kind in _SOLVER.items() if key in sopts}
+        **{k: _field(sopts, k, kind) for k, kind in _SOLVER.items() if k in sopts}
     )
     return LoadedProblem(problem, trajectory, transformation, newton)
 
@@ -403,7 +392,9 @@ def cmd_solve(args, loaded: LoadedProblem) -> int:
         shown = filter_second_el(cands, tol=tol) if args.filter_second_el else cands
         head = shown[:20]
         rows = shown if args.json_path else head  # every row printed or written
-        _check_finite(action=rows.action, first_el=rows.first_el, second_el=rows.second_el)
+        _check_finite(
+            action=rows.action, first_el=rows.first_el, second_el=rows.second_el
+        )
         print(f"first-EL extremals: {len(cands)}")
         if args.filter_second_el:
             print(f"second-EL survivors: {len(shown)}")
