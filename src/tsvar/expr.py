@@ -423,22 +423,17 @@ def _pow(a, b, node):
         nonzero = np.asarray(part != 0.0)
         moving |= _broadcast(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
     integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
-
-    def at(x, sel):  # x at the frames sel, if x varies over frames
-        return x[..., sel] if getattr(x, "shape", ())[-1:] == (k,) else x
-
-    on, off = (
-        path(tuple(at(x, sel) for x in a), tuple(at(x, sel) for x in b), node)
-        for sel, path in ((integral, _int_pow), (~integral, _real_pow))
-    )
-
-    def stitch(x, y):  # one part, x on the integral frames and y elsewhere
-        out = np.empty(_shape((x[..., :0], y[..., :0]))[:-1] + (k,))
-        out[..., integral], out[..., ~integral] = x, y
-        return out
-
-    value, deriv = stitch(on[0], off[0]), stitch(on[1], off[1])
-    return value, deriv, None if hb is None else stitch(on[2], off[2])
+    if not np.count_nonzero(integral):
+        return _real_pow(a, b, node)
+    # both rules on every frame, each on inputs it takes without an error or
+    # a warning (exponent 0 off the integral frames, base 1 on them), and
+    # each part picked frame by frame.  The real rule runs even where every
+    # frame is integral: its parts carry the axis of directions, which the
+    # integer rule's lack for a constant base (2^t with t held)
+    on = _int_pow(a, (np.where(integral, bv, 0.0), db, hb), node)
+    off = _real_pow((np.where(integral, 1.0, a[0]), *a[1:]), b, node)
+    value, deriv = np.where(integral, on[0], off[0]), np.where(integral, on[1], off[1])
+    return value, deriv, None if hb is None else np.where(integral, on[2], off[2])
 
 
 def _call(node, x):
