@@ -60,6 +60,7 @@ BOUNDARY_HIT_TOL = 1e-9
 # guard, and no level more nodes than hits)
 _BLOCK_WORDS = 2**13
 CONDITION_LIMIT = 1e14
+MAX_DENSE = 5 * 10**7  # the most floats in one array Newton holds whole: 400 MB
 MAX_HALVINGS = 20
 _EPS, _BIG = np.finfo(float).eps, np.finfo(float).max
 
@@ -226,6 +227,8 @@ def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.n
     nor in u at q_b.
     """
     n = p.dim
+    if n > 1:  # the pass's seeds, then H dense (_Hessian)
+        _check_dense(max((2 * n + 1) ** 2 * e.t.size, (n * (e.t.size - 1)) ** 2))
     moving = np.ones((e.t.size, 2 * n + 1), dtype=bool)
     moving[:, 0] = moving[-1, 1 : n + 1] = False
     H = p.lagrangian.partials(e.t, e.U, e.v, order=2, moving=moving)[4]
@@ -235,6 +238,12 @@ def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.n
     b = -(np.ldexp(H[:, v, u], -k) + a)
     c = np.ldexp(mu, -k) * H[:, u, u] + np.ldexp(H[:, u, v] + H[:, v, u], -k) + a
     return c[:-1] + a[1:], b[1:-1]
+
+
+def _check_dense(size: int) -> None:
+    """ValueError if an array of ``size`` floats exceeds MAX_DENSE."""
+    if size > MAX_DENSE:
+        raise ValueError(f"Newton needs {size} floats in one array, above {MAX_DENSE}")
 
 
 def _dense(D: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -339,6 +348,7 @@ class _Hessian:
         if certified and self.A is None:
             return _eliminate(self.D.ravel(), self.E.ravel(), r)
         if self.H is None:
+            _check_dense(self.D.size**2)
             self.H = _dense(self.D, self.E)
         if not certified:
             exponent = np.frexp(self.row_maxima().max())[1]  # largest entry to [0.5, 1)
@@ -390,7 +400,9 @@ def solve_newton(
     O(N), and an H that the bound passes is solved on the band by
     elimination without pivoting, O(N) in time and memory.  Any other H,
     n >= 2 or a scalar H the bound does not pass, is built dense,
-    (n(N-2))^2 floats, and solved by np.linalg.solve in O((nN)^3).
+    (n(N-2))^2 floats, and solved by np.linalg.solve in O((nN)^3).  Where
+    that, or for n >= 2 the (2n+1)^2 (N-1) seeds of the Hessian's kernel
+    pass, exceeds MAX_DENSE floats, it raises ValueError instead.
     """
     return _newton(p, q_init, opts)[0].q
 

@@ -964,6 +964,59 @@ class TestConditionGuard:
         assert 0 < banded < len(problems)
 
 
+class TestDenseBound:
+    @pytest.mark.parametrize("N, size", [(3, 25 * 2), (20, (2 * 18) ** 2)])
+    def test_block_hessian_checked_before_its_pass(self, N, size, monkeypatch):
+        # n = 2: the larger of the second-order pass's (2n+1)^2 (N-1) seeds
+        # (at N = 3) and the dense H's (n(N-2))^2 entries (at N = 20) is
+        # held to MAX_DENSE before the pass runs; at the limit it solves
+        scale = TimeScale.uniform(1, 2, 1 / (N - 1))
+        L = Lagrangian(2, "t*v1^2 + v2^2 + u1^2 + u1*u2")
+        p = VariationalProblem(scale, L, [0.0, 1.0], [2.0, -1.0])
+        passes, partials = [], L.partials
+
+        def counted(*args, order=1, **kwargs):
+            passes.append(order)
+            return partials(*args, order=order, **kwargs)
+
+        monkeypatch.setattr(L, "partials", counted)
+        monkeypatch.setattr(solver, "MAX_DENSE", size - 1)
+        with pytest.raises(ValueError) as err:
+            solve(p)
+        assert str(err.value) == f"Newton needs {size} floats in one array, above {size - 1}"
+        assert passes == [1]
+        monkeypatch.setattr(solver, "MAX_DENSE", size)
+        assert solve(p).provenance is Provenance.NEWTON
+        assert 2 in passes
+
+    def test_uncertified_scalar_hessian_checked_before_it_is_built(self, monkeypatch):
+        # v1^2 - 5*u1^2 on h = 1/8: no step is certified, so each H of 7
+        # unknowns goes dense, 49 entries
+        p = VariationalProblem(
+            TimeScale.uniform(0, 1, 0.125), Lagrangian(1, "v1^2 - 5*u1^2"), [0.0], [1.0]
+        )
+        dense = solver._dense
+
+        def refused(*args):
+            pytest.fail("H built dense over MAX_DENSE")
+
+        monkeypatch.setattr(solver, "_dense", refused)
+        monkeypatch.setattr(solver, "MAX_DENSE", 48)
+        with pytest.raises(ValueError, match="^Newton needs 49 floats in one array, above 48$"):
+            solve_newton(p)
+        monkeypatch.setattr(solver, "_dense", dense)
+        monkeypatch.setattr(solver, "MAX_DENSE", 49)
+        solve_newton(p)
+
+    def test_certified_scalar_steps_are_unbounded(self, monkeypatch):
+        # a certified scalar step runs on the band and allocates nothing
+        # dense, so no bound applies: the same bits with MAX_DENSE 0
+        p = lq_scalar_problem(801)
+        want = solve_newton(p).values
+        monkeypatch.setattr(solver, "MAX_DENSE", 0)
+        assert solve_newton(p).values.tobytes() == want.tobytes()
+
+
 def certified_band(rng, m, kind):
     """The diagonal and off-diagonal of a random strictly diagonally
     dominant symmetric tridiagonal matrix of m rows: margins up to the row
