@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -19,11 +20,22 @@ from tsvar import (
     Lagrangian, TimeScale, check_conservation, cli, enumerate_slope_extremals, solve
 )
 from tsvar.expr import FUNCTIONS
+from tsvar.solver import MAX_DENSE
 from tsvar.variational import MAX_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
 QUADRATIC = ROOT / "problems" / "quadratic.json"
 QUARTIC = ROOT / "problems" / "quartic.json"
+
+
+def child_env(**variables) -> dict:
+    """The environment of a child interpreter that imports tsvar from this
+    tree, with ``variables`` set."""
+    env = {**os.environ, **variables}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -614,14 +626,10 @@ class TestScaleInfo:
     )
     def test_module_form_runs_main(self, path, capsys):
         # python -m tsvar.cli prints and exits as the in-process call does
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         argv = ["scale-info", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "tsvar.cli", *argv],
-            env=env,
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=60,
@@ -630,6 +638,25 @@ class TestScaleInfo:
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, *captured)
         assert code == (0 if path.exists() else 2)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_pipe_ends_as_cat_does(self, tmp_path):
+        # scale-info on 10001 points prints more than a pipe holds; the
+        # reader takes one line and closes the pipe (as | head -1 does), and
+        # the command ends by SIGPIPE's default action, with no traceback
+        path = write_problem(tmp_path, scale={"uniform": {"a": 0, "b": 1, "h": 1e-4}})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tsvar.cli", "scale-info", path],
+            env=child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"points: 10001   span: [0, 1]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert b"Traceback" not in err
 
 
 class TestRoundTrip:
@@ -1257,6 +1284,53 @@ class TestDimensionGuard:
         code, err = run_cli(["solve", path], capsys)
         assert code == 2
         assert err == message + "\n"
+
+
+# files whose Newton solve would hold about 3 GB in one array (the first
+# two: H dense at N = 10001 and 20001) or 78 GB (n = 1000 at N = 101), and
+# the floats that the bound names
+OVER_DENSE = {
+    "n2-N10001": (
+        {"n": 2, "lagrangian": "v1^2 + v2^2 + t*u1^2", "q_a": [0, 0], "q_b": [1, 1]},
+        {"uniform": {"a": 0, "b": 1, "h": 1e-4}},
+        399920004,
+    ),
+    "quartic-N20001": (
+        {"lagrangian": "(v1^2 - 1)^2 + 0.01*u1^2", "q_a": 0, "q_b": 1},
+        {"uniform": {"a": 0, "b": 2, "h": 1e-4}},
+        399960001,
+    ),
+    "n1000-N101": (
+        {"n": 1000, "lagrangian": "u1^2 + v1^2", "q_a": [0] * 1000, "q_b": [1] * 1000},
+        {"uniform": {"a": 0, "b": 1, "h": 0.01}},
+        9801000000,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_DENSE))
+def test_newton_over_the_dense_bound_exit_2(name, tmp_path):
+    # in a child with one BLAS thread and 3e6 KiB of address space (ulimit
+    # -v 3000000), each solve ends in the bound's one line and exit 2, not
+    # in numpy's MemoryError and a traceback
+    pytest.importorskip("resource")  # the child's
+    overrides, scale, size = OVER_DENSE[name]
+    path = write_problem(tmp_path, scale=scale, **overrides)
+    limit = 3_000_000 * 1024
+    code = (
+        f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from tsvar.cli import main_entry; main_entry()"
+    )
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "solve", path],
+        env=child_env(**threads),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: Newton needs {size} floats in one array, above {MAX_DENSE}\n"
 
 
 DEEP = {
