@@ -207,6 +207,54 @@ class TestKernelBranches:
             constant, per_frame = (L.partials(t, U, V, order=order) for L in pair)
             assert [x.tobytes() for x in constant] == [x.tobytes() for x in per_frame]
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [1.0, 1.5, -1.0, 2.5, 3.0, -0.5, 0.0],
+            [1.0, -2.0, 3.0, 0.0],
+            [0.5, -1.5, 2.5],
+        ],
+        ids=["mixed", "integral", "real"],
+    )
+    @pytest.mark.parametrize(
+        "body, exponent, value",
+        [
+            ("(u1 - 1)^{} + v1^2", "t", lambda t: t),
+            ("(u1^2 + 1)^{} + v1^2", "(0.5*t)", lambda t: 0.5 * t),
+            ("2^{}*v1^2", "t", lambda t: t),
+        ],
+        ids=["(u1 - 1)^t", "(u1^2 + 1)^(0.5*t)", "2^t"],
+    )
+    def test_per_frame_exponent_equals_its_literal(self, body, exponent, value, t, order):
+        # with t held, as Newton's pass holds it, an exponent in t is
+        # integral at the frames of integer t and real at the others; each
+        # frame of the one pass has the bits of the body with that frame's
+        # exponent written as a literal.  Where t is an integer the base
+        # may be negative; a negative base at a half-integer t is an error
+        t = np.array(t)
+        U = np.where(t == np.trunc(t), -0.5, 2.5)[:, None] + np.arange(t.size)[:, None] / 8
+        V = np.linspace(-1.0, 2.0, t.size)[:, None]
+        moving = np.ones((t.size, 3), dtype=bool)
+        moving[:, 0] = False
+        if order == 2:  # Newton's mask: u held at the last frame too
+            moving[-1, 1] = False
+        per_frame = body.format(exponent)
+        got = Lagrangian(1, per_frame).partials(t, U, V, order=order, moving=moving)
+        for i, ti in enumerate(t):
+            literal = Lagrangian(1, body.format(repr(float(value(ti)))))
+            frame = slice(i, i + 1)
+            want = literal.partials(t[frame], U[frame], V[frame], order, moving[frame])
+            assert [x[frame].tobytes() for x in got] == [x.tobytes() for x in want], ti
+        if body.startswith("(u1 - 1)") and not np.all(t == np.trunc(t)):
+            half = np.flatnonzero(t != np.trunc(t))[0]
+            U[half] = 0.5
+            for text, frames in ((per_frame, slice(None)), (body.format(repr(float(t[half]))), half)):
+                with pytest.raises(ExprDomainError, match="^non-integer power of a non-pos"):
+                    Lagrangian(1, text).partials(
+                        t[frames], U[frames], V[frames], order, moving[frames]
+                    )
+
     def test_first_order_power_at_zero_base(self):
         L = Lagrangian(1, "u1^0.5 + v1^2")
         with pytest.raises(ExprDomainError) as err:
