@@ -31,6 +31,9 @@ case runs once, untimed or to size its loop, before it is timed.
 
     PYTHONPATH=src python scripts/ab_timing.py [--repeat R]
 
+R, the samples of each case, defaults to 1: a smoke run that shows every
+case runs.  A timing claim takes 31 (below).
+
 With ``--against SRC_DIR`` the ``tsvar`` package under SRC_DIR (the ``src``
 directory of another checkout) is imported as well, under another name,
 and every repeat takes one sample of each tree, the order swapped every
@@ -338,7 +341,7 @@ def row(figure: dict) -> str:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--against", type=Path, metavar="SRC_DIR")
     args = parser.parse_args()
     if args.repeat < 1:

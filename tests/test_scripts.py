@@ -83,7 +83,7 @@ def ab_timing_against_itself():
 def test_script_runs_with_defaults(name, request):
     if name in FAMILIES:
         record = request.getfixturevalue("ab_timing_defaults")
-        assert record["repeat"] == 5 and len(record["trees"]) == 1
+        assert record["repeat"] == 1 and len(record["trees"]) == 1
         for case in family_cases(record, name):
             assert len(case["median_s"]) == 1 and case["median_s"][0] > 0
             assert case["ratio"] is None and case["interval"] is None
