@@ -423,13 +423,17 @@ def _pow(a, b, node):
         nonzero = np.asarray(part != 0.0)
         moving |= _broadcast(nonzero, nonzero.shape[:-1] + (k,)).reshape(-1, k).any(0)
     integral = ~moving & np.isfinite(bv) & (np.trunc(bv) == bv)
-    if not np.count_nonzero(integral):
+    count = np.count_nonzero(integral)
+    if count == 0:
         return _real_pow(a, b, node)
-    # both rules on every frame, each on inputs it takes without an error or
-    # a warning (exponent 0 off the integral frames, base 1 on them), and
-    # each part picked frame by frame.  The real rule runs even where every
-    # frame is integral: its parts carry the axis of directions, which the
-    # integer rule's lack for a constant base (2^t with t held)
+    # the integer rule alone only if the base's derivative is an array: that
+    # of a constant base, the scalar 0.0, would leave its parts without the
+    # axis of directions (2^t with t held), which the real rule's carry
+    if count == k and getattr(a[1], "ndim", 0):
+        return _int_pow(a, b, node)
+    # else both rules on every frame, each on inputs it takes without an
+    # error or a warning (exponent 0 off the integral frames, base 1 on
+    # them), and each part picked frame by frame
     on = _int_pow(a, (np.where(integral, bv, 0.0), db, hb), node)
     off = _real_pow((np.where(integral, 1.0, a[0]), *a[1:]), b, node)
     value, deriv = np.where(integral, on[0], off[0]), np.where(integral, on[1], off[1])
