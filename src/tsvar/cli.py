@@ -596,13 +596,9 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    """The ``tsvar`` script and ``python -m tsvar.cli``: :func:`main` on the
-    command line.  Where the platform has SIGPIPE its default action is
-    restored, so output piped into a reader that stops early (``| head``)
-    ends the process as it ends ``cat``, with no traceback."""
-    import signal  # here, not at the top: an in-process main leaves it alone
+    import signal  # here only: an in-process main keeps its caller's handlers
 
-    if hasattr(signal, "SIGPIPE"):
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe (| head) ends the process as cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main(sys.argv[1:]))
 
