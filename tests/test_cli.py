@@ -1286,9 +1286,10 @@ class TestDimensionGuard:
         assert err == message + "\n"
 
 
-# files whose Newton solve would hold about 3 GB in one array (the first
-# two: H dense at N = 10001 and 20001) or 78 GB (n = 1000 at N = 101), and
-# the floats that the bound names
+# files whose Newton solve would allocate about 3 GB in one array: H dense
+# at N = 10001 and 20001, and at n = 1000, N = 101 the Hessian pass's seeds
+# (its dense H would take 78 GB); and the floats that the bound names, the
+# larger of the two
 OVER_DENSE = {
     "n2-N10001": (
         {"n": 2, "lagrangian": "v1^2 + v2^2 + t*u1^2", "q_a": [0, 0], "q_b": [1, 1]},
