@@ -35,7 +35,7 @@ from .solver import (
     solve,
 )
 from .timescale import GridFunction, PointClass, TimeScale
-from .variational import Lagrangian, VariationalProblem, _along, _dimension
+from .variational import Lagrangian, VariationalProblem, _dimension, evaluate
 
 SCHEMA_VERSION = "tsvar/1"
 
@@ -434,7 +434,7 @@ def cmd_verify(args, loaded: LoadedProblem) -> int:
     if loaded.trajectory is None:
         raise ProblemFileError("verify needs a trajectory in the problem file")
     tol = args.tol if args.tol is not None else default_tol(p.scale)
-    e = _along(p, loaded.trajectory)
+    e = evaluate(p, loaded.trajectory)
     checks = {
         "first_el": lambda: e.first_el().magnitude,
         "second_el": lambda: e.second_el().magnitude,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .expr import Expr, _nonfinite, _Record, _set, _Value, parse
 from .timescale import GridFunction
-from .variational import Residual, VariationalProblem, _Along, _along, _dimension
+from .variational import Evaluation, Residual, VariationalProblem, _dimension, evaluate
 
 __all__ = [
     "Transformation",
@@ -73,13 +73,13 @@ class NoetherReport(_Record):
 
 def _sample(
     p: VariationalProblem, q: GridFunction, tr: Transformation
-) -> tuple[_Along, np.ndarray]:
+) -> tuple[Evaluation, np.ndarray]:
     """L and its partials along q, not held to the boundary values, and
     the generators g = (tau, xi)(t_i, q_i) at every scale point, shape
     (N, 1+n)."""
     if tr.dim != p.dim:
         raise ValueError("transformation dimension does not match the problem")
-    e = _along(p, q, boundary=False)
+    e = evaluate(p, q, boundary=False)
     values = [q.base.points, *q.values.T]
     return e, np.array([c._forward(values)[0] for c in (tr.tau, *tr.xi)]).T
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .expr import ExprDomainError, ExprError, _nonfinite, _Record, _set, _Value
 from .timescale import GridFunction, TimeScale
-from .variational import Lagrangian, VariationalProblem, _Along, _alongs
+from .variational import Evaluation, Lagrangian, VariationalProblem, _alongs
 from .variational import _check_trajectory
 
 __all__ = [
@@ -194,7 +194,7 @@ def affine_extremal(p: VariationalProblem) -> GridFunction:
     return GridFunction(p.scale, values)
 
 
-def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[_Along, np.ndarray]:
+def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[Evaluation, np.ndarray]:
     """The record of the trajectory with the n(N-2) interior values x and
     ends q_a and q_b, from one kernel pass, and Newton's residual vector of
     it, the floats its ``first_el()`` gives."""
@@ -205,7 +205,7 @@ def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[_Along, np.ndarray]:
 
 
 @_nonfinite()  # _newton judges a non-finite |J|
-def _hessian(p: VariationalProblem, e: _Along, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _hessian(p: VariationalProblem, e: Evaluation, k: int) -> tuple[np.ndarray, ...]:
     """2^-k times the Hessian H of the discrete action S in the interior
     values at the trajectory of e, from one second-order kernel pass along
     e's frames (t, U, v), U_i = q_{i+1} on scattered gaps: its diagonal
@@ -410,7 +410,7 @@ def solve_newton(
 @_nonfinite()
 def _newton(
     p: VariationalProblem, q_init: GridFunction | None, opts: NewtonOptions
-) -> tuple[_Along, float]:
+) -> tuple[Evaluation, float]:
     """:func:`solve_newton`, returning a pair: the record of the iterate it
     stops at and the magnitude of that iterate's residual."""
     if not p.scale.is_exact_discrete:
@@ -628,7 +628,7 @@ def _extremals(
     code = np.concatenate([level[2] for level in tree])
     path -= 1
     V, L, Lt, Lu, Lv = (x[path].T for x in (V, L, Lt, Lu, Lv))
-    kept = _Along(
+    kept = Evaluation(
         p, T.points[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
         L, Lt, Lu[..., None], Lv[..., None],
     )

@@ -11,11 +11,12 @@ a candidate trajectory:
 * Noether's invariance residual and conserved quantity C for generators,
 * the Erdmann deviation of an autonomous L: the spread of H, -C at (1, 0).
 
-Each is arithmetic on one evaluation of L and its first partials at the
-frames (t, q_sigma, q_delta) of the trajectory: one private record, built
-in one kernel pass over the trajectory.  :mod:`tsvar.noether` calls the
-record's methods, and :mod:`tsvar.solver` evaluates and diagnoses
-candidates through it, the enumeration through one record of a stack.
+Each is a method of one record, :class:`Evaluation`: L and its first
+partials at the frames (t, q_sigma, q_delta) of the trajectory, which
+:func:`evaluate` checks and builds in one kernel pass.  The command line
+and :mod:`tsvar.noether` read its methods, and :mod:`tsvar.solver`
+evaluates and diagnoses candidates through it, the enumeration through one
+record of a stack.  Each public function below is one method of q's record.
 
 Residual domains: on a scale of N points the delta derivative of a
 trajectory covers the first N-1 points, and the outer delta derivative of
@@ -38,12 +39,12 @@ __all__ = [
     "Lagrangian",
     "VariationalProblem",
     "Residual",
+    "Evaluation",
+    "evaluate",
     "action",
     "first_el_residual",
     "first_el_integral_residual",
-    "hamiltonian",
     "second_el_residual",
-    "erdmann_deviation",
     "classical_check",
 ]
 
@@ -195,14 +196,17 @@ class Residual(_Record):
         _set(self, "magnitude", float(np.abs(vals).max()) if vals.size else 0.0)
 
 
-class _Along(_Record):
+class Evaluation(_Record):
     """L and its first partials at the frames (t, U, v) = (t, q_sigma,
     q_delta) that :func:`_frames` built from the trajectory values Q, with
-    the graininess mu there.  Q is one trajectory, shape (N, n), and ``e.q``
-    is that trajectory.  Only the enumeration builds the record of a stack
-    of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and Lv then lead
-    with the axis h.  Every method but ``erdmann`` reads a stack, one array
-    pass per quantity, entry i bit for bit as trajectory i's own record."""
+    the graininess mu there; equal only to itself.  :func:`evaluate` checks
+    a trajectory and builds its record.  Q is one trajectory, shape (N, n),
+    and ``e.q`` is that trajectory.  Only the enumeration builds the record
+    of a stack of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and
+    Lv then lead with the axis h.  The methods that return arrays read a
+    stack, one array pass per quantity, entry i bit for bit as trajectory
+    i's own record; those that return a Residual, and ``erdmann``, read one
+    trajectory's."""
 
     __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
@@ -225,7 +229,8 @@ class _Along(_Record):
 
     @_nonfinite()
     def hamiltonian(self) -> np.ndarray:
-        """-L + dL/dv . q_delta + dL/dt * mu at each frame."""
+        """-L + dL/dv . q_delta + dL/dt * mu at each frame: the classical
+        Hamiltonian -L + dL/dv . v wherever the graininess vanishes."""
         return -self.L + (self.Lv * self.v).sum(axis=-1) + self.Lt * self.mu
 
     @_nonfinite()
@@ -251,6 +256,7 @@ class _Along(_Record):
         return (self.Lv * g[..., 1:]).sum(axis=-1) - self.hamiltonian() * g[..., 0]
 
     def action(self) -> np.ndarray:
+        """Delta integral of L(t, q_sigma, q_delta) over the whole scale."""
         T, L = self.p.scale, self.L
         if T.kappa_length == T.n:
             # a DENSE last gap also needs L at the final point, where q_sigma
@@ -266,19 +272,55 @@ class _Along(_Record):
         return _outer(self.t, self.Lv, -self.Lu)
 
     def first_el(self) -> Residual:
+        """Residual of (d/dt)_delta dL/dv = dL/du along the trajectory:
+        zero everywhere on its domain exactly when q is an extremal there."""
         r = self.first_el_values()
         return Residual("first_el", self.t[:-1], r, self.approximate)
+
+    @_nonfinite()
+    def first_el_integral(self) -> Residual:
+        """Deviation from constancy of dL/dv minus the running integral of dL/du.
+
+        Values are per-component deviations above the component minimum, so
+        the magnitude is the largest max-minus-min spread.  Zero exactly when
+        the integral form of the first Euler-Lagrange equation holds with
+        some constant vector.
+        """
+        g = self.Lv - _running_integral(self.p.scale, self.Lu, 0, len(self.t) - 1)
+        g -= g.min(axis=0)
+        return Residual("first_el_integral", self.t, g, self.approximate)
 
     def second_el_values(self) -> np.ndarray:
         """(d/dt)_delta of the Hamiltonian composite + dL/dt, shape (..., k-1, 1)."""
         return _outer(self.t, self.hamiltonian()[..., None], self.Lt[..., None])
 
     def second_el(self) -> Residual:
+        """Residual of the second Euler-Lagrange (DuBois-Reymond) equation:
+        (d/dt)_delta of the Hamiltonian composite plus dL/dt, zero where the
+        equation holds."""
         r = self.second_el_values()
         return Residual("second_el", self.t[:-1], r, self.approximate)
 
+    def classical(self) -> Residual:
+        """The second Euler-Lagrange residual on an all-DENSE (sampled
+        continuum) scale, where the graininess is identically zero and the
+        Hamiltonian reduces to the classical -L + dL/dv . v: it approximates
+        the classical DuBois-Reymond equation and converges as the grid is
+        refined."""
+        if self.p.scale.mus.any():
+            raise ValueError("classical check needs an all-dense scale")
+        r = self.second_el()
+        return Residual("classical_second_el", r.points, r.values, approximate=True)
+
     @_nonfinite()
     def erdmann(self) -> np.ndarray:
+        """Max-minus-min of the Hamiltonian along the trajectory.
+
+        Only defined for autonomous Lagrangians; dL/dt is checked pointwise
+        along the trajectory, within AUTONOMY_TOL of 0, and the first
+        violating point is reported.  H is then -L + dL/dv . q_delta up to
+        dL/dt * mu.
+        """
         moving = (np.abs(self.Lt) > AUTONOMY_TOL).nonzero()[0]
         if moving.size:
             i = moving[0]
@@ -310,8 +352,9 @@ def _check_trajectory(
         raise ValueError(f"trajectory end {q.values[-1]} != q_b {p.q_b}")
 
 
-def _along(p: VariationalProblem, q: GridFunction, boundary: bool = True) -> _Along:
-    """Check q, then evaluate L and its partials along it in one kernel pass.
+def evaluate(p: VariationalProblem, q: GridFunction, boundary=True) -> Evaluation:
+    """q's record: check q, then evaluate L and its partials along it in one
+    kernel pass.
 
     ``boundary=False`` leaves the boundary values unchecked, for quantities
     that range over unconstrained trajectories.
@@ -337,7 +380,7 @@ def _frames(T: TimeScale, Q: np.ndarray) -> tuple[np.ndarray, ...]:
     return T.points[:k], Q[..., T.sigmas[:k], :], _quotients(T.points, Q)
 
 
-def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> _Along:
+def _alongs(p: VariationalProblem, Q: np.ndarray, approximate=False) -> Evaluation:
     """Evaluate L and its partials along the trajectory Q, shape (N, n), in
     one pass.
 
@@ -345,79 +388,32 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate: bool = False) -> 
     """
     T = p.scale
     t, U, V = _frames(T, Q)
-    return _Along(
+    return Evaluation(
         p, t, T.mus[: T.n - 1], approximate or T.has_dense, Q, U, V,
         *p.lagrangian.partials(t, U, V),
     )
 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:
-    """Delta integral of L(t, q_sigma, q_delta) over the whole scale."""
-    return float(_along(p, q).action())
+    """:meth:`Evaluation.action` of q's record, as a float."""
+    return float(evaluate(p, q).action())
 
 
 def first_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
-    """Residual of (d/dt)_delta dL/dv = dL/du along the trajectory.
-
-    Zero everywhere on its domain exactly when q is an extremal there.
-    """
-    return _along(p, q).first_el()
+    """:meth:`Evaluation.first_el` of q's record."""
+    return evaluate(p, q).first_el()
 
 
-@_nonfinite()
 def first_el_integral_residual(p: VariationalProblem, q: GridFunction) -> Residual:
-    """Deviation from constancy of dL/dv minus the running integral of dL/du.
-
-    Values are per-component deviations above the component minimum, so
-    the magnitude is the largest max-minus-min spread.  Zero exactly when
-    the integral form of the first Euler-Lagrange equation holds with
-    some constant vector.
-    """
-    e = _along(p, q)
-    g = e.Lv - _running_integral(p.scale, e.Lu, 0, len(e.t) - 1)
-    return Residual("first_el_integral", e.t, g - g.min(axis=0), e.approximate)
-
-
-def hamiltonian(p: VariationalProblem, q: GridFunction, i: int) -> float:
-    """-L + dL/dv . q_delta + dL/dt * mu at point i of the derivative prefix.
-
-    Reduces to the classical Hamiltonian -L + dL/dv . v wherever the
-    graininess vanishes.
-    """
-    e = _along(p, q)
-    i, k = int(i), len(e.t)
-    if not 0 <= i < k:
-        raise IndexError(f"index {i} outside the derivative prefix of length {k}")
-    return float(e.hamiltonian()[i])
+    """:meth:`Evaluation.first_el_integral` of q's record."""
+    return evaluate(p, q).first_el_integral()
 
 
 def second_el_residual(p: VariationalProblem, q: GridFunction) -> Residual:
-    """Residual of the second Euler-Lagrange (DuBois-Reymond) equation.
-
-    Measures (d/dt)_delta of the Hamiltonian composite plus dL/dt; zero
-    where the equation holds.
-    """
-    return _along(p, q).second_el()
-
-
-def erdmann_deviation(p: VariationalProblem, q: GridFunction) -> float:
-    """Max-minus-min of the Hamiltonian along the trajectory.
-
-    Only defined for autonomous Lagrangians; dL/dt is checked pointwise
-    along the trajectory, within AUTONOMY_TOL of 0, and the first violating
-    point is reported.  H is then -L + dL/dv . q_delta up to dL/dt * mu.
-    """
-    return float(_along(p, q).erdmann())
+    """:meth:`Evaluation.second_el` of q's record."""
+    return evaluate(p, q).second_el()
 
 
 def classical_check(p: VariationalProblem, q: GridFunction) -> Residual:
-    """Second Euler-Lagrange residual on an all-DENSE (sampled continuum) scale.
-
-    Graininess is identically zero there, so the quantity reduces to the
-    classical -L + dL/dv . v; the result approximates the classical
-    DuBois-Reymond equation and converges as the grid is refined.
-    """
-    if p.scale.mus.any():
-        raise ValueError("classical check needs an all-dense scale")
-    r = second_el_residual(p, q)
-    return Residual("classical_second_el", r.points, r.values, approximate=True)
+    """:meth:`Evaluation.classical` of q's record."""
+    return evaluate(p, q).classical()

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from tsvar import GapKind, GridFunction, TimeScaleError, parse, solver
-from tsvar.variational import _along
+from tsvar.variational import evaluate
 
 
 def random_expr_text(rng, variables, depth=3) -> str:
@@ -199,7 +199,7 @@ def loop_enumerate(p, alphabet, tol=1e-8):
             continue
         if end != qb:
             q = GridFunction(p.scale, np.vstack([q.values[:-1], p.q_b]))
-        e = _along(p, q)
+        e = evaluate(p, q)
         first = e.first_el().magnitude
         if first <= tol:
             kept.append(

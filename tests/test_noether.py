@@ -16,7 +16,7 @@ from tsvar import (
     check_conservation,
     conserved_quantity,
     delta_derivative,
-    erdmann_deviation,
+    evaluate,
     first_el_residual,
     invariance_residual,
     second_el_residual,
@@ -135,7 +135,7 @@ class TestConservedQuantity:
         cons = conserved_quantity(p, q, tr).component(0)
         # C = -H at (tau, xi) = (1, 0), and Erdmann's is the spread of H:
         # bit for bit, as dL/dt = 0 and dL/dv is finite
-        assert cons.max() - cons.min() == erdmann_deviation(p, q)
+        assert cons.max() - cons.min() == evaluate(p, q).erdmann()
 
     def test_zero_generators(self):
         p = quadratic_problem()

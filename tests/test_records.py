@@ -20,6 +20,7 @@ import pytest
 import tsvar
 from tsvar import (
     Candidate,
+    Evaluation,
     Expr,
     Extremals,
     GridFunction,
@@ -34,6 +35,7 @@ from tsvar import (
     VariationalProblem,
     check_conservation,
     enumerate_slope_extremals,
+    evaluate,
     first_el_residual,
     parse,
 )
@@ -52,6 +54,7 @@ SIGNATURES = {
     GridFunction: ("base", "values", ("approximate", False)),
     VariationalProblem: ("scale", "lagrangian", "q_a", "q_b"),
     Residual: ("kind", "points", "values", "approximate"),
+    Evaluation: ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv"),
     NewtonOptions: (("tol", 1e-10), ("max_iter", 50)),
     Candidate: (
         "trajectory", "provenance", "action", "first_el", "second_el", ("slopes", None)
@@ -84,6 +87,7 @@ def build() -> dict:
         q,
         p,
         first_el_residual(p, q),
+        evaluate(p, q),
         NewtonOptions(tol=1e-9, max_iter=7),
         Candidate(q, Provenance.NEWTON, 1.0, 0.0, 0.0),
         extremals,

@@ -34,7 +34,7 @@ from tsvar import (
 )
 from tsvar import cli, expr, solver
 from tsvar.solver import _reads_only_slope
-from tsvar.variational import _Along, _along, _frames
+from tsvar.variational import Evaluation, _frames, evaluate
 
 QUARTIC = Path(__file__).resolve().parents[1] / "problems" / "quartic.json"
 
@@ -522,7 +522,7 @@ def first_el_vector(p):
 
     def residual(x):
         values = np.vstack([p.q_a, x.reshape(-1, p.dim), p.q_b])
-        return _along(p, GridFunction(p.scale, values)).first_el().values.ravel()
+        return evaluate(p, GridFunction(p.scale, values)).first_el().values.ravel()
 
     return residual
 
@@ -590,7 +590,7 @@ class TestJacobian:
             iterate, _ = solver._iterate(p, x)
             q = GridFunction(scale, np.vstack([q_a, x.reshape(-1, n), q_b]))
             for k in (0, 3):
-                got = solver._hessian(p, _along(p, q), k)
+                got = solver._hessian(p, evaluate(p, q), k)
                 want = solver._hessian(p, iterate, k)
                 for a, b in zip(got, want, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -634,7 +634,7 @@ class TestJacobian:
             change = np.column_stack(
                 [hessian_matrix(p, pinned(y))[:, k] for k, y in enumerate(moved)]
             ) - H
-            e = _along(p, GridFunction(scale, pinned(x)))
+            e = evaluate(p, GridFunction(scale, pinned(x)))
             mu = scale.mus[: N - 2, None]
             c = ((np.abs(e.Lv[1:]) + np.abs(e.Lv[:-1])) / mu + np.abs(e.Lu[:-1])).ravel()
             bound = np.abs(change) + 16 * eps * mus * c[:, None] / steps
@@ -1475,7 +1475,7 @@ class TestEnumeration:
 
     def test_quartic_actions_in_one_stack_pass(self, count_calls):
         # one action pass over the hits' stack record, none per survivor
-        calls = count_calls(_Along, "action")
+        calls = count_calls(Evaluation, "action")
         cands = enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
         assert len(cands) == 1107
         assert len(calls) == 1
@@ -1489,7 +1489,7 @@ class TestEnumeration:
         words = np.array(list(itertools.product(letters, repeat=8)))
         hits = int(np.sum(np.abs(words @ scale.mus[:-1]) <= solver.BOUNDARY_HIT_TOL))
         assert 1 < hits < words.shape[0] // 5
-        built, init = [], _Along.__init__
+        built, init = [], Evaluation.__init__
 
         def spy_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
@@ -1498,7 +1498,7 @@ class TestEnumeration:
         def no_expansion(*args, **kwargs):
             raise AssertionError("a slope word was expanded")
 
-        monkeypatch.setattr(_Along, "__init__", spy_init)
+        monkeypatch.setattr(Evaluation, "__init__", spy_init)
         monkeypatch.setattr(GridFunction, "from_slopes", no_expansion)
         cands = enumerate_slope_extremals(p, letters, tol=1e-8)
         assert 0 < len(cands) < hits

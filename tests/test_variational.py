@@ -21,16 +21,15 @@ from tsvar import (
     conserved_quantity,
     delta_derivative,
     delta_integral,
-    erdmann_deviation,
+    evaluate,
     first_el_integral_residual,
     first_el_residual,
-    hamiltonian,
     invariance_residual,
     parse,
     second_el_residual,
     solve_newton,
 )
-from tsvar.variational import _Along, _along, _alongs
+from tsvar.variational import Evaluation, _alongs
 
 QUARTIC_SLOPES_QT = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
 
@@ -467,16 +466,16 @@ class TestSympyOracle:
 class TestHamiltonian:
     def test_quadratic_slope_c(self):
         p = quadratic_problem()
-        q = affine(p.scale, 2.0, 0.0)
-        for i in range(p.scale.n - 1):
-            assert hamiltonian(p, q, i) == pytest.approx(4.0, abs=1e-14)
+        H = evaluate(p, affine(p.scale, 2.0, 0.0)).hamiltonian()
+        assert H.shape == (p.scale.n - 1,)
+        assert H == pytest.approx(np.full(p.scale.n - 1, 4.0), abs=1e-14)
 
     def test_quartic_values_by_slope(self):
         p = quartic_problem()
         zero = trajectory_from_slopes(p.scale, 0.0, (0.0,) * 8)
-        assert hamiltonian(p, zero, 2) == pytest.approx(-1.0, abs=1e-14)
+        assert evaluate(p, zero).hamiltonian()[2] == pytest.approx(-1.0, abs=1e-14)
         pm = trajectory_from_slopes(p.scale, 0.0, (1.0, -1.0) * 4)
-        assert hamiltonian(p, pm, 2) == pytest.approx(0.0, abs=1e-14)
+        assert evaluate(p, pm).hamiltonian()[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_classical_reduction_when_graininess_vanishes(self):
         scale = TimeScale.dense_interval(0.0, 1.0, 41)
@@ -484,18 +483,22 @@ class TestHamiltonian:
         p = VariationalProblem(scale, L, [0.0], [1.0])
         q = GridFunction.sample(scale, lambda t: t)
         qd = delta_derivative(q)
+        H = evaluate(p, q).hamiltonian()
         for i in (0, 10, 25):
             t = scale.points[i]
             u = q.values[scale.sigma(i)]
             v = qd.values[i]
             value, _, _, Lv = frame_partials(L, t, u, v)
             classical = -value + float(Lv @ v)
-            assert hamiltonian(p, q, i) == classical
+            assert H[i] == classical
 
     def test_out_of_prefix_index(self):
+        # H covers the derivative prefix, the first N-1 points
         p = quadratic_problem()
+        H = evaluate(p, affine(p.scale, 2.0, 0.0)).hamiltonian()
+        assert H.shape == (p.scale.n - 1,)
         with pytest.raises(IndexError):
-            hamiltonian(p, affine(p.scale, 2.0, 0.0), p.scale.n - 1)
+            H[p.scale.n - 1]
 
 
 class TestSecondEl:
@@ -529,7 +532,7 @@ class TestSecondEl:
             p = VariationalProblem(scale, L, q.values[0], q.values[-1])
             r = second_el_residual(p, q).values[:, 0]
             t, mu, v = scale.points, scale.mus, delta_derivative(q).values
-            H = np.array([hamiltonian(p, q, i) for i in range(scale.n - 1)])
+            H = evaluate(p, q).hamiltonian()
             frames = zip(t, q.values[1:], v)
             Lt = np.array([frame_partials(L, *frame)[1] for frame in frames])
             E = H - mu[:-1] * Lt
@@ -551,24 +554,24 @@ class TestSecondEl:
 class TestErdmann:
     def test_affine_constant(self):
         p = quadratic_problem()
-        assert erdmann_deviation(p, affine(p.scale, 2.0, 0.0)) == 0.0
+        assert evaluate(p, affine(p.scale, 2.0, 0.0)).erdmann() == 0.0
 
     def test_quartic_mixed_slope_deviation_one(self):
         p = quartic_problem()
         qt = trajectory_from_slopes(p.scale, 0.0, QUARTIC_SLOPES_QT)
-        assert erdmann_deviation(p, qt) == pytest.approx(1.0, abs=1e-14)
+        assert evaluate(p, qt).erdmann() == pytest.approx(1.0, abs=1e-14)
 
     def test_quartic_pm_one_zero(self):
         p = quartic_problem()
         q = trajectory_from_slopes(p.scale, 0.0, (1.0, -1.0) * 4)
-        assert erdmann_deviation(p, q) == pytest.approx(0.0, abs=1e-14)
+        assert evaluate(p, q).erdmann() == pytest.approx(0.0, abs=1e-14)
 
     def test_non_autonomous_rejected_with_point(self):
         scale = TimeScale.uniform(1, 2, 0.25)
         p = VariationalProblem(scale, Lagrangian(1, "t*v1^2"), [0.0], [1.0])
         q = affine(scale, 1.0, -1.0)
         with pytest.raises(ValueError, match="t = "):
-            erdmann_deviation(p, q)
+            evaluate(p, q).erdmann()
 
 
 class TestClassicalCheck:
@@ -622,9 +625,9 @@ class TestRecord:
         body = random_expr_text(rng, list(Lagrangian(n, "t").body.variables))
         p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.zeros(n))
         Q = rng.uniform(-2, 2, (h, N, n))
-        ones = [_along(p, GridFunction(scale, Q[i]), boundary=False) for i in range(h)]
+        ones = [evaluate(p, GridFunction(scale, Q[i]), boundary=False) for i in range(h)]
         fields = (np.stack([getattr(e, f) for e in ones]) for f in ALONG_FIELDS)
-        stack = _Along(p, ones[0].t, ones[0].mu, ones[0].approximate, *fields)
+        stack = Evaluation(p, ones[0].t, ones[0].mu, ones[0].approximate, *fields)
         # the stack's own passes, the closing frame of a DENSE last gap too
         actions = stack.action()
         firsts, seconds = stack.first_el_values(), stack.second_el_values()
