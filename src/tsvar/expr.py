@@ -325,6 +325,8 @@ def _chain(x, v, d, d2):
     pass d2(f(x)) = d d2x + f'' dx dx, where ``d2()`` gives f''.  It is
     called only there, so a first-order pass computes no second one."""
     _, dx, hx = x
+    if getattr(dx, "ndim", 0) == 0:  # a constant x, where d may overflow
+        return v, 0.0, hx  # (the 1/x of log(1e-320)): f(x) is a constant
     if hx is None:
         return v, d * dx, None
     return v, d * dx, d * hx + d2() * _outer(dx, dx)
@@ -360,6 +362,10 @@ def _int_pow(a, b, node):
     if _some(negative) and np.count_nonzero(negative & (av == 0.0)):
         raise ExprDomainError("zero raised to a negative power", _print(node))
     v = _no_overflow(np.power(av, k), av, node)
+    # a constant base, whose slope k a^(k-1) may overflow (as (1e-200)^-1's):
+    # a^k moves only as k does, along no direction, so its parts are k's zeros
+    if getattr(da, "ndim", 0) == 0:
+        return v, b[1], b[2]
     # d(a^k) = k a^(k-1) da and d2(a^k) = k a^(k-1) d2a + k (k-1) a^(k-2) da da;
     # each term is 0 where its factor k or k (k-1) is, and there the base is
     # raised to the power 0, so that a zero base raises no warning
@@ -426,10 +432,7 @@ def _pow(a, b, node):
     count = np.count_nonzero(integral)
     if count == 0:
         return _real_pow(a, b, node)
-    # the integer rule alone only if the base's derivative is an array: that
-    # of a constant base, the scalar 0.0, would leave its parts without the
-    # axis of directions (2^t with t held), which the real rule's carry
-    if count == k and getattr(a[1], "ndim", 0):
+    if count == k:
         return _int_pow(a, b, node)
     # else both rules on every frame, each on inputs it takes without an
     # error or a warning (exponent 0 off the integral frames, base 1 on

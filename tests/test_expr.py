@@ -255,6 +255,45 @@ class TestKernelBranches:
                         t[frames], U[frames], V[frames], order, moving[frames]
                     )
 
+    @pytest.mark.parametrize("newton", [False, True])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "body, constant",
+        [("(1e-200)^(-1)", np.power(1e-200, -1.0)), ("log(1e-320)", np.log(1e-320))],
+    )
+    def test_finite_constant_has_exact_partials(self, body, constant, order, newton):
+        # the constant's slope overflows, -(1e-200)^-2 and 1/1e-320, but a
+        # constant moves along no direction: the partials of body*v1 equal
+        # those of its value written as a literal, finite, as 1e200*v1's
+        t, U, V = np.array([0.0, 0.5, 1.0]), [[0.5], [-1.0], [2.0]], [[1.5], [-0.5], [3.0]]
+        moving = None
+        if newton:  # t held, and u at the last frame too
+            moving = np.ones((t.size, 3), dtype=bool)
+            moving[:, 0] = moving[-1, 1] = False
+        got = Lagrangian(1, f"{body}*v1").partials(t, U, V, order, moving)
+        want = Lagrangian(1, f"{float(constant)!r}*v1").partials(t, U, V, order, moving)
+        assert all(np.isfinite(x).all() for x in got)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_base_per_frame_integral_exponent(self, order):
+        # 2^t with t held and integral at every frame takes the integer rule
+        # alone; its parts keep the axis of directions, so the product with
+        # v1^2 broadcasts, and every float is exact: powers of two
+        t = np.array([-1.0, 0.0, 2.0, 3.0])
+        U, V = np.array([[0.5], [-1.0], [2.0], [1.5]]), np.array([[1.5], [-0.5], [3.0], [-2.0]])
+        moving = np.ones((t.size, 3), dtype=bool)
+        moving[:, 0] = False
+        got = Lagrangian(1, "2^t*v1^2").partials(t, U, V, order, moving)
+        v = V[:, 0]
+        assert np.array_equal(got[0], 2**t * v * v)
+        assert np.array_equal(got[1], np.zeros(4)) and np.array_equal(got[2], np.zeros((4, 1)))
+        assert np.array_equal(got[3][:, 0], 2**t * 2 * v)
+        if order == 2:
+            H = np.zeros((4, 3, 3))
+            H[:, 2, 2] = 2 ** (t + 1)
+            assert np.array_equal(got[4], H)
+
     def test_first_order_power_at_zero_base(self):
         L = Lagrangian(1, "u1^0.5 + v1^2")
         with pytest.raises(ExprDomainError) as err:

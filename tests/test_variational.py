@@ -29,6 +29,7 @@ from tsvar import (
     second_el_residual,
     solve_newton,
 )
+from tsvar.noether import _sample
 from tsvar.variational import Evaluation, _alongs
 
 QUARTIC_SLOPES_QT = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0)
@@ -609,7 +610,7 @@ class TestClassicalCheck:
             classical_check(p, affine(p.scale, 2.0, 0.0))
 
 
-ALONG_FIELDS = ("Q", "U", "v", "L", "Lt", "Lu", "Lv")
+RECORD_FIELDS = ("Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
 
 class TestRecord:
@@ -626,7 +627,7 @@ class TestRecord:
         p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.zeros(n))
         Q = rng.uniform(-2, 2, (h, N, n))
         ones = [evaluate(p, GridFunction(scale, Q[i]), boundary=False) for i in range(h)]
-        fields = (np.stack([getattr(e, f) for e in ones]) for f in ALONG_FIELDS)
+        fields = (np.stack([getattr(e, f) for e in ones]) for f in RECORD_FIELDS)
         stack = Evaluation(p, ones[0].t, ones[0].mu, ones[0].approximate, *fields)
         # the stack's own passes, the closing frame of a DENSE last gap too
         actions = stack.action()
@@ -646,6 +647,75 @@ class TestRecord:
         for i in range(3):
             one = _alongs(p, Q[i])
             assert one.U.shape == (k, 2) and one.U.tobytes() == Q[i, sigmas].tobytes()
+
+
+# per component k of q (j = k + 1); t and sin(t) move dL/dt and so H
+WRAPPER_TERMS = (
+    "v{j}^2",
+    "t*v{j}^2 + u{j}^2",
+    "(v{j}^2 - 1)^2 + 0.5*u{j}^2",
+    "exp(v{j}/4) + sin(t)*u{j}",
+)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _same_residual(a: Residual, b: Residual) -> bool:
+    fields = ("points", "values", "magnitude")
+    return (a.kind, a.approximate) == (b.kind, b.approximate) and all(
+        _same(getattr(a, f), getattr(b, f)) for f in fields
+    )
+
+
+class TestWrappers:
+    """Each public function that the acceptance suite and the bench call
+    gives the floats of the method of q's record that it names."""
+
+    @staticmethod
+    def problem(rng, scale):
+        n = int(rng.integers(1, 4))
+        terms = rng.choice(WRAPPER_TERMS, n)
+        body = " + ".join(str(term).format(j=k + 1) for k, term in enumerate(terms))
+        values = rng.uniform(-1, 1, (scale.n, n))
+        p = VariationalProblem(scale, Lagrangian(n, body), values[0], values[-1])
+        return p, GridFunction(scale, values)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_residuals_and_noether(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = self.problem(rng, random_exact_scale(rng, 3, 12))
+        e = evaluate(p, q)
+        assert _same(action(p, q), e.action())
+        assert _same_residual(first_el_residual(p, q), e.first_el())
+        assert _same_residual(second_el_residual(p, q), e.second_el())
+        assert _same_residual(first_el_integral_residual(p, q), e.first_el_integral())
+        names = [f"q{k + 1}" for k in range(p.dim)]
+        for tau, xi in (("1", ["0"] * p.dim), ("t", names)):
+            tr = Transformation.from_text(p.dim, tau, xi)
+            g = _sample(p, q, tr)[1]
+            inv, c = e.invariance(g), e.conserved(g)
+            r = invariance_residual(p, q, tr)
+            assert _same(r.points, e.t) and _same(r.values[:, 0], inv)
+            assert _same(conserved_quantity(p, q, tr).values[:, 0], c)
+            report = check_conservation(p, q, tr)
+            assert _same(report.invariance_magnitude, np.abs(inv[:-1]).max())
+            assert _same(report.conserved.values[:, 0], c)
+            assert _same(report.conservation_deviation, c.max() - c.min())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_classical_check(self, seed):
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(-1, 1))
+        scale = TimeScale.dense_interval(a, a + 1, int(rng.integers(3, 40)))
+        p, q = self.problem(rng, scale)
+        assert _same_residual(classical_check(p, q), evaluate(p, q).classical())
+        # and both refuse a grained scale, with one message
+        p, q = self.problem(rng, random_exact_scale(rng, 3, 12))
+        for call in (lambda: classical_check(p, q), lambda: evaluate(p, q).classical()):
+            with pytest.raises(ValueError, match="^classical check needs an all-dense"):
+                call()
 
 
 class TestInputChecks:
