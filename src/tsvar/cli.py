@@ -530,6 +530,21 @@ def cmd_scale_info(args, loaded: LoadedProblem) -> int:
     return EXIT_OK
 
 
+def _option(kind, ok, rule: str):
+    """An option's type: ``kind`` of its text, refused unless ``ok``, so that
+    the subcommand's parser reports it, as it reports text ``kind`` refuses
+    (argparse names the type by ``__name__``: invalid float value: 'x')."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
 @cache  # parse_args keeps no state in the parser; each call gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -540,7 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="problem file (JSON, schema tsvar/1)")
     common.add_argument("--json", dest="json_path", help="write a JSON report here")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
+    tol = _option(float, lambda x: 0 <= x < np.inf, "must be finite and non-negative")
+    common.add_argument("--tol", type=tol, default=None, help="tolerance override")
 
     solve = sub.add_parser("solve", parents=[common], help="compute an extremal")
     solve.add_argument(
@@ -564,8 +580,9 @@ def _build_parser() -> argparse.ArgumentParser:
     noether = sub.add_parser(
         "noether", parents=[common], help="invariance and conserved quantity"
     )
-    noether.add_argument("--sweep", type=int, default=0, metavar="K")
-    noether.add_argument("--seed", type=int, default=0)
+    count = _option(int, lambda k: k >= 0, "must be non-negative")
+    noether.add_argument("--sweep", type=count, default=0, metavar="K")
+    noether.add_argument("--seed", type=count, default=0)
     noether.add_argument(
         "--solve", action="store_true", help="solve for the trajectory first"
     )
@@ -577,14 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.tol is not None and not 0 <= args.tol < np.inf:
-        parser.error(f"argument --tol: must be finite and non-negative, got {args.tol}")
-    for flag in ("sweep", "seed"):  # noether's; absent elsewhere
-        value = getattr(args, flag, 0)
-        if value < 0:
-            parser.error(f"argument --{flag}: must be non-negative, got {value}")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args, load_problem(args.file))
     except (SingularSystem, NoConvergence) as exc:

@@ -724,6 +724,9 @@ class TestNonFiniteInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument --tol: must be finite and non-negative, got -1.0" in err
+        # reported by the subcommand's parser, as argparse's own errors are
+        assert err.startswith(f"usage: tsvar {command} [-h]")
+        assert f"\ntsvar {command}: error: argument --tol: " in err
 
     @pytest.mark.parametrize("flag, value", [("--sweep", "-3"), ("--seed", "-1")])
     def test_noether_counts_reject_negative(self, flag, value, capsys):
@@ -733,6 +736,8 @@ class TestNonFiniteInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be non-negative, got {value}" in err
+        assert err.startswith("usage: tsvar noether [-h]")
+        assert f"\ntsvar noether: error: argument {flag}: " in err
 
     def test_zero_tol_is_valid(self, capsys):
         assert cli.main(["verify", str(QUARTIC), "--first-el", "--tol", "0"]) == 0
