@@ -66,9 +66,10 @@ class ExprDomainError(ExprError):
 class _Record:
     """Base of tsvar's records.  A record's fields are its slots not named
     with a leading underscore, set once by its ``__init__`` through
-    ``_set``; assigning or deleting an attribute then raises
-    AttributeError.  ``repr`` lists the fields as a dataclass's does, and
-    a record equals only itself unless it is a :class:`_Value`."""
+    ``_set``, or ``_frozen`` where it holds arrays; assigning or deleting
+    an attribute then raises AttributeError.  ``repr`` lists the fields as
+    a dataclass's does, and a record equals only itself unless it is a
+    :class:`_Value`."""
 
     __slots__ = ()
 
@@ -79,10 +80,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state) -> None:  # copy and pickle: (None, slots)
-        for name, value in state[1].items():
-            if isinstance(value, np.ndarray):  # numpy's copies are writable
-                (value := value.view()).setflags(write=False)
-            _set(self, name, value)
+        _frozen(self, **state[1])  # numpy's copies are writable
 
     def _key(self) -> tuple:  # the fields' values
         return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
@@ -108,6 +106,16 @@ class _Value(_Record):
 
 
 _set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+def _frozen(record: _Record, **fields) -> None:
+    """Set a record's fields, each array among them made read-only first:
+    the one rule that keeps every record's arrays unwritable, whoever
+    builds it.  An array the caller passes is frozen in place."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        _set(record, name, value)
 
 
 # -- AST ----------------------------------------------------------------

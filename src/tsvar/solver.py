@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .expr import ExprDomainError, ExprError, _nonfinite, _Record, _set, _Value
+from .expr import ExprDomainError, ExprError, _frozen, _nonfinite, _Record, _set, _Value
 from .timescale import GridFunction, TimeScale
 from .variational import Evaluation, Lagrangian, VariationalProblem, _alongs
 from .variational import _check_trajectory
@@ -143,14 +143,10 @@ class Extremals(_Record):
     __slots__ = ("scale", "slopes", "values", "action", "first_el", "second_el")
 
     def __init__(self, scale: TimeScale, slopes, values, action, first_el, second_el):
-        _set(self, "scale", scale)
-        _set(self, "slopes", slopes)
-        _set(self, "values", values)
-        _set(self, "action", action)
-        _set(self, "first_el", first_el)
-        _set(self, "second_el", second_el)
-        for column in self._columns():
-            column.setflags(write=False)
+        _frozen(
+            self, scale=scale, slopes=slopes, values=values, action=action,
+            first_el=first_el, second_el=second_el,
+        )
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.slopes, self.values, self.action, self.first_el, self.second_el

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .expr import _nonfinite, _Record, _set, _Value
+from .expr import _frozen, _nonfinite, _Record, _set, _Value
 
 __all__ = [
     "TimeScaleError",
@@ -144,10 +144,10 @@ class TimeScale(_Record):
         mus[:-1] = np.where(scattered, widths, 0.0)
         sigmas = np.arange(pts.size)
         sigmas[:-1] += scattered
-        for name, arr in (("points", pts), ("mus", mus), ("sigmas", sigmas)):
-            arr.setflags(write=False)
-            _set(self, name, arr)
-        _set(self, "is_exact_discrete", bool(scattered.all()))
+        _frozen(
+            self, points=pts, mus=mus, sigmas=sigmas,
+            is_exact_discrete=bool(scattered.all()),
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -323,11 +323,7 @@ class GridFunction(_Record):
             )
         if vals.shape[1] < 1:
             raise TimeScaleError("dimension must be at least 1")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        _set(self, "base", base)
-        _set(self, "values", vals)
-        _set(self, "approximate", approximate)
+        _frozen(self, base=base, values=vals.copy(), approximate=approximate)
 
     @classmethod
     def sample(

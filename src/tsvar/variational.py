@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import _broadcast, _nonfinite, _Record, _set, parse
+from .expr import _broadcast, _frozen, _nonfinite, _Record, parse
 from .timescale import GridFunction, TimeScale, _quotients, _running_integral
 
 __all__ = [
@@ -155,12 +155,7 @@ class VariationalProblem(_Record):
             raise ValueError(f"boundary vectors must have length {n}")
         if not (np.isfinite(qa) & np.isfinite(qb)).all():
             raise ValueError(f"boundary vectors must be finite: q_a {qa}, q_b {qb}")
-        qa.setflags(write=False)
-        qb.setflags(write=False)
-        _set(self, "scale", scale)
-        _set(self, "lagrangian", lagrangian)
-        _set(self, "q_a", qa)
-        _set(self, "q_b", qb)
+        _frozen(self, scale=scale, lagrangian=lagrangian, q_a=qa, q_b=qb)
 
     @property
     def dim(self) -> int:
@@ -187,13 +182,10 @@ class Residual(_Record):
         vals = vals.copy()
         if pts.shape[0] != vals.shape[0]:
             raise ValueError("points and values must have matching length")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        _set(self, "kind", kind)
-        _set(self, "points", pts)
-        _set(self, "values", vals)
-        _set(self, "approximate", approximate)
-        _set(self, "magnitude", float(np.abs(vals).max()) if vals.size else 0.0)
+        _frozen(
+            self, kind=kind, points=pts, values=vals, approximate=approximate,
+            magnitude=float(np.abs(vals).max()) if vals.size else 0.0,
+        )
 
 
 class Evaluation(_Record):
@@ -206,22 +198,16 @@ class Evaluation(_Record):
     Lv then lead with the axis h.  The methods that return arrays read a
     stack, one array pass per quantity, entry i bit for bit as trajectory
     i's own record; those that return a Residual, and ``erdmann``, read one
-    trajectory's."""
+    trajectory's.  Its arrays are read-only: the constructor freezes those
+    it is given, in place."""
 
     __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
     def __init__(self, p, t, mu, approximate, Q, U, v, L, Lt, Lu, Lv):
-        _set(self, "p", p)
-        _set(self, "t", t)
-        _set(self, "mu", mu)
-        _set(self, "approximate", approximate)
-        _set(self, "Q", Q)
-        _set(self, "U", U)
-        _set(self, "v", v)
-        _set(self, "L", L)
-        _set(self, "Lt", Lt)
-        _set(self, "Lu", Lu)
-        _set(self, "Lv", Lv)
+        _frozen(
+            self, p=p, t=t, mu=mu, approximate=approximate, Q=Q, U=U, v=v,
+            L=L, Lt=Lt, Lu=Lu, Lv=Lv,
+        )
 
     @property
     def q(self) -> GridFunction:

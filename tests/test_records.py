@@ -1,7 +1,8 @@
-"""The records tsvar returns: immutable, with the constructor keywords and
-defaults of their documented signatures, and an equality that never
-raises, identity for records that hold arrays, value equality for
-expressions, point classes, Newton options and transformations.  And a
+"""The records tsvar returns: immutable, their arrays read-only, with the
+constructor keywords and defaults of their documented signatures, and an
+equality that never raises, identity for records that hold arrays, value
+equality for expressions, point classes, Newton options and
+transformations.  And a
 fresh import compiles tsvar's own files and no generated code, and the
 package's public names are its modules' ``__all__``."""
 
@@ -159,6 +160,34 @@ def test_copies_keep_every_field(name, twins):
             else:
                 assert type(a) is type(b)
         assert twin == x or name not in VALUE_RECORDS
+
+
+@pytest.mark.parametrize("name", sorted(build()))
+def test_every_array_field_is_read_only(name):
+    x = build()[name]
+    for field in type(x).__slots__:
+        a = getattr(x, field)
+        if isinstance(a, np.ndarray):
+            assert not a.flags.writeable, field
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def test_an_evaluation_cannot_be_written_through():
+    # the action reads the record's own L
+    T = TimeScale.uniform(0, 1, 0.25)
+    p = VariationalProblem(T, Lagrangian(1, "v1^2"), [0.0], [1.0])
+    e = evaluate(p, GridFunction(T, T.points))
+    with pytest.raises(ValueError):
+        e.L[0] = 100.0
+    assert e.action() == 1.0
+    # the public constructor freezes the arrays it is given, in place
+    fields = ("t", "mu", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
+    given = {f: np.array(getattr(e, f)) for f in fields}  # writable copies
+    again = Evaluation(p, approximate=False, **given)
+    for f, a in given.items():
+        assert getattr(again, f) is a and not a.flags.writeable, f
+    assert again.action() == 1.0
 
 
 def test_value_equality():
