@@ -204,9 +204,9 @@ def _scale(obj: dict) -> TimeScale:
                 except (TypeError, ValueError) as exc:
                     raise ProblemFileError(f"{exc} in {kind!r} field {key!r}") from exc
             return make(*args)
+    _known(obj, _POINTS, "'scale'")
     if "points" not in obj:
         raise ProblemFileError("scale object needs 'points', 'uniform', or 'dense'")
-    _known(obj, _POINTS, "'scale'")
     try:
         points = _json_floats(obj["points"])
     except (TypeError, ValueError) as exc:
@@ -241,6 +241,7 @@ def _trajectory_from_entry(entry: dict, problem: VariationalProblem) -> GridFunc
         if not np.isfinite(q.values).all():
             raise ProblemFileError(f"trajectory from the {key!r} entry must be finite")
         return q
+    _known(entry, _TRAJECTORY, "'trajectory'")
     raise ProblemFileError("trajectory needs either 'values' or 'slopes'")
 
 

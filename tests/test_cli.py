@@ -951,6 +951,12 @@ UNKNOWN_KEYS = {
         {"scale": {"dense": {"a": 0, "b": 1, "resolution": 5, "n": 5}}},
         "bad scale: unknown key 'n' in 'dense'",
     ),
+    "points misspelt": (
+        {"scale": {"pointz": [0, 0.5, 1]}}, "bad scale: unknown key 'pointz' in 'scale'"
+    ),
+    "values misspelt": (
+        {"trajectory": {"valuez": TRAJECTORY}}, "unknown key 'valuez' in 'trajectory'"
+    ),
 }
 
 
@@ -962,6 +968,93 @@ def test_unknown_key_exit_2(case, tmp_path, capsys):
     path.write_text(json.dumps({**FIVE_POINT, **overrides}))
     for command in ("solve", "verify", "noether", "scale-info"):
         assert run_cli([command, str(path)], capsys) == (2, f"error: {message}\n")
+
+
+def test_an_empty_scale_or_trajectory_names_its_forms(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    for overrides, message in (
+        ({"scale": {}}, "bad scale: scale object needs 'points', 'uniform', or 'dense'"),
+        ({"trajectory": {}}, "trajectory needs either 'values' or 'slopes'"),
+    ):
+        path.write_text(json.dumps({**FIVE_POINT, **overrides}))
+        assert run_cli(["solve", str(path)], capsys) == (2, f"error: {message}\n")
+
+
+# the keys the loader reads in each object, by the name its errors give it
+LOADER_KEYS = {
+    "the problem file": cli._PROBLEM,
+    "'scale'": (*cli._POINTS, *cli._SHORTHANDS),
+    **{repr(kind): keys for kind, (_, keys) in cli._SHORTHANDS.items()},
+    "'trajectory'": cli._TRAJECTORY,
+    "'transformation'": cli._TRANSFORMATION,
+    "'solver'": (*cli._SOLVER, *cli._RETIRED),
+}
+POINTS_FILE = {**FIVE_POINT, "scale": {"points": TRAJECTORY, "gaps": ["S"] * 4}}
+DENSE_FILE = {**FIVE_POINT, "scale": {"dense": {"a": 0.0, "b": 1.0, "resolution": 5}}}
+SLOPES_FILE = {**FIVE_POINT, "trajectory": {"slopes": [0.25] * 4}}
+HOLDERS = [  # each object's name, a file that holds it, and its path there
+    ("the problem file", FIVE_POINT, ()),
+    ("'scale'", POINTS_FILE, ("scale",)),
+    ("'scale'", FIVE_POINT, ("scale",)),
+    ("'scale'", DENSE_FILE, ("scale",)),
+    ("'uniform'", FIVE_POINT, ("scale", "uniform")),
+    ("'dense'", DENSE_FILE, ("scale", "dense")),
+    ("'trajectory'", FIVE_POINT, ("trajectory",)),
+    ("'trajectory'", SLOPES_FILE, ("trajectory",)),
+    ("'transformation'", FIVE_POINT, ("transformation",)),
+    ("'solver'", FIVE_POINT, ("solver",)),
+]
+
+
+def misspell(rng, key, keys) -> str:
+    """key after one edit, a letter inserted, deleted or replaced, that is
+    neither empty nor one of keys."""
+    while True:
+        i, letter = rng.randrange(len(key) + 1), rng.choice("abcdefghijklmnopqrstuvwxyz_")
+        head, tail = key[:i], key[i:]
+        word = rng.choice([head + letter + tail, head + tail[1:], head + letter + tail[1:]])
+        if word and word not in keys:
+            return word
+
+
+def misspelt_keys() -> list:
+    """Every key of every object in HOLDERS, each misspelt once, from a seed
+    of their own."""
+    rng, cases = random.Random(48), []
+    for name, problem, path in HOLDERS:
+        obj = problem
+        for step in path:
+            obj = obj[step]
+        cases += [(name, problem, path, key, misspell(rng, key, LOADER_KEYS[name])) for key in obj]
+    return cases
+
+
+MISSPELT = misspelt_keys()
+
+
+def test_misspelt_keys_cover_every_key_the_loader_reads():
+    covered = {}
+    for name, _, _, key, _ in MISSPELT:
+        covered.setdefault(name, set()).add(key)
+    assert covered == {name: set(keys) for name, keys in LOADER_KEYS.items()}
+
+
+@pytest.mark.parametrize(
+    "name, problem, path, key, word", MISSPELT, ids=[f"{c[0]} {c[3]}->{c[4]}" for c in MISSPELT]
+)
+def test_misspelt_key_exit_2(name, problem, path, key, word, tmp_path, capsys):
+    problem = json.loads(json.dumps(problem))  # a deep copy
+    obj = problem
+    for step in path:
+        obj = obj[step]
+    obj[word] = obj.pop(key)
+    file = tmp_path / "p.json"
+    file.write_text(json.dumps(problem))
+    message = f"unknown key {word!r} in {name}"
+    if path[:1] == ("scale",):
+        message = f"bad scale: {message}"
+    for command in ("solve", "verify", "noether", "scale-info"):
+        assert run_cli([command, str(file)], capsys) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

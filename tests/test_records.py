@@ -2,9 +2,9 @@
 constructor keywords and defaults of their documented signatures, and an
 equality that never raises, identity for records that hold arrays, value
 equality for expressions, point classes, Newton options and
-transformations.  And a
-fresh import compiles tsvar's own files and no generated code, and the
-package's public names are its modules' ``__all__``."""
+transformations.  And a fresh import compiles tsvar's own files and no
+generated code, and the package's public names are its modules'
+``__all__``."""
 
 import copy
 import inspect
