@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from contextlib import redirect_stdout
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -1022,9 +1023,7 @@ def misspelt_keys() -> list:
     of their own."""
     rng, cases = random.Random(48), []
     for name, problem, path in HOLDERS:
-        obj = problem
-        for step in path:
-            obj = obj[step]
+        obj = reduce(dict.__getitem__, path, problem)
         cases += [(name, problem, path, key, misspell(rng, key, LOADER_KEYS[name])) for key in obj]
     return cases
 
@@ -1044,9 +1043,7 @@ def test_misspelt_keys_cover_every_key_the_loader_reads():
 )
 def test_misspelt_key_exit_2(name, problem, path, key, word, tmp_path, capsys):
     problem = json.loads(json.dumps(problem))  # a deep copy
-    obj = problem
-    for step in path:
-        obj = obj[step]
+    obj = reduce(dict.__getitem__, path, problem)
     obj[word] = obj.pop(key)
     file = tmp_path / "p.json"
     file.write_text(json.dumps(problem))
