@@ -165,17 +165,17 @@ def enumeration(name: str, pkg, scratch: Path):
     else:  # the walk extends its second level in many small passes
         p = Problem(T.uniform(0, 1, 0.5), Lagrangian(1, "v1^2 + 0.5*u1^2"), [0.0], [0.0])
         letters = tuple(np.linspace(-1, 1, 3000).tolist())
-    frames, partials = [], p.lagrangian.partials
+    frames, partials = [], Lagrangian.partials
 
-    def counted(t, *args, **kwargs):
+    def counted(self, t, *args, **kwargs):
         frames.append(np.size(t))
-        return partials(t, *args, **kwargs)
+        return partials(self, t, *args, **kwargs)
 
-    p.lagrangian.partials = counted  # this instance only
+    Lagrangian.partials = counted  # for this one call
     try:
         rows = len(pkg.enumerate_slope_extremals(p, letters))
     finally:
-        del p.lagrangian.partials
+        Lagrangian.partials = partials
     hits = len(pkg.enumerate_slope_extremals(p, letters, tol=np.inf))
     sample = cpu_loop(lambda: pkg.enumerate_slope_extremals(p, letters), 0.05)
     return sample, {"hits": hits, "frames": sum(frames), "rows": rows}

@@ -459,7 +459,7 @@ def _newton(
 def _reads_only_slope(lagrangian: Lagrangian) -> bool:
     """Whether L names none of t, u1..un, so that L_t = L_u = 0 and both
     Euler-Lagrange equations hold along every trajectory of constant slope."""
-    return lagrangian.body.reads.isdisjoint(("t", *lagrangian.u_names))
+    return all(name[0] == "v" for name in lagrangian.body.reads)
 
 
 def _magnitudes(r: np.ndarray) -> np.ndarray:

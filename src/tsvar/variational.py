@@ -64,9 +64,9 @@ def _dimension(dim) -> int:
     return int(dim)
 
 
-class Lagrangian:
+class Lagrangian(_Record):
     """Scalar integrand L(t, u, v) with exact first and second partials
-    via forward-mode (hyper-)dual numbers.
+    via forward-mode (hyper-)dual numbers; equal only to itself.
 
     ``dim`` is the trajectory dimension n; the body is the text of an
     expression over t, u1..un, v1..vn.  :meth:`partials` evaluates L and
@@ -74,15 +74,15 @@ class Lagrangian:
     an array of frames.
     """
 
+    __slots__ = ("dim", "body", "_unit")
+
     def __init__(self, dim: int, body: str):
-        self.dim = _dimension(dim)
-        self.u_names = tuple(f"u{k + 1}" for k in range(dim))
-        self.v_names = tuple(f"v{k + 1}" for k in range(dim))
-        names = ("t",) + self.u_names + self.v_names
-        self.body = parse(body, names)
+        n = _dimension(dim)
+        names = ("t", *(f"{slot}{k + 1}" for slot in "uv" for k in range(n)))
         # row j, variable j's column of seeds: one unit seed for each
         # variable in turn (see partials)
-        self._unit = np.eye(len(names))[:, :, None]
+        unit = np.eye(2 * n + 1)[:, :, None]
+        _frozen(self, dim=n, body=parse(body, names), _unit=unit)
 
     def partials(
         self, t: np.ndarray, U: np.ndarray, V: np.ndarray, order: int = 1, moving=None

@@ -34,6 +34,8 @@ from tsvar import (
     TimeScale,
     Transformation,
     VariationalProblem,
+    action,
+    affine_extremal,
     check_conservation,
     enumerate_slope_extremals,
     evaluate,
@@ -53,6 +55,7 @@ SIGNATURES = {
     PointClass: ("left_scattered", "right_scattered"),
     TimeScale: ("points", "gaps"),
     GridFunction: ("base", "values", ("approximate", False)),
+    Lagrangian: ("dim", "body"),
     VariationalProblem: ("scale", "lagrangian", "q_a", "q_b"),
     Residual: ("kind", "points", "values", "approximate"),
     Evaluation: ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv"),
@@ -73,7 +76,8 @@ def build() -> dict:
     the same inputs, with arrays in two dimensions where a record holds
     them."""
     scale = TimeScale.from_points([0.0, 0.5, 1.25, 2.0])
-    p = VariationalProblem(scale, Lagrangian(2, "v1^2 + v2^2 + u1*u2"), [0, 0], [1, 2])
+    L = Lagrangian(2, "v1^2 + v2^2 + u1*u2")
+    p = VariationalProblem(scale, L, [0, 0], [1, 2])
     q = GridFunction(scale, np.outer(scale.points, [0.5, 1.0]))
     tr = Transformation.from_text(2, "1", ["0", "0"])
     quartic = VariationalProblem(
@@ -86,6 +90,7 @@ def build() -> dict:
         scale.classify(1),
         scale,
         q,
+        L,
         p,
         first_el_residual(p, q),
         evaluate(p, q),
@@ -188,6 +193,21 @@ def test_an_evaluation_cannot_be_written_through():
     for f, a in given.items():
         assert getattr(again, f) is a and not a.flags.writeable, f
     assert again.action() == 1.0
+
+
+def test_a_lagrangian_cannot_be_changed_after_it_is_built():
+    # the problem's action reads its Lagrangian's body, dimension and seeds
+    T = TimeScale.uniform(0, 1, 0.25)
+    p = VariationalProblem(T, Lagrangian(1, "v1^2"), [0.0], [1.0])
+    q = affine_extremal(p)
+    with pytest.raises(AttributeError):
+        p.lagrangian.body = parse("u1^2 + 3", ("t", "u1", "v1"))
+    with pytest.raises(ValueError):
+        p.lagrangian._unit[:] = 0
+    with pytest.raises(AttributeError):
+        p.lagrangian.dim = 2
+    assert action(p, q) == 1.0
+    assert repr(p.lagrangian) == "Lagrangian(dim=1, body='v1^2')"
 
 
 def test_value_equality():

@@ -973,13 +973,13 @@ class TestDenseBound:
         scale = TimeScale.uniform(1, 2, 1 / (N - 1))
         L = Lagrangian(2, "t*v1^2 + v2^2 + u1^2 + u1*u2")
         p = VariationalProblem(scale, L, [0.0, 1.0], [2.0, -1.0])
-        passes, partials = [], L.partials
+        passes, partials = [], Lagrangian.partials
 
-        def counted(*args, order=1, **kwargs):
+        def counted(self, *args, order=1, **kwargs):
             passes.append(order)
-            return partials(*args, order=order, **kwargs)
+            return partials(self, *args, order=order, **kwargs)
 
-        monkeypatch.setattr(L, "partials", counted)
+        monkeypatch.setattr(Lagrangian, "partials", counted)
         monkeypatch.setattr(solver, "MAX_DENSE", size - 1)
         with pytest.raises(ValueError) as err:
             solve(p)
