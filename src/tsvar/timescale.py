@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -119,6 +120,7 @@ class TimeScale(_Record):
 
     __slots__ = ("points", "mus", "sigmas", "is_exact_discrete")
 
+    @_nonfinite()  # a spacing that overflows is inf, refused below
     def __init__(self, points: Sequence[float], gaps: Iterable[GapKind | str]) -> None:
         pts = np.array(points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
@@ -128,6 +130,8 @@ class TimeScale(_Record):
         widths = pts[1:] - pts[:-1]
         if not (widths > 0).all():
             raise TimeScaleError("points must be strictly increasing")
+        if not (widths < np.inf).all():
+            raise TimeScaleError("point spacing must be finite")
         if iter(gaps) is gaps:  # an iterator, read once
             gaps = list(gaps)
         try:
@@ -234,7 +238,7 @@ class TimeScale(_Record):
         return not self.is_exact_discrete
 
     def _check_index(self, i: int) -> int:
-        i = int(i)
+        i = operator.index(i)  # a float index raises TypeError, as a list's does
         if not 0 <= i < self.n:
             raise IndexError(f"point index {i} out of range [0, {self.n})")
         return i
@@ -273,11 +277,12 @@ class TimeScale(_Record):
         return TimeScale(self.points[:-1], self._letters()[:-1])
 
     def index_of(self, t: float) -> int:
-        """Index of the point matching t within 1e-12 * max(1, |t|)."""
+        """Index of the point matching t within 1e-12 * max(1, |t|); a
+        non-finite t matches none."""
         tol = 1e-12 * max(1.0, abs(t))
         j = int(np.searchsorted(self.points, t))
         for i in (j - 1, j):
-            if 0 <= i < self.n and abs(float(self.points[i]) - t) <= tol:
+            if 0 <= i < self.n and abs(float(self.points[i]) - t) <= tol < math.inf:
                 return i
         raise TimeScaleError(f"no scale point within tolerance of t = {t!r}")
 

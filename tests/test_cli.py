@@ -1502,6 +1502,19 @@ def test_scale_conversion_error_is_a_bad_scale(scale, message, tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["scale-info", "solve", "verify", "noether"])
+def test_spacing_that_overflows_is_a_bad_scale(command, tmp_path, capsys):
+    # finite points whose spacing overflows, under every warning as an error
+    path = tmp_path / "p.json"
+    scale = {"points": [-1.7e308, 1.6e308, 1.7e308]}
+    path.write_text(json.dumps({**FIVE_POINT, "scale": scale}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, str(path)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: bad scale: point spacing must be finite\n")
+
+
 @pytest.mark.parametrize(
     "points, message",
     [

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ class TestJumpOperators:
         assert T.index_of(0.375 + 1e-14) == 3
         with pytest.raises(TimeScaleError):
             T.index_of(0.3)
+
+    @pytest.mark.parametrize("accessor", ["sigma", "rho", "mu", "classify"])
+    def test_a_point_index_is_an_integer(self, accessor):
+        # a float index raises as a list's does, not read as the point it
+        # truncates to; numpy's integers are indices
+        T = TimeScale.uniform(0, 1, 0.25)
+        read = getattr(T, accessor)
+        assert read(np.int64(1)) == read(1) and read(np.int32(0)) == read(0)
+        for i in (1.5, -0.5, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                read(i)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_index_of_a_non_finite_time_is_a_miss(self, t):
+        # the tolerance 1e-12 * |t| is inf at an infinite t
+        T = TimeScale.uniform(0, 1, 0.25)
+        with pytest.raises(TimeScaleError, match="^no scale point within tolerance"):
+            T.index_of(t)
 
 
 class TestClassify:
@@ -436,6 +455,21 @@ class TestInputChecks:
         with pytest.raises(TimeScaleError, match="^points must be finite$"):
             TimeScale.from_points([0.0, np.nan, 1.0])
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([-1.7e308, 1.6e308, 1.7e308], "point spacing must be finite"),
+            ([1.7e308, -1.7e308, 1.75e308], "points must be strictly increasing"),
+        ],
+        ids=["increasing", "decreasing"],
+    )
+    def test_spacing_that_overflows(self, points, message):
+        # finite points whose difference overflows: refused without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TimeScaleError, match=exact_message(message)):
+                TimeScale.from_points(points)
+
     def test_a_scale_never_equals_another_type(self):
         T = TimeScale.from_points([0.0, 1.0, 2.0])
         assert T.__eq__(1) is NotImplemented
@@ -479,12 +513,14 @@ class TestInputChecks:
             ("nu short", "nu and f must cover the whole scale"),
             ("f short", "nu and f must cover the whole scale"),
             ("nu infinite", "nu must be strictly increasing on the scale"),
+            ("nu overflowing", "point spacing must be finite"),
         ],
     )
     def test_pushforward_arguments(self, case, message):
         T, other = TimeScale.uniform(0, 3, 1), TimeScale.uniform(0, 4, 1)
         nu = GridFunction.sample(T, lambda t: 2 * t)
         f = GridFunction.sample(T, lambda t: t * t)
+        wide = [-1.7e308, 1.6e308, 1.65e308, 1.7e308]  # the image's spacing overflows
         args = {
             "nu elsewhere": (GridFunction.sample(other, lambda t: t), f),
             "f elsewhere": (nu, GridFunction.sample(other, lambda t: t)),
@@ -493,6 +529,7 @@ class TestInputChecks:
             "f short": (nu, GridFunction(T, T.points[:3])),
             # inf - inf would warn before the check raised
             "nu infinite": (GridFunction(T, [0.0, np.inf, np.inf, np.inf]), f),
+            "nu overflowing": (GridFunction(T, wide), f),
         }[case]
         with pytest.raises(TimeScaleError, match=exact_message(message)):
             pushforward(T, *args)
