@@ -23,7 +23,7 @@ from os import PathLike
 
 import numpy as np
 
-from .expr import _Record, _set
+from .expr import _frozen, _Record
 from .noether import Transformation, check_conservation, invariance_residual
 from .solver import (
     Extremals,
@@ -86,10 +86,10 @@ class LoadedProblem(_Record):
         self, problem: VariationalProblem, trajectory: GridFunction | None,
         transformation: Transformation | None, newton: NewtonOptions,
     ):
-        _set(self, "problem", problem)
-        _set(self, "trajectory", trajectory)
-        _set(self, "transformation", transformation)
-        _set(self, "newton", newton)
+        _frozen(
+            self, problem=problem, trajectory=trajectory,
+            transformation=transformation, newton=newton,
+        )
 
 
 def _number_leaves(value) -> tuple[list, tuple[int, ...]] | None:

@@ -65,11 +65,10 @@ class ExprDomainError(ExprError):
 
 class _Record:
     """Base of tsvar's records.  A record's fields are its slots not named
-    with a leading underscore, set once by its ``__init__`` through
-    ``_set``, or ``_frozen`` where it holds arrays; assigning or deleting
-    an attribute then raises AttributeError.  ``repr`` lists the fields as
-    a dataclass's does, and a record equals only itself unless it is a
-    :class:`_Value`."""
+    with a leading underscore, each set once through :func:`_frozen`;
+    assigning or deleting an attribute then raises AttributeError.
+    ``repr`` lists the fields as a dataclass's does, and a record equals
+    only itself unless it is a :class:`_Value`."""
 
     __slots__ = ()
 
@@ -105,17 +104,15 @@ class _Value(_Record):
         return hash(self._key())
 
 
-_set = object.__setattr__  # how a record's __init__ sets its fields
-
-
 def _frozen(record: _Record, **fields) -> None:
     """Set a record's fields, each array among them made read-only first:
-    the one rule that keeps every record's arrays unwritable, whoever
-    builds it.  An array the caller passes is frozen in place."""
+    the one way a record's fields are set, so its arrays are unwritable
+    whoever builds it.  An array the caller passes is frozen in place, so
+    a constructor calls this after its checks."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        _set(record, name, value)
+        object.__setattr__(record, name, value)
 
 
 # -- AST ----------------------------------------------------------------
@@ -125,38 +122,35 @@ class _Num(_Value):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        _set(self, "value", value)
+        _frozen(self, value=value)
 
 
 class _Var(_Value):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _frozen(self, name=name)
 
 
 class _Neg(_Value):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
-        _set(self, "arg", arg)
+        _frozen(self, arg=arg)
 
 
 class _BinOp(_Value):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left, right):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _frozen(self, op=op, left=left, right=right)
 
 
 class _Call(_Value):
     __slots__ = ("fn", "arg")
 
     def __init__(self, fn: str, arg):
-        _set(self, "fn", fn)
-        _set(self, "arg", arg)
+        _frozen(self, fn=fn, arg=arg)
 
 
 def _walk(root) -> tuple[int, set[str]]:
@@ -558,10 +552,8 @@ class Expr(_Value):
     __slots__ = ("root", "variables", "reads", "_run")
 
     def __init__(self, root, variables: tuple[str, ...], reads: frozenset[str], _run):
-        _set(self, "root", root)
-        _set(self, "variables", variables)
-        _set(self, "reads", reads)  # the variables the tree names
-        _set(self, "_run", _run)  # _compile(root)
+        # reads: the variables the tree names; _run: _compile(root)
+        _frozen(self, root=root, variables=variables, reads=reads, _run=_run)
 
     @_nonfinite()  # overflow of exp and of powers raises in _no_overflow
     def _forward(self, values, seeds=None, order: int = 1) -> tuple:

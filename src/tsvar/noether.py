@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, _nonfinite, _Record, _set, _Value, parse
+from .expr import Expr, _frozen, _nonfinite, _Record, _Value, parse
 from .timescale import GridFunction
 from .variational import Evaluation, Residual, VariationalProblem, _dimension, evaluate
 
@@ -36,8 +36,7 @@ class Transformation(_Value):
     __slots__ = ("tau", "xi")
 
     def __init__(self, tau: Expr, xi: tuple[Expr, ...]):
-        _set(self, "tau", tau)
-        _set(self, "xi", xi)
+        _frozen(self, tau=tau, xi=xi)
 
     @classmethod
     def from_text(
@@ -66,9 +65,10 @@ class NoetherReport(_Record):
         self, invariance_magnitude: float, conserved: GridFunction,
         conservation_deviation: float,
     ):
-        _set(self, "invariance_magnitude", invariance_magnitude)
-        _set(self, "conserved", conserved)
-        _set(self, "conservation_deviation", conservation_deviation)
+        _frozen(
+            self, invariance_magnitude=invariance_magnitude, conserved=conserved,
+            conservation_deviation=conservation_deviation,
+        )
 
 
 def _sample(

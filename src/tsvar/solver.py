@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .expr import ExprDomainError, ExprError, _frozen, _nonfinite, _Record, _set, _Value
+from .expr import ExprDomainError, ExprError, _frozen, _nonfinite, _Record, _Value
 from .timescale import GridFunction, TimeScale
 from .variational import Evaluation, Lagrangian, VariationalProblem, _alongs
 from .variational import _check_trajectory
@@ -94,14 +94,13 @@ class NewtonOptions(_Value):
     __slots__ = ("tol", "max_iter")
 
     def __init__(self, tol: float = 1e-10, max_iter: int = 50):
-        _set(self, "tol", tol)
-        _set(self, "max_iter", max_iter)
         if not 0 < tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if not isinstance(max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        _frozen(self, tol=tol, max_iter=max_iter)
 
 
 class Provenance(enum.Enum):
@@ -123,12 +122,10 @@ class Candidate(_Record):
         self, trajectory: GridFunction, provenance: Provenance, action: float,
         first_el: float, second_el: float, slopes: tuple[float, ...] | None = None,
     ):
-        _set(self, "trajectory", trajectory)
-        _set(self, "provenance", provenance)
-        _set(self, "action", action)
-        _set(self, "first_el", first_el)
-        _set(self, "second_el", second_el)
-        _set(self, "slopes", slopes)
+        _frozen(
+            self, trajectory=trajectory, provenance=provenance, action=action,
+            first_el=first_el, second_el=second_el, slopes=slopes,
+        )
 
 
 class Extremals(_Record):

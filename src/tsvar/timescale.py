@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .expr import _frozen, _nonfinite, _Record, _set, _Value
+from .expr import _frozen, _nonfinite, _Record, _Value
 
 __all__ = [
     "TimeScaleError",
@@ -79,8 +79,7 @@ class PointClass(_Value):
     __slots__ = ("left_scattered", "right_scattered")
 
     def __init__(self, left_scattered: bool, right_scattered: bool):
-        _set(self, "left_scattered", left_scattered)
-        _set(self, "right_scattered", right_scattered)
+        _frozen(self, left_scattered=left_scattered, right_scattered=right_scattered)
 
     @property
     def is_isolated(self) -> bool:
