@@ -407,7 +407,7 @@ def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.n
     gaps lo..lo+r-1, summed in order.  SCATTERED gaps contribute the exact
     left-rectangle term f(t_j) * mu(t_j); DENSE gaps a trapezoid.
     """
-    lo, hi = int(lo), int(hi)
+    lo, hi = operator.index(lo), operator.index(hi)  # a float bound raises TypeError
     if not 0 <= lo <= hi < scale.n:
         raise TimeScaleError(f"bad integration range [{lo}, {hi}] on n={scale.n}")
     dense = scale.mus[lo:hi] == 0.0
@@ -424,7 +424,8 @@ def _running_integral(scale: TimeScale, f: np.ndarray, lo: int, hi: int) -> np.n
 
 
 def delta_integral(f: GridFunction, lo: int, hi: int) -> np.ndarray:
-    """Delta integral of f from point ``lo`` to point ``hi`` (lo <= hi).
+    """Delta integral of f from point index ``lo`` to point index ``hi``
+    (lo <= hi).
 
     SCATTERED gaps contribute the exact left-rectangle term
     f(t_i) * mu(t_i); DENSE gaps contribute a trapezoid on the sampled

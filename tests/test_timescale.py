@@ -211,6 +211,15 @@ class TestJumpOperators:
             with pytest.raises(TypeError):
                 read(i)
 
+    def test_integral_bounds_are_point_indices(self):
+        # a float bound raises, not read as the point it truncates to
+        T = TimeScale.uniform(0, 1, 0.25)
+        f = GridFunction(T, T.points)
+        for lo, hi in ((0.9, 2.7), (0, 2.0), (np.float64(0.0), 2)):
+            with pytest.raises(TypeError):
+                delta_integral(f, lo, hi)
+        assert delta_integral(f, np.int64(1), np.int32(3)) == delta_integral(f, 1, 3)
+
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_index_of_a_non_finite_time_is_a_miss(self, t):
         # the tolerance 1e-12 * |t| is inf at an infinite t
