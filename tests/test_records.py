@@ -178,6 +178,58 @@ def test_every_array_field_is_read_only(name):
                 a[...] = 0.0
 
 
+# records whose fields are often numbers, each given 0-d arrays instead, and
+# a value to try to write into them
+GIVEN_ARRAYS = {
+    "NewtonOptions": (lambda q: NewtonOptions(tol=np.array(1e-9)), np.nan),
+    "Candidate": (
+        lambda q: Candidate(
+            q, Provenance.NEWTON, np.array(1.0), np.array(0.0), np.array(0.0)
+        ),
+        5.0,
+    ),
+    "NoetherReport": (lambda q: NoetherReport(np.array(0.0), q, np.array(0.0)), 5.0),
+    "PointClass": (lambda q: PointClass(np.array(True), np.array(False)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIVEN_ARRAYS))
+def test_a_record_holds_the_arrays_it_is_given_read_only(name):
+    # NaN into validated options, 5.0 into a candidate's action
+    make, junk = GIVEN_ARRAYS[name]
+    T = TimeScale.uniform(0, 1, 0.25)
+    x = make(GridFunction(T, T.points))
+    held = [f for f in type(x).__slots__ if isinstance(getattr(x, f), np.ndarray)]
+    assert held
+    for field in held:
+        a = getattr(x, field)
+        before = a.tobytes()
+        assert not a.flags.writeable, field
+        with pytest.raises(ValueError):
+            a[()] = junk
+        assert a.tobytes() == before, field
+
+
+def test_refused_options_leave_the_given_array_writable():
+    # the constructor checks before it freezes
+    a = np.array(-1.0)
+    with pytest.raises(ValueError):
+        NewtonOptions(tol=a)
+    assert a.flags.writeable
+
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_the_suite_covers_every_public_record():
+    # a new public record joins SIGNATURES, and so every check above
+    public = {cls for cls in _subclasses(expr._Record) if cls.__name__[0] != "_"}
+    assert public == set(SIGNATURES)
+
+
 def test_an_evaluation_cannot_be_written_through():
     # the action reads the record's own L
     T = TimeScale.uniform(0, 1, 0.25)
