@@ -4,10 +4,10 @@ Three routes:
 
 * a closed-form affine extremal c*t + k through the boundary values,
 * damped Newton iteration on the first Euler-Lagrange residual system
-  (unknowns are the interior trajectory values): per step, one
-  second-order evaluation of L along the iterate, from which the exact
-  Hessian of the discrete action is assembled, symmetric and block-
-  tridiagonal, and one evaluation along each trial iterate; a scalar
+  (unknowns are the interior trajectory values): per step, the exact
+  Hessian of the discrete action, symmetric and block-tridiagonal, from
+  one second-order pass along the iterate (:meth:`Evaluation.hessian` of
+  its record), and one evaluation along each trial iterate; a scalar
   Hessian that strict diagonal dominance proves well conditioned is
   solved on its band in O(N), any other one as a dense matrix,
 * enumeration of the slope sequences over a finite alphabet that end at
@@ -94,13 +94,15 @@ class NewtonOptions(_Value):
     __slots__ = ("tol", "max_iter")
 
     def __init__(self, tol: float = 1e-10, max_iter: int = 50):
+        if (given := np.asarray(tol)).ndim or given.dtype.kind not in "iuf":
+            raise ValueError(f"tol must be a real scalar, got {tol!r}")
         if not 0 < tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(max_iter, (int, np.integer)):
+        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        _frozen(self, tol=tol, max_iter=max_iter)
+        _frozen(self, tol=float(tol), max_iter=int(max_iter))
 
 
 class Provenance(enum.Enum):
@@ -195,42 +197,6 @@ def _iterate(p: VariationalProblem, x: np.ndarray) -> tuple[Evaluation, np.ndarr
     Q[0], Q[1:-1], Q[-1] = p.q_a, x.reshape(-1, p.dim), p.q_b
     e = _alongs(p, Q)
     return e, e.first_el_values().ravel()
-
-
-@_nonfinite()  # _newton judges a non-finite |J|
-def _hessian(p: VariationalProblem, e: Evaluation, k: int) -> tuple[np.ndarray, ...]:
-    """2^-k times the Hessian H of the discrete action S in the interior
-    values at the trajectory of e, from one second-order kernel pass along
-    e's frames (t, U, v), U_i = q_{i+1} on scattered gaps: its diagonal
-    blocks D, shape (N-2, n, n), and the blocks above them E, shape (N-3, n, n).
-
-    Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S; with
-    t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i at
-    (q_i, q_i), b = -(L_vu + a) at (q_i, q_{i+1}) and c = mu_i L_uu +
-    (L_uv + L_vu) + a at (q_{i+1}, q_{i+1}), so D_j = c_j + a_{j+1} and
-    E_j = b_{j+1}.  The kernel's second partials are symmetric bit for bit,
-    and so is every D_j.  The gradient of S is -mu F, F the first-EL
-    residual, so H = -mu J for F's Jacobian J (Marsden & West, Acta
-    Numerica 10, 2001).  The factor 2^-k, exact, is applied before the
-    products, so 2^-k mu_i L_uu is finite even where mu_i L_uu is not.
-
-    The pass takes only the second partials that H reads: along u and v,
-    which the interior values move, and at the last frame, whose u is
-    q_{N-1}, along v alone.  So L need not be twice differentiable in t,
-    nor in u at q_b.
-    """
-    n = p.dim
-    if n > 1:  # the pass's seeds, then H dense (_Hessian)
-        _check_dense(max((2 * n + 1) ** 2 * e.t.size, (n * (e.t.size - 1)) ** 2))
-    moving = np.ones((e.t.size, 2 * n + 1), dtype=bool)
-    moving[:, 0] = moving[-1, 1 : n + 1] = False
-    H = p.lagrangian.partials(e.t, e.U, e.v, order=2, moving=moving)[4]
-    u, v = slice(1, n + 1), slice(n + 1, None)
-    mu = e.mu[:, None, None]
-    a = np.ldexp(H[:, v, v] / mu, -k)
-    b = -(np.ldexp(H[:, v, u], -k) + a)
-    c = np.ldexp(mu, -k) * H[:, u, u] + np.ldexp(H[:, u, v] + H[:, v, u], -k) + a
-    return c[:-1] + a[1:], b[1:-1]
 
 
 def _check_dense(size: int) -> None:
@@ -361,16 +327,16 @@ def solve_newton(
 
     Unknowns are the interior values q(t_1) .. q(t_{N-2}), in which the
     discrete action S has gradient -mu F.  Each step solves H dx = mu F, H
-    the exact Hessian of S, symmetric and block-tridiagonal, from the
-    second partials of L along the iterate in one kernel pass
-    (:func:`_hessian`); damped steps are accepted only when the residual
-    max-norm decreases, and a trial outside L's domain is a failed one
-    (the guess, or a Hessian, outside it raises ExprDomainError).  Each
-    iterate is evaluated once: ``q_init`` is checked without evaluating L,
-    its residual is the trajectory's with the ends pinned to q_a and q_b,
-    and an accepted trial's evaluation is the next iterate's.  A solve of
-    k steps with no halvings thus makes 1 + 2k kernel passes; on a
-    linear-quadratic L the first step lands on the root, so k = 1.
+    the exact Hessian of S, symmetric and block-tridiagonal, from one
+    kernel pass along the iterate (:meth:`Evaluation.hessian`); damped
+    steps are accepted only when the residual max-norm decreases, and a
+    trial outside L's domain is a failed one (the guess, or a Hessian,
+    outside it raises ExprDomainError).  Each iterate is evaluated once:
+    ``q_init`` is checked without evaluating L, its residual is the
+    trajectory's with the ends pinned to q_a and q_b, and an accepted
+    trial's evaluation is the next iterate's.  A solve of k steps with no
+    halvings thus makes 1 + 2k kernel passes; on a linear-quadratic L the
+    first step lands on the root, so k = 1.
 
     It stops at ``opts.tol`` or at the rounding floor of F, eps *
     max_i(sum_j |J_ij| |x_j| + |F_i|), J = -H/mu being F's Jacobian.  An
@@ -416,8 +382,9 @@ def _newton(
     e, F = _iterate(p, x)  # ends within BOUNDARY_TOL are pinned
     # H dx = mu F is solved times 2^-k, k >= 0 taking every mu to w <= 1:
     # exact, and neither w F nor 2^-k H overflows where F and J do not
-    k = max(np.frexp(p.scale.mus.max())[1], 0)
-    w, floor = np.ldexp(p.scale.mus[:-2], -k).repeat(p.dim), 0.0
+    k, n, m = max(np.frexp(p.scale.mus.max())[1], 0), p.dim, p.scale.n - 2
+    w, floor = np.ldexp(p.scale.mus[:-2], -k).repeat(n), 0.0
+    dense = max((2 * n + 1) ** 2 * (m + 1), (n * m) ** 2) if n > 1 else 0
     history: list[float] = []
     for it in range(opts.max_iter + 1):
         mag = float(np.abs(F).max())
@@ -426,7 +393,8 @@ def _newton(
             return e, mag
         if not math.isfinite(mag):  # only the guess's: a trial must lower mag
             raise SingularSystem("residual has non-finite entries")
-        hessian = _Hessian(*_hessian(p, e, k))
+        _check_dense(dense)  # n >= 2: the pass's seeds, then H dense (_Hessian)
+        hessian = _Hessian(*e.hessian(k))
         # J = -H/mu can overflow where H does not
         finite = math.isfinite((hessian.row_maxima() / w).max())
         floor = hessian.floor(w, x, F) if finite else math.nan  # no J, no floor
@@ -467,8 +435,7 @@ def _magnitudes(r: np.ndarray) -> np.ndarray:
 def solve(p: VariationalProblem, opts: NewtonOptions = NewtonOptions()) -> Candidate:
     """A diagnosed extremal: the affine closed form if L names neither t nor
     u (CLOSED_FORM), on any scale, else Newton from it (NEWTON)."""
-    # first-EL (Newton's from its last residual), action and second-EL: the
-    # methods of one record
+    # first-EL (Newton's last residual's), action and second-EL: one record's methods
     if _reads_only_slope(p.lagrangian):
         e, provenance = _alongs(p, affine_extremal(p).values), Provenance.CLOSED_FORM
         first = _magnitudes(e.first_el_values())

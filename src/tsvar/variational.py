@@ -195,11 +195,11 @@ class Evaluation(_Record):
     a trajectory and builds its record.  Q is one trajectory, shape (N, n),
     and ``e.q`` is that trajectory.  Only the enumeration builds the record
     of a stack of h, shape (h, N, n), whose fields Q, U, v, L, Lt, Lu and
-    Lv then lead with the axis h.  The methods that return arrays read a
-    stack, one array pass per quantity, entry i bit for bit as trajectory
-    i's own record; those that return a Residual, and ``erdmann``, read one
-    trajectory's.  Its arrays are read-only: the constructor freezes those
-    it is given, in place."""
+    Lv then lead with the axis h.  The methods that return arrays, bar
+    ``hessian`` and ``erdmann``, read a stack, one array pass per quantity,
+    entry i bit for bit as trajectory i's own record; those two and the
+    ones that return a Residual read one trajectory's.  Its arrays are
+    read-only: the constructor freezes those it is given, in place."""
 
     __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
@@ -262,6 +262,38 @@ class Evaluation(_Record):
         zero everywhere on its domain exactly when q is an extremal there."""
         r = self.first_el_values()
         return Residual("first_el", self.t[:-1], r, self.approximate)
+
+    @_nonfinite()  # Newton judges a non-finite |J|
+    def hessian(self, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """2^-k times the Hessian H of the discrete action S in the interior
+        values, from one second-order kernel pass along the frames (t, U, v),
+        U_i = q_{i+1}, of an exact discrete scale: its diagonal blocks D, shape
+        (N-2, n, n), and the blocks above them E, shape (N-3, n, n).
+
+        Frame i adds f_i = mu_i L(t_i, q_{i+1}, (q_{i+1} - q_i)/mu_i) to S;
+        with t held its Hessian in (q_i, q_{i+1}) has the blocks a = L_vv/mu_i
+        at (q_i, q_i), b = -(L_vu + a) at (q_i, q_{i+1}) and c = mu_i L_uu +
+        (L_uv + L_vu) + a at (q_{i+1}, q_{i+1}), so D_j = c_j + a_{j+1} and
+        E_j = b_{j+1}.  The kernel's second partials are symmetric bit for
+        bit, and so is every D_j.  The gradient of S is -mu F, F the first-EL
+        residual, so H = -mu J for F's Jacobian J (Marsden & West, Acta
+        Numerica 10, 2001).  The factor 2^-k, exact, is applied before the
+        products, so 2^-k mu_i L_uu is finite even where mu_i L_uu is not.
+
+        The pass takes only the second partials that H reads: along u and v,
+        which the interior values move, and at the last frame, whose u is
+        q_{N-1}, along v alone.  So L need not be twice differentiable in t,
+        nor in u at q_b.
+        """
+        n, L, mu = self.p.dim, self.p.lagrangian, self.mu[:, None, None]
+        moving = np.ones((self.t.size, 2 * n + 1), dtype=bool)
+        moving[:, 0] = moving[-1, 1 : n + 1] = False
+        H = L.partials(self.t, self.U, self.v, order=2, moving=moving)[4]
+        u, v = slice(1, n + 1), slice(n + 1, None)
+        a = np.ldexp(H[:, v, v] / mu, -k)
+        b = -(np.ldexp(H[:, v, u], -k) + a)
+        c = np.ldexp(mu, -k) * H[:, u, u] + np.ldexp(H[:, u, v] + H[:, v, u], -k) + a
+        return c[:-1] + a[1:], b[1:-1]
 
     @_nonfinite()
     def first_el_integral(self) -> Residual:
