@@ -36,7 +36,7 @@ class Transformation(_Value):
     __slots__ = ("tau", "xi")
 
     def __init__(self, tau: Expr, xi: tuple[Expr, ...]):
-        _frozen(self, tau=tau, xi=xi)
+        _frozen(self, tau=tau, xi=tuple(xi))
 
     @classmethod
     def from_text(

@@ -79,7 +79,8 @@ class PointClass(_Value):
     __slots__ = ("left_scattered", "right_scattered")
 
     def __init__(self, left_scattered: bool, right_scattered: bool):
-        _frozen(self, left_scattered=left_scattered, right_scattered=right_scattered)
+        left, right = bool(left_scattered), bool(right_scattered)
+        _frozen(self, left_scattered=left, right_scattered=right)
 
     @property
     def is_isolated(self) -> bool:
@@ -257,8 +258,8 @@ class TimeScale(_Record):
 
     def classify(self, i: int) -> PointClass:
         i = self._check_index(i)
-        left = i > 0 and bool(self.mus[i - 1] > 0)
-        return PointClass(left_scattered=left, right_scattered=bool(self.mus[i] > 0))
+        left = i > 0 and self.mus[i - 1] > 0
+        return PointClass(left_scattered=left, right_scattered=self.mus[i] > 0)
 
     @property
     def kappa_length(self) -> int:
