@@ -2,7 +2,8 @@
 constructor keywords and defaults of their documented signatures, and an
 equality that never raises, identity for records that hold arrays, value
 equality for expressions, point classes, Newton options and
-transformations.  And a fresh import compiles tsvar's own files and no
+transformations, which read numpy scalars and 0-d arrays as the plain
+values they hold.  And a fresh import compiles tsvar's own files and no
 generated code, and the package's public names are its modules'
 ``__all__``."""
 
@@ -10,6 +11,7 @@ import copy
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -181,7 +183,6 @@ def test_every_array_field_is_read_only(name):
 # records whose fields are often numbers, each given 0-d arrays instead, and
 # a value to try to write into them
 GIVEN_ARRAYS = {
-    "NewtonOptions": (lambda q: NewtonOptions(tol=np.array(1e-9)), np.nan),
     "Candidate": (
         lambda q: Candidate(
             q, Provenance.NEWTON, np.array(1.0), np.array(0.0), np.array(0.0)
@@ -189,13 +190,12 @@ GIVEN_ARRAYS = {
         5.0,
     ),
     "NoetherReport": (lambda q: NoetherReport(np.array(0.0), q, np.array(0.0)), 5.0),
-    "PointClass": (lambda q: PointClass(np.array(True), np.array(False)), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GIVEN_ARRAYS))
 def test_a_record_holds_the_arrays_it_is_given_read_only(name):
-    # NaN into validated options, 5.0 into a candidate's action
+    # 5.0 into a candidate's action
     make, junk = GIVEN_ARRAYS[name]
     T = TimeScale.uniform(0, 1, 0.25)
     x = make(GridFunction(T, T.points))
@@ -208,6 +208,76 @@ def test_a_record_holds_the_arrays_it_is_given_read_only(name):
         with pytest.raises(ValueError):
             a[()] = junk
         assert a.tobytes() == before, field
+
+
+NAMES = ("t", "q1", "q2")  # a transformation's variables at n = 2
+
+# each value record built from plain Python values, then from numpy scalars,
+# 0-d arrays and other sequences in their place
+FROM_NUMPY = {
+    "NewtonOptions": (
+        lambda: NewtonOptions(0.5, 7),
+        lambda: NewtonOptions(np.float64(0.5), np.int64(7)),
+        lambda: NewtonOptions(np.float32(0.5), np.uint8(7)),
+        lambda: NewtonOptions(np.array(0.5), 7),
+        lambda: NewtonOptions(np.array(0.5, dtype=np.float16), np.int32(7)),
+    ),
+    "PointClass": (
+        lambda: PointClass(True, False),
+        lambda: PointClass(np.True_, np.False_),
+        lambda: PointClass(np.array(True), np.array(False)),
+        lambda: PointClass(left_scattered=np.float64(1.0), right_scattered=0),
+    ),
+    "Transformation": (
+        lambda: Transformation.from_text(2, "1", ["t", "0"]),
+        lambda: Transformation.from_text(
+            np.int64(2), np.str_("1"), np.array(["t", "0"])
+        ),
+        lambda: Transformation(
+            parse("1", NAMES), [parse("t", NAMES), parse("0", NAMES)]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROM_NUMPY))
+def test_a_value_record_reads_numpy_inputs_as_plain_values(name):
+    # equal fields of equal types, so equal records with equal hashes, and
+    # no array held
+    plain, *others = (make() for make in FROM_NUMPY[name])
+    assert isinstance(hash(plain), int)
+    for x in others:
+        assert x == plain and hash(x) == hash(plain) and repr(x) == repr(plain)
+        for field in type(x).__slots__:
+            a, b = getattr(x, field), getattr(plain, field)
+            assert type(a) is type(b) and not isinstance(a, np.ndarray), field
+
+
+# a bool, an array or a text given for a Newton option
+REFUSED_OPTIONS = {
+    "tol-vector": ("tol", np.array([1e-8])),
+    "tol-matrix": ("tol", np.ones((1, 1))),
+    "tol-bool": ("tol", True),
+    "tol-0d-bool": ("tol", np.array(True)),
+    "tol-text": ("tol", "1e-8"),
+    "tol-complex": ("tol", 1e-8 + 0j),
+    "max_iter-bool": ("max_iter", True),
+    "max_iter-vector": ("max_iter", np.array([7])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_OPTIONS))
+def test_options_refuse_bools_and_arrays(case):
+    field, value = REFUSED_OPTIONS[case]
+    what = {"tol": "a real scalar", "max_iter": "an integer"}[field]
+    message = f"{field} must be {what}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NewtonOptions(**{field: value})
+
+
+def test_point_class_refuses_an_array_of_flags():
+    with pytest.raises(ValueError):
+        PointClass(np.array([True, False]), False)
 
 
 def test_refused_options_leave_the_given_array_writable():

@@ -272,19 +272,19 @@ class TestNewton:
         # own record
         calls = count_calls(Lagrangian, "partials")
         seen, records, along_hessians = [], [], []
-        alongs, hessian = solver._alongs, solver._hessian
+        alongs, hessian = solver._alongs, Evaluation.hessian
 
         def recording(p, Q, *args):
             seen.append(Q.tobytes())
             records.append(alongs(p, Q, *args))
             return records[-1]
 
-        def recording_hessian(p, e, *args):
+        def recording_hessian(e, *args):
             along_hessians.append(e)
-            return hessian(p, e, *args)
+            return hessian(e, *args)
 
         monkeypatch.setattr(solver, "_alongs", recording)
-        monkeypatch.setattr(solver, "_hessian", recording_hessian)
+        monkeypatch.setattr(Evaluation, "hessian", recording_hessian)
         solve_newton(newton_problem())
         # one step, no halvings: the guess and the accepted step, each once
         # in a first-order pass, and the guess once more in the Hessian's
@@ -396,7 +396,7 @@ class TestNewton:
         # every unknown is some row's neighbour, so the floor is at least
         # eps * big/mu * max|x|
         big = 2 * err.value.history[-1] * 0.125 / (eps * np.max(np.abs(step[1:-1])))
-        calls, hessian = [], solver._hessian
+        calls, hessian = [], Evaluation.hessian
 
         def second_singular(*args):
             calls.append(None)
@@ -405,7 +405,7 @@ class TestNewton:
                 return D, E
             return np.zeros_like(D), np.full_like(E, big)
 
-        monkeypatch.setattr(solver, "_hessian", second_singular)
+        monkeypatch.setattr(Evaluation, "hessian", second_singular)
         for max_iter in (1, 2):
             calls.clear()
             q = solve_newton(p, opts=NewtonOptions(max_iter=max_iter))
@@ -420,13 +420,13 @@ class TestNewton:
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 + 0*u1"), [0.0], [10.0])
         guess = affine_extremal(p)
         assert first_el_residual(p, guess).magnitude > NewtonOptions().tol
-        solves, hessians, hessian = [], [], solver._hessian
+        solves, hessians, hessian = [], [], Evaluation.hessian
 
         def counted(*args):
             hessians.append(None)
             return hessian(*args)
 
-        monkeypatch.setattr(solver, "_hessian", counted)
+        monkeypatch.setattr(Evaluation, "hessian", counted)
         monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
         q = solve_newton(p)
         assert (len(hessians), solves) == (1, [])
@@ -473,12 +473,12 @@ class TestNewton:
         if not isinstance(exact, type):  # the residual's Jacobian there
             J = -hessian_matrix(p, exact) / mus
 
-        def oracle_hessian(p, e, k):  # the blocks of -mu J's symmetric part
+        def oracle_hessian(e, k=0):  # the blocks of -mu J's symmetric part
             x = e.Q[1:-1].ravel()
             H = -mus * column_jacobian(residual, x, residual(x), FD_STEP)
             return blocks(np.ldexp((H + H.T) / 2, -k), n)
 
-        monkeypatch.setattr(solver, "_hessian", oracle_hessian)
+        monkeypatch.setattr(Evaluation, "hessian", oracle_hessian)
         oracle, oracle_steps = outcome()
         assert exact_steps <= oracle_steps
         assert isinstance(exact, type) == isinstance(oracle, type)
@@ -536,7 +536,7 @@ def row_mus(p):
 def hessian_matrix(p, Q):
     """The dense Hessian of p's action in the interior values, at the
     trajectory values Q."""
-    return solver._dense(*solver._hessian(p, solver._alongs(p, Q), 0))
+    return solver._dense(*solver._alongs(p, Q).hessian())
 
 
 def blocks(H, n):
@@ -590,8 +590,8 @@ class TestJacobian:
             iterate, _ = solver._iterate(p, x)
             q = GridFunction(scale, np.vstack([q_a, x.reshape(-1, n), q_b]))
             for k in (0, 3):
-                got = solver._hessian(p, evaluate(p, q), k)
-                want = solver._hessian(p, iterate, k)
+                got = evaluate(p, q).hessian(k)
+                want = iterate.hessian(k)
                 for a, b in zip(got, want, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -662,7 +662,7 @@ class TestJacobian:
             scale = TimeScale.from_points(np.sort(rng.uniform(0.5, 2.5, 5)))
             Q = rng.uniform(-1, 1, (5, n))
             p = VariationalProblem(scale, Lagrangian(n, text), Q[0], Q[-1])
-            D, E = solver._hessian(p, solver._alongs(p, Q), 0)
+            D, E = solver._alongs(p, Q).hessian()
             action = 0
             for i in range(4):
                 mu = sympy.Rational(scale.mus[i])
@@ -690,10 +690,10 @@ class TestJacobian:
         for N in (21, 201):
             scale = TimeScale.uniform(1, 2, 1 / (N - 1))
             p = VariationalProblem(scale, Lagrangian(n, body), np.zeros(n), np.ones(n))
-            records.append((p, solver._alongs(p, affine_extremal(p).values)))
+            records.append(solver._alongs(p, affine_extremal(p).values))
         monkeypatch.setattr(Lagrangian, "partials", counted)
-        for p, e in records:
-            solver._hessian(p, e, 0)
+        for e in records:
+            e.hessian()
         assert orders == [(2, 20), (2, 200)]
 
     def test_infinite_residual_fails_in_the_condition_estimate(self, monkeypatch):
@@ -709,7 +709,7 @@ class TestJacobian:
         values[4] += 1e7
         assert np.isinf(first_el_residual(p, GridFunction(scale, values)).values).any()
         assert np.all(np.isfinite(hessian_matrix(p, values)))
-        monkeypatch.setattr(solver, "_hessian", unreachable)
+        monkeypatch.setattr(Evaluation, "hessian", unreachable)
         monkeypatch.setattr(solver, "_Hessian", unreachable)
         monkeypatch.setattr(np.linalg, "cond", unreachable)
         with pytest.raises(SingularSystem, match="^residual has non-finite entries$"):
@@ -866,13 +866,13 @@ class TestConditionGuard:
     def test_other_jacobians_take_one_svd_each(self, monkeypatch):
         # rows of v1^2 - 5*u1^2 on h = 1/8: |H_ii| = 30.75 < 32, their sum
         calls, hessians = count_svds(monkeypatch), []
-        hessian = solver._hessian
+        hessian = Evaluation.hessian
 
         def counted(*args):
             hessians.append(None)
             return hessian(*args)
 
-        monkeypatch.setattr(solver, "_hessian", counted)
+        monkeypatch.setattr(Evaluation, "hessian", counted)
         scale = TimeScale.uniform(0, 1, 0.125)
         p = VariationalProblem(scale, Lagrangian(1, "v1^2 - 5*u1^2"), [0.0], [1.0])
         solve_newton(p)
@@ -913,18 +913,18 @@ class TestConditionGuard:
         def outcomes():
             # per problem: the verdict class, the solved trajectory, the
             # bits of every iterate and result, and the band solves
-            runs, hessian, eliminate = [], solver._hessian, solver._eliminate
+            runs, hessian, eliminate = [], Evaluation.hessian, solver._eliminate
 
-            def recording(p, e, *args):
+            def recording(e, *args):
                 runs[-1][2].append(e.Q.tobytes())
-                return hessian(p, e, *args)
+                return hessian(e, *args)
 
             def counted(*args):
                 runs[-1][3].append(None)
                 return eliminate(*args)
 
             with monkeypatch.context() as m:
-                m.setattr(solver, "_hessian", recording)
+                m.setattr(Evaluation, "hessian", recording)
                 m.setattr(solver, "_eliminate", counted)
                 for p in problems:
                     runs.append(["ok", None, [], []])
@@ -988,6 +988,31 @@ class TestDenseBound:
         monkeypatch.setattr(solver, "MAX_DENSE", size)
         assert solve(p).provenance is Provenance.NEWTON
         assert 2 in passes
+
+    def test_the_record_gives_blocks_that_newton_will_not_hold_dense(
+        self, monkeypatch
+    ):
+        # n = 3 on N = 3001: the record's Hessian is 2999 diagonal blocks
+        # and 2998 above them, 9 floats each, but Newton's dense H would be
+        # (3 * 2999)^2 floats; Newton refuses before its second-order pass
+        scale = TimeScale.uniform(1, 2, 1 / 3000)
+        p = VariationalProblem(
+            scale, Lagrangian(3, COUNT_BODIES[2]), -np.ones(3), np.ones(3)
+        )
+        D, E = evaluate(p, affine_extremal(p)).hessian()
+        assert D.shape == (2999, 3, 3) and E.shape == (2998, 3, 3)
+        assert np.all(np.isfinite(D)) and np.all(np.isfinite(E))
+        passes, partials = [], Lagrangian.partials
+
+        def counted(self, *args, order=1, **kwargs):
+            passes.append(order)
+            return partials(self, *args, order=order, **kwargs)
+
+        monkeypatch.setattr(Lagrangian, "partials", counted)
+        message = "^Newton needs 80946009 floats in one array, above 50000000$"
+        with pytest.raises(ValueError, match=message):
+            solve_newton(p)
+        assert passes == [1]
 
     def test_uncertified_scalar_hessian_checked_before_it_is_built(self, monkeypatch):
         # v1^2 - 5*u1^2 on h = 1/8: no step is certified, so each H of 7
@@ -1400,13 +1425,13 @@ class TestSolve:
         # linear-quadratic, so the exact Hessian's first step lands on the
         # root to the stop test and k = 1
         hessians = []
-        hessian = solver._hessian
+        hessian = Evaluation.hessian
 
         def counted(*args):
             hessians.append(None)
             return hessian(*args)
 
-        monkeypatch.setattr(solver, "_hessian", counted)
+        monkeypatch.setattr(Evaluation, "hessian", counted)
         calls = count_calls(Lagrangian, "partials")
         scale = TimeScale.uniform(1, 2, 1 / (N - 1))
         p = VariationalProblem(scale, Lagrangian(n, body), -np.ones(n), np.ones(n))
