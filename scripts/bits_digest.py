@@ -171,7 +171,7 @@ def bits(x) -> str:
     if isinstance(x, Candidate):
         return bits([x.slopes, x.trajectory, x.action, x.first_el, x.second_el])
     if isinstance(x, GridFunction):
-        return bits([x.values, x.approximate])
+        return bits([x.values])
     if isinstance(x, Residual):
         return bits([x.kind, x.points, x.values, x.approximate, x.magnitude])
     if isinstance(x, NoetherReport):

@@ -96,7 +96,7 @@ def invariance_residual(
     + (L - dL/dv . q_delta) tau_delta up to rounding.
     """
     e, g = _sample(p, q, tr)
-    return Residual("invariance", e.t, e.invariance(g), e.approximate)
+    return Residual("invariance", e.t, e.invariance(g), p.scale.has_dense)
 
 
 def conserved_quantity(
@@ -108,7 +108,7 @@ def conserved_quantity(
     taken at (t, q(t)).  Defined on the derivative prefix of q.
     """
     e, g = _sample(p, q, tr)
-    return GridFunction(p.scale, e.conserved(g), approximate=e.approximate)
+    return GridFunction(p.scale, e.conserved(g))
 
 
 @_nonfinite()
@@ -127,6 +127,6 @@ def check_conservation(
     c = e.conserved(g)
     return NoetherReport(
         invariance_magnitude=magnitude,
-        conserved=GridFunction(p.scale, c, approximate=e.approximate),
+        conserved=GridFunction(p.scale, c),
         conservation_deviation=float(c.max() - c.min()),
     )

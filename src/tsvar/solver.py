@@ -589,7 +589,7 @@ def _extremals(
     path -= 1
     V, L, Lt, Lu, Lv = (x[path].T for x in (V, L, Lt, Lu, Lv))
     kept = Evaluation(
-        p, T.points[:gaps], T.mus[:gaps], False, Q, Q[:, 1:], V[..., None],
+        p, T.points[:gaps], T.mus[:gaps], Q, Q[:, 1:], V[..., None],
         L, Lt, Lu[..., None], Lv[..., None],
     )
     return (

@@ -5,8 +5,8 @@ points plus a kind for each adjacent gap.  A SCATTERED gap is a genuine
 jump of the scale; a DENSE gap means the two points sample a continuum
 segment.  On an all-SCATTERED scale ("exact discrete") every quantity
 below is exact arithmetic.  Whenever a DENSE gap contributes, results are
-approximations of the classical (continuum) quantities and carry an
-``approximate`` flag.
+approximations of the classical (continuum) quantities; ``has_dense``
+tells which, and a residual records it.
 
 Graininess is zero on DENSE gaps by convention: the grid spacing of a
 sampled continuum segment is a numerical artifact, not graininess, and
@@ -183,7 +183,7 @@ class TimeScale(_Record):
         """Sampled continuum segment [a, b] with ``resolution`` points.
 
         All gaps are DENSE, so graininess is zero everywhere and delta
-        quantities computed downstream are flagged approximate.
+        quantities computed downstream are approximate.
         """
         if not (a < b):
             raise TimeScaleError("need a < b")
@@ -308,13 +308,12 @@ class GridFunction(_Record):
 
     ``values`` has one length-``dim`` row per covered point.  A full grid
     function covers every point of ``base``; derivative-like results cover
-    a shorter prefix (their natural domain).  ``approximate`` marks values
-    that involved a DENSE-gap approximation somewhere upstream.
+    a shorter prefix (their natural domain).
     """
 
-    __slots__ = ("base", "values", "approximate")
+    __slots__ = ("base", "values")
 
-    def __init__(self, base: TimeScale, values: np.ndarray, approximate: bool = False):
+    def __init__(self, base: TimeScale, values: np.ndarray):
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1)
@@ -328,7 +327,7 @@ class GridFunction(_Record):
             )
         if vals.shape[1] < 1:
             raise TimeScaleError("dimension must be at least 1")
-        _frozen(self, base=base, values=vals.copy(), approximate=approximate)
+        _frozen(self, base=base, values=vals.copy())
 
     @classmethod
     def sample(
@@ -391,14 +390,12 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     At each covered point the value is the forward quotient over the gap
     to the right.  On SCATTERED gaps that quotient is the exact delta
     derivative; on DENSE gaps it is a first-order approximation of the
-    classical derivative and the result is flagged approximate.
+    classical derivative.
     """
     m = f.valid
     if m < 2:
         raise TimeScaleError("delta derivative needs at least two covered points")
-    out = _quotients(f.base.points[:m], f.values)
-    approx = f.approximate or bool((f.base.mus[: m - 1] == 0.0).any())
-    return GridFunction(f.base, out, approximate=approx)
+    return GridFunction(f.base, _quotients(f.base.points[:m], f.values))
 
 
 @_nonfinite()
@@ -456,5 +453,4 @@ def pushforward(
     if not (w[1:] > w[:-1]).all():
         raise TimeScaleError("nu must be strictly increasing on the scale")
     image = TimeScale(w, scale._letters())
-    f_image = GridFunction(image, f.values, approximate=f.approximate)
-    return image, f_image, delta_derivative(nu)
+    return image, GridFunction(image, f.values), delta_derivative(nu)

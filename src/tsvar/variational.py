@@ -167,7 +167,9 @@ class Residual(_Record):
     only to itself.
 
     ``magnitude`` is the max-norm over all entries.  ``approximate`` is
-    set when any DENSE gap contributed to the computation.
+    set when the values approximate a continuum quantity: the evaluation
+    record and :mod:`tsvar.noether` set it where the scale has a DENSE gap,
+    and :meth:`Evaluation.classical` always.
     """
 
     __slots__ = ("kind", "points", "values", "approximate", "magnitude")
@@ -198,16 +200,14 @@ class Evaluation(_Record):
     Lv then lead with the axis h.  The methods that return arrays, bar
     ``hessian`` and ``erdmann``, read a stack, one array pass per quantity,
     entry i bit for bit as trajectory i's own record; those two and the
-    ones that return a Residual read one trajectory's.  Its arrays are
+    ones that return a Residual read one trajectory's.  A Residual is
+    approximate where p's scale has a DENSE gap.  Its arrays are
     read-only: the constructor freezes those it is given, in place."""
 
-    __slots__ = ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
+    __slots__ = ("p", "t", "mu", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
 
-    def __init__(self, p, t, mu, approximate, Q, U, v, L, Lt, Lu, Lv):
-        _frozen(
-            self, p=p, t=t, mu=mu, approximate=approximate, Q=Q, U=U, v=v,
-            L=L, Lt=Lt, Lu=Lu, Lv=Lv,
-        )
+    def __init__(self, p, t, mu, Q, U, v, L, Lt, Lu, Lv):
+        _frozen(self, p=p, t=t, mu=mu, Q=Q, U=U, v=v, L=L, Lt=Lt, Lu=Lu, Lv=Lv)
 
     @property
     def q(self) -> GridFunction:
@@ -261,7 +261,7 @@ class Evaluation(_Record):
         """Residual of (d/dt)_delta dL/dv = dL/du along the trajectory:
         zero everywhere on its domain exactly when q is an extremal there."""
         r = self.first_el_values()
-        return Residual("first_el", self.t[:-1], r, self.approximate)
+        return Residual("first_el", self.t[:-1], r, self.p.scale.has_dense)
 
     @_nonfinite()  # Newton judges a non-finite |J|
     def hessian(self, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +306,7 @@ class Evaluation(_Record):
         """
         g = self.Lv - _running_integral(self.p.scale, self.Lu, 0, len(self.t) - 1)
         g -= g.min(axis=0)
-        return Residual("first_el_integral", self.t, g, self.approximate)
+        return Residual("first_el_integral", self.t, g, self.p.scale.has_dense)
 
     def second_el_values(self) -> np.ndarray:
         """(d/dt)_delta of the Hamiltonian composite + dL/dt, shape (..., k-1, 1)."""
@@ -317,7 +317,7 @@ class Evaluation(_Record):
         (d/dt)_delta of the Hamiltonian composite plus dL/dt, zero where the
         equation holds."""
         r = self.second_el_values()
-        return Residual("second_el", self.t[:-1], r, self.approximate)
+        return Residual("second_el", self.t[:-1], r, self.p.scale.has_dense)
 
     def classical(self) -> Residual:
         """The second Euler-Lagrange residual on an all-DENSE (sampled
@@ -378,7 +378,7 @@ def evaluate(p: VariationalProblem, q: GridFunction, boundary=True) -> Evaluatio
     that range over unconstrained trajectories.
     """
     _check_trajectory(p, q, boundary)
-    return _alongs(p, q.values, q.approximate)
+    return _alongs(p, q.values)
 
 
 @_nonfinite()
@@ -398,7 +398,7 @@ def _frames(T: TimeScale, Q: np.ndarray) -> tuple[np.ndarray, ...]:
     return T.points[:k], Q[..., T.sigmas[:k], :], _quotients(T.points, Q)
 
 
-def _alongs(p: VariationalProblem, Q: np.ndarray, approximate=False) -> Evaluation:
+def _alongs(p: VariationalProblem, Q: np.ndarray) -> Evaluation:
     """Evaluate L and its partials along the trajectory Q, shape (N, n), in
     one pass.
 
@@ -406,10 +406,7 @@ def _alongs(p: VariationalProblem, Q: np.ndarray, approximate=False) -> Evaluati
     """
     T = p.scale
     t, U, V = _frames(T, Q)
-    return Evaluation(
-        p, t, T.mus[: T.n - 1], approximate or T.has_dense, Q, U, V,
-        *p.lagrangian.partials(t, U, V),
-    )
+    return Evaluation(p, t, T.mus[: T.n - 1], Q, U, V, *p.lagrangian.partials(t, U, V))
 
 
 def action(p: VariationalProblem, q: GridFunction) -> float:

@@ -56,11 +56,11 @@ SIGNATURES = {
     Expr: ("root", "variables", "reads", "_run"),
     PointClass: ("left_scattered", "right_scattered"),
     TimeScale: ("points", "gaps"),
-    GridFunction: ("base", "values", ("approximate", False)),
+    GridFunction: ("base", "values"),
     Lagrangian: ("dim", "body"),
     VariationalProblem: ("scale", "lagrangian", "q_a", "q_b"),
     Residual: ("kind", "points", "values", "approximate"),
-    Evaluation: ("p", "t", "mu", "approximate", "Q", "U", "v", "L", "Lt", "Lu", "Lv"),
+    Evaluation: ("p", "t", "mu", "Q", "U", "v", "L", "Lt", "Lu", "Lv"),
     NewtonOptions: (("tol", 1e-10), ("max_iter", 50)),
     Candidate: (
         "trajectory", "provenance", "action", "first_el", "second_el", ("slopes", None)
@@ -311,7 +311,7 @@ def test_an_evaluation_cannot_be_written_through():
     # the public constructor freezes the arrays it is given, in place
     fields = ("t", "mu", "Q", "U", "v", "L", "Lt", "Lu", "Lv")
     given = {f: np.array(getattr(e, f)) for f in fields}  # writable copies
-    again = Evaluation(p, approximate=False, **given)
+    again = Evaluation(p, **given)
     for f, a in given.items():
         assert getattr(again, f) is a and not a.flags.writeable, f
     assert again.action() == 1.0

@@ -265,7 +265,6 @@ class TestDeltaDerivative:
         d = delta_derivative(f)
         assert d.valid == 3
         assert list(d.component(0)) == [1.0, 3.0, 5.0]
-        assert not d.approximate
 
     def test_constant(self):
         T = TimeScale.from_points([0.0, 0.4, 1.1, 2.0])
@@ -277,11 +276,12 @@ class TestDeltaDerivative:
         d = delta_derivative(GridFunction.sample(T, lambda t: t))
         assert np.allclose(d.values, 1.0)
 
-    def test_dense_flagged_approximate(self):
+    def test_dense_quotient_approximates_to_first_order(self):
         T = TimeScale.dense_interval(0, 1, 51)
         d = delta_derivative(GridFunction.sample(T, np.sin))
-        assert d.approximate
         assert d.valid == 50
+        # |sin''| <= 1, so a forward quotient is within h/2 of cos
+        assert np.abs(d.component(0) - np.cos(T.points[:50])).max() <= 0.5 / 50
 
 
 class TestDeltaIntegral:

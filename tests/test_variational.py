@@ -628,7 +628,7 @@ class TestRecord:
         Q = rng.uniform(-2, 2, (h, N, n))
         ones = [evaluate(p, GridFunction(scale, Q[i]), boundary=False) for i in range(h)]
         fields = (np.stack([getattr(e, f) for e in ones]) for f in RECORD_FIELDS)
-        stack = Evaluation(p, ones[0].t, ones[0].mu, ones[0].approximate, *fields)
+        stack = Evaluation(p, ones[0].t, ones[0].mu, *fields)
         # the stack's own passes, the closing frame of a DENSE last gap too
         actions = stack.action()
         firsts, seconds = stack.first_el_values(), stack.second_el_values()
@@ -781,6 +781,26 @@ class TestResidual:
         assert Residual("k", [], np.empty((0, 1)), False).magnitude == 0.0
         with pytest.raises(TypeError, match="magnitude"):
             Residual("k", [0.0], [1.0], False, magnitude=7.0)
+
+    @pytest.mark.parametrize("gaps", ["SSSS", "SDSS", "DDDD"])
+    def test_approximate_is_read_from_the_scale(self, gaps):
+        # a residual approximates a continuum quantity exactly where a DENSE
+        # gap samples one; the classical check always does
+        scale = TimeScale.from_parts([0, 0.25, 0.5, 0.75, 1], gaps)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^2"), [0.0], [1.0])
+        e = evaluate(p, GridFunction(scale, scale.points))
+        for r in (e.first_el(), e.first_el_integral(), e.second_el()):
+            assert r.approximate is scale.has_dense, r.kind
+        if not scale.has_dense:
+            tr = Transformation.from_text(1, "0", ["1"])
+            assert invariance_residual(p, e.q, tr).approximate is False
+        if gaps == "DDDD":
+            assert e.classical().approximate is True
+
+    def test_a_grid_function_takes_no_flag(self):
+        scale = TimeScale.uniform(0, 1, 0.5)
+        with pytest.raises(TypeError, match="approximate"):
+            GridFunction(scale, scale.points, approximate=True)
 
 
 class TestStructuralProperties:
