@@ -283,8 +283,10 @@ class Evaluation(_Record):
         The pass takes only the second partials that H reads: along u and v,
         which the interior values move, and at the last frame, whose u is
         q_{N-1}, along v alone.  So L need not be twice differentiable in t,
-        nor in u at q_b.
+        nor in u at q_b.  Any other scale raises ValueError before the pass.
         """
+        if not self.p.scale.is_exact_discrete:  # a zero mu would divide L_vv
+            raise ValueError("action Hessian needs an exact discrete scale")
         n, L, mu = self.p.dim, self.p.lagrangian, self.mu[:, None, None]
         moving = np.ones((self.t.size, 2 * n + 1), dtype=bool)
         moving[:, 0] = moving[-1, 1 : n + 1] = False

@@ -133,6 +133,25 @@ class TestNewton:
         with pytest.raises(ValueError):
             solve_newton(p)
 
+    @pytest.mark.parametrize("gaps", ["SDSS", "DDDD"])
+    def test_hessian_refuses_a_scale_with_a_dense_gap(self, gaps, count_calls):
+        # a DENSE gap's zero mu would divide L_vv, giving inf and NaN blocks;
+        # the record refuses before any kernel pass, Newton with its own
+        # message before it builds one
+        scale = TimeScale.from_parts([0, 0.25, 0.5, 0.75, 1], gaps)
+        p = VariationalProblem(scale, Lagrangian(1, "v1^2 + u1^2"), [0.0], [1.0])
+        e = evaluate(p, GridFunction(scale, scale.points))
+        calls = count_calls(Lagrangian, "partials")
+        message = "^action Hessian needs an exact discrete scale$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                e.hessian()
+        assert calls == []
+        message = "^Newton solve needs an exact discrete scale$"
+        with pytest.raises(ValueError, match=message):
+            solve_newton(p)
+
     def test_no_convergence_carries_history(self):
         # the guess and each of the max_iter accepted steps, each lower than
         # the one before; the trajectory is the last of them
@@ -1619,6 +1638,22 @@ class TestEnumeration:
         sizes = self._pass_sizes(monkeypatch, p, letters)
         assert sizes == [sum(self._prefixes(w)) for w in (words[:50], words[50:])]
         assert sum(sizes) > frames
+
+    def test_block_error_raised_when_no_hit_fails_alone(self, monkeypatch):
+        # a pass over the block fails, each hit replayed alone passes: the
+        # block's own error is raised, not swallowed
+        calls, extremals = [], solver._extremals
+
+        def failing_block(p, letters, tree, hits, tol):
+            calls.append(hits)
+            if len(hits) > 1:
+                raise FloatingPointError("the block's own")
+            return extremals(p, letters, tree, hits, tol)
+
+        monkeypatch.setattr(solver, "_extremals", failing_block)
+        with pytest.raises(FloatingPointError, match="^the block's own$"):
+            enumerate_slope_extremals(quartic_problem(), [-1.0, 0.0, 1.0])
+        assert calls == [range(1107)] + [range(i, i + 1) for i in range(1107)]
 
     def test_quartic_membership_and_actions(self):
         p = quartic_problem()
