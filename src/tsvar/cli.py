@@ -53,6 +53,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _number(x: float) -> float | None:
+    """x for a report, or None (JSON null) if x is NaN or inf: JSON has neither."""
+    return x if np.isfinite(x) else None
+
+
 def _check_finite(**quantities) -> None:
     """ValueError, an exit 2, naming the first quantity with an inf or nan:
     L, a partial or a product overflowed along a trajectory.  Called
@@ -64,6 +69,7 @@ def _check_finite(**quantities) -> None:
 
 
 _BLOCK = 1024  # table rows per formatting pass, array entries per JSON block
+_JSON = json.JSONEncoder(allow_nan=False)  # json.dumps, refusing NaN and inf
 
 
 def _write_table(row: str, *columns) -> None:
@@ -321,30 +327,31 @@ def default_tol(scale: TimeScale) -> float:
 
 
 def _json_chunks(value) -> Iterator[str]:
-    """The text of ``json.dumps(value)`` in pieces, where every numpy array
+    """The text of ``_JSON.encode(value)`` in pieces, where every numpy array
     stands for its ``tolist()``: a dict key by key, an array ``_BLOCK``
     entries (rows) at a time."""
     if isinstance(value, dict):
         yield "{"
         for i, (key, item) in enumerate(value.items()):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield f"{', ' if i else ''}{_JSON.encode(key)}: "
             yield from _json_chunks(item)
         yield "}"
     elif isinstance(value, np.ndarray):
         yield "["
         for start in range(0, len(value), _BLOCK):
-            block = json.dumps(value[start : start + _BLOCK].tolist())[1:-1]
+            block = _JSON.encode(value[start : start + _BLOCK].tolist())[1:-1]
             yield f"{', ' if start else ''}{block}"
         yield "]"
     else:
-        yield json.dumps(value)
+        yield _JSON.encode(value)
 
 
 def _write_json(path: str | None, payload) -> None:
     """Write the --json report, if a path is given: a dict as one JSON
     object (see :func:`_json_chunks`), any other iterable as one JSON line
-    per item, a lone newline if it has none.  A path that cannot be
-    written is an input error."""
+    per item, a lone newline if it has none; NaN and inf raise ValueError,
+    as they are not JSON.  A path that cannot be written is an input
+    error."""
     if not path:
         return
     try:
@@ -352,7 +359,7 @@ def _write_json(path: str | None, payload) -> None:
             if isinstance(payload, dict):
                 out.writelines(_json_chunks(payload))
             else:
-                out.writelines(f"{json.dumps(item)}\n" for item in payload)
+                out.writelines(f"{_JSON.encode(item)}\n" for item in payload)
                 if not out.tell():
                     out.write("\n")
     except OSError as exc:
@@ -446,11 +453,11 @@ def cmd_verify(args, loaded: LoadedProblem) -> int:
     for kind in selected:
         mag = checks[kind]()
         ok = mag <= tol
-        results.append({"kind": kind, "magnitude": mag, "pass": bool(ok)})
+        results.append({"kind": kind, "magnitude": _number(mag), "pass": bool(ok)})
         print(f"{kind}: {_fmt(mag)} {'PASS' if ok else 'FAIL'}")
     _write_json(
         args.json_path,
-        {"command": "verify", "tol": tol, "results": results},
+        {"command": "verify", "tol": _number(tol), "results": results},
     )
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_FAIL
 

@@ -274,10 +274,16 @@ def march(p, q_0, q_1) -> np.ndarray:
     return Q
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
 def load_report(path: str | Path):
-    """Re-read a report written by --json (object or JSON-lines)."""
+    """Re-read a report written by --json (object or JSON-lines); a NaN,
+    Infinity or -Infinity in it raises ValueError."""
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_not_json)
     except json.JSONDecodeError:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+        lines = text.splitlines()
+        return [json.loads(line, parse_constant=_not_json) for line in lines if line.strip()]

@@ -198,6 +198,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: residual has non-finite entries\n"
 
+    def test_verify_writes_a_nan_magnitude_as_null(self, tmp_path, capsys):
+        # the text prints nan as a FAIL, exit 1; the report, which JSON
+        # cannot give a NaN, holds null
+        path = write_problem(
+            tmp_path, scale={"points": [0, 1, 2, 3]}, lagrangian="1e300*v1*v1 + u1",
+            q_a=0, q_b=3e10, trajectory={"values": [0, 1e10, 2e10, 3e10]},
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", path, "--json", str(out)]) == 1
+        assert capsys.readouterr().out == "first_el: nan FAIL\nsecond_el: nan FAIL\n"
+        assert out.read_text() == (
+            '{"command": "verify", "tol": 1e-08, "results": ['
+            '{"kind": "first_el", "magnitude": null, "pass": false}, '
+            '{"kind": "second_el", "magnitude": null, "pass": false}]}'
+        )
+
     @pytest.mark.parametrize(
         "points, lagrangian, q_a, q_b",
         [
@@ -1325,10 +1341,12 @@ def fuzz_problem(rng) -> dict:
 
 def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
     # every command on 400 seeded files, under warnings as errors: an exit
-    # code of 0-3, no exception, and no nan or inf printed by a solve
-    # (plain or enumerating) or noether that exits 0
+    # code of 0-3, no exception, no nan or inf printed by a solve (plain or
+    # enumerating) or noether that exits 0, and every --json report JSON
+    # (RFC 8259), which has no NaN or Infinity: a verify magnitude that is
+    # nan is written as null
     rng, path = random.Random(20261020), tmp_path / "p.json"
-    codes = Counter()
+    report, codes, nulls = tmp_path / "report.json", Counter(), 0
     for case in range(400):
         obj = fuzz_problem(rng)
         path.write_text(json.dumps(obj))
@@ -1336,7 +1354,7 @@ def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    code = cli.main([*command, str(path)])
+                    code = cli.main([*command, str(path), "--json", str(report)])
                 except Exception as exc:  # noqa: BLE001 - named with the file
                     raise AssertionError((case, command, obj)) from exc
             out = capsys.readouterr().out
@@ -1344,8 +1362,15 @@ def test_seeded_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
             codes[command[0], code] += 1
             if code == 0 and command[0] in ("solve", "noether"):
                 assert not re.search(r"\b(nan|inf)\b", out), (case, command, obj)
+            if report.exists():
+                written = load_report(report)
+                report.unlink()
+                if command[0] == "verify":
+                    nulls += [r["magnitude"] for r in written["results"]].count(None)
     # the files reach every command's results, not only its input errors
     assert all(codes[command[0], 0] >= 20 for command in FUZZ_COMMANDS), codes
+    assert nulls >= 1
+
 
 
 class TestDimensionGuard:
