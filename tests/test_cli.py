@@ -198,22 +198,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "numerical failure: residual has non-finite entries\n"
 
-    def test_verify_writes_a_nan_magnitude_as_null(self, tmp_path, capsys):
-        # the text prints nan as a FAIL, exit 1; the report, which JSON
-        # cannot give a NaN, holds null
-        path = write_problem(
-            tmp_path, scale={"points": [0, 1, 2, 3]}, lagrangian="1e300*v1*v1 + u1",
-            q_a=0, q_b=3e10, trajectory={"values": [0, 1e10, 2e10, 3e10]},
-        )
-        out = tmp_path / "report.json"
-        assert cli.main(["verify", path, "--json", str(out)]) == 1
-        assert capsys.readouterr().out == "first_el: nan FAIL\nsecond_el: nan FAIL\n"
-        assert out.read_text() == (
-            '{"command": "verify", "tol": 1e-08, "results": ['
-            '{"kind": "first_el", "magnitude": null, "pass": false}, '
-            '{"kind": "second_el", "magnitude": null, "pass": false}]}'
-        )
-
     @pytest.mark.parametrize(
         "points, lagrangian, q_a, q_b",
         [
@@ -464,6 +448,22 @@ class TestVerify:
         assert cli.main(["verify", path]) == 0
         out = capsys.readouterr().out
         assert "first_el" in out and "second_el" in out
+
+    def test_nan_magnitude_written_as_null(self, tmp_path, capsys):
+        # the text prints nan as a FAIL, exit 1; the report, which JSON
+        # cannot give a NaN, holds null
+        path = write_problem(
+            tmp_path, scale={"points": [0, 1, 2, 3]}, lagrangian="1e300*v1*v1 + u1",
+            q_a=0, q_b=3e10, trajectory={"values": [0, 1e10, 2e10, 3e10]},
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", path, "--json", str(out)]) == 1
+        assert capsys.readouterr().out == "first_el: nan FAIL\nsecond_el: nan FAIL\n"
+        assert out.read_text() == (
+            '{"command": "verify", "tol": 1e-08, "results": ['
+            '{"kind": "first_el", "magnitude": null, "pass": false}, '
+            '{"kind": "second_el", "magnitude": null, "pass": false}]}'
+        )
 
 
 class TestNoether:

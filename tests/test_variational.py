@@ -797,11 +797,6 @@ class TestResidual:
         if gaps == "DDDD":
             assert e.classical().approximate is True
 
-    def test_a_grid_function_takes_no_flag(self):
-        scale = TimeScale.uniform(0, 1, 0.5)
-        with pytest.raises(TypeError, match="approximate"):
-            GridFunction(scale, scale.points, approximate=True)
-
 
 class TestStructuralProperties:
     def test_second_el_zero_on_extremals_of_slope_only_lagrangians(self):
