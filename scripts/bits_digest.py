@@ -265,11 +265,12 @@ def many_blocks():
 
 
 def frontend_records():
-    """The printed form and the tree of each text in TEXTS, or the class
-    and message of what parse raises; then each collision's verdict."""
+    """The printed form of each text in TEXTS, which parses back to an
+    equal tree, or the class and message of what parse raises; then each
+    collision's verdict."""
     for text in TEXTS:
         e = outcome(parse, text, VARIABLES)
-        yield (text, e) if isinstance(e, tuple) else (text, str(e), repr(e.root))
+        yield (text, e) if isinstance(e, tuple) else (text, str(e))
     for names in COLLISIONS:
         yield (names, outcome(parse, "1", names))
     yield outcome(parse, b"v1", VARIABLES)

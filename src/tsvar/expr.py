@@ -44,7 +44,6 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DEPTH = 100  # parser, evaluator and printer recurse once per level of nesting
 _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
-_SUBTREES = ("arg", "left", "right")  # the fields of a node that hold nodes
 
 
 class ExprError(ValueError):
@@ -116,41 +115,11 @@ def _frozen(record: _Record, **fields) -> None:
 
 
 # -- AST ----------------------------------------------------------------
-
-
-class _Num(_Value):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        _frozen(self, value=value)
-
-
-class _Var(_Value):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _frozen(self, name=name)
-
-
-class _Neg(_Value):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        _frozen(self, arg=arg)
-
-
-class _BinOp(_Value):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left, right):
-        _frozen(self, op=op, left=left, right=right)
-
-
-class _Call(_Value):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: str, arg):
-        _frozen(self, fn=fn, arg=arg)
+#
+# A node is a tuple led by its kind: ("num", value), ("var", name),
+# ("neg", arg), ("call", fn, arg), or (op, left, right) for an op of
+# + - * / ^, the kinds that _PREC ranks.  A node's children are its items
+# that are tuples; a tree compares, hashes and pickles by value.
 
 
 def _walk(root) -> tuple[int, set[str]]:
@@ -159,8 +128,8 @@ def _walk(root) -> tuple[int, set[str]]:
     height, names, level = 0, set(), [root]
     while level:
         height += 1
-        names.update(n.name for n in level if isinstance(n, _Var))
-        level = [getattr(n, f) for n in level for f in _SUBTREES if hasattr(n, f)]
+        names.update(n[1] for n in level if n[0] == "var")
+        level = [c for n in level for c in n[1:] if type(c) is tuple]
     return height, names
 
 
@@ -220,20 +189,20 @@ class _Parser:
         node = self.unary()
         while (tok := self.peek())[0] == "OP" and _PREC[tok[1]] >= min_prec:
             self.advance()
-            node = _BinOp(tok[1], node, self.binary(_PREC[tok[1]] + 1))
+            node = (tok[1], node, self.binary(_PREC[tok[1]] + 1))
         return node
 
     def unary(self):
         if self.level == MAX_DEPTH:
             raise ExprSyntaxError(_TOO_DEEP, self.peek()[2])
         self.level += 1
-        node = _Neg(self.unary()) if self.accept("-") else self.power()
+        node = ("neg", self.unary()) if self.accept("-") else self.power()
         self.level -= 1
         return node
 
     def power(self):
         base = self.atom()
-        return _BinOp("^", base, self.unary()) if self.accept("^") else base
+        return ("^", base, self.unary()) if self.accept("^") else base
 
     def atom(self):
         kind, text, pos = self.advance()
@@ -241,17 +210,17 @@ class _Parser:
             value = float(text)
             if value == np.inf:  # a literal past the float range, as 1e309
                 raise ExprSyntaxError(f"number {text} is out of range", pos)
-            return _Num(value)
+            return ("num", value)
         if kind == "NAME" and self.accept("("):
             if text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {text!r}", pos)
-            node = _Call(text, self.binary())
+            node = ("call", text, self.binary())
         elif kind == "NAME":
             if text in FUNCTIONS:
                 raise ExprSyntaxError(f"function {text!r} needs an argument list", pos)
             if text not in self.variables:
                 raise ExprSyntaxError(f"undeclared variable {text!r}", pos)
-            return _Var(text)
+            return ("var", text)
         elif text == "(":
             node = self.binary()
         else:
@@ -265,23 +234,23 @@ class _Parser:
 
 
 def _print(node, parent_prec: int = 0) -> str:
-    if isinstance(node, _Num):
-        s = repr(node.value).removesuffix(".0")  # a whole number prints as 400
-        return s if node.value >= 0 else f"({s})"
-    if isinstance(node, _Var):
-        return node.name
-    if isinstance(node, _Neg):
-        inner = _print(node.arg, _PREC["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    if isinstance(node, _Call):
-        return f"{node.fn}({_print(node.arg)})"
-    prec = _PREC[node.op]  # a _BinOp, the last kind of node
-    if node.op == "^":
-        # right-associative, and the right side may be a unary chain
-        s = f"{_print(node.left, prec + 1)}^{_print(node.right, prec)}"
-    else:
-        s = f"{_print(node.left, prec)} {node.op} {_print(node.right, prec + 1)}"
+    match node:
+        case ("num", value):
+            s = repr(value).removesuffix(".0")  # a whole number prints as 400
+            return s if value >= 0 else f"({s})"
+        case ("var", name):
+            return name
+        case ("call", fn, arg):
+            return f"{fn}({_print(arg)})"
+        case ("neg", arg):
+            prec = _PREC["neg"]
+            s = f"-{_print(arg, prec)}"
+        case ("^", left, right):  # right-associative; the right side may be a unary chain
+            prec = _PREC["^"]
+            s = f"{_print(left, prec + 1)}^{_print(right, prec)}"
+        case (op, left, right):
+            prec = _PREC[op]
+            s = f"{_print(left, prec)} {op} {_print(right, prec + 1)}"
     return f"({s})" if parent_prec > prec else s
 
 
@@ -446,23 +415,24 @@ def _pow(a, b, node):
 
 
 def _call(node, x):
-    fn, (xv, dx, hx) = node.fn, x
+    fn, (xv, dx, hx) = node[1], x
     if fn in ("sin", "cos") and np.count_nonzero(np.isinf(xv)):
         raise ExprDomainError(f"{fn} of an infinite value", _print(node))
-    if fn == "sin":
-        v = np.sin(xv)
-        return _chain(x, v, np.cos(xv), lambda: -v)
-    if fn == "cos":
-        v = np.cos(xv)
-        return _chain(x, v, -np.sin(xv), lambda: -v)
-    if fn == "exp":
-        v = _no_overflow(np.exp(xv), xv, node)
-        return _chain(x, v, v, lambda: v)
-    if fn == "log":
-        if np.count_nonzero(xv <= 0.0):
-            raise ExprDomainError("log of a non-positive value", _print(node))
-        d = 1.0 / xv
-        return _chain(x, np.log(xv), d, lambda: -d * d)
+    match fn:
+        case "sin":
+            v = np.sin(xv)
+            return _chain(x, v, np.cos(xv), lambda: -v)
+        case "cos":
+            v = np.cos(xv)
+            return _chain(x, v, -np.sin(xv), lambda: -v)
+        case "exp":
+            v = _no_overflow(np.exp(xv), xv, node)
+            return _chain(x, v, v, lambda: v)
+        case "log":
+            if np.count_nonzero(xv <= 0.0):
+                raise ExprDomainError("log of a non-positive value", _print(node))
+            d = 1.0 / xv
+            return _chain(x, np.log(xv), d, lambda: -d * d)
     # sqrt, the last of FUNCTIONS
     if np.count_nonzero(xv < 0.0):
         raise ExprDomainError("sqrt of a negative value", _print(node))
@@ -479,24 +449,24 @@ def _call(node, x):
 
 def _compile(node):
     """The closure that evaluates ``node``: (env, zero) -> its triple."""
-    if isinstance(node, _Num):
-        c = node.value
-        return lambda env, zero: (c, 0.0, zero)
-    if isinstance(node, _Var):
-        name = node.name
-        return lambda env, zero: env[name]
-    if isinstance(node, _Neg):
-        arg = _compile(node.arg)
+    match node:
+        case ("num", c):
+            return lambda env, zero: (c, 0.0, zero)
+        case ("var", name):
+            return lambda env, zero: env[name]
+        case ("neg", arg):
+            arg = _compile(arg)
 
-        def neg(env, zero):
-            v, d, h = arg(env, zero)
-            return -v, -d, None if h is None else -h
+            def neg(env, zero):
+                v, d, h = arg(env, zero)
+                return -v, -d, None if h is None else -h
 
-        return neg
-    if isinstance(node, _Call):
-        arg = _compile(node.arg)
-        return lambda env, zero: _call(node, arg(env, zero))
-    left, right, op = _compile(node.left), _compile(node.right), node.op
+            return neg
+        case ("call", _, arg):
+            arg = _compile(arg)
+            return lambda env, zero: _call(node, arg(env, zero))
+        case (op, left, right):  # a binary operator, the last kind of node
+            left, right = _compile(left), _compile(right)
     if op == "^":
         return lambda env, zero: _pow(left(env, zero), right(env, zero), node)
 

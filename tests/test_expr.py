@@ -124,9 +124,9 @@ class TestFrontEnd:
 
     def test_largest_and_underflowing_literals_parse(self):
         # only a literal whose float is infinite is refused
-        largest = parse("1.7976931348623157e308 * v1", VARS).root.left.value
+        largest = parse("1.7976931348623157e308 * v1", VARS).root[1][1]
         assert largest == np.finfo(float).max
-        assert parse("1e-400 + v1", VARS).root.left.value == 0.0
+        assert parse("1e-400 + v1", VARS).root[1][1] == 0.0
 
     def test_reads_are_the_variables_the_tree_names(self):
         assert parse("t*v1 + 2", VARS).reads == {"t", "v1"}

@@ -347,14 +347,34 @@ def test_value_equality():
 
 def test_expression_repr_is_the_dataclass_text():
     e = parse("-(x + 2.5)^3 * sin(y) / 1e3 - x^-2", ["x", "y"])
-    assert repr(e.root) == (
-        "_BinOp(op='-', left=_BinOp(op='/', left=_BinOp(op='*', left=_Neg("
-        "arg=_BinOp(op='^', left=_BinOp(op='+', left=_Var(name='x'), right="
-        "_Num(value=2.5)), right=_Num(value=3.0))), right=_Call(fn='sin', "
-        "arg=_Var(name='y'))), right=_Num(value=1000.0)), right=_BinOp(op='^', "
-        "left=_Var(name='x'), right=_Neg(arg=_Num(value=2.0))))"
-    )
+    assert e.root == (
+        "-",
+        ("/", ("*", ("neg", ("^", ("+", ("var", "x"), ("num", 2.5)), ("num", 3.0))),
+               ("call", "sin", ("var", "y"))),
+         ("num", 1000.0)),
+        ("^", ("var", "x"), ("neg", ("num", 2.0))),
+    )  # fmt: skip
+    assert repr(e) == f"Expr(root={e.root!r}, variables=('x', 'y'), reads={e.reads!r})"
     assert repr(NewtonOptions()) == "NewtonOptions(tol=1e-10, max_iter=50)"
+
+
+def test_expression_tree_is_tuples_and_copies_by_value():
+    e = parse("sin(u1) * exp(-t) + cos(v1)^2 / (1.3 - u1)", ["t", "u1", "v1"])
+    level, kinds = [e.root], set()
+    while level:
+        assert all(type(node) is tuple for node in level)
+        kinds.update(node[0] for node in level)
+        level = [  # every subtree: all but a leaf's value and a call's function name
+            child
+            for kind, *items in level
+            if kind not in ("num", "var")
+            for child in items[kind == "call" :]
+        ]
+    assert kinds == {"+", "-", "*", "/", "^", "neg", "call", "var", "num"}
+    frames = [np.array([0.5]), np.array([0.25]), np.array([2.0])]
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and hash(twin) == hash(e) and str(twin) == str(e)
+        assert twin._forward(frames)[0] == e._forward(frames)[0]
 
 
 GUARD = """
