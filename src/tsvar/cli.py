@@ -319,7 +319,8 @@ def load_problem(path: str | PathLike) -> LoadedProblem:
 
 
 def default_tol(scale: TimeScale) -> float:
-    """Extremality threshold: 1e-8 on exact scales, 10*h on dense grids."""
+    """Extremality threshold: 1e-8 on exact scales, 10*h on dense grids
+    (inf where 10*h overflows)."""
     if scale.is_exact_discrete:
         return 1e-8
     dense = scale.mus[:-1] == 0.0
@@ -390,8 +391,8 @@ def _enumeration_rows(shown: Extremals) -> Iterator[dict]:
 
 def cmd_solve(args, loaded: LoadedProblem) -> int:
     p = loaded.problem
-    tol = args.tol if args.tol is not None else default_tol(p.scale)
     if args.enumerate_alphabet is not None:
+        tol = args.tol if args.tol is not None else default_tol(p.scale)
         try:
             alphabet = [float(s) for s in args.enumerate_alphabet.split(",") if s.strip()]
         except ValueError as exc:
@@ -442,6 +443,8 @@ def cmd_verify(args, loaded: LoadedProblem) -> int:
     if loaded.trajectory is None:
         raise ProblemFileError("verify needs a trajectory in the problem file")
     tol = args.tol if args.tol is not None else default_tol(p.scale)
+    if tol == np.inf:
+        raise ProblemFileError("default tolerance 10*h overflows on this scale; give --tol")
     e = evaluate(p, loaded.trajectory)
     checks = {
         "first_el": lambda: e.first_el().magnitude,
@@ -457,7 +460,7 @@ def cmd_verify(args, loaded: LoadedProblem) -> int:
         print(f"{kind}: {_fmt(mag)} {'PASS' if ok else 'FAIL'}")
     _write_json(
         args.json_path,
-        {"command": "verify", "tol": _number(tol), "results": results},
+        {"command": "verify", "tol": tol, "results": results},
     )
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_FAIL
 

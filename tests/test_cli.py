@@ -465,6 +465,27 @@ class TestVerify:
             '{"kind": "second_el", "magnitude": null, "pass": false}]}'
         )
 
+    def test_default_tolerance_that_overflows_is_refused(self, tmp_path, capsys):
+        # 10*h overflows past 1.8e307: verify asks for --tol rather than
+        # passing any finite residual; solve keeps its own refusals
+        path = write_problem(
+            tmp_path, scale={"points": [0, 2e307, 4e307, 6e307], "gaps": "DDD"},
+            lagrangian="v1^2 + u1^2", q_a=0, q_b=5, trajectory={"values": [0, 7, -3, 5]},
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", path, "--json", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: default tolerance 10*h overflows on this scale; give --tol\n"
+        )
+        assert not out.exists()
+        assert cli.main(["verify", path, "--tol", "1"]) == 1
+        assert capsys.readouterr().out == "first_el: 14 FAIL\nsecond_el: 2.45e-306 PASS\n"
+        for argv, message in (
+            ([], "Newton solve needs"), (["--enumerate=-1,0,1"], "enumeration needs")
+        ):
+            assert cli.main(["solve", path, *argv]) == 2
+            assert capsys.readouterr().err == f"error: {message} an exact discrete scale\n"
+
 
 class TestNoether:
     def test_quadratic_conserved_zero(self, tmp_path, capsys):
