@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Paired A/B timings of tsvar's layers: kernel passes, enumeration, CLI
-calls and start-up, on this tree and optionally another.
+"""Paired A/B timings of tsvar's layers: parsing, kernel passes,
+enumeration, CLI calls and start-up, on this tree and optionally another.
 
 Every case sets up on one tree and gives a function that times one sample
 on the case's own clock:
 
+- ``parse``: ``parse`` of three Lagrangian bodies, the quartic's, an LQ
+  one and one with calls; a sample is the mean CPU time of one call over
+  a loop of about 20 ms.
 - ``kernel``: ``Lagrangian.partials`` on k random frames (k = 21, 121,
   1001, 10001) for four bodies in n = 1 and n = 3, first order, and second
   order with the mask Newton's Jacobian uses (t held at every frame, u at
@@ -94,6 +97,7 @@ BODIES = {
     ),
     "powers": "t^1.5*v{j}^2 + sqrt(u{j}^2 + 1) + u{j}^(t - t + 3)",
 }
+PARSES = ("(v1^2 - 1)^2", "1.3*t*v1^2 + 0.7*u1^2", "sin(u1) * exp(-t) + cos(v1)^2")
 ENUMERATIONS = (
     "quartic.json", "quartic, 12 gaps", "v1^2 + 1.3*u1^2, 14 gaps", "3000 letters, 2 gaps"
 )
@@ -138,6 +142,10 @@ def cpu_loop(call, seconds: float):
     t = timeit.Timer(call, timer=time.process_time)
     number = max(1, int(seconds / max(t.timeit(1), 1e-7)))
     return lambda: t.timeit(number) / number
+
+
+def parse(text: str, pkg, scratch: Path):
+    return cpu_loop(lambda: pkg.parse(text, ("t", "u1", "v1")), 0.02), {}
 
 
 def kernel(body: str, n: int, k: int, order: int, pkg, scratch: Path):
@@ -243,6 +251,7 @@ def startup(args: list, cached: bool, pkg, scratch: Path):
 
 
 CASES = {
+    **{f"parse {text}": partial(parse, text) for text in PARSES},
     **{
         f"kernel {name} n={n} k={k} order {order}": partial(kernel, body, n, k, order)
         for name, body in BODIES.items()

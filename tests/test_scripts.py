@@ -1,6 +1,6 @@
 """Smoke test: every script in ``scripts/`` runs with its default
 arguments and exits 0, and ``ab_timing.py`` runs ``--against`` a source
-tree, each of its four families of cases checked on its own.  And
+tree, each of its five families of cases checked on its own.  And
 ``newton_sweep.py --compare`` exits 1 exactly when a solved row is lost
 or moves too far."""
 
@@ -22,6 +22,7 @@ _spec.loader.exec_module(AB_TIMING)
 # ab_timing.py's runs are checked one family of cases at a time; a family's
 # test id is the name of the script whose cases it took over
 FAMILIES = {
+    "parse_timing.py": ("parse", set()),
     "kernel_timing.py": ("kernel", set()),
     "enumeration_timing.py": ("enumeration", {"hits", "frames", "rows"}),
     "call_timing.py": ("call", {"exit"}),
@@ -67,13 +68,13 @@ def family_cases(record: dict, name: str) -> list:
 
 @pytest.fixture(scope="module")
 def ab_timing_defaults():
-    # one default run, one tree, for all four families
+    # one default run, one tree, for all five families
     return ab_timing_record(run_script(ROOT / "scripts" / "ab_timing.py"))
 
 
 @pytest.fixture(scope="module")
 def ab_timing_against_itself():
-    # this tree against itself, one pair per case, for all four families
+    # this tree against itself, one pair per case, for all five families
     return ab_timing_record(
         run_script(ROOT / "scripts" / "ab_timing.py", "--repeat", "1", "--against", "src")
     )
