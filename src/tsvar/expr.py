@@ -117,9 +117,9 @@ def _frozen(record: _Record, **fields) -> None:
 # -- AST ----------------------------------------------------------------
 #
 # A node is a tuple led by its kind: ("num", value), ("var", name),
-# ("neg", arg), ("call", fn, arg), or (op, left, right) for an op of
-# + - * / ^, the kinds that _PREC ranks.  A node's children are its items
-# that are tuples; a tree compares, hashes and pickles by value.
+# ("neg", arg), ("call", fn, arg), or (op, left, right), op one of + - * / ^
+# and so, like "neg", a key of _PREC.  A node's children are its items that
+# are tuples; a tree compares, hashes and pickles by value.
 
 
 def _walk(root) -> tuple[int, set[str]]:

@@ -347,13 +347,11 @@ def test_value_equality():
 
 def test_expression_repr_is_the_dataclass_text():
     e = parse("-(x + 2.5)^3 * sin(y) / 1e3 - x^-2", ["x", "y"])
+    power = ("^", ("+", ("var", "x"), ("num", 2.5)), ("num", 3.0))
+    product = ("*", ("neg", power), ("call", "sin", ("var", "y")))
     assert e.root == (
-        "-",
-        ("/", ("*", ("neg", ("^", ("+", ("var", "x"), ("num", 2.5)), ("num", 3.0))),
-               ("call", "sin", ("var", "y"))),
-         ("num", 1000.0)),
-        ("^", ("var", "x"), ("neg", ("num", 2.0))),
-    )  # fmt: skip
+        "-", ("/", product, ("num", 1000.0)), ("^", ("var", "x"), ("neg", ("num", 2.0)))
+    )
     assert repr(e) == f"Expr(root={e.root!r}, variables=('x', 'y'), reads={e.reads!r})"
     assert repr(NewtonOptions()) == "NewtonOptions(tol=1e-10, max_iter=50)"
 
